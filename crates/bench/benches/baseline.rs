@@ -35,29 +35,15 @@
 //! * `net_sim_run_sparse_q05_shared` vs `net_sim_run_sparse_q05_batched`
 //!   — a 10k-node low-duty-cycle (q = 0.05) single-flood run over a long
 //!   idle horizon on the `Arc`-shared cached deployment, settled with
-//!   exact per-boundary idle replay (`Dense`) and with geometric-skip
-//!   batching (`Geometric`) respectively: the boundary-engine ratio.
-//! * `net_sim_run_sparse_q05` vs `net_sim_run_sparse_q05_draw` — the
-//!   same network on the PR-3 two-flood 600 s workload, on a per-run
-//!   *copied* deployment (the pre-Arc `run_on` semantics, kept so the
-//!   kernel stays comparable with its committed history) and with the
-//!   per-run fresh deployment draw respectively: the per-run setup-cost
-//!   ratio. The copy itself is a small slice of the run (~0.5 MB memcpy
-//!   under ~15 ms of simulation), so the proof that the shared path
-//!   drops it is the allocation-count test
-//!   `crates/bench/tests/alloc_shared.rs`, not a wall-clock ratio.
-//! * `net_sim_run_sparse_flood_replicas` vs `net_sim_run_sparse_flood_serial`
-//!   — R = 8 Monte Carlo replicas of a sparse-flood scenario over one
-//!   shared deployment, advanced in lockstep by `NetSim::run_replicas`
-//!   against the serial one-`run_on`-per-seed loop (bitwise-equal
-//!   results; the acceptance criterion is ≥1.5× here).
-//! * `net_sim_run_quiescent_frameskip` vs `net_sim_run_quiescent_geometric`
-//!   — a 500-node two-hour single-flood scenario (λ = 0.000125,
-//!   PBBF(1, 1): all-immediate forwarding, draw-free always-awake coin)
-//!   at the 50 ms beacon interval, on the frame-skip and geometric
-//!   boundary engines. Results are asserted bitwise equal before timing
-//!   (frame skip's contract); the ratio isolates the ~288k empty
-//!   boundary events the jump deletes (acceptance: ≥3×).
+//!   exact per-boundary idle replay (`Dense`) and with the default lazy
+//!   engine (`Lazy`) respectively: the boundary-engine ratio.
+//! * `net_sim_run_quiescent_frameskip` — a 500-node two-hour
+//!   single-flood scenario (λ = 0.000125, PBBF(1, 1): all-immediate
+//!   forwarding, draw-free always-awake coin) at the 50 ms beacon
+//!   interval on the lazy engine, whose quiescent-frame jump settles the
+//!   ~288k empty boundary events after the flood in one step. The
+//!   absolute gate guards it: a revert to the per-frame walk is ~5.5×
+//!   slower here.
 //! * `fig06_quick_effort` — one full figure regeneration at quick effort.
 //!
 //! Kernels that resolve deployments through the process-wide registry do
@@ -262,47 +248,28 @@ fn net_sim_run_dense(c: &mut Criterion) {
 
 fn net_sim_run_sparse(c: &mut Criterion) {
     // Where the event loop dominates: a large (10000 nodes) rare-traffic
-    // network at a low duty cycle (q = 0.05). Two scenarios share the
-    // kernel family:
-    //
-    // * The PR-3 scenario (λ = 0.002 over 600 s — two floods filling
-    //   most of the horizon) for `net_sim_run_sparse_q05` (the pre-Arc
-    //   per-run deployment *copy*) vs `net_sim_run_sparse_q05_draw` (the
-    //   full connected-deployment rejection sampling every run). Their
-    //   story is per-run setup cost against a fixed amount of
-    //   simulation, so they keep the committed-history workload.
-    // * The boundary-engine scenario (λ = 0.000125 over 7200 s — one
-    //   flood, then ~670 beacon intervals of pure idle steady state) for
-    //   `net_sim_run_sparse_q05_shared` (exact per-boundary idle replay,
-    //   `BoundaryEngine::Dense`) vs `net_sim_run_sparse_q05_batched`
-    //   (the same registry-shared run on the default geometric-skip
-    //   engine). The PR-3 horizon spent ~75% of its wall clock flooding
-    //   — work identical on both engines — which measured the flood, not
-    //   the idle walk the kernel exists to track; the long-horizon
-    //   single-flood form is the regime sweeps actually spend their time
-    //   in, and the batched-vs-shared ratio isolates exactly what
-    //   geometric skip buys. (Workload changed in PR 5: `_shared`
-    //   numbers are not comparable with the PR-4 snapshot.)
+    // network at a low duty cycle (q = 0.05) — one flood at λ = 0.000125,
+    // then ~670 beacon intervals of pure idle steady state over 7200 s.
+    // `net_sim_run_sparse_q05_shared` replays every idle boundary exactly
+    // (`BoundaryEngine::Dense`); `net_sim_run_sparse_q05_batched` is the
+    // same registry-shared run on the default lazy engine. The ratio
+    // isolates what lazy settling buys in the regime sweeps spend their
+    // time in.
     let mut cfg = NetConfig::table2();
     cfg.nodes = 10_000;
-    cfg.duration_secs = 600.0;
+    cfg.duration_secs = 7200.0;
     cfg.delta = 10.0;
-    cfg.lambda = 0.002;
+    cfg.lambda = 0.000125;
     cfg.boundary_engine = BoundaryEngine::Dense;
-    let mut shared_cfg = cfg;
-    shared_cfg.duration_secs = 7200.0;
-    shared_cfg.lambda = 0.000125;
-    let mut batched_cfg = shared_cfg;
-    batched_cfg.boundary_engine = BoundaryEngine::Geometric;
+    let mut lazy_cfg = cfg;
+    lazy_cfg.boundary_engine = BoundaryEngine::Lazy;
     // Resolved through the process-wide registry (not a direct draw) so
     // the report's cache counters reflect how the sweeps actually obtain
-    // deployments; the flood kernel below re-resolves the same scenario
-    // and hits.
-    let deployment = get_or_draw_tracked("net_sim_run_sparse_q05", &cfg, 4);
+    // deployments.
+    let deployment = get_or_draw_tracked("net_sim_run_sparse_q05_shared", &cfg, 4);
     let mode = NetMode::SleepScheduled(pbbf_core::PbbfParams::new(0.25, 0.05).expect("valid"));
-    let sim = NetSim::new(cfg, mode);
-    let shared_sim = NetSim::new(shared_cfg, mode);
-    let batched_sim = NetSim::new(batched_cfg, mode);
+    let shared_sim = NetSim::new(cfg, mode);
+    let batched_sim = NetSim::new(lazy_cfg, mode);
     let shared = shared_sim.run_on(4, &deployment);
     assert_eq!(
         shared,
@@ -321,65 +288,10 @@ fn net_sim_run_sparse(c: &mut Criterion) {
     c.bench_function("net_sim_run_sparse_q05_batched", |b| {
         b.iter(|| batched_sim.run_on(4, &deployment))
     });
-    c.bench_function("net_sim_run_sparse_q05", |b| {
-        b.iter(|| {
-            let copied = CachedDeployment::new(deployment.topology().clone(), deployment.source());
-            sim.run_on(4, &copied)
-        })
-    });
-    c.bench_function("net_sim_run_sparse_q05_draw", |b| b.iter(|| sim.run(4)));
-}
-
-fn net_sim_run_flood_replicas(c: &mut Criterion) {
-    // Lockstep replica batching on the flood path: R = 8 Monte Carlo
-    // replicas of a sparse-flood scenario (one flood, then two hours of
-    // beacon steady state at the 802.11-style 100 ms beacon interval),
-    // all over one registry-shared deployment. The mode is PBBF(0.25, 1)
-    // — the always-awake corner, whose sleep coin is deterministic — so
-    // the horizon's cost is the beacon-boundary machinery itself, which
-    // is exactly what the batch shares: the serial kernel pays the
-    // 144k-event boundary walk once per replica, the batched kernel
-    // (`NetSim::run_replicas`) pays it once per *batch*, sweeping all
-    // lanes per event, with per-lane event heaps keeping each replica's
-    // flood burst cache-hot. The boundary-seconds tables and the
-    // hop-distance BFS are likewise computed once per batch. Results are
-    // asserted bitwise equal before timing, so the pair measures the
-    // same work — `bench_check` enforces the speedup as a
-    // machine-independent RATIO_RULE (an operation-count gap, not a
-    // cache artifact: ~7/8 of the shared-event work is deleted).
-    let mut cfg = NetConfig::table2();
-    cfg.nodes = 1000;
-    cfg.duration_secs = 7200.0;
-    cfg.delta = 10.0;
-    cfg.lambda = 0.000125;
-    cfg.beacon_interval_secs = 0.1;
-    cfg.atim_window_secs = 0.01;
-    cfg.boundary_engine = BoundaryEngine::Geometric;
-    const SEEDS: [u64; 8] = [4, 11, 18, 25, 32, 39, 46, 53];
-    let deployment = get_or_draw_tracked("net_sim_run_sparse_flood_replicas", &cfg, 4);
-    let mode = NetMode::SleepScheduled(pbbf_core::PbbfParams::new(0.25, 1.0).expect("valid"));
-    let sim = NetSim::new(cfg, mode);
-    let serial: Vec<_> = SEEDS.iter().map(|&s| sim.run_on(s, &deployment)).collect();
-    assert_eq!(
-        sim.run_replicas(&SEEDS, &deployment),
-        serial,
-        "lockstep batching must be bitwise exact"
-    );
-    c.bench_function("net_sim_run_sparse_flood_replicas", |b| {
-        b.iter(|| sim.run_replicas(black_box(&SEEDS), &deployment))
-    });
-    c.bench_function("net_sim_run_sparse_flood_serial", |b| {
-        b.iter(|| {
-            SEEDS
-                .iter()
-                .map(|&s| sim.run_on(black_box(s), &deployment))
-                .collect::<Vec<_>>()
-        })
-    });
 }
 
 fn net_sim_run_quiescent(c: &mut Criterion) {
-    // The frame-skip engine's home regime: a two-hour sparse horizon
+    // The quiescent-frame jump's home regime: a two-hour sparse horizon
     // (λ = 0.000125 → exactly one update at t = AW/2, flooded through
     // the whole network within a few beacons, then nothing) at the
     // 50 ms beacon interval — the shortest the Mica2 PHY admits, its
@@ -387,46 +299,32 @@ fn net_sim_run_quiescent(c: &mut Criterion) {
     // PBBF(1, 1): all-immediate forwarding (no announce drain) and the
     // draw-free always-awake coin — so once the flood's carried traffic
     // ends, *no* node holds a frame or window membership and no traffic
-    // event is pending. The geometric engine still walks every
-    // FrameStart/WindowEnd pair — ~288k empty boundary events across
-    // the horizon — while frame skip detects the quiescence at the
-    // first idle frame start and settles the rest of the horizon in one
-    // O(1) jump. 500 nodes keeps the flood a real multi-hop spread
-    // while the walk still dominates the geometric run; at the sparse
-    // kernel's 10k nodes the one flood costs several times the entire
-    // walk and the pair would measure the flood instead. Results are
-    // asserted bitwise equal before timing (the engine's contract), so
-    // the ratio — enforced ≥3× by `bench_check` — counts exactly the
-    // deleted no-op boundary events.
-    let mut skip_cfg = NetConfig::table2();
-    skip_cfg.nodes = 500;
-    skip_cfg.duration_secs = 7200.0;
-    skip_cfg.delta = 10.0;
-    skip_cfg.lambda = 0.000125;
-    skip_cfg.beacon_interval_secs = 0.05;
-    skip_cfg.atim_window_secs = 0.005;
-    skip_cfg.boundary_engine = BoundaryEngine::FrameSkip;
-    let mut geo_cfg = skip_cfg;
-    geo_cfg.boundary_engine = BoundaryEngine::Geometric;
+    // event is pending. The lazy engine detects that quiescence at the
+    // first idle frame start and settles the rest of the horizon — ~288k
+    // empty boundary events — in one O(1) jump. 500 nodes keeps the
+    // flood a real multi-hop spread while the walk it replaces would
+    // still dominate the run; at the sparse kernel's 10k nodes the one
+    // flood costs several times the entire walk.
+    let mut cfg = NetConfig::table2();
+    cfg.nodes = 500;
+    cfg.duration_secs = 7200.0;
+    cfg.delta = 10.0;
+    cfg.lambda = 0.000125;
+    cfg.beacon_interval_secs = 0.05;
+    cfg.atim_window_secs = 0.005;
+    cfg.boundary_engine = BoundaryEngine::Lazy;
     // A fresh geometry (no other kernel runs 500 nodes), so the
-    // per-kernel extras record this kernel's miss + insert — the other
-    // tracked kernels' entries attribute their hits the same way.
-    let deployment = get_or_draw_tracked("net_sim_run_quiescent_frameskip", &skip_cfg, 4);
+    // per-kernel extras record this kernel's miss + insert.
+    let deployment = get_or_draw_tracked("net_sim_run_quiescent_frameskip", &cfg, 4);
     let mode = NetMode::SleepScheduled(pbbf_core::PbbfParams::new(1.0, 1.0).expect("valid"));
-    let skip_sim = NetSim::new(skip_cfg, mode);
-    let geo_sim = NetSim::new(geo_cfg, mode);
-    let skip = skip_sim.run_on(4, &deployment);
+    let sim = NetSim::new(cfg, mode);
     assert_eq!(
-        skip,
-        geo_sim.run_on(4, &deployment),
-        "frame skip must be bitwise geometric"
+        sim.run_on(4, &deployment).updates_generated(),
+        1,
+        "exactly one flood"
     );
-    assert_eq!(skip.updates_generated(), 1, "exactly one flood");
     c.bench_function("net_sim_run_quiescent_frameskip", |b| {
-        b.iter(|| skip_sim.run_on(black_box(4), &deployment))
-    });
-    c.bench_function("net_sim_run_quiescent_geometric", |b| {
-        b.iter(|| geo_sim.run_on(black_box(4), &deployment))
+        b.iter(|| sim.run_on(black_box(4), &deployment))
     });
 }
 
@@ -442,7 +340,6 @@ criterion_group! {
         .measurement_time(std::time::Duration::from_secs(3))
         .warm_up_time(std::time::Duration::from_millis(300));
     targets = deployment_edges, deployment_build_10k, event_queue_churn, channel_churn_dense,
-        net_sim_run, net_sim_run_dense, net_sim_run_sparse, net_sim_run_flood_replicas,
-        net_sim_run_quiescent, figure_quick
+        net_sim_run, net_sim_run_dense, net_sim_run_sparse, net_sim_run_quiescent, figure_quick
 }
 criterion_main!(baseline);

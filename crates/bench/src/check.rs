@@ -146,29 +146,10 @@ pub const RATIO_RULES: &[RatioRule] = &[
         slow: "net_sim_run_delta16_brute",
         min_ratio: 1.5, // ~2.3x observed
     },
-    // (`net_sim_run_sparse_q05_shared` lost its rule against `_draw` in
-    // PR 5: the shared kernel moved to the long-horizon boundary-engine
-    // workload, so the cached-vs-fresh-draw story is carried by the
-    // `net_sim_run_sparse_q05` pair alone.)
-    RatioRule {
-        fast: "net_sim_run_sparse_q05",
-        slow: "net_sim_run_sparse_q05_draw",
-        min_ratio: 1.5, // ~2.4x observed (cached vs fresh-draw runs)
-    },
     RatioRule {
         fast: "net_sim_run_sparse_q05_batched",
         slow: "net_sim_run_sparse_q05_shared",
-        min_ratio: 2.0, // ~3x observed (geometric skip vs per-boundary idle walk)
-    },
-    RatioRule {
-        fast: "net_sim_run_sparse_flood_replicas",
-        slow: "net_sim_run_sparse_flood_serial",
-        min_ratio: 1.5, // lockstep replica batch vs one-run-at-a-time serial loop
-    },
-    RatioRule {
-        fast: "net_sim_run_quiescent_frameskip",
-        slow: "net_sim_run_quiescent_geometric",
-        min_ratio: 3.0, // frame skip vs per-frame boundary walk on a quiescent horizon
+        min_ratio: 2.0, // ~3x observed (lazy engine vs per-boundary idle walk)
     },
 ];
 

@@ -111,15 +111,23 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per bracket, so without a cap a line of `[[[[…` from a
+/// pipe or socket overflows the stack and aborts the process. Real
+/// documents (shard specs, bench reports) nest only a few levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses JSON text into a [`Json`] tree.
 ///
 /// # Errors
 ///
-/// Returns an error describing the first syntax problem found.
+/// Returns an error describing the first syntax problem found, or when
+/// arrays/objects nest more than 128 levels deep.
 pub fn parse_json(input: &str) -> Result<Json, Error> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -133,6 +141,8 @@ pub fn parse_json(input: &str) -> Result<Json, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -174,11 +184,22 @@ impl Parser<'_> {
             Some(b't') if self.eat_keyword("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, Error>) -> Result<Json, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Json, Error> {
@@ -371,6 +392,26 @@ mod tests {
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("1 2").is_err());
         assert!(parse_json("\"\\q\"").is_err());
+    }
+
+    #[test]
+    fn caps_nesting_depth() {
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_json(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(format!("{err:?}").contains("nesting"), "{err:?}");
+        // Objects count too, and hostile input far past the cap is an
+        // error, not a stack overflow.
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse_json(&objects).is_err());
+        assert!(parse_json(&"[".repeat(200_000)).is_err());
+        // Depth is nesting, not count: many siblings at depth 1 are fine.
+        let wide = format!("[{}]", vec!["[]"; 10_000].join(","));
+        assert!(parse_json(&wide).is_ok());
     }
 
     #[test]

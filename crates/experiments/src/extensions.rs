@@ -157,7 +157,7 @@ pub fn ext_latency_tail(effort: &Effort, seed: u64) -> Figure {
     let mut p50 = Series::new("p50");
     let mut p90 = Series::new("p90");
     let mut p99 = Series::new("p99");
-    // (q, replica-chunk) fan-out: chunk boundaries are deterministic and
+    // (q, run-chunk) fan-out: chunk boundaries are deterministic and
     // per-q histograms fold in run order, so percentiles are
     // thread-count invariant. Each run's deployment resolves through the
     // process-wide registry inside the chunk job and is shared across
@@ -168,7 +168,7 @@ pub fn ext_latency_tail(effort: &Effort, seed: u64) -> Figure {
     let all_stats = pbbf_parallel::par_run_grouped_chunked(
         qs.len(),
         effort.runs as usize,
-        crate::net_figs::REPLICA_CHUNK,
+        crate::net_figs::RUN_CHUNK,
         |qi, rs| {
             let mode = NetMode::SleepScheduled(PbbfParams::new(0.5, qs[qi]).expect("valid"));
             let sim = NetSim::new(cfg, mode);
@@ -220,7 +220,7 @@ pub fn ext_k_tradeoff(effort: &Effort, seed: u64) -> Figure {
     let ks = [1usize, 2, 4, 8];
     let mut ratio = Series::new("delivery ratio");
     let mut payload = Series::new("update payloads per packet");
-    // (k, replica-chunk) fan-out: chunk boundaries are deterministic and
+    // (k, run-chunk) fan-out: chunk boundaries are deterministic and
     // per-k sums fold in run order (thread-count invariant). `k` does
     // not enter the deployment geometry, so run r's scenario resolves —
     // through the process-wide registry, inside the chunk job — to the
@@ -230,7 +230,7 @@ pub fn ext_k_tradeoff(effort: &Effort, seed: u64) -> Figure {
     let ratios = pbbf_parallel::par_run_grouped_chunked(
         ks.len(),
         effort.runs as usize,
-        crate::net_figs::REPLICA_CHUNK,
+        crate::net_figs::RUN_CHUNK,
         |ki, rs| {
             let mut cfg = NetConfig::table2();
             cfg.duration_secs = effort.net_duration_secs;

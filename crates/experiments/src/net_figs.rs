@@ -69,14 +69,14 @@ pub(crate) struct NetPoint {
 }
 
 /// The scheduling granularity of a sweep's Monte Carlo fan-out: runs per
-/// `(point, replica-chunk)` job. Sized to the lockstep replica-batch
-/// width used on shared-scenario workloads — one chunk amortizes its
-/// point lookup, simulator construction, and registry resolutions, while
-/// the paper-scale sweeps (points × runs/chunk jobs) still oversubscribe
-/// every thread budget the CI matrix uses. The distributed sweep fabric
-/// shards at the same granularity, so a shard and an in-process chunk
-/// job are the same unit of work.
-pub(crate) const REPLICA_CHUNK: usize = 8;
+/// `(point, run-chunk)` job. One chunk amortizes its point lookup and
+/// simulator construction over several runs, while the paper-scale
+/// sweeps (points × runs/chunk jobs) still oversubscribe every thread
+/// budget the CI matrix uses. The distributed sweep fabric shards at the
+/// same granularity ([`crate::sweep::sweep_manifest`]), so a shard and an
+/// in-process chunk job are the same unit of work — changing the value
+/// reshapes both.
+pub(crate) const RUN_CHUNK: usize = 8;
 
 /// Which x-axis a Section-5 sweep walks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,10 +256,6 @@ impl NetSweep {
     /// into its channel — no per-run copy. The cached draw is a pure
     /// function of `(deployment seed, geometry)`, so all of this
     /// sharing preserves thread-count (and process-count) invariance.
-    /// (Each run of a point draws a *different* deployment, so the
-    /// chunk cannot route through `NetSim::run_replicas` — lockstep
-    /// batching requires one shared scenario; here the chunk amortizes
-    /// setup instead.)
     pub(crate) fn run_chunk(&self, pt: &NetPoint, rs: std::ops::Range<usize>) -> Vec<Option<f64>> {
         let sim = NetSim::new(pt.cfg, pt.mode);
         rs.map(|r| {
@@ -316,11 +312,11 @@ impl NetSweep {
         Figure::new(self.title, self.x_label, self.y_label, series)
     }
 
-    /// Runs the whole sweep in-process: one flat `(point, replica-chunk)`
+    /// Runs the whole sweep in-process: one flat `(point, run-chunk)`
     /// job list fanned across threads
     /// ([`pbbf_parallel::par_run_grouped_chunked`]), folded and
     /// assembled. Chunk boundaries are a pure function of
-    /// `(runs, REPLICA_CHUNK)` and per-point summaries fold in run
+    /// `(runs, RUN_CHUNK)` and per-point summaries fold in run
     /// order, so results are bitwise identical to the sequential
     /// per-point loop for any thread count — and to a distributed sweep
     /// of the same manifest.
@@ -329,7 +325,7 @@ impl NetSweep {
         let vals = pbbf_parallel::par_run_grouped_chunked(
             points.len(),
             effort.runs as usize,
-            REPLICA_CHUNK,
+            RUN_CHUNK,
             |pi, rs| self.run_chunk(&points[pi], rs),
         );
         self.assemble(effort, &fold_point_values(vals))

@@ -21,7 +21,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::net_figs::{fold_point_values, net_sweep, NET_SWEEPS, REPLICA_CHUNK};
+use crate::net_figs::{fold_point_values, net_sweep, NET_SWEEPS, RUN_CHUNK};
 use crate::Effort;
 
 /// One self-contained unit of sweep work: runs `run0..run1` of point
@@ -73,7 +73,7 @@ pub fn sweepable_figures() -> Vec<&'static str> {
 /// Builds the shard manifest of one figure sweep, or `None` when the
 /// id is not a shardable Section-5 figure.
 ///
-/// Shards are `(point, run-chunk)` slices at `REPLICA_CHUNK`
+/// Shards are `(point, run-chunk)` slices at `RUN_CHUNK`
 /// granularity — exactly the job list
 /// [`par_run_grouped_chunked`](pbbf_parallel::par_run_grouped_chunked)
 /// would schedule in-process, in the same order.
@@ -82,7 +82,7 @@ pub fn sweep_manifest(figure: &str, effort: &Effort, seed: u64) -> Option<SweepM
     let sweep = net_sweep(figure)?;
     let points = sweep.points(effort, seed).len() as u32;
     let runs = effort.runs;
-    let chunk = REPLICA_CHUNK as u32;
+    let chunk = RUN_CHUNK as u32;
     let mut shards = Vec::new();
     for point in 0..points {
         let mut run0 = 0;
@@ -184,7 +184,7 @@ mod tests {
 
     #[test]
     fn manifest_covers_every_run_once() {
-        let e = Effort::quick(); // runs = 3 < REPLICA_CHUNK: one shard per point
+        let e = Effort::quick(); // runs = 3 < RUN_CHUNK: one shard per point
         let m = sweep_manifest("fig17", &e, 7).unwrap();
         assert_eq!(m.points, 30); // (3 PBBF + 2 baselines) × 6 densities
         assert_eq!(m.shards.len(), 30);
@@ -193,7 +193,7 @@ mod tests {
             assert_eq!((job.run0, job.run1), (0, 3));
         }
 
-        // Paper-scale runs split into REPLICA_CHUNK-sized shards.
+        // Paper-scale runs split into RUN_CHUNK-sized shards.
         let mut big = e;
         big.runs = 20;
         let m = sweep_manifest("fig17", &big, 7).unwrap();

@@ -35,8 +35,9 @@ pub struct ActiveSet {
     members: Vec<u32>,
     in_set: Vec<bool>,
     /// Live-member count, maintained on every membership transition so
-    /// [`ActiveSet::len`]/[`ActiveSet::is_empty`] are O(1) — the
-    /// frame-skip engine polls emptiness at every beacon boundary.
+    /// [`ActiveSet::len`]/[`ActiveSet::is_empty`] are O(1) — the lazy
+    /// engine's quiescent-frame jump polls emptiness at every frame
+    /// start.
     live: usize,
 }
 
@@ -117,76 +118,6 @@ impl ActiveSet {
     }
 }
 
-/// A per-replica active-set mask layered on [`ActiveSet`]: node-level
-/// union membership plus a `u64` lane bitmask per node.
-///
-/// The replica runner's merged boundary handlers sweep the union in
-/// ascending node order (one [`ActiveSet::sweep`], shared by all lanes)
-/// and then visit each member's lanes in ascending bit order — so every
-/// lane sees exactly its own members, in exactly the node order the
-/// serial runner's per-replica sweep would have used (FIFO tie-breaking
-/// preserved per lane). The union invariant — `mask(i) != 0` iff `i` is
-/// a union member — is maintained entirely inside [`ReplicaSet::set`].
-#[derive(Debug, Clone)]
-pub(crate) struct ReplicaSet {
-    union: ActiveSet,
-    masks: Vec<u64>,
-    /// Live-member count per lane, maintained on every bit transition —
-    /// the replica frame-skip path polls per-lane emptiness at every
-    /// shared beacon boundary, so it must be O(1).
-    lane_live: [u32; 64],
-}
-
-impl ReplicaSet {
-    /// Creates an empty set over nodes `0..n` (lanes `0..64`).
-    pub(crate) fn new(n: usize) -> Self {
-        Self {
-            union: ActiveSet::new(n),
-            masks: vec![0; n],
-            lane_live: [0; 64],
-        }
-    }
-
-    /// Sets node `i`'s membership on `lane`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range; debug-panics if `lane >= 64`.
-    #[inline]
-    pub(crate) fn set(&mut self, i: usize, lane: usize, member: bool) {
-        debug_assert!(lane < 64, "lane {lane} exceeds the u64 mask");
-        let bit = 1u64 << lane;
-        let m = &mut self.masks[i];
-        if member && *m & bit == 0 {
-            *m |= bit;
-            self.lane_live[lane] += 1;
-        } else if !member && *m & bit != 0 {
-            *m &= !bit;
-            self.lane_live[lane] -= 1;
-        }
-        self.union.set(i, *m != 0);
-    }
-
-    /// Whether `lane` has no members (O(1)).
-    #[inline]
-    pub(crate) fn lane_is_empty(&self, lane: usize) -> bool {
-        self.lane_live[lane] == 0
-    }
-
-    /// The lane bitmask of node `i`.
-    #[inline]
-    pub(crate) fn mask(&self, i: usize) -> u64 {
-        self.masks[i]
-    }
-
-    /// Writes the union members into `out` in ascending node order
-    /// (clearing it first); per-lane membership is read via
-    /// [`ReplicaSet::mask`].
-    pub(crate) fn sweep(&mut self, out: &mut Vec<u32>) {
-        self.union.sweep(out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,48 +159,5 @@ mod tests {
         let mut out = vec![99];
         s.sweep(&mut out);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn replica_set_union_tracks_lane_masks() {
-        let mut s = ReplicaSet::new(6);
-        s.set(4, 0, true);
-        s.set(4, 3, true);
-        s.set(1, 63, true);
-        let mut out = Vec::new();
-        s.sweep(&mut out);
-        assert_eq!(out, vec![1, 4]);
-        assert_eq!(s.mask(4), 0b1001);
-        assert_eq!(s.mask(1), 1 << 63);
-        // Clearing one lane keeps the node a member; clearing the last
-        // lane drops it from the union.
-        s.set(4, 0, false);
-        s.sweep(&mut out);
-        assert_eq!(out, vec![1, 4]);
-        s.set(4, 3, false);
-        s.set(1, 63, false);
-        s.sweep(&mut out);
-        assert!(out.is_empty());
-        assert_eq!(s.mask(4), 0);
-    }
-
-    #[test]
-    fn replica_set_lane_emptiness_is_tracked() {
-        let mut s = ReplicaSet::new(4);
-        assert!(s.lane_is_empty(0) && s.lane_is_empty(63));
-        s.set(2, 5, true);
-        s.set(3, 5, true);
-        s.set(2, 7, true);
-        assert!(!s.lane_is_empty(5) && !s.lane_is_empty(7));
-        assert!(s.lane_is_empty(6));
-        // Redundant sets must not double-count.
-        s.set(2, 5, true);
-        s.set(2, 5, false);
-        assert!(!s.lane_is_empty(5), "node 3 still holds lane 5");
-        s.set(3, 5, false);
-        s.set(3, 5, false);
-        assert!(s.lane_is_empty(5));
-        s.set(2, 7, false);
-        assert!(s.lane_is_empty(7));
     }
 }

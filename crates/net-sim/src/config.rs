@@ -38,45 +38,29 @@ impl NetMode {
 
 /// How the runner settles the beacon boundaries of *idle* nodes — the
 /// per-beacon wake/`begin_frame`/sleep-coin steps of everyone with no
-/// pending traffic — and, for [`FrameSkip`](BoundaryEngine::FrameSkip),
-/// whether the *global* loop may jump whole quiescent frames at once.
+/// pending traffic.
 ///
-/// All engines simulate the same protocol and agree in distribution;
+/// Both engines simulate the same protocol and agree in distribution;
 /// they differ in RNG stream layout (and therefore in the exact values a
 /// fixed seed produces) and in cost:
 ///
-/// * [`Auto`](BoundaryEngine::Auto) — the default. A deterministic
-///   idle-fraction probe over the scenario parameters (traffic per
-///   beacon, estimated flood footprint vs horizon — see
-///   [`BoundaryEngine::resolve`]) picks one of the three concrete
-///   engines per run, so sweeps spanning dense and sparse points each
-///   get the engine that fits without a manual knob.
-/// * [`FrameSkip`](BoundaryEngine::FrameSkip) — the rare-event engine.
-///   On top of the geometric per-node settling, whenever the network is
+/// * [`Lazy`](BoundaryEngine::Lazy) — the default. Per-node closed-form
+///   settling: the index of a node's next "stay awake" boundary is drawn
+///   from a geometric distribution (one RNG draw per run of sleeps
+///   instead of one Bernoulli per boundary) and the energy of the whole
+///   run is credited in O(1). On top of that, whenever the network is
 ///   *globally* quiescent (no flood in flight, no pending ATIM/data
-///   events) the runner jumps the event loop straight to the frame of
-///   the next traffic arrival and settles all skipped frames for all
-///   nodes in one batched pass. Cost becomes O(traffic) instead of
+///   events) the event loop jumps straight to the frame of the next
+///   traffic arrival. Cost is O(traffic) rather than
 ///   O(sim-time × nodes) in the λ → 0 regime.
-/// * [`Geometric`](BoundaryEngine::Geometric) — per-node closed-form
-///   settling: the index of the node's next "stay awake" boundary is
-///   drawn from a geometric distribution (one RNG draw per run of
-///   sleeps instead of one Bernoulli per boundary) and the energy of
-///   the whole run is credited in O(1). A node asleep through a hundred
-///   beacon intervals costs a handful of arithmetic operations instead
-///   of a hundred replayed steps.
-/// * [`Dense`](BoundaryEngine::Dense) — the exact-equivalence mode:
-///   every skipped boundary is replayed individually, consuming one coin
-///   per boundary, bit-for-bit identical to the original per-node walk
-///   (and to the committed pre-geometric goldens). Kept for equivalence
-///   tests and for dense workloads (Δ = 16-style scenarios keep most
-///   nodes busy, where batching has nothing to skip).
+/// * [`Dense`](BoundaryEngine::Dense) — the reference oracle: every
+///   boundary is replayed individually, consuming one coin per boundary,
+///   bit-for-bit identical to the original per-node walk (and to the
+///   committed pre-geometric goldens). Kept for equivalence tests and
+///   benches.
 ///
-/// `FrameSkip` and `Geometric` share one RNG stream layout — a skipped
-/// frame consumes exactly the coins the geometric settle would have —
-/// so the q ∈ {0, 1} endpoints (draw-free) are bitwise identical across
-/// *all* engines, and `FrameSkip` vs `Geometric` differ only in where
-/// the global loop spends its time.
+/// The q ∈ {0, 1} endpoints draw no sleep coins, so they are bitwise
+/// identical across both engines.
 ///
 /// The environment variable `PBBF_DENSE_BOUNDARIES=1` (read once per
 /// process) forces [`Dense`](BoundaryEngine::Dense) regardless of
@@ -84,22 +68,17 @@ impl NetMode {
 /// triage. Set it to `0` (or unset it) for the configured engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum BoundaryEngine {
-    /// Deterministic per-run probe picks Dense, Geometric, or FrameSkip
-    /// (default).
+    /// Closed-form geometric settling of idle boundaries plus whole-frame
+    /// jumps across globally quiescent stretches (default).
     #[default]
-    Auto,
-    /// Closed-form geometric-skip settling of idle boundaries.
-    Geometric,
+    Lazy,
     /// Exact per-boundary replay (the pre-geometric stream layout).
     Dense,
-    /// Geometric settling plus whole-frame jumps of the global loop
-    /// across quiescent stretches.
-    FrameSkip,
 }
 
 impl BoundaryEngine {
-    /// The engine actually in force before auto-selection: `self`,
-    /// unless `PBBF_DENSE_BOUNDARIES` overrides it process-wide.
+    /// The engine a run actually uses: `self`, unless
+    /// `PBBF_DENSE_BOUNDARIES` overrides it process-wide.
     #[must_use]
     pub fn effective(self) -> Self {
         static FORCED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
@@ -113,54 +92,6 @@ impl BoundaryEngine {
             BoundaryEngine::Dense
         } else {
             self
-        }
-    }
-
-    /// The concrete engine a run of `cfg` uses: the env override, then
-    /// the explicit configured engine, with [`Auto`](Self::Auto)
-    /// resolved by an idle-fraction probe.
-    ///
-    /// The probe is a pure function of the scenario parameters (never of
-    /// measured time or drawn randomness), so the choice is identical
-    /// across threads, replica lanes, and serial re-runs of the same
-    /// config — engine selection can never break bitwise determinism.
-    ///
-    /// Two analytic fractions drive it:
-    ///
-    /// * **global quiescence** — the fraction of the horizon's beacon
-    ///   frames with no flood in flight, estimating each update's
-    ///   footprint as the network diameter in hops (one hop per frame
-    ///   under PSM) plus a drain allowance. High quiescence ⇒ the
-    ///   global loop itself is the cost ⇒ [`FrameSkip`](Self::FrameSkip).
-    /// * **per-node busyness** — frames in which a typical node handles
-    ///   traffic (receive/forward/announce per update) over total
-    ///   frames. Near-saturation ⇒ nothing to skip ⇒
-    ///   [`Dense`](Self::Dense); otherwise [`Geometric`](Self::Geometric).
-    #[must_use]
-    pub fn resolve(self, cfg: &NetConfig) -> Self {
-        match self.effective() {
-            BoundaryEngine::Auto => {
-                let frames = (cfg.duration_secs / cfg.beacon_interval_secs).max(1.0);
-                let updates = f64::from(cfg.expected_updates());
-                // Flood footprint per update, in frames: the unit-disk
-                // diameter in hops (√(Nπ/Δ) radio ranges across the
-                // deployment square) plus two frames of announce drain.
-                let diameter = (cfg.nodes as f64 * std::f64::consts::PI / cfg.delta).sqrt();
-                let busy_frames = updates * (diameter + 2.0);
-                let quiescent = 1.0 - (busy_frames / frames).min(1.0);
-                // Frames in which a typical node touches traffic: about
-                // three (hear the flood, forward it, announce) per
-                // update it participates in.
-                let node_busy = (updates * 3.0 / frames).min(1.0);
-                if quiescent >= 0.5 {
-                    BoundaryEngine::FrameSkip
-                } else if node_busy >= 0.8 {
-                    BoundaryEngine::Dense
-                } else {
-                    BoundaryEngine::Geometric
-                }
-            }
-            concrete => concrete,
         }
     }
 }
@@ -191,8 +122,7 @@ pub struct NetConfig {
     /// Attempts to draw a connected deployment before giving up.
     pub max_deploy_attempts: u32,
     /// How idle nodes' beacon boundaries are settled (see
-    /// [`BoundaryEngine`]; [`BoundaryEngine::Auto`] probes the scenario
-    /// and picks one). Not part of the deployment identity — all
+    /// [`BoundaryEngine`]). Not part of the deployment identity — both
     /// engines run on the same cached scenarios.
     pub boundary_engine: BoundaryEngine,
 }
@@ -214,7 +144,7 @@ impl NetConfig {
             phy: Phy::mica2(),
             power: PowerProfile::MICA2,
             max_deploy_attempts: 1000,
-            boundary_engine: BoundaryEngine::Auto,
+            boundary_engine: BoundaryEngine::Lazy,
         }
     }
 
@@ -260,74 +190,16 @@ mod tests {
     }
 
     #[test]
-    fn boundary_engine_defaults_to_auto() {
-        assert_eq!(NetConfig::table2().boundary_engine, BoundaryEngine::Auto);
-        assert_eq!(BoundaryEngine::default(), BoundaryEngine::Auto);
+    fn boundary_engine_defaults_to_lazy() {
+        assert_eq!(NetConfig::table2().boundary_engine, BoundaryEngine::Lazy);
+        assert_eq!(BoundaryEngine::default(), BoundaryEngine::Lazy);
         // Without the env override in this process, `effective` is the
         // identity (CI sets PBBF_DENSE_BOUNDARIES only in dedicated
         // steps, never for the unit-test run).
         if std::env::var("PBBF_DENSE_BOUNDARIES").is_err() {
-            for e in [
-                BoundaryEngine::Auto,
-                BoundaryEngine::Geometric,
-                BoundaryEngine::Dense,
-                BoundaryEngine::FrameSkip,
-            ] {
+            for e in [BoundaryEngine::Lazy, BoundaryEngine::Dense] {
                 assert_eq!(e.effective(), e);
             }
-        }
-    }
-
-    #[test]
-    fn auto_probe_picks_by_regime() {
-        if std::env::var("PBBF_DENSE_BOUNDARIES").is_ok() {
-            return; // the override test below covers the forced process
-        }
-        // Table-2 scale: moderate traffic, most nodes idle most beacons
-        // but floods overlap a large share of the 50-frame horizon.
-        let c = NetConfig::table2();
-        assert_eq!(BoundaryEngine::Auto.resolve(&c), BoundaryEngine::Geometric);
-
-        // Dense Δ = 16 churn: an update nearly every beacon keeps every
-        // node busy — nothing to skip.
-        let mut dense = NetConfig::table2();
-        dense.nodes = 1000;
-        dense.delta = 16.0;
-        dense.lambda = 0.1;
-        dense.duration_secs = 200.0;
-        assert_eq!(BoundaryEngine::Auto.resolve(&dense), BoundaryEngine::Dense);
-
-        // Long-horizon rare traffic: one flood, then hundreds of idle
-        // beacon intervals — the global loop is the cost.
-        let mut sparse = NetConfig::table2();
-        sparse.nodes = 10_000;
-        sparse.lambda = 0.000125;
-        sparse.duration_secs = 7200.0;
-        assert_eq!(
-            BoundaryEngine::Auto.resolve(&sparse),
-            BoundaryEngine::FrameSkip
-        );
-
-        // Explicit engines resolve to themselves — `NetConfig` keeps
-        // working overrides for tests and benches.
-        for e in [
-            BoundaryEngine::Geometric,
-            BoundaryEngine::Dense,
-            BoundaryEngine::FrameSkip,
-        ] {
-            assert_eq!(e.resolve(&sparse), e);
-        }
-    }
-
-    #[test]
-    fn auto_probe_is_deterministic() {
-        let mut c = NetConfig::table2();
-        c.nodes = 3000;
-        c.lambda = 0.001;
-        c.duration_secs = 4000.0;
-        let first = BoundaryEngine::Auto.resolve(&c);
-        for _ in 0..10 {
-            assert_eq!(BoundaryEngine::Auto.resolve(&c), first);
         }
     }
 
@@ -339,23 +211,8 @@ mod tests {
         let forced = std::env::var("PBBF_DENSE_BOUNDARIES")
             .is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0");
         if forced {
-            let sparse = {
-                let mut c = NetConfig::table2();
-                c.nodes = 10_000;
-                c.lambda = 0.000125;
-                c.duration_secs = 7200.0;
-                c
-            };
-            for e in [
-                BoundaryEngine::Auto,
-                BoundaryEngine::Geometric,
-                BoundaryEngine::Dense,
-                BoundaryEngine::FrameSkip,
-            ] {
+            for e in [BoundaryEngine::Lazy, BoundaryEngine::Dense] {
                 assert_eq!(e.effective(), BoundaryEngine::Dense);
-                // The override beats the probe too: even the scenario
-                // Auto would send to FrameSkip resolves Dense.
-                assert_eq!(e.resolve(&sparse), BoundaryEngine::Dense);
             }
         }
     }

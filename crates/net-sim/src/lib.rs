@@ -39,7 +39,6 @@
 mod active;
 mod config;
 mod deploy;
-mod replica;
 mod runner;
 mod stats;
 

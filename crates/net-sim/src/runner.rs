@@ -27,49 +27,51 @@
 //!   the missed boundaries are settled is the
 //!   [`BoundaryEngine`](crate::BoundaryEngine) choice:
 //!
-//!   - [`Geometric`](crate::BoundaryEngine::Geometric) (default) —
-//!     **geometric skip**: the skipped `(frame start, window end)` pairs
-//!     are settled in closed form. The length of each run of "sleep"
-//!     decisions is drawn directly from a geometric distribution
-//!     (`MacState::skip_boundaries`, one RNG draw per run instead of one
-//!     Bernoulli per boundary) and the run's energy is credited in O(1)
-//!     (`EnergyMeter::accrue_batch` + `jump_to_secs`): per skipped frame,
-//!     one ATIM window of idle plus one data phase of idle or sleep. A
-//!     node asleep through a hundred beacon intervals costs a handful of
-//!     arithmetic operations. This relaxes the per-node RNG stream
-//!     *layout* (values for a fixed seed move), but the per-boundary
-//!     decisions keep exactly the Figure-3 distribution —
-//!     `tests/boundary_equivalence.rs` pins the two engines together
-//!     statistically, and the `q = 0` / `q = 1` endpoints stay exact.
+//!   - [`Lazy`](crate::BoundaryEngine::Lazy) (default) does two things.
+//!
+//!     **Geometric skip per node.** The skipped
+//!     `(frame start, window end)` pairs are settled in closed form. The
+//!     length of each run of "sleep" decisions is drawn directly from a
+//!     geometric distribution (`MacState::skip_boundaries`, one RNG draw
+//!     per run instead of one Bernoulli per boundary) and the run's
+//!     energy is credited in O(1) (`EnergyMeter::accrue_batch` +
+//!     `jump_to_secs`): per skipped frame, one ATIM window of idle plus
+//!     one data phase of idle or sleep. A node asleep through a hundred
+//!     beacon intervals costs a handful of arithmetic operations. This
+//!     relaxes the per-node RNG stream *layout* (values for a fixed seed
+//!     move relative to `Dense`), but the per-boundary decisions keep
+//!     exactly the Figure-3 distribution — `tests/boundary_equivalence.rs`
+//!     pins the two engines together statistically, and the `q = 0` /
+//!     `q = 1` endpoints stay exact.
+//!
+//!     **Quiescent-frame jump for the global loop.** Even with every
+//!     node settled lazily, the loop would still pop one `FrameStart`
+//!     and one `WindowEnd` event per beacon interval — pure bookkeeping
+//!     when no flood is in flight. A frame start that finds the network
+//!     **globally quiescent** (both boundary active sets empty, no
+//!     ATIM/data/`TxEnd` event pending — an O(1) check against live
+//!     counters) fast-forwards the boundary bookkeeping over every whole
+//!     frame before the next traffic arrival (the generation schedule is
+//!     mirrored in [`Runner::next_gen`]) and reschedules the frame start
+//!     there ([`Runner::try_skip_frames`]). The skipped events were
+//!     provably no-ops — empty sweeps over empty sets, no node touched,
+//!     no randomness drawn — so the jump changes where the loop spends
+//!     its time, never what it computes: cost becomes O(traffic) instead
+//!     of O(sim-time × nodes) in the λ → 0 regime the paper's
+//!     energy-latency frontier lives in. The quiescent rows of
+//!     `tests/run_active_vs_seed.rs` pin this (their lazy goldens were
+//!     captured from a loop that walked every frame).
 //!
 //!   - [`Dense`](crate::BoundaryEngine::Dense) — exact per-boundary
 //!     replay at original timestamps, consuming the node's RNG
-//!     substreams in the original order: bit-for-bit identical to the
-//!     deleted per-node walk (`tests/run_active_vs_seed.rs` pins that
-//!     against fingerprints captured from it).
+//!     substreams in the original order, with every frame walked:
+//!     bit-for-bit identical to the deleted per-node walk
+//!     (`tests/run_active_vs_seed.rs` pins that against fingerprints
+//!     captured from it). The reference oracle for tests and benches.
 //!
 //!   Boundaries a batch cannot see uniformly — a leading window end
 //!   whose sleep decision may hinge on an ATIM heard this window, or a
 //!   trailing frame start — are replayed exactly on both engines.
-//!
-//! * **Rare-event frame skip**
-//!   ([`FrameSkip`](crate::BoundaryEngine::FrameSkip)) removes the last
-//!   O(sim-time) cost: the *global* loop. Even with every node settled
-//!   lazily, the geometric engine still pops one `FrameStart` and one
-//!   `WindowEnd` event per beacon interval — pure bookkeeping when no
-//!   flood is in flight. Under frame skip, a frame start that finds the
-//!   network **globally quiescent** (both boundary active sets empty,
-//!   no ATIM/data/`TxEnd` event pending — an O(1) check against live
-//!   counters) fast-forwards the boundary bookkeeping over every whole
-//!   frame before the next traffic arrival (the generation schedule is
-//!   mirrored in [`Runner::next_gen`]) and reschedules the frame start
-//!   there. The skipped events were provably no-ops — empty sweeps over
-//!   empty sets — so a `FrameSkip` run is **bitwise identical** to the
-//!   `Geometric` run of the same seed at every `q`, not merely in
-//!   distribution: the engine changes where the loop spends its time,
-//!   never what it computes. Cost becomes O(traffic) instead of
-//!   O(sim-time × nodes) in the λ → 0 regime the paper's energy-latency
-//!   frontier lives in.
 //!
 //! Adaptive mode keeps a full walk: closing every node's controller
 //! window (and tracing mean parameters) at each beacon is inherently
@@ -262,19 +264,17 @@ struct Runner<C: CollisionChannel> {
     /// beacon structure at all) and adaptive mode (every beacon closes
     /// every node's observation window, an inherently dense walk).
     lazy: bool,
-    /// Exact per-boundary replay instead of geometric-skip batching —
-    /// from the resolved [`BoundaryEngine`] choice (config plus the
-    /// `Auto` probe plus the `PBBF_DENSE_BOUNDARIES` override).
+    /// Exact per-boundary replay with every frame walked, instead of
+    /// geometric-skip batching and quiescent-frame jumps — the
+    /// [`BoundaryEngine::Dense`] choice (configured, or forced by the
+    /// `PBBF_DENSE_BOUNDARIES` override).
     dense_boundaries: bool,
-    /// Whether globally quiescent frames are jumped wholesale
-    /// ([`BoundaryEngine::FrameSkip`]).
-    frame_skip: bool,
     /// Pending ATIM/data/`TxEnd` events in the queue — the traffic half
-    /// of the frame-skip quiescence check. Maintained by
+    /// of the quiescence check. Maintained by
     /// [`Runner::sched_traffic`] and the drain loop.
     traffic_events: u32,
     /// The scheduled time of the next `GenUpdate` event, mirrored so
-    /// the frame-skip jump knows where the next traffic arrival lands
+    /// the quiescent-frame jump knows where the next traffic arrival lands
     /// without searching the queue.
     next_gen: Option<SimTime>,
     /// ATIM-window length in seconds — the per-frame idle stint every
@@ -309,9 +309,9 @@ struct Runner<C: CollisionChannel> {
     /// dense engine only**. Dense settling replays the same `set_state`
     /// instants for thousands of nodes; converting each boundary to
     /// seconds once — instead of dividing nanoseconds per node per
-    /// boundary — keeps the replay loop in integer/flag work. The
-    /// skipping engines touch only O(1) boundaries per settle, so they
-    /// leave these empty and convert on demand — bit-identical values
+    /// boundary — keeps the replay loop in integer/flag work. The lazy
+    /// engine touches only O(1) boundaries per settle, so it leaves
+    /// these empty and converts on demand — bit-identical values
     /// (boundaries are exact integer-nanosecond multiples, converted
     /// with the same division).
     frame_secs: Vec<f64>,
@@ -367,13 +367,11 @@ impl<C: CollisionChannel> Runner<C> {
             SimDuration::from_secs(cfg.beacon_interval_secs),
             SimDuration::from_secs(cfg.atim_window_secs),
         );
-        let engine = cfg.boundary_engine.resolve(cfg);
         Self {
             psm,
             adaptive,
             lazy: psm && !adaptive,
-            dense_boundaries: engine == BoundaryEngine::Dense,
-            frame_skip: engine == BoundaryEngine::FrameSkip,
+            dense_boundaries: cfg.boundary_engine.effective() == BoundaryEngine::Dense,
             traffic_events: 0,
             next_gen: None,
             aw_secs: timing.atim_window().as_secs(),
@@ -443,7 +441,7 @@ impl<C: CollisionChannel> Runner<C> {
     }
 
     /// Schedules a traffic event (ATIM/data attempt or `TxEnd`), keeping
-    /// the frame-skip quiescence counter in sync with the queue. Every
+    /// the quiescence counter in sync with the queue. Every
     /// traffic schedule site must go through here; the drain loop
     /// decrements on pop.
     #[inline]
@@ -452,16 +450,16 @@ impl<C: CollisionChannel> Runner<C> {
         self.queue.schedule(at, ev);
     }
 
-    /// The [`BoundaryEngine::FrameSkip`] jump, tried at the top of every
-    /// lazy frame start. When the network is globally quiescent — both
-    /// boundary active sets empty and no traffic event pending, an O(1)
-    /// check — every whole frame before the next generated update is
-    /// pure bookkeeping: its frame-start and window-end handlers would
-    /// sweep empty sets, touch no node, and draw no randomness. This
-    /// settles that bookkeeping wholesale (the boundary-seconds tables
-    /// and the global `fired` cursor) and reschedules the frame start at
-    /// the first frame that can carry traffic, leaving per-node settling
-    /// exactly as lazy as the geometric engine left it.
+    /// The quiescent-frame jump of [`BoundaryEngine::Lazy`], tried at the
+    /// top of every lazy-engine frame start. When the network is globally
+    /// quiescent — both boundary active sets empty and no traffic event
+    /// pending, an O(1) check — every whole frame before the next
+    /// generated update is pure bookkeeping: its frame-start and
+    /// window-end handlers would sweep empty sets, touch no node, and
+    /// draw no randomness. This settles that bookkeeping wholesale (the
+    /// global `fired` cursor) and reschedules the frame start at the
+    /// first frame that can carry traffic, leaving per-node settling
+    /// exactly as lazy as a frame-by-frame walk would have left it.
     ///
     /// Returns whether the jump was taken (the caller's frame-start work
     /// is then subsumed). The rescheduled frame start is a fresh event,
@@ -579,13 +577,12 @@ impl<C: CollisionChannel> Runner<C> {
     /// wake/sleep transitions at their original timestamps, RNG draws in
     /// their original order — bit-identical to the deleted per-node
     /// walk. The whole settle under [`BoundaryEngine::Dense`]; the
-    /// single-boundary edges of a batch under
-    /// [`BoundaryEngine::Geometric`].
+    /// single-boundary edges of a batch under [`BoundaryEngine::Lazy`].
     fn settle_dense(&mut self, i: usize, target: u32) {
         let beacon_nanos = self.timing.beacon_interval().as_nanos();
         let atim_nanos = self.timing.atim_window().as_nanos();
-        // The tables are filled only under the dense engine; the skipping
-        // engines replay at most one boundary per edge here, so the
+        // The tables are filled only under the dense engine; the lazy
+        // engine replays at most one boundary per edge here, so the
         // on-demand conversion (bit-identical: exact integer-nanosecond
         // boundaries through the same division) costs nothing that
         // matters.
@@ -663,7 +660,7 @@ impl<C: CollisionChannel> Runner<C> {
     /// state the node leaves in.
     fn settle_pairs_batched(&mut self, i: usize, pairs: u32) {
         let g0 = self.nodes[i].applied / 2;
-        // Only the skipping engines batch, and they leave the
+        // Only the lazy engine batches, and it leaves the
         // boundary-seconds tables empty: convert the two touched
         // boundaries on demand (bit-identical to the dense engine's
         // table entries).
@@ -715,15 +712,15 @@ impl<C: CollisionChannel> Runner<C> {
 
     fn on_frame_start(&mut self, now: SimTime) {
         if self.lazy {
-            if self.frame_skip && self.try_skip_frames(now) {
+            if !self.dense_boundaries && self.try_skip_frames(now) {
                 return;
             }
             let frame = self.fired / 2;
             if self.dense_boundaries {
-                // The skipping engines convert on demand instead (see
-                // the `frame_secs` field docs) — their tables stay
-                // empty, which is also what lets `try_skip_frames` jump
-                // in O(1).
+                // The lazy engine converts on demand instead (see the
+                // `frame_secs` field docs) — its tables stay empty,
+                // which is also what lets `try_skip_frames` jump in
+                // O(1).
                 debug_assert_eq!(self.frame_secs.len(), frame as usize);
                 self.frame_secs.push(now.as_secs());
                 self.window_secs
@@ -1329,64 +1326,38 @@ mod tests {
 
     #[test]
     fn deterministic_endpoints_identical_across_boundary_engines() {
-        // q = 0 (PSM) and q = 1 consume no sleep randomness on any
+        // q = 0 (PSM) and q = 1 consume no sleep randomness on either
         // engine, and the Table-2 boundary instants are exactly
         // representable, so whole runs agree bit for bit — the strongest
         // cheap cross-check of the batched pair accounting (an off-by-one
         // in the credited ATIM windows or data phases shows up here).
         let dense = with_engine(300.0, BoundaryEngine::Dense);
-        let geo = with_engine(300.0, BoundaryEngine::Geometric);
-        let skip = with_engine(300.0, BoundaryEngine::FrameSkip);
+        let lazy = with_engine(300.0, BoundaryEngine::Lazy);
         for seed in [1u64, 5] {
             for mode in [
                 NetMode::SleepScheduled(PbbfParams::PSM),
                 pbbf(0.25, 1.0),
                 pbbf(1.0, 0.0),
             ] {
-                let a = NetSim::new(dense, mode).run(seed);
-                let b = NetSim::new(geo, mode).run(seed);
-                let c = NetSim::new(skip, mode).run(seed);
-                assert_eq!(a, b, "dense vs geometric, mode {mode:?} seed {seed}");
-                assert_eq!(b, c, "geometric vs frame skip, mode {mode:?} seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn frame_skip_is_bitwise_geometric() {
-        // The frame-skip contract is stronger than the geometric engine's
-        // statistical one: skipped frames were no-ops, so whole runs
-        // agree bit for bit at *every* q, mid-range included.
-        let geo = with_engine(400.0, BoundaryEngine::Geometric);
-        let skip = with_engine(400.0, BoundaryEngine::FrameSkip);
-        for seed in [1u64, 42] {
-            for mode in [
-                NetMode::SleepScheduled(PbbfParams::PSM),
-                pbbf(0.5, 0.5),
-                pbbf(0.25, 0.05),
-            ] {
                 assert_eq!(
-                    NetSim::new(geo, mode).run(seed),
-                    NetSim::new(skip, mode).run(seed),
-                    "mode {mode:?} seed {seed}"
+                    NetSim::new(dense, mode).run(seed),
+                    NetSim::new(lazy, mode).run(seed),
+                    "dense vs lazy, mode {mode:?} seed {seed}"
                 );
             }
         }
     }
 
     #[test]
-    fn frame_skip_sparse_traffic_still_delivers() {
-        // A genuinely quiescent scenario — one update in a long horizon —
-        // exercises deep jumps (thousands of frames at once) end to end.
-        let mut c = with_engine(600.0, BoundaryEngine::FrameSkip);
-        c.lambda = 0.005; // 3 updates over 600 s, ~195 empty frames apart
-        let mut g = c;
-        g.boundary_engine = BoundaryEngine::Geometric;
+    fn quiescent_jumps_still_deliver() {
+        // A quiescent scenario — each flood dies out well before the
+        // next update — exercises repeated multi-frame jumps end to end.
+        let mut c = with_engine(600.0, BoundaryEngine::Lazy);
+        c.lambda = 0.005; // 3 updates over 600 s, 20 beacon intervals apart
         for seed in [3u64, 8] {
             let s = NetSim::new(c, pbbf(0.25, 0.5)).run(seed);
             assert_eq!(s.updates_generated(), 3);
             assert!(s.mean_delivery_ratio() > 0.3, "{}", s.mean_delivery_ratio());
-            assert_eq!(s, NetSim::new(g, pbbf(0.25, 0.5)).run(seed));
         }
     }
 
@@ -1394,42 +1365,37 @@ mod tests {
     fn non_lazy_modes_ignore_the_boundary_engine() {
         use pbbf_core::adaptive::AdaptiveConfig;
         let dense = with_engine(200.0, BoundaryEngine::Dense);
-        let geo = with_engine(200.0, BoundaryEngine::Geometric);
-        let skip = with_engine(200.0, BoundaryEngine::FrameSkip);
+        let lazy = with_engine(200.0, BoundaryEngine::Lazy);
         for mode in [
             NetMode::AlwaysOn,
             NetMode::Adaptive(AdaptiveConfig::default_for(
                 PbbfParams::new(0.1, 0.3).unwrap(),
             )),
         ] {
-            let d = NetSim::new(dense, mode).run(7);
-            assert_eq!(d, NetSim::new(geo, mode).run(7), "mode {mode:?}");
-            assert_eq!(d, NetSim::new(skip, mode).run(7), "mode {mode:?}");
+            assert_eq!(
+                NetSim::new(dense, mode).run(7),
+                NetSim::new(lazy, mode).run(7),
+                "mode {mode:?}"
+            );
         }
     }
 
     #[test]
-    fn geometric_engine_is_deterministic_and_reasonable() {
+    fn lazy_engine_is_deterministic_and_reasonable() {
         // Mid-q: the engines differ bitwise (different stream layouts)
-        // but the geometric engine must stay seed-deterministic and
-        // produce the same qualitative physics as dense.
-        let sim = NetSim::new(
-            with_engine(300.0, BoundaryEngine::Geometric),
-            pbbf(0.5, 0.5),
-        );
+        // but the lazy engine must stay seed-deterministic and produce
+        // the same qualitative physics as dense.
+        let sim = NetSim::new(with_engine(300.0, BoundaryEngine::Lazy), pbbf(0.5, 0.5));
         assert_eq!(sim.run(42), sim.run(42));
         let dense = with_engine(300.0, BoundaryEngine::Dense);
         let d = NetSim::new(dense, pbbf(0.5, 0.5)).run(42);
-        let g = sim.run(42);
-        assert_ne!(g, d, "mid-q stream layouts legitimately differ");
-        assert!(g.mean_delivery_ratio() > 0.8, "{}", g.mean_delivery_ratio());
+        let l = sim.run(42);
+        assert_ne!(l, d, "mid-q stream layouts legitimately differ");
+        assert!(l.mean_delivery_ratio() > 0.8, "{}", l.mean_delivery_ratio());
         // Energy totals agree to a few percent even on single runs: the
         // q coin only modulates the data-phase residency.
-        let (ge, de) = (g.energy_per_update(), d.energy_per_update());
-        assert!(
-            (ge - de).abs() / de < 0.1,
-            "energy geometric {ge} vs dense {de}"
-        );
+        let (le, de) = (l.energy_per_update(), d.energy_per_update());
+        assert!((le - de).abs() / de < 0.1, "energy lazy {le} vs dense {de}");
     }
 
     #[test]

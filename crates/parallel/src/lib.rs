@@ -180,10 +180,9 @@ where
 /// nesting is identical to [`par_run_grouped`]: `out[g][r]` = run `r`
 /// of group `g`.
 ///
-/// This is the fan-out shape of replica batching: a chunk job can
-/// execute its runs through one lockstep batch (or any other shared
-/// setup — a cached deployment resolution, a reused simulator) instead
-/// of paying per-run overhead, while chunk boundaries stay deterministic
+/// A chunk job can share setup across its runs — a cached deployment
+/// resolution, a reused simulator — instead of paying per-run overhead,
+/// while chunk boundaries stay deterministic
 /// (a pure function of `runs` and `chunk`, never of scheduling).
 /// `chunk == 1` degenerates to [`par_run_grouped`]'s job list.
 ///

@@ -15,7 +15,6 @@
 //! whole-run equivalence tests in `pbbf-net-sim` enforce that.
 
 pub mod brute;
-pub mod laned;
 
 use std::sync::Arc;
 

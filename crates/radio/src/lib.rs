@@ -27,7 +27,6 @@ mod energy;
 mod frame;
 
 pub use channel::brute::BruteChannel;
-pub use channel::laned::LanedChannel;
 pub use channel::{Channel, CollisionChannel, Delivery};
 pub use energy::{EnergyMeter, RadioState};
 pub use frame::{Frame, FrameKind, Phy};

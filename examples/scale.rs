@@ -76,47 +76,6 @@ fn main() {
         t2.elapsed().as_secs_f64() * 1e3,
     );
 
-    // Lockstep replica batching: R Monte Carlo replicas of one realistic
-    // sparse-flood scenario (802.11-style 100 ms beacons, always-awake
-    // PBBF corner), advanced by one shared event loop. Results are
-    // bitwise equal to the serial per-seed loop; the boundary walk and
-    // the hop-distance BFS are paid once per batch instead of once per
-    // replica.
-    let mut cfg = NetConfig::table2();
-    cfg.nodes = 1000;
-    cfg.duration_secs = 1800.0;
-    cfg.lambda = 0.0005;
-    cfg.beacon_interval_secs = 0.1;
-    cfg.atim_window_secs = 0.01;
-    let sim = NetSim::new(
-        cfg,
-        NetMode::SleepScheduled(PbbfParams::new(0.25, 1.0).expect("valid")),
-    );
-    let net_deployment = DeploymentCache::global().get_or_draw(&cfg, 4);
-    let seeds: Vec<u64> = (0..8).map(|r| 4 + 7 * r).collect();
-    let t3 = Instant::now();
-    let serial: Vec<NetRunStats> = seeds
-        .iter()
-        .map(|&s| sim.run_on(s, &net_deployment))
-        .collect();
-    let serial_ms = t3.elapsed().as_secs_f64() * 1e3;
-    let t4 = Instant::now();
-    let batched = sim.run_replicas(&seeds, &net_deployment);
-    let batched_ms = t4.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(batched, serial, "lockstep batching must be bitwise exact");
-    println!(
-        "{} replicas of a 1000-node sparse flood: serial {serial_ms:.0} ms, \
-         lockstep batch {batched_ms:.0} ms ({:.2}x), results bitwise equal",
-        seeds.len(),
-        serial_ms / batched_ms,
-    );
-
-    let stats = DeploymentCache::global().stats();
-    println!(
-        "deployment registry: {} hits, {} misses, {} evictions ({}/{} entries)",
-        stats.hits, stats.misses, stats.evictions, stats.len, stats.capacity
-    );
-
     println!(
         "total wall time {:.0} ms — the O(n²) edge scan this replaced grows quadratically \
          (≈15× slower already at N = 5000; seconds per draw by N = 100k)",

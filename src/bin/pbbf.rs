@@ -275,13 +275,9 @@ fn cmd_net(args: &[String]) -> Result<(), String> {
     )?;
     let p = get_f64(&flags, "p", None)?;
     let q = get_f64(&flags, "q", None)?;
-    let delta = get_f64(&flags, "delta", Some(10.0))?;
-    let duration = get_f64(&flags, "duration", Some(500.0))?;
     let seed = get_u64(&flags, "seed", 2005)?;
     let params = PbbfParams::new(p, q).map_err(|e| e.to_string())?;
-    let mut cfg = NetConfig::table2();
-    cfg.delta = delta;
-    cfg.duration_secs = duration;
+    let cfg = net_config(&flags)?;
     let stats = NetSim::new(cfg, NetMode::SleepScheduled(params)).run(seed);
     let mut t = Table::new(["Metric", "Value"]);
     t.row([
@@ -311,6 +307,23 @@ fn cmd_net(args: &[String]) -> Result<(), String> {
     t.row(["collisions".to_string(), format!("{}", stats.collisions)]);
     print!("{}", t.render());
     Ok(())
+}
+
+/// The Table-2 scenario with `pbbf net`'s `--delta` and `--duration`
+/// applied. Both must be positive and finite, and the duration must fit
+/// the simulator's clock (u64 nanoseconds, ~584 years).
+fn net_config(flags: &HashMap<String, String>) -> Result<NetConfig, String> {
+    let mut cfg = NetConfig::table2();
+    cfg.delta = get_positive(flags, "delta", 10.0)?;
+    cfg.duration_secs = get_positive(flags, "duration", 500.0)?;
+    let max_secs = SimTime::MAX.as_secs();
+    if cfg.duration_secs > max_secs {
+        return Err(format!(
+            "--duration: {:e} s is past the simulator's {max_secs:.3e} s time range",
+            cfg.duration_secs
+        ));
+    }
+    Ok(cfg)
 }
 
 fn cmd_reproduce(args: &[String]) -> Result<(), String> {
@@ -408,12 +421,20 @@ fn parse_figs(spec: &str) -> Result<Vec<String>, String> {
 
 /// Parses a `--flag` holding a duration in seconds, requiring it to be
 /// finite and strictly positive.
-fn get_secs(flags: &HashMap<String, String>, key: &str, default: f64) -> Result<Duration, String> {
-    let secs = get_f64(flags, key, Some(default))?;
-    if !secs.is_finite() || secs <= 0.0 {
-        return Err(format!("--{key}: must be a positive number of seconds"));
+/// A numeric flag that must be finite and above zero.
+fn get_positive(flags: &HashMap<String, String>, key: &str, default: f64) -> Result<f64, String> {
+    let v = get_f64(flags, key, Some(default))?;
+    if !v.is_finite() || v <= 0.0 {
+        return Err(format!(
+            "--{key}: must be a positive finite number, got `{v}`"
+        ));
     }
-    Ok(Duration::from_secs_f64(secs))
+    Ok(v)
+}
+
+fn get_secs(flags: &HashMap<String, String>, key: &str, default: f64) -> Result<Duration, String> {
+    let secs = get_positive(flags, key, default)?;
+    Duration::try_from_secs_f64(secs).map_err(|_| format!("--{key}: {secs} s is too long"))
 }
 
 /// How many workers a sweep fleet gets: remote hosts plus local
@@ -675,5 +696,31 @@ mod tests {
             get_secs(&flags, "liveness", 10.0).unwrap(),
             Duration::from_secs_f64(2.5)
         );
+        let flags: HashMap<_, _> = [("liveness".to_string(), "1e300".to_string())].into();
+        assert!(get_secs(&flags, "liveness", 10.0).is_err(), "past Duration");
+    }
+
+    #[test]
+    fn net_delta_must_be_positive_and_finite() {
+        for bad in ["0", "-1", "inf", "nan"] {
+            let flags: HashMap<_, _> = [("delta".to_string(), bad.to_string())].into();
+            let err = net_config(&flags).unwrap_err();
+            assert!(err.contains("--delta"), "{bad}: {err}");
+        }
+        let flags: HashMap<_, _> = [("delta".to_string(), "16".to_string())].into();
+        assert_eq!(net_config(&flags).unwrap().delta, 16.0);
+    }
+
+    #[test]
+    fn net_duration_must_fit_the_simulator_clock() {
+        for bad in ["0", "-5", "inf", "nan", "1e300", "2e10"] {
+            let flags: HashMap<_, _> = [("duration".to_string(), bad.to_string())].into();
+            let err = net_config(&flags).unwrap_err();
+            assert!(err.contains("--duration"), "{bad}: {err}");
+        }
+        let cfg = net_config(&HashMap::new()).unwrap();
+        assert_eq!((cfg.delta, cfg.duration_secs), (10.0, 500.0));
+        let flags: HashMap<_, _> = [("duration".to_string(), "1e10".to_string())].into();
+        assert_eq!(net_config(&flags).unwrap().duration_secs, 1e10);
     }
 }

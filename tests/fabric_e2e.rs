@@ -129,17 +129,27 @@ fn persistent_crash_falls_back_to_in_process_bitwise() {
     assert_eq!(swept, clean, "fallback sweep bytes diverged from reproduce");
 }
 
-#[test]
-fn worker_speaks_the_shard_protocol() {
+/// A well-formed spec for the first shard of the quick-effort manifest.
+fn first_shard_spec() -> ShardSpec {
     let effort = Effort::quick();
     let manifest = sweep_manifest(FIGURE, &effort, 11).expect("fig17 is sweepable");
     let job = &manifest.shards[0];
-    let spec = ShardSpec {
+    ShardSpec {
         id: 0,
         attempt: 0,
         expect: job.run1 - job.run0,
         job: serde::to_value(job),
-    };
+    }
+}
+
+/// A single line nested far past the JSON parser's depth cap.
+fn hostile_line() -> String {
+    "[".repeat(200_000)
+}
+
+#[test]
+fn worker_speaks_the_shard_protocol() {
+    let spec = first_shard_spec();
 
     let mut child = pbbf()
         .arg("worker")
@@ -167,7 +177,7 @@ fn worker_speaks_the_shard_protocol() {
         panic!("worker refused a well-formed shard");
     };
     assert_eq!(result.id, 0);
-    assert_eq!(result.values.len(), (job.run1 - job.run0) as usize);
+    assert_eq!(result.values.len(), spec.expect as usize);
     assert_eq!(
         result.checksum,
         checksum(result.id, &result.values),
@@ -262,4 +272,72 @@ fn cross_host_sweep_survives_a_crashing_tcp_worker_bitwise() {
         swept, clean,
         "sweep with a crashed TCP worker diverged from reproduce"
     );
+}
+
+#[test]
+fn stdin_worker_rejects_deeply_nested_json() {
+    let mut child = pbbf()
+        .arg("worker")
+        .env_remove("PBBF_FAULT")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn worker");
+    {
+        let stdin = child.stdin.as_mut().expect("worker stdin");
+        // The worker may exit before reading everything; a broken pipe
+        // here is fine, the exit status below is the assertion.
+        let _ = writeln!(stdin, "{}", hostile_line());
+    }
+    let out = child.wait_with_output().expect("worker output");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{:?}: {stderr}", out.status);
+    assert!(stderr.contains("unparseable shard spec"), "{stderr}");
+}
+
+#[test]
+fn tcp_worker_survives_deeply_nested_json() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    let (mut worker, addr) = spawn_tcp_worker(&[]);
+    let connect = || {
+        let stream = TcpStream::connect(&addr).expect("connect to worker");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .expect("read timeout");
+        stream
+    };
+
+    // The hostile connection: the worker must drop it, not die.
+    let mut hostile = connect();
+    writeln!(hostile, "{}", hostile_line()).expect("send hostile line");
+    let mut drained = Vec::new();
+    hostile
+        .read_to_end(&mut drained)
+        .expect("worker closes the hostile connection");
+
+    // The same process still serves a clean shard on a new connection.
+    let spec = first_shard_spec();
+    let mut clean = connect();
+    writeln!(clean, "{}", serde_json::to_string(&spec).unwrap()).expect("send spec");
+    let mut reader = BufReader::new(clean.try_clone().expect("clone stream"));
+    let result = loop {
+        let mut line = String::new();
+        let n = reader.read_line(&mut line).expect("read reply");
+        assert!(n > 0, "worker closed the clean connection without a result");
+        match serde_json::from_str::<WorkerReply>(line.trim_end()).expect("reply parses") {
+            WorkerReply::Result(r) => break r,
+            WorkerReply::Heartbeat(_) => continue,
+            other => panic!("unexpected reply {other:?}"),
+        }
+    };
+    drop(clean);
+    let _ = worker.kill();
+    let _ = worker.wait();
+    assert_eq!(result.id, spec.id);
+    assert_eq!(result.values.len(), spec.expect as usize);
+    assert_eq!(result.checksum, checksum(result.id, &result.values));
 }

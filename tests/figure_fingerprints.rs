@@ -130,8 +130,8 @@ fn grid() -> Vec<(String, u64)> {
     out
 }
 
-/// Captured at the PR that introduced the geometric-skip boundary engine
-/// (the default `BoundaryEngine::Geometric` relaxes per-node RNG stream
+/// Captured at the change that introduced geometric-skip boundary
+/// settling (the default `BoundaryEngine::Lazy` relaxes per-node RNG stream
 /// layout, so the net-simulator exhibits — fig13–fig18, latency-tail,
 /// k-trade-off — moved once; ideal/percolation exhibits and the
 /// adaptive/gossip extensions are untouched). The dense engine remains
