@@ -21,6 +21,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use pbbf_net_sim::NetConfig;
+
 use crate::net_figs::{fold_point_values, net_sweep, NET_SWEEPS, RUN_CHUNK};
 use crate::Effort;
 
@@ -114,14 +116,17 @@ pub fn sweep_manifest(figure: &str, effort: &Effort, seed: u64) -> Option<SweepM
 /// `(figure, effort, seed)` and the runs re-derive their RNG streams
 /// from `(point seed, run index)`, so executing the same job twice —
 /// or on two different machines — yields identical bits. Malformed
-/// jobs (unknown figure, out-of-range point or run window) are
-/// reported as `Err` rather than panicking so a worker process can
-/// refuse them over the wire and stay alive.
+/// jobs (unknown figure, out-of-range point or run window, a duration
+/// [`NetConfig::check_duration_secs`] refuses) are reported as `Err`
+/// rather than panicking so a worker process can refuse them over the
+/// wire and stay alive.
 pub fn run_sweep_shard(job: &ShardJob) -> Result<Vec<Option<f64>>, String> {
     let sweep = net_sweep(&job.figure).ok_or_else(|| format!("unknown figure {}", job.figure))?;
     if job.effort.q_points < 2 || job.effort.runs == 0 {
         return Err("degenerate effort".into());
     }
+    NetConfig::check_duration_secs(job.effort.net_duration_secs)
+        .map_err(|e| format!("net_duration_secs: {e}"))?;
     let points = sweep.points(&job.effort, job.seed);
     let pt = points
         .get(job.point as usize)
@@ -240,5 +245,13 @@ mod tests {
         assert!(run_sweep_shard(&job).is_err());
         job.run1 = job.run0;
         assert!(run_sweep_shard(&job).is_err());
+
+        // Durations `SimTime` cannot hold, and ones no run can use.
+        for secs in [-5.0, 0.0, 1e300] {
+            let mut job = sweep_manifest("fig18", &e, 1).unwrap().shards[0].clone();
+            job.effort.net_duration_secs = secs;
+            let err = run_sweep_shard(&job).unwrap_err();
+            assert!(err.contains("net_duration_secs"), "{secs}: {err}");
+        }
     }
 }

@@ -14,7 +14,7 @@
 //! worker happens to receive first — the shape cross-host CI needs,
 //! where shard→host assignment is a scheduling detail.
 //!
-//! Only [`worker_loop`](crate::worker::worker_loop) consults the plan;
+//! Only [`serve_session`](crate::worker::serve_session) consults the plan;
 //! the supervisor never does, so a sweep's *recovery* is what gets
 //! tested, not a short-circuit. Determinism note: faults keyed on shard
 //! id and attempt are reproducible by construction — no dice rolls.
@@ -111,12 +111,6 @@ impl FaultPlan {
             .find(|f| f.shard.matches(shard) && (f.every_attempt || attempt == 0))
             .map(|f| f.kind)
     }
-
-    /// Whether the plan contains any faults at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -148,8 +142,9 @@ mod tests {
 
     #[test]
     fn garbage_is_ignored() {
-        assert!(FaultPlan::parse("").is_empty());
-        assert!(FaultPlan::parse("explode:9,crash,corrupt:x,:3").is_empty());
+        assert_eq!(FaultPlan::parse(""), FaultPlan::default());
+        let garbage = FaultPlan::parse("explode:9,crash,corrupt:x,:3");
+        assert_eq!(garbage, FaultPlan::default());
         assert_eq!(
             FaultPlan::parse("nope:1,hang:2").fault_for(2, 0),
             Some(FaultKind::Hang)

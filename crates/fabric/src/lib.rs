@@ -10,26 +10,26 @@
 //! the work itself. A [`ShardSpec`](protocol::ShardSpec) carries an
 //! opaque JSON job, workers echo back bit-exact value vectors
 //! ([`protocol::ShardResult`], f64s shipped as raw bit patterns with an
-//! FNV checksum), the [`scheduler::SweepScheduler`] assigns shards,
+//! FNV checksum), and the [`scheduler::SweepScheduler`] assigns shards,
 //! enforces wall-clock deadlines, retries failures with bounded
-//! exponential backoff, quarantines repeat offenders, and degrades to
-//! in-process execution when no workers survive — and the
-//! [`merge::ShardMerger`] folds results by manifest position so arrival
-//! order, duplicates, and worker identity cannot leak into the output
-//! bytes. The scheduler owns its fleet for its whole lifetime: a
-//! *queue* of sweeps multiplexes onto one set of workers, keeping
-//! remote deployment caches warm across figures, while
-//! [`supervisor::run_sweep`] remains the one-shot spawn-run-teardown
-//! wrapper. The binding to actual figure sweeps (job encoding/
+//! exponential backoff, quarantines repeat offenders, degrades to
+//! in-process execution when no workers survive, and settles each
+//! shard exactly once, so arrival order, duplicates, and worker
+//! identity cannot leak into the output bytes. The scheduler owns its
+//! fleet for its whole lifetime: a *queue* of sweeps multiplexes onto
+//! one set of workers, keeping remote deployment caches warm across
+//! figures. The binding to actual figure sweeps (job encoding/
 //! execution) lives in `pbbf-experiments::sweep`; the `pbbf` binary
 //! wires the two together.
 //!
-//! The [`tcp`] module carries the same line protocol over sockets so
-//! remote hosts join the fleet (`pbbf worker --listen` / `pbbf sweep
-//! --hosts`), adding heartbeat-based host liveness, bounded-backoff
-//! reconnection, and quarantine of unreachable hosts on top of the
-//! per-shard machinery. The wire format is specified in
-//! `docs/PROTOCOL.md`; `docs/OPERATIONS.md` is the ops guide.
+//! Pipes and sockets share everything above the bytes: a worker runs
+//! [`worker::serve_session`] on its stdin or on each socket
+//! [`tcp::serve_listener`] accepts, and the supervisor spawns local and
+//! remote workers through one [`supervisor::FleetFactory`] and splits
+//! their replies with one line pump. [`tcp`] adds what sockets need:
+//! heartbeat liveness and bounded-backoff reconnection. The wire
+//! format is specified in `docs/PROTOCOL.md`; `docs/OPERATIONS.md` is
+//! the ops guide.
 //!
 //! [`fault::FaultPlan`] implements the `PBBF_FAULT` injection hooks the
 //! CI fault-injection job drives; only worker processes honor them.
@@ -38,19 +38,17 @@
 #![warn(missing_docs)]
 
 pub mod fault;
-pub mod merge;
 pub mod protocol;
 pub mod scheduler;
 pub mod supervisor;
 pub mod tcp;
 pub mod worker;
 
-pub use merge::ShardMerger;
 pub use protocol::{CacheTelemetry, ShardResult, ShardSpec, WorkerReply};
 pub use scheduler::SweepScheduler;
 pub use supervisor::{
-    run_sweep, ProcessWorkerFactory, ShardInput, SweepOptions, SweepOutcome, SweepStats,
-    WorkerEvent, WorkerFactory, WorkerLink,
+    Endpoint, FleetFactory, ShardInput, SweepOptions, SweepOutcome, SweepStats, WorkerEvent,
+    WorkerFactory, WorkerLink,
 };
-pub use tcp::{serve_listener, HybridWorkerFactory, ServeOptions, TcpOptions, TcpWorkerFactory};
-pub use worker::{worker_loop, worker_loop_with};
+pub use tcp::{serve_listener, ServeOptions, TcpOptions};
+pub use worker::serve_session;

@@ -19,6 +19,12 @@
 use serde::{Deserialize, Serialize};
 use serde_json::Value as Json;
 
+/// The longest line, `\n` excluded, that either side of the fabric
+/// buffers (`docs/PROTOCOL.md` §1). Every spec and reply `pbbf sweep`
+/// exchanges is a few hundred bytes; the cap bounds what a peer that
+/// never sends `\n` can make a worker or the supervisor hold.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// One unit of work: an opaque job plus the retry/accounting envelope.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardSpec {

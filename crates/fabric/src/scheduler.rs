@@ -5,20 +5,19 @@
 //! Shards from every queued sweep drain into workers as they go idle,
 //! so several figures multiplex onto one fleet and remote workers keep
 //! their deployment caches warm across sweeps. Per-shard results
-//! stream to a caller-supplied sink in completion order; re-merging in
-//! manifest order is the caller's job (`assemble_sweep` upstairs, or
-//! [`ShardMerger`](crate::merge::ShardMerger)), which is what keeps
-//! scheduling invisible in the output bytes.
+//! stream to a caller-supplied sink in completion order, each exactly
+//! once: a late duplicate of a settled shard is dropped here. Re-merging
+//! in manifest order is the caller's job (`assemble_sweep` upstairs),
+//! which is what keeps scheduling invisible in the output bytes.
 //!
-//! The failure policy is the supervisor's, unchanged in spirit: a
-//! shard that crashes its worker, overruns its wall-clock deadline, or
-//! comes back corrupt is retried on a healthy worker after bounded
-//! exponential backoff; a worker that repeatedly produces corrupt
-//! output — or hangs — is quarantined (killed, never respawned); a
-//! shard that exhausts its delivery attempts runs in-process, as does
-//! the whole remaining queue when no healthy workers are left. What
-//! *is* new here is that workers, their strike counts, and their
-//! telemetry outlive any single sweep:
+//! The failure policy: a shard that crashes its worker, overruns its
+//! wall-clock deadline, or comes back corrupt is retried on a healthy
+//! worker after bounded exponential backoff; a worker that repeatedly
+//! produces corrupt output — or hangs — is quarantined (killed, never
+//! respawned); a shard that exhausts its delivery attempts runs
+//! in-process, as does the whole remaining queue when no healthy
+//! workers are left. Workers, their strike counts, and their telemetry
+//! outlive any single sweep:
 //!
 //! * **Wire ids are global.** Each queued shard gets a monotonically
 //!   increasing wire id, unique across the scheduler's lifetime, so a
@@ -40,9 +39,8 @@
 //! copies eventually arrive) frees only the worker that *sent* it; a
 //! worker still computing a duplicate stays busy until its own copy
 //! lands, bounded by a stale-work deadline so a wedged duplicate-holder
-//! is still caught. Releasing it early — the historical behavior —
-//! dealt fresh work to a worker that was still grinding on the old
-//! shard, and the fresh shard's deadline ticked against stolen time.
+//! is still caught; fresh work dealt to it early would have its
+//! deadline tick against stolen time.
 
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
@@ -51,7 +49,8 @@ use serde_json::Value as Json;
 
 use crate::protocol::{checksum, decode_values, CacheTelemetry, ShardSpec, WorkerReply};
 use crate::supervisor::{
-    ShardInput, SweepOptions, SweepOutcome, SweepStats, WorkerEvent, WorkerFactory, WorkerLink,
+    backoff, ShardInput, SweepOptions, SweepOutcome, SweepStats, WorkerEvent, WorkerFactory,
+    WorkerLink,
 };
 
 /// A worker fleet that stays resident across sweeps.
@@ -154,12 +153,6 @@ impl SweepScheduler {
         }
     }
 
-    /// Number of workers still alive and accepting shards.
-    #[must_use]
-    pub fn healthy_workers(&self) -> usize {
-        self.workers.iter().filter(|w| w.healthy).count()
-    }
-
     /// Runs a queue of sweeps to completion on the resident fleet.
     ///
     /// `queue[i]` is sweep `i`'s manifest. Shards are dealt in queue
@@ -255,7 +248,7 @@ impl SweepScheduler {
             if eng.complete() {
                 break;
             }
-            if eng.healthy_workers() == 0 {
+            if !eng.workers.iter().any(|w| w.healthy) {
                 eng.drain_in_process()?;
                 break;
             }
@@ -377,10 +370,6 @@ where
         self.done_total == self.shards.len()
     }
 
-    fn healthy_workers(&self) -> usize {
-        self.workers.iter().filter(|w| w.healthy).count()
-    }
-
     fn resolve(&self, wire: u64) -> WireRef {
         if wire < self.base {
             WireRef::Stale
@@ -484,15 +473,22 @@ where
     fn write_off(&mut self, widx: usize) -> Result<(), String> {
         self.workers[widx].healthy = false;
         self.workers[widx].link.kill();
+        self.take_running(widx)
+            .map_or(Ok(()), |f| self.fail_shard(f))
+    }
+
+    /// Takes the worker's in-flight shard off it, returning its flat
+    /// index when that shard is still running in this queue (and so
+    /// needs requeueing).
+    fn take_running(&mut self, widx: usize) -> Option<usize> {
         self.workers[widx].stale_deadline = None;
-        if let Some(wire) = self.workers[widx].current.take() {
-            if let WireRef::Flat(f) = self.resolve(wire) {
-                if matches!(self.shards[f].status, ShardStatus::Running { .. }) {
-                    self.fail_shard(f)?;
-                }
+        let wire = self.workers[widx].current.take()?;
+        match self.resolve(wire) {
+            WireRef::Flat(f) if matches!(self.shards[f].status, ShardStatus::Running { .. }) => {
+                Some(f)
             }
+            _ => None,
         }
-        Ok(())
     }
 
     /// A corrupt reply: strike the sender, quarantine on repeat.
@@ -520,17 +516,11 @@ where
             StrikeScope::Shard(f) => self.workers[widx].current == Some(self.base + f as u64),
             StrikeScope::Foreign => false,
         };
-        if requeue {
-            if let Some(wire) = self.workers[widx].current.take() {
-                self.workers[widx].stale_deadline = None;
-                if let WireRef::Flat(f) = self.resolve(wire) {
-                    if matches!(self.shards[f].status, ShardStatus::Running { .. }) {
-                        return self.fail_shard(f);
-                    }
-                }
-            }
+        if !requeue {
+            return Ok(());
         }
-        Ok(())
+        self.take_running(widx)
+            .map_or(Ok(()), |f| self.fail_shard(f))
     }
 
     /// Reschedules a failed shard with backoff, or — attempts spent —
@@ -548,15 +538,13 @@ where
         // worker delivery, so it is not a retry.
         self.sstats(f).retries += 1;
         let shard = &mut self.shards[f];
-        let exp = shard.attempt.saturating_sub(1).min(16);
-        let backoff = self
-            .opts
-            .backoff_base
-            .checked_mul(1 << exp)
-            .unwrap_or(self.opts.backoff_cap)
-            .min(self.opts.backoff_cap);
+        let delay = backoff(
+            self.opts.backoff_base,
+            self.opts.backoff_cap,
+            shard.attempt - 1,
+        );
         shard.status = ShardStatus::Pending {
-            eligible_at: Instant::now() + backoff,
+            eligible_at: Instant::now() + delay,
         };
         Ok(())
     }
@@ -706,14 +694,11 @@ where
                     }
                     WireRef::Flat(f) => {
                         self.sstats(f).refused += 1;
-                        if self.workers[widx].current == Some(u64::from(e.id)) {
-                            self.workers[widx].current = None;
-                            self.workers[widx].stale_deadline = None;
-                            if matches!(self.shards[f].status, ShardStatus::Running { .. }) {
-                                return self.fail_shard(f);
-                            }
+                        if self.workers[widx].current != Some(u64::from(e.id)) {
+                            return Ok(());
                         }
-                        Ok(())
+                        self.take_running(widx)
+                            .map_or(Ok(()), |f| self.fail_shard(f))
                     }
                 }
             }
@@ -744,18 +729,12 @@ where
         }
         self.wstats(widx).reconnects += 1;
         self.workers[widx].last_heard = Instant::now();
-        self.workers[widx].stale_deadline = None;
-        if let Some(wire) = self.workers[widx].current.take() {
-            if let WireRef::Flat(f) = self.resolve(wire) {
-                if matches!(self.shards[f].status, ShardStatus::Running { .. }) {
-                    eprintln!(
-                        "pbbf sweep: worker {worker} transport reset; requeueing shard {wire}"
-                    );
-                    return self.fail_shard(f);
-                }
-            }
-        }
-        Ok(())
+        let Some(f) = self.take_running(widx) else {
+            return Ok(());
+        };
+        let wire = self.base + f as u64;
+        eprintln!("pbbf sweep: worker {worker} transport reset; requeueing shard {wire}");
+        self.fail_shard(f)
     }
 
     fn on_gone(&mut self, worker: u64) -> Result<(), String> {

@@ -1,37 +1,24 @@
-//! Worker-fleet contracts and the one-shot sweep entry point.
+//! Worker-fleet contracts shared by the scheduler and the transports.
 //!
-//! [`run_sweep`] drives a fixed fleet of workers (spawned once through
-//! a [`WorkerFactory`]; the fleet only ever shrinks) over a manifest of
-//! opaque shards. The failure policy, in one paragraph: a shard that
-//! crashes its worker, overruns its wall-clock deadline, or comes back
-//! corrupt (bad parse, wrong length, checksum mismatch) is retried on
-//! a healthy worker after bounded exponential backoff; a worker that
-//! repeatedly produces corrupt output — or hangs — is quarantined
-//! (killed, never respawned); a shard that exhausts its delivery
-//! attempts is executed in-process, as is the whole remaining manifest
-//! when no healthy workers are left (including the spawn-failed-
-//! entirely case). Results fold by manifest position, so none of this
-//! scheduling is visible in the output: the sweep's bytes match the
-//! single-process fold exactly.
-//!
-//! Late replies are welcome: a result arriving from a worker that was
-//! already written off still folds (shard values are deterministic, so
-//! *any* structurally valid copy is the right copy), and the retry's
-//! duplicate is dropped.
-//!
-//! The per-shard state machine itself lives in
-//! [`scheduler`](crate::scheduler): [`run_sweep`] is a one-shot
-//! wrapper that builds a [`SweepScheduler`](crate::scheduler::SweepScheduler),
-//! runs the single manifest, and tears the fleet down. Callers that
-//! want to run *several* sweeps through one resident fleet use the
-//! scheduler directly. This module keeps the contracts both share:
-//! worker events, links, factories, options, and stats.
+//! A [`SweepScheduler`](crate::scheduler::SweepScheduler) spawns its
+//! fleet once through a [`WorkerFactory`], talks to each worker through
+//! a [`WorkerLink`], and hears back through [`WorkerEvent`]s. The
+//! production factory is [`FleetFactory`]: one [`Endpoint`] per slot,
+//! either a local `pbbf worker` child on pipes or a remote
+//! `pbbf worker --listen` over TCP. Both transports split reply bytes
+//! into lines with the one [`pump_lines`], which caps a line at
+//! [`MAX_LINE_BYTES`]. This module also holds the sweep's options,
+//! stats and outcome types, and the one retry-backoff formula.
 
-use std::io::Write as _;
+use std::io::{ErrorKind, Read, Write as _};
+use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::Sender;
 use std::time::Duration;
 
 use serde_json::Value as Json;
+
+use crate::protocol::MAX_LINE_BYTES;
+use crate::tcp::{connect_link, TcpOptions};
 
 /// What a worker's reader pump delivers to the supervisor.
 #[derive(Debug)]
@@ -101,38 +88,73 @@ pub trait WorkerFactory {
     ) -> std::io::Result<Box<dyn WorkerLink>>;
 }
 
-/// Spawns `program args...` per worker with piped stdin/stdout; a
-/// reader thread pumps stdout lines into the event channel. Stderr is
-/// inherited so worker diagnostics reach the operator unfiltered.
-pub struct ProcessWorkerFactory {
-    /// Worker executable.
-    pub program: std::path::PathBuf,
-    /// Arguments passed to every worker.
-    pub args: Vec<String>,
+/// Where one fleet slot's worker runs.
+#[derive(Debug, Clone)]
+pub enum Endpoint {
+    /// A `pbbf worker` child of this process (`argv[0] worker`), spoken
+    /// to over its stdin and stdout. Stderr is inherited so worker
+    /// diagnostics reach the operator unfiltered.
+    Local,
+    /// A resident `pbbf worker --listen` at `host:port`, spoken to over
+    /// TCP (see [`crate::tcp`]).
+    Remote(String),
 }
 
-impl ProcessWorkerFactory {
-    /// A factory re-invoking this very binary with `args` (the `pbbf
-    /// sweep` → `pbbf worker` shape).
-    ///
-    /// # Errors
-    ///
-    /// Fails when the current executable's path can't be determined.
-    pub fn current_exe<I, S>(args: I) -> std::io::Result<Self>
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        Ok(Self {
-            program: std::env::current_exe()?,
-            args: args.into_iter().map(Into::into).collect(),
-        })
+/// The fleet's one [`WorkerFactory`]: slot `i` spawns `endpoints[i]`.
+/// `pbbf sweep --hosts a:1,b:2 --workers 2` lists the two remote hosts
+/// and then two local slots, and because slot order is manifest order,
+/// remote hosts are dealt shards first.
+#[derive(Debug, Clone)]
+pub struct FleetFactory {
+    /// One endpoint per slot.
+    pub endpoints: Vec<Endpoint>,
+    /// Transport knobs shared by every remote slot.
+    pub tcp: TcpOptions,
+}
+
+impl WorkerFactory for FleetFactory {
+    fn spawn(
+        &self,
+        slot: usize,
+        worker: u64,
+        events: Sender<WorkerEvent>,
+    ) -> std::io::Result<Box<dyn WorkerLink>> {
+        match self.endpoints.get(slot) {
+            Some(Endpoint::Local) => spawn_local(worker, events),
+            Some(Endpoint::Remote(host)) => connect_link(host, &self.tcp, worker, events),
+            None => Err(std::io::Error::other(format!(
+                "slot {slot} beyond the {} configured endpoint(s)",
+                self.endpoints.len()
+            ))),
+        }
     }
 }
 
+/// Spawns `argv[0] worker` on pipes, with a reader thread pumping its
+/// stdout into `events`.
+fn spawn_local(worker: u64, events: Sender<WorkerEvent>) -> std::io::Result<Box<dyn WorkerLink>> {
+    let mut child = Command::new(std::env::current_exe()?)
+        .arg("worker")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::inherit())
+        .spawn()?;
+    let stdin = child.stdin.take().expect("stdin was piped");
+    let stdout = child.stdout.take().expect("stdout was piped");
+    std::thread::spawn(move || {
+        if pump_lines(stdout, worker, &events) {
+            let _ = events.send(WorkerEvent::Gone { worker });
+        }
+    });
+    Ok(Box::new(ProcessLink {
+        child,
+        stdin: Some(stdin),
+    }))
+}
+
 struct ProcessLink {
-    child: std::process::Child,
-    stdin: Option<std::process::ChildStdin>,
+    child: Child,
+    stdin: Option<ChildStdin>,
 }
 
 impl WorkerLink for ProcessLink {
@@ -141,8 +163,7 @@ impl WorkerLink for ProcessLink {
             .stdin
             .as_mut()
             .ok_or_else(|| std::io::Error::other("worker stdin closed"))?;
-        stdin.write_all(line.as_bytes())?;
-        stdin.write_all(b"\n")?;
+        stdin.write_all(format!("{line}\n").as_bytes())?;
         stdin.flush()
     }
 
@@ -159,39 +180,58 @@ impl Drop for ProcessLink {
     }
 }
 
-impl WorkerFactory for ProcessWorkerFactory {
-    fn spawn(
-        &self,
-        _slot: usize,
-        worker: u64,
-        events: Sender<WorkerEvent>,
-    ) -> std::io::Result<Box<dyn WorkerLink>> {
-        let mut child = std::process::Command::new(&self.program)
-            .args(&self.args)
-            .stdin(std::process::Stdio::piped())
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::inherit())
-            .spawn()?;
-        let stdin = child.stdin.take().expect("stdin was piped");
-        let stdout = child.stdout.take().expect("stdout was piped");
-        std::thread::spawn(move || {
-            use std::io::BufRead;
-            for line in std::io::BufReader::new(stdout).lines() {
-                let Ok(line) = line else { break };
-                if events.send(WorkerEvent::Line { worker, line }).is_err() {
-                    return; // supervisor gone; nothing to report to
-                }
+/// Splits `reader`'s bytes into `\n`-framed lines and sends each to
+/// `events` as worker `worker`'s [`WorkerEvent::Line`], until the
+/// stream ends. Returns `false` if the supervisor stopped listening,
+/// `true` once the session is over.
+///
+/// Invalid UTF-8 is replaced rather than ending the stream, and a
+/// partial final line is surfaced too: the supervisor's parser judges
+/// (and strikes) what is left. A line longer than [`MAX_LINE_BYTES`] is
+/// surfaced as its first [`MAX_LINE_BYTES`] bytes and ends the session:
+/// nothing after it can be framed with confidence.
+pub(crate) fn pump_lines(mut reader: impl Read, worker: u64, events: &Sender<WorkerEvent>) -> bool {
+    let send = |line: &[u8]| {
+        let line = String::from_utf8_lossy(line).into_owned();
+        events.send(WorkerEvent::Line { worker, line }).is_ok()
+    };
+    let mut carry = Vec::new();
+    let mut buf = [0_u8; 8192];
+    loop {
+        let n = match reader.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => break, // connection reset / torn down
+        };
+        let mut chunk = &buf[..n];
+        loop {
+            let nl = chunk.iter().position(|&b| b == b'\n');
+            carry.extend_from_slice(&chunk[..nl.unwrap_or(chunk.len())]);
+            if carry.len() > MAX_LINE_BYTES {
+                return send(&carry[..MAX_LINE_BYTES]);
             }
-            let _ = events.send(WorkerEvent::Gone { worker });
-        });
-        Ok(Box::new(ProcessLink {
-            child,
-            stdin: Some(stdin),
-        }))
+            let Some(nl) = nl else { break };
+            if !send(&carry) {
+                return false;
+            }
+            carry.clear();
+            chunk = &chunk[nl + 1..];
+        }
     }
+    carry.is_empty() || send(&carry)
 }
 
-/// One shard of work for [`run_sweep`].
+/// Bounded exponential backoff: `base` doubled `attempt` times, capped
+/// at `cap`. The one formula behind shard retries and TCP reconnects.
+pub(crate) fn backoff(base: Duration, cap: Duration, attempt: u32) -> Duration {
+    base.checked_mul(1_u32 << attempt.min(16))
+        .unwrap_or(cap)
+        .min(cap)
+}
+
+/// One shard of a sweep manifest, as queued on a
+/// [`SweepScheduler`](crate::scheduler::SweepScheduler).
 #[derive(Debug, Clone)]
 pub struct ShardInput {
     /// Opaque job payload, forwarded to workers verbatim.
@@ -203,8 +243,7 @@ pub struct ShardInput {
 /// Failure-policy knobs.
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
-    /// Fleet size to spawn ([`run_sweep`] clamps this to the shard
-    /// count; min 1).
+    /// Fleet size to spawn (min 1).
     pub workers: usize,
     /// Per-shard wall-clock deadline; an overrun quarantines the
     /// worker and retries the shard.
@@ -310,43 +349,103 @@ pub struct SweepOutcome {
     pub stats: SweepStats,
 }
 
-/// Runs `shards` to completion across a worker fleet, returning every
-/// shard's values in manifest order.
-///
-/// `exec` is the in-process fallback executor — the same computation
-/// the workers perform, minus the process boundary. It runs when a
-/// shard exhausts its delivery attempts or when no healthy workers
-/// remain (including "none ever spawned"), so a sweep *completes* under
-/// any failure pattern the fabric can see.
-///
-/// This is the one-shot shape: spawn a fleet, run one manifest, tear
-/// the fleet down. To run several sweeps through one resident fleet,
-/// use [`SweepScheduler`](crate::scheduler::SweepScheduler) directly.
-///
-/// # Errors
-///
-/// Fails only when a shard cannot be computed at all — i.e. the
-/// in-process fallback itself reports an error. Worker-side failures
-/// never surface here; they are retried away.
-pub fn run_sweep<E>(
-    inputs: Vec<ShardInput>,
-    opts: &SweepOptions,
-    factory: &dyn WorkerFactory,
-    exec: E,
-) -> Result<SweepOutcome, String>
-where
-    E: Fn(&Json) -> Result<Vec<Option<f64>>, String> + Sync,
-{
-    if inputs.is_empty() {
-        return Ok(SweepOutcome {
-            values: Vec::new(),
-            stats: SweepStats::default(),
-        });
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Hands out `data` at most `chunk` bytes per read.
+    struct Chunked<'a>(&'a [u8], usize);
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.1.min(buf.len()).min(self.0.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
     }
-    let mut opts = opts.clone();
-    opts.workers = opts.workers.clamp(1, inputs.len());
-    let mut scheduler = crate::scheduler::SweepScheduler::new(opts, factory);
-    scheduler.run_sweep(inputs, exec)
-    // The scheduler drops here, killing the fleet — the one-shot
-    // contract callers of this function rely on.
+
+    /// The lines `pump_lines` surfaces from `data` read `chunk` bytes
+    /// at a time.
+    fn pumped(data: &[u8], chunk: usize) -> Vec<String> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        assert!(pump_lines(Chunked(data, chunk), 7, &tx), "rx is alive");
+        drop(tx);
+        rx.iter()
+            .map(|ev| match ev {
+                WorkerEvent::Line { worker: 7, line } => line,
+                other => panic!("the pump only sends lines, got {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pump_frames_lines_across_reads() {
+        // Several lines per read, lines split across reads (down to a
+        // byte at a time), a partial final line, and invalid UTF-8,
+        // which is replaced rather than ending the stream.
+        for chunk in [1, 3, 64] {
+            assert_eq!(pumped(b"a\nbb\n\nccc\n", chunk), ["a", "bb", "", "ccc"]);
+            assert_eq!(pumped(b"whole\ntorn", chunk), ["whole", "torn"]);
+            let lossy = pumped(b"ok\n\xff\xfe\nafter\n", chunk);
+            assert_eq!(lossy, ["ok", "\u{fffd}\u{fffd}", "after"]);
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        drop(rx);
+        assert!(
+            !pump_lines(Chunked(b"line\n", 64), 7, &tx),
+            "supervisor gone"
+        );
+    }
+
+    #[test]
+    fn pump_truncates_an_over_long_line_and_ends_the_session() {
+        let mut data = vec![b'x'; MAX_LINE_BYTES];
+        data.push(b'\n');
+        data.extend(std::iter::repeat_n(b'y', 2 * MAX_LINE_BYTES));
+        data.extend_from_slice(b"\nnever read\n");
+        let lines = pumped(&data, 8192);
+        assert_eq!(lines.len(), 2, "the cap ends the session");
+        assert_eq!(lines[0], "x".repeat(MAX_LINE_BYTES), "at the cap is fine");
+        assert_eq!(lines[1], "y".repeat(MAX_LINE_BYTES), "truncated prefix");
+    }
+
+    #[test]
+    fn backoff_doubles_and_caps() {
+        let base = Duration::from_millis(10);
+        let cap = Duration::from_millis(65);
+        assert_eq!(backoff(base, cap, 0), Duration::from_millis(10));
+        assert_eq!(backoff(base, cap, 1), Duration::from_millis(20));
+        assert_eq!(backoff(base, cap, 2), Duration::from_millis(40));
+        assert_eq!(backoff(base, cap, 3), cap, "capped");
+        assert_eq!(backoff(base, cap, 60), cap, "no overflow");
+    }
+
+    #[test]
+    fn stats_line_wording_is_pinned() {
+        // Scripts parse this line, and `perfbench/src/fabric_stats.rs`
+        // refuses any rewording, so its text is part of the CLI contract.
+        let stats = SweepStats {
+            workers_spawned: 1,
+            spawn_failures: 2,
+            retries: 3,
+            crashes: 4,
+            timeouts: 5,
+            corrupt: 6,
+            refused: 7,
+            quarantined: 8,
+            inproc_shards: 9,
+            hosts_lost: 10,
+            reconnects: 11,
+            cache_hits: 12,
+            cache_misses: 13,
+            cache_evictions: 14,
+        };
+        assert_eq!(
+            stats.to_string(),
+            "workers 1 (+2 spawn failures), retries 3, crashes 4, timeouts 5, corrupt 6, \
+             refused 7, quarantined 8, in-process shards 9, hosts lost 10, reconnects 11, \
+             deploy cache 12/13 hit/miss (+14 evicted)"
+        );
+    }
 }

@@ -3,50 +3,42 @@
 //! The wire format is *identical* to the pipe transport — one JSON
 //! line per [`ShardSpec`](crate::protocol::ShardSpec) toward the
 //! worker, one per [`WorkerReply`](crate::protocol::WorkerReply) back,
-//! no length prefixes, `\n` framing (see `docs/PROTOCOL.md`). What the
-//! socket adds is *failure modes pipes don't have* — half-open
-//! connections, torn writes, silent peers — so this module adds the
-//! machinery to make them degrade exactly like a killed subprocess:
+//! no length prefixes, `\n` framing (see `docs/PROTOCOL.md`) — and so
+//! is the code above the bytes: the worker side runs
+//! [`serve_session`] per connection and the supervisor side splits
+//! replies with the same line pump as a pipe. What the socket adds is
+//! *failure modes pipes don't have* — half-open connections, torn
+//! writes, silent peers — so this module adds the machinery to make
+//! them degrade exactly like a killed subprocess:
 //!
-//! * **Connect/read timeouts.** Connects are bounded by
-//!   [`TcpOptions::connect_timeout`]; the reader polls with a short
-//!   socket read timeout so a vanished peer can't wedge the pump.
-//! * **Heartbeats.** A served worker emits
-//!   [`WorkerReply::Heartbeat`] lines every
+//! * **Connect timeouts.** Connects are bounded by
+//!   [`TcpOptions::connect_timeout`]. Reads block; killing a link shuts
+//!   its socket down, which wakes a blocked read with EOF.
+//! * **Heartbeats.** A served worker beats every
 //!   [`ServeOptions::heartbeat`], even mid-shard, so the supervisor's
-//!   host-liveness window (`SweepOptions::liveness_timeout`) can tell
-//!   a slow shard from a dead host. Each heartbeat carries cache
-//!   telemetry as a *session total*: the counter delta since this
-//!   connection's baseline, monotone within the connection. The
-//!   scheduler therefore *replaces* (never adds) the last heartbeat
-//!   per session, and banks the final total into a per-worker
-//!   accumulator when the session ends (`Reset`/`Gone`) — so the
-//!   counters restarting from zero on the next connection loses
-//!   nothing. See `docs/PROTOCOL.md` §3.3.
-//! * **Reconnection.** A dropped connection is retried with the same
-//!   bounded exponential backoff the shard scheduler uses; success
-//!   surfaces as [`WorkerEvent::Reset`] (in-flight shard requeued,
-//!   worker kept), exhaustion as [`WorkerEvent::Gone`] (host
-//!   quarantined).
+//!   host-liveness window can tell a slow shard from a dead host.
+//! * **Reconnection.** A dropped connection is retried with the
+//!   scheduler's bounded exponential backoff; success surfaces as
+//!   [`WorkerEvent::Reset`] (in-flight shard requeued, worker kept),
+//!   exhaustion as [`WorkerEvent::Gone`] (host quarantined).
 //!
-//! [`TcpWorkerFactory`] is the supervisor side (`pbbf sweep --hosts`),
-//! [`serve_listener`] the worker side (`pbbf worker --listen`), and
-//! [`HybridWorkerFactory`] splits one fleet across remote hosts and a
-//! local factory (`--hosts` + `--workers`).
+//! [`serve_listener`] is the worker side (`pbbf worker --listen`); the
+//! supervisor side is a [`FleetFactory`](crate::supervisor::FleetFactory)
+//! slot holding an [`Endpoint::Remote`](crate::supervisor::Endpoint).
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use serde_json::Value as Json;
 
 use crate::fault::FaultPlan;
-use crate::protocol::{CacheTelemetry, ShardSpec, WorkerReply};
-use crate::supervisor::{WorkerEvent, WorkerFactory, WorkerLink};
-use crate::worker::{outcome_for_spec, render_reply, SpecOutcome};
+use crate::protocol::CacheTelemetry;
+use crate::supervisor::{backoff, pump_lines, WorkerEvent, WorkerLink};
+use crate::worker::serve_session;
 
 /// Transport knobs for the supervisor side of a TCP link.
 #[derive(Debug, Clone)]
@@ -54,10 +46,6 @@ pub struct TcpOptions {
     /// Per-address connect deadline (applies to the initial connect
     /// and to every reconnect attempt).
     pub connect_timeout: Duration,
-    /// Socket read-timeout granularity of the reader pump: how often a
-    /// blocked read wakes to notice shutdown. Small values cost a few
-    /// spurious wakeups; they never drop data.
-    pub read_poll: Duration,
     /// Reconnect attempts after a dropped connection (and connect
     /// attempts beyond the first at spawn) before the host is given up
     /// as gone.
@@ -72,19 +60,11 @@ impl Default for TcpOptions {
     fn default() -> Self {
         Self {
             connect_timeout: Duration::from_secs(5),
-            read_poll: Duration::from_millis(100),
             max_reconnects: 3,
             backoff_base: Duration::from_millis(100),
             backoff_cap: Duration::from_secs(2),
         }
     }
-}
-
-fn backoff(opts: &TcpOptions, attempt: u32) -> Duration {
-    opts.backoff_base
-        .checked_mul(1_u32 << attempt.min(16))
-        .unwrap_or(opts.backoff_cap)
-        .min(opts.backoff_cap)
 }
 
 /// One bounded-deadline connect to `host`, trying each resolved
@@ -107,66 +87,37 @@ fn connect_once(host: &str, timeout: Duration) -> std::io::Result<TcpStream> {
 /// Connect with the bounded-backoff retry ladder: one immediate
 /// attempt plus up to `max_reconnects` retried ones.
 fn connect_with_retries(host: &str, opts: &TcpOptions) -> std::io::Result<TcpStream> {
-    let mut last = None;
-    for attempt in 0..=opts.max_reconnects {
-        if attempt > 0 {
-            std::thread::sleep(backoff(opts, attempt - 1));
+    let mut result = connect_once(host, opts.connect_timeout);
+    for attempt in 0..opts.max_reconnects {
+        if result.is_ok() {
+            break;
         }
-        match connect_once(host, opts.connect_timeout) {
-            Ok(stream) => return Ok(stream),
-            Err(e) => last = Some(e),
-        }
+        std::thread::sleep(backoff(opts.backoff_base, opts.backoff_cap, attempt));
+        result = connect_once(host, opts.connect_timeout);
     }
-    Err(last.unwrap_or_else(|| std::io::Error::other("no connect attempts made")))
+    result
 }
 
-/// Spawns one TCP worker link per entry of `hosts` (slot `i` connects
-/// to `hosts[i]`). Spawn *is* the connect: an unreachable host
-/// surfaces as a spawn failure, which the supervisor degrades around
-/// exactly like a worker binary that failed to start.
-#[derive(Debug, Clone)]
-pub struct TcpWorkerFactory {
-    /// `host:port` endpoints, one worker each.
-    pub hosts: Vec<String>,
-    /// Transport knobs shared by every link.
-    pub options: TcpOptions,
-}
-
-impl TcpWorkerFactory {
-    /// A factory over `hosts` with default [`TcpOptions`].
-    #[must_use]
-    pub fn new(hosts: Vec<String>) -> Self {
-        Self {
-            hosts,
-            options: TcpOptions::default(),
-        }
-    }
-}
-
-impl WorkerFactory for TcpWorkerFactory {
-    fn spawn(
-        &self,
-        slot: usize,
-        worker: u64,
-        events: Sender<WorkerEvent>,
-    ) -> std::io::Result<Box<dyn WorkerLink>> {
-        let host = self.hosts.get(slot).ok_or_else(|| {
-            std::io::Error::other(format!(
-                "slot {slot} beyond the {} configured host(s)",
-                self.hosts.len()
-            ))
-        })?;
-        let stream = connect_with_retries(host, &self.options)?;
-        let shared = Arc::new(LinkShared {
-            writer: Mutex::new(Some(stream.try_clone()?)),
-            shutdown: AtomicBool::new(false),
-            host: host.clone(),
-            options: self.options.clone(),
-        });
-        let pump_shared = Arc::clone(&shared);
-        std::thread::spawn(move || reader_pump(&pump_shared, stream, worker, &events));
-        Ok(Box::new(TcpWorkerLink { shared }))
-    }
+/// Connects worker `worker`'s link to `host` and starts its reader
+/// pump. Spawn *is* the connect: an unreachable host surfaces as a
+/// spawn failure, which the supervisor degrades around exactly like a
+/// worker binary that failed to start.
+pub(crate) fn connect_link(
+    host: &str,
+    options: &TcpOptions,
+    worker: u64,
+    events: Sender<WorkerEvent>,
+) -> std::io::Result<Box<dyn WorkerLink>> {
+    let stream = connect_with_retries(host, options)?;
+    let shared = Arc::new(LinkShared {
+        writer: Mutex::new(Some(stream.try_clone()?)),
+        shutdown: AtomicBool::new(false),
+        host: host.to_string(),
+        options: options.clone(),
+    });
+    let pump_shared = Arc::clone(&shared);
+    std::thread::spawn(move || reader_pump(&pump_shared, stream, worker, &events));
+    Ok(Box::new(TcpWorkerLink { shared }))
 }
 
 /// State shared between a link's writer half and its reader pump.
@@ -196,16 +147,15 @@ impl WorkerLink for TcpWorkerLink {
         let stream = guard
             .as_mut()
             .ok_or_else(|| std::io::Error::other("tcp link closed"))?;
-        let mut framed = Vec::with_capacity(line.len() + 1);
-        framed.extend_from_slice(line.as_bytes());
-        framed.push(b'\n');
-        stream.write_all(&framed)
+        stream.write_all(format!("{line}\n").as_bytes()) // one frame, one write
     }
 
     fn kill(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         let mut guard = self.shared.writer.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(stream) = guard.take() {
+            // Shuts the socket down under the reader's handle too, so
+            // its blocked read returns EOF.
             let _ = stream.shutdown(Shutdown::Both);
         }
     }
@@ -222,48 +172,22 @@ impl Drop for TcpWorkerLink {
 }
 
 /// The reader half: pumps reply lines into the supervisor's event
-/// channel, detects disconnects, reconnects with bounded backoff
-/// (emitting [`WorkerEvent::Reset`]), and reports [`WorkerEvent::Gone`]
-/// when the host is truly unreachable or the link was killed.
+/// channel, reconnects with bounded backoff when a session ends
+/// (emitting [`WorkerEvent::Reset`]), and reports
+/// [`WorkerEvent::Gone`] when the host is truly unreachable or the
+/// link was killed.
 fn reader_pump(
     shared: &LinkShared,
     mut stream: TcpStream,
     worker: u64,
     events: &Sender<WorkerEvent>,
 ) {
-    let mut carry: Vec<u8> = Vec::new();
-    'link: loop {
-        let _ = stream.set_read_timeout(Some(shared.options.read_poll));
-        let mut buf = [0_u8; 4096];
-        loop {
-            if shared.is_shutdown() {
-                break 'link;
-            }
-            match stream.read(&mut buf) {
-                Ok(0) => break, // peer closed (FIN or RST already seen)
-                Ok(n) => {
-                    carry.extend_from_slice(&buf[..n]);
-                    while let Some(nl) = carry.iter().position(|&b| b == b'\n') {
-                        let line = String::from_utf8_lossy(&carry[..nl]).into_owned();
-                        carry.drain(..=nl);
-                        if events.send(WorkerEvent::Line { worker, line }).is_err() {
-                            return; // supervisor gone; nothing to report to
-                        }
-                    }
-                }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-                Err(_) => break, // connection reset / torn down
-            }
-        }
-        // A torn write leaves a partial line; surface it exactly like
-        // the pipe transport's `lines()` does at EOF — the supervisor
-        // strikes it as unparseable, which is correct: it IS suspect.
-        if !carry.is_empty() {
-            let line = String::from_utf8_lossy(&carry).into_owned();
-            carry.clear();
-            if events.send(WorkerEvent::Line { worker, line }).is_err() {
-                return;
-            }
+    loop {
+        // The session is over: the peer hung up, or sent a line past
+        // the cap. Either way the old connection closes once a
+        // reconnect replaces it (or the link is killed).
+        if !pump_lines(&stream, worker, events) {
+            return; // supervisor gone; nothing to report to
         }
         if shared.is_shutdown() {
             break;
@@ -272,9 +196,10 @@ fn reader_pump(
         // shard scheduler's retry path.
         let mut next = None;
         for attempt in 0..shared.options.max_reconnects {
-            std::thread::sleep(backoff(&shared.options, attempt));
+            let opts = &shared.options;
+            std::thread::sleep(backoff(opts.backoff_base, opts.backoff_cap, attempt));
             if shared.is_shutdown() {
-                break 'link;
+                break;
             }
             match connect_once(&shared.host, shared.options.connect_timeout) {
                 Ok(s) => {
@@ -308,72 +233,38 @@ fn reader_pump(
     let _ = events.send(WorkerEvent::Gone { worker });
 }
 
-/// One fleet, two transports: slots below `remote.hosts.len()` connect
-/// out over TCP, the rest spawn through `local`. `pbbf sweep --hosts
-/// a:1,b:2 --workers 2` builds a 4-worker fleet this way — and because
-/// slot order is manifest order, remote hosts are dealt shards first.
-pub struct HybridWorkerFactory<R, L> {
-    /// The TCP half (slots `0..remote.hosts.len()`).
-    pub remote: R,
-    /// How many slots the remote half covers.
-    pub remote_slots: usize,
-    /// The local half (all later slots).
-    pub local: L,
-}
-
-impl<R: WorkerFactory, L: WorkerFactory> WorkerFactory for HybridWorkerFactory<R, L> {
-    fn spawn(
-        &self,
-        slot: usize,
-        worker: u64,
-        events: Sender<WorkerEvent>,
-    ) -> std::io::Result<Box<dyn WorkerLink>> {
-        if slot < self.remote_slots {
-            self.remote.spawn(slot, worker, events)
-        } else {
-            self.local.spawn(slot - self.remote_slots, worker, events)
-        }
-    }
-}
-
 /// Worker-side serving knobs.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Heartbeat period: how often the worker emits a
-    /// [`WorkerReply::Heartbeat`] line, including while a shard is
-    /// executing. Must be well under the supervisor's
-    /// `liveness_timeout`.
+    /// [`WorkerReply::Heartbeat`](crate::protocol::WorkerReply::Heartbeat)
+    /// line, including while a shard is executing. Must be well under
+    /// the supervisor's `liveness_timeout`.
     pub heartbeat: Duration,
     /// Exit after serving one connection (CI and tests; a resident
     /// worker keeps accepting).
     pub once: bool,
 }
 
-impl Default for ServeOptions {
-    fn default() -> Self {
-        Self {
-            heartbeat: Duration::from_secs(1),
-            once: false,
-        }
-    }
-}
-
 /// Serves supervisor connections on `listener`, one at a time, until
 /// the process is killed (or after the first connection with
-/// [`ServeOptions::once`]). Each connection runs the same loop as the
-/// stdin worker — shard specs in, replies out — plus timed heartbeat
-/// lines carrying `telemetry()` deltas since the connection opened.
+/// [`ServeOptions::once`]). Each connection is one [`serve_session`]
+/// with heartbeats every [`ServeOptions::heartbeat`], carrying
+/// `telemetry()` deltas since the connection opened.
 ///
 /// Injected faults (`PBBF_FAULT`) behave as in pipe mode: `crash`
 /// exits the process (taking the listener with it, so the supervisor's
 /// reconnects fail — the remote analogue of a dead subprocess), `hang`
 /// wedges the shard while heartbeats keep flowing (caught by the
-/// supervisor's per-shard deadline), `corrupt` sends a torn reply.
+/// supervisor's per-shard deadline), `corrupt` sends a torn reply. A
+/// panic in `exec` unwinds out of this function, so the process ends
+/// the same way an injected crash does.
 ///
 /// # Errors
 ///
-/// Returns any listener `accept` error; per-connection I/O errors are
-/// logged and survive into the next `accept`.
+/// Returns any listener `accept` error. A session error (an
+/// unparseable or over-long spec line, a broken connection) drops
+/// that connection only; the listener accepts the next one.
 pub fn serve_listener<E, T>(
     listener: &TcpListener,
     options: &ServeOptions,
@@ -388,7 +279,10 @@ where
     loop {
         let (stream, peer) = listener.accept()?;
         eprintln!("pbbf worker: supervisor connected from {peer}");
-        match serve_connection(&stream, options, &plan, &exec, &telemetry) {
+        let _ = stream.set_nodelay(true);
+        let heartbeat = Some(options.heartbeat);
+        let input = BufReader::new(&stream);
+        match serve_session(input, &stream, heartbeat, &plan, &exec, &telemetry) {
             Ok(()) => eprintln!("pbbf worker: connection from {peer} closed"),
             Err(e) => eprintln!("pbbf worker: connection from {peer} failed: {e}"),
         }
@@ -398,131 +292,9 @@ where
     }
 }
 
-fn serve_connection<E, T>(
-    stream: &TcpStream,
-    options: &ServeOptions,
-    plan: &FaultPlan,
-    exec: &E,
-    telemetry: &T,
-) -> std::io::Result<()>
-where
-    E: Fn(&Json) -> Result<Vec<Option<f64>>, String>,
-    T: Fn() -> CacheTelemetry + Sync,
-{
-    let _ = stream.set_nodelay(true);
-    let baseline = telemetry();
-    let writer = Mutex::new(stream.try_clone()?);
-    let stop = AtomicBool::new(false);
-    let beat = |t: CacheTelemetry| {
-        let line = render_reply(&WorkerReply::Heartbeat(t), 0);
-        write_line(&writer, &line)
-    };
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            // The heartbeat pump: beats immediately (so the supervisor
-            // hears a fresh connection right away), then on the timer.
-            // Polls `stop` in short slices so connection teardown
-            // never waits a full period.
-            loop {
-                if beat(telemetry().saturating_sub(baseline)).is_err() {
-                    return; // connection gone; the main loop will see it too
-                }
-                let deadline = Instant::now() + options.heartbeat;
-                while Instant::now() < deadline {
-                    if stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-            }
-        });
-        let result = shard_pump(stream, &writer, plan, exec, &|| {
-            telemetry().saturating_sub(baseline)
-        });
-        stop.store(true, Ordering::Release);
-        result
-    })
-}
-
-/// Reads shard-spec lines off the connection and answers them, exactly
-/// like the stdin loop. Returns when the supervisor closes or drops
-/// the connection.
-fn shard_pump<E>(
-    stream: &TcpStream,
-    writer: &Mutex<TcpStream>,
-    plan: &FaultPlan,
-    exec: &E,
-    telemetry: &dyn Fn() -> CacheTelemetry,
-) -> std::io::Result<()>
-where
-    E: Fn(&Json) -> Result<Vec<Option<f64>>, String>,
-{
-    let mut reader = std::io::BufReader::new(stream.try_clone()?);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let n = std::io::BufRead::read_line(&mut reader, &mut line)?;
-        if n == 0 {
-            return Ok(()); // EOF: supervisor is done with us
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let spec: ShardSpec = match serde_json::from_str(line.trim_end()) {
-            Ok(spec) => spec,
-            Err(e) => {
-                // Unlike stdin mode the process survives: drop the
-                // connection (the supervisor will strike/requeue) and
-                // stay available for the next one.
-                return Err(std::io::Error::other(format!(
-                    "unparseable shard spec: {e}"
-                )));
-            }
-        };
-        let reply = match outcome_for_spec(plan, &spec, exec) {
-            SpecOutcome::Reply(reply) => reply,
-            SpecOutcome::Crash(code) => {
-                // A crashed subprocess takes its pipes with it; the
-                // remote analogue takes the whole process, listener
-                // included, so reconnects fail like respawns would.
-                std::process::exit(code);
-            }
-        };
-        write_line(writer, &render_reply(&reply, spec.id))?;
-        write_line(
-            writer,
-            &render_reply(&WorkerReply::Heartbeat(telemetry()), spec.id),
-        )?;
-    }
-}
-
-/// Writes one `\n`-framed line under the writer lock, so heartbeat and
-/// reply lines never interleave mid-frame.
-fn write_line(writer: &Mutex<TcpStream>, line: &str) -> std::io::Result<()> {
-    let mut framed = Vec::with_capacity(line.len() + 1);
-    framed.extend_from_slice(line.as_bytes());
-    framed.push(b'\n');
-    let mut guard = writer.lock().unwrap_or_else(|e| e.into_inner());
-    guard.write_all(&framed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        let opts = TcpOptions {
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(65),
-            ..TcpOptions::default()
-        };
-        assert_eq!(backoff(&opts, 0), Duration::from_millis(10));
-        assert_eq!(backoff(&opts, 1), Duration::from_millis(20));
-        assert_eq!(backoff(&opts, 2), Duration::from_millis(40));
-        assert_eq!(backoff(&opts, 3), Duration::from_millis(65), "capped");
-        assert_eq!(backoff(&opts, 60), Duration::from_millis(65), "no overflow");
-    }
 
     #[test]
     fn connect_to_unbound_port_fails_fast() {

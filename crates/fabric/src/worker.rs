@@ -1,32 +1,31 @@
-//! The worker side of the fabric: a stdin→stdout shard executor.
+//! The worker side of the fabric: one shard-executing session loop.
 //!
-//! `pbbf worker` calls [`worker_loop`] (or [`worker_loop_with`], which
-//! also reports deployment-cache telemetry) with an executor closure;
-//! the loop reads one [`ShardSpec`](crate::protocol::ShardSpec) JSON
-//! line at a time, executes it, and writes one
-//! [`WorkerReply`](crate::protocol::WorkerReply) line back, flushed per
-//! shard so the supervisor sees results the moment they exist. EOF on
-//! stdin is the shutdown signal — the supervisor just closes the pipe.
-//!
-//! The socket-transport worker (`pbbf worker --listen`, see
-//! [`crate::tcp::serve_listener`]) speaks the identical line protocol
-//! over a TCP connection and shares the per-spec execution logic here
-//! ([`SpecOutcome`] via `outcome_for_spec`).
+//! [`serve_session`] reads one shard-spec JSON line at a time, executes
+//! it, and writes its reply line plus a telemetry heartbeat, flushed
+//! per shard so the supervisor sees results the moment they exist.
+//! `pbbf worker` runs it over stdin/stdout, and
+//! [`serve_listener`](crate::tcp::serve_listener) over each accepted
+//! socket. The end of the input is the shutdown signal: the supervisor
+//! just closes the pipe or the connection.
 //!
 //! Fault injection (`PBBF_FAULT`, parsed by
 //! [`FaultPlan::from_env`](crate::fault::FaultPlan::from_env)) is
 //! honored here and only here.
 
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Mutex, PoisonError};
+use std::time::Duration;
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::protocol::{
     checksum, encode_values, result_reply, CacheTelemetry, ShardError, ShardSpec, WorkerReply,
+    MAX_LINE_BYTES,
 };
 use serde_json::Value as Json;
 
 /// What executing one spec (fault plan applied) amounts to.
-pub(crate) enum SpecOutcome {
+enum SpecOutcome {
     /// A reply line to send back.
     Reply(WorkerReply),
     /// Injected crash: the worker process must exit with this code.
@@ -37,7 +36,7 @@ pub(crate) enum SpecOutcome {
 /// right here, forever — in socket mode the heartbeat thread keeps
 /// beating, which is exactly the "host alive, shard wedged" shape the
 /// supervisor's per-shard deadline (not host liveness) must catch.
-pub(crate) fn outcome_for_spec<E>(plan: &FaultPlan, spec: &ShardSpec, exec: &E) -> SpecOutcome
+fn outcome_for_spec<E>(plan: &FaultPlan, spec: &ShardSpec, exec: &E) -> SpecOutcome
 where
     E: Fn(&Json) -> Result<Vec<Option<f64>>, String>,
 {
@@ -64,7 +63,7 @@ where
 }
 
 /// Renders a reply to its wire line.
-pub(crate) fn render_reply(reply: &WorkerReply, shard_id: u32) -> String {
+fn render_reply(reply: &WorkerReply, shard_id: u32) -> String {
     serde_json::to_string(reply).unwrap_or_else(|e| render_fallback_error(shard_id, &e.to_string()))
 }
 
@@ -81,78 +80,92 @@ fn render_fallback_error(shard_id: u32, msg: &str) -> String {
         .expect("rendering a literal Json value cannot fail")
 }
 
-/// Runs the worker loop over this process's stdin/stdout until EOF,
-/// returning the process exit code. No telemetry heartbeats are
-/// emitted; see [`worker_loop_with`].
+/// Serves one session: shard-spec lines in on `input`, reply lines out
+/// on `output`, until `input` ends. `exec` maps a job to its per-run
+/// values; an `Err` is sent back as a refused shard and the session
+/// goes on. An injected crash exits the process.
 ///
-/// `exec` maps an opaque job payload to its per-run values; an `Err`
-/// is reported to the supervisor as a refused shard (the worker stays
-/// alive). A stdin line that doesn't parse as a [`ShardSpec`] is
-/// unrecoverable — the worker can't even name the shard to refuse it —
-/// so the loop exits nonzero and lets the supervisor's liveness
-/// handling reassign whatever was in flight.
-pub fn worker_loop<E>(exec: E) -> i32
+/// Every reply is followed by a [`WorkerReply::Heartbeat`] carrying
+/// `telemetry()`'s counters as a delta from session start. With
+/// `heartbeat` set, a timer thread also beats at once and then every
+/// period, even mid-shard, so host liveness can tell a slow shard from
+/// a vanished host. The timer waits on a channel whose sender the
+/// session owns, so it stops on every way out of the session, a
+/// panicking `exec` included: the panic then ends the process instead
+/// of leaving a beating, never-replying worker behind.
+///
+/// # Errors
+///
+/// A line that is not a [`ShardSpec`] in UTF-8 JSON, or is longer than
+/// [`MAX_LINE_BYTES`], ends the session with an
+/// [`InvalidData`](io::ErrorKind::InvalidData) error: the worker cannot
+/// even name the shard to refuse it. An I/O error on either side ends
+/// it too.
+pub fn serve_session<E, T>(
+    mut input: impl BufRead,
+    output: impl Write + Send,
+    heartbeat: Option<Duration>,
+    plan: &FaultPlan,
+    exec: E,
+    telemetry: T,
+) -> io::Result<()>
 where
     E: Fn(&Json) -> Result<Vec<Option<f64>>, String>,
+    T: Fn() -> CacheTelemetry + Sync,
 {
-    worker_loop_impl(exec, None::<fn() -> CacheTelemetry>)
-}
-
-/// [`worker_loop`], plus telemetry: after every reply the worker also
-/// writes a [`WorkerReply::Heartbeat`] line carrying `telemetry()`'s
-/// counters as a delta from loop start, so the supervisor's
-/// `SweepStats` can aggregate deployment-cache behavior across the
-/// fleet.
-pub fn worker_loop_with<E, T>(exec: E, telemetry: T) -> i32
-where
-    E: Fn(&Json) -> Result<Vec<Option<f64>>, String>,
-    T: Fn() -> CacheTelemetry,
-{
-    worker_loop_impl(exec, Some(telemetry))
-}
-
-fn worker_loop_impl<E, T>(exec: E, telemetry: Option<T>) -> i32
-where
-    E: Fn(&Json) -> Result<Vec<Option<f64>>, String>,
-    T: Fn() -> CacheTelemetry,
-{
-    let plan = FaultPlan::from_env();
-    let baseline = telemetry
-        .as_ref()
-        .map_or_else(CacheTelemetry::default, |t| t());
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    for line in stdin.lock().lines() {
-        let Ok(line) = line else { return 1 };
-        if line.trim().is_empty() {
-            continue;
+    let baseline = telemetry();
+    let beat = || WorkerReply::Heartbeat(telemetry().saturating_sub(baseline));
+    let output = Mutex::new(output);
+    // One lock per write, so timer beats never split a reply's lines.
+    let write = |lines: &str| {
+        let mut out = output.lock().unwrap_or_else(PoisonError::into_inner);
+        out.write_all(lines.as_bytes()).and_then(|()| out.flush())
+    };
+    std::thread::scope(|scope| {
+        let (_stop, stopped) = mpsc::channel::<()>();
+        if let Some(period) = heartbeat {
+            // Beats at once, then every period until the session drops
+            // `_stop` (or the connection goes).
+            scope.spawn(move || {
+                while write(&(render_reply(&beat(), 0) + "\n")).is_ok() {
+                    if stopped.recv_timeout(period) != Err(RecvTimeoutError::Timeout) {
+                        return;
+                    }
+                }
+            });
         }
-        let spec: ShardSpec = match serde_json::from_str(&line) {
-            Ok(spec) => spec,
-            Err(e) => {
-                eprintln!("pbbf worker: unparseable shard spec ({e}); exiting");
-                return 1;
+        let mut line = Vec::new();
+        loop {
+            line.clear();
+            let limit = MAX_LINE_BYTES as u64 + 1;
+            if input.by_ref().take(limit).read_until(b'\n', &mut line)? == 0 {
+                return Ok(()); // EOF: the supervisor is done with us
             }
-        };
-        let reply = match outcome_for_spec(&plan, &spec, &exec) {
-            SpecOutcome::Reply(reply) => reply,
-            SpecOutcome::Crash(code) => return code,
-        };
-        let mut rendered = render_reply(&reply, spec.id);
-        if let Some(telemetry) = &telemetry {
-            let beat = WorkerReply::Heartbeat(telemetry().saturating_sub(baseline));
-            rendered.push('\n');
-            rendered.push_str(&render_reply(&beat, spec.id));
+            if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+                return Err(unparseable(format!("line over {MAX_LINE_BYTES} bytes")));
+            }
+            let text = std::str::from_utf8(&line).map_err(unparseable)?;
+            if text.trim().is_empty() {
+                continue;
+            }
+            let spec: ShardSpec = serde_json::from_str(text.trim_end()).map_err(unparseable)?;
+            let reply = match outcome_for_spec(plan, &spec, &exec) {
+                SpecOutcome::Reply(reply) => reply,
+                // A crashed subprocess takes its pipes with it; a crashed
+                // TCP worker takes its listener too, so reconnects fail
+                // the way respawns would.
+                SpecOutcome::Crash(code) => std::process::exit(code),
+            };
+            let lines =
+                render_reply(&reply, spec.id) + "\n" + &render_reply(&beat(), spec.id) + "\n";
+            write(&lines)?;
         }
-        if writeln!(out, "{rendered}")
-            .and_then(|()| out.flush())
-            .is_err()
-        {
-            return 1; // supervisor hung up
-        }
-    }
-    0
+    })
+}
+
+fn unparseable(e: impl std::fmt::Display) -> io::Error {
+    let msg = format!("unparseable shard spec: {e}");
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// Executes the shard for real, then flips one value bit while keeping

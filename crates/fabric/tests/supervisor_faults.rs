@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use pbbf_fabric::protocol::{result_reply, ShardError, ShardSpec, WorkerReply};
 use pbbf_fabric::{
-    run_sweep, CacheTelemetry, ShardInput, SweepOptions, SweepScheduler, WorkerEvent,
-    WorkerFactory, WorkerLink,
+    CacheTelemetry, ShardInput, SweepOptions, SweepOutcome, SweepScheduler, SweepStats,
+    WorkerEvent, WorkerFactory, WorkerLink,
 };
 use serde::{Deserialize, Serialize};
 use serde_json::Value as Json;
@@ -197,6 +197,16 @@ fn opts(workers: usize) -> SweepOptions {
     }
 }
 
+/// One sweep on a fleet of its own, torn down when the scheduler drops.
+fn run_sweep(
+    inputs: Vec<ShardInput>,
+    opts: &SweepOptions,
+    factory: &dyn WorkerFactory,
+    exec: fn(&Json) -> Result<Vec<Option<f64>>, String>,
+) -> Result<SweepOutcome, String> {
+    SweepScheduler::new(opts.clone(), factory).run_sweep(inputs, exec)
+}
+
 fn assert_all_values(values: &[Vec<Option<f64>>], shards: u64, runs: u64) {
     assert_eq!(values.len(), shards as usize);
     for (k, vals) in values.iter().enumerate() {
@@ -374,7 +384,11 @@ fn empty_manifest_is_a_noop() {
     let factory = MockFactory::new(|_, spec| vec![Action::Reply(valid_reply(spec))]);
     let out = run_sweep(Vec::new(), &opts(2), &factory, exec).unwrap();
     assert!(out.values.is_empty());
-    assert_eq!(out.stats.workers_spawned, 0);
+    let spawned_only = SweepStats {
+        workers_spawned: 2,
+        ..SweepStats::default()
+    };
+    assert_eq!(out.stats, spawned_only, "nothing ran, nothing failed");
 }
 
 fn heartbeat_line(t: CacheTelemetry) -> String {

@@ -1,23 +1,25 @@
 //! Loopback-socket tests for the TCP transport: every failure mode a
 //! real network adds — torn writes, half-open connections, garbage,
-//! slow peers, duplicate replies after reconnect — must end in the
-//! exact values a faultless run produces, because the merger folds by
-//! manifest position and shard values are deterministic.
+//! slow peers, duplicate replies after reconnect, lines that never end —
+//! must end in the exact values a faultless run produces, because the
+//! scheduler settles each shard once by manifest position and shard
+//! values are deterministic.
 //!
 //! The worker side is either the real [`serve_listener`] loop (happy
 //! path, telemetry) or a hand-scripted socket server (fault shapes a
 //! healthy worker would never produce).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pbbf_fabric::protocol::{result_reply, ShardSpec, WorkerReply};
+use pbbf_fabric::protocol::{result_reply, ShardSpec, WorkerReply, MAX_LINE_BYTES};
 use pbbf_fabric::{
-    run_sweep, serve_listener, CacheTelemetry, ServeOptions, ShardInput, SweepOptions, TcpOptions,
-    TcpWorkerFactory,
+    serve_listener, CacheTelemetry, Endpoint, FleetFactory, ServeOptions, ShardInput, SweepOptions,
+    SweepOutcome, SweepScheduler, TcpOptions, WorkerFactory,
 };
 use serde::{Deserialize, Serialize};
 use serde_json::Value as Json;
@@ -58,7 +60,6 @@ fn assert_all_values(values: &[Vec<Option<f64>>], shards: u64, runs: u64) {
 fn tcp_opts() -> TcpOptions {
     TcpOptions {
         connect_timeout: Duration::from_secs(2),
-        read_poll: Duration::from_millis(10),
         max_reconnects: 2,
         backoff_base: Duration::from_millis(5),
         backoff_cap: Duration::from_millis(20),
@@ -76,11 +77,21 @@ fn sweep_opts(workers: usize) -> SweepOptions {
     }
 }
 
-fn factory(addr: &str) -> TcpWorkerFactory {
-    TcpWorkerFactory {
-        hosts: vec![addr.to_string()],
-        options: tcp_opts(),
+fn factory(addr: &str) -> FleetFactory {
+    FleetFactory {
+        endpoints: vec![Endpoint::Remote(addr.to_string())],
+        tcp: tcp_opts(),
     }
+}
+
+/// One sweep on a fleet of its own, torn down when the scheduler drops.
+fn run_sweep(
+    inputs: Vec<ShardInput>,
+    opts: &SweepOptions,
+    factory: &dyn WorkerFactory,
+    exec: fn(&Json) -> Result<Vec<Option<f64>>, String>,
+) -> Result<SweepOutcome, String> {
+    SweepScheduler::new(opts.clone(), factory).run_sweep(inputs, exec)
 }
 
 /// Binds a loopback listener and runs `server` over it on a thread;
@@ -162,7 +173,7 @@ fn loopback_sweep_completes_and_aggregates_telemetry() {
     assert_eq!(out.stats.reconnects, 0);
     assert_eq!(out.stats.inproc_shards, 0);
     // The very last per-shard heartbeat may still be in flight when the
-    // merger completes, so the floor is shards - 1.
+    // last shard settles, so the floor is shards - 1.
     assert!(
         out.stats.cache_hits >= 3,
         "telemetry reached stats: {}",
@@ -287,7 +298,7 @@ fn slow_writer_trips_the_shard_deadline_not_liveness() {
 fn duplicate_replies_after_reconnect_fold_once() {
     // Connection 1 answers its shard and then drops. Connection 2
     // re-sends that same reply (the late-duplicate shape) before
-    // serving the rest. The merger must fold the value exactly once
+    // serving the rest. The scheduler must fold the value exactly once
     // and the output must not notice any of it.
     let addr = script_server(|listener| {
         let (stream, _) = listener.accept().expect("first connection");
@@ -383,9 +394,9 @@ fn unreachable_host_is_a_spawn_failure() {
         let l = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
         l.local_addr().expect("addr").port()
     };
-    let f = TcpWorkerFactory {
-        hosts: vec![format!("127.0.0.1:{port}")],
-        options: TcpOptions {
+    let f = FleetFactory {
+        endpoints: vec![Endpoint::Remote(format!("127.0.0.1:{port}"))],
+        tcp: TcpOptions {
             max_reconnects: 0,
             connect_timeout: Duration::from_millis(500),
             ..tcp_opts()
@@ -421,4 +432,129 @@ fn killed_listener_exhausts_reconnects_and_reads_as_gone() {
         "reconnect exhaustion reads as a death"
     );
     assert_eq!(out.stats.inproc_shards, 2, "the rest drained in-process");
+}
+
+#[test]
+fn over_long_reply_line_is_struck_and_the_session_ends() {
+    // Connection 1 streams two caps' worth of bytes with no newline and
+    // then holds the connection open. The supervisor must stop
+    // buffering at the cap, strike what it read as a torn line, and
+    // hang up; the retry on connection 2 settles the shard. Without the
+    // cap the bytes pile up unframed until host liveness gives the
+    // worker up.
+    let addr = script_server(|listener| {
+        let (stream, _) = listener.accept().expect("first connection");
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream);
+        if read_spec(&mut reader).is_some() {
+            let _ = writer.write_all(&vec![b'x'; 2 * MAX_LINE_BYTES]);
+            // Hold on until the supervisor hangs up.
+            while read_spec(&mut reader).is_some() {}
+        }
+        drop(writer);
+        let (stream, _) = listener.accept().expect("second connection");
+        serve_honestly(stream);
+    });
+    let out = run_sweep(inputs(3, 2), &sweep_opts(1), &factory(&addr), exec).unwrap();
+    assert_all_values(&out.values, 3, 2);
+    assert!(
+        out.stats.corrupt >= 1,
+        "the over-long line was struck: {}",
+        out.stats
+    );
+    assert_eq!(out.stats.reconnects, 1, "{}", out.stats);
+    assert_eq!(out.stats.hosts_lost, 0, "{}", out.stats);
+    assert_eq!(out.stats.inproc_shards, 0, "{}", out.stats);
+}
+
+/// Runs the real `serve_listener` (one heartbeat per hour, so a
+/// connection carries one beat and then only replies) with `exec` on a
+/// leaked thread; returns the address to dial.
+fn serve_real(exec: impl Fn(&Json) -> Result<Vec<Option<f64>>, String> + Send + 'static) -> String {
+    script_server(move |listener| {
+        let options = ServeOptions {
+            heartbeat: Duration::from_secs(3600),
+            once: false,
+        };
+        let _ = serve_listener(&listener, &options, exec, CacheTelemetry::default);
+    })
+}
+
+fn connect(addr: &str) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect to worker");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    stream
+}
+
+#[test]
+fn over_long_spec_line_drops_only_that_connection() {
+    let addr = serve_real(exec);
+
+    // One byte past the cap, no newline: the worker must stop
+    // buffering and hang up instead of waiting for the line to end.
+    let mut hostile = connect(&addr);
+    hostile
+        .write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+        .expect("send over-long line");
+    let mut drained = Vec::new();
+    match hostile.read_to_end(&mut drained) {
+        Ok(_) => {}
+        Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+        Err(e) => panic!("the worker kept the over-long connection open: {e}"),
+    }
+
+    // The listener survives and serves the next connection.
+    let spec = ShardSpec {
+        id: 3,
+        attempt: 0,
+        expect: 2,
+        job: serde::to_value(&MockJob { k: 3, n: 2 }),
+    };
+    let mut clean = connect(&addr);
+    writeln!(clean, "{}", serde_json::to_string(&spec).unwrap()).expect("send spec");
+    let mut reader = BufReader::new(clean);
+    let reply = loop {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).expect("read reply") > 0);
+        match serde_json::from_str::<WorkerReply>(&line).expect("reply parses") {
+            WorkerReply::Heartbeat(_) => continue,
+            reply => break reply,
+        }
+    };
+    assert_eq!(reply, valid_reply(&spec));
+}
+
+#[test]
+fn panicking_exec_ends_the_listener_instead_of_wedging_it() {
+    // A panic mid-shard must take the listener down, as an injected
+    // crash does, so the supervisor's reconnects are refused. A
+    // heartbeat timer that outlived its session would beat forever
+    // instead, while the listener never replied nor accepted again.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let (alive, ended) = mpsc::channel::<()>();
+    let server = std::thread::spawn(move || {
+        let _alive = alive; // dropped however the thread ends
+        let options = ServeOptions {
+            heartbeat: Duration::from_millis(20),
+            once: false,
+        };
+        let exec = |_: &Json| -> Result<Vec<Option<f64>>, String> { panic!("exec blew up") };
+        serve_listener(&listener, &options, exec, CacheTelemetry::default)
+    });
+    let spec = ShardSpec {
+        id: 0,
+        attempt: 0,
+        expect: 2,
+        job: serde::to_value(&MockJob { k: 0, n: 2 }),
+    };
+    let mut stream = connect(&addr);
+    writeln!(stream, "{}", serde_json::to_string(&spec).unwrap()).expect("send spec");
+    match ended.recv_timeout(Duration::from_secs(10)) {
+        Err(RecvTimeoutError::Disconnected) => {}
+        other => panic!("serve_listener still running 10 s after exec panicked: {other:?}"),
+    }
+    assert!(server.join().is_err(), "the panic ends the serving thread");
 }

@@ -2,6 +2,7 @@
 
 use pbbf_core::adaptive::AdaptiveConfig;
 use pbbf_core::{PbbfParams, PowerProfile};
+use pbbf_des::SimTime;
 use pbbf_radio::Phy;
 use serde::{Deserialize, Serialize};
 
@@ -146,6 +147,27 @@ impl NetConfig {
             max_deploy_attempts: 1000,
             boundary_engine: BoundaryEngine::Lazy,
         }
+    }
+
+    /// Checks a simulated duration in seconds: finite, above zero, and
+    /// within the simulator clock's range (u64 nanoseconds, ~584
+    /// years), so it can never panic [`SimTime`]. The one rule behind
+    /// `pbbf net --duration` and every sweep shard's effort.
+    ///
+    /// # Errors
+    ///
+    /// Says which condition `secs` breaks.
+    pub fn check_duration_secs(secs: f64) -> Result<(), String> {
+        if !secs.is_finite() || secs <= 0.0 {
+            return Err(format!("must be a positive finite number, got `{secs}`"));
+        }
+        let max_secs = SimTime::MAX.as_secs();
+        if secs > max_secs {
+            return Err(format!(
+                "{secs:e} s is past the simulator's {max_secs:.3e} s time range"
+            ));
+        }
+        Ok(())
     }
 
     /// Expected number of updates generated in `duration_secs` (the first

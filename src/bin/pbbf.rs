@@ -32,9 +32,10 @@ use std::time::Duration;
 
 use pbbf::prelude::*;
 use pbbf_experiments::sweep::{assemble_sweep, run_sweep_shard, sweep_manifest, ShardJob};
+use pbbf_fabric::fault::FaultPlan;
 use pbbf_fabric::{
-    CacheTelemetry, HybridWorkerFactory, ProcessWorkerFactory, ServeOptions, ShardInput,
-    SweepOptions, SweepScheduler, TcpWorkerFactory, WorkerFactory,
+    CacheTelemetry, Endpoint, FleetFactory, ServeOptions, ShardInput, SweepOptions, SweepScheduler,
+    TcpOptions,
 };
 
 fn main() -> ExitCode {
@@ -311,18 +312,12 @@ fn cmd_net(args: &[String]) -> Result<(), String> {
 
 /// The Table-2 scenario with `pbbf net`'s `--delta` and `--duration`
 /// applied. Both must be positive and finite, and the duration must fit
-/// the simulator's clock (u64 nanoseconds, ~584 years).
+/// the simulator's clock ([`NetConfig::check_duration_secs`]).
 fn net_config(flags: &HashMap<String, String>) -> Result<NetConfig, String> {
     let mut cfg = NetConfig::table2();
     cfg.delta = get_positive(flags, "delta", 10.0)?;
-    cfg.duration_secs = get_positive(flags, "duration", 500.0)?;
-    let max_secs = SimTime::MAX.as_secs();
-    if cfg.duration_secs > max_secs {
-        return Err(format!(
-            "--duration: {:e} s is past the simulator's {max_secs:.3e} s time range",
-            cfg.duration_secs
-        ));
-    }
+    cfg.duration_secs = get_f64(flags, "duration", Some(500.0))?;
+    NetConfig::check_duration_secs(cfg.duration_secs).map_err(|e| format!("--duration: {e}"))?;
     Ok(cfg)
 }
 
@@ -419,8 +414,6 @@ fn parse_figs(spec: &str) -> Result<Vec<String>, String> {
     Ok(figs)
 }
 
-/// Parses a `--flag` holding a duration in seconds, requiring it to be
-/// finite and strictly positive.
 /// A numeric flag that must be finite and above zero.
 fn get_positive(flags: &HashMap<String, String>, key: &str, default: f64) -> Result<f64, String> {
     let v = get_f64(flags, key, Some(default))?;
@@ -472,11 +465,21 @@ fn cmd_worker(args: &[String]) -> Result<(), String> {
                 ));
             }
         }
-        let code = pbbf_fabric::worker_loop_with(exec_shard, cache_telemetry);
-        if code == 0 {
-            return Ok(());
+        let stdin = std::io::stdin().lock();
+        let plan = FaultPlan::from_env();
+        let served = pbbf_fabric::serve_session(
+            stdin,
+            std::io::stdout(),
+            None,
+            &plan,
+            exec_shard,
+            cache_telemetry,
+        );
+        if let Err(e) = served {
+            eprintln!("pbbf worker: {e}; exiting");
+            std::process::exit(1);
         }
-        std::process::exit(code)
+        return Ok(());
     };
     let options = ServeOptions {
         heartbeat: get_secs(&flags, "heartbeat", 1.0)?,
@@ -555,20 +558,20 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         liveness_timeout: get_secs(&flags, "liveness", 10.0)?,
         ..SweepOptions::default()
     };
-    let process = ProcessWorkerFactory::current_exe(["worker"]).map_err(|e| e.to_string())?;
-    let factory: Box<dyn WorkerFactory> = if hosts.is_empty() {
-        Box::new(process)
-    } else {
-        Box::new(HybridWorkerFactory {
-            remote: TcpWorkerFactory::new(hosts),
-            remote_slots: remote,
-            local: process,
-        })
+    // Remote slots first, so remote hosts are dealt shards first.
+    let endpoints = hosts
+        .into_iter()
+        .map(Endpoint::Remote)
+        .chain(std::iter::repeat_n(Endpoint::Local, local))
+        .collect();
+    let factory = FleetFactory {
+        endpoints,
+        tcp: TcpOptions::default(),
     };
     // ONE resident fleet serves the whole queue: workers — and their
     // deployment caches — survive from figure to figure instead of
     // being respawned per sweep.
-    let mut scheduler = SweepScheduler::new(opts, &*factory);
+    let mut scheduler = SweepScheduler::new(opts, &factory);
     let mut slots: Vec<Vec<Option<Vec<Option<f64>>>>> = queue
         .iter()
         .map(|sweep| (0..sweep.len()).map(|_| None).collect())

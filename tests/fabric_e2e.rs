@@ -142,6 +142,37 @@ fn first_shard_spec() -> ShardSpec {
     }
 }
 
+/// Specs whose job carries a simulated duration no run can use (`-5`,
+/// `0`) or the simulator clock cannot hold (`1e300`), as shards 1–3.
+fn bad_duration_specs() -> Vec<ShardSpec> {
+    [-5.0, 0.0, 1e300]
+        .into_iter()
+        .zip(1..)
+        .map(|(secs, id)| {
+            let mut job = sweep_manifest(FIGURE, &Effort::quick(), 11)
+                .expect("fig17 is sweepable")
+                .shards[0]
+                .clone();
+            job.effort.net_duration_secs = secs;
+            ShardSpec {
+                id,
+                attempt: 0,
+                expect: job.run1 - job.run0,
+                job: serde::to_value(&job),
+            }
+        })
+        .collect()
+}
+
+/// Asserts `reply` refuses shard `id` over its simulated duration.
+fn assert_duration_refusal(reply: &WorkerReply, id: u32) {
+    let WorkerReply::Error(e) = reply else {
+        panic!("shard {id}: expected a refusal, got {reply:?}");
+    };
+    assert_eq!(e.id, id);
+    assert!(e.error.contains("net_duration_secs"), "{}", e.error);
+}
+
 /// A single line nested far past the JSON parser's depth cap.
 fn hostile_line() -> String {
     "[".repeat(200_000)
@@ -339,5 +370,74 @@ fn tcp_worker_survives_deeply_nested_json() {
     let _ = worker.wait();
     assert_eq!(result.id, spec.id);
     assert_eq!(result.values.len(), spec.expect as usize);
+    assert_eq!(result.checksum, checksum(result.id, &result.values));
+}
+
+#[test]
+fn stdin_worker_refuses_bad_durations_and_exits_cleanly() {
+    let mut child = pbbf()
+        .arg("worker")
+        .env_remove("PBBF_FAULT")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn worker");
+    {
+        let stdin = child.stdin.as_mut().expect("worker stdin");
+        for spec in bad_duration_specs() {
+            writeln!(stdin, "{}", serde_json::to_string(&spec).unwrap()).expect("send spec");
+        }
+    }
+    let out = child.wait_with_output().expect("worker output");
+    assert!(out.status.success(), "worker exited {:?}", out.status);
+    let stdout = String::from_utf8(out.stdout).expect("utf8 replies");
+    let replies: Vec<WorkerReply> = stdout
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("every line parses as WorkerReply"))
+        .filter(|r| !matches!(r, WorkerReply::Heartbeat(_)))
+        .collect();
+    assert_eq!(replies.len(), 3, "one refusal per spec: {stdout}");
+    for (reply, id) in replies.iter().zip(1..) {
+        assert_duration_refusal(reply, id);
+    }
+}
+
+#[test]
+fn tcp_worker_refuses_bad_durations_and_serves_on() {
+    use std::io::{BufRead, BufReader};
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    let (mut worker, addr) = spawn_tcp_worker(&[]);
+    let stream = TcpStream::connect(&addr).expect("connect to worker");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let mut next_reply = || loop {
+        let mut line = String::new();
+        let n = reader.read_line(&mut line).expect("read reply");
+        assert!(n > 0, "worker closed the connection");
+        match serde_json::from_str::<WorkerReply>(line.trim_end()).expect("reply parses") {
+            WorkerReply::Heartbeat(_) => continue,
+            reply => break reply,
+        }
+    };
+    for spec in bad_duration_specs() {
+        writeln!(writer, "{}", serde_json::to_string(&spec).unwrap()).expect("send spec");
+        assert_duration_refusal(&next_reply(), spec.id);
+    }
+
+    // The same connection still executes a clean shard.
+    let spec = first_shard_spec();
+    writeln!(writer, "{}", serde_json::to_string(&spec).unwrap()).expect("send spec");
+    let reply = next_reply();
+    let _ = worker.kill();
+    let _ = worker.wait();
+    let WorkerReply::Result(result) = reply else {
+        panic!("worker refused a well-formed shard: {reply:?}");
+    };
+    assert_eq!(result.id, spec.id);
     assert_eq!(result.checksum, checksum(result.id, &result.values));
 }
