@@ -23,8 +23,8 @@
 //!   N = 5000, Δ = 10 (the acceptance criterion is ≥10× here).
 //! * `deployment_build_n10000` — full 10k-node deployment construction,
 //!   infeasible with the brute path at interactive timescales.
-//! * `event_queue_churn_100k` — schedule/cancel/pop mix exercising the
-//!   generation-stamped slot queue.
+//! * `event_queue_churn_100k` — a schedule/pop mix over the FIFO-stable
+//!   binary-heap event queue.
 //! * `net_sim_run_120s` — one end-to-end realistic-simulator run.
 //! * `channel_churn_dense_delta16` vs `channel_churn_dense_delta16_brute`
 //!   — a CSMA-like begin/carrier-sense/end mix on a dense (Δ = 16)
@@ -125,18 +125,12 @@ fn event_queue_churn(c: &mut Criterion) {
     c.bench_function("event_queue_churn_100k", |b| {
         b.iter(|| {
             let mut q = EventQueue::new();
-            let mut handles = Vec::with_capacity(64);
             let mut acc = 0u64;
-            // A MAC-like mix: burst-schedule timers, cancel half of them,
-            // drain some, repeat.
+            // A MAC-like mix: burst-schedule timers, drain some, repeat.
             for round in 0..1000u64 {
                 let base = SimTime::from_nanos(round * 1_000_000);
-                handles.clear();
                 for i in 0..100u64 {
-                    handles.push(q.schedule(base + pbbf_des::SimDuration::from_nanos(i * 7919), i));
-                }
-                for h in handles.iter().skip(1).step_by(2) {
-                    q.cancel(*h);
+                    q.schedule(base + SimDuration::from_nanos(i * 7919), i);
                 }
                 for _ in 0..50 {
                     if let Some((_, e)) = q.pop() {

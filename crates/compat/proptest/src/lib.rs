@@ -199,7 +199,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: a fixed size or a range.
+    /// Length specification for [`vec()`]: a fixed size or a range.
     pub struct SizeRange {
         lo: usize,
         hi: usize,

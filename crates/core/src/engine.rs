@@ -132,7 +132,7 @@ impl<R: RngCore> PbbfEngine<R> {
     /// consumes one RNG draw per *run* instead of one per trial — the
     /// relaxed stream-layout contract of the geometric-skip boundary
     /// engine in `pbbf-net-sim`. The `q = 0` / `q = 1` endpoints stay
-    /// exact and draw-free, mirroring [`PbbfEngine::chance`]'s edge
+    /// exact and draw-free, mirroring `PbbfEngine::chance`'s edge
     /// cases (pure PSM must sleep with certainty, not almost surely).
     #[inline]
     pub fn sleep_run(&mut self, max: u32) -> u32 {

@@ -3,7 +3,7 @@
 //! `pbbf sweep` shards a Section-5 figure across worker processes. The
 //! contract that makes this bitwise-safe lives here: a
 //! [`SweepManifest`] names every `(point, run-range)` chunk of a sweep
-//! in the same order [`NetSweep::run`](crate::net_figs) schedules them
+//! in the same order `NetSweep::run` schedules them
 //! in-process, each [`ShardJob`] carries everything needed to recompute
 //! its values from scratch (`figure`, `effort`, `seed`, point index,
 //! run range — all pure inputs), and [`assemble_sweep`] folds shard

@@ -7,7 +7,7 @@
 //! retry idempotent and lets a supervisor treat workers as disposable.
 //!
 //! This crate is the generic half of that story; it never interprets
-//! the work itself. A [`ShardSpec`](protocol::ShardSpec) carries an
+//! the work itself. A [`ShardSpec`] carries an
 //! opaque JSON job, workers echo back bit-exact value vectors
 //! ([`protocol::ShardResult`], f64s shipped as raw bit patterns with an
 //! FNV checksum), and the [`scheduler::SweepScheduler`] assigns shards,

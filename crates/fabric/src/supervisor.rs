@@ -6,7 +6,7 @@
 //! production factory is [`FleetFactory`]: one [`Endpoint`] per slot,
 //! either a local `pbbf worker` child on pipes or a remote
 //! `pbbf worker --listen` over TCP. Both transports split reply bytes
-//! into lines with the one [`pump_lines`], which caps a line at
+//! into lines with the one `pump_lines`, which caps a line at
 //! [`MAX_LINE_BYTES`]. This module also holds the sweep's options,
 //! stats and outcome types, and the one retry-backoff formula.
 

@@ -12,7 +12,7 @@ pub enum Mode {
     /// A sleep-scheduled MAC (802.11 PSM-style frames) running PBBF with
     /// the given parameters; `PbbfParams::PSM` is the plain-PSM baseline.
     SleepScheduled(PbbfParams),
-    /// Gossip-based flooding (the paper's [5], its Section-2 contrast):
+    /// Gossip-based flooding (the paper's \[5\], its Section-2 contrast):
     /// radios always on, every node *forwards* a received broadcast with
     /// the given probability — a **site** percolation process, versus
     /// PBBF's bond percolation.

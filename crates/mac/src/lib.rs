@@ -7,7 +7,7 @@
 //! * [`PsmTiming`] — the beacon-interval / ATIM-window clock: which frame
 //!   an instant belongs to, whether it is inside the ATIM window, and when
 //!   the next boundary events occur. Nodes are perfectly synchronized, the
-//!   same assumption the paper makes (its Section 5 discussion of [2]).
+//!   same assumption the paper makes (its Section 5 discussion of \[2\]).
 //! * [`BackoffPolicy`] — contention backoff draws for ATIM and data
 //!   transmissions (broadcasts in 802.11 use CSMA/CA without RTS/CTS or
 //!   acknowledgments).
@@ -18,7 +18,7 @@
 //!   [`pbbf_core::PbbfEngine`].
 //!
 //! The event-driven composition of these pieces with the
-//! [`Channel`](pbbf_radio::Channel) lives in `pbbf-net-sim`.
+//! collision channel (`pbbf_radio::Channel`) lives in `pbbf-net-sim`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -76,6 +76,15 @@
 //! Adaptive mode keeps a full walk: closing every node's controller
 //! window (and tracing mean parameters) at each beacon is inherently
 //! O(n), and its per-window `q` changes feed the sleep coin.
+//!
+//! # One step per boundary
+//!
+//! Whichever path applies a boundary — the eager active-set sweep, the
+//! adaptive walk, or the replay of a lazily settled node — it goes
+//! through [`open_window`] (wake, begin the MAC frame) or
+//! [`close_window`] (Figure-3 coin, sleep). The paths differ only in
+//! which nodes they visit and how they name the instant. Whether a
+//! radio is awake is kept only in the node's [`EnergyMeter`].
 
 use std::sync::Arc;
 
@@ -126,12 +135,11 @@ impl NetSim {
     /// [`DeploymentCache`](crate::DeploymentCache) stores and shares
     /// across protocol modes.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if no connected deployment can be drawn within
+    /// Fails if no connected deployment can be drawn within
     /// `cfg.max_deploy_attempts` (raise Δ or the attempt budget).
-    #[must_use]
-    pub fn draw_deployment(cfg: &NetConfig, seed: u64) -> CachedDeployment {
+    pub fn try_draw_deployment(cfg: &NetConfig, seed: u64) -> Result<CachedDeployment, String> {
         let root = SimRng::new(seed);
         let mut deploy_rng = root.substream(0);
         let deployment = RandomDeployment::connected_with_density(
@@ -141,13 +149,31 @@ impl NetSim {
             cfg.max_deploy_attempts,
             &mut deploy_rng,
         )
-        .expect("no connected deployment found; raise delta or attempts");
+        .ok_or_else(|| {
+            format!(
+                "no connected deployment of {} nodes at delta {} in {} attempts; \
+                 raise delta or attempts",
+                cfg.nodes, cfg.delta, cfg.max_deploy_attempts
+            )
+        })?;
         let mut source_rng = root.substream(1);
         let source = NodeId(source_rng.below(cfg.nodes as u64) as u32);
-        CachedDeployment {
+        Ok(CachedDeployment {
             topology: Arc::new(deployment.into_topology()),
             source,
-        }
+        })
+    }
+
+    /// [`NetSim::try_draw_deployment`] for configurations known to be
+    /// drawable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no connected deployment can be drawn within
+    /// `cfg.max_deploy_attempts` (raise Δ or the attempt budget).
+    #[must_use]
+    pub fn draw_deployment(cfg: &NetConfig, seed: u64) -> CachedDeployment {
+        Self::try_draw_deployment(cfg, seed).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Executes one fully deterministic run.
@@ -233,8 +259,10 @@ enum Ev {
 #[derive(Debug)]
 struct NodeRt {
     mac: MacState,
+    /// Energy accounting, and the one record of whether the radio is
+    /// awake ([`EnergyMeter::is_awake`]): every wake and sleep is a
+    /// meter transition.
     meter: EnergyMeter,
-    awake: bool,
     awake_since: SimTime,
     rng: SimRng,
     atim_scheduled: bool,
@@ -256,9 +284,41 @@ struct NodeRt {
     known_snapshot: u64,
 }
 
+/// The frame-start boundary of beacon interval `frame` for one node:
+/// wake it if asleep, at the instant `at` yields (as a time and in
+/// seconds), then begin its MAC frame. Returns whether the node wants
+/// to contend for an ATIM. `at` is a closure so the replay converts an
+/// instant only when the node really wakes.
+#[inline(always)]
+fn open_window(node: &mut NodeRt, frame: u32, at: impl FnOnce() -> (SimTime, f64)) -> bool {
+    node.applied = 2 * frame + 1;
+    if !node.meter.is_awake() {
+        let (t, secs) = at();
+        node.meter.set_state_secs(secs, RadioState::Idle);
+        node.awake_since = t;
+    }
+    node.mac.begin_frame()
+}
+
+/// The window-end boundary of beacon interval `frame` for one node:
+/// flip the Figure-3 coin, and sleep at the instant `at` yields (in
+/// seconds) when it says sleep, the radio is awake and `transmitting()`
+/// is false — a node never sleeps mid-transmission.
+#[inline(always)]
+fn close_window(
+    node: &mut NodeRt,
+    frame: u32,
+    transmitting: impl FnOnce() -> bool,
+    at: impl FnOnce() -> f64,
+) {
+    node.applied = 2 * frame + 2;
+    if !node.mac.sleep_decision() && node.meter.is_awake() && !transmitting() {
+        node.meter.set_state_secs(at(), RadioState::Sleep);
+    }
+}
+
 struct Runner<C: CollisionChannel> {
     psm: bool,
-    adaptive: bool,
     /// The active-set fast path: boundary handlers sweep only active
     /// nodes and everyone else is settled lazily. Off for always-on (no
     /// beacon structure at all) and adaptive mode (every beacon closes
@@ -267,7 +327,8 @@ struct Runner<C: CollisionChannel> {
     /// Exact per-boundary replay with every frame walked, instead of
     /// geometric-skip batching and quiescent-frame jumps — the
     /// [`BoundaryEngine::Dense`] choice (configured, or forced by the
-    /// `PBBF_DENSE_BOUNDARIES` override).
+    /// `PBBF_DENSE_BOUNDARIES` override). Only the lazy path settles
+    /// nodes, so this is off whenever `lazy` is.
     dense_boundaries: bool,
     /// Pending ATIM/data/`TxEnd` events in the queue — the traffic half
     /// of the quiescence check. Maintained by
@@ -295,7 +356,9 @@ struct Runner<C: CollisionChannel> {
     queue: EventQueue<Ev>,
     source: NodeId,
     /// Boundary events already fired (same numbering as
-    /// `NodeRt::applied`) — the target lazy nodes settle to.
+    /// `NodeRt::applied`) — the target lazy nodes settle to. Adaptive
+    /// mode keeps it too: its walks step every node at every boundary,
+    /// so each node's cursor stays equal to it and settling is a no-op.
     fired: u32,
     /// Nodes the frame-start handler must process (pending announces).
     frame_set: ActiveSet,
@@ -340,7 +403,6 @@ impl<C: CollisionChannel> Runner<C> {
             .map(|i| NodeRt {
                 mac: MacState::new(params, root.substream(1000 + i as u64)),
                 meter: EnergyMeter::new(cfg.power),
-                awake: true,
                 awake_since: SimTime::ZERO,
                 rng: root.substream(2000 + i as u64),
                 atim_scheduled: false,
@@ -362,16 +424,15 @@ impl<C: CollisionChannel> Runner<C> {
         // Degree ≈ Δ bounds the per-`end_tx` delivery count.
         let expected_degree = cfg.delta.ceil() as usize + 1;
         let psm = !matches!(mode, NetMode::AlwaysOn);
-        let adaptive = matches!(mode, NetMode::Adaptive(_));
+        let lazy = matches!(mode, NetMode::SleepScheduled(_));
         let timing = PsmTiming::new(
             SimDuration::from_secs(cfg.beacon_interval_secs),
             SimDuration::from_secs(cfg.atim_window_secs),
         );
         Self {
             psm,
-            adaptive,
-            lazy: psm && !adaptive,
-            dense_boundaries: cfg.boundary_engine.effective() == BoundaryEngine::Dense,
+            lazy,
+            dense_boundaries: lazy && cfg.boundary_engine.effective() == BoundaryEngine::Dense,
             traffic_events: 0,
             next_gen: None,
             aw_secs: timing.atim_window().as_secs(),
@@ -504,37 +565,6 @@ impl<C: CollisionChannel> Runner<C> {
         self.window_set.set(i, work.window_end);
     }
 
-    /// Applies the frame-start boundary of beacon interval `frame` to
-    /// node `i`: wake it for the ATIM window and begin its MAC frame.
-    /// Returns whether the node wants to contend for an ATIM.
-    fn apply_frame_start(&mut self, i: usize, frame: u32) -> bool {
-        let node = &mut self.nodes[i];
-        node.applied = 2 * frame + 1;
-        if !node.awake {
-            let t = self.timing.frame_time(u64::from(frame));
-            node.meter.set_state(t, RadioState::Idle);
-            node.awake = true;
-            node.awake_since = t;
-        }
-        node.mac.begin_frame()
-    }
-
-    /// Applies the window-end boundary of beacon interval `frame` to node
-    /// `i` inside the `WindowEnd` handler itself: the Figure-3 sleep
-    /// decision and its radio-state transition. Only a node with a
-    /// pending sleep-state change queries the channel (lazy replay in
-    /// [`Runner::settle_replay`] never does — an untouched node cannot
-    /// be mid-transmission).
-    fn apply_window_end(&mut self, i: usize, frame: u32) {
-        let stay = self.nodes[i].mac.sleep_decision();
-        self.nodes[i].applied = 2 * frame + 2;
-        if !stay && self.nodes[i].awake && !self.channel.is_transmitting(NodeId(i as u32)) {
-            let t = self.timing.frame_time(u64::from(frame)) + self.timing.atim_window();
-            self.nodes[i].meter.set_state(t, RadioState::Sleep);
-            self.nodes[i].awake = false;
-        }
-    }
-
     /// Brings node `i` up to the boundaries whose events have already
     /// fired, replaying wake/sleep transitions at their original
     /// timestamps and RNG draws in their original order. O(1) when the
@@ -545,8 +575,9 @@ impl<C: CollisionChannel> Runner<C> {
     /// This is the hot loop of sparse scenarios — a node asleep for a
     /// hundred beacon intervals pays for all of them here, in one pass
     /// over cursor-indexed locals — so it works on a single borrow of
-    /// the node and the precomputed boundary-seconds tables rather than
-    /// going through the eager per-boundary helpers.
+    /// the node and hands [`open_window`]/[`close_window`] closures
+    /// that convert an instant to seconds only when a transition
+    /// happens.
     #[inline]
     fn settle(&mut self, i: usize) {
         if self.nodes[i].applied < self.fired {
@@ -587,40 +618,39 @@ impl<C: CollisionChannel> Runner<C> {
         // boundaries through the same division) costs nothing that
         // matters.
         let dense = self.dense_boundaries;
+        let (frame_secs, window_secs) = (&self.frame_secs, &self.window_secs);
         let node = &mut self.nodes[i];
         while node.applied < target {
-            let boundary = node.applied;
-            node.applied = boundary + 1;
-            let frame = boundary >> 1;
-            if boundary & 1 == 0 {
-                // Frame start: wake for the ATIM window.
-                if !node.awake {
+            let frame = node.applied >> 1;
+            if node.applied & 1 == 0 {
+                let wants = open_window(node, frame, || {
+                    let t = SimTime::from_nanos(u64::from(frame) * beacon_nanos);
                     let secs = if dense {
-                        self.frame_secs[frame as usize]
+                        frame_secs[frame as usize]
                     } else {
-                        SimTime::from_nanos(u64::from(frame) * beacon_nanos).as_secs()
+                        t.as_secs()
                     };
-                    node.meter.set_state_secs(secs, RadioState::Idle);
-                    node.awake = true;
-                    node.awake_since = SimTime::from_nanos(u64::from(frame) * beacon_nanos);
-                }
-                let wants = node.mac.begin_frame();
+                    (t, secs)
+                });
                 debug_assert!(
                     !wants,
                     "node {i} with announce work must be in the frame-start active set"
                 );
-                let _ = wants;
             } else {
-                // Window end: the Figure-3 sleep decision.
-                if !node.mac.sleep_decision() && node.awake {
-                    let secs = if dense {
-                        self.window_secs[frame as usize]
-                    } else {
-                        SimTime::from_nanos(u64::from(frame) * beacon_nanos + atim_nanos).as_secs()
-                    };
-                    node.meter.set_state_secs(secs, RadioState::Sleep);
-                    node.awake = false;
-                }
+                // An untouched node cannot be mid-transmission.
+                close_window(
+                    node,
+                    frame,
+                    || false,
+                    || {
+                        if dense {
+                            window_secs[frame as usize]
+                        } else {
+                            SimTime::from_nanos(u64::from(frame) * beacon_nanos + atim_nanos)
+                                .as_secs()
+                        }
+                    },
+                );
             }
         }
     }
@@ -671,11 +701,10 @@ impl<C: CollisionChannel> Runner<C> {
         // whatever state it entered in. A real transition (not a jump):
         // it also closes the books on the stretch since the node's last
         // transition, in whatever state that stretch was spent.
-        node.meter.set_state_secs(g0_secs, RadioState::Idle);
-        if !node.awake {
-            node.awake = true;
+        if !node.meter.is_awake() {
             node.awake_since = self.timing.frame_time(u64::from(g0));
         }
+        node.meter.set_state_secs(g0_secs, RadioState::Idle);
         let summary = node.mac.skip_boundaries(pairs);
         let stays_inside = summary.stays_before_last(pairs);
         let sleeps_inside = pairs - 1 - stays_inside;
@@ -697,7 +726,6 @@ impl<C: CollisionChannel> Runner<C> {
                 RadioState::Sleep
             },
         );
-        node.awake = ends_awake;
         if ends_awake {
             if let Some(j) = summary.last_sleep {
                 // Slept last at window end `g0 + j`, so it has been
@@ -710,78 +738,76 @@ impl<C: CollisionChannel> Runner<C> {
         node.applied = 2 * (g0 + pairs);
     }
 
-    fn on_frame_start(&mut self, now: SimTime) {
-        if self.lazy {
-            if !self.dense_boundaries && self.try_skip_frames(now) {
-                return;
-            }
-            let frame = self.fired / 2;
-            if self.dense_boundaries {
-                // The lazy engine converts on demand instead (see the
-                // `frame_secs` field docs) — its tables stay empty,
-                // which is also what lets `try_skip_frames` jump in
-                // O(1).
-                debug_assert_eq!(self.frame_secs.len(), frame as usize);
-                self.frame_secs.push(now.as_secs());
-                self.window_secs
-                    .push((now + self.timing.atim_window()).as_secs());
-            }
-            let mut sweep = std::mem::take(&mut self.sweep);
+    /// The nodes a boundary handler visits, in ascending order: the
+    /// members of that boundary's active set on the lazy path, every
+    /// node in adaptive mode (each beacon closes every node's
+    /// controller window, an inherently dense walk).
+    fn take_sweep(&mut self, window_end: bool) -> Vec<u32> {
+        let mut sweep = std::mem::take(&mut self.sweep);
+        if !self.lazy {
+            sweep.clear();
+            sweep.extend(0..self.nodes.len() as u32);
+        } else if window_end {
+            self.window_set.sweep(&mut sweep);
+        } else {
             self.frame_set.sweep(&mut sweep);
-            for &i in &sweep {
-                let i = i as usize;
-                self.settle(i);
-                let wants = self.apply_frame_start(i, frame);
-                // Every member has announce work (membership is refreshed
-                // at each transition), so `begin_frame` left it with a
-                // pending normal send: it stays in this set and now needs
-                // window-end processing too.
+        }
+        sweep
+    }
+
+    fn on_frame_start(&mut self, now: SimTime) {
+        if self.lazy && !self.dense_boundaries && self.try_skip_frames(now) {
+            return;
+        }
+        let frame = self.fired / 2;
+        if self.dense_boundaries {
+            // The lazy engine converts on demand instead (see the
+            // `frame_secs` field docs) — its tables stay empty, which is
+            // also what lets `try_skip_frames` jump in O(1).
+            debug_assert_eq!(self.frame_secs.len(), frame as usize);
+            self.frame_secs.push(now.as_secs());
+            self.window_secs
+                .push((now + self.timing.atim_window()).as_secs());
+        }
+        let (mut p_sum, mut q_sum) = (0.0, 0.0);
+        let sweep = self.take_sweep(false);
+        for &i in &sweep {
+            let i = i as usize;
+            self.settle(i);
+            let node = &mut self.nodes[i];
+            let wants = open_window(node, frame, || (now, now.as_secs()));
+            if let Some(ctl) = &mut node.adapt {
+                let holes = node.mac.sequence_holes();
+                let known = node.mac.known_updates().len() as u64;
+                let missed = holes.saturating_sub(node.holes_snapshot);
+                let received = known.saturating_sub(node.known_snapshot);
+                node.holes_snapshot = holes;
+                node.known_snapshot = known;
+                ctl.observe_updates(received, missed);
+                let params = ctl.end_window();
+                node.mac.set_params(params);
+                p_sum += params.p();
+                q_sum += params.q();
+            }
+            if wants && !node.atim_scheduled {
+                node.atim_scheduled = true;
+                let at = self.backoff.next_atim_attempt(now, &mut node.rng);
+                self.sched_traffic(at, Ev::AtimAttempt(i as u32));
+            }
+            if self.lazy {
+                // Every member has announce work (membership is
+                // refreshed at each transition), so `begin_frame` left
+                // it with a pending normal send: it stays in this set
+                // and now needs window-end processing too.
                 debug_assert!(wants, "frame-set member {i} had nothing to announce");
-                if wants && !self.nodes[i].atim_scheduled {
-                    self.nodes[i].atim_scheduled = true;
-                    let at = self.backoff.next_atim_attempt(now, &mut self.nodes[i].rng);
-                    self.sched_traffic(at, Ev::AtimAttempt(i as u32));
-                }
                 self.window_set.set(i, true);
             }
-            self.sweep = sweep;
-            self.fired = 2 * frame + 1;
-        } else {
-            // Adaptive mode: every beacon closes every node's observation
-            // window and records the mean parameters — a dense walk by
-            // construction.
-            let mut p_sum = 0.0;
-            let mut q_sum = 0.0;
-            for i in 0..self.nodes.len() {
-                let node = &mut self.nodes[i];
-                if !node.awake {
-                    node.meter.set_state(now, RadioState::Idle);
-                    node.awake = true;
-                    node.awake_since = now;
-                }
-                if let Some(ctl) = &mut node.adapt {
-                    let holes = node.mac.sequence_holes();
-                    let known = node.mac.known_updates().len() as u64;
-                    let missed = holes.saturating_sub(node.holes_snapshot);
-                    let received = known.saturating_sub(node.known_snapshot);
-                    node.holes_snapshot = holes;
-                    node.known_snapshot = known;
-                    ctl.observe_updates(received, missed);
-                    let params = ctl.end_window();
-                    node.mac.set_params(params);
-                    p_sum += params.p();
-                    q_sum += params.q();
-                }
-                if node.mac.begin_frame() && !node.atim_scheduled {
-                    node.atim_scheduled = true;
-                    let at = self.backoff.next_atim_attempt(now, &mut node.rng);
-                    self.sched_traffic(at, Ev::AtimAttempt(i as u32));
-                }
-            }
-            if self.adaptive {
-                let n = self.nodes.len() as f64;
-                self.adaptive_trace.push((p_sum / n, q_sum / n));
-            }
+        }
+        self.sweep = sweep;
+        self.fired = 2 * frame + 1;
+        if !self.lazy {
+            let n = self.nodes.len() as f64;
+            self.adaptive_trace.push((p_sum / n, q_sum / n));
         }
         self.queue
             .schedule(now + self.timing.atim_window(), Ev::WindowEnd);
@@ -792,36 +818,26 @@ impl<C: CollisionChannel> Runner<C> {
     }
 
     fn on_window_end(&mut self, now: SimTime) {
-        if self.lazy {
-            let frame = self.fired / 2;
-            let mut sweep = std::mem::take(&mut self.sweep);
-            self.window_set.sweep(&mut sweep);
-            for &i in &sweep {
-                let i = i as usize;
-                self.settle(i);
-                self.apply_window_end(i, frame);
-                self.schedule_window_attempts(now, i);
-            }
-            self.sweep = sweep;
-            self.fired = 2 * frame + 2;
-        } else {
-            for i in 0..self.nodes.len() {
-                let stay = self.nodes[i].mac.sleep_decision();
-                // Only a pending sleep-state change needs the channel
-                // queried.
-                if !stay && self.nodes[i].awake && !self.channel.is_transmitting(NodeId(i as u32)) {
-                    let node = &mut self.nodes[i];
-                    node.meter.set_state(now, RadioState::Sleep);
-                    node.awake = false;
-                }
-                self.schedule_window_attempts(now, i);
-            }
+        let frame = self.fired / 2;
+        let sweep = self.take_sweep(true);
+        for &i in &sweep {
+            let i = i as usize;
+            self.settle(i);
+            let channel = &self.channel;
+            close_window(
+                &mut self.nodes[i],
+                frame,
+                || channel.is_transmitting(NodeId(i as u32)),
+                || now.as_secs(),
+            );
+            self.schedule_window_attempts(now, i);
         }
+        self.sweep = sweep;
+        self.fired = 2 * frame + 2;
     }
 
     /// The window-end contention kickoff: schedules the data-phase
-    /// attempts for node `i`'s pending sends (identical for the eager
-    /// sweep and the dense walk).
+    /// attempts for node `i`'s pending sends.
     #[inline]
     fn schedule_window_attempts(&mut self, now: SimTime, i: usize) {
         let node = &mut self.nodes[i];
@@ -924,7 +940,7 @@ impl<C: CollisionChannel> Runner<C> {
         // settled when this frame began (the meter transition below needs
         // that).
         debug_assert!(
-            !self.lazy || self.nodes[i].applied >= self.fired,
+            self.nodes[i].applied >= self.fired,
             "ATIM transmit on unsettled node {id}"
         );
         let contents = self.nodes[i].mac.packet_contents(self.k);
@@ -950,7 +966,10 @@ impl<C: CollisionChannel> Runner<C> {
         // (it is not in the frame-start set), but that path only
         // reschedules — node state the boundary affects is not read, and
         // the transmit path below asserts settledness.
-        debug_assert!(self.nodes[i].awake, "pending data must keep {id} awake");
+        debug_assert!(
+            self.nodes[i].meter.is_awake(),
+            "pending data must keep {id} awake"
+        );
 
         // Data may not be sent during an ATIM window, and a frame may not
         // straddle the next beacon boundary.
@@ -980,7 +999,7 @@ impl<C: CollisionChannel> Runner<C> {
         // the data phase, and every pending-send node was eagerly
         // processed at this frame's window end.
         debug_assert!(
-            !self.lazy || self.nodes[i].applied >= self.fired,
+            self.nodes[i].applied >= self.fired,
             "transmit on unsettled node {id}"
         );
         let contents = self.nodes[i].mac.packet_contents(self.k);
@@ -1012,7 +1031,7 @@ impl<C: CollisionChannel> Runner<C> {
                 for d in &deliveries {
                     let r = d.receiver.index();
                     self.settle(r);
-                    if !self.nodes[r].awake || self.nodes[r].awake_since > d.started {
+                    if !self.nodes[r].meter.is_awake() || self.nodes[r].awake_since > d.started {
                         continue;
                     }
                     if !d.clean {
@@ -1034,7 +1053,7 @@ impl<C: CollisionChannel> Runner<C> {
                 for d in &deliveries {
                     let r = d.receiver.index();
                     self.settle(r);
-                    if !self.nodes[r].awake || self.nodes[r].awake_since > d.started {
+                    if !self.nodes[r].meter.is_awake() || self.nodes[r].awake_since > d.started {
                         continue;
                     }
                     // Adaptive PBBF: any audible data frame (even a
@@ -1075,10 +1094,8 @@ impl<C: CollisionChannel> Runner<C> {
     fn into_stats(mut self) -> NetRunStats {
         // Lazy nodes still owe their boundary replay; one cache-friendly
         // pass per node closes the books.
-        if self.lazy {
-            for i in 0..self.nodes.len() {
-                self.settle(i);
-            }
+        for i in 0..self.nodes.len() {
+            self.settle(i);
         }
         let topo = self.channel.topology();
         let hop_distance = topo.hop_distances(self.source);
@@ -1396,6 +1413,20 @@ mod tests {
         // q coin only modulates the data-phase residency.
         let (le, de) = (l.energy_per_update(), d.energy_per_update());
         assert!((le - de).abs() / de < 0.1, "energy lazy {le} vs dense {de}");
+    }
+
+    #[test]
+    fn undrawable_deployments_are_errors() {
+        let mut sparse = cfg(100.0);
+        sparse.delta = 1e-9;
+        sparse.max_deploy_attempts = 3;
+        let err = NetSim::try_draw_deployment(&sparse, 1).unwrap_err();
+        assert!(err.contains("no connected deployment"), "{err}");
+        let c = cfg(100.0);
+        assert_eq!(
+            NetSim::try_draw_deployment(&c, 1).unwrap(),
+            NetSim::draw_deployment(&c, 1)
+        );
     }
 
     #[test]

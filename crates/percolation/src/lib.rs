@@ -19,8 +19,9 @@
 //! * [`critical_bond_ratio`] — the Figure-6 estimator: the fraction of
 //!   occupied bonds at which the source's cluster first covers a target
 //!   fraction of nodes.
-//! * [`boundary`] — the Figure-7 map from a critical edge probability to
-//!   the minimal `q` for each `p` via Remark 1.
+//! * [`pq_boundary`] and [`min_q_for_reliability`] — the Figure-7 map
+//!   from a critical edge probability to the minimal `q` for each `p`
+//!   via Remark 1.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -161,7 +161,7 @@ impl<'a> NewmanZiff<'a> {
     /// sites (`k = 0 ..= N − 1`).
     ///
     /// This is the site-percolation model of gossip-based routing (the
-    /// paper's [5]) that Section 2.1 contrasts with PBBF's bond model.
+    /// paper's \[5\]) that Section 2.1 contrasts with PBBF's bond model.
     #[must_use]
     pub fn site_sweep(&self, rng: &mut impl RngCore) -> Vec<f64> {
         let n = self.topology.len();

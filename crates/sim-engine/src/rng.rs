@@ -15,7 +15,7 @@ use rand::RngCore;
 /// Implements [`rand::RngCore`], so all `rand` distribution adapters work,
 /// and adds the handful of draws the simulators actually use
 /// ([`chance`](SimRng::chance), [`uniform`](SimRng::uniform),
-/// [`below`](SimRng::below), [`exponential`](SimRng::exponential)).
+/// [`below`](SimRng::below)).
 ///
 /// # Examples
 ///
@@ -139,34 +139,6 @@ impl SimRng {
             if (m as u64) >= threshold {
                 return (m >> 64) as u64;
             }
-        }
-    }
-
-    /// Exponential draw with the given `rate` (mean `1/rate`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not strictly positive and finite.
-    pub fn exponential(&mut self, rate: f64) -> f64 {
-        assert!(rate.is_finite() && rate > 0.0, "bad rate {rate}");
-        // ln(1 - U) with U in [0, 1) never takes ln(0).
-        -(1.0 - self.uniform01()).ln() / rate
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
-    }
-
-    /// Chooses a uniformly random element, or `None` if empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[self.below(slice.len() as u64) as usize])
         }
     }
 }
@@ -310,41 +282,6 @@ mod tests {
         for _ in 0..10_000 {
             assert!(rng.below(8) < 8);
         }
-    }
-
-    #[test]
-    fn exponential_has_correct_mean() {
-        let mut rng = SimRng::new(17);
-        let rate = 0.01; // the paper's update rate
-        let n = 100_000;
-        let mean: f64 = (0..n).map(|_| rng.exponential(rate)).sum::<f64>() / n as f64;
-        assert!((mean - 100.0).abs() < 2.0, "mean = {mean}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SimRng::new(19);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(
-            v,
-            (0..100).collect::<Vec<_>>(),
-            "shuffle left input unchanged"
-        );
-    }
-
-    #[test]
-    fn choose_from_slices() {
-        let mut rng = SimRng::new(23);
-        let empty: [u8; 0] = [];
-        assert_eq!(rng.choose(&empty), None);
-        let one = [42];
-        assert_eq!(rng.choose(&one), Some(&42));
-        let many = [1, 2, 3];
-        assert!(many.contains(rng.choose(&many).unwrap()));
     }
 
     #[test]

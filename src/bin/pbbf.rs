@@ -162,6 +162,24 @@ fn get_u64(flags: &HashMap<String, String>, key: &str, default: u64) -> Result<u
     }
 }
 
+/// A count flag of at least `min` that fits a `u32` — a value past
+/// `u32::MAX` is an error, never silently truncated.
+fn get_u32(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: u32,
+    min: u32,
+) -> Result<u32, String> {
+    let v = get_u64(flags, key, u64::from(default))?;
+    match u32::try_from(v) {
+        Ok(v) if v >= min => Ok(v),
+        _ => Err(format!(
+            "--{key}: must lie in {min}..={}, got `{v}`",
+            u32::MAX
+        )),
+    }
+}
+
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let (flags, _) = parse(args, &[val("p"), val("q")])?;
     let p = get_f64(&flags, "p", None)?;
@@ -204,9 +222,15 @@ fn cmd_boundary(args: &[String]) -> Result<(), String> {
         args,
         &[val("grid"), val("reliability"), val("runs"), val("seed")],
     )?;
-    let grid = get_u64(&flags, "grid", 30)? as u32;
+    // A one-node grid has no bonds to occupy, so no threshold.
+    let grid = get_u32(&flags, "grid", 30, 2)?;
     let reliability = get_f64(&flags, "reliability", Some(0.99))?;
-    let runs = get_u64(&flags, "runs", 150)? as u32;
+    if !(reliability > 0.0 && reliability <= 1.0) {
+        return Err(format!(
+            "--reliability: must lie in (0, 1], got `{reliability}`"
+        ));
+    }
+    let runs = get_u32(&flags, "runs", 150, 1)?;
     let seed = get_u64(&flags, "seed", 2005)?;
     let g = Grid::square(grid);
     let mut rng = SimRng::new(seed);
@@ -230,10 +254,10 @@ fn cmd_ideal(args: &[String]) -> Result<(), String> {
         args,
         &[val("grid"), val("p"), val("q"), val("updates"), val("seed")],
     )?;
-    let grid = get_u64(&flags, "grid", 25)? as u32;
+    let grid = get_u32(&flags, "grid", 25, 1)?;
     let p = get_f64(&flags, "p", None)?;
     let q = get_f64(&flags, "q", None)?;
-    let updates = get_u64(&flags, "updates", 5)? as u32;
+    let updates = get_u32(&flags, "updates", 5, 0)?;
     let seed = get_u64(&flags, "seed", 2005)?;
     let params = PbbfParams::new(p, q).map_err(|e| e.to_string())?;
     let mut cfg = IdealConfig::table1();
@@ -279,7 +303,11 @@ fn cmd_net(args: &[String]) -> Result<(), String> {
     let seed = get_u64(&flags, "seed", 2005)?;
     let params = PbbfParams::new(p, q).map_err(|e| e.to_string())?;
     let cfg = net_config(&flags)?;
-    let stats = NetSim::new(cfg, NetMode::SleepScheduled(params)).run(seed);
+    // `run_on` of the same seed's deployment is bitwise `run(seed)`; a
+    // Δ too sparse to connect is an input error, not a panic.
+    let deployment =
+        NetSim::try_draw_deployment(&cfg, seed).map_err(|e| format!("--delta: {e}"))?;
+    let stats = NetSim::new(cfg, NetMode::SleepScheduled(params)).run_on(seed, &deployment);
     let mut t = Table::new(["Metric", "Value"]);
     t.row([
         "updates generated".to_string(),
@@ -712,6 +740,24 @@ mod tests {
         }
         let flags: HashMap<_, _> = [("delta".to_string(), "16".to_string())].into();
         assert_eq!(net_config(&flags).unwrap().delta, 16.0);
+    }
+
+    #[test]
+    fn counts_outside_their_range_are_rejected_not_wrapped() {
+        let flag =
+            |key: &str, v: &str| -> HashMap<_, _> { [(key.to_string(), v.to_string())].into() };
+        // 2^32 + 5 must not wrap to 5.
+        let err = get_u32(&flag("grid", "4294967301"), "grid", 25, 1).unwrap_err();
+        assert!(err.contains("--grid"), "{err}");
+        let err = get_u32(&flag("runs", "0"), "runs", 150, 1).unwrap_err();
+        assert!(err.contains("--runs"), "{err}");
+        assert_eq!(
+            get_u32(&flag("grid", "4294967295"), "grid", 25, 1).unwrap(),
+            u32::MAX
+        );
+        assert_eq!(get_u32(&flag("runs", "1"), "runs", 150, 1).unwrap(), 1);
+        assert_eq!(get_u32(&flag("updates", "0"), "updates", 5, 0).unwrap(), 0);
+        assert_eq!(get_u32(&HashMap::new(), "grid", 25, 1).unwrap(), 25);
     }
 
     #[test]

@@ -121,28 +121,43 @@ proptest! {
         prop_assert!(q.is_empty());
     }
 
-    /// Cancellation removes exactly the cancelled events.
+    /// Scheduling interleaved with popping — the runner's pattern, where
+    /// handlers schedule at `now` or later while the queue drains —
+    /// pops exactly what a reference model ordered by
+    /// `(time, insertion index)` pops. Zero delays are frequent, so
+    /// ties between events scheduled before and after a pop are
+    /// common.
     #[test]
-    fn event_queue_cancellation(
-        n in 1usize..100,
-        cancel_mask in prop::collection::vec(any::<bool>(), 100),
+    fn event_queue_interleaved_matches_model(
+        ops in prop::collection::vec((0u8..4, 0usize..4), 1..400),
     ) {
         let mut q = EventQueue::new();
-        let handles: Vec<_> = (0..n)
-            .map(|i| q.schedule(SimTime::from_nanos(i as u64 % 7), i))
-            .collect();
-        let mut expected: Vec<usize> = Vec::new();
-        for (i, h) in handles.iter().enumerate() {
-            if cancel_mask[i] {
-                prop_assert!(q.cancel(*h));
+        let mut model: Vec<(SimTime, usize)> = Vec::new();
+        let mut now = SimTime::ZERO;
+        for (i, &(op, d)) in ops.iter().enumerate() {
+            if op == 0 {
+                let expected = model
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, &key)| key)
+                    .map(|(at, _)| at)
+                    .map(|at| model.remove(at));
+                let got = q.pop();
+                prop_assert_eq!(got, expected);
+                if let Some((t, _)) = got {
+                    now = t;
+                }
             } else {
-                expected.push(i);
+                // Half of all schedules land exactly at `now`.
+                let at = now + SimDuration::from_nanos([0, 0, 5, 10][d]);
+                q.schedule(at, i);
+                model.push((at, i));
             }
+            prop_assert_eq!(q.len(), model.len());
         }
-        let mut got: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        got.sort_unstable();
-        expected.sort_unstable();
-        prop_assert_eq!(got, expected);
+        model.sort_unstable();
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        prop_assert_eq!(rest, model);
     }
 
     /// The RNG's Bernoulli edge cases are exact and substreams reproduce.
@@ -335,14 +350,23 @@ proptest! {
         prop_assert_eq!(sim.run(seed), sim.run_brute(seed));
     }
 
-    /// The duplicate filter never reports an id fresh twice (unbounded).
+    /// The MAC's duplicate filter — `MacState::receive_data` over its
+    /// sorted `known` ids — reports each update id fresh exactly once,
+    /// however the ids are split into packets.
     #[test]
-    fn duplicate_filter_no_double_fresh(ids in prop::collection::vec(0u64..50, 1..300)) {
-        let mut f = DuplicateFilter::unbounded();
+    fn duplicate_filter_no_double_fresh(
+        ids in prop::collection::vec(0u64..50, 1..300),
+        packet_len in 1usize..6,
+        seed in any::<u64>(),
+    ) {
+        let params = PbbfParams::new(0.5, 0.5).unwrap();
+        let mut mac = pbbf::mac::MacState::new(params, SimRng::new(seed));
         let mut seen = std::collections::HashSet::new();
-        for id in ids {
-            prop_assert_eq!(f.first_sighting(id), seen.insert(id));
+        for packet in ids.chunks(packet_len) {
+            let fresh: Vec<u64> = packet.iter().copied().filter(|&id| seen.insert(id)).collect();
+            prop_assert_eq!(mac.receive_data(packet), fresh);
         }
+        prop_assert_eq!(mac.known_updates().len(), seen.len());
     }
 
     /// A full idealized dissemination never records more hops than links
