@@ -21,14 +21,7 @@ use pbbf_net_sim::{DeploymentCache, NetConfig, NetMode, NetSim};
 use pbbf_percolation::NewmanZiff;
 use pbbf_topology::Grid;
 
-use crate::Effort;
-
-fn mix(seed: u64, salt: u64) -> u64 {
-    let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use crate::{mix, Effort};
 
 /// Gossip (site percolation) vs PBBF (bond percolation) reliability on one
 /// grid: delivered fraction vs the forwarding knob (`g` for gossip, `q`

@@ -2,19 +2,20 @@
 
 use pbbf_core::PbbfParams;
 use pbbf_ideal_sim::{IdealConfig, IdealSim, Mode, RunStats};
-use pbbf_metrics::{ConfidenceInterval, Figure, Series, Summary};
+use pbbf_metrics::{Figure, Series};
 
-use crate::Effort;
+use crate::net_figs::{fold_point_values, RUN_CHUNK};
+use crate::{mix, Effort};
 
 /// The `p` values of the paper's idealized-simulation legends.
 pub(crate) const IDEAL_P_VALUES: [f64; 5] = [0.05, 0.25, 0.375, 0.5, 0.75];
 
-fn mix(seed: u64, salt: u64) -> u64 {
-    let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// The baseline modes appended after the PBBF points; their behavior
+/// does not depend on q.
+const BASELINES: [(&str, Mode); 2] = [
+    ("PSM", Mode::SleepScheduled(PbbfParams::PSM)),
+    ("NO PSM", Mode::AlwaysOn),
+];
 
 fn ideal_config(effort: &Effort) -> IdealConfig {
     let mut cfg = IdealConfig::table1();
@@ -23,47 +24,61 @@ fn ideal_config(effort: &Effort) -> IdealConfig {
     cfg
 }
 
-fn runs(mode: Mode, effort: &Effort, seed: u64) -> Vec<RunStats> {
-    let sim = IdealSim::new(ideal_config(effort), mode);
-    // Each run's stream depends only on (seed, run index); the fan-out
-    // returns results in index order, matching the sequential loop.
-    pbbf_parallel::par_run(effort.runs as usize, |r| sim.run(mix(seed, r as u64)))
-}
-
 /// Sweeps the metric over q for every PBBF line, plus flat PSM and NO-PSM
-/// baselines (whose behavior does not depend on q).
-fn sweep(effort: &Effort, seed: u64, metric: impl Fn(&RunStats) -> Option<f64>) -> Vec<Series> {
+/// baselines.
+///
+/// Every `(point, run-chunk)` pair of the sweep is one job of a flat
+/// list ([`pbbf_parallel::par_run_grouped_chunked`]), so no core idles
+/// at a point's last runs. A job builds one simulator and folds each run
+/// to its metric before the next, so it holds one `RunStats` at a time.
+/// Run `r` of a point always draws from `mix(point seed, r)` and each
+/// point folds in run order, so the figure is bitwise identical for any
+/// thread count.
+fn sweep(
+    effort: &Effort,
+    seed: u64,
+    metric: impl Fn(&RunStats) -> Option<f64> + Sync,
+) -> Vec<Series> {
     let qs = effort.q_values();
-    let mut series = Vec::new();
-
+    let mut points: Vec<(Mode, u64)> = Vec::new();
     for (pi, &p) in IDEAL_P_VALUES.iter().enumerate() {
-        let mut s = Series::new(format!("PBBF-{p}"));
         for (qi, &q) in qs.iter().enumerate() {
             let params = PbbfParams::new(p, q).expect("sweep p, q valid");
             let point_seed = mix(seed, (pi as u64) << 32 | qi as u64);
-            let vals: Summary = runs(Mode::SleepScheduled(params), effort, point_seed)
-                .iter()
-                .filter_map(&metric)
-                .collect();
-            if !vals.is_empty() {
-                let ci = ConfidenceInterval::from_summary(&vals, 0.95);
+            points.push((Mode::SleepScheduled(params), point_seed));
+        }
+    }
+    for (label, mode) in BASELINES {
+        points.push((mode, mix(seed, label.len() as u64)));
+    }
+
+    let cfg = ideal_config(effort);
+    let values = pbbf_parallel::par_run_grouped_chunked(
+        points.len(),
+        effort.runs as usize,
+        RUN_CHUNK,
+        |pt, runs| {
+            let (mode, point_seed) = points[pt];
+            let sim = IdealSim::new(cfg, mode);
+            runs.map(|r| metric(&sim.run(mix(point_seed, r as u64))))
+                .collect()
+        },
+    );
+    let mut intervals = fold_point_values(values).into_iter();
+
+    let mut series = Vec::new();
+    for p in IDEAL_P_VALUES {
+        let mut s = Series::new(format!("PBBF-{p}"));
+        for &q in &qs {
+            if let Some(ci) = intervals.next().expect("one interval per point") {
                 s.push_with_err(q, ci.mean, ci.half_width);
             }
         }
         series.push(s);
     }
-
-    for (label, mode) in [
-        ("PSM", Mode::SleepScheduled(PbbfParams::PSM)),
-        ("NO PSM", Mode::AlwaysOn),
-    ] {
-        let vals: Summary = runs(mode, effort, mix(seed, label.len() as u64))
-            .iter()
-            .filter_map(&metric)
-            .collect();
+    for (label, _) in BASELINES {
         let mut s = Series::new(label);
-        if !vals.is_empty() {
-            let ci = ConfidenceInterval::from_summary(&vals, 0.95);
+        if let Some(ci) = intervals.next().expect("one interval per point") {
             for &q in &qs {
                 s.push_with_err(q, ci.mean, ci.half_width);
             }

@@ -44,3 +44,14 @@ pub use percolation_figs::{fig06, fig07};
 pub use registry::{Experiment, Output};
 pub use tables::{table1, table2};
 pub use tradeoff_fig::fig12;
+
+/// Derives a child seed from `seed` and a `salt` (a point index, a run
+/// index, a label length) with the splitmix64 finalizer. Every sweep
+/// seeds its points and runs through it, so a run's stream depends only
+/// on where it sits in the sweep, never on scheduling.
+pub(crate) fn mix(seed: u64, salt: u64) -> u64 {
+    let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

@@ -18,7 +18,7 @@ use pbbf_core::PbbfParams;
 use pbbf_metrics::{ConfidenceInterval, Figure, Series, Summary};
 use pbbf_net_sim::{DeploymentCache, NetConfig, NetMode, NetRunStats, NetSim};
 
-use crate::Effort;
+use crate::{mix, Effort};
 
 /// Salt of the deployment-seed stream. Every protocol mode of a sweep
 /// shares run `r`'s deployment `mix(mix(seed, DEPLOY_SALT), r)` — drawn
@@ -44,13 +44,6 @@ const BASELINES: [(&str, NetMode); 2] = [
     ("PSM", NetMode::SleepScheduled(PbbfParams::PSM)),
     ("NO PSM", NetMode::AlwaysOn),
 ];
-
-pub(crate) fn mix(seed: u64, salt: u64) -> u64 {
-    let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 fn net_config(effort: &Effort, delta: f64) -> NetConfig {
     let mut cfg = NetConfig::table2();

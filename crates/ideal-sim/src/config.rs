@@ -1,5 +1,7 @@
 //! Configuration of the idealized simulator.
 
+use std::fmt;
+
 use pbbf_core::{AnalysisParams, PbbfParams};
 use serde::{Deserialize, Serialize};
 
@@ -68,12 +70,88 @@ impl IdealConfig {
         }
     }
 
+    /// Most nodes a grid may have: 2^20, a 1024×1024 grid. A node costs
+    /// about 100 bytes of topology and frame-loop state.
+    pub const MAX_NODES: u64 = 1 << 20;
+
+    /// Most node-updates one run may record (`grid_side² × updates`):
+    /// 2^24. Each holds a 16-byte reception record in [`crate::RunStats`].
+    pub const MAX_NODE_UPDATES: u64 = 1 << 24;
+
     /// Number of nodes in the configured grid.
     #[must_use]
     pub fn node_count(&self) -> u32 {
         self.grid_side * self.grid_side
     }
+
+    /// Checks that a run of this configuration measures something and
+    /// fits the work budget ([`Self::MAX_NODES`],
+    /// [`Self::MAX_NODE_UPDATES`]). Call it before [`crate::IdealSim::new`]
+    /// on input from outside: an allocation that fails aborts the
+    /// process, and no caller can catch that.
+    ///
+    /// # Errors
+    ///
+    /// The first violated bound, as an [`IdealConfigError`].
+    pub fn validate(&self) -> Result<(), IdealConfigError> {
+        if self.grid_side == 0 {
+            return Err(IdealConfigError::EmptyGrid);
+        }
+        if self.updates == 0 {
+            return Err(IdealConfigError::NoUpdates);
+        }
+        let nodes = u64::from(self.grid_side).pow(2);
+        if nodes > Self::MAX_NODES {
+            return Err(IdealConfigError::TooManyNodes { nodes });
+        }
+        let node_updates = nodes * u64::from(self.updates);
+        if node_updates > Self::MAX_NODE_UPDATES {
+            return Err(IdealConfigError::TooMuchWork { node_updates });
+        }
+        Ok(())
+    }
 }
+
+/// Why [`IdealConfig::validate`] refused a configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IdealConfigError {
+    /// `grid_side` is zero, so there is no source.
+    EmptyGrid,
+    /// `updates` is zero, so a run measures nothing.
+    NoUpdates,
+    /// `grid_side²` exceeds [`IdealConfig::MAX_NODES`].
+    TooManyNodes {
+        /// The configured node count.
+        nodes: u64,
+    },
+    /// `grid_side² × updates` exceeds [`IdealConfig::MAX_NODE_UPDATES`].
+    TooMuchWork {
+        /// The configured node-update count.
+        node_updates: u64,
+    },
+}
+
+impl fmt::Display for IdealConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::EmptyGrid => write!(f, "the grid has no nodes"),
+            Self::NoUpdates => write!(f, "a run of zero updates measures nothing"),
+            Self::TooManyNodes { nodes } => write!(
+                f,
+                "{nodes} nodes exceed the budget of {} (a 1024x1024 grid)",
+                IdealConfig::MAX_NODES
+            ),
+            Self::TooMuchWork { node_updates } => write!(
+                f,
+                "{node_updates} node-updates (grid side squared times updates) exceed \
+                 the budget of {}",
+                IdealConfig::MAX_NODE_UPDATES
+            ),
+        }
+    }
+}
+
+impl std::error::Error for IdealConfigError {}
 
 impl Default for IdealConfig {
     fn default() -> Self {
@@ -92,6 +170,44 @@ mod tests {
         assert_eq!(c.node_count(), 5625);
         assert_eq!(c.updates, 5);
         assert!((c.t_packet - 0.026_666).abs() < 1e-4);
+    }
+
+    #[test]
+    fn validate_admits_the_paper_and_bounds_the_work() {
+        let paper = IdealConfig::table1();
+        assert_eq!(paper.validate(), Ok(()));
+        let with = |grid_side: u32, updates: u32| IdealConfig {
+            grid_side,
+            updates,
+            ..paper
+        };
+        assert_eq!(with(0, 5).validate(), Err(IdealConfigError::EmptyGrid));
+        assert_eq!(with(75, 0).validate(), Err(IdealConfigError::NoUpdates));
+        // The largest grid and the largest node-update count pass.
+        assert_eq!(with(1024, 16).validate(), Ok(()));
+        assert_eq!(
+            with(1025, 1).validate(),
+            Err(IdealConfigError::TooManyNodes { nodes: 1025 * 1025 })
+        );
+        assert_eq!(
+            with(1024, 17).validate(),
+            Err(IdealConfigError::TooMuchWork {
+                node_updates: 1024 * 1024 * 17
+            })
+        );
+        // u32 extremes are counted in u64, never wrapped.
+        assert_eq!(
+            with(u32::MAX, 5).validate(),
+            Err(IdealConfigError::TooManyNodes {
+                nodes: u64::from(u32::MAX).pow(2)
+            })
+        );
+        assert_eq!(
+            with(3, u32::MAX).validate(),
+            Err(IdealConfigError::TooMuchWork {
+                node_updates: 9 * u64::from(u32::MAX)
+            })
+        );
     }
 
     #[test]

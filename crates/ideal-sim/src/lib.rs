@@ -53,9 +53,11 @@
 
 mod config;
 mod dissemination;
+#[cfg(test)]
+mod oracle;
 mod sim;
 mod stats;
 
-pub use config::{IdealConfig, Mode};
+pub use config::{IdealConfig, IdealConfigError, Mode};
 pub use sim::IdealSim;
 pub use stats::{RunStats, UpdateStats};

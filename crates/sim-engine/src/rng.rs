@@ -14,7 +14,7 @@ use rand::RngCore;
 ///
 /// Implements [`rand::RngCore`], so all `rand` distribution adapters work,
 /// and adds the handful of draws the simulators actually use
-/// ([`chance`](SimRng::chance), [`uniform`](SimRng::uniform),
+/// ([`chance`](SimRng::chance), [`uniform01`](SimRng::uniform01),
 /// [`below`](SimRng::below)).
 ///
 /// # Examples
@@ -31,7 +31,7 @@ use rand::RngCore;
 /// let mut parent = SimRng::new(7);
 /// let _ = parent.next_u64();
 /// let d = parent.substream(3);
-/// assert_eq!(c.state_fingerprint(), d.state_fingerprint());
+/// assert_eq!(c, d);
 /// use rand::RngCore;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,16 +77,6 @@ impl SimRng {
         SimRng::new(splitmix64(&mut sm2))
     }
 
-    /// A fingerprint of the internal state, for determinism assertions in
-    /// tests.
-    #[must_use]
-    pub fn state_fingerprint(&self) -> u64 {
-        self.s[0]
-            ^ self.s[1].rotate_left(16)
-            ^ self.s[2].rotate_left(32)
-            ^ self.s[3].rotate_left(48)
-    }
-
     /// Bernoulli draw: `true` with probability `p`.
     ///
     /// `p <= 0` always yields `false`; `p >= 1` always yields `true` — the
@@ -106,19 +96,6 @@ impl SimRng {
     #[inline]
     pub fn uniform01(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Uniform draw in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty or non-finite.
-    pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(
-            lo.is_finite() && hi.is_finite() && lo < hi,
-            "bad range [{lo}, {hi})"
-        );
-        lo + self.uniform01() * (hi - lo)
     }
 
     /// Uniform draw in `0..n` (Lemire's unbiased method).
@@ -211,13 +188,13 @@ mod tests {
     #[test]
     fn substreams_differ_from_each_other_and_parent() {
         let parent = SimRng::new(7);
-        let mut streams: Vec<u64> = (0..50)
-            .map(|i| parent.substream(i).state_fingerprint())
-            .collect();
-        streams.push(parent.state_fingerprint());
-        streams.sort_unstable();
-        streams.dedup();
-        assert_eq!(streams.len(), 51, "fingerprint collision across substreams");
+        let mut streams: Vec<SimRng> = (0..50).map(|i| parent.substream(i)).collect();
+        streams.push(parent);
+        for (i, a) in streams.iter().enumerate() {
+            for b in &streams[i + 1..] {
+                assert_ne!(a.s, b.s, "state collision across substreams");
+            }
+        }
     }
 
     #[test]
@@ -251,15 +228,6 @@ mod tests {
         }
         let mean = sum / 100_000.0;
         assert!((mean - 0.5).abs() < 0.01, "mean = {mean}");
-    }
-
-    #[test]
-    fn uniform_respects_bounds() {
-        let mut rng = SimRng::new(9);
-        for _ in 0..10_000 {
-            let x = rng.uniform(-3.0, 7.0);
-            assert!((-3.0..7.0).contains(&x));
-        }
     }
 
     #[test]

@@ -37,6 +37,7 @@ use pbbf_fabric::{
     CacheTelemetry, Endpoint, FleetFactory, ServeOptions, ShardInput, SweepOptions, SweepScheduler,
     TcpOptions,
 };
+use pbbf_ideal_sim::IdealConfigError;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -230,6 +231,14 @@ fn cmd_boundary(args: &[String]) -> Result<(), String> {
             "--reliability: must lie in (0, 1], got `{reliability}`"
         ));
     }
+    // The ideal simulator's node budget bounds the percolation grid too.
+    let nodes = u64::from(grid).pow(2);
+    if nodes > IdealConfig::MAX_NODES {
+        return Err(format!(
+            "--grid: {}",
+            IdealConfigError::TooManyNodes { nodes }
+        ));
+    }
     let runs = get_u32(&flags, "runs", 150, 1)?;
     let seed = get_u64(&flags, "seed", 2005)?;
     let g = Grid::square(grid);
@@ -257,12 +266,20 @@ fn cmd_ideal(args: &[String]) -> Result<(), String> {
     let grid = get_u32(&flags, "grid", 25, 1)?;
     let p = get_f64(&flags, "p", None)?;
     let q = get_f64(&flags, "q", None)?;
-    let updates = get_u32(&flags, "updates", 5, 0)?;
+    let updates = get_u32(&flags, "updates", 5, 1)?;
     let seed = get_u64(&flags, "seed", 2005)?;
     let params = PbbfParams::new(p, q).map_err(|e| e.to_string())?;
     let mut cfg = IdealConfig::table1();
     cfg.grid_side = grid;
     cfg.updates = updates;
+    // Refused before `IdealSim::new`, whose allocations would abort.
+    cfg.validate().map_err(|e| {
+        let flag = match e {
+            IdealConfigError::EmptyGrid | IdealConfigError::TooManyNodes { .. } => "--grid",
+            IdealConfigError::NoUpdates | IdealConfigError::TooMuchWork { .. } => "--updates",
+        };
+        format!("{flag}: {e}")
+    })?;
     let stats = IdealSim::new(cfg, IdealMode::SleepScheduled(params)).run(seed);
     let mut t = Table::new(["Metric", "Value"]);
     t.row([

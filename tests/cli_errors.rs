@@ -24,6 +24,17 @@ const BAD_INVOCATIONS: &[(&str, &str)] = &[
     ("ideal --grid 4294967301 --p .5 --q .5", "--grid"),
     ("boundary --grid 4294967302", "--grid"),
     ("boundary --grid 10 --runs 4294967297", "--runs"),
+    // Work past the ideal-sim budget, refused before anything allocates
+    // (each aborted on allocation, or was OOM-killed, before it was
+    // checked), and a run of zero updates, which measures nothing.
+    (
+        "ideal --p .5 --q .5 --grid 3 --updates 4000000000",
+        "--updates",
+    ),
+    ("ideal --p .5 --q .5 --grid 100000", "--grid"),
+    ("ideal --p .5 --q .5 --grid 70000", "--grid"),
+    ("boundary --grid 100000", "--grid"),
+    ("ideal --p .5 --q .5 --grid 5 --updates 0", "--updates"),
 ];
 
 #[test]
