@@ -1,34 +1,9 @@
-//! Shared helpers for the benchmark harness.
+//! The benchmark harness's regression gate.
 //!
-//! Every bench target regenerates its paper exhibit once at a scaled-down
-//! effort, prints the rows (so `cargo bench` output doubles as a
-//! reproduction log), and then times the regeneration with Criterion.
+//! `benches/baseline.rs` times the committed `BENCH_baseline.json`
+//! kernels; [`check`] compares a fresh run against that baseline, and
+//! the `bench_check` binary is CI's gate over it.
 
 #![forbid(unsafe_code)]
-
-use pbbf_experiments::Effort;
-
-/// The effort preset used by benches: small enough that a full
-/// `cargo bench --workspace` stays in the minutes range while preserving
-/// every figure's shape.
-#[must_use]
-pub fn bench_effort() -> Effort {
-    let mut e = Effort::quick();
-    e.runs = 2;
-    e.ideal_grid_side = 13;
-    e.ideal_updates = 2;
-    e.nz_runs = 20;
-    e.net_duration_secs = 120.0;
-    e.q_points = 3;
-    e.hop_probe_near = 4;
-    e.hop_probe_far = 8;
-    e
-}
-
-/// Prints an exhibit header plus its regenerated rows once per process.
-pub fn print_exhibit(id: &str, text: &str) {
-    println!("\n===== reproduced {id} (bench effort) =====");
-    println!("{text}");
-}
 
 pub mod check;

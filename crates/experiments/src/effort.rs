@@ -2,6 +2,12 @@
 
 use serde::{Deserialize, Serialize};
 
+use pbbf_net_sim::NetConfig;
+
+/// The most q values an x-axis sweep may visit: a step of 0.001. The
+/// presets use 6 and 11.
+const MAX_Q_POINTS: u32 = 1001;
+
 /// How much work each experiment spends.
 ///
 /// [`Effort::paper`] matches the paper's methodology (75×75 grids, 500 s
@@ -61,6 +67,34 @@ impl Effort {
         }
     }
 
+    /// Checks the fields a sweep shard reads before it allocates
+    /// anything: a q axis of 2 to 1001 points, at least one run per
+    /// point, and a realistic-simulation duration the simulator can run
+    /// ([`NetConfig::check_duration_secs`]).
+    ///
+    /// # Errors
+    ///
+    /// Names the offending field and why it was refused.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.q_points < 2 {
+            return Err(format!(
+                "q_points: {} is too few (a q axis needs q = 0 and q = 1)",
+                self.q_points
+            ));
+        }
+        if self.q_points > MAX_Q_POINTS {
+            return Err(format!(
+                "q_points: {} is past the limit of {MAX_Q_POINTS}",
+                self.q_points
+            ));
+        }
+        if self.runs == 0 {
+            return Err("runs: need at least one run per point".into());
+        }
+        NetConfig::check_duration_secs(self.net_duration_secs)
+            .map_err(|e| format!("net_duration_secs: {e}"))
+    }
+
     /// The q values an x-axis sweep visits: `q_points` evenly spaced
     /// values over `[0, 1]`.
     #[must_use]
@@ -102,6 +136,29 @@ mod tests {
         for w in qs.windows(2) {
             assert!(w[1] > w[0]);
         }
+    }
+
+    #[test]
+    fn presets_validate_and_bad_fields_are_named() {
+        let quick = Effort::quick();
+        let finest = Effort {
+            q_points: MAX_Q_POINTS,
+            ..quick
+        };
+        for ok in [Effort::paper(), quick, finest] {
+            assert_eq!(ok.validate(), Ok(()));
+        }
+        let refused = |e: Effort, field: &str| {
+            let err = e.validate().unwrap_err();
+            assert!(err.starts_with(field), "{field}: {err}");
+        };
+        for q_points in [0, 1, MAX_Q_POINTS + 1, u32::MAX] {
+            refused(Effort { q_points, ..quick }, "q_points");
+        }
+        refused(Effort { runs: 0, ..quick }, "runs");
+        let mut e = quick;
+        e.net_duration_secs = f64::NAN;
+        refused(e, "net_duration_secs");
     }
 
     #[test]

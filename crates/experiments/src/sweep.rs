@@ -13,15 +13,13 @@
 //! figure byte for byte.
 //!
 //! The same property makes manifests freely *queueable*: because each
-//! job is self-contained and each manifest folds independently, a
-//! resident scheduler (`pbbf sweep --figs a,b,…`, backed by
-//! `pbbf-fabric`'s `SweepScheduler`) can multiplex several figures'
-//! manifests onto one worker fleet, stream shards back in completion
-//! order, and still assemble every figure as if it had run alone.
+//! job is self-contained and each manifest folds independently, one
+//! queue (`pbbf sweep --figs a,b,…`, backed by `pbbf-fabric`'s
+//! `run_queue`) can multiplex several figures' manifests onto one
+//! worker fleet, stream shards back in completion order, and still
+//! assemble every figure as if it had run alone.
 
 use serde::{Deserialize, Serialize};
-
-use pbbf_net_sim::NetConfig;
 
 use crate::net_figs::{fold_point_values, net_sweep, NET_SWEEPS, RUN_CHUNK};
 use crate::Effort;
@@ -116,23 +114,24 @@ pub fn sweep_manifest(figure: &str, effort: &Effort, seed: u64) -> Option<SweepM
 /// `(figure, effort, seed)` and the runs re-derive their RNG streams
 /// from `(point seed, run index)`, so executing the same job twice —
 /// or on two different machines — yields identical bits. Malformed
-/// jobs (unknown figure, out-of-range point or run window, a duration
-/// [`NetConfig::check_duration_secs`] refuses) are reported as `Err`
-/// rather than panicking so a worker process can refuse them over the
-/// wire and stay alive.
+/// jobs (unknown figure, an effort [`Effort::validate`] refuses, an
+/// out-of-range point, a run window outside `0..runs` or longer than a
+/// manifest shard) are reported as `Err` before anything is allocated
+/// for them, so a worker process can refuse them over the wire and stay
+/// alive.
 pub fn run_sweep_shard(job: &ShardJob) -> Result<Vec<Option<f64>>, String> {
     let sweep = net_sweep(&job.figure).ok_or_else(|| format!("unknown figure {}", job.figure))?;
-    if job.effort.q_points < 2 || job.effort.runs == 0 {
-        return Err("degenerate effort".into());
-    }
-    NetConfig::check_duration_secs(job.effort.net_duration_secs)
-        .map_err(|e| format!("net_duration_secs: {e}"))?;
+    job.effort.validate()?;
     let points = sweep.points(&job.effort, job.seed);
     let pt = points
         .get(job.point as usize)
         .ok_or_else(|| format!("point {} out of range ({})", job.point, points.len()))?;
-    if job.run0 >= job.run1 || job.run1 > job.effort.runs {
-        return Err(format!("bad run range {}..{}", job.run0, job.run1));
+    if job.run0 >= job.run1 || job.run1 > job.effort.runs || job.run1 - job.run0 > RUN_CHUNK as u32
+    {
+        return Err(format!(
+            "bad run range {}..{} (a shard runs 1 to {RUN_CHUNK} of the effort's {} runs)",
+            job.run0, job.run1, job.effort.runs
+        ));
     }
     Ok(sweep.run_chunk(pt, job.run0 as usize..job.run1 as usize))
 }
@@ -253,5 +252,17 @@ mod tests {
             let err = run_sweep_shard(&job).unwrap_err();
             assert!(err.contains("net_duration_secs"), "{secs}: {err}");
         }
+
+        // A q axis whose point grid would need ~32 GB, and a run range
+        // that would need ~64 GB: both are refused before allocating.
+        let mut job = sweep_manifest("fig13", &e, 1).unwrap().shards[0].clone();
+        job.effort.q_points = 4_000_000_000;
+        let err = run_sweep_shard(&job).unwrap_err();
+        assert!(err.contains("q_points"), "{err}");
+        let mut job = sweep_manifest("fig13", &e, 1).unwrap().shards[0].clone();
+        job.effort.runs = 4_000_000_000;
+        (job.run0, job.run1) = (0, 4_000_000_000);
+        let err = run_sweep_shard(&job).unwrap_err();
+        assert!(err.contains("run range"), "{err}");
     }
 }

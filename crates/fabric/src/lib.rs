@@ -10,17 +10,17 @@
 //! the work itself. A [`ShardSpec`] carries an
 //! opaque JSON job, workers echo back bit-exact value vectors
 //! ([`protocol::ShardResult`], f64s shipped as raw bit patterns with an
-//! FNV checksum), and the [`scheduler::SweepScheduler`] assigns shards,
-//! enforces wall-clock deadlines, retries failures with bounded
-//! exponential backoff, quarantines repeat offenders, degrades to
-//! in-process execution when no workers survive, and settles each
-//! shard exactly once, so arrival order, duplicates, and worker
-//! identity cannot leak into the output bytes. The scheduler owns its
-//! fleet for its whole lifetime: a *queue* of sweeps multiplexes onto
-//! one set of workers, keeping remote deployment caches warm across
-//! figures. The binding to actual figure sweeps (job encoding/
-//! execution) lives in `pbbf-experiments::sweep`; the `pbbf` binary
-//! wires the two together.
+//! FNV checksum), and [`run_queue`] assigns shards, enforces
+//! wall-clock deadlines, retries failures with bounded exponential
+//! backoff, quarantines repeat offenders, degrades to in-process
+//! execution when no workers survive, and settles each shard exactly
+//! once, so arrival order, duplicates, and worker identity cannot leak
+//! into the output bytes. One fleet lives exactly as long as one
+//! queue: a *queue* of sweeps multiplexes onto one set of workers,
+//! keeping remote deployment caches warm across figures, and the fleet
+//! is killed when the queue is done. The binding to actual figure
+//! sweeps (job encoding/execution) lives in `pbbf-experiments::sweep`;
+//! the `pbbf` binary wires the two together.
 //!
 //! Pipes and sockets share everything above the bytes: a worker runs
 //! [`worker::serve_session`] on its stdin or on each socket
@@ -45,10 +45,10 @@ pub mod tcp;
 pub mod worker;
 
 pub use protocol::{CacheTelemetry, ShardResult, ShardSpec, WorkerReply};
-pub use scheduler::SweepScheduler;
+pub use scheduler::run_queue;
 pub use supervisor::{
-    Endpoint, FleetFactory, ShardInput, SweepOptions, SweepOutcome, SweepStats, WorkerEvent,
-    WorkerFactory, WorkerLink,
+    Endpoint, FleetFactory, ShardInput, SweepOptions, SweepStats, WorkerEvent, WorkerFactory,
+    WorkerLink,
 };
 pub use tcp::{serve_listener, ServeOptions, TcpOptions};
 pub use worker::serve_session;

@@ -1,14 +1,15 @@
-//! The resident sweep scheduler: one fleet, many sweeps.
+//! The sweep scheduler: one fleet per queue.
 //!
-//! [`SweepScheduler`] owns a worker fleet for its whole lifetime and
-//! accepts a *queue* of sweep manifests ([`SweepScheduler::run_queue`]).
-//! Shards from every queued sweep drain into workers as they go idle,
-//! so several figures multiplex onto one fleet and remote workers keep
-//! their deployment caches warm across sweeps. Per-shard results
-//! stream to a caller-supplied sink in completion order, each exactly
-//! once: a late duplicate of a settled shard is dropped here. Re-merging
-//! in manifest order is the caller's job (`assemble_sweep` upstairs),
-//! which is what keeps scheduling invisible in the output bytes.
+//! [`run_queue`] spawns a worker fleet, runs a *queue* of sweep
+//! manifests on it, and kills what is left of the fleet before it
+//! returns. Shards from every queued sweep drain into workers as they
+//! go idle, so several figures multiplex onto one fleet and remote
+//! workers keep their deployment caches warm from figure to figure.
+//! Per-shard results stream to a caller-supplied sink in completion
+//! order, each exactly once: a late duplicate of a settled shard is
+//! dropped here. Re-merging in manifest order is the caller's job
+//! (`assemble_sweep` upstairs), which is what keeps scheduling
+//! invisible in the output bytes.
 //!
 //! The failure policy: a shard that crashes its worker, overruns its
 //! wall-clock deadline, or comes back corrupt is retried on a healthy
@@ -17,13 +18,11 @@
 //! respawned); a shard that exhausts its delivery attempts runs
 //! in-process, as does the whole remaining queue when no healthy
 //! workers are left. Workers, their strike counts, and their telemetry
-//! outlive any single sweep:
+//! span the whole queue:
 //!
-//! * **Wire ids are global.** Each queued shard gets a monotonically
-//!   increasing wire id, unique across the scheduler's lifetime, so a
-//!   late reply from a previous queue can never validate against a new
-//!   shard (the checksum covers the id). Stale replies only release
-//!   the worker that sent them.
+//! * **Wire ids are queue positions.** Shard `i` of the flattened
+//!   queue goes out as wire id `i`; a reply naming an id past the queue
+//!   is corrupt.
 //! * **Telemetry accumulates across transport sessions.** Workers
 //!   heartbeat cache counters as deltas from a per-connection baseline
 //!   (see `docs/PROTOCOL.md`), so the scheduler rolls the last-seen
@@ -42,48 +41,25 @@
 //! is still caught; fresh work dealt to it early would have its
 //! deadline tick against stolen time.
 
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 use serde_json::Value as Json;
 
 use crate::protocol::{checksum, decode_values, CacheTelemetry, ShardSpec, WorkerReply};
 use crate::supervisor::{
-    backoff, ShardInput, SweepOptions, SweepOutcome, SweepStats, WorkerEvent, WorkerFactory,
-    WorkerLink,
+    backoff, ShardInput, SweepOptions, SweepStats, WorkerEvent, WorkerFactory, WorkerLink,
 };
 
-/// A worker fleet that stays resident across sweeps.
-///
-/// Construct once with [`SweepScheduler::new`], then feed it sweep
-/// queues with [`SweepScheduler::run_queue`] (or single sweeps with
-/// [`SweepScheduler::run_sweep`]). Workers are spawned exactly once;
-/// the fleet only ever shrinks (quarantine, crashes, lost hosts), and
-/// dropping the scheduler kills whatever is left.
-pub struct SweepScheduler {
-    opts: SweepOptions,
-    workers: Vec<Worker>,
-    /// Kept alive so the event channel never disconnects, even after
-    /// the last worker dies.
-    _tx: Sender<WorkerEvent>,
-    rx: Receiver<WorkerEvent>,
-    workers_spawned: usize,
-    spawn_failures: usize,
-    /// Next global wire id; every shard ever queued gets a fresh one.
-    next_wire: u64,
-    /// Fleet-wide telemetry already attributed to completed sweeps.
-    telemetry_reported: CacheTelemetry,
-}
-
-/// The scheduler's book-keeping for one worker. Persists across
-/// sweeps: strikes and telemetry are properties of the worker, not of
+/// The scheduler's book-keeping for one worker. Lives as long as the
+/// queue: strikes and telemetry are properties of the worker, not of
 /// any one manifest.
 struct Worker {
     id: u64,
     link: Box<dyn WorkerLink>,
     strikes: u32,
-    /// Global wire id of the shard in flight on this worker, if any.
-    current: Option<u64>,
+    /// Queue position of the shard in flight on this worker, if any.
+    current: Option<usize>,
     healthy: bool,
     /// Cached [`WorkerLink::remote`]: subject to host liveness.
     remote: bool,
@@ -95,211 +71,150 @@ struct Worker {
     /// Latest heartbeat of the current transport session.
     telemetry_cur: CacheTelemetry,
     /// Set while the worker is busy with a shard that is already
-    /// settled (a late duplicate in flight, or leftover work from a
-    /// previous queue). If it neither delivers nor resets by then, it
-    /// is wedged and gets quarantined.
+    /// settled (a late duplicate in flight). If it neither delivers nor
+    /// resets by then, it is wedged and gets quarantined.
     stale_deadline: Option<Instant>,
 }
 
-impl SweepScheduler {
-    /// Spawns a fleet of `opts.workers` workers (minimum one) through
-    /// `factory` and keeps it resident until the scheduler is dropped.
-    ///
-    /// Spawn failures are not fatal: the scheduler degrades to
-    /// whatever fleet it got, down to none (every sweep then runs
-    /// in-process). They are reported in every sweep's
-    /// [`SweepStats::spawn_failures`].
-    #[must_use]
-    pub fn new(opts: SweepOptions, factory: &dyn WorkerFactory) -> Self {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let fleet = opts.workers.max(1);
-        let mut workers = Vec::new();
-        let mut workers_spawned = 0;
-        let mut spawn_failures = 0;
-        for slot in 0..fleet {
-            let id = slot as u64 + 1; // workers never respawn, so slots are ids
-            match factory.spawn(slot, id, tx.clone()) {
-                Ok(link) => {
-                    workers_spawned += 1;
-                    let remote = link.remote();
-                    workers.push(Worker {
-                        id,
-                        link,
-                        strikes: 0,
-                        current: None,
-                        healthy: true,
-                        remote,
-                        last_heard: Instant::now(),
-                        telemetry_acc: CacheTelemetry::default(),
-                        telemetry_cur: CacheTelemetry::default(),
-                        stale_deadline: None,
-                    });
-                }
-                Err(e) => {
-                    spawn_failures += 1;
-                    eprintln!("pbbf sweep: worker {id} failed to spawn: {e}");
-                }
-            }
-        }
-        Self {
-            opts,
-            workers,
-            _tx: tx,
-            rx,
-            workers_spawned,
-            spawn_failures,
-            next_wire: 0,
-            telemetry_reported: CacheTelemetry::default(),
+/// Spawns a fleet of `opts.workers` workers (minimum one) through
+/// `factory`, runs a queue of sweeps to completion on it, and kills
+/// what is left of the fleet before returning, on success and on
+/// error alike.
+///
+/// Spawn failures are not fatal: the scheduler degrades to whatever
+/// fleet it got, down to none (every sweep then runs in-process). They
+/// are reported in every sweep's [`SweepStats::spawn_failures`].
+///
+/// `queue[i]` is sweep `i`'s manifest. Shards are dealt in queue order
+/// but resolve in completion order; every settled shard is handed to
+/// `sink(sweep, shard, values)` exactly once, where `shard` is the
+/// shard's position *within its sweep's manifest*. Returns one
+/// [`SweepStats`] per queued sweep; fleet-scoped events (spawns,
+/// reconnects, telemetry) are attributed to the sweep that was
+/// settling when they were observed.
+///
+/// `exec` is the in-process fallback executor — the same computation
+/// the workers perform, minus the process boundary.
+///
+/// # Errors
+///
+/// Fails only when a shard cannot be computed at all — i.e. the
+/// in-process fallback itself reports an error. Worker-side failures
+/// never surface here; they are retried away.
+pub fn run_queue<E, S>(
+    opts: &SweepOptions,
+    factory: &dyn WorkerFactory,
+    queue: Vec<Vec<ShardInput>>,
+    exec: E,
+    mut sink: S,
+) -> Result<Vec<SweepStats>, String>
+where
+    E: Fn(&Json) -> Result<Vec<Option<f64>>, String> + Sync,
+    S: FnMut(usize, usize, Vec<Option<f64>>),
+{
+    // `tx` outlives the loop, so the event channel never disconnects,
+    // even after the last worker dies.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let (workers, spawn_failures) = spawn_fleet(opts, factory, &tx);
+    let fleet = SweepStats {
+        workers_spawned: workers.len(),
+        spawn_failures,
+        ..SweepStats::default()
+    };
+    let stats = vec![fleet; queue.len()];
+    let now = Instant::now();
+    let mut shards = Vec::new();
+    let mut sweep_start = Vec::with_capacity(queue.len());
+    let mut sweep_len = Vec::with_capacity(queue.len());
+    for (sweep, inputs) in queue.into_iter().enumerate() {
+        sweep_start.push(shards.len());
+        sweep_len.push(inputs.len());
+        for s in inputs {
+            shards.push(Shard {
+                sweep,
+                job: s.job,
+                expect: s.expect,
+                attempt: 0,
+                status: ShardStatus::Pending { eligible_at: now },
+            });
         }
     }
-
-    /// Runs a queue of sweeps to completion on the resident fleet.
-    ///
-    /// `queue[i]` is sweep `i`'s manifest. Shards are dealt in queue
-    /// order but resolve in completion order; every settled shard is
-    /// handed to `sink(sweep, shard, values)` exactly once, where
-    /// `shard` is the shard's position *within its sweep's manifest*.
-    /// Returns one [`SweepStats`] per queued sweep; fleet-scoped
-    /// events (spawns, reconnects, telemetry) are attributed to the
-    /// sweep that was settling when they were observed.
-    ///
-    /// `exec` is the in-process fallback executor — the same
-    /// computation the workers perform, minus the process boundary.
-    ///
-    /// # Errors
-    ///
-    /// Fails only when a shard cannot be computed at all — i.e. the
-    /// in-process fallback itself reports an error. Worker-side
-    /// failures never surface here; they are retried away.
-    pub fn run_queue<E, S>(
-        &mut self,
-        queue: Vec<Vec<ShardInput>>,
-        exec: E,
-        mut sink: S,
-    ) -> Result<Vec<SweepStats>, String>
-    where
-        E: Fn(&Json) -> Result<Vec<Option<f64>>, String> + Sync,
-        S: FnMut(usize, usize, Vec<Option<f64>>),
-    {
+    let mut eng = Engine {
+        opts,
+        workers,
+        telemetry_reported: CacheTelemetry::default(),
+        done: vec![0; sweep_len.len()],
+        done_total: 0,
+        settled: 0,
+        shards,
+        sweep_start,
+        sweep_len,
+        stats,
+        exec: &exec,
+        sink: &mut sink,
+    };
+    // Empty sweeps at the head of the queue settle now, with an empty
+    // telemetry window.
+    eng.check_settle();
+    while !eng.complete() {
         let now = Instant::now();
-        let mut shards = Vec::new();
-        let mut sweep_start = Vec::with_capacity(queue.len());
-        let mut sweep_len = Vec::with_capacity(queue.len());
-        for (sweep, inputs) in queue.into_iter().enumerate() {
-            sweep_start.push(shards.len());
-            sweep_len.push(inputs.len());
-            for s in inputs {
-                shards.push(Shard {
-                    sweep,
-                    job: s.job,
-                    expect: s.expect,
-                    attempt: 0,
-                    status: ShardStatus::Pending { eligible_at: now },
-                });
+        eng.assign(now)?;
+        if eng.complete() {
+            break;
+        }
+        if !eng.workers.iter().any(|w| w.healthy) {
+            eng.drain_in_process()?;
+            break;
+        }
+        match rx.recv_timeout(eng.next_wait(Instant::now())) {
+            Ok(ev) => eng.handle(ev)?,
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => {
+                unreachable!("run_queue holds an event sender")
             }
         }
-        let base = self.next_wire;
-        self.next_wire = base + shards.len() as u64;
-        let stats = vec![
-            SweepStats {
-                workers_spawned: self.workers_spawned,
-                spawn_failures: self.spawn_failures,
-                ..SweepStats::default()
-            };
-            sweep_len.len()
-        ];
-
-        let Self {
-            opts,
-            workers,
-            rx,
-            telemetry_reported,
-            ..
-        } = self;
-        let mut eng = Engine {
-            opts,
-            workers,
-            telemetry_reported,
-            base,
-            done: vec![0; sweep_len.len()],
-            done_total: 0,
-            settled: 0,
-            shards,
-            sweep_start,
-            sweep_len,
-            stats,
-            exec: &exec,
-            sink: &mut sink,
-        };
-
-        // A resident fleet keeps talking between queues (heartbeats,
-        // late duplicates, deaths); absorb the backlog before dealing
-        // new work so stale replies release their workers and a host
-        // that died while idle is noticed now, not mid-sweep.
-        eng.refresh_idle(now);
-        while let Ok(ev) = rx.try_recv() {
-            eng.handle(ev)?;
-        }
-        eng.check_settle();
-
-        while !eng.complete() {
-            let now = Instant::now();
-            eng.assign(now)?;
-            if eng.complete() {
-                break;
-            }
-            if !eng.workers.iter().any(|w| w.healthy) {
-                eng.drain_in_process()?;
-                break;
-            }
-            match rx.recv_timeout(eng.next_wait(Instant::now())) {
-                Ok(ev) => eng.handle(ev)?,
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    unreachable!("scheduler holds an event sender")
-                }
-            }
-            eng.expire_deadlines(Instant::now())?;
-            eng.expire_liveness(Instant::now())?;
-            eng.expire_stale(Instant::now())?;
-        }
-        eng.check_settle();
-        Ok(eng.stats)
+        eng.expire_deadlines(Instant::now())?;
+        eng.expire_liveness(Instant::now())?;
+        eng.expire_stale(Instant::now())?;
     }
-
-    /// Runs a single sweep on the resident fleet and returns its
-    /// values in manifest order — [`run_queue`](Self::run_queue) with
-    /// a one-element queue and a collecting sink. The fleet stays
-    /// alive afterwards, ready for the next sweep.
-    ///
-    /// # Errors
-    ///
-    /// See [`run_queue`](Self::run_queue).
-    pub fn run_sweep<E>(&mut self, inputs: Vec<ShardInput>, exec: E) -> Result<SweepOutcome, String>
-    where
-        E: Fn(&Json) -> Result<Vec<Option<f64>>, String> + Sync,
-    {
-        let n = inputs.len();
-        let mut slots: Vec<Option<Vec<Option<f64>>>> = (0..n).map(|_| None).collect();
-        let stats = self.run_queue(vec![inputs], exec, |_, shard, values| {
-            slots[shard] = Some(values);
-        })?;
-        Ok(SweepOutcome {
-            values: slots
-                .into_iter()
-                .map(|s| s.expect("a completed queue settles every shard"))
-                .collect(),
-            stats: stats[0],
-        })
-    }
+    eng.check_settle();
+    Ok(std::mem::take(&mut eng.stats))
 }
 
-impl Drop for SweepScheduler {
-    fn drop(&mut self) {
-        for w in &mut self.workers {
-            w.link.kill(); // EOF first where the link supports it
+/// Spawns one worker per slot; returns the fleet it got and how many
+/// spawns failed.
+fn spawn_fleet(
+    opts: &SweepOptions,
+    factory: &dyn WorkerFactory,
+    tx: &Sender<WorkerEvent>,
+) -> (Vec<Worker>, usize) {
+    let mut workers = Vec::new();
+    let mut spawn_failures = 0;
+    for slot in 0..opts.workers.max(1) {
+        let id = slot as u64 + 1; // workers never respawn, so slots are ids
+        match factory.spawn(slot, id, tx.clone()) {
+            Ok(link) => {
+                let remote = link.remote();
+                workers.push(Worker {
+                    id,
+                    link,
+                    strikes: 0,
+                    current: None,
+                    healthy: true,
+                    remote,
+                    last_heard: Instant::now(),
+                    telemetry_acc: CacheTelemetry::default(),
+                    telemetry_cur: CacheTelemetry::default(),
+                    stale_deadline: None,
+                });
+            }
+            Err(e) => {
+                spawn_failures += 1;
+                eprintln!("pbbf sweep: worker {id} failed to spawn: {e}");
+            }
         }
     }
+    (workers, spawn_failures)
 }
 
 enum ShardStatus {
@@ -317,37 +232,26 @@ struct Shard {
     status: ShardStatus,
 }
 
-/// What a reply's wire id refers to, from the current queue's view.
-enum WireRef {
-    /// A shard from a previous queue — settled long ago (or its queue
-    /// was abandoned). The values are worthless; the sender is free.
-    Stale,
-    /// Flat index into the current queue's shards.
-    Flat(usize),
-    /// Beyond anything ever dealt: fabricated, i.e. corrupt.
-    Foreign,
-}
-
 /// Why a worker is being struck, and therefore what may be requeued.
 enum StrikeScope {
     /// The output stream itself is suspect (unparseable/torn line);
     /// whatever the worker was computing is presumed lost.
     Torn,
-    /// A structurally corrupt reply naming this current-queue shard.
+    /// A structurally corrupt reply naming this queued shard.
     Shard(usize),
     /// A corrupt reply naming a shard that was never dealt.
     Foreign,
 }
 
-/// One queue's worth of run state, borrowing the scheduler's resident
-/// fleet. Everything here dies with the queue; everything reachable
-/// through the `&mut` borrows survives to the next one.
+/// One queue's run state, fleet included: dropping it kills whatever
+/// is left of the fleet.
 struct Engine<'a, E, S> {
     opts: &'a SweepOptions,
-    workers: &'a mut Vec<Worker>,
-    telemetry_reported: &'a mut CacheTelemetry,
-    /// Wire id of flat shard 0; shard `f` is wire `base + f`.
-    base: u64,
+    workers: Vec<Worker>,
+    /// Fleet-wide telemetry already attributed to settled sweeps.
+    telemetry_reported: CacheTelemetry,
+    /// Every queued sweep's shards, flattened: shard `f` goes out as
+    /// wire id `f`.
     shards: Vec<Shard>,
     sweep_start: Vec<usize>,
     sweep_len: Vec<usize>,
@@ -361,6 +265,14 @@ struct Engine<'a, E, S> {
     sink: &'a mut S,
 }
 
+impl<E, S> Drop for Engine<'_, E, S> {
+    fn drop(&mut self) {
+        for w in &mut self.workers {
+            w.link.kill(); // EOF first where the link supports it
+        }
+    }
+}
+
 impl<E, S> Engine<'_, E, S>
 where
     E: Fn(&Json) -> Result<Vec<Option<f64>>, String> + Sync,
@@ -370,14 +282,10 @@ where
         self.done_total == self.shards.len()
     }
 
-    fn resolve(&self, wire: u64) -> WireRef {
-        if wire < self.base {
-            WireRef::Stale
-        } else if ((wire - self.base) as usize) < self.shards.len() {
-            WireRef::Flat((wire - self.base) as usize)
-        } else {
-            WireRef::Foreign
-        }
+    /// The queue position wire id `wire` names, or `None` for an id
+    /// past the queue: fabricated, i.e. corrupt.
+    fn resolve(&self, wire: u32) -> Option<usize> {
+        Some(wire as usize).filter(|&f| f < self.shards.len())
     }
 
     /// The sweep fleet-scoped events are charged to: the first sweep
@@ -393,31 +301,13 @@ where
     }
 
     /// Stats ledger for a worker-scoped event: the sweep of the
-    /// worker's in-flight shard when it has one in the current queue,
-    /// else the active sweep.
+    /// worker's in-flight shard when it has one, else the active sweep.
     fn wstats(&mut self, widx: usize) -> &mut SweepStats {
-        let sweep = match self.workers[widx].current.map(|w| self.resolve(w)) {
-            Some(WireRef::Flat(f)) => self.shards[f].sweep,
-            _ => self.active_sweep(),
+        let sweep = match self.workers[widx].current {
+            Some(f) => self.shards[f].sweep,
+            None => self.active_sweep(),
         };
         &mut self.stats[sweep]
-    }
-
-    /// Resets idle-time book-keeping at queue start: nobody was
-    /// expected to talk while no queue was running, so liveness clocks
-    /// restart now, and any work still in flight from a previous queue
-    /// gets one full deadline to settle before its worker is written
-    /// off as wedged.
-    fn refresh_idle(&mut self, now: Instant) {
-        for w in self.workers.iter_mut() {
-            if !w.healthy {
-                continue;
-            }
-            w.last_heard = now;
-            if w.current.is_some() {
-                w.stale_deadline = Some(now + self.opts.shard_timeout);
-            }
-        }
     }
 
     fn handle(&mut self, ev: WorkerEvent) -> Result<(), String> {
@@ -444,10 +334,9 @@ where
             else {
                 return Ok(());
             };
-            let wire = self.base + f as u64;
             let shard = &mut self.shards[f];
             let spec = ShardSpec {
-                id: wire as u32,
+                id: f as u32,
                 attempt: shard.attempt,
                 expect: shard.expect as u32,
                 job: shard.job.clone(),
@@ -457,7 +346,7 @@ where
                 worker: self.workers[widx].id,
                 deadline: now + self.opts.shard_timeout,
             };
-            self.workers[widx].current = Some(wire);
+            self.workers[widx].current = Some(f);
             if let Err(e) = self.workers[widx].link.send_line(&line) {
                 eprintln!(
                     "pbbf sweep: worker {} unreachable ({e}); writing it off",
@@ -477,18 +366,13 @@ where
             .map_or(Ok(()), |f| self.fail_shard(f))
     }
 
-    /// Takes the worker's in-flight shard off it, returning its flat
-    /// index when that shard is still running in this queue (and so
-    /// needs requeueing).
+    /// Takes the worker's in-flight shard off it, returning its queue
+    /// position when that shard is still running (and so needs
+    /// requeueing).
     fn take_running(&mut self, widx: usize) -> Option<usize> {
         self.workers[widx].stale_deadline = None;
-        let wire = self.workers[widx].current.take()?;
-        match self.resolve(wire) {
-            WireRef::Flat(f) if matches!(self.shards[f].status, ShardStatus::Running { .. }) => {
-                Some(f)
-            }
-            _ => None,
-        }
+        let f = self.workers[widx].current.take()?;
+        matches!(self.shards[f].status, ShardStatus::Running { .. }).then_some(f)
     }
 
     /// A corrupt reply: strike the sender, quarantine on repeat.
@@ -513,7 +397,7 @@ where
         // it into the retry ladder was a bug.
         let requeue = match scope {
             StrikeScope::Torn => true,
-            StrikeScope::Shard(f) => self.workers[widx].current == Some(self.base + f as u64),
+            StrikeScope::Shard(f) => self.workers[widx].current == Some(f),
             StrikeScope::Foreign => false,
         };
         if !requeue {
@@ -528,10 +412,7 @@ where
     fn fail_shard(&mut self, f: usize) -> Result<(), String> {
         self.shards[f].attempt += 1;
         if self.shards[f].attempt >= self.opts.max_shard_attempts {
-            eprintln!(
-                "pbbf sweep: shard {} exhausted worker attempts; running in-process",
-                self.base + f as u64
-            );
+            eprintln!("pbbf sweep: shard {f} exhausted worker attempts; running in-process");
             return self.run_in_process(f);
         }
         // Counted here, not above: the in-process escalation is not a
@@ -557,14 +438,14 @@ where
         Ok(())
     }
 
-    fn release_if_current(&mut self, widx: usize, wire: u64) {
-        if self.workers[widx].current == Some(wire) {
+    fn release_if_current(&mut self, widx: usize, f: usize) {
+        if self.workers[widx].current == Some(f) {
             self.workers[widx].current = None;
             self.workers[widx].stale_deadline = None;
         }
     }
 
-    /// Settles flat shard `f`: streams its values to the sink and
+    /// Settles shard `f`: streams its values to the sink and
     /// releases the worker that delivered them (`from`), if any.
     ///
     /// Only the *sender* is released. Another worker still holding
@@ -573,16 +454,15 @@ where
     /// fresh work never lands on a worker whose deadline would tick
     /// against a stale computation.
     fn accept(&mut self, f: usize, values: Vec<Option<f64>>, from: Option<usize>, now: Instant) {
-        let wire = self.base + f as u64;
         if let Some(widx) = from {
-            self.release_if_current(widx, wire);
+            self.release_if_current(widx, f);
         }
         if matches!(self.shards[f].status, ShardStatus::Done) {
             return; // late duplicate: already streamed, by design
         }
         self.shards[f].status = ShardStatus::Done;
         for w in self.workers.iter_mut() {
-            if w.healthy && w.current == Some(wire) && w.stale_deadline.is_none() {
+            if w.healthy && w.current == Some(f) && w.stale_deadline.is_none() {
                 w.stale_deadline = Some(now + self.opts.shard_timeout);
             }
         }
@@ -602,18 +482,18 @@ where
             && self.done[self.settled] == self.sweep_len[self.settled]
         {
             let total = self.fleet_telemetry();
-            let delta = total.saturating_sub(*self.telemetry_reported);
+            let delta = total.saturating_sub(self.telemetry_reported);
             let st = &mut self.stats[self.settled];
             st.cache_hits += delta.hits;
             st.cache_misses += delta.misses;
             st.cache_evictions += delta.evictions;
-            *self.telemetry_reported = total;
+            self.telemetry_reported = total;
             self.settled += 1;
         }
     }
 
     /// Fleet-wide cache telemetry: finished sessions plus the live
-    /// one, per worker. Monotone over the scheduler's lifetime.
+    /// one, per worker. Monotone over the queue.
     fn fleet_telemetry(&self) -> CacheTelemetry {
         self.workers
             .iter()
@@ -644,21 +524,15 @@ where
             }
         };
         match reply {
-            WorkerReply::Result(r) => match self.resolve(u64::from(r.id)) {
-                WireRef::Stale => {
-                    // A previous queue's shard: the values are settled
-                    // history. All it proves is that the sender is free.
-                    self.release_if_current(widx, u64::from(r.id));
-                    Ok(())
-                }
-                WireRef::Foreign => {
+            WorkerReply::Result(r) => match self.resolve(r.id) {
+                None => {
                     eprintln!(
                         "pbbf sweep: corrupt result for shard {} from worker {worker}",
                         r.id
                     );
                     self.strike(widx, StrikeScope::Foreign)
                 }
-                WireRef::Flat(f) => {
+                Some(f) => {
                     let s = &self.shards[f];
                     let valid =
                         r.values.len() == s.expect && checksum(r.id, &r.values) == r.checksum;
@@ -683,18 +557,14 @@ where
                     "pbbf sweep: worker {worker} refused shard {}: {}",
                     e.id, e.error
                 );
-                match self.resolve(u64::from(e.id)) {
-                    WireRef::Stale => {
-                        self.release_if_current(widx, u64::from(e.id));
-                        Ok(())
-                    }
-                    WireRef::Foreign => {
+                match self.resolve(e.id) {
+                    None => {
                         self.wstats(widx).refused += 1;
                         Ok(())
                     }
-                    WireRef::Flat(f) => {
+                    Some(f) => {
                         self.sstats(f).refused += 1;
-                        if self.workers[widx].current != Some(u64::from(e.id)) {
+                        if self.workers[widx].current != Some(f) {
                             return Ok(());
                         }
                         self.take_running(widx)
@@ -732,8 +602,7 @@ where
         let Some(f) = self.take_running(widx) else {
             return Ok(());
         };
-        let wire = self.base + f as u64;
-        eprintln!("pbbf sweep: worker {worker} transport reset; requeueing shard {wire}");
+        eprintln!("pbbf sweep: worker {worker} transport reset; requeueing shard {f}");
         self.fail_shard(f)
     }
 
@@ -769,10 +638,7 @@ where
             else {
                 return Ok(());
             };
-            eprintln!(
-                "pbbf sweep: shard {} timed out on worker {wid}",
-                self.base + f as u64
-            );
+            eprintln!("pbbf sweep: shard {f} timed out on worker {wid}");
             self.sstats(f).timeouts += 1;
             // Quarantine the wedged worker — but only when it is still
             // on the books; one already written off (crashed, lost

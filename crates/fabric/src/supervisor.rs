@@ -1,14 +1,14 @@
 //! Worker-fleet contracts shared by the scheduler and the transports.
 //!
-//! A [`SweepScheduler`](crate::scheduler::SweepScheduler) spawns its
-//! fleet once through a [`WorkerFactory`], talks to each worker through
-//! a [`WorkerLink`], and hears back through [`WorkerEvent`]s. The
+//! [`run_queue`](crate::scheduler::run_queue) spawns one fleet per
+//! queue through a [`WorkerFactory`], talks to each worker through a
+//! [`WorkerLink`], and hears back through [`WorkerEvent`]s. The
 //! production factory is [`FleetFactory`]: one [`Endpoint`] per slot,
 //! either a local `pbbf worker` child on pipes or a remote
 //! `pbbf worker --listen` over TCP. Both transports split reply bytes
 //! into lines with the one `pump_lines`, which caps a line at
-//! [`MAX_LINE_BYTES`]. This module also holds the sweep's options,
-//! stats and outcome types, and the one retry-backoff formula.
+//! [`MAX_LINE_BYTES`]. This module also holds the sweep's options and
+//! stats types, and the one retry-backoff formula.
 
 use std::io::{ErrorKind, Read, Write as _};
 use std::process::{Child, ChildStdin, Command, Stdio};
@@ -230,8 +230,8 @@ pub(crate) fn backoff(base: Duration, cap: Duration, attempt: u32) -> Duration {
         .min(cap)
 }
 
-/// One shard of a sweep manifest, as queued on a
-/// [`SweepScheduler`](crate::scheduler::SweepScheduler).
+/// One shard of a sweep manifest, as queued for
+/// [`run_queue`](crate::scheduler::run_queue).
 #[derive(Debug, Clone)]
 pub struct ShardInput {
     /// Opaque job payload, forwarded to workers verbatim.
@@ -337,16 +337,6 @@ impl std::fmt::Display for SweepStats {
             self.cache_evictions
         )
     }
-}
-
-/// A completed sweep: per-shard values in manifest order, plus the
-/// fault ledger.
-#[derive(Debug)]
-pub struct SweepOutcome {
-    /// Shard value vectors, indexed by manifest position.
-    pub values: Vec<Vec<Option<f64>>>,
-    /// What it took to get them.
-    pub stats: SweepStats,
 }
 
 #[cfg(test)]

@@ -3,15 +3,15 @@
 //! quarantine, spawn failure, fleet collapse, duplicate replies — must
 //! end in the same values a faultless run produces.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Duration;
 
 use pbbf_fabric::protocol::{result_reply, ShardError, ShardSpec, WorkerReply};
 use pbbf_fabric::{
-    CacheTelemetry, ShardInput, SweepOptions, SweepOutcome, SweepScheduler, SweepStats,
-    WorkerEvent, WorkerFactory, WorkerLink,
+    run_queue, CacheTelemetry, ShardInput, SweepOptions, SweepStats, WorkerEvent, WorkerFactory,
+    WorkerLink,
 };
 use serde::{Deserialize, Serialize};
 use serde_json::Value as Json;
@@ -197,14 +197,30 @@ fn opts(workers: usize) -> SweepOptions {
     }
 }
 
-/// One sweep on a fleet of its own, torn down when the scheduler drops.
+/// A completed one-sweep queue: per-shard values in manifest order,
+/// plus the sweep's stats.
+struct Outcome {
+    values: Vec<Vec<Option<f64>>>,
+    stats: SweepStats,
+}
+
+/// One sweep on a fleet of its own: a one-sweep queue with a
+/// collecting sink.
 fn run_sweep(
     inputs: Vec<ShardInput>,
     opts: &SweepOptions,
     factory: &dyn WorkerFactory,
     exec: fn(&Json) -> Result<Vec<Option<f64>>, String>,
-) -> Result<SweepOutcome, String> {
-    SweepScheduler::new(opts.clone(), factory).run_sweep(inputs, exec)
+) -> Result<Outcome, String> {
+    let mut values = vec![None; inputs.len()];
+    let stats = run_queue(opts, factory, vec![inputs], exec, |_, shard, v| {
+        assert!(values[shard].is_none(), "each shard settles once");
+        values[shard] = Some(v);
+    })?;
+    Ok(Outcome {
+        values: values.into_iter().map(Option::unwrap).collect(),
+        stats: stats[0],
+    })
 }
 
 fn assert_all_values(values: &[Vec<Option<f64>>], shards: u64, runs: u64) {
@@ -615,7 +631,8 @@ fn inproc_escalation_is_not_counted_as_a_retry() {
     assert_eq!(out.stats.inproc_shards, 1);
 }
 
-/// [`MockFactory`] plus a spawn counter, to pin fleet residency.
+/// [`MockFactory`] plus a spawn counter, to pin that a queue spawns its
+/// fleet once.
 struct CountingFactory {
     inner: MockFactory,
     spawns: AtomicUsize,
@@ -635,23 +652,21 @@ impl WorkerFactory for CountingFactory {
 
 #[test]
 fn queued_sweeps_multiplex_onto_one_fleet() {
-    // Three manifests (one empty) through one scheduler: every shard
-    // streams to the sink under its own sweep's index, each sweep gets
-    // its own stats, and the fleet is spawned exactly once.
+    // Three manifests (one empty) in one queue: every shard streams to
+    // the sink under its own sweep's index, each sweep gets its own
+    // stats, and the fleet is spawned exactly once.
     let factory = CountingFactory {
         inner: MockFactory::new(|_, spec| vec![Action::Reply(valid_reply(spec))]),
         spawns: AtomicUsize::new(0),
     };
-    let mut sched = SweepScheduler::new(opts(2), &factory);
     let queue = vec![inputs(3, 2), Vec::new(), inputs(2, 2)];
     let mut got: Vec<Vec<Option<Vec<Option<f64>>>>> =
         vec![vec![None; 3], Vec::new(), vec![None; 2]];
-    let stats = sched
-        .run_queue(queue, exec, |sweep, shard, values| {
-            assert!(got[sweep][shard].is_none(), "each shard settles once");
-            got[sweep][shard] = Some(values);
-        })
-        .unwrap();
+    let stats = run_queue(&opts(2), &factory, queue, exec, |sweep, shard, values| {
+        assert!(got[sweep][shard].is_none(), "each shard settles once");
+        got[sweep][shard] = Some(values);
+    })
+    .unwrap();
     assert_eq!(stats.len(), 3);
     for (sweep, slots) in got.into_iter().enumerate() {
         let values: Vec<_> = slots.into_iter().map(Option::unwrap).collect();
@@ -663,67 +678,26 @@ fn queued_sweeps_multiplex_onto_one_fleet() {
 }
 
 #[test]
-fn resident_fleet_survives_across_sweeps_with_disjoint_telemetry() {
-    // Two sweeps, one scheduler: no respawn in between, and because
-    // the workers' session counters don't grow between sweeps, sweep 2
-    // must report a zero telemetry delta — consecutive sweeps see
-    // non-overlapping windows of the same monotone fleet total.
-    let beat = CacheTelemetry {
-        hits: 5,
-        misses: 2,
-        evictions: 1,
-    };
-    let factory = CountingFactory {
-        inner: MockFactory::new(move |_, spec| {
-            vec![
-                Action::Reply(valid_reply(spec)),
-                Action::Reply(heartbeat_line(beat)),
-            ]
-        }),
-        spawns: AtomicUsize::new(0),
-    };
-    let mut sched = SweepScheduler::new(opts(2), &factory);
-    let out1 = sched.run_sweep(inputs(4, 2), exec).unwrap();
-    assert_all_values(&out1.values, 4, 2);
-    let out2 = sched.run_sweep(inputs(3, 2), exec).unwrap();
-    assert_all_values(&out2.values, 3, 2);
-    assert_eq!(factory.spawns.load(Ordering::SeqCst), 2, "no respawn");
-    assert_eq!(out2.stats.workers_spawned, 2);
-    assert_eq!(out1.stats.cache_hits, 10, "both workers' session totals");
-    assert_eq!(
-        out2.stats.cache_hits, 0,
-        "no new hits since sweep 1 settled"
-    );
-}
-
-#[test]
-fn stale_reply_from_a_previous_sweep_is_ignored() {
-    // Sweep 2's first delivery (global wire id 4) is preceded by a
-    // leftover duplicate of sweep 1's shard 0. Global wire ids make it
-    // stale by construction: it must be dropped without a strike and
-    // without colliding with sweep 2's own shard 0.
-    let factory = MockFactory::new(|_, spec| {
-        if spec.id == 4 {
-            let old = ShardSpec {
-                id: 0,
-                attempt: 0,
-                expect: 2,
-                job: serde::to_value(&MockJob { k: 0, n: 2 }),
-            };
-            vec![
-                Action::Reply(valid_reply(&old)),
-                Action::Reply(valid_reply(spec)),
-            ]
-        } else {
-            vec![Action::Reply(valid_reply(spec))]
-        }
+fn queued_sweeps_see_disjoint_telemetry_windows() {
+    // One worker heartbeats its running total, one hit per shard
+    // served, before each reply. Each sweep is charged the fleet-wide
+    // delta since the previous sweep settled, so a queue of 3 shards
+    // then 2 reports exactly 3 and 2 hits: the windows do not overlap
+    // and they sum to the fleet total.
+    let served = AtomicU64::new(0);
+    let factory = MockFactory::new(move |_, spec| {
+        let hits = served.fetch_add(1, Ordering::SeqCst) + 1;
+        vec![
+            Action::Reply(heartbeat_line(CacheTelemetry {
+                hits,
+                misses: 0,
+                evictions: 0,
+            })),
+            Action::Reply(valid_reply(spec)),
+        ]
     });
-    let mut sched = SweepScheduler::new(opts(2), &factory);
-    let out1 = sched.run_sweep(inputs(4, 2), exec).unwrap();
-    assert_all_values(&out1.values, 4, 2);
-    let out2 = sched.run_sweep(inputs(3, 2), exec).unwrap();
-    assert_all_values(&out2.values, 3, 2);
-    assert_eq!(out2.stats.corrupt, 0, "a stale reply is not corruption");
-    assert_eq!(out2.stats.retries, 0);
-    assert_eq!(out2.stats.quarantined, 0);
+    let queue = vec![inputs(3, 2), inputs(2, 2)];
+    let stats = run_queue(&opts(1), &factory, queue, exec, |_, _, _| {}).unwrap();
+    let hits: Vec<u64> = stats.iter().map(|s| s.cache_hits).collect();
+    assert_eq!(hits, [3, 2]);
 }

@@ -18,8 +18,8 @@ use std::time::Duration;
 
 use pbbf_fabric::protocol::{result_reply, ShardSpec, WorkerReply, MAX_LINE_BYTES};
 use pbbf_fabric::{
-    serve_listener, CacheTelemetry, Endpoint, FleetFactory, ServeOptions, ShardInput, SweepOptions,
-    SweepOutcome, SweepScheduler, TcpOptions, WorkerFactory,
+    run_queue, serve_listener, CacheTelemetry, Endpoint, FleetFactory, ServeOptions, ShardInput,
+    SweepOptions, SweepStats, TcpOptions, WorkerFactory,
 };
 use serde::{Deserialize, Serialize};
 use serde_json::Value as Json;
@@ -84,14 +84,30 @@ fn factory(addr: &str) -> FleetFactory {
     }
 }
 
-/// One sweep on a fleet of its own, torn down when the scheduler drops.
+/// A completed one-sweep queue: per-shard values in manifest order,
+/// plus the sweep's stats.
+struct Outcome {
+    values: Vec<Vec<Option<f64>>>,
+    stats: SweepStats,
+}
+
+/// One sweep on a fleet of its own: a one-sweep queue with a
+/// collecting sink.
 fn run_sweep(
     inputs: Vec<ShardInput>,
     opts: &SweepOptions,
     factory: &dyn WorkerFactory,
     exec: fn(&Json) -> Result<Vec<Option<f64>>, String>,
-) -> Result<SweepOutcome, String> {
-    SweepScheduler::new(opts.clone(), factory).run_sweep(inputs, exec)
+) -> Result<Outcome, String> {
+    let mut values = vec![None; inputs.len()];
+    let stats = run_queue(opts, factory, vec![inputs], exec, |_, shard, v| {
+        assert!(values[shard].is_none(), "each shard settles once");
+        values[shard] = Some(v);
+    })?;
+    Ok(Outcome {
+        values: values.into_iter().map(Option::unwrap).collect(),
+        stats: stats[0],
+    })
 }
 
 /// Binds a loopback listener and runs `server` over it on a thread;

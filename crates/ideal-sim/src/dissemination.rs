@@ -43,8 +43,8 @@ use pbbf_core::{PbbfParams, PowerProfile, SleepSchedule};
 use pbbf_des::SimRng;
 use pbbf_topology::{NodeId, Topology};
 
-/// Tunables of one dissemination, separated from [`crate::IdealConfig`] so
-/// the ablation benches can toggle individual mechanisms.
+/// The inputs of one dissemination, resolved from [`crate::IdealConfig`]
+/// and the protocol parameters.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DisseminationSetup {
     pub params: PbbfParams,
@@ -58,14 +58,6 @@ pub(crate) struct DisseminationSetup {
     /// (`1/(λ·T_frame)` for the steady-state share).
     pub billing_frames: u32,
     pub max_frames: u32,
-    /// When false, an immediate forward may not trigger further immediate
-    /// forwards in the same frame (ablation: chaining off). Receptions
-    /// from it are still delivered; their forwards defer to the next
-    /// frame.
-    pub chaining: bool,
-    /// When true the source always uses a normal (announced) broadcast
-    /// regardless of `p` (ablation: Figure-2 source behavior off).
-    pub source_normal_only: bool,
 }
 
 /// Everything measured about one update's dissemination.
@@ -133,7 +125,7 @@ pub(crate) fn disseminate(
     // transmission still happens after the ATIM window (data may not be
     // sent during the window) but is *unannounced*: only awake neighbors
     // receive it.
-    let source_immediate = !setup.source_normal_only && rng.chance(p);
+    let source_immediate = rng.chance(p);
     if source_immediate {
         imm.push(Reverse((secs_to_ns(t_active + setup.l1), source.0)));
     } else {
@@ -188,7 +180,6 @@ pub(crate) fn disseminate(
                     &mut pending_normal,
                     &mut deferred,
                     ns_frame_limit,
-                    true,
                 );
             }
         }
@@ -225,7 +216,6 @@ pub(crate) fn disseminate(
                     &mut pending_normal,
                     &mut deferred,
                     ns_frame_limit,
-                    setup.chaining,
                 );
             }
         }
@@ -453,15 +443,14 @@ fn decide_forward(
     pending_normal: &mut NodeSet,
     deferred: &mut u64,
     ns_frame_limit: u64,
-    allow_immediate: bool,
 ) {
     if rng.chance(p) {
         let t_tx = secs_to_ns(now + setup.l1);
-        if allow_immediate && t_tx <= ns_frame_limit {
+        if t_tx <= ns_frame_limit {
             imm.push(Reverse((t_tx, node.0)));
         } else {
-            // Would overrun the data phase (or chaining disabled): demote
-            // to a normal broadcast next frame.
+            // Would overrun the data phase: demote to a normal broadcast
+            // next frame.
             *deferred += 1;
             pending_normal.insert(node.index());
         }

@@ -45,7 +45,7 @@ fn disseminate_dense(
     let mut act_end = vec![0.0f64; n];
     let mut coin = vec![false; n];
 
-    let source_immediate = !setup.source_normal_only && rng.chance(p);
+    let source_immediate = rng.chance(p);
     let mut frame0_normal: Vec<NodeId> = Vec::new();
     if source_immediate {
         imm.push(Reverse((secs_to_ns(t_active + setup.l1), source.0)));
@@ -110,7 +110,6 @@ fn disseminate_dense(
                     &mut pending_normal,
                     &mut deferred,
                     ns_frame_limit,
-                    true,
                 );
             }
         }
@@ -149,7 +148,6 @@ fn disseminate_dense(
                     &mut pending_normal,
                     &mut deferred,
                     ns_frame_limit,
-                    setup.chaining,
                 );
             }
         }
@@ -210,11 +208,10 @@ fn decide_forward(
     pending_normal: &mut Vec<NodeId>,
     deferred: &mut u64,
     ns_frame_limit: u64,
-    allow_immediate: bool,
 ) {
     if rng.chance(p) {
         let t_tx = secs_to_ns(now + setup.l1);
-        if allow_immediate && t_tx <= ns_frame_limit {
+        if t_tx <= ns_frame_limit {
             imm.push(Reverse((t_tx, node.0)));
         } else {
             *deferred += 1;
@@ -250,8 +247,8 @@ mod tests {
     use pbbf_topology::Grid;
     use proptest::prelude::*;
 
-    /// The Table-1 tunables `IdealSim` runs with: 10 billing frames
-    /// (`1/(λ·T_frame)`), chaining on, the Figure-2 source behavior.
+    /// The Table-1 inputs `IdealSim` runs with: 10 billing frames
+    /// (`1/(λ·T_frame)`).
     fn table1_setup(params: PbbfParams) -> DisseminationSetup {
         let cfg = IdealConfig::table1();
         let a = cfg.analysis;
@@ -264,8 +261,6 @@ mod tests {
             t_packet: cfg.t_packet,
             billing_frames: 10,
             max_frames: cfg.max_frames_per_update,
-            chaining: true,
-            source_normal_only: false,
         }
     }
 
@@ -339,12 +334,12 @@ mod tests {
             side in 1u32..=40,
             pq in (0u8..3, 0u8..3, 0.0f64..1.0, 0.0f64..1.0),
             seed in any::<u64>(),
-            knobs in (any::<bool>(), any::<bool>(), any::<bool>(), 0u32..=16),
+            knobs in (any::<bool>(), 0u32..=16),
             max_frames in 1u32..=24,
             power in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, any::<bool>()),
         ) {
             let (p_kind, q_kind, p_uniform, q_uniform) = pq;
-            let (chaining, source_normal_only, capped, billing_frames) = knobs;
+            let (capped, billing_frames) = knobs;
             let params = PbbfParams::new(
                 probability(p_kind, p_uniform),
                 probability(q_kind, q_uniform),
@@ -364,8 +359,6 @@ mod tests {
             };
             let mut setup = DisseminationSetup {
                 power,
-                chaining,
-                source_normal_only,
                 billing_frames,
                 ..table1_setup(params)
             };

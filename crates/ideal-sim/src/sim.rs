@@ -69,14 +69,6 @@ impl IdealSim {
     /// Runs `config.updates` disseminations; fully determined by `seed`.
     #[must_use]
     pub fn run(&self, seed: u64) -> RunStats {
-        self.run_with(seed, true, false)
-    }
-
-    /// Ablation entry point: `chaining` allows immediate forwards to
-    /// trigger further immediate forwards within one frame;
-    /// `source_normal_only` forces the source to announce every update.
-    #[must_use]
-    pub fn run_with(&self, seed: u64, chaining: bool, source_normal_only: bool) -> RunStats {
         let root = SimRng::new(seed);
         let updates = (0..self.config.updates)
             .map(|u| {
@@ -98,8 +90,6 @@ impl IdealSim {
                             t_packet: self.config.t_packet,
                             billing_frames,
                             max_frames: self.config.max_frames_per_update,
-                            chaining,
-                            source_normal_only,
                         };
                         let d = disseminate(self.grid.topology(), self.source, &setup, &mut rng);
                         UpdateStats {
@@ -367,8 +357,9 @@ mod tests {
 
     #[test]
     fn deferred_immediates_become_normals() {
-        // With chaining on and L1 = 1.5 s in a 9 s data phase, chains of
-        // ~6 hops defer the rest; the stats record them.
+        // Immediate forwards chain within a frame: with L1 = 1.5 s in a
+        // 9 s data phase, chains of ~6 hops defer the rest; the stats
+        // record them.
         let sim = IdealSim::new(
             small_config(25, 2),
             Mode::SleepScheduled(PbbfParams::new(1.0, 1.0).unwrap()),
@@ -429,20 +420,5 @@ mod tests {
         {
             assert_eq!(g.unwrap().1, f.unwrap().1, "same hop counts as flooding");
         }
-    }
-
-    #[test]
-    fn ablation_chaining_off_slows_dissemination() {
-        let cfg = small_config(21, 3);
-        let sim = IdealSim::new(
-            cfg,
-            Mode::SleepScheduled(PbbfParams::new(1.0, 1.0).unwrap()),
-        );
-        let with = sim.run_with(12, true, false);
-        let without = sim.run_with(12, false, false);
-        assert!(
-            without.mean_per_hop_latency().unwrap() > with.mean_per_hop_latency().unwrap(),
-            "chaining must reduce latency"
-        );
     }
 }

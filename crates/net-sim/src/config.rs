@@ -62,11 +62,6 @@ impl NetMode {
 ///
 /// The q ∈ {0, 1} endpoints draw no sleep coins, so they are bitwise
 /// identical across both engines.
-///
-/// The environment variable `PBBF_DENSE_BOUNDARIES=1` (read once per
-/// process) forces [`Dense`](BoundaryEngine::Dense) regardless of
-/// configuration — the escape hatch for golden regeneration and
-/// triage. Set it to `0` (or unset it) for the configured engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum BoundaryEngine {
     /// Closed-form geometric settling of idle boundaries plus whole-frame
@@ -75,26 +70,6 @@ pub enum BoundaryEngine {
     Lazy,
     /// Exact per-boundary replay (the pre-geometric stream layout).
     Dense,
-}
-
-impl BoundaryEngine {
-    /// The engine a run actually uses: `self`, unless
-    /// `PBBF_DENSE_BOUNDARIES` overrides it process-wide.
-    #[must_use]
-    pub fn effective(self) -> Self {
-        static FORCED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        let forced = *FORCED.get_or_init(|| {
-            std::env::var("PBBF_DENSE_BOUNDARIES").is_ok_and(|v| {
-                let v = v.trim();
-                !v.is_empty() && v != "0"
-            })
-        });
-        if forced {
-            BoundaryEngine::Dense
-        } else {
-            self
-        }
-    }
 }
 
 /// Scenario parameters for one realistic-simulation run.
@@ -215,28 +190,6 @@ mod tests {
     fn boundary_engine_defaults_to_lazy() {
         assert_eq!(NetConfig::table2().boundary_engine, BoundaryEngine::Lazy);
         assert_eq!(BoundaryEngine::default(), BoundaryEngine::Lazy);
-        // Without the env override in this process, `effective` is the
-        // identity (CI sets PBBF_DENSE_BOUNDARIES only in dedicated
-        // steps, never for the unit-test run).
-        if std::env::var("PBBF_DENSE_BOUNDARIES").is_err() {
-            for e in [BoundaryEngine::Lazy, BoundaryEngine::Dense] {
-                assert_eq!(e.effective(), e);
-            }
-        }
-    }
-
-    #[test]
-    fn env_override_forces_dense() {
-        // Gives the PBBF_DENSE_BOUNDARIES=1 CI step its signal; a no-op
-        // in the ordinary test run (the variable is read once per
-        // process, so it cannot be toggled in-process here).
-        let forced = std::env::var("PBBF_DENSE_BOUNDARIES")
-            .is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0");
-        if forced {
-            for e in [BoundaryEngine::Lazy, BoundaryEngine::Dense] {
-                assert_eq!(e.effective(), BoundaryEngine::Dense);
-            }
-        }
     }
 
     #[test]

@@ -326,9 +326,8 @@ struct Runner<C: CollisionChannel> {
     lazy: bool,
     /// Exact per-boundary replay with every frame walked, instead of
     /// geometric-skip batching and quiescent-frame jumps — the
-    /// [`BoundaryEngine::Dense`] choice (configured, or forced by the
-    /// `PBBF_DENSE_BOUNDARIES` override). Only the lazy path settles
-    /// nodes, so this is off whenever `lazy` is.
+    /// configured [`BoundaryEngine::Dense`] choice. Only the lazy path
+    /// settles nodes, so this is off whenever `lazy` is.
     dense_boundaries: bool,
     /// Pending ATIM/data/`TxEnd` events in the queue — the traffic half
     /// of the quiescence check. Maintained by
@@ -432,7 +431,7 @@ impl<C: CollisionChannel> Runner<C> {
         Self {
             psm,
             lazy,
-            dense_boundaries: lazy && cfg.boundary_engine.effective() == BoundaryEngine::Dense,
+            dense_boundaries: lazy && cfg.boundary_engine == BoundaryEngine::Dense,
             traffic_events: 0,
             next_gen: None,
             aw_secs: timing.atim_window().as_secs(),

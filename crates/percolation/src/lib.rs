@@ -13,9 +13,8 @@
 //! * [`UnionFind`] — weighted union-find with path compression, the data
 //!   structure underlying the Newman–Ziff sweep.
 //! * [`NewmanZiff`] — the microcanonical bond (and site) percolation sweep
-//!   over a [`Topology`](pbbf_topology::Topology), plus the binomial
-//!   convolution that converts sweep statistics to canonical (fixed-`p`)
-//!   reliability curves.
+//!   over a [`Topology`](pbbf_topology::Topology), and each bond sweep's
+//!   crossing of a target source-cluster fraction.
 //! * [`critical_bond_ratio`] — the Figure-6 estimator: the fraction of
 //!   occupied bonds at which the source's cluster first covers a target
 //!   fraction of nodes.
@@ -31,7 +30,5 @@ mod newman_ziff;
 mod union_find;
 
 pub use boundary::{min_q_for_reliability, pq_boundary, reliability_edge_probability};
-pub use newman_ziff::{
-    critical_bond_ratio, critical_bond_ratio_par, BondSweep, NewmanZiff, SweepStats,
-};
+pub use newman_ziff::{critical_bond_ratio, critical_bond_ratio_par, BondSweep, NewmanZiff};
 pub use union_find::UnionFind;

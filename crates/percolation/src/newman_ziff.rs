@@ -4,10 +4,9 @@
 //! time in uniformly random order, maintaining clusters in a union-find
 //! structure; after each addition the observable of interest (here: the
 //! fraction of nodes in the broadcast source's cluster) is available in
-//! O(1). Canonical (fixed bond probability `p_edge`) curves are recovered
-//! by convolving the sweep with the binomial distribution `B(M, p_edge)`,
-//! exactly as in Newman & Ziff's technical report (the paper's citation
-//! [9]).
+//! O(1), as in Newman & Ziff's technical report (the paper's citation
+//! [9]). The figures read each sweep's *crossing*: the bond fraction at
+//! which the source's cluster first covers a target share of the nodes.
 
 use pbbf_topology::{NodeId, Topology};
 use rand::RngCore;
@@ -27,11 +26,13 @@ use crate::UnionFind;
 /// let source = grid.center();
 /// let nz = NewmanZiff::new(grid.topology(), source);
 /// let mut rng = SimRng::new(1);
-/// let stats = nz.average_bond_sweeps(50, &mut rng);
+/// let sweep = nz.bond_sweep(&mut rng);
 /// // With every bond occupied the source reaches everyone.
-/// assert!((stats.mean_source_fraction.last().unwrap() - 1.0).abs() < 1e-12);
-/// // Reliability is monotone in p_edge.
-/// assert!(stats.canonical_reliability(0.7) >= stats.canonical_reliability(0.3));
+/// assert_eq!(sweep.source_fraction.last(), Some(&1.0));
+/// // Covering more of the grid takes more bonds.
+/// let c90 = nz.bond_crossing(0.9, &mut SimRng::new(2)).unwrap();
+/// let c100 = nz.bond_crossing(1.0, &mut SimRng::new(2)).unwrap();
+/// assert!(c90 < c100);
 /// ```
 #[derive(Debug, Clone)]
 pub struct NewmanZiff<'a> {
@@ -46,17 +47,6 @@ pub struct BondSweep {
     /// `source_fraction[n]` = fraction of all nodes in the source's cluster
     /// after occupying `n` bonds (`n = 0 ..= M`).
     pub source_fraction: Vec<f64>,
-    /// `largest_fraction[n]` = fraction of all nodes in the largest cluster.
-    pub largest_fraction: Vec<f64>,
-}
-
-/// Averaged sweep statistics over many runs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepStats {
-    /// Mean source-cluster fraction after `n` occupied bonds.
-    pub mean_source_fraction: Vec<f64>,
-    /// Number of sweeps averaged.
-    pub runs: u32,
 }
 
 impl<'a> NewmanZiff<'a> {
@@ -91,19 +81,13 @@ impl<'a> NewmanZiff<'a> {
 
         let mut uf = UnionFind::new(self.topology.len());
         let mut source_fraction = Vec::with_capacity(self.edges.len() + 1);
-        let mut largest_fraction = Vec::with_capacity(self.edges.len() + 1);
         source_fraction.push(1.0 / n_nodes);
-        largest_fraction.push(1.0 / n_nodes);
         for &e in &order {
             let (a, b) = self.edges[e as usize];
             uf.union(a.index(), b.index());
             source_fraction.push(f64::from(uf.size_of(self.source.index())) / n_nodes);
-            largest_fraction.push(f64::from(uf.largest()) / n_nodes);
         }
-        BondSweep {
-            source_fraction,
-            largest_fraction,
-        }
+        BondSweep { source_fraction }
     }
 
     /// The bond-occupation fraction `n/M` at which the source's cluster
@@ -128,30 +112,6 @@ impl<'a> NewmanZiff<'a> {
             .iter()
             .position(|&f| f >= target - 1e-12)
             .map(|n| n as f64 / m)
-    }
-
-    /// Averages `runs` bond sweeps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs == 0`.
-    #[must_use]
-    pub fn average_bond_sweeps(&self, runs: u32, rng: &mut impl RngCore) -> SweepStats {
-        assert!(runs > 0, "need at least one run");
-        let mut acc = vec![0.0; self.edges.len() + 1];
-        for _ in 0..runs {
-            let sweep = self.bond_sweep(rng);
-            for (a, f) in acc.iter_mut().zip(&sweep.source_fraction) {
-                *a += f;
-            }
-        }
-        for a in &mut acc {
-            *a /= f64::from(runs);
-        }
-        SweepStats {
-            mean_source_fraction: acc,
-            runs,
-        }
     }
 
     /// One microcanonical *site* sweep: the source is always occupied (a
@@ -184,55 +144,6 @@ impl<'a> NewmanZiff<'a> {
             out.push(f64::from(uf.size_of(self.source.index())) / n as f64);
         }
         out
-    }
-}
-
-impl SweepStats {
-    /// Canonical reliability at bond probability `p_edge`: the binomial
-    /// convolution `R(p) = Σₙ B(n; M, p) · mean_source_fraction[n]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p_edge` is outside `[0, 1]`.
-    #[must_use]
-    pub fn canonical_reliability(&self, p_edge: f64) -> f64 {
-        assert!(
-            (0.0..=1.0).contains(&p_edge),
-            "p_edge {p_edge} outside [0, 1]"
-        );
-        let m = self.mean_source_fraction.len() - 1;
-        let pmf = binomial_pmf(m, p_edge);
-        pmf.iter()
-            .zip(&self.mean_source_fraction)
-            .map(|(w, f)| w * f)
-            .sum()
-    }
-
-    /// The smallest occupied-bond fraction `n/M` at which the *mean*
-    /// source-cluster fraction reaches `target`, or `None` if it never
-    /// does.
-    #[must_use]
-    pub fn crossing_fraction(&self, target: f64) -> Option<f64> {
-        let m = (self.mean_source_fraction.len() - 1) as f64;
-        self.mean_source_fraction
-            .iter()
-            .position(|&f| f >= target - 1e-12)
-            .map(|n| n as f64 / m)
-    }
-
-    /// The smallest canonical `p_edge` (on a grid of `steps` candidates)
-    /// whose convolved reliability reaches `target`. Returns `1.0` when
-    /// only full occupation reaches the target.
-    #[must_use]
-    pub fn canonical_threshold(&self, target: f64, steps: u32) -> f64 {
-        assert!(steps > 1, "need at least two steps");
-        for i in 0..=steps {
-            let p = f64::from(i) / f64::from(steps);
-            if self.canonical_reliability(p) >= target - 1e-12 {
-                return p;
-            }
-        }
-        1.0
     }
 }
 
@@ -309,36 +220,6 @@ pub fn critical_bond_ratio_par(
     sum / f64::from(hit)
 }
 
-/// Binomial pmf `B(n; m, p)` for all `n = 0..=m`, computed by the
-/// numerically stable outward recurrence from the mode.
-fn binomial_pmf(m: usize, p: f64) -> Vec<f64> {
-    let mut pmf = vec![0.0; m + 1];
-    if p <= 0.0 {
-        pmf[0] = 1.0;
-        return pmf;
-    }
-    if p >= 1.0 {
-        pmf[m] = 1.0;
-        return pmf;
-    }
-    let mode = (((m + 1) as f64) * p).floor().min(m as f64) as usize;
-    pmf[mode] = 1.0;
-    // Upward: pmf[k+1] = pmf[k] * (m-k)/(k+1) * p/(1-p)
-    let ratio = p / (1.0 - p);
-    for k in mode..m {
-        pmf[k + 1] = pmf[k] * ((m - k) as f64 / (k + 1) as f64) * ratio;
-    }
-    // Downward: pmf[k-1] = pmf[k] * k/(m-k+1) * (1-p)/p
-    for k in (1..=mode).rev() {
-        pmf[k - 1] = pmf[k] * (k as f64 / (m - k + 1) as f64) / ratio;
-    }
-    let total: f64 = pmf.iter().sum();
-    for v in &mut pmf {
-        *v /= total;
-    }
-    pmf
-}
-
 /// Fisher–Yates shuffle over any `RngCore` (unbiased via 128-bit widening).
 fn shuffle(slice: &mut [u32], rng: &mut impl RngCore) {
     for i in (1..slice.len()).rev() {
@@ -355,27 +236,6 @@ mod tests {
     use pbbf_topology::Grid;
 
     #[test]
-    fn binomial_pmf_sums_to_one_and_matches_small_cases() {
-        let pmf = binomial_pmf(4, 0.5);
-        let expected = [1.0, 4.0, 6.0, 4.0, 1.0].map(|c| c / 16.0);
-        for (a, b) in pmf.iter().zip(expected) {
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-        }
-        for p in [0.0, 0.123, 0.5, 0.987, 1.0] {
-            let pmf = binomial_pmf(100, p);
-            assert!((pmf.iter().sum::<f64>() - 1.0).abs() < 1e-9, "p = {p}");
-        }
-    }
-
-    #[test]
-    fn binomial_pmf_degenerate() {
-        let p0 = binomial_pmf(10, 0.0);
-        assert_eq!(p0[0], 1.0);
-        let p1 = binomial_pmf(10, 1.0);
-        assert_eq!(p1[10], 1.0);
-    }
-
-    #[test]
     fn sweep_starts_alone_and_ends_connected() {
         let grid = Grid::square(10);
         let nz = NewmanZiff::new(grid.topology(), grid.center());
@@ -384,7 +244,6 @@ mod tests {
         assert_eq!(sweep.source_fraction.len(), nz.bond_count() + 1);
         assert!((sweep.source_fraction[0] - 0.01).abs() < 1e-12);
         assert_eq!(*sweep.source_fraction.last().unwrap(), 1.0);
-        assert_eq!(*sweep.largest_fraction.last().unwrap(), 1.0);
     }
 
     #[test]
@@ -395,20 +254,6 @@ mod tests {
         let sweep = nz.bond_sweep(&mut rng);
         for w in sweep.source_fraction.windows(2) {
             assert!(w[1] >= w[0]);
-        }
-        for w in sweep.largest_fraction.windows(2) {
-            assert!(w[1] >= w[0]);
-        }
-    }
-
-    #[test]
-    fn largest_dominates_source_cluster() {
-        let grid = Grid::square(8);
-        let nz = NewmanZiff::new(grid.topology(), grid.center());
-        let mut rng = SimRng::new(3);
-        let sweep = nz.bond_sweep(&mut rng);
-        for (s, l) in sweep.source_fraction.iter().zip(&sweep.largest_fraction) {
-            assert!(l >= s);
         }
     }
 
@@ -433,35 +278,6 @@ mod tests {
         let c100 = critical_bond_ratio(grid.topology(), grid.center(), 1.0, 40, &mut rng);
         assert!(c80 < c99, "{c80} !< {c99}");
         assert!(c99 < c100, "{c99} !< {c100}");
-    }
-
-    #[test]
-    fn canonical_reliability_monotone_in_p() {
-        let grid = Grid::square(12);
-        let nz = NewmanZiff::new(grid.topology(), grid.center());
-        let mut rng = SimRng::new(6);
-        let stats = nz.average_bond_sweeps(30, &mut rng);
-        let mut prev = -1.0;
-        for i in 0..=20 {
-            let p = i as f64 / 20.0;
-            let r = stats.canonical_reliability(p);
-            assert!(r >= prev - 1e-9, "not monotone at p = {p}");
-            prev = r;
-        }
-        assert!(stats.canonical_reliability(0.0) < 0.05);
-        assert!((stats.canonical_reliability(1.0) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn canonical_threshold_bounds() {
-        let grid = Grid::square(12);
-        let nz = NewmanZiff::new(grid.topology(), grid.center());
-        let mut rng = SimRng::new(7);
-        let stats = nz.average_bond_sweeps(30, &mut rng);
-        let t80 = stats.canonical_threshold(0.8, 100);
-        let t99 = stats.canonical_threshold(0.99, 100);
-        assert!(t80 <= t99);
-        assert!(t80 > 0.3 && t99 <= 1.0);
     }
 
     #[test]

@@ -14,17 +14,15 @@
 /// let mut uf = UnionFind::new(4);
 /// assert!(uf.union(0, 1));
 /// assert!(uf.union(2, 3));
-/// assert!(!uf.connected(0, 2));
+/// assert_ne!(uf.find(0), uf.find(2));
 /// assert!(uf.union(1, 2));
-/// assert!(uf.connected(0, 3));
+/// assert_eq!(uf.find(0), uf.find(3));
 /// assert_eq!(uf.size_of(0), 4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
-    components: usize,
-    largest: u32,
 }
 
 impl UnionFind {
@@ -35,33 +33,7 @@ impl UnionFind {
         Self {
             parent: (0..n as u32).collect(),
             size: vec![1; n],
-            components: n,
-            largest: u32::from(n > 0),
         }
-    }
-
-    /// Number of elements.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// Whether the structure is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
-    /// Number of disjoint sets.
-    #[must_use]
-    pub fn components(&self) -> usize {
-        self.components
-    }
-
-    /// Size of the largest set (0 when empty).
-    #[must_use]
-    pub fn largest(&self) -> u32 {
-        self.largest
     }
 
     /// The representative of `x`'s set.
@@ -103,31 +75,13 @@ impl UnionFind {
         };
         self.parent[small] = big as u32;
         self.size[big] += self.size[small];
-        self.largest = self.largest.max(self.size[big]);
-        self.components -= 1;
         true
-    }
-
-    /// Whether `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
     }
 
     /// Size of the set containing `x`.
     pub fn size_of(&mut self, x: usize) -> u32 {
         let r = self.find(x);
         self.size[r]
-    }
-
-    /// Resets to `n` singletons without reallocating (when the size
-    /// matches), for reuse across Monte-Carlo sweeps.
-    pub fn reset(&mut self) {
-        for (i, p) in self.parent.iter_mut().enumerate() {
-            *p = i as u32;
-        }
-        self.size.fill(1);
-        self.components = self.parent.len();
-        self.largest = u32::from(!self.parent.is_empty());
     }
 }
 
@@ -138,8 +92,6 @@ mod tests {
     #[test]
     fn singletons_initially() {
         let mut uf = UnionFind::new(5);
-        assert_eq!(uf.components(), 5);
-        assert_eq!(uf.largest(), 1);
         for i in 0..5 {
             assert_eq!(uf.find(i), i);
             assert_eq!(uf.size_of(i), 1);
@@ -152,9 +104,8 @@ mod tests {
         assert!(uf.union(0, 1));
         assert!(uf.union(1, 2));
         assert!(!uf.union(0, 2), "repeat union returns false");
-        assert_eq!(uf.components(), 4);
         assert_eq!(uf.size_of(1), 3);
-        assert_eq!(uf.largest(), 3);
+        assert_eq!(uf.size_of(3), 1);
     }
 
     #[test]
@@ -163,8 +114,8 @@ mod tests {
         uf.union(0, 1);
         uf.union(2, 3);
         uf.union(1, 3);
-        assert!(uf.connected(0, 2));
-        assert!(!uf.connected(0, 4));
+        assert_eq!(uf.find(0), uf.find(2));
+        assert_ne!(uf.find(0), uf.find(4));
     }
 
     #[test]
@@ -174,28 +125,8 @@ mod tests {
         for i in 0..n - 1 {
             uf.union(i, i + 1);
         }
-        assert_eq!(uf.components(), 1);
-        assert_eq!(uf.largest(), n as u32);
-        assert!(uf.connected(0, n - 1));
-    }
-
-    #[test]
-    fn reset_restores_singletons() {
-        let mut uf = UnionFind::new(4);
-        uf.union(0, 3);
-        uf.union(1, 2);
-        uf.reset();
-        assert_eq!(uf.components(), 4);
-        assert_eq!(uf.largest(), 1);
-        assert!(!uf.connected(0, 3));
-    }
-
-    #[test]
-    fn empty_structure() {
-        let uf = UnionFind::new(0);
-        assert!(uf.is_empty());
-        assert_eq!(uf.components(), 0);
-        assert_eq!(uf.largest(), 0);
+        assert_eq!(uf.size_of(0), n as u32);
+        assert_eq!(uf.find(0), uf.find(n - 1));
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! `sweep` shards a figure's Monte Carlo runs across `worker` child
 //! processes — and, with `--hosts`, across remote `worker --listen`
 //! processes over TCP — through the fault-tolerant fabric
-//! (`pbbf-fabric`). All requested figures run through a single
-//! *resident* fleet (one `SweepScheduler` queue), so remote workers
-//! keep their deployment caches warm from figure to figure; the stdout
+//! (`pbbf-fabric`). All requested figures run as one queue on a single
+//! fleet (`pbbf_fabric::run_queue`), so remote workers keep their
+//! deployment caches warm from figure to figure; the stdout
 //! is byte-identical to `reproduce` of the same figures in the same
 //! order, which CI enforces under injected worker faults and a
 //! kill -9'd TCP worker (see `docs/OPERATIONS.md`). Argument parsing is
@@ -34,7 +34,7 @@ use pbbf::prelude::*;
 use pbbf_experiments::sweep::{assemble_sweep, run_sweep_shard, sweep_manifest, ShardJob};
 use pbbf_fabric::fault::FaultPlan;
 use pbbf_fabric::{
-    CacheTelemetry, Endpoint, FleetFactory, ServeOptions, ShardInput, SweepOptions, SweepScheduler,
+    run_queue, CacheTelemetry, Endpoint, FleetFactory, ServeOptions, ShardInput, SweepOptions,
     TcpOptions,
 };
 use pbbf_ideal_sim::IdealConfigError;
@@ -613,17 +613,22 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         endpoints,
         tcp: TcpOptions::default(),
     };
-    // ONE resident fleet serves the whole queue: workers — and their
-    // deployment caches — survive from figure to figure instead of
-    // being respawned per sweep.
-    let mut scheduler = SweepScheduler::new(opts, &factory);
+    // ONE fleet serves the whole queue: workers — and their deployment
+    // caches — survive from figure to figure instead of being respawned
+    // per sweep.
     let mut slots: Vec<Vec<Option<Vec<Option<f64>>>>> = queue
         .iter()
         .map(|sweep| (0..sweep.len()).map(|_| None).collect())
         .collect();
-    let stats = scheduler.run_queue(queue, exec_shard, |sweep, shard, values| {
-        slots[sweep][shard] = Some(values);
-    })?;
+    let stats = run_queue(
+        &opts,
+        &factory,
+        queue,
+        exec_shard,
+        |sweep, shard, values| {
+            slots[sweep][shard] = Some(values);
+        },
+    )?;
     for (i, (fig, manifest)) in figures.iter().zip(&manifests).enumerate() {
         eprintln!("pbbf sweep: {fig}: {}", stats[i]);
         let values = std::mem::take(&mut slots[i])

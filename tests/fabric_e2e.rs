@@ -142,35 +142,54 @@ fn first_shard_spec() -> ShardSpec {
     }
 }
 
-/// Specs whose job carries a simulated duration no run can use (`-5`,
-/// `0`) or the simulator clock cannot hold (`1e300`), as shards 1–3.
-fn bad_duration_specs() -> Vec<ShardSpec> {
-    [-5.0, 0.0, 1e300]
-        .into_iter()
+/// Specs a worker must refuse, as shards 1–5, each with the text its
+/// refusal must contain: a simulated duration no run can use (`-5`,
+/// `0`) or the simulator clock cannot hold (`1e300`), a fig13 q axis
+/// whose point grid would need ~32 GB, and a run range whose values
+/// would need ~64 GB.
+fn refused_specs() -> Vec<(ShardSpec, &'static str)> {
+    let first = |figure: &str| {
+        sweep_manifest(figure, &Effort::quick(), 11)
+            .expect("sweepable figure")
+            .shards[0]
+            .clone()
+    };
+    let mut jobs = Vec::new();
+    for secs in [-5.0, 0.0, 1e300] {
+        let mut job = first(FIGURE);
+        job.effort.net_duration_secs = secs;
+        let expect = job.run1 - job.run0;
+        jobs.push((job, expect, "net_duration_secs"));
+    }
+    let mut job = first("fig13");
+    job.effort.q_points = 4_000_000_000;
+    let expect = job.run1 - job.run0;
+    jobs.push((job, expect, "q_points"));
+    let mut job = first("fig13");
+    job.effort.runs = 4_000_000_000;
+    (job.run0, job.run1) = (0, 4_000_000_000);
+    jobs.push((job, 1, "run range"));
+    jobs.into_iter()
         .zip(1..)
-        .map(|(secs, id)| {
-            let mut job = sweep_manifest(FIGURE, &Effort::quick(), 11)
-                .expect("fig17 is sweepable")
-                .shards[0]
-                .clone();
-            job.effort.net_duration_secs = secs;
-            ShardSpec {
+        .map(|((job, expect, why), id)| {
+            let spec = ShardSpec {
                 id,
                 attempt: 0,
-                expect: job.run1 - job.run0,
+                expect,
                 job: serde::to_value(&job),
-            }
+            };
+            (spec, why)
         })
         .collect()
 }
 
-/// Asserts `reply` refuses shard `id` over its simulated duration.
-fn assert_duration_refusal(reply: &WorkerReply, id: u32) {
+/// Asserts `reply` refuses shard `id`, saying `why`.
+fn assert_refusal(reply: &WorkerReply, id: u32, why: &str) {
     let WorkerReply::Error(e) = reply else {
         panic!("shard {id}: expected a refusal, got {reply:?}");
     };
     assert_eq!(e.id, id);
-    assert!(e.error.contains("net_duration_secs"), "{}", e.error);
+    assert!(e.error.contains(why), "shard {id}: {}", e.error);
 }
 
 /// A single line nested far past the JSON parser's depth cap.
@@ -384,7 +403,7 @@ fn stdin_worker_refuses_bad_durations_and_exits_cleanly() {
         .expect("spawn worker");
     {
         let stdin = child.stdin.as_mut().expect("worker stdin");
-        for spec in bad_duration_specs() {
+        for (spec, _) in refused_specs() {
             writeln!(stdin, "{}", serde_json::to_string(&spec).unwrap()).expect("send spec");
         }
     }
@@ -396,9 +415,10 @@ fn stdin_worker_refuses_bad_durations_and_exits_cleanly() {
         .map(|l| serde_json::from_str(l).expect("every line parses as WorkerReply"))
         .filter(|r| !matches!(r, WorkerReply::Heartbeat(_)))
         .collect();
-    assert_eq!(replies.len(), 3, "one refusal per spec: {stdout}");
-    for (reply, id) in replies.iter().zip(1..) {
-        assert_duration_refusal(reply, id);
+    let specs = refused_specs();
+    assert_eq!(replies.len(), specs.len(), "one refusal per spec: {stdout}");
+    for (reply, (spec, why)) in replies.iter().zip(&specs) {
+        assert_refusal(reply, spec.id, why);
     }
 }
 
@@ -424,9 +444,9 @@ fn tcp_worker_refuses_bad_durations_and_serves_on() {
             reply => break reply,
         }
     };
-    for spec in bad_duration_specs() {
+    for (spec, why) in refused_specs() {
         writeln!(writer, "{}", serde_json::to_string(&spec).unwrap()).expect("send spec");
-        assert_duration_refusal(&next_reply(), spec.id);
+        assert_refusal(&next_reply(), spec.id, why);
     }
 
     // The same connection still executes a clean shard.
