@@ -70,7 +70,7 @@ impl Effort {
     /// Checks the fields a sweep shard reads before it allocates
     /// anything: a q axis of 2 to 1001 points, at least one run per
     /// point, and a realistic-simulation duration the simulator can run
-    /// ([`NetConfig::check_duration_secs`]).
+    /// within its work budget ([`NetConfig::validate`]).
     ///
     /// # Errors
     ///
@@ -91,7 +91,13 @@ impl Effort {
         if self.runs == 0 {
             return Err("runs: need at least one run per point".into());
         }
-        NetConfig::check_duration_secs(self.net_duration_secs)
+        // Every Section-5 scenario is Table 2 at this duration, with
+        // only Δ varied, and the budget does not read Δ.
+        let net = NetConfig {
+            duration_secs: self.net_duration_secs,
+            ..NetConfig::table2()
+        };
+        net.validate()
             .map_err(|e| format!("net_duration_secs: {e}"))
     }
 
@@ -156,9 +162,15 @@ mod tests {
             refused(Effort { q_points, ..quick }, "q_points");
         }
         refused(Effort { runs: 0, ..quick }, "runs");
-        let mut e = quick;
-        e.net_duration_secs = f64::NAN;
-        refused(e, "net_duration_secs");
+        for net_duration_secs in [f64::NAN, 1e10] {
+            refused(
+                Effort {
+                    net_duration_secs,
+                    ..quick
+                },
+                "net_duration_secs",
+            );
+        }
     }
 
     #[test]

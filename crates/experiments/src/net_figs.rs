@@ -1,18 +1,24 @@
 //! Figures 13–18 — the Section-5 realistic-simulation sweeps.
 //!
-//! Every figure here is one [`NetSweep`]: a catalogue id, an x-axis
-//! ([`SweepAxis::Q`] or [`SweepAxis::Delta`]), and a per-run metric.
-//! The sweep machinery is deliberately split into four pure stages —
-//! [`NetSweep::points`] (the parameter grid), [`NetSweep::run_chunk`]
-//! (a `(point, run-range)` Monte Carlo slice), [`fold_point_values`]
-//! (run-ordered per-point confidence intervals) and
-//! [`NetSweep::assemble`] (series layout + figure dressing) — so the
-//! in-process fan-out ([`NetSweep::run`]) and the distributed sweep
+//! The six figures are columns of two tables. A table is one
+//! [`SweepAxis`]: its parameter grid ([`SweepAxis::points`]) and a
+//! Monte Carlo slice of it ([`SweepAxis::run_chunk`]) that returns one
+//! fixed-width [`Row`] per run, holding every metric the axis's figures
+//! read ([`Column`]). Figs 13–16 read the [`SweepAxis::Q`] table, figs
+//! 17–18 the [`SweepAxis::Delta`] table. A figure ([`NetSweep`]) is a
+//! catalogue id, its axis, the column it reads and its dressing:
+//! [`NetSweep::assemble`] folds the column run by run into per-point
+//! confidence intervals ([`fold_point_values`]) and lays them out as
+//! series.
+//!
+//! The in-process fan-out ([`NetSweep::run`]) and the distributed sweep
 //! fabric (`crate::sweep`, executed by `pbbf worker` processes) share
-//! every stage except scheduling. A chunk's values depend only on
-//! `(effort, seed, point, run range)`, and the fold consumes them in
-//! manifest order, so *where* a chunk ran — this thread pool, another
-//! process, a retried worker — cannot change a figure's bytes.
+//! every stage except scheduling, so `pbbf sweep` can run each table
+//! once and assemble every figure that reads it. A chunk's rows depend
+//! only on `(axis, effort, seed, point, run range)`, and the fold
+//! consumes them in manifest order, so *where* a chunk ran — this
+//! thread pool, another process, a retried worker — cannot change a
+//! figure's bytes.
 
 use pbbf_core::PbbfParams;
 use pbbf_metrics::{ConfidenceInterval, Figure, Series, Summary};
@@ -71,7 +77,43 @@ pub(crate) struct NetPoint {
 /// reshapes both.
 pub(crate) const RUN_CHUNK: usize = 8;
 
-/// Which x-axis a Section-5 sweep walks.
+/// The metrics a table row holds, one per column, in row order. Each
+/// Section-5 figure reads one column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Column {
+    /// Mean per-node joules per generated update (Fig. 13).
+    Energy,
+    /// Mean latency of the nodes 2 hops from the source (Fig. 14).
+    Latency2Hop,
+    /// Mean latency of the nodes 5 hops from the source (Fig. 15).
+    Latency5Hop,
+    /// Mean fraction of updates each node received (Figs 16, 18).
+    Delivery,
+    /// Mean latency over every reception (Fig. 17).
+    Latency,
+}
+
+/// Values per table row: one per [`Column`]. Both axes share it.
+pub(crate) const WIDTH: usize = 5;
+
+/// One run's metrics, indexed by [`Column`]. `None` where the run has
+/// no sample (no node at that hop distance, no reception at all).
+pub(crate) type Row = [Option<f64>; WIDTH];
+
+/// Reads every column of one run.
+fn row(r: &NetRunStats) -> Row {
+    [
+        Some(r.energy_per_update()),
+        r.mean_latency_at_hops(2),
+        r.mean_latency_at_hops(5),
+        Some(r.mean_delivery_ratio()),
+        r.mean_latency(),
+    ]
+}
+
+/// A Section-5 table: the x-axis a sweep walks. Its points and rows
+/// depend only on `(axis, effort, seed)`, so every figure that reads
+/// the same axis reads the same table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SweepAxis {
     /// `q` over `effort.q_values()` at the Table-2 density, one PBBF
@@ -82,102 +124,31 @@ pub(crate) enum SweepAxis {
     Delta,
 }
 
-/// One shardable Section-5 figure sweep: catalogue identity, axis,
-/// per-run metric, and figure dressing.
-pub(crate) struct NetSweep {
-    /// The exhibit's catalogue id, e.g. `"fig13"`.
-    pub(crate) id: &'static str,
-    /// The x-axis this sweep walks.
-    pub(crate) axis: SweepAxis,
-    metric: fn(&NetRunStats) -> Option<f64>,
-    title: &'static str,
-    x_label: &'static str,
-    y_label: &'static str,
-}
+impl SweepAxis {
+    /// The table's name on the wire (`ShardJob::sweep`).
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Self::Q => "q",
+            Self::Delta => "delta",
+        }
+    }
 
-fn metric_energy(r: &NetRunStats) -> Option<f64> {
-    Some(r.energy_per_update())
-}
-fn metric_latency_2hop(r: &NetRunStats) -> Option<f64> {
-    r.mean_latency_at_hops(2)
-}
-fn metric_latency_5hop(r: &NetRunStats) -> Option<f64> {
-    r.mean_latency_at_hops(5)
-}
-fn metric_delivery(r: &NetRunStats) -> Option<f64> {
-    Some(r.mean_delivery_ratio())
-}
-fn metric_latency(r: &NetRunStats) -> Option<f64> {
-    r.mean_latency()
-}
+    /// The table a wire name denotes, if any.
+    pub(crate) fn from_name(name: &str) -> Option<Self> {
+        [Self::Q, Self::Delta]
+            .into_iter()
+            .find(|a| a.name() == name)
+    }
 
-/// Every shardable Section-5 sweep, in catalogue order.
-pub(crate) const NET_SWEEPS: [NetSweep; 6] = [
-    NetSweep {
-        id: "fig13",
-        axis: SweepAxis::Q,
-        metric: metric_energy,
-        title: "Figure 13: Average energy consumption",
-        x_label: "q",
-        y_label: "Joules consumed / total updates sent at source",
-    },
-    NetSweep {
-        id: "fig14",
-        axis: SweepAxis::Q,
-        metric: metric_latency_2hop,
-        title: "Figure 14: 2-hop average update latency",
-        x_label: "q",
-        y_label: "Average 2-hop latency (s)",
-    },
-    NetSweep {
-        id: "fig15",
-        axis: SweepAxis::Q,
-        metric: metric_latency_5hop,
-        title: "Figure 15: 5-hop average update latency",
-        x_label: "q",
-        y_label: "Average 5-hop latency (s)",
-    },
-    NetSweep {
-        id: "fig16",
-        axis: SweepAxis::Q,
-        metric: metric_delivery,
-        title: "Figure 16: Average updates received",
-        x_label: "q",
-        y_label: "Updates received / total updates sent at source",
-    },
-    NetSweep {
-        id: "fig17",
-        axis: SweepAxis::Delta,
-        metric: metric_latency,
-        title: "Figure 17: Average update latency",
-        x_label: "Delta",
-        y_label: "Average update latency (s)",
-    },
-    NetSweep {
-        id: "fig18",
-        axis: SweepAxis::Delta,
-        metric: metric_delivery,
-        title: "Figure 18: Average updates received",
-        x_label: "Delta",
-        y_label: "Updates received / total updates sent at source",
-    },
-];
-
-/// Looks a shardable sweep up by catalogue id.
-pub(crate) fn net_sweep(id: &str) -> Option<&'static NetSweep> {
-    NET_SWEEPS.iter().find(|s| s.id == id)
-}
-
-impl NetSweep {
-    /// The sweep's parameter grid, in point order: the PBBF points of
+    /// The table's parameter grid, in point order: the PBBF points of
     /// every series, then the baselines. A pure function of
     /// `(axis, effort, seed)` — the distributed fabric relies on every
     /// process rebuilding the identical grid from the manifest header.
-    pub(crate) fn points(&self, effort: &Effort, seed: u64) -> Vec<NetPoint> {
+    pub(crate) fn points(self, effort: &Effort, seed: u64) -> Vec<NetPoint> {
         let deploy_seed = mix(seed, DEPLOY_SALT);
         let mut points = Vec::new();
-        match self.axis {
-            SweepAxis::Q => {
+        match self {
+            Self::Q => {
                 let qs = effort.q_values();
                 let cfg = net_config(effort, NetConfig::table2().delta);
                 for (pi, &p) in NET_P_VALUES.iter().enumerate() {
@@ -204,7 +175,7 @@ impl NetSweep {
                     });
                 }
             }
-            SweepAxis::Delta => {
+            Self::Delta => {
                 for (pi, &p) in DELTA_P_VALUES.iter().enumerate() {
                     for (di, &delta) in DELTA_VALUES.iter().enumerate() {
                         points.push(NetPoint {
@@ -232,36 +203,128 @@ impl NetSweep {
         points
     }
 
-    /// Executes runs `rs` of one point, returning the metric value per
-    /// run in run order. This is the unit the fabric ships to worker
-    /// processes and the chunk job of the in-process fan-out — one code
-    /// path, so a shard re-executed anywhere is bitwise identical.
+    /// Executes runs `rs` of one point, returning one [`Row`] per run in
+    /// run order. This is the unit the fabric ships to worker processes
+    /// and the chunk job of the in-process fan-out — one code path, so a
+    /// shard re-executed anywhere is bitwise identical.
     ///
     /// Each run's RNG stream depends only on `(point seed, run index)`.
     /// Deployments resolve through the process-wide registry
     /// ([`DeploymentCache::global`]) — the single resolution path,
     /// inside the chunk job: every point with the same geometry reuses
     /// run `r`'s connected deployment instead of redrawing it per
-    /// protocol mode, and sweeps in *other* figures with the same
-    /// geometry and deployment-seed stream (fig13–16 vs the
+    /// protocol mode, and sweeps in *other* exhibits with the same
+    /// geometry and deployment-seed stream (the Q table vs the
     /// latency-tail and k-trade-off extensions) resolve to the same
     /// entries. Each run shares the cached topology by `Arc` straight
     /// into its channel — no per-run copy. The cached draw is a pure
     /// function of `(deployment seed, geometry)`, so all of this
     /// sharing preserves thread-count (and process-count) invariance.
-    pub(crate) fn run_chunk(&self, pt: &NetPoint, rs: std::ops::Range<usize>) -> Vec<Option<f64>> {
+    pub(crate) fn run_chunk(pt: &NetPoint, rs: std::ops::Range<usize>) -> Vec<Row> {
         let sim = NetSim::new(pt.cfg, pt.mode);
         rs.map(|r| {
             let deployment =
                 DeploymentCache::global().get_or_draw(&pt.cfg, mix(pt.deploy_seed, r as u64));
-            (self.metric)(&sim.run_on(mix(pt.seed, r as u64), &deployment))
+            row(&sim.run_on(mix(pt.seed, r as u64), &deployment))
         })
         .collect()
     }
 
-    /// Lays the per-point confidence intervals out as the figure's
-    /// series and dresses them with title and axis labels.
-    pub(crate) fn assemble(&self, effort: &Effort, cis: &[Option<ConfidenceInterval>]) -> Figure {
+    /// Runs the whole table in-process, returning each point's rows in
+    /// run order: one flat `(point, run-chunk)` job list fanned across
+    /// threads ([`pbbf_parallel::par_run_grouped_chunked`]). Chunk
+    /// boundaries are a pure function of `(runs, RUN_CHUNK)`, so the
+    /// rows are bitwise identical for any thread count — and to a
+    /// distributed sweep of the same table.
+    pub(crate) fn table(self, effort: &Effort, seed: u64) -> Vec<Vec<Row>> {
+        let points = self.points(effort, seed);
+        pbbf_parallel::par_run_grouped_chunked(
+            points.len(),
+            effort.runs as usize,
+            RUN_CHUNK,
+            |pi, rs| Self::run_chunk(&points[pi], rs),
+        )
+    }
+}
+
+/// One Section-5 figure: catalogue identity, the table it reads, the
+/// column it plots, and figure dressing.
+pub(crate) struct NetSweep {
+    /// The exhibit's catalogue id, e.g. `"fig13"`.
+    pub(crate) id: &'static str,
+    /// The table (x-axis) this figure reads.
+    pub(crate) axis: SweepAxis,
+    /// The column of each row this figure plots.
+    pub(crate) column: Column,
+    title: &'static str,
+    x_label: &'static str,
+    y_label: &'static str,
+}
+
+/// Every shardable Section-5 figure, in catalogue order.
+pub(crate) const NET_SWEEPS: [NetSweep; 6] = [
+    NetSweep {
+        id: "fig13",
+        axis: SweepAxis::Q,
+        column: Column::Energy,
+        title: "Figure 13: Average energy consumption",
+        x_label: "q",
+        y_label: "Joules consumed / total updates sent at source",
+    },
+    NetSweep {
+        id: "fig14",
+        axis: SweepAxis::Q,
+        column: Column::Latency2Hop,
+        title: "Figure 14: 2-hop average update latency",
+        x_label: "q",
+        y_label: "Average 2-hop latency (s)",
+    },
+    NetSweep {
+        id: "fig15",
+        axis: SweepAxis::Q,
+        column: Column::Latency5Hop,
+        title: "Figure 15: 5-hop average update latency",
+        x_label: "q",
+        y_label: "Average 5-hop latency (s)",
+    },
+    NetSweep {
+        id: "fig16",
+        axis: SweepAxis::Q,
+        column: Column::Delivery,
+        title: "Figure 16: Average updates received",
+        x_label: "q",
+        y_label: "Updates received / total updates sent at source",
+    },
+    NetSweep {
+        id: "fig17",
+        axis: SweepAxis::Delta,
+        column: Column::Latency,
+        title: "Figure 17: Average update latency",
+        x_label: "Delta",
+        y_label: "Average update latency (s)",
+    },
+    NetSweep {
+        id: "fig18",
+        axis: SweepAxis::Delta,
+        column: Column::Delivery,
+        title: "Figure 18: Average updates received",
+        x_label: "Delta",
+        y_label: "Updates received / total updates sent at source",
+    },
+];
+
+/// Looks a shardable figure up by catalogue id.
+pub(crate) fn net_sweep(id: &str) -> Option<&'static NetSweep> {
+    NET_SWEEPS.iter().find(|s| s.id == id)
+}
+
+impl NetSweep {
+    /// Folds each point's run-ordered values of this figure's column
+    /// into a confidence interval ([`fold_point_values`]), lays the
+    /// intervals out as the figure's series and dresses them with title
+    /// and axis labels.
+    pub(crate) fn assemble(&self, effort: &Effort, column: Vec<Vec<Option<f64>>>) -> Figure {
+        let cis = fold_point_values(column);
         let mut series = Vec::new();
         let mut cursor = cis.iter();
         match self.axis {
@@ -305,23 +368,18 @@ impl NetSweep {
         Figure::new(self.title, self.x_label, self.y_label, series)
     }
 
-    /// Runs the whole sweep in-process: one flat `(point, run-chunk)`
-    /// job list fanned across threads
-    /// ([`pbbf_parallel::par_run_grouped_chunked`]), folded and
-    /// assembled. Chunk boundaries are a pure function of
-    /// `(runs, RUN_CHUNK)` and per-point summaries fold in run
-    /// order, so results are bitwise identical to the sequential
-    /// per-point loop for any thread count — and to a distributed sweep
-    /// of the same manifest.
+    /// Runs the figure in-process: its axis's table, then its column
+    /// folded and assembled. The same rows a distributed sweep of the
+    /// table returns, so the bytes match `pbbf sweep`'s.
     pub(crate) fn run(&self, effort: &Effort, seed: u64) -> Figure {
-        let points = self.points(effort, seed);
-        let vals = pbbf_parallel::par_run_grouped_chunked(
-            points.len(),
-            effort.runs as usize,
-            RUN_CHUNK,
-            |pi, rs| self.run_chunk(&points[pi], rs),
-        );
-        self.assemble(effort, &fold_point_values(vals))
+        let col = self.column as usize;
+        let column = self
+            .axis
+            .table(effort, seed)
+            .into_iter()
+            .map(|rows| rows.iter().map(|row| row[col]).collect())
+            .collect();
+        self.assemble(effort, column)
     }
 }
 
@@ -441,7 +499,9 @@ mod tests {
         for sweep in &NET_SWEEPS {
             assert_eq!(net_sweep(sweep.id).unwrap().id, sweep.id);
             assert!(sweep.title.contains(&sweep.id["fig".len()..]));
+            assert_eq!(SweepAxis::from_name(sweep.axis.name()), Some(sweep.axis));
         }
         assert!(net_sweep("fig04").is_none());
+        assert!(SweepAxis::from_name("fig13").is_none());
     }
 }

@@ -1,47 +1,52 @@
 //! Shard manifests for the distributed sweep fabric.
 //!
-//! `pbbf sweep` shards a Section-5 figure across worker processes. The
-//! contract that makes this bitwise-safe lives here: a
-//! [`SweepManifest`] names every `(point, run-range)` chunk of a sweep
-//! in the same order `NetSweep::run` schedules them
-//! in-process, each [`ShardJob`] carries everything needed to recompute
-//! its values from scratch (`figure`, `effort`, `seed`, point index,
-//! run range — all pure inputs), and [`assemble_sweep`] folds shard
-//! values back in manifest order. Any executor that returns each
-//! shard's exact value sequence — whichever process ran it, however
-//! many times it was retried — therefore reproduces the single-process
-//! figure byte for byte.
+//! `pbbf sweep` shards the Section-5 figures across worker processes.
+//! A shard is a slice of a *table*, not of a figure: figs 13–16 read
+//! columns of the Q-axis table and figs 17–18 columns of the Δ table
+//! (`crate::net_figs`), so a shard returns one row per run holding every
+//! column, `(run1 − run0) ×` [`ShardJob::reply_len`]'s row width values,
+//! row-major. The contract that makes this bitwise-safe lives here: a
+//! [`SweepManifest`] names every `(point, run-range)` chunk of a figure's
+//! table in the same order `NetSweep::run` schedules them in-process,
+//! each [`ShardJob`] carries everything needed to recompute its rows
+//! from scratch (`sweep`, `effort`, `seed`, point index, run range — all
+//! pure inputs), and [`assemble_sweep`] folds the figure's column back
+//! in manifest order. Any executor that returns each shard's exact
+//! values — whichever process ran it, however many times it was retried
+//! — therefore reproduces the single-process figure byte for byte.
 //!
-//! The same property makes manifests freely *queueable*: because each
-//! job is self-contained and each manifest folds independently, one
-//! queue (`pbbf sweep --figs a,b,…`, backed by `pbbf-fabric`'s
-//! `run_queue`) can multiplex several figures' manifests onto one
-//! worker fleet, stream shards back in completion order, and still
-//! assemble every figure as if it had run alone.
+//! The same property makes tables freely *queueable* and *shareable*:
+//! each job is self-contained, and figures of one table have equal
+//! shards. [`plan_sweep`] maps the figures of one `pbbf sweep` queue
+//! (backed by `pbbf-fabric`'s `run_queue`) to their distinct tables, so
+//! the queue runs each table once on one worker fleet, streams shards
+//! back in completion order, and still assembles every figure as if it
+//! had run alone.
 
 use serde::{Deserialize, Serialize};
 
-use crate::net_figs::{fold_point_values, net_sweep, NET_SWEEPS, RUN_CHUNK};
+use crate::net_figs::{net_sweep, SweepAxis, NET_SWEEPS, RUN_CHUNK, WIDTH};
 use crate::Effort;
 
 /// One self-contained unit of sweep work: runs `run0..run1` of point
-/// `point` of figure `figure` at `(effort, seed)`.
+/// `point` of table `sweep` at `(effort, seed)`.
 ///
 /// A job deliberately carries the *whole* sweep context rather than a
 /// pre-resolved parameter point: the worker process rebuilds the
-/// identical point grid from `(figure, effort, seed)` — a pure
+/// identical point grid from `(sweep, effort, seed)` — a pure
 /// function — so the wire format never has to serialize simulator
 /// configuration, and a stale or corrupt supervisor cannot ship a
 /// point the worker wouldn't itself derive.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardJob {
-    /// Catalogue id of the figure being swept, e.g. `"fig17"`.
-    pub figure: String,
+    /// The table being swept: `"q"` (figs 13–16) or `"delta"`
+    /// (figs 17–18).
+    pub sweep: String,
     /// The sweep's base seed.
     pub seed: u64,
     /// The sweep's effort preset.
     pub effort: Effort,
-    /// Index into the sweep's point grid.
+    /// Index into the table's point grid.
     pub point: u32,
     /// First run of this shard's range (inclusive).
     pub run0: u32,
@@ -49,18 +54,28 @@ pub struct ShardJob {
     pub run1: u32,
 }
 
-/// Every shard of one figure sweep, in fold order.
+impl ShardJob {
+    /// How many values the shard returns: one row of every table
+    /// column per run. This is the `expect` of its wire spec.
+    #[must_use]
+    pub fn reply_len(&self) -> usize {
+        self.run1.saturating_sub(self.run0) as usize * WIDTH
+    }
+}
+
+/// Every shard of the table one figure reads, in fold order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepManifest {
-    /// Catalogue id of the figure.
+    /// Catalogue id of the figure; it names the column assembled.
     pub figure: String,
     /// The sweep's base seed.
     pub seed: u64,
     /// The sweep's effort preset.
     pub effort: Effort,
-    /// Number of points in the sweep's grid.
+    /// Number of points in the table's grid.
     pub points: u32,
-    /// The shards, ordered by `(point, run0)` — the fold order.
+    /// The table's shards, ordered by `(point, run0)` — the fold order.
+    /// Figures of one table have equal shards.
     pub shards: Vec<ShardJob>,
 }
 
@@ -70,7 +85,7 @@ pub fn sweepable_figures() -> Vec<&'static str> {
     NET_SWEEPS.iter().map(|s| s.id).collect()
 }
 
-/// Builds the shard manifest of one figure sweep, or `None` when the
+/// Builds the shard manifest of one figure's table, or `None` when the
 /// id is not a shardable Section-5 figure.
 ///
 /// Shards are `(point, run-chunk)` slices at `RUN_CHUNK`
@@ -79,8 +94,8 @@ pub fn sweepable_figures() -> Vec<&'static str> {
 /// would schedule in-process, in the same order.
 #[must_use]
 pub fn sweep_manifest(figure: &str, effort: &Effort, seed: u64) -> Option<SweepManifest> {
-    let sweep = net_sweep(figure)?;
-    let points = sweep.points(effort, seed).len() as u32;
+    let axis = net_sweep(figure)?.axis;
+    let points = axis.points(effort, seed).len() as u32;
     let runs = effort.runs;
     let chunk = RUN_CHUNK as u32;
     let mut shards = Vec::new();
@@ -88,7 +103,7 @@ pub fn sweep_manifest(figure: &str, effort: &Effort, seed: u64) -> Option<SweepM
         let mut run0 = 0;
         while run0 < runs {
             shards.push(ShardJob {
-                figure: figure.to_string(),
+                sweep: axis.name().to_string(),
                 seed,
                 effort: *effort,
                 point,
@@ -107,22 +122,89 @@ pub fn sweep_manifest(figure: &str, effort: &Effort, seed: u64) -> Option<SweepM
     })
 }
 
-/// Executes one shard, returning the metric value of each run in
-/// `job.run0..job.run1`, in run order.
+/// How one queue sweeps a list of figures: each distinct table once.
+/// Built by [`plan_sweep`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepPlan {
+    /// The requested figures' manifests, in request order.
+    figures: Vec<SweepManifest>,
+    /// `table[i]` is the queue position of `figures[i]`'s table. Tables
+    /// are numbered in first-use order, so the queue is the shards of
+    /// each table's first figure.
+    table: Vec<usize>,
+}
+
+impl SweepPlan {
+    /// The queue: each distinct table's shards once, in first-use order.
+    #[must_use]
+    pub fn tables(&self) -> Vec<&[ShardJob]> {
+        self.figures()
+            .filter(|&(_, _, first)| first)
+            .map(|(manifest, _, _)| manifest.shards.as_slice())
+            .collect()
+    }
+
+    /// The requested figures in request order, each with its table's
+    /// position in [`Self::tables`] and whether it is the first figure
+    /// that reads the table.
+    pub fn figures(&self) -> impl Iterator<Item = (&SweepManifest, usize, bool)> {
+        self.figures
+            .iter()
+            .zip(&self.table)
+            .enumerate()
+            .map(|(i, (manifest, &t))| (manifest, t, !self.table[..i].contains(&t)))
+    }
+}
+
+/// Maps the requested figures to the distinct tables they read, so a
+/// queue runs each table once however many of its figures are asked
+/// for. Every manifest is built before anything runs, so a typo'd
+/// figure fails fast.
+///
+/// # Errors
+///
+/// Names the first figure that is not shardable.
+pub fn plan_sweep(figures: &[String], effort: &Effort, seed: u64) -> Result<SweepPlan, String> {
+    let mut plan = SweepPlan {
+        figures: Vec::with_capacity(figures.len()),
+        table: Vec::with_capacity(figures.len()),
+    };
+    let mut axes: Vec<SweepAxis> = Vec::new();
+    for fig in figures {
+        let manifest = sweep_manifest(fig, effort, seed).ok_or_else(|| {
+            format!(
+                "`{fig}` is not a shardable figure (choose from {:?})",
+                sweepable_figures()
+            )
+        })?;
+        let axis = net_sweep(fig).expect("a manifest names a figure").axis;
+        let t = axes.iter().position(|&a| a == axis).unwrap_or_else(|| {
+            axes.push(axis);
+            axes.len() - 1
+        });
+        plan.figures.push(manifest);
+        plan.table.push(t);
+    }
+    Ok(plan)
+}
+
+/// Executes one shard, returning one row per run in `job.run0..job.run1`,
+/// row-major: [`ShardJob::reply_len`] values.
 ///
 /// Pure in `job`: the point grid is rebuilt from the job's own
-/// `(figure, effort, seed)` and the runs re-derive their RNG streams
+/// `(sweep, effort, seed)` and the runs re-derive their RNG streams
 /// from `(point seed, run index)`, so executing the same job twice —
 /// or on two different machines — yields identical bits. Malformed
-/// jobs (unknown figure, an effort [`Effort::validate`] refuses, an
+/// jobs (unknown table, an effort [`Effort::validate`] refuses, an
 /// out-of-range point, a run window outside `0..runs` or longer than a
 /// manifest shard) are reported as `Err` before anything is allocated
 /// for them, so a worker process can refuse them over the wire and stay
 /// alive.
 pub fn run_sweep_shard(job: &ShardJob) -> Result<Vec<Option<f64>>, String> {
-    let sweep = net_sweep(&job.figure).ok_or_else(|| format!("unknown figure {}", job.figure))?;
+    let axis = SweepAxis::from_name(&job.sweep)
+        .ok_or_else(|| format!("unknown sweep table `{}`", job.sweep))?;
     job.effort.validate()?;
-    let points = sweep.points(&job.effort, job.seed);
+    let points = axis.points(&job.effort, job.seed);
     let pt = points
         .get(job.point as usize)
         .ok_or_else(|| format!("point {} out of range ({})", job.point, points.len()))?;
@@ -133,20 +215,21 @@ pub fn run_sweep_shard(job: &ShardJob) -> Result<Vec<Option<f64>>, String> {
             job.run0, job.run1, job.effort.runs
         ));
     }
-    Ok(sweep.run_chunk(pt, job.run0 as usize..job.run1 as usize))
+    let rows = SweepAxis::run_chunk(pt, job.run0 as usize..job.run1 as usize);
+    Ok(rows.into_iter().flatten().collect())
 }
 
 /// Folds per-shard value vectors (one per manifest shard, in manifest
-/// order) into the finished figure.
+/// order) into the manifest's figure, reading its column of each row.
 ///
-/// The regroup-and-fold is position-based: shard `i`'s values land in
+/// The regroup-and-fold is position-based: shard `i`'s rows land in
 /// the slot the manifest assigned them, so arrival order, retries, and
 /// worker identity are all invisible here — only the values matter.
 ///
 /// # Panics
 ///
 /// Panics if `shard_values` doesn't match the manifest shard-for-shard
-/// (count or per-shard run count) — the supervisor guarantees both
+/// (count or per-shard length) — the supervisor guarantees both
 /// before calling.
 #[must_use]
 pub fn assemble_sweep(
@@ -159,19 +242,20 @@ pub fn assemble_sweep(
         manifest.shards.len(),
         "one value vector per manifest shard"
     );
+    let col = sweep.column as usize;
     let mut per_point = vec![Vec::new(); manifest.points as usize];
     for (job, values) in manifest.shards.iter().zip(shard_values) {
         assert_eq!(
             values.len(),
-            (job.run1 - job.run0) as usize,
-            "shard {}..{} of point {} must return one value per run",
+            job.reply_len(),
+            "shard {}..{} of point {} must return one row per run",
             job.run0,
             job.run1,
             job.point
         );
-        per_point[job.point as usize].extend(values);
+        per_point[job.point as usize].extend(values.chunks_exact(WIDTH).map(|row| row[col]));
     }
-    sweep.assemble(&manifest.effort, &fold_point_values(per_point))
+    sweep.assemble(&manifest.effort, per_point)
 }
 
 #[cfg(test)]
@@ -229,11 +313,123 @@ mod tests {
     }
 
     #[test]
+    fn shard_replies_are_rows_of_every_column() {
+        let m = sweep_manifest("fig13", &effort(), 5).unwrap();
+        let job = &m.shards[3];
+        let values = run_sweep_shard(job).unwrap();
+        assert_eq!(values.len(), job.reply_len());
+        assert_eq!(job.reply_len(), (job.run1 - job.run0) as usize * WIDTH);
+        // Energy and delivery are measured on every run.
+        for row in values.chunks_exact(WIDTH) {
+            assert!(row[0].is_some() && row[3].is_some(), "{row:?}");
+        }
+    }
+
+    #[test]
+    fn figures_of_one_table_share_its_shards() {
+        let e = effort();
+        let shards = |fig: &str| sweep_manifest(fig, &e, 4).unwrap().shards;
+        for fig in ["fig14", "fig15", "fig16"] {
+            assert_eq!(shards(fig), shards("fig13"), "{fig}");
+        }
+        assert_eq!(shards("fig18"), shards("fig17"));
+        assert_ne!(shards("fig13"), shards("fig17"));
+        assert!(shards("fig13").iter().all(|j| j.sweep == "q"));
+        assert!(shards("fig17").iter().all(|j| j.sweep == "delta"));
+    }
+
+    fn all_figures() -> Vec<String> {
+        sweepable_figures()
+            .iter()
+            .map(ToString::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn six_figures_queue_two_tables_once() {
+        let e = Effort::paper();
+        let figures = all_figures();
+        let plan = plan_sweep(&figures, &e, 2005).unwrap();
+        let layout: Vec<(usize, bool)> = plan.figures().map(|(_, t, first)| (t, first)).collect();
+        assert_eq!(
+            layout,
+            [
+                (0, true),
+                (0, false),
+                (0, false),
+                (0, false),
+                (1, true),
+                (1, false)
+            ]
+        );
+        let lens: Vec<usize> = plan.tables().iter().map(|t| t.len()).collect();
+        // (4 p × 11 q + 2 baselines) and (5 series × 6 Δ) points, two
+        // run-chunks of 10 runs each.
+        assert_eq!(lens, [92, 60]);
+        assert_eq!(lens.iter().sum::<usize>(), 152);
+        let per_figure: usize = plan.figures().map(|(m, _, _)| m.shards.len()).sum();
+        assert_eq!(
+            per_figure, 488,
+            "one manifest per figure would ship this many"
+        );
+
+        // Request order is kept, and tables are numbered by first use.
+        let figures: Vec<String> = ["fig18", "fig13", "fig17"].map(String::from).into();
+        let plan = plan_sweep(&figures, &e, 1).unwrap();
+        let layout: Vec<(&str, usize, bool)> = plan
+            .figures()
+            .map(|(m, t, first)| (m.figure.as_str(), t, first))
+            .collect();
+        assert_eq!(
+            layout,
+            [("fig18", 0, true), ("fig13", 1, true), ("fig17", 0, false)]
+        );
+        let tables = plan.tables();
+        assert_eq!(tables[0], sweep_manifest("fig17", &e, 1).unwrap().shards);
+        assert_eq!(tables[1], sweep_manifest("fig13", &e, 1).unwrap().shards);
+
+        let err = plan_sweep(&["fig13".into(), "fig07".into()], &e, 1).unwrap_err();
+        assert!(err.contains("`fig07` is not a shardable figure"), "{err}");
+    }
+
+    #[test]
+    fn every_figure_assembles_from_its_shared_table() {
+        let e = Effort::quick();
+        let figures = all_figures();
+        let reference: [fn(&Effort, u64) -> pbbf_metrics::Figure; 6] = [
+            crate::fig13,
+            crate::fig14,
+            crate::fig15,
+            crate::fig16,
+            crate::fig17,
+            crate::fig18,
+        ];
+        for seed in [3, 2005] {
+            let plan = plan_sweep(&figures, &e, seed).unwrap();
+            let values: Vec<Vec<Vec<Option<f64>>>> = plan
+                .tables()
+                .iter()
+                .map(|shards| shards.iter().map(|j| run_sweep_shard(j).unwrap()).collect())
+                .collect();
+            for ((manifest, t, _), figure) in plan.figures().zip(reference) {
+                assert_eq!(
+                    assemble_sweep(manifest, values[t].clone()),
+                    figure(&e, seed),
+                    "{} seed {seed}",
+                    manifest.figure
+                );
+            }
+        }
+    }
+
+    #[test]
     fn malformed_shards_are_refused_not_fatal() {
         let e = effort();
         let mut job = sweep_manifest("fig18", &e, 1).unwrap().shards[0].clone();
-        job.figure = "fig99".into();
-        assert!(run_sweep_shard(&job).is_err());
+        job.sweep = "fig18".into();
+        assert!(run_sweep_shard(&job)
+            .unwrap_err()
+            .contains("unknown sweep table"));
 
         let mut job = sweep_manifest("fig18", &e, 1).unwrap().shards[0].clone();
         job.point = 10_000;
@@ -245,8 +441,9 @@ mod tests {
         job.run1 = job.run0;
         assert!(run_sweep_shard(&job).is_err());
 
-        // Durations `SimTime` cannot hold, and ones no run can use.
-        for secs in [-5.0, 0.0, 1e300] {
+        // Durations `SimTime` cannot hold, ones no run can use, and ones
+        // whose per-update buffers would need gigabytes.
+        for secs in [-5.0, 0.0, 1e300, 1e10, 1.8e10] {
             let mut job = sweep_manifest("fig18", &e, 1).unwrap().shards[0].clone();
             job.effort.net_duration_secs = secs;
             let err = run_sweep_shard(&job).unwrap_err();

@@ -124,15 +124,25 @@ impl NetConfig {
         }
     }
 
-    /// Checks a simulated duration in seconds: finite, above zero, and
-    /// within the simulator clock's range (u64 nanoseconds, ~584
-    /// years), so it can never panic [`SimTime`]. The one rule behind
-    /// `pbbf net --duration` and every sweep shard's effort.
+    /// Most node-updates one run may record (`nodes ×`
+    /// [`Self::expected_updates`]): 2^20. Each holds a 16-byte
+    /// first-reception slot in [`crate::NetRunStats`], and the run
+    /// pre-sizes its per-update buffers from the expected count.
+    pub const MAX_NODE_UPDATES: u64 = 1 << 20;
+
+    /// Checks a configuration from outside before [`crate::NetSim::new`]:
+    /// a duration that is finite, above zero and within the simulator
+    /// clock's range (u64 nanoseconds, ~584 years), so it can never
+    /// panic [`SimTime`], and at most [`Self::MAX_NODE_UPDATES`]
+    /// node-updates. An allocation that fails aborts the process, and no
+    /// caller can catch that. The one rule behind `pbbf net --duration`
+    /// and every sweep shard's effort.
     ///
     /// # Errors
     ///
-    /// Says which condition `secs` breaks.
-    pub fn check_duration_secs(secs: f64) -> Result<(), String> {
+    /// Says which bound the configuration breaks.
+    pub fn validate(&self) -> Result<(), String> {
+        let secs = self.duration_secs;
         if !secs.is_finite() || secs <= 0.0 {
             return Err(format!("must be a positive finite number, got `{secs}`"));
         }
@@ -140,6 +150,16 @@ impl NetConfig {
         if secs > max_secs {
             return Err(format!(
                 "{secs:e} s is past the simulator's {max_secs:.3e} s time range"
+            ));
+        }
+        let updates = self.expected_updates();
+        let node_updates = (self.nodes as u64).saturating_mul(u64::from(updates));
+        if node_updates > Self::MAX_NODE_UPDATES {
+            return Err(format!(
+                "{secs:e} s is {updates} updates to {} nodes, {node_updates} node-updates, \
+                 past the budget of {}",
+                self.nodes,
+                Self::MAX_NODE_UPDATES
             ));
         }
         Ok(())
@@ -184,6 +204,30 @@ mod tests {
         assert_eq!(c.expected_updates(), 10);
         c.duration_secs = 0.1;
         assert_eq!(c.expected_updates(), 0);
+    }
+
+    #[test]
+    fn validate_admits_every_preset_and_bounds_the_work() {
+        let with = |duration_secs: f64| NetConfig {
+            duration_secs,
+            ..NetConfig::table2()
+        };
+        for ok in [500.0, 200.0, 7200.0, 0.1] {
+            assert_eq!(with(ok).validate(), Ok(()), "{ok}");
+        }
+        // 50 nodes × 20971 updates fits 2^20; one more update does not.
+        assert_eq!(with(2_097_050.0).expected_updates(), 20_971);
+        assert_eq!(with(2_097_050.0).validate(), Ok(()));
+        let err = with(2_097_150.0).validate().unwrap_err();
+        assert!(err.contains("1048600 node-updates"), "{err}");
+        for bad in [0.0, -5.0, f64::NAN, f64::INFINITY, 1e300] {
+            let err = with(bad).validate().unwrap_err();
+            assert!(!err.contains("node-updates"), "{bad}: {err}");
+        }
+        for huge in [1e10, 1.8e10] {
+            let err = with(huge).validate().unwrap_err();
+            assert!(err.contains("past the budget"), "{huge}: {err}");
+        }
     }
 
     #[test]

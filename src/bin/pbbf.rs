@@ -13,29 +13,31 @@
 //! pbbf worker    --listen 0.0.0.0:7801          ... serving over TCP instead
 //! ```
 //!
-//! `sweep` shards a figure's Monte Carlo runs across `worker` child
-//! processes — and, with `--hosts`, across remote `worker --listen`
-//! processes over TCP — through the fault-tolerant fabric
-//! (`pbbf-fabric`). All requested figures run as one queue on a single
-//! fleet (`pbbf_fabric::run_queue`), so remote workers keep their
-//! deployment caches warm from figure to figure; the stdout
-//! is byte-identical to `reproduce` of the same figures in the same
-//! order, which CI enforces under injected worker faults and a
-//! kill -9'd TCP worker (see `docs/OPERATIONS.md`). Argument parsing is
-//! deliberately dependency-free (the offline crate budget is spent on
-//! simulation, not flag handling), but strict: every command declares
-//! its flag set and rejects strays instead of silently defaulting.
+//! `sweep` shards the Monte Carlo runs of a figure's table across
+//! `worker` child processes — and, with `--hosts`, across remote
+//! `worker --listen` processes over TCP — through the fault-tolerant
+//! fabric (`pbbf-fabric`). All requested figures run as one queue on a
+//! single fleet (`pbbf_fabric::run_queue`) that holds each distinct
+//! table once (figs 13–16 share the Q table, figs 17–18 the Δ table),
+//! so remote workers keep their deployment caches warm from table to
+//! table; the stdout is byte-identical to `reproduce` of the same
+//! figures in the same order, which CI enforces under injected worker
+//! faults and a kill -9'd TCP worker (see `docs/OPERATIONS.md`).
+//! Argument parsing is deliberately dependency-free (the offline crate
+//! budget is spent on simulation, not flag handling), but strict: every
+//! command declares its flag set and rejects strays instead of silently
+//! defaulting.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::time::Duration;
 
 use pbbf::prelude::*;
-use pbbf_experiments::sweep::{assemble_sweep, run_sweep_shard, sweep_manifest, ShardJob};
+use pbbf_experiments::sweep::{assemble_sweep, plan_sweep, run_sweep_shard, ShardJob};
 use pbbf_fabric::fault::FaultPlan;
 use pbbf_fabric::{
     run_queue, CacheTelemetry, Endpoint, FleetFactory, ServeOptions, ShardInput, SweepOptions,
-    TcpOptions,
+    SweepStats, TcpOptions,
 };
 use pbbf_ideal_sim::IdealConfigError;
 
@@ -81,7 +83,7 @@ fn print_help() {
          \x20 reproduce  [--paper] [--plot] [--seed <n>] [table1 fig04 ... fig18]\n\
          \x20 sweep      [--paper] [--seed <n>] [--workers <n>] [--hosts <h:p,...>]\n\
          \x20            [--figs fig13,fig17,...] [--shard-timeout <s>] [--liveness <s>]\n\
-         \x20            [fig13 ... fig18]        (all figures share one resident fleet)\n\
+         \x20            [fig13 ... fig18]        (one fleet; each table swept once)\n\
          \x20 worker     executes sweep shards from stdin (internal), or over TCP with\n\
          \x20            [--listen <addr:port>] [--heartbeat <s>] [--once]\n\
          \x20 help\n\n\
@@ -357,12 +359,13 @@ fn cmd_net(args: &[String]) -> Result<(), String> {
 
 /// The Table-2 scenario with `pbbf net`'s `--delta` and `--duration`
 /// applied. Both must be positive and finite, and the duration must fit
-/// the simulator's clock ([`NetConfig::check_duration_secs`]).
+/// the simulator's clock and work budget ([`NetConfig::validate`]; the
+/// node count is fixed, so only the duration can break it).
 fn net_config(flags: &HashMap<String, String>) -> Result<NetConfig, String> {
     let mut cfg = NetConfig::table2();
     cfg.delta = get_positive(flags, "delta", 10.0)?;
     cfg.duration_secs = get_f64(flags, "duration", Some(500.0))?;
-    NetConfig::check_duration_secs(cfg.duration_secs).map_err(|e| format!("--duration: {e}"))?;
+    cfg.validate().map_err(|e| format!("--duration: {e}"))?;
     Ok(cfg)
 }
 
@@ -560,7 +563,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         Effort::quick()
     };
     let seed = get_u64(&flags, "seed", 2005)?;
-    let sweepable = pbbf_experiments::sweep::sweepable_figures();
     // `--figs a,b,c` and bare positionals are the same request; the
     // flag form exists so scripts can say "these figures, one fleet"
     // in a single token. No figures at all means every sweepable one.
@@ -569,7 +571,10 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         figures.extend(parse_figs(spec)?);
     }
     if figures.is_empty() {
-        figures = sweepable.iter().map(ToString::to_string).collect();
+        figures = pbbf_experiments::sweep::sweepable_figures()
+            .iter()
+            .map(ToString::to_string)
+            .collect();
     }
     let hosts = match flags.get("hosts") {
         Some(spec) => parse_hosts(spec)?,
@@ -578,25 +583,26 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let (remote, local) = plan_fleet(&flags, &hosts)?;
     // Every manifest is built before any fleet is spawned: a typo'd
     // figure must fail fast, not after minutes of sweeping.
-    let mut manifests = Vec::with_capacity(figures.len());
-    for fig in &figures {
-        manifests.push(sweep_manifest(fig, &effort, seed).ok_or_else(|| {
-            format!("`{fig}` is not a shardable figure (choose from {sweepable:?})")
-        })?);
-    }
-    let queue: Vec<Vec<ShardInput>> = manifests
+    let plan = plan_sweep(&figures, &effort, seed)?;
+    // Figures of one table share its shards, so the queue runs each
+    // table once (figs 13–16 one Q table, figs 17–18 one Δ table).
+    let queue: Vec<Vec<ShardInput>> = plan
+        .tables()
         .iter()
-        .map(|m| {
-            m.shards
+        .map(|shards| {
+            shards
                 .iter()
                 .map(|j| ShardInput {
                     job: serde::to_value(j),
-                    expect: (j.run1 - j.run0) as usize,
+                    expect: j.reply_len(),
                 })
                 .collect()
         })
         .collect();
     let total_shards: usize = queue.iter().map(Vec::len).sum();
+    // A slot past the last shard would sit idle, so a huge `--workers`
+    // spawns (and lists) no more local workers than there are shards.
+    let local = local.min(total_shards);
     let opts = SweepOptions {
         workers: (remote + local).clamp(1, total_shards.max(1)),
         shard_timeout: get_secs(&flags, "shard-timeout", 120.0)?,
@@ -614,7 +620,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         tcp: TcpOptions::default(),
     };
     // ONE fleet serves the whole queue: workers — and their deployment
-    // caches — survive from figure to figure instead of being respawned
+    // caches — survive from table to table instead of being respawned
     // per sweep.
     let mut slots: Vec<Vec<Option<Vec<Option<f64>>>>> = queue
         .iter()
@@ -629,15 +635,35 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             slots[sweep][shard] = Some(values);
         },
     )?;
-    for (i, (fig, manifest)) in figures.iter().zip(&manifests).enumerate() {
-        eprintln!("pbbf sweep: {fig}: {}", stats[i]);
-        let values = std::mem::take(&mut slots[i])
-            .into_iter()
-            .map(|s| s.expect("a completed queue settles every shard"))
-            .collect();
+    let tables: Vec<Vec<Vec<Option<f64>>>> = slots
+        .into_iter()
+        .map(|table| {
+            table
+                .into_iter()
+                .map(|s| s.expect("a completed queue settles every shard"))
+                .collect()
+        })
+        .collect();
+    for (manifest, t, first) in plan.figures() {
+        // A table's first figure carries its stats; a later figure of
+        // the same table did no shard work, so its line reports only
+        // the fleet and the per-line sums stay exact.
+        let line = if first {
+            stats[t]
+        } else {
+            SweepStats {
+                workers_spawned: stats[t].workers_spawned,
+                spawn_failures: stats[t].spawn_failures,
+                ..SweepStats::default()
+            }
+        };
+        eprintln!("pbbf sweep: {}: {line}", manifest.figure);
         // Byte-identical to `reproduce`'s figure path: same renderer,
         // same println, same figure order.
-        println!("{}", assemble_sweep(manifest, values).render_text());
+        println!(
+            "{}",
+            assemble_sweep(manifest, tables[t].clone()).render_text()
+        );
     }
     Ok(())
 }
@@ -784,14 +810,15 @@ mod tests {
 
     #[test]
     fn net_duration_must_fit_the_simulator_clock() {
-        for bad in ["0", "-5", "inf", "nan", "1e300", "2e10"] {
+        // Past the clock, or inside it but past the work budget.
+        for bad in ["0", "-5", "inf", "nan", "1e300", "2e10", "1.8e10", "1e10"] {
             let flags: HashMap<_, _> = [("duration".to_string(), bad.to_string())].into();
             let err = net_config(&flags).unwrap_err();
             assert!(err.contains("--duration"), "{bad}: {err}");
         }
         let cfg = net_config(&HashMap::new()).unwrap();
         assert_eq!((cfg.delta, cfg.duration_secs), (10.0, 500.0));
-        let flags: HashMap<_, _> = [("duration".to_string(), "1e10".to_string())].into();
-        assert_eq!(net_config(&flags).unwrap().duration_secs, 1e10);
+        let flags: HashMap<_, _> = [("duration".to_string(), "1e6".to_string())].into();
+        assert_eq!(net_config(&flags).unwrap().duration_secs, 1e6);
     }
 }

@@ -1,6 +1,7 @@
 //! Bad flag values against the real `pbbf` binary: each one exits 1
-//! with an `error:` line naming the flag. None may panic (exit 101) or
-//! be silently wrapped into a different value.
+//! with an `error:` line naming the flag, or, where a value is only
+//! larger than needed, runs as usual. None may panic (exit 101), abort
+//! (exit 134) or be silently wrapped into a different value.
 
 use std::process::Command;
 
@@ -35,7 +36,16 @@ const BAD_INVOCATIONS: &[(&str, &str)] = &[
     ("ideal --p .5 --q .5 --grid 70000", "--grid"),
     ("boundary --grid 100000", "--grid"),
     ("ideal --p .5 --q .5 --grid 5 --updates 0", "--updates"),
+    // Work past the net-sim budget: 1e10 s ran on past 10 s, and
+    // 1.8e10 s aborted on a 4.3 GB per-update buffer.
+    ("net --p .25 --q .25 --duration 1e10", "--duration"),
+    ("net --p .25 --q .25 --duration 1.8e10", "--duration"),
 ];
+
+/// `--workers` values past any shard count: each once panicked on
+/// capacity overflow or aborted on a 24 GB endpoint list. A fleet is
+/// never larger than its queue, so each sweep must run as usual.
+const HUGE_FLEETS: &[&str] = &["18446744073709551615", "1000000000"];
 
 #[test]
 fn bad_flag_values_exit_1_with_an_error_line() {
@@ -52,5 +62,28 @@ fn bad_flag_values_exit_1_with_an_error_line() {
         );
         assert!(!stderr.contains("panicked"), "pbbf {args}:\n{stderr}");
         assert!(out.stdout.is_empty(), "pbbf {args} printed a result");
+    }
+}
+
+#[test]
+fn huge_worker_counts_sweep_like_reproduce() {
+    let reproduce = Command::new(env!("CARGO_BIN_EXE_pbbf"))
+        .args(["reproduce", "fig13"])
+        .output()
+        .expect("spawn pbbf");
+    assert!(reproduce.status.success());
+    for workers in HUGE_FLEETS {
+        // A 4 GB address-space cap turns a regression back to a huge
+        // allocation into an abort here rather than a host-wide OOM.
+        let out = Command::new("sh")
+            .args(["-c", "ulimit -v 4000000 && exec \"$0\" \"$@\""])
+            .arg(env!("CARGO_BIN_EXE_pbbf"))
+            .args(["sweep", "--figs", "fig13", "--workers", workers])
+            .env_remove("PBBF_FAULT")
+            .output()
+            .expect("spawn sh");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "--workers {workers}:\n{stderr}");
+        assert_eq!(out.stdout, reproduce.stdout, "--workers {workers}");
     }
 }

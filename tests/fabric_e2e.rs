@@ -92,28 +92,100 @@ fn multi_figure_resident_sweep_is_bitwise_identical() {
 
 #[test]
 fn multi_figure_sweep_survives_injected_faults_bitwise() {
-    let clean = run(&["reproduce", "fig13", FIGURE, "--seed", SEED], &[]);
-    // Faults land mid-queue on global shard ids: a crash early (first
-    // figure's range) and a corruption later. Retries cross the sweep
-    // boundary on the same resident workers; the bytes must not move.
-    let swept = run(
-        &[
-            "sweep",
-            "--figs",
-            &format!("fig13,{FIGURE}"),
-            "--seed",
-            SEED,
-            "--workers",
-            "3",
-            "--shard-timeout",
-            "5",
-        ],
-        &[("PBBF_FAULT", "crash:1,corrupt:7")],
-    );
+    // Faults land mid-queue on queue positions: a crash and a corruption
+    // in the Q table (quick effort: positions 0–25) and a corruption in
+    // the Δ table after it. Retries cross the table boundary on the same
+    // resident workers; the bytes must not move. The second row shares
+    // the Q table between two figures, so one faulted table feeds both.
+    for figs in [vec!["fig13", FIGURE], vec!["fig13", "fig14", FIGURE]] {
+        let mut reproduce = vec!["reproduce"];
+        reproduce.extend(&figs);
+        reproduce.extend(["--seed", SEED]);
+        let clean = run(&reproduce, &[]);
+        let swept = run(
+            &[
+                "sweep",
+                "--figs",
+                &figs.join(","),
+                "--seed",
+                SEED,
+                "--workers",
+                "3",
+                "--shard-timeout",
+                "5",
+            ],
+            &[("PBBF_FAULT", "crash:1,corrupt:7,corrupt:30")],
+        );
+        assert_eq!(
+            swept, clean,
+            "faulted resident sweep of {figs:?} diverged from reproduce"
+        );
+    }
+}
+
+/// The stats line's wording with every number replaced by `#`.
+const STATS_TEMPLATE: &str = "workers # (+# spawn failures), retries #, crashes #, timeouts #, \
+                              corrupt #, refused #, quarantined #, in-process shards #, \
+                              hosts lost #, reconnects #, deploy cache #/# hit/miss (+# evicted)";
+
+/// `line` with every run of digits replaced by one `#`.
+fn shape(line: &str) -> String {
+    let mut out = String::with_capacity(line.len());
+    for ch in line.chars() {
+        if !ch.is_ascii_digit() {
+            out.push(ch);
+        } else if !out.ends_with('#') {
+            out.push('#');
+        }
+    }
+    out
+}
+
+#[test]
+fn six_figure_sweep_runs_each_table_once_with_one_stats_line_per_figure() {
+    let figs = ["fig13", "fig14", "fig15", "fig16", "fig17", "fig18"];
+    let mut reproduce = vec!["reproduce"];
+    reproduce.extend(figs);
+    reproduce.extend(["--seed", SEED]);
+    let clean = run(&reproduce, &[]);
+    let out = pbbf()
+        .args(["sweep", "--figs", &figs.join(","), "--seed", SEED])
+        .args(["--workers", "3"])
+        .env_remove("PBBF_FAULT")
+        .output()
+        .expect("spawn pbbf");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}:\n{stderr}", out.status);
     assert_eq!(
-        swept, clean,
-        "faulted resident sweep diverged from reproduce"
+        out.stdout, clean,
+        "six-figure sweep diverged from reproduce"
     );
+
+    let lines: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("pbbf sweep: "))
+        .collect();
+    assert_eq!(
+        lines.len(),
+        figs.len(),
+        "one stats line per figure:\n{stderr}"
+    );
+    for (line, fig) in lines.iter().zip(figs) {
+        let body = line
+            .strip_prefix(&format!("pbbf sweep: {fig}: "))
+            .unwrap_or_else(|| panic!("{fig}'s line out of order: {line}"));
+        assert_eq!(shape(body), STATS_TEMPLATE, "{line}");
+        assert!(
+            body.starts_with("workers 3 (+0 spawn failures), retries 0,"),
+            "{line}"
+        );
+        // Figs 14–16 read fig13's table and fig18 reads fig17's, so
+        // their lines report the fleet and no shard work.
+        if !["fig13", "fig17"].contains(&fig) {
+            assert!(body.contains("in-process shards 0,"), "{line}");
+            assert!(body.contains("deploy cache 0/0 hit/miss"), "{line}");
+        }
+    }
 }
 
 #[test]
@@ -137,16 +209,17 @@ fn first_shard_spec() -> ShardSpec {
     ShardSpec {
         id: 0,
         attempt: 0,
-        expect: job.run1 - job.run0,
+        expect: job.reply_len() as u32,
         job: serde::to_value(job),
     }
 }
 
-/// Specs a worker must refuse, as shards 1–5, each with the text its
+/// Specs a worker must refuse, as shards 1–6, each with the text its
 /// refusal must contain: a simulated duration no run can use (`-5`,
-/// `0`) or the simulator clock cannot hold (`1e300`), a fig13 q axis
-/// whose point grid would need ~32 GB, and a run range whose values
-/// would need ~64 GB.
+/// `0`), the simulator clock cannot hold (`1e300`), or whose per-update
+/// buffers would need ~4 GB (`1.8e10`, past the net-sim work budget), a
+/// fig13 q axis whose point grid would need ~32 GB, and a run range
+/// whose values would need ~64 GB.
 fn refused_specs() -> Vec<(ShardSpec, &'static str)> {
     let first = |figure: &str| {
         sweep_manifest(figure, &Effort::quick(), 11)
@@ -155,15 +228,15 @@ fn refused_specs() -> Vec<(ShardSpec, &'static str)> {
             .clone()
     };
     let mut jobs = Vec::new();
-    for secs in [-5.0, 0.0, 1e300] {
+    for secs in [-5.0, 0.0, 1e300, 1.8e10] {
         let mut job = first(FIGURE);
         job.effort.net_duration_secs = secs;
-        let expect = job.run1 - job.run0;
+        let expect = job.reply_len() as u32;
         jobs.push((job, expect, "net_duration_secs"));
     }
     let mut job = first("fig13");
     job.effort.q_points = 4_000_000_000;
-    let expect = job.run1 - job.run0;
+    let expect = job.reply_len() as u32;
     jobs.push((job, expect, "q_points"));
     let mut job = first("fig13");
     job.effort.runs = 4_000_000_000;
