@@ -11,19 +11,20 @@
 //! confidence intervals ([`fold_point_values`]) and lays them out as
 //! series.
 //!
-//! The in-process fan-out ([`NetSweep::run`]) and the distributed sweep
-//! fabric (`crate::sweep`, executed by `pbbf worker` processes) share
-//! every stage except scheduling, so `pbbf sweep` can run each table
-//! once and assemble every figure that reads it. A chunk's rows depend
-//! only on `(axis, effort, seed, point, run range)`, and the fold
-//! consumes them in manifest order, so *where* a chunk ran — this
-//! thread pool, another process, a retried worker — cannot change a
-//! figure's bytes.
+//! Every figure runs as shards of its table (`crate::sweep`): in-process
+//! ([`NetSweep::run`], what `pbbf reproduce` calls) the shards fan
+//! across threads; under `pbbf sweep` they run on `pbbf worker`
+//! processes, each table once for every figure that reads it. A shard's
+//! rows depend only on `(axis, effort, seed, point, run range)`, and
+//! the fold consumes them in manifest order, so *where* a shard ran —
+//! this thread pool, another process, a retried worker — cannot change
+//! a figure's bytes.
 
 use pbbf_core::PbbfParams;
 use pbbf_metrics::{ConfidenceInterval, Figure, Series, Summary};
 use pbbf_net_sim::{DeploymentCache, NetConfig, NetMode, NetRunStats, NetSim};
 
+use crate::sweep::{assemble_sweep, run_sweep_shard, sweep_manifest};
 use crate::{mix, Effort};
 
 /// Salt of the deployment-seed stream. Every protocol mode of a sweep
@@ -68,13 +69,12 @@ pub(crate) struct NetPoint {
 }
 
 /// The scheduling granularity of a sweep's Monte Carlo fan-out: runs per
-/// `(point, run-chunk)` job. One chunk amortizes its point lookup and
-/// simulator construction over several runs, while the paper-scale
-/// sweeps (points × runs/chunk jobs) still oversubscribe every thread
-/// budget the CI matrix uses. The distributed sweep fabric shards at the
-/// same granularity ([`crate::sweep::sweep_manifest`]), so a shard and an
-/// in-process chunk job are the same unit of work — changing the value
-/// reshapes both.
+/// `(point, run-chunk)` shard ([`crate::sweep::sweep_manifest`]). One
+/// shard amortizes its point lookup and simulator construction over
+/// several runs, while the paper-scale sweeps (points × runs/chunk
+/// shards) still oversubscribe every thread budget the CI matrix uses.
+/// Threads and worker processes run the same shards, so changing the
+/// value reshapes both.
 pub(crate) const RUN_CHUNK: usize = 8;
 
 /// The metrics a table row holds, one per column, in row order. Each
@@ -204,9 +204,9 @@ impl SweepAxis {
     }
 
     /// Executes runs `rs` of one point, returning one [`Row`] per run in
-    /// run order. This is the unit the fabric ships to worker processes
-    /// and the chunk job of the in-process fan-out — one code path, so a
-    /// shard re-executed anywhere is bitwise identical.
+    /// run order: the body of every shard, on a thread or in a worker
+    /// process — one code path, so a shard re-executed anywhere is
+    /// bitwise identical.
     ///
     /// Each run's RNG stream depends only on `(point seed, run index)`.
     /// Deployments resolve through the process-wide registry
@@ -228,22 +228,6 @@ impl SweepAxis {
             row(&sim.run_on(mix(pt.seed, r as u64), &deployment))
         })
         .collect()
-    }
-
-    /// Runs the whole table in-process, returning each point's rows in
-    /// run order: one flat `(point, run-chunk)` job list fanned across
-    /// threads ([`pbbf_parallel::par_run_grouped_chunked`]). Chunk
-    /// boundaries are a pure function of `(runs, RUN_CHUNK)`, so the
-    /// rows are bitwise identical for any thread count — and to a
-    /// distributed sweep of the same table.
-    pub(crate) fn table(self, effort: &Effort, seed: u64) -> Vec<Vec<Row>> {
-        let points = self.points(effort, seed);
-        pbbf_parallel::par_run_grouped_chunked(
-            points.len(),
-            effort.runs as usize,
-            RUN_CHUNK,
-            |pi, rs| Self::run_chunk(&points[pi], rs),
-        )
     }
 }
 
@@ -368,18 +352,24 @@ impl NetSweep {
         Figure::new(self.title, self.x_label, self.y_label, series)
     }
 
-    /// Runs the figure in-process: its axis's table, then its column
-    /// folded and assembled. The same rows a distributed sweep of the
-    /// table returns, so the bytes match `pbbf sweep`'s.
+    /// Runs the figure in-process: its manifest's shards fanned across
+    /// threads ([`pbbf_parallel::par_map`]), then its column folded and
+    /// assembled. The same shards and the same fold as `pbbf sweep`, so
+    /// the bytes match for any thread or worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`Effort::validate`]'s message on an effort it
+    /// refuses.
     pub(crate) fn run(&self, effort: &Effort, seed: u64) -> Figure {
-        let col = self.column as usize;
-        let column = self
-            .axis
-            .table(effort, seed)
-            .into_iter()
-            .map(|rows| rows.iter().map(|row| row[col]).collect())
-            .collect();
-        self.assemble(effort, column)
+        if let Err(e) = effort.validate() {
+            panic!("{}: {e}", self.id);
+        }
+        let manifest = sweep_manifest(self.id, effort, seed).expect("a catalogue figure");
+        let values = pbbf_parallel::par_map(manifest.shards.iter().collect(), |job| {
+            run_sweep_shard(job).expect("a validated effort's shards run")
+        });
+        assemble_sweep(&manifest, values)
     }
 }
 

@@ -1,27 +1,30 @@
 //! Shard manifests for the distributed sweep fabric.
 //!
-//! `pbbf sweep` shards the Section-5 figures across worker processes.
-//! A shard is a slice of a *table*, not of a figure: figs 13–16 read
-//! columns of the Q-axis table and figs 17–18 columns of the Δ table
+//! Every Section-5 figure runs through here, in-process or not. A shard
+//! is a slice of a *table*, not of a figure: figs 13–16 read columns of
+//! the Q-axis table and figs 17–18 columns of the Δ table
 //! (`crate::net_figs`), so a shard returns one row per run holding every
 //! column, `(run1 − run0) ×` [`ShardJob::reply_len`]'s row width values,
 //! row-major. The contract that makes this bitwise-safe lives here: a
 //! [`SweepManifest`] names every `(point, run-range)` chunk of a figure's
-//! table in the same order `NetSweep::run` schedules them in-process,
-//! each [`ShardJob`] carries everything needed to recompute its rows
-//! from scratch (`sweep`, `effort`, `seed`, point index, run range — all
-//! pure inputs), and [`assemble_sweep`] folds the figure's column back
-//! in manifest order. Any executor that returns each shard's exact
-//! values — whichever process ran it, however many times it was retried
-//! — therefore reproduces the single-process figure byte for byte.
+//! table in fold order, each [`ShardJob`] carries everything needed to
+//! recompute its rows from scratch (`sweep`, `effort`, `seed`, point
+//! index, run range — all pure inputs), and [`assemble_sweep`] folds the
+//! figure's column back in manifest order. `NetSweep::run` (what
+//! `pbbf reproduce` calls) fans a manifest's shards across threads; any
+//! other executor that returns each shard's exact values — whichever
+//! process ran it, however many times it was retried — therefore
+//! reproduces the same figure byte for byte.
 //!
 //! The same property makes tables freely *queueable* and *shareable*:
 //! each job is self-contained, and figures of one table have equal
-//! shards. [`plan_sweep`] maps the figures of one `pbbf sweep` queue
-//! (backed by `pbbf-fabric`'s `run_queue`) to their distinct tables, so
-//! the queue runs each table once on one worker fleet, streams shards
-//! back in completion order, and still assembles every figure as if it
-//! had run alone.
+//! shards. [`plan_sweep`] maps the figures of one `pbbf sweep` to one
+//! flat queue holding each distinct table once, plus each figure's range
+//! of it. `pbbf-fabric`'s `run_queue` runs that queue on one worker
+//! fleet and returns the values in queue order, and every figure
+//! assembles from its range as if it had run alone.
+
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -89,9 +92,7 @@ pub fn sweepable_figures() -> Vec<&'static str> {
 /// id is not a shardable Section-5 figure.
 ///
 /// Shards are `(point, run-chunk)` slices at `RUN_CHUNK`
-/// granularity — exactly the job list
-/// [`par_run_grouped_chunked`](pbbf_parallel::par_run_grouped_chunked)
-/// would schedule in-process, in the same order.
+/// granularity, ordered by point, then by run.
 #[must_use]
 pub fn sweep_manifest(figure: &str, effort: &Effort, seed: u64) -> Option<SweepManifest> {
     let axis = net_sweep(figure)?.axis;
@@ -126,66 +127,44 @@ pub fn sweep_manifest(figure: &str, effort: &Effort, seed: u64) -> Option<SweepM
 /// Built by [`plan_sweep`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepPlan {
-    /// The requested figures' manifests, in request order.
-    figures: Vec<SweepManifest>,
-    /// `table[i]` is the queue position of `figures[i]`'s table. Tables
-    /// are numbered in first-use order, so the queue is the shards of
-    /// each table's first figure.
-    table: Vec<usize>,
-}
-
-impl SweepPlan {
     /// The queue: each distinct table's shards once, in first-use order.
-    #[must_use]
-    pub fn tables(&self) -> Vec<&[ShardJob]> {
-        self.figures()
-            .filter(|&(_, _, first)| first)
-            .map(|(manifest, _, _)| manifest.shards.as_slice())
-            .collect()
-    }
-
-    /// The requested figures in request order, each with its table's
-    /// position in [`Self::tables`] and whether it is the first figure
-    /// that reads the table.
-    pub fn figures(&self) -> impl Iterator<Item = (&SweepManifest, usize, bool)> {
-        self.figures
-            .iter()
-            .zip(&self.table)
-            .enumerate()
-            .map(|(i, (manifest, &t))| (manifest, t, !self.table[..i].contains(&t)))
-    }
+    pub queue: Vec<ShardJob>,
+    /// The requested figures in request order, each with the range of
+    /// [`Self::queue`] that holds its table's shards.
+    pub figures: Vec<(SweepManifest, Range<usize>)>,
 }
 
 /// Maps the requested figures to the distinct tables they read, so a
 /// queue runs each table once however many of its figures are asked
-/// for. Every manifest is built before anything runs, so a typo'd
-/// figure fails fast.
+/// for. The ids are already resolved: the caller refuses an unknown
+/// one before planning.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Names the first figure that is not shardable.
-pub fn plan_sweep(figures: &[String], effort: &Effort, seed: u64) -> Result<SweepPlan, String> {
+/// If a figure is not one of [`sweepable_figures`].
+#[must_use]
+pub fn plan_sweep(figures: &[&str], effort: &Effort, seed: u64) -> SweepPlan {
     let mut plan = SweepPlan {
+        queue: Vec::new(),
         figures: Vec::with_capacity(figures.len()),
-        table: Vec::with_capacity(figures.len()),
     };
-    let mut axes: Vec<SweepAxis> = Vec::new();
+    let mut tables: Vec<(SweepAxis, Range<usize>)> = Vec::new();
     for fig in figures {
-        let manifest = sweep_manifest(fig, effort, seed).ok_or_else(|| {
-            format!(
-                "`{fig}` is not a shardable figure (choose from {:?})",
-                sweepable_figures()
-            )
-        })?;
+        let manifest = sweep_manifest(fig, effort, seed)
+            .unwrap_or_else(|| panic!("`{fig}` is not a shardable figure"));
         let axis = net_sweep(fig).expect("a manifest names a figure").axis;
-        let t = axes.iter().position(|&a| a == axis).unwrap_or_else(|| {
-            axes.push(axis);
-            axes.len() - 1
-        });
-        plan.figures.push(manifest);
-        plan.table.push(t);
+        let range = match tables.iter().find(|(a, _)| *a == axis) {
+            Some((_, range)) => range.clone(),
+            None => {
+                let start = plan.queue.len();
+                plan.queue.extend_from_slice(&manifest.shards);
+                tables.push((axis, start..plan.queue.len()));
+                start..plan.queue.len()
+            }
+        };
+        plan.figures.push((manifest, range));
     }
-    Ok(plan)
+    plan
 }
 
 /// Executes one shard, returning one row per run in `job.run0..job.run1`,
@@ -338,64 +317,59 @@ mod tests {
         assert!(shards("fig17").iter().all(|j| j.sweep == "delta"));
     }
 
-    fn all_figures() -> Vec<String> {
-        sweepable_figures()
-            .iter()
-            .map(ToString::to_string)
-            .collect()
-    }
-
     #[test]
     fn six_figures_queue_two_tables_once() {
         let e = Effort::paper();
-        let figures = all_figures();
-        let plan = plan_sweep(&figures, &e, 2005).unwrap();
-        let layout: Vec<(usize, bool)> = plan.figures().map(|(_, t, first)| (t, first)).collect();
-        assert_eq!(
-            layout,
-            [
-                (0, true),
-                (0, false),
-                (0, false),
-                (0, false),
-                (1, true),
-                (1, false)
-            ]
-        );
-        let lens: Vec<usize> = plan.tables().iter().map(|t| t.len()).collect();
+        let figures = sweepable_figures();
+        let plan = plan_sweep(&figures, &e, 2005);
         // (4 p × 11 q + 2 baselines) and (5 series × 6 Δ) points, two
         // run-chunks of 10 runs each.
-        assert_eq!(lens, [92, 60]);
-        assert_eq!(lens.iter().sum::<usize>(), 152);
-        let per_figure: usize = plan.figures().map(|(m, _, _)| m.shards.len()).sum();
+        assert_eq!(plan.queue.len(), 152);
+        let ranges: Vec<Range<usize>> = plan.figures.iter().map(|(_, r)| r.clone()).collect();
+        assert_eq!(
+            ranges,
+            [0..92, 0..92, 0..92, 0..92, 92..152, 92..152],
+            "92 Q-table shards, then 60 Δ-table shards"
+        );
+        for (manifest, range) in &plan.figures {
+            assert_eq!(
+                plan.queue[range.clone()],
+                manifest.shards,
+                "{}",
+                manifest.figure
+            );
+        }
+        let per_figure: usize = plan.figures.iter().map(|(m, _)| m.shards.len()).sum();
         assert_eq!(
             per_figure, 488,
             "one manifest per figure would ship this many"
         );
 
-        // Request order is kept, and tables are numbered by first use.
-        let figures: Vec<String> = ["fig18", "fig13", "fig17"].map(String::from).into();
-        let plan = plan_sweep(&figures, &e, 1).unwrap();
-        let layout: Vec<(&str, usize, bool)> = plan
-            .figures()
-            .map(|(m, t, first)| (m.figure.as_str(), t, first))
+        // Request order is kept, and tables are queued by first use.
+        let plan = plan_sweep(&["fig18", "fig13", "fig17"], &e, 1);
+        let layout: Vec<(&str, Range<usize>)> = plan
+            .figures
+            .iter()
+            .map(|(m, r)| (m.figure.as_str(), r.clone()))
             .collect();
         assert_eq!(
             layout,
-            [("fig18", 0, true), ("fig13", 1, true), ("fig17", 0, false)]
+            [("fig18", 0..60), ("fig13", 60..152), ("fig17", 0..60)]
         );
-        let tables = plan.tables();
-        assert_eq!(tables[0], sweep_manifest("fig17", &e, 1).unwrap().shards);
-        assert_eq!(tables[1], sweep_manifest("fig13", &e, 1).unwrap().shards);
-
-        let err = plan_sweep(&["fig13".into(), "fig07".into()], &e, 1).unwrap_err();
-        assert!(err.contains("`fig07` is not a shardable figure"), "{err}");
+        assert_eq!(
+            plan.queue[..60],
+            sweep_manifest("fig17", &e, 1).unwrap().shards
+        );
+        assert_eq!(
+            plan.queue[60..],
+            sweep_manifest("fig13", &e, 1).unwrap().shards
+        );
     }
 
     #[test]
     fn every_figure_assembles_from_its_shared_table() {
         let e = Effort::quick();
-        let figures = all_figures();
+        let figures = sweepable_figures();
         let reference: [fn(&Effort, u64) -> pbbf_metrics::Figure; 6] = [
             crate::fig13,
             crate::fig14,
@@ -405,15 +379,15 @@ mod tests {
             crate::fig18,
         ];
         for seed in [3, 2005] {
-            let plan = plan_sweep(&figures, &e, seed).unwrap();
-            let values: Vec<Vec<Vec<Option<f64>>>> = plan
-                .tables()
+            let plan = plan_sweep(&figures, &e, seed);
+            let values: Vec<Vec<Option<f64>>> = plan
+                .queue
                 .iter()
-                .map(|shards| shards.iter().map(|j| run_sweep_shard(j).unwrap()).collect())
+                .map(|j| run_sweep_shard(j).unwrap())
                 .collect();
-            for ((manifest, t, _), figure) in plan.figures().zip(reference) {
+            for ((manifest, range), figure) in plan.figures.iter().zip(reference) {
                 assert_eq!(
-                    assemble_sweep(manifest, values[t].clone()),
+                    assemble_sweep(manifest, values[range.clone()].to_vec()),
                     figure(&e, seed),
                     "{} seed {seed}",
                     manifest.figure

@@ -16,11 +16,13 @@
 //! execution when no workers survive, and settles each shard exactly
 //! once, so arrival order, duplicates, and worker identity cannot leak
 //! into the output bytes. One fleet lives exactly as long as one
-//! queue: a *queue* of sweeps multiplexes onto one set of workers,
-//! keeping remote deployment caches warm across figures, and the fleet
-//! is killed when the queue is done. The binding to actual figure
-//! sweeps (job encoding/execution) lives in `pbbf-experiments::sweep`;
-//! the `pbbf` binary wires the two together.
+//! queue: a queue is one flat list of shards (every table a sweep
+//! needs), it keeps remote deployment caches warm from table to table,
+//! and it returns every shard's values in queue order with one
+//! [`SweepStats`] ledger ([`QueueRun`]). The fleet is killed when the
+//! queue is done. The binding to actual figure sweeps (job
+//! encoding/execution) lives in `pbbf-experiments::sweep`; the `pbbf`
+//! binary wires the two together.
 //!
 //! Pipes and sockets share everything above the bytes: a worker runs
 //! [`worker::serve_session`] on its stdin or on each socket
@@ -45,7 +47,7 @@ pub mod tcp;
 pub mod worker;
 
 pub use protocol::{CacheTelemetry, ShardResult, ShardSpec, WorkerReply};
-pub use scheduler::run_queue;
+pub use scheduler::{run_queue, QueueRun};
 pub use supervisor::{
     Endpoint, FleetFactory, ShardInput, SweepOptions, SweepStats, WorkerEvent, WorkerFactory,
     WorkerLink,

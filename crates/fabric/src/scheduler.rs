@@ -1,15 +1,14 @@
 //! The sweep scheduler: one fleet per queue.
 //!
-//! [`run_queue`] spawns a worker fleet, runs a *queue* of sweep
-//! manifests on it, and kills what is left of the fleet before it
-//! returns. Shards from every queued sweep drain into workers as they
-//! go idle, so several figures multiplex onto one fleet and remote
-//! workers keep their deployment caches warm from figure to figure.
-//! Per-shard results stream to a caller-supplied sink in completion
-//! order, each exactly once: a late duplicate of a settled shard is
-//! dropped here. Re-merging in manifest order is the caller's job
-//! (`assemble_sweep` upstairs), which is what keeps scheduling
-//! invisible in the output bytes.
+//! [`run_queue`] spawns a worker fleet, runs one flat queue of shards
+//! on it, and kills what is left of the fleet before it returns. Shards
+//! drain into workers as they go idle, so several tables multiplex onto
+//! one fleet and remote workers keep their deployment caches warm from
+//! table to table. Each shard settles exactly once, in whatever order
+//! replies arrive; a late duplicate of a settled shard is dropped here.
+//! The values come back in queue order ([`QueueRun`]), so re-merging by
+//! position is all the caller does (`assemble_sweep` upstairs), which
+//! is what keeps scheduling invisible in the output bytes.
 //!
 //! The failure policy: a shard that crashes its worker, overruns its
 //! wall-clock deadline, or comes back corrupt is retried on a healthy
@@ -20,19 +19,17 @@
 //! workers are left. Workers, their strike counts, and their telemetry
 //! span the whole queue:
 //!
-//! * **Wire ids are queue positions.** Shard `i` of the flattened
-//!   queue goes out as wire id `i`; a reply naming an id past the queue
-//!   is corrupt.
+//! * **Wire ids are queue positions.** Shard `i` of the queue goes out
+//!   as wire id `i`; a reply naming an id past the queue is corrupt.
 //! * **Telemetry accumulates across transport sessions.** Workers
 //!   heartbeat cache counters as deltas from a per-connection baseline
 //!   (see `docs/PROTOCOL.md`), so the scheduler rolls the last-seen
 //!   session total into an accumulator on every [`WorkerEvent::Reset`]
 //!   or [`WorkerEvent::Gone`] and reports `accumulated + current` —
 //!   a reconnect loses no hits/misses.
-//! * **Per-sweep stats settle in queue order.** Each sweep's stats are
-//!   charged as its shards resolve; fleet-wide telemetry deltas are
-//!   attributed to a sweep when it completes, so consecutive sweeps
-//!   see non-overlapping telemetry windows.
+//! * **One ledger per queue.** Every event is charged to the queue's
+//!   one [`SweepStats`]; the fleet's cache telemetry is read into it
+//!   once, when the last shard settles.
 //!
 //! A late duplicate reply (the shard was retried elsewhere and both
 //! copies eventually arrive) frees only the worker that *sent* it; a
@@ -53,7 +50,7 @@ use crate::supervisor::{
 
 /// The scheduler's book-keeping for one worker. Lives as long as the
 /// queue: strikes and telemetry are properties of the worker, not of
-/// any one manifest.
+/// any one shard.
 struct Worker {
     id: u64,
     link: Box<dyn WorkerLink>,
@@ -76,22 +73,26 @@ struct Worker {
     stale_deadline: Option<Instant>,
 }
 
+/// A completed queue: every shard's values, and what it took.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueueRun {
+    /// `values[i]` is shard `i`'s values, whichever worker (or the
+    /// in-process fallback) settled it.
+    pub values: Vec<Vec<Option<f64>>>,
+    /// The queue's counters, the fleet's cache telemetry included.
+    pub stats: SweepStats,
+}
+
 /// Spawns a fleet of `opts.workers` workers (minimum one) through
-/// `factory`, runs a queue of sweeps to completion on it, and kills
-/// what is left of the fleet before returning, on success and on
-/// error alike.
+/// `factory`, runs `queue` to completion on it, and kills what is left
+/// of the fleet before returning, on success and on error alike.
 ///
 /// Spawn failures are not fatal: the scheduler degrades to whatever
-/// fleet it got, down to none (every sweep then runs in-process). They
-/// are reported in every sweep's [`SweepStats::spawn_failures`].
+/// fleet it got, down to none (every shard then runs in-process). They
+/// are reported in [`SweepStats::spawn_failures`].
 ///
-/// `queue[i]` is sweep `i`'s manifest. Shards are dealt in queue order
-/// but resolve in completion order; every settled shard is handed to
-/// `sink(sweep, shard, values)` exactly once, where `shard` is the
-/// shard's position *within its sweep's manifest*. Returns one
-/// [`SweepStats`] per queued sweep; fleet-scoped events (spawns,
-/// reconnects, telemetry) are attributed to the sweep that was
-/// settling when they were observed.
+/// Shards are dealt in queue order but resolve in completion order;
+/// each settles exactly once, and the values come back in queue order.
 ///
 /// `exec` is the in-process fallback executor — the same computation
 /// the workers perform, minus the process boundary.
@@ -101,61 +102,42 @@ struct Worker {
 /// Fails only when a shard cannot be computed at all — i.e. the
 /// in-process fallback itself reports an error. Worker-side failures
 /// never surface here; they are retried away.
-pub fn run_queue<E, S>(
+pub fn run_queue<E>(
     opts: &SweepOptions,
     factory: &dyn WorkerFactory,
-    queue: Vec<Vec<ShardInput>>,
+    queue: Vec<ShardInput>,
     exec: E,
-    mut sink: S,
-) -> Result<Vec<SweepStats>, String>
+) -> Result<QueueRun, String>
 where
     E: Fn(&Json) -> Result<Vec<Option<f64>>, String> + Sync,
-    S: FnMut(usize, usize, Vec<Option<f64>>),
 {
     // `tx` outlives the loop, so the event channel never disconnects,
     // even after the last worker dies.
     let (tx, rx) = std::sync::mpsc::channel();
     let (workers, spawn_failures) = spawn_fleet(opts, factory, &tx);
-    let fleet = SweepStats {
+    let stats = SweepStats {
         workers_spawned: workers.len(),
         spawn_failures,
         ..SweepStats::default()
     };
-    let stats = vec![fleet; queue.len()];
     let now = Instant::now();
-    let mut shards = Vec::new();
-    let mut sweep_start = Vec::with_capacity(queue.len());
-    let mut sweep_len = Vec::with_capacity(queue.len());
-    for (sweep, inputs) in queue.into_iter().enumerate() {
-        sweep_start.push(shards.len());
-        sweep_len.push(inputs.len());
-        for s in inputs {
-            shards.push(Shard {
-                sweep,
-                job: s.job,
-                expect: s.expect,
-                attempt: 0,
-                status: ShardStatus::Pending { eligible_at: now },
-            });
-        }
-    }
+    let shards = queue
+        .into_iter()
+        .map(|s| Shard {
+            job: s.job,
+            expect: s.expect,
+            attempt: 0,
+            status: ShardStatus::Pending { eligible_at: now },
+        })
+        .collect();
     let mut eng = Engine {
         opts,
         workers,
-        telemetry_reported: CacheTelemetry::default(),
-        done: vec![0; sweep_len.len()],
-        done_total: 0,
-        settled: 0,
         shards,
-        sweep_start,
-        sweep_len,
+        done: 0,
         stats,
         exec: &exec,
-        sink: &mut sink,
     };
-    // Empty sweeps at the head of the queue settle now, with an empty
-    // telemetry window.
-    eng.check_settle();
     while !eng.complete() {
         let now = Instant::now();
         eng.assign(now)?;
@@ -177,8 +159,19 @@ where
         eng.expire_liveness(Instant::now())?;
         eng.expire_stale(Instant::now())?;
     }
-    eng.check_settle();
-    Ok(std::mem::take(&mut eng.stats))
+    let telemetry = eng.fleet_telemetry();
+    let mut stats = eng.stats;
+    stats.cache_hits = telemetry.hits;
+    stats.cache_misses = telemetry.misses;
+    stats.cache_evictions = telemetry.evictions;
+    let values = std::mem::take(&mut eng.shards)
+        .into_iter()
+        .map(|s| match s.status {
+            ShardStatus::Done(values) => values,
+            _ => unreachable!("a complete queue has settled every shard"),
+        })
+        .collect();
+    Ok(QueueRun { values, stats })
 }
 
 /// Spawns one worker per slot; returns the fleet it got and how many
@@ -217,15 +210,15 @@ fn spawn_fleet(
     (workers, spawn_failures)
 }
 
+/// Where a shard is; a settled shard holds its first valid copy's
+/// values.
 enum ShardStatus {
     Pending { eligible_at: Instant },
     Running { worker: u64, deadline: Instant },
-    Done,
+    Done(Vec<Option<f64>>),
 }
 
 struct Shard {
-    /// Index of the sweep this shard belongs to (into the queue).
-    sweep: usize,
     job: Json,
     expect: usize,
     attempt: u32,
@@ -245,27 +238,18 @@ enum StrikeScope {
 
 /// One queue's run state, fleet included: dropping it kills whatever
 /// is left of the fleet.
-struct Engine<'a, E, S> {
+struct Engine<'a, E> {
     opts: &'a SweepOptions,
     workers: Vec<Worker>,
-    /// Fleet-wide telemetry already attributed to settled sweeps.
-    telemetry_reported: CacheTelemetry,
-    /// Every queued sweep's shards, flattened: shard `f` goes out as
-    /// wire id `f`.
+    /// The queue: shard `f` goes out as wire id `f`.
     shards: Vec<Shard>,
-    sweep_start: Vec<usize>,
-    sweep_len: Vec<usize>,
-    /// Settled-shard count per sweep.
-    done: Vec<usize>,
-    done_total: usize,
-    /// Sweeps `0..settled` have had their stats finalized.
-    settled: usize,
-    stats: Vec<SweepStats>,
+    /// Settled-shard count.
+    done: usize,
+    stats: SweepStats,
     exec: &'a E,
-    sink: &'a mut S,
 }
 
-impl<E, S> Drop for Engine<'_, E, S> {
+impl<E> Drop for Engine<'_, E> {
     fn drop(&mut self) {
         for w in &mut self.workers {
             w.link.kill(); // EOF first where the link supports it
@@ -273,41 +257,18 @@ impl<E, S> Drop for Engine<'_, E, S> {
     }
 }
 
-impl<E, S> Engine<'_, E, S>
+impl<E> Engine<'_, E>
 where
     E: Fn(&Json) -> Result<Vec<Option<f64>>, String> + Sync,
-    S: FnMut(usize, usize, Vec<Option<f64>>),
 {
     fn complete(&self) -> bool {
-        self.done_total == self.shards.len()
+        self.done == self.shards.len()
     }
 
     /// The queue position wire id `wire` names, or `None` for an id
     /// past the queue: fabricated, i.e. corrupt.
     fn resolve(&self, wire: u32) -> Option<usize> {
         Some(wire as usize).filter(|&f| f < self.shards.len())
-    }
-
-    /// The sweep fleet-scoped events are charged to: the first sweep
-    /// whose stats have not settled yet (clamped to the last).
-    fn active_sweep(&self) -> usize {
-        self.settled.min(self.stats.len().saturating_sub(1))
-    }
-
-    /// Stats ledger of the sweep owning flat shard `f`.
-    fn sstats(&mut self, f: usize) -> &mut SweepStats {
-        let sweep = self.shards[f].sweep;
-        &mut self.stats[sweep]
-    }
-
-    /// Stats ledger for a worker-scoped event: the sweep of the
-    /// worker's in-flight shard when it has one, else the active sweep.
-    fn wstats(&mut self, widx: usize) -> &mut SweepStats {
-        let sweep = match self.workers[widx].current {
-            Some(f) => self.shards[f].sweep,
-            None => self.active_sweep(),
-        };
-        &mut self.stats[sweep]
     }
 
     fn handle(&mut self, ev: WorkerEvent) -> Result<(), String> {
@@ -352,7 +313,7 @@ where
                     "pbbf sweep: worker {} unreachable ({e}); writing it off",
                     self.workers[widx].id
                 );
-                self.sstats(f).crashes += 1;
+                self.stats.crashes += 1;
                 self.write_off(widx)?;
             }
         }
@@ -377,17 +338,14 @@ where
 
     /// A corrupt reply: strike the sender, quarantine on repeat.
     fn strike(&mut self, widx: usize, scope: StrikeScope) -> Result<(), String> {
-        match scope {
-            StrikeScope::Shard(f) => self.sstats(f).corrupt += 1,
-            StrikeScope::Torn | StrikeScope::Foreign => self.wstats(widx).corrupt += 1,
-        }
+        self.stats.corrupt += 1;
         self.workers[widx].strikes += 1;
         if self.workers[widx].strikes >= self.opts.max_worker_strikes {
             eprintln!(
                 "pbbf sweep: quarantining worker {} after {} corrupt replies",
                 self.workers[widx].id, self.workers[widx].strikes
             );
-            self.wstats(widx).quarantined += 1;
+            self.stats.quarantined += 1;
             return self.write_off(widx);
         }
         // Requeue the striker's in-flight shard only when the stream
@@ -417,7 +375,7 @@ where
         }
         // Counted here, not above: the in-process escalation is not a
         // worker delivery, so it is not a retry.
-        self.sstats(f).retries += 1;
+        self.stats.retries += 1;
         let shard = &mut self.shards[f];
         let delay = backoff(
             self.opts.backoff_base,
@@ -433,7 +391,7 @@ where
     fn run_in_process(&mut self, f: usize) -> Result<(), String> {
         let values = (self.exec)(&self.shards[f].job)
             .map_err(|e| format!("shard {f} failed in-process: {e}"))?;
-        self.sstats(f).inproc_shards += 1;
+        self.stats.inproc_shards += 1;
         self.accept(f, values, None, Instant::now());
         Ok(())
     }
@@ -445,8 +403,8 @@ where
         }
     }
 
-    /// Settles shard `f`: streams its values to the sink and
-    /// releases the worker that delivered them (`from`), if any.
+    /// Settles shard `f` with `values` and releases the worker that
+    /// delivered them (`from`), if any.
     ///
     /// Only the *sender* is released. Another worker still holding
     /// this shard is mid-computation on a duplicate; it stays busy
@@ -457,39 +415,16 @@ where
         if let Some(widx) = from {
             self.release_if_current(widx, f);
         }
-        if matches!(self.shards[f].status, ShardStatus::Done) {
-            return; // late duplicate: already streamed, by design
+        if matches!(self.shards[f].status, ShardStatus::Done(_)) {
+            return; // late duplicate: already settled, by design
         }
-        self.shards[f].status = ShardStatus::Done;
+        self.shards[f].status = ShardStatus::Done(values);
         for w in self.workers.iter_mut() {
             if w.healthy && w.current == Some(f) && w.stale_deadline.is_none() {
                 w.stale_deadline = Some(now + self.opts.shard_timeout);
             }
         }
-        let sweep = self.shards[f].sweep;
-        self.done[sweep] += 1;
-        self.done_total += 1;
-        (self.sink)(sweep, f - self.sweep_start[sweep], values);
-        self.check_settle();
-    }
-
-    /// Finalizes stats for every completed sweep in queue order,
-    /// attributing the fleet-wide telemetry delta since the previous
-    /// settle — consecutive sweeps see non-overlapping windows, and
-    /// nothing is reported twice.
-    fn check_settle(&mut self) {
-        while self.settled < self.stats.len()
-            && self.done[self.settled] == self.sweep_len[self.settled]
-        {
-            let total = self.fleet_telemetry();
-            let delta = total.saturating_sub(self.telemetry_reported);
-            let st = &mut self.stats[self.settled];
-            st.cache_hits += delta.hits;
-            st.cache_misses += delta.misses;
-            st.cache_evictions += delta.evictions;
-            self.telemetry_reported = total;
-            self.settled += 1;
-        }
+        self.done += 1;
     }
 
     /// Fleet-wide cache telemetry: finished sessions plus the live
@@ -557,19 +492,12 @@ where
                     "pbbf sweep: worker {worker} refused shard {}: {}",
                     e.id, e.error
                 );
+                self.stats.refused += 1;
                 match self.resolve(e.id) {
-                    None => {
-                        self.wstats(widx).refused += 1;
-                        Ok(())
-                    }
-                    Some(f) => {
-                        self.sstats(f).refused += 1;
-                        if self.workers[widx].current != Some(f) {
-                            return Ok(());
-                        }
-                        self.take_running(widx)
-                            .map_or(Ok(()), |f| self.fail_shard(f))
-                    }
+                    Some(f) if self.workers[widx].current == Some(f) => self
+                        .take_running(widx)
+                        .map_or(Ok(()), |f| self.fail_shard(f)),
+                    _ => Ok(()),
                 }
             }
             WorkerReply::Heartbeat(t) => {
@@ -597,7 +525,7 @@ where
         if !self.workers[widx].healthy {
             return Ok(()); // already written off; the link is dying
         }
-        self.wstats(widx).reconnects += 1;
+        self.stats.reconnects += 1;
         self.workers[widx].last_heard = Instant::now();
         let Some(f) = self.take_running(widx) else {
             return Ok(());
@@ -616,7 +544,7 @@ where
             return Ok(()); // already written off (we killed it)
         }
         eprintln!("pbbf sweep: worker {worker} died");
-        self.wstats(widx).crashes += 1;
+        self.stats.crashes += 1;
         self.write_off(widx)
     }
 
@@ -639,12 +567,12 @@ where
                 return Ok(());
             };
             eprintln!("pbbf sweep: shard {f} timed out on worker {wid}");
-            self.sstats(f).timeouts += 1;
+            self.stats.timeouts += 1;
             // Quarantine the wedged worker — but only when it is still
             // on the books; one already written off (crashed, lost
             // host) must not be counted quarantined a second time.
             if let Some(widx) = self.workers.iter().position(|w| w.id == wid && w.healthy) {
-                self.sstats(f).quarantined += 1;
+                self.stats.quarantined += 1;
                 self.write_off(widx)?;
             }
             if matches!(self.shards[f].status, ShardStatus::Running { .. }) {
@@ -676,9 +604,8 @@ where
                 now.duration_since(self.workers[widx].last_heard),
                 self.opts.liveness_timeout
             );
-            let st = self.wstats(widx);
-            st.hosts_lost += 1;
-            st.quarantined += 1;
+            self.stats.hosts_lost += 1;
+            self.stats.quarantined += 1;
             self.write_off(widx)?;
         }
     }
@@ -699,7 +626,7 @@ where
                 "pbbf sweep: worker {} wedged on a settled shard; quarantining it",
                 self.workers[widx].id
             );
-            self.wstats(widx).quarantined += 1;
+            self.stats.quarantined += 1;
             self.write_off(widx)?;
         }
     }
@@ -711,7 +638,7 @@ where
             .shards
             .iter()
             .enumerate()
-            .filter(|(_, s)| !matches!(s.status, ShardStatus::Done))
+            .filter(|(_, s)| !matches!(s.status, ShardStatus::Done(_)))
             .map(|(i, _)| i)
             .collect();
         if todo.is_empty() {
@@ -727,7 +654,7 @@ where
         let now = Instant::now();
         for (&f, result) in todo.iter().zip(results) {
             let values = result.map_err(|e| format!("shard {f} failed in-process: {e}"))?;
-            self.sstats(f).inproc_shards += 1;
+            self.stats.inproc_shards += 1;
             self.accept(f, values, None, now);
         }
         Ok(())

@@ -230,8 +230,7 @@ pub(crate) fn backoff(base: Duration, cap: Duration, attempt: u32) -> Duration {
         .min(cap)
 }
 
-/// One shard of a sweep manifest, as queued for
-/// [`run_queue`](crate::scheduler::run_queue).
+/// One shard, as queued for [`run_queue`](crate::scheduler::run_queue).
 #[derive(Debug, Clone)]
 pub struct ShardInput {
     /// Opaque job payload, forwarded to workers verbatim.

@@ -3,7 +3,7 @@
 //! quarantine, spawn failure, fleet collapse, duplicate replies — must
 //! end in the same values a faultless run produces.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Duration;
@@ -197,32 +197,6 @@ fn opts(workers: usize) -> SweepOptions {
     }
 }
 
-/// A completed one-sweep queue: per-shard values in manifest order,
-/// plus the sweep's stats.
-struct Outcome {
-    values: Vec<Vec<Option<f64>>>,
-    stats: SweepStats,
-}
-
-/// One sweep on a fleet of its own: a one-sweep queue with a
-/// collecting sink.
-fn run_sweep(
-    inputs: Vec<ShardInput>,
-    opts: &SweepOptions,
-    factory: &dyn WorkerFactory,
-    exec: fn(&Json) -> Result<Vec<Option<f64>>, String>,
-) -> Result<Outcome, String> {
-    let mut values = vec![None; inputs.len()];
-    let stats = run_queue(opts, factory, vec![inputs], exec, |_, shard, v| {
-        assert!(values[shard].is_none(), "each shard settles once");
-        values[shard] = Some(v);
-    })?;
-    Ok(Outcome {
-        values: values.into_iter().map(Option::unwrap).collect(),
-        stats: stats[0],
-    })
-}
-
 fn assert_all_values(values: &[Vec<Option<f64>>], shards: u64, runs: u64) {
     assert_eq!(values.len(), shards as usize);
     for (k, vals) in values.iter().enumerate() {
@@ -233,7 +207,7 @@ fn assert_all_values(values: &[Vec<Option<f64>>], shards: u64, runs: u64) {
 #[test]
 fn healthy_fleet_completes() {
     let factory = MockFactory::new(|_, spec| vec![Action::Reply(valid_reply(spec))]);
-    let out = run_sweep(inputs(8, 3), &opts(3), &factory, exec).unwrap();
+    let out = run_queue(&opts(3), &factory, inputs(8, 3), exec).unwrap();
     assert_all_values(&out.values, 8, 3);
     assert_eq!(out.stats.workers_spawned, 3);
     assert_eq!(out.stats.retries, 0);
@@ -250,7 +224,7 @@ fn crashed_shard_retries_on_a_healthy_worker() {
             vec![Action::Reply(valid_reply(spec))]
         }
     });
-    let out = run_sweep(inputs(6, 2), &opts(3), &factory, exec).unwrap();
+    let out = run_queue(&opts(3), &factory, inputs(6, 2), exec).unwrap();
     assert_all_values(&out.values, 6, 2);
     assert_eq!(out.stats.crashes, 1);
     assert!(out.stats.retries >= 1);
@@ -268,7 +242,7 @@ fn hung_shard_times_out_quarantines_and_retries() {
     });
     let mut o = opts(3);
     o.shard_timeout = Duration::from_millis(50);
-    let out = run_sweep(inputs(5, 2), &o, &factory, exec).unwrap();
+    let out = run_queue(&o, &factory, inputs(5, 2), exec).unwrap();
     assert_all_values(&out.values, 5, 2);
     assert_eq!(out.stats.timeouts, 1);
     assert_eq!(out.stats.quarantined, 1, "a wedged worker is not reused");
@@ -283,7 +257,7 @@ fn corrupt_reply_is_rejected_and_retried() {
             vec![Action::Reply(valid_reply(spec))]
         }
     });
-    let out = run_sweep(inputs(4, 2), &opts(2), &factory, exec).unwrap();
+    let out = run_queue(&opts(2), &factory, inputs(4, 2), exec).unwrap();
     assert_all_values(&out.values, 4, 2);
     assert_eq!(out.stats.corrupt, 1);
     assert_eq!(out.stats.quarantined, 0, "one strike is forgiven");
@@ -301,7 +275,7 @@ fn wrong_length_reply_is_corrupt() {
             vec![Action::Reply(valid_reply(spec))]
         }
     });
-    let out = run_sweep(inputs(5, 3), &opts(2), &factory, exec).unwrap();
+    let out = run_queue(&opts(2), &factory, inputs(5, 3), exec).unwrap();
     assert_all_values(&out.values, 5, 3);
     assert_eq!(out.stats.corrupt, 1);
 }
@@ -318,7 +292,7 @@ fn persistently_corrupt_worker_is_quarantined() {
             vec![Action::Reply(valid_reply(spec))]
         }
     });
-    let out = run_sweep(inputs(8, 2), &opts(2), &factory, exec).unwrap();
+    let out = run_queue(&opts(2), &factory, inputs(8, 2), exec).unwrap();
     assert_all_values(&out.values, 8, 2);
     assert_eq!(out.stats.quarantined, 1);
     assert!(out.stats.corrupt >= 2, "strikes accumulated to the limit");
@@ -328,7 +302,7 @@ fn persistently_corrupt_worker_is_quarantined() {
 fn spawn_failure_degrades_to_in_process() {
     let mut factory = MockFactory::new(|_, spec| vec![Action::Reply(valid_reply(spec))]);
     factory.fail_slots = (0..3).collect();
-    let out = run_sweep(inputs(6, 2), &opts(3), &factory, exec).unwrap();
+    let out = run_queue(&opts(3), &factory, inputs(6, 2), exec).unwrap();
     assert_all_values(&out.values, 6, 2);
     assert_eq!(out.stats.workers_spawned, 0);
     assert_eq!(out.stats.spawn_failures, 3);
@@ -340,7 +314,7 @@ fn fleet_collapse_drains_in_process() {
     // The only worker dies on its first shard; everything else must
     // complete through the in-process drain.
     let factory = MockFactory::new(|_, _| vec![Action::Die]);
-    let out = run_sweep(inputs(5, 2), &opts(1), &factory, exec).unwrap();
+    let out = run_queue(&opts(1), &factory, inputs(5, 2), exec).unwrap();
     assert_all_values(&out.values, 5, 2);
     assert_eq!(out.stats.crashes, 1);
     assert_eq!(out.stats.inproc_shards, 5);
@@ -355,7 +329,7 @@ fn duplicate_replies_fold_once() {
             Action::Reply(valid_reply(spec)),
         ]
     });
-    let out = run_sweep(inputs(7, 2), &opts(2), &factory, exec).unwrap();
+    let out = run_queue(&opts(2), &factory, inputs(7, 2), exec).unwrap();
     assert_all_values(&out.values, 7, 2);
     assert_eq!(out.stats.corrupt, 0, "duplicates are not corruption");
 }
@@ -375,7 +349,7 @@ fn refused_shards_fall_back_to_in_process() {
             vec![Action::Reply(valid_reply(spec))]
         }
     });
-    let out = run_sweep(inputs(5, 2), &opts(2), &factory, exec).unwrap();
+    let out = run_queue(&opts(2), &factory, inputs(5, 2), exec).unwrap();
     assert_all_values(&out.values, 5, 2);
     assert_eq!(out.stats.refused, 4, "one refusal per worker attempt");
     assert_eq!(out.stats.inproc_shards, 1);
@@ -390,7 +364,7 @@ fn garbage_line_is_a_strike_not_a_crash() {
             vec![Action::Reply(valid_reply(spec))]
         }
     });
-    let out = run_sweep(inputs(4, 2), &opts(2), &factory, exec).unwrap();
+    let out = run_queue(&opts(2), &factory, inputs(4, 2), exec).unwrap();
     assert_all_values(&out.values, 4, 2);
     assert_eq!(out.stats.corrupt, 1);
 }
@@ -398,7 +372,7 @@ fn garbage_line_is_a_strike_not_a_crash() {
 #[test]
 fn empty_manifest_is_a_noop() {
     let factory = MockFactory::new(|_, spec| vec![Action::Reply(valid_reply(spec))]);
-    let out = run_sweep(Vec::new(), &opts(2), &factory, exec).unwrap();
+    let out = run_queue(&opts(2), &factory, Vec::new(), exec).unwrap();
     assert!(out.values.is_empty());
     let spawned_only = SweepStats {
         workers_spawned: 2,
@@ -428,7 +402,7 @@ fn silent_remote_host_trips_liveness_not_the_shard_deadline() {
     factory.local_slots = vec![1];
     let mut o = opts(2);
     o.liveness_timeout = Duration::from_millis(50);
-    let out = run_sweep(inputs(5, 2), &o, &factory, exec).unwrap();
+    let out = run_queue(&o, &factory, inputs(5, 2), exec).unwrap();
     assert_all_values(&out.values, 5, 2);
     assert_eq!(out.stats.hosts_lost, 1);
     assert_eq!(out.stats.quarantined, 1);
@@ -450,7 +424,7 @@ fn local_workers_are_exempt_from_liveness() {
     let mut o = opts(2);
     o.liveness_timeout = Duration::from_millis(20);
     o.shard_timeout = Duration::from_millis(120);
-    let out = run_sweep(inputs(4, 2), &o, &factory, exec).unwrap();
+    let out = run_queue(&o, &factory, inputs(4, 2), exec).unwrap();
     assert_all_values(&out.values, 4, 2);
     assert_eq!(out.stats.hosts_lost, 0);
     assert_eq!(out.stats.timeouts, 1, "the deadline caught it instead");
@@ -469,7 +443,7 @@ fn transport_reset_requeues_without_losing_the_worker() {
             vec![Action::Reply(valid_reply(spec))]
         }
     });
-    let out = run_sweep(inputs(6, 2), &opts(2), &factory, exec).unwrap();
+    let out = run_queue(&opts(2), &factory, inputs(6, 2), exec).unwrap();
     assert_all_values(&out.values, 6, 2);
     assert_eq!(out.stats.reconnects, 1);
     assert_eq!(out.stats.crashes, 0);
@@ -501,7 +475,7 @@ fn heartbeat_telemetry_aggregates_across_the_fleet() {
             Action::Reply(heartbeat_line(t)),
         ]
     });
-    let out = run_sweep(inputs(6, 2), &opts(2), &factory, exec).unwrap();
+    let out = run_queue(&opts(2), &factory, inputs(6, 2), exec).unwrap();
     assert_all_values(&out.values, 6, 2);
     assert_eq!(out.stats.cache_hits, 12);
     assert_eq!(out.stats.cache_misses, 5);
@@ -533,7 +507,7 @@ fn reconnect_accumulates_both_sessions_telemetry() {
         ],
         _ => vec![Action::Reply(valid_reply(spec))],
     });
-    let out = run_sweep(inputs(2, 2), &opts(1), &factory, exec).unwrap();
+    let out = run_queue(&opts(1), &factory, inputs(2, 2), exec).unwrap();
     assert_all_values(&out.values, 2, 2);
     assert_eq!(out.stats.reconnects, 1);
     assert_eq!(out.stats.crashes, 0);
@@ -565,7 +539,7 @@ fn corrupt_duplicate_naming_another_shard_does_not_yank_the_current_one() {
             vec![Action::Reply(valid_reply(spec))]
         }
     });
-    let out = run_sweep(inputs(4, 2), &opts(2), &factory, exec).unwrap();
+    let out = run_queue(&opts(2), &factory, inputs(4, 2), exec).unwrap();
     assert_all_values(&out.values, 4, 2);
     assert_eq!(out.stats.corrupt, 1);
     assert_eq!(out.stats.retries, 0, "the in-flight shard was not requeued");
@@ -596,7 +570,7 @@ fn late_duplicate_frees_only_the_replying_worker() {
     o.shard_timeout = ST;
     o.backoff_base = Duration::from_millis(375);
     o.backoff_cap = Duration::from_millis(1000);
-    let out = run_sweep(inputs(4, 2), &o, &factory, exec).unwrap();
+    let out = run_queue(&o, &factory, inputs(4, 2), exec).unwrap();
     assert_all_values(&out.values, 4, 2);
     assert_eq!(out.stats.timeouts, 1, "only the original wedge timed out");
     assert_eq!(
@@ -621,7 +595,7 @@ fn inproc_escalation_is_not_counted_as_a_retry() {
         });
         vec![Action::Reply(serde_json::to_string(&refusal).unwrap())]
     });
-    let out = run_sweep(inputs(1, 2), &opts(1), &factory, exec).unwrap();
+    let out = run_queue(&opts(1), &factory, inputs(1, 2), exec).unwrap();
     assert_all_values(&out.values, 1, 2);
     assert_eq!(out.stats.refused, 4, "one refusal per delivery");
     assert_eq!(
@@ -651,53 +625,17 @@ impl WorkerFactory for CountingFactory {
 }
 
 #[test]
-fn queued_sweeps_multiplex_onto_one_fleet() {
-    // Three manifests (one empty) in one queue: every shard streams to
-    // the sink under its own sweep's index, each sweep gets its own
-    // stats, and the fleet is spawned exactly once.
+fn a_queue_spawns_its_fleet_once() {
+    // Five shards on a two-worker fleet: each worker serves several
+    // shards, yet the fleet is spawned exactly once and no shard falls
+    // back in-process.
     let factory = CountingFactory {
         inner: MockFactory::new(|_, spec| vec![Action::Reply(valid_reply(spec))]),
         spawns: AtomicUsize::new(0),
     };
-    let queue = vec![inputs(3, 2), Vec::new(), inputs(2, 2)];
-    let mut got: Vec<Vec<Option<Vec<Option<f64>>>>> =
-        vec![vec![None; 3], Vec::new(), vec![None; 2]];
-    let stats = run_queue(&opts(2), &factory, queue, exec, |sweep, shard, values| {
-        assert!(got[sweep][shard].is_none(), "each shard settles once");
-        got[sweep][shard] = Some(values);
-    })
-    .unwrap();
-    assert_eq!(stats.len(), 3);
-    for (sweep, slots) in got.into_iter().enumerate() {
-        let values: Vec<_> = slots.into_iter().map(Option::unwrap).collect();
-        assert_all_values(&values, values.len() as u64, 2);
-        assert_eq!(stats[sweep].workers_spawned, 2);
-        assert_eq!(stats[sweep].inproc_shards, 0);
-    }
+    let out = run_queue(&opts(2), &factory, inputs(5, 2), exec).unwrap();
+    assert_all_values(&out.values, 5, 2);
+    assert_eq!(out.stats.workers_spawned, 2);
+    assert_eq!(out.stats.inproc_shards, 0);
     assert_eq!(factory.spawns.load(Ordering::SeqCst), 2);
-}
-
-#[test]
-fn queued_sweeps_see_disjoint_telemetry_windows() {
-    // One worker heartbeats its running total, one hit per shard
-    // served, before each reply. Each sweep is charged the fleet-wide
-    // delta since the previous sweep settled, so a queue of 3 shards
-    // then 2 reports exactly 3 and 2 hits: the windows do not overlap
-    // and they sum to the fleet total.
-    let served = AtomicU64::new(0);
-    let factory = MockFactory::new(move |_, spec| {
-        let hits = served.fetch_add(1, Ordering::SeqCst) + 1;
-        vec![
-            Action::Reply(heartbeat_line(CacheTelemetry {
-                hits,
-                misses: 0,
-                evictions: 0,
-            })),
-            Action::Reply(valid_reply(spec)),
-        ]
-    });
-    let queue = vec![inputs(3, 2), inputs(2, 2)];
-    let stats = run_queue(&opts(1), &factory, queue, exec, |_, _, _| {}).unwrap();
-    let hits: Vec<u64> = stats.iter().map(|s| s.cache_hits).collect();
-    assert_eq!(hits, [3, 2]);
 }

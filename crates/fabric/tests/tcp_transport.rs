@@ -2,7 +2,7 @@
 //! real network adds — torn writes, half-open connections, garbage,
 //! slow peers, duplicate replies after reconnect, lines that never end —
 //! must end in the exact values a faultless run produces, because the
-//! scheduler settles each shard once by manifest position and shard
+//! scheduler settles each shard once by queue position and shard
 //! values are deterministic.
 //!
 //! The worker side is either the real [`serve_listener`] loop (happy
@@ -19,7 +19,7 @@ use std::time::Duration;
 use pbbf_fabric::protocol::{result_reply, ShardSpec, WorkerReply, MAX_LINE_BYTES};
 use pbbf_fabric::{
     run_queue, serve_listener, CacheTelemetry, Endpoint, FleetFactory, ServeOptions, ShardInput,
-    SweepOptions, SweepStats, TcpOptions, WorkerFactory,
+    SweepOptions, TcpOptions,
 };
 use serde::{Deserialize, Serialize};
 use serde_json::Value as Json;
@@ -82,32 +82,6 @@ fn factory(addr: &str) -> FleetFactory {
         endpoints: vec![Endpoint::Remote(addr.to_string())],
         tcp: tcp_opts(),
     }
-}
-
-/// A completed one-sweep queue: per-shard values in manifest order,
-/// plus the sweep's stats.
-struct Outcome {
-    values: Vec<Vec<Option<f64>>>,
-    stats: SweepStats,
-}
-
-/// One sweep on a fleet of its own: a one-sweep queue with a
-/// collecting sink.
-fn run_sweep(
-    inputs: Vec<ShardInput>,
-    opts: &SweepOptions,
-    factory: &dyn WorkerFactory,
-    exec: fn(&Json) -> Result<Vec<Option<f64>>, String>,
-) -> Result<Outcome, String> {
-    let mut values = vec![None; inputs.len()];
-    let stats = run_queue(opts, factory, vec![inputs], exec, |_, shard, v| {
-        assert!(values[shard].is_none(), "each shard settles once");
-        values[shard] = Some(v);
-    })?;
-    Ok(Outcome {
-        values: values.into_iter().map(Option::unwrap).collect(),
-        stats: stats[0],
-    })
 }
 
 /// Binds a loopback listener and runs `server` over it on a thread;
@@ -182,7 +156,7 @@ fn loopback_sweep_completes_and_aggregates_telemetry() {
         };
         let _ = serve_listener(&listener, &options, exec, telemetry);
     });
-    let out = run_sweep(inputs(4, 2), &sweep_opts(1), &factory(&addr), exec).unwrap();
+    let out = run_queue(&sweep_opts(1), &factory(&addr), inputs(4, 2), exec).unwrap();
     assert_all_values(&out.values, 4, 2);
     assert_eq!(out.stats.workers_spawned, 1);
     assert_eq!(out.stats.hosts_lost, 0);
@@ -215,7 +189,7 @@ fn partial_line_at_disconnect_is_struck_and_retried() {
         let (stream, _) = listener.accept().expect("second connection");
         serve_honestly(stream);
     });
-    let out = run_sweep(inputs(3, 2), &sweep_opts(1), &factory(&addr), exec).unwrap();
+    let out = run_queue(&sweep_opts(1), &factory(&addr), inputs(3, 2), exec).unwrap();
     assert_all_values(&out.values, 3, 2);
     assert_eq!(out.stats.corrupt, 1, "the torn fragment was struck");
     assert_eq!(out.stats.reconnects, 1);
@@ -243,7 +217,7 @@ fn half_open_silent_peer_trips_host_liveness() {
     });
     let mut o = sweep_opts(1);
     o.liveness_timeout = Duration::from_millis(100);
-    let out = run_sweep(inputs(3, 2), &o, &factory(&addr), exec).unwrap();
+    let out = run_queue(&o, &factory(&addr), inputs(3, 2), exec).unwrap();
     assert_all_values(&out.values, 3, 2);
     assert_eq!(out.stats.hosts_lost, 1);
     assert_eq!(out.stats.timeouts, 0, "liveness fired, not the deadline");
@@ -271,7 +245,7 @@ fn garbage_mid_stream_is_a_strike_not_a_disconnect() {
             );
         }
     });
-    let out = run_sweep(inputs(4, 2), &sweep_opts(1), &factory(&addr), exec).unwrap();
+    let out = run_queue(&sweep_opts(1), &factory(&addr), inputs(4, 2), exec).unwrap();
     assert_all_values(&out.values, 4, 2);
     assert_eq!(out.stats.corrupt, 1);
     assert_eq!(out.stats.reconnects, 0, "the connection itself was fine");
@@ -300,7 +274,7 @@ fn slow_writer_trips_the_shard_deadline_not_liveness() {
     let mut o = sweep_opts(1);
     o.shard_timeout = Duration::from_millis(150);
     o.liveness_timeout = Duration::from_secs(5);
-    let out = run_sweep(inputs(2, 2), &o, &factory(&addr), exec).unwrap();
+    let out = run_queue(&o, &factory(&addr), inputs(2, 2), exec).unwrap();
     assert_all_values(&out.values, 2, 2);
     assert_eq!(out.stats.timeouts, 1);
     assert_eq!(
@@ -337,7 +311,7 @@ fn duplicate_replies_after_reconnect_fold_once() {
             );
         }
     });
-    let out = run_sweep(inputs(4, 2), &sweep_opts(1), &factory(&addr), exec).unwrap();
+    let out = run_queue(&sweep_opts(1), &factory(&addr), inputs(4, 2), exec).unwrap();
     assert_all_values(&out.values, 4, 2);
     assert_eq!(out.stats.reconnects, 1);
     assert_eq!(out.stats.corrupt, 0, "duplicates are not corruption");
@@ -388,7 +362,7 @@ fn reconnect_preserves_session_telemetry_exactly() {
             write_reply(&mut writer, &valid_reply(&spec));
         }
     });
-    let out = run_sweep(inputs(3, 2), &sweep_opts(1), &factory(&addr), exec).unwrap();
+    let out = run_queue(&sweep_opts(1), &factory(&addr), inputs(3, 2), exec).unwrap();
     assert_all_values(&out.values, 3, 2);
     assert_eq!(out.stats.reconnects, 1);
     assert_eq!(out.stats.crashes, 0);
@@ -418,7 +392,7 @@ fn unreachable_host_is_a_spawn_failure() {
             ..tcp_opts()
         },
     };
-    let out = run_sweep(inputs(3, 2), &sweep_opts(1), &f, exec).unwrap();
+    let out = run_queue(&sweep_opts(1), &f, inputs(3, 2), exec).unwrap();
     assert_all_values(&out.values, 3, 2);
     assert_eq!(out.stats.workers_spawned, 0);
     assert_eq!(out.stats.spawn_failures, 1);
@@ -441,7 +415,7 @@ fn killed_listener_exhausts_reconnects_and_reads_as_gone() {
         let _ = writer.shutdown(std::net::Shutdown::Both);
         drop(listener); // refuse all reconnects: the "host went down" shape
     });
-    let out = run_sweep(inputs(3, 2), &sweep_opts(1), &factory(&addr), exec).unwrap();
+    let out = run_queue(&sweep_opts(1), &factory(&addr), inputs(3, 2), exec).unwrap();
     assert_all_values(&out.values, 3, 2);
     assert_eq!(
         out.stats.crashes, 1,
@@ -471,7 +445,7 @@ fn over_long_reply_line_is_struck_and_the_session_ends() {
         let (stream, _) = listener.accept().expect("second connection");
         serve_honestly(stream);
     });
-    let out = run_sweep(inputs(3, 2), &sweep_opts(1), &factory(&addr), exec).unwrap();
+    let out = run_queue(&sweep_opts(1), &factory(&addr), inputs(3, 2), exec).unwrap();
     assert_all_values(&out.values, 3, 2);
     assert!(
         out.stats.corrupt >= 1,

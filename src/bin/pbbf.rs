@@ -16,24 +16,32 @@
 //! `sweep` shards the Monte Carlo runs of a figure's table across
 //! `worker` child processes — and, with `--hosts`, across remote
 //! `worker --listen` processes over TCP — through the fault-tolerant
-//! fabric (`pbbf-fabric`). All requested figures run as one queue on a
-//! single fleet (`pbbf_fabric::run_queue`) that holds each distinct
-//! table once (figs 13–16 share the Q table, figs 17–18 the Δ table),
-//! so remote workers keep their deployment caches warm from table to
-//! table; the stdout is byte-identical to `reproduce` of the same
-//! figures in the same order, which CI enforces under injected worker
-//! faults and a kill -9'd TCP worker (see `docs/OPERATIONS.md`).
+//! fabric (`pbbf-fabric`). All requested figures run as one flat queue
+//! on a single fleet (`pbbf_fabric::run_queue`) that holds each
+//! distinct table once (figs 13–16 share the Q table, figs 17–18 the Δ
+//! table), so remote workers keep their deployment caches warm from
+//! table to table; each figure folds its range of the queue's values,
+//! and the stdout is byte-identical to `reproduce` of the same figures
+//! in the same order, which CI enforces under injected worker faults
+//! and a kill -9'd TCP worker (see `docs/OPERATIONS.md`). `reproduce`
+//! and `sweep` resolve exhibit ids alike: request order, a repeated id
+//! printed once, an unknown id refused.
 //! Argument parsing is deliberately dependency-free (the offline crate
 //! budget is spent on simulation, not flag handling), but strict: every
 //! command declares its flag set and rejects strays instead of silently
-//! defaulting.
+//! defaulting. Every command writes its stdout through one helper, so a
+//! reader that hangs up early (`pbbf reproduce | head -1`) ends the
+//! command quietly.
 
 use std::collections::HashMap;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 
 use pbbf::prelude::*;
-use pbbf_experiments::sweep::{assemble_sweep, plan_sweep, run_sweep_shard, ShardJob};
+use pbbf_experiments::sweep::{
+    assemble_sweep, plan_sweep, run_sweep_shard, sweepable_figures, ShardJob,
+};
 use pbbf_fabric::fault::FaultPlan;
 use pbbf_fabric::{
     run_queue, CacheTelemetry, Endpoint, FleetFactory, ServeOptions, ShardInput, SweepOptions,
@@ -44,7 +52,7 @@ use pbbf_ideal_sim::IdealConfigError;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
-        print_help();
+        let _ = emit(HELP);
         return ExitCode::FAILURE;
     };
     let result = match cmd.as_str() {
@@ -55,10 +63,7 @@ fn main() -> ExitCode {
         "reproduce" => cmd_reproduce(rest),
         "sweep" => cmd_sweep(rest),
         "worker" => cmd_worker(rest),
-        "help" | "--help" | "-h" => {
-            print_help();
-            Ok(())
-        }
+        "help" | "--help" | "-h" => emit(HELP),
         other => Err(format!("unknown command `{other}`")),
     };
     match result {
@@ -71,24 +76,32 @@ fn main() -> ExitCode {
     }
 }
 
-fn print_help() {
-    println!(
-        "pbbf — PBBF (ICDCS 2005) reproduction toolkit\n\n\
-         USAGE:\n  pbbf <command> [flags]\n\n\
-         COMMANDS:\n\
-         \x20 analyze    --p <f> --q <f>                      closed-form energy/latency/reliability\n\
-         \x20 boundary   --grid <n> --reliability <f> [--runs <n>] [--seed <n>]\n\
-         \x20 ideal      --grid <n> --p <f> --q <f> [--updates <n>] [--seed <n>]\n\
-         \x20 net        --p <f> --q <f> [--delta <f>] [--duration <s>] [--seed <n>]\n\
-         \x20 reproduce  [--paper] [--plot] [--seed <n>] [table1 fig04 ... fig18]\n\
-         \x20 sweep      [--paper] [--seed <n>] [--workers <n>] [--hosts <h:p,...>]\n\
-         \x20            [--figs fig13,fig17,...] [--shard-timeout <s>] [--liveness <s>]\n\
-         \x20            [fig13 ... fig18]        (one fleet; each table swept once)\n\
-         \x20 worker     executes sweep shards from stdin (internal), or over TCP with\n\
-         \x20            [--listen <addr:port>] [--heartbeat <s>] [--once]\n\
-         \x20 help\n\n\
-         Wire protocol spec: docs/PROTOCOL.md; sweep ops guide: docs/OPERATIONS.md"
-    );
+const HELP: &str = "pbbf — PBBF (ICDCS 2005) reproduction toolkit\n\n\
+     USAGE:\n  pbbf <command> [flags]\n\n\
+     COMMANDS:\n\
+     \x20 analyze    --p <f> --q <f>                      closed-form energy/latency/reliability\n\
+     \x20 boundary   --grid <n> --reliability <f> [--runs <n>] [--seed <n>]\n\
+     \x20 ideal      --grid <n> --p <f> --q <f> [--updates <n>] [--seed <n>]\n\
+     \x20 net        --p <f> --q <f> [--delta <f>] [--duration <s>] [--seed <n>]\n\
+     \x20 reproduce  [--paper] [--plot] [--seed <n>] [table1 fig04 ... fig18]\n\
+     \x20 sweep      [--paper] [--seed <n>] [--workers <n>] [--hosts <h:p,...>]\n\
+     \x20            [--figs fig13,fig17,...] [--shard-timeout <s>] [--liveness <s>]\n\
+     \x20            [fig13 ... fig18]        (one fleet; each table swept once)\n\
+     \x20 worker     executes sweep shards from stdin (internal), or over TCP with\n\
+     \x20            [--listen <addr:port>] [--heartbeat <s>] [--once]\n\
+     \x20 help\n\n\
+     Wire protocol spec: docs/PROTOCOL.md; sweep ops guide: docs/OPERATIONS.md\n";
+
+/// Writes `text` to stdout; every command's output goes through here.
+/// A reader that hung up (`pbbf reproduce | head -1`) ends the process
+/// quietly with exit status 0; any other write error is an error.
+fn emit(text: &str) -> Result<(), String> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => Err(format!("writing to stdout: {e}")),
+    }
 }
 
 /// One flag a command accepts: its `--name` and whether it consumes a
@@ -216,9 +229,13 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         format!("{:.4} J", pt.joules_per_update),
         "Table 1 power".to_string(),
     ]);
-    print!("{}", t.render());
-    Ok(())
+    emit(&t.render())
 }
+
+/// The most node-sweeps (`grid² × runs`) `pbbf boundary` takes on. A
+/// Newman–Ziff sweep costs about 90 ns per node, so this is some 25 s
+/// of work; the default (30² × 150) is 135,000.
+const MAX_NODE_SWEEPS: u64 = 1 << 28;
 
 fn cmd_boundary(args: &[String]) -> Result<(), String> {
     let (flags, _) = parse(
@@ -242,22 +259,28 @@ fn cmd_boundary(args: &[String]) -> Result<(), String> {
         ));
     }
     let runs = get_u32(&flags, "runs", 150, 1)?;
+    let node_sweeps = nodes * u64::from(runs);
+    if node_sweeps > MAX_NODE_SWEEPS {
+        return Err(format!(
+            "--runs: {grid}x{grid} nodes × {runs} runs is {node_sweeps} node-sweeps, \
+             past the budget of {MAX_NODE_SWEEPS}"
+        ));
+    }
     let seed = get_u64(&flags, "seed", 2005)?;
     let g = Grid::square(grid);
     let mut rng = SimRng::new(seed);
     let ps: Vec<f64> = (1..=10).map(|i| f64::from(i) / 10.0).collect();
     let (critical, boundary) =
         pq_boundary(g.topology(), g.center(), reliability, &ps, runs, &mut rng);
-    println!(
-        "{grid}x{grid} grid, {:.0}% reliability: critical p_edge = {critical:.4}\n",
-        reliability * 100.0
-    );
     let mut t = Table::new(["p", "q_min"]);
     for (p, q) in boundary {
         t.row([format!("{p:.2}"), format!("{q:.4}")]);
     }
-    print!("{}", t.render());
-    Ok(())
+    emit(&format!(
+        "{grid}x{grid} grid, {:.0}% reliability: critical p_edge = {critical:.4}\n\n{}",
+        reliability * 100.0,
+        t.render()
+    ))
 }
 
 fn cmd_ideal(args: &[String]) -> Result<(), String> {
@@ -302,8 +325,7 @@ fn cmd_ideal(args: &[String]) -> Result<(), String> {
         "transmissions/update".to_string(),
         format!("{:.1}", stats.mean_total_tx()),
     ]);
-    print!("{}", t.render());
-    Ok(())
+    emit(&t.render())
 }
 
 fn cmd_net(args: &[String]) -> Result<(), String> {
@@ -353,8 +375,7 @@ fn cmd_net(args: &[String]) -> Result<(), String> {
         format!("{} ({})", stats.data_tx, stats.immediate_tx),
     ]);
     t.row(["collisions".to_string(), format!("{}", stats.collisions)]);
-    print!("{}", t.render());
-    Ok(())
+    emit(&t.render())
 }
 
 /// The Table-2 scenario with `pbbf net`'s `--delta` and `--duration`
@@ -378,22 +399,44 @@ fn cmd_reproduce(args: &[String]) -> Result<(), String> {
     };
     let seed = get_u64(&flags, "seed", 2005)?;
     let plot = flags.contains_key("plot");
-    let mut any = false;
-    for exp in Experiment::all() {
-        if !positional.is_empty() && !positional.iter().any(|p| p == exp.id()) {
-            continue;
-        }
-        any = true;
-        let out = exp.run(&effort, seed);
-        match (&out, plot) {
-            (Output::Figure(f), true) => println!("{}", f.render_ascii_plot(64, 20)),
-            _ => println!("{}", out.render_text()),
-        }
-    }
-    if !any {
-        return Err(format!("no exhibit matched {positional:?}"));
+    let catalogue: Vec<&str> = Experiment::all().iter().map(Experiment::id).collect();
+    for id in resolve_ids(&positional, &catalogue, "an exhibit")? {
+        let out = Experiment::from_id(id)
+            .expect("a resolved id")
+            .run(&effort, seed);
+        let text = match (&out, plot) {
+            (Output::Figure(f), true) => f.render_ascii_plot(64, 20),
+            _ => out.render_text(),
+        };
+        emit(&format!("{text}\n"))?;
     }
     Ok(())
+}
+
+/// The exhibit ids a command was asked for, in request order with
+/// repeats dropped, or every choice when none was named. `reproduce`
+/// and `sweep` both resolve through here, so they agree on order.
+fn resolve_ids(
+    requested: &[String],
+    choices: &[&'static str],
+    what: &str,
+) -> Result<Vec<&'static str>, String> {
+    if requested.is_empty() {
+        return Ok(choices.to_vec());
+    }
+    let mut ids = Vec::new();
+    for id in requested {
+        let Some(&known) = choices.iter().find(|&&c| c == id) else {
+            return Err(format!(
+                "{id}: not {what} (choose from {})",
+                choices.join(", ")
+            ));
+        };
+        if !ids.contains(&known) {
+            ids.push(known);
+        }
+    }
+    Ok(ids)
 }
 
 /// Executes one sweep shard: decode the opaque fabric job back into a
@@ -538,8 +581,7 @@ fn cmd_worker(args: &[String]) -> Result<(), String> {
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
     // Announced on stdout (and flushed) so scripts binding port 0 can
     // read the ephemeral port back; see docs/OPERATIONS.md.
-    println!("pbbf worker: listening on {addr}");
-    std::io::Write::flush(&mut std::io::stdout()).map_err(|e| e.to_string())?;
+    emit(&format!("pbbf worker: listening on {addr}\n"))?;
     pbbf_fabric::serve_listener(&listener, &options, exec_shard, cache_telemetry)
         .map_err(|e| format!("serve on {addr}: {e}"))
 }
@@ -566,45 +608,35 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     // `--figs a,b,c` and bare positionals are the same request; the
     // flag form exists so scripts can say "these figures, one fleet"
     // in a single token. No figures at all means every sweepable one.
-    let mut figures: Vec<String> = positional;
+    let mut requested = positional;
     if let Some(spec) = flags.get("figs") {
-        figures.extend(parse_figs(spec)?);
+        requested.extend(parse_figs(spec)?);
     }
-    if figures.is_empty() {
-        figures = pbbf_experiments::sweep::sweepable_figures()
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-    }
+    let figures = resolve_ids(&requested, &sweepable_figures(), "a shardable figure")?;
     let hosts = match flags.get("hosts") {
         Some(spec) => parse_hosts(spec)?,
         None => Vec::new(),
     };
     let (remote, local) = plan_fleet(&flags, &hosts)?;
-    // Every manifest is built before any fleet is spawned: a typo'd
-    // figure must fail fast, not after minutes of sweeping.
-    let plan = plan_sweep(&figures, &effort, seed)?;
-    // Figures of one table share its shards, so the queue runs each
-    // table once (figs 13–16 one Q table, figs 17–18 one Δ table).
-    let queue: Vec<Vec<ShardInput>> = plan
-        .tables()
+    // The ids are resolved (an unknown one refused) and every manifest
+    // built before any fleet is spawned: a bad request must fail fast,
+    // not after minutes of sweeping. Figures of
+    // one table share its shards, so the queue holds each table once
+    // (figs 13–16 one Q table, figs 17–18 one Δ table).
+    let plan = plan_sweep(&figures, &effort, seed);
+    let queue: Vec<ShardInput> = plan
+        .queue
         .iter()
-        .map(|shards| {
-            shards
-                .iter()
-                .map(|j| ShardInput {
-                    job: serde::to_value(j),
-                    expect: j.reply_len(),
-                })
-                .collect()
+        .map(|j| ShardInput {
+            job: serde::to_value(j),
+            expect: j.reply_len(),
         })
         .collect();
-    let total_shards: usize = queue.iter().map(Vec::len).sum();
     // A slot past the last shard would sit idle, so a huge `--workers`
     // spawns (and lists) no more local workers than there are shards.
-    let local = local.min(total_shards);
+    let local = local.min(queue.len());
     let opts = SweepOptions {
-        workers: (remote + local).clamp(1, total_shards.max(1)),
+        workers: (remote + local).clamp(1, queue.len().max(1)),
         shard_timeout: get_secs(&flags, "shard-timeout", 120.0)?,
         liveness_timeout: get_secs(&flags, "liveness", 10.0)?,
         ..SweepOptions::default()
@@ -620,50 +652,22 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         tcp: TcpOptions::default(),
     };
     // ONE fleet serves the whole queue: workers — and their deployment
-    // caches — survive from table to table instead of being respawned
-    // per sweep.
-    let mut slots: Vec<Vec<Option<Vec<Option<f64>>>>> = queue
-        .iter()
-        .map(|sweep| (0..sweep.len()).map(|_| None).collect())
-        .collect();
-    let stats = run_queue(
-        &opts,
-        &factory,
-        queue,
-        exec_shard,
-        |sweep, shard, values| {
-            slots[sweep][shard] = Some(values);
-        },
-    )?;
-    let tables: Vec<Vec<Vec<Option<f64>>>> = slots
-        .into_iter()
-        .map(|table| {
-            table
-                .into_iter()
-                .map(|s| s.expect("a completed queue settles every shard"))
-                .collect()
-        })
-        .collect();
-    for (manifest, t, first) in plan.figures() {
-        // A table's first figure carries its stats; a later figure of
-        // the same table did no shard work, so its line reports only
-        // the fleet and the per-line sums stay exact.
-        let line = if first {
-            stats[t]
-        } else {
-            SweepStats {
-                workers_spawned: stats[t].workers_spawned,
-                spawn_failures: stats[t].spawn_failures,
-                ..SweepStats::default()
-            }
-        };
+    // caches — survive from table to table.
+    let run = run_queue(&opts, &factory, queue, exec_shard)?;
+    // The first figure's line carries the queue's one ledger; later
+    // lines report only the fleet, so the lines sum to the totals.
+    let fleet_only = SweepStats {
+        workers_spawned: run.stats.workers_spawned,
+        spawn_failures: run.stats.spawn_failures,
+        ..SweepStats::default()
+    };
+    for (i, (manifest, range)) in plan.figures.iter().enumerate() {
+        let line = if i == 0 { run.stats } else { fleet_only };
         eprintln!("pbbf sweep: {}: {line}", manifest.figure);
         // Byte-identical to `reproduce`'s figure path: same renderer,
-        // same println, same figure order.
-        println!(
-            "{}",
-            assemble_sweep(manifest, tables[t].clone()).render_text()
-        );
+        // same newline, same figure order.
+        let figure = assemble_sweep(manifest, run.values[range.clone()].to_vec());
+        emit(&format!("{}\n", figure.render_text()))?;
     }
     Ok(())
 }

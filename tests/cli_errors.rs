@@ -1,11 +1,13 @@
-//! Bad flag values against the real `pbbf` binary: each one exits 1
-//! with an `error:` line naming the flag, or, where a value is only
-//! larger than needed, runs as usual. None may panic (exit 101), abort
-//! (exit 134) or be silently wrapped into a different value.
+//! Bad flag values and exhibit ids against the real `pbbf` binary: each
+//! one exits 1 with an `error:` line naming the flag or id, or, where a
+//! value is only larger than needed, runs as usual. None may panic
+//! (exit 101), abort (exit 134) or be silently wrapped into a different
+//! value, and a reader that hangs up early is not an error.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
-/// `(arguments, the flag the error must name)`.
+/// `(arguments, the flag or exhibit id the error must name)`.
 const BAD_INVOCATIONS: &[(&str, &str)] = &[
     // Too sparse to draw a connected deployment.
     ("net --p .5 --q .5 --delta 3", "--delta"),
@@ -25,6 +27,10 @@ const BAD_INVOCATIONS: &[(&str, &str)] = &[
     ("ideal --grid 4294967301 --p .5 --q .5", "--grid"),
     ("boundary --grid 4294967302", "--grid"),
     ("boundary --grid 10 --runs 4294967297", "--runs"),
+    // Work past the boundary budget of 2^28 node-sweeps: each ran on
+    // past 20 s (the first would take some 88 hours).
+    ("boundary --grid 30 --runs 4000000000", "--runs"),
+    ("boundary --grid 2 --runs 4000000000", "--runs"),
     // Work past the ideal-sim budget, refused before anything allocates
     // (each aborted on allocation, or was OOM-killed, before it was
     // checked), and a run of zero updates, which measures nothing.
@@ -40,6 +46,10 @@ const BAD_INVOCATIONS: &[(&str, &str)] = &[
     // 1.8e10 s aborted on a 4.3 GB per-update buffer.
     ("net --p .25 --q .25 --duration 1e10", "--duration"),
     ("net --p .25 --q .25 --duration 1.8e10", "--duration"),
+    // An unknown exhibit id, once silently skipped, and an exhibit
+    // `sweep` cannot shard.
+    ("reproduce fig13 fig99", "fig99"),
+    ("sweep fig13 fig07", "fig07"),
 ];
 
 /// `--workers` values past any shard count: each once panicked on
@@ -86,4 +96,25 @@ fn huge_worker_counts_sweep_like_reproduce() {
         assert_eq!(out.status.code(), Some(0), "--workers {workers}:\n{stderr}");
         assert_eq!(out.stdout, reproduce.stdout, "--workers {workers}");
     }
+}
+
+#[test]
+fn a_reader_hanging_up_ends_reproduce_quietly() {
+    // `pbbf reproduce | head -1`: the first exhibit prints at once, and
+    // the pipe is closed long before the rest are computed.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pbbf"))
+        .arg("reproduce")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn pbbf");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("read the first line");
+    assert!(!first.is_empty(), "reproduce printed nothing");
+    let out = child.wait_with_output().expect("wait for pbbf");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -17,21 +17,27 @@ fn pbbf() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pbbf"))
 }
 
-/// Runs the binary, asserts success, returns raw stdout bytes.
-fn run(args: &[&str], envs: &[(&str, &str)]) -> Vec<u8> {
+/// Runs the binary, asserts success, returns raw stdout bytes and
+/// stderr.
+fn run_both(args: &[&str], envs: &[(&str, &str)]) -> (Vec<u8>, String) {
     let mut cmd = pbbf();
     cmd.args(args).env_remove("PBBF_FAULT");
     for (k, v) in envs {
         cmd.env(k, v);
     }
     let out = cmd.output().expect("spawn pbbf");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(
         out.status.success(),
-        "pbbf {args:?} failed ({:?}):\n{}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
+        "pbbf {args:?} failed ({:?}):\n{stderr}",
+        out.status
     );
-    out.stdout
+    (out.stdout, stderr)
+}
+
+/// Runs the binary, asserts success, returns raw stdout bytes.
+fn run(args: &[&str], envs: &[(&str, &str)]) -> Vec<u8> {
+    run_both(args, envs).0
 }
 
 fn reproduce_bytes() -> Vec<u8> {
@@ -102,7 +108,7 @@ fn multi_figure_sweep_survives_injected_faults_bitwise() {
         reproduce.extend(&figs);
         reproduce.extend(["--seed", SEED]);
         let clean = run(&reproduce, &[]);
-        let swept = run(
+        let (swept, stderr) = run_both(
             &[
                 "sweep",
                 "--figs",
@@ -120,6 +126,11 @@ fn multi_figure_sweep_survives_injected_faults_bitwise() {
             swept, clean,
             "faulted resident sweep of {figs:?} diverged from reproduce"
         );
+        // Every fault, the Δ table's corruption included, is on the
+        // first figure's line.
+        let first = counters(assert_one_ledger(&stderr, &figs)[0]);
+        assert!(first[CRASHES] >= 1, "{stderr}");
+        assert!(first[CORRUPT] >= 2, "{stderr}");
     }
 }
 
@@ -127,6 +138,12 @@ fn multi_figure_sweep_survives_injected_faults_bitwise() {
 const STATS_TEMPLATE: &str = "workers # (+# spawn failures), retries #, crashes #, timeouts #, \
                               corrupt #, refused #, quarantined #, in-process shards #, \
                               hosts lost #, reconnects #, deploy cache #/# hit/miss (+# evicted)";
+
+/// Positions in [`counters`]: `workers` and `spawn failures` (the
+/// fleet, which every line repeats) come before `FLEET`.
+const FLEET: usize = 2;
+const CRASHES: usize = 3;
+const CORRUPT: usize = 5;
 
 /// `line` with every run of digits replaced by one `#`.
 fn shape(line: &str) -> String {
@@ -141,6 +158,58 @@ fn shape(line: &str) -> String {
     out
 }
 
+/// A stats line's numbers, in [`STATS_TEMPLATE`] order.
+fn counters(body: &str) -> Vec<u64> {
+    body.split(|c: char| !c.is_ascii_digit())
+        .filter(|n| !n.is_empty())
+        .map(|n| n.parse().expect("a counter"))
+        .collect()
+}
+
+/// Checks a sweep's stats lines and returns their bodies: one line per
+/// figure, in request order and the template's wording (a faulted
+/// sweep may also print fault lines under the `pbbf sweep: ` prefix,
+/// which this skips; a clean test counts them itself). The first line
+/// carries the queue's one ledger; every later line repeats the fleet
+/// and reads 0 elsewhere, so each counter summed over the lines equals
+/// the first line's.
+fn assert_one_ledger<'a>(stderr: &'a str, figs: &[&str]) -> Vec<&'a str> {
+    let lines: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("pbbf sweep: fig"))
+        .collect();
+    assert_eq!(
+        lines.len(),
+        figs.len(),
+        "one stats line per figure:\n{stderr}"
+    );
+    let bodies: Vec<&str> = lines
+        .iter()
+        .zip(figs)
+        .map(|(line, fig)| {
+            let body = line
+                .strip_prefix(&format!("pbbf sweep: {fig}: "))
+                .unwrap_or_else(|| panic!("{fig}'s line out of order: {line}"));
+            assert_eq!(shape(body), STATS_TEMPLATE, "{line}");
+            body
+        })
+        .collect();
+    let first = counters(bodies[0]);
+    for body in &bodies[1..] {
+        let later = counters(body);
+        assert_eq!(later[..FLEET], first[..FLEET], "the fleet repeats: {body}");
+        assert!(
+            later[FLEET..].iter().all(|&n| n == 0),
+            "a later line is fleet-only: {body}"
+        );
+    }
+    for (field, &total) in first.iter().enumerate().skip(FLEET) {
+        let sum: u64 = bodies.iter().map(|b| counters(b)[field]).sum();
+        assert_eq!(sum, total, "counter {field} sums to the first line's");
+    }
+    bodies
+}
+
 #[test]
 fn six_figure_sweep_runs_each_table_once_with_one_stats_line_per_figure() {
     let figs = ["fig13", "fig14", "fig15", "fig16", "fig17", "fig18"];
@@ -148,44 +217,65 @@ fn six_figure_sweep_runs_each_table_once_with_one_stats_line_per_figure() {
     reproduce.extend(figs);
     reproduce.extend(["--seed", SEED]);
     let clean = run(&reproduce, &[]);
-    let out = pbbf()
-        .args(["sweep", "--figs", &figs.join(","), "--seed", SEED])
-        .args(["--workers", "3"])
-        .env_remove("PBBF_FAULT")
-        .output()
-        .expect("spawn pbbf");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "{:?}:\n{stderr}", out.status);
-    assert_eq!(
-        out.stdout, clean,
-        "six-figure sweep diverged from reproduce"
+    let (swept, stderr) = run_both(
+        &[
+            "sweep",
+            "--figs",
+            &figs.join(","),
+            "--seed",
+            SEED,
+            "--workers",
+            "3",
+        ],
+        &[],
     );
-
-    let lines: Vec<&str> = stderr
-        .lines()
-        .filter(|l| l.starts_with("pbbf sweep: "))
-        .collect();
+    assert_eq!(swept, clean, "six-figure sweep diverged from reproduce");
+    // A clean sweep prints nothing else under the prefix: perfbench's
+    // `fabric_stats.rs` reads every such line as a stats line.
     assert_eq!(
-        lines.len(),
+        stderr
+            .lines()
+            .filter(|l| l.starts_with("pbbf sweep: "))
+            .count(),
         figs.len(),
-        "one stats line per figure:\n{stderr}"
+        "only stats lines carry the prefix:\n{stderr}"
     );
-    for (line, fig) in lines.iter().zip(figs) {
-        let body = line
-            .strip_prefix(&format!("pbbf sweep: {fig}: "))
-            .unwrap_or_else(|| panic!("{fig}'s line out of order: {line}"));
-        assert_eq!(shape(body), STATS_TEMPLATE, "{line}");
+    // The queue's one ledger, the Δ table's work included, is on
+    // fig13's line; from fig14 on, fig17 too, every line reads
+    // `in-process shards 0` and `deploy cache 0/0`.
+    for body in assert_one_ledger(&stderr, &figs) {
         assert!(
             body.starts_with("workers 3 (+0 spawn failures), retries 0,"),
-            "{line}"
+            "{body}"
         );
-        // Figs 14–16 read fig13's table and fig18 reads fig17's, so
-        // their lines report the fleet and no shard work.
-        if !["fig13", "fig17"].contains(&fig) {
-            assert!(body.contains("in-process shards 0,"), "{line}");
-            assert!(body.contains("deploy cache 0/0 hit/miss"), "{line}");
-        }
     }
+}
+
+#[test]
+fn sweep_and_reproduce_agree_on_request_order_and_repeats() {
+    let once = run(&["reproduce", "fig17", "fig13", "--seed", SEED], &[]);
+    let repeated = run(
+        &["reproduce", "fig17", "fig13", "fig13", "--seed", SEED],
+        &[],
+    );
+    let swept = run(
+        &[
+            "sweep",
+            "fig17",
+            "fig13",
+            "fig13",
+            "--seed",
+            SEED,
+            "--workers",
+            "2",
+        ],
+        &[],
+    );
+    assert_eq!(swept, repeated, "sweep diverged from reproduce");
+    assert_eq!(repeated, once, "a repeated id prints once");
+    let text = String::from_utf8(once).expect("utf8 figures");
+    let at = |title: &str| text.find(title).unwrap_or_else(|| panic!("{title}"));
+    assert!(at("Figure 17:") < at("Figure 13:"), "request order");
 }
 
 #[test]
