@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use pbbf_ideal_sim::{IdealConfig, IdealConfigError};
 use pbbf_net_sim::NetConfig;
 
 /// The most q values an x-axis sweep may visit: a step of 0.001. The
@@ -67,10 +68,22 @@ impl Effort {
         }
     }
 
+    /// The Section-4 scenario every ideal-table point runs: Table 1 with
+    /// this effort's grid and update count.
+    pub(crate) fn ideal_config(&self) -> IdealConfig {
+        IdealConfig {
+            grid_side: self.ideal_grid_side,
+            updates: self.ideal_updates,
+            ..IdealConfig::table1()
+        }
+    }
+
     /// Checks the fields a sweep shard reads before it allocates
     /// anything: a q axis of 2 to 1001 points, at least one run per
-    /// point, and a realistic-simulation duration the simulator can run
-    /// within its work budget ([`NetConfig::validate`]).
+    /// point, an idealized grid and update count within the ideal-sim
+    /// work budget ([`IdealConfig::validate`]), and a
+    /// realistic-simulation duration the simulator can run within its
+    /// work budget ([`NetConfig::validate`]).
     ///
     /// # Errors
     ///
@@ -91,6 +104,17 @@ impl Effort {
         if self.runs == 0 {
             return Err("runs: need at least one run per point".into());
         }
+        self.ideal_config().validate().map_err(|e| {
+            let field = match e {
+                IdealConfigError::EmptyGrid | IdealConfigError::TooManyNodes { .. } => {
+                    "ideal_grid_side"
+                }
+                IdealConfigError::NoUpdates | IdealConfigError::TooMuchWork { .. } => {
+                    "ideal_updates"
+                }
+            };
+            format!("{field}: {e}")
+        })?;
         // Every Section-5 scenario is Table 2 at this duration, with
         // only Δ varied, and the budget does not read Δ.
         let net = NetConfig {
@@ -162,7 +186,26 @@ mod tests {
             refused(Effort { q_points, ..quick }, "q_points");
         }
         refused(Effort { runs: 0, ..quick }, "runs");
-        for net_duration_secs in [f64::NAN, 1e10] {
+        for (ideal_grid_side, ideal_updates, field) in [
+            (0, 3, "ideal_grid_side"),
+            (1025, 1, "ideal_grid_side"),
+            (25, 0, "ideal_updates"),
+            (1024, 17, "ideal_updates"),
+        ] {
+            let e = Effort {
+                ideal_grid_side,
+                ideal_updates,
+                ..quick
+            };
+            refused(e, field);
+        }
+        let at_the_budget = Effort {
+            ideal_grid_side: 1024,
+            ideal_updates: 16,
+            ..quick
+        };
+        assert_eq!(at_the_budget.validate(), Ok(()));
+        for net_duration_secs in [f64::NAN, 1e10, 0.1] {
             refused(
                 Effort {
                     net_duration_secs,

@@ -161,7 +161,7 @@ pub fn ext_latency_tail(effort: &Effort, seed: u64) -> Figure {
     let all_stats = pbbf_parallel::par_run_grouped_chunked(
         qs.len(),
         effort.runs as usize,
-        crate::net_figs::RUN_CHUNK,
+        crate::sweep::RUN_CHUNK,
         |qi, rs| {
             let mode = NetMode::SleepScheduled(PbbfParams::new(0.5, qs[qi]).expect("valid"));
             let sim = NetSim::new(cfg, mode);
@@ -223,7 +223,7 @@ pub fn ext_k_tradeoff(effort: &Effort, seed: u64) -> Figure {
     let ratios = pbbf_parallel::par_run_grouped_chunked(
         ks.len(),
         effort.runs as usize,
-        crate::net_figs::RUN_CHUNK,
+        crate::sweep::RUN_CHUNK,
         |ki, rs| {
             let mut cfg = NetConfig::table2();
             cfg.duration_secs = effort.net_duration_secs;

@@ -1,14 +1,18 @@
 //! Drivers that regenerate every table and figure of the paper.
 //!
-//! Each `tableN`/`figNN` function reproduces the corresponding exhibit of
-//! *"Exploring the Energy-Latency Trade-off for Broadcasts in Energy-Saving
-//! Sensor Networks"* (ICDCS 2005) and returns it as a typed
-//! [`Table`](pbbf_metrics::Table) or [`Figure`](pbbf_metrics::Figure) with
-//! the same axes, legends and rows the paper plots.
+//! Every exhibit of *"Exploring the Energy-Latency Trade-off for
+//! Broadcasts in Energy-Saving Sensor Networks"* (ICDCS 2005) is an
+//! [`Experiment`]; [`Experiment::run`] regenerates it as a typed
+//! [`Table`](pbbf_metrics::Table) or [`Figure`](pbbf_metrics::Figure)
+//! with the same axes, legends and rows the paper plots. The twelve
+//! Monte Carlo figures (4, 5, 8–11 and 13–18) are columns of three
+//! sweep tables and run through one shard path, [`sweep`], in-process
+//! and under `pbbf sweep` alike. The tables and figs 6, 7 and 12 have
+//! functions of their own (`table1`, `fig06`, …).
 //!
-//! Every figure function takes an [`Effort`] (paper-scale or a scaled-down
+//! Every exhibit takes an [`Effort`] (paper-scale or a scaled-down
 //! `quick` preset for benches/CI) and a seed; results are deterministic
-//! per `(effort, seed)`. The [`Experiment`] enum enumerates all exhibits
+//! per `(effort, seed)`. [`Experiment::all`] enumerates all exhibits
 //! for harnesses that want to run everything.
 //!
 //! # Examples
@@ -38,8 +42,6 @@ pub use effort::Effort;
 pub use extensions::{
     ext_adaptive_convergence, ext_gossip_vs_pbbf, ext_k_tradeoff, ext_latency_tail,
 };
-pub use ideal_figs::{fig04, fig05, fig08, fig09, fig10, fig11};
-pub use net_figs::{fig13, fig14, fig15, fig16, fig17, fig18};
 pub use percolation_figs::{fig06, fig07};
 pub use registry::{Experiment, Output};
 pub use tables::{table1, table2};

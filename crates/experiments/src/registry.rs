@@ -97,27 +97,25 @@ impl Experiment {
         Experiment::all().into_iter().find(|e| e.id() == id)
     }
 
-    /// Regenerates the exhibit.
+    /// Regenerates the exhibit. The tables and figs 6, 7 and 12 have
+    /// code of their own; every other figure is a column of a Monte
+    /// Carlo table, assembled from its manifest's shards run on this
+    /// process's threads — the path `pbbf sweep` runs on worker
+    /// processes ([`crate::sweep`]).
+    ///
+    /// # Panics
+    ///
+    /// On an effort [`Effort::validate`] refuses, for a Monte Carlo
+    /// figure.
     #[must_use]
     pub fn run(&self, effort: &Effort, seed: u64) -> Output {
         match self {
             Experiment::Table1 => Output::Table(crate::table1()),
             Experiment::Table2 => Output::Table(crate::table2()),
-            Experiment::Fig04 => Output::Figure(crate::fig04(effort, seed)),
-            Experiment::Fig05 => Output::Figure(crate::fig05(effort, seed)),
             Experiment::Fig06 => Output::Figure(crate::fig06(effort, seed)),
             Experiment::Fig07 => Output::Figure(crate::fig07(effort, seed)),
-            Experiment::Fig08 => Output::Figure(crate::fig08(effort, seed)),
-            Experiment::Fig09 => Output::Figure(crate::fig09(effort, seed)),
-            Experiment::Fig10 => Output::Figure(crate::fig10(effort, seed)),
-            Experiment::Fig11 => Output::Figure(crate::fig11(effort, seed)),
             Experiment::Fig12 => Output::Figure(crate::fig12(effort, seed)),
-            Experiment::Fig13 => Output::Figure(crate::fig13(effort, seed)),
-            Experiment::Fig14 => Output::Figure(crate::fig14(effort, seed)),
-            Experiment::Fig15 => Output::Figure(crate::fig15(effort, seed)),
-            Experiment::Fig16 => Output::Figure(crate::fig16(effort, seed)),
-            Experiment::Fig17 => Output::Figure(crate::fig17(effort, seed)),
-            Experiment::Fig18 => Output::Figure(crate::fig18(effort, seed)),
+            figure => Output::Figure(crate::sweep::run_figure(figure.id(), effort, seed)),
         }
     }
 }

@@ -1,20 +1,25 @@
-//! Shard manifests for the distributed sweep fabric.
+//! One sweep path for every Monte Carlo figure of the paper.
 //!
-//! Every Section-5 figure runs through here, in-process or not. A shard
-//! is a slice of a *table*, not of a figure: figs 13–16 read columns of
-//! the Q-axis table and figs 17–18 columns of the Δ table
-//! (`crate::net_figs`), so a shard returns one row per run holding every
-//! column, `(run1 − run0) ×` [`ShardJob::reply_len`]'s row width values,
-//! row-major. The contract that makes this bitwise-safe lives here: a
-//! [`SweepManifest`] names every `(point, run-range)` chunk of a figure's
-//! table in fold order, each [`ShardJob`] carries everything needed to
-//! recompute its rows from scratch (`sweep`, `effort`, `seed`, point
-//! index, run range — all pure inputs), and [`assemble_sweep`] folds the
-//! figure's column back in manifest order. `NetSweep::run` (what
-//! `pbbf reproduce` calls) fans a manifest's shards across threads; any
-//! other executor that returns each shard's exact values — whichever
-//! process ran it, however many times it was retried — therefore
-//! reproduces the same figure byte for byte.
+//! The twelve Monte Carlo figures are columns of three *tables*: figs 4,
+//! 5 and 8–11 read the Section-4 `ideal` table, figs 13–16 the Section-5
+//! `q` table, and figs 17–18 its `delta` table. A table is a point grid
+//! and a Monte Carlo slice of it that returns one fixed-width row per
+//! run, holding every metric the table's figures read.
+//!
+//! Every one of those figures runs through here, in-process or not. A
+//! shard is a slice of a table, not of a figure: it returns
+//! `(run1 − run0) ×` the table's row width values, row-major
+//! ([`ShardJob::reply_len`]). The contract that makes this bitwise-safe
+//! lives here: a [`SweepManifest`] names every `(point, run-range)`
+//! chunk of a figure's table in fold order, each [`ShardJob`] carries
+//! everything needed to recompute its rows from scratch (`sweep`,
+//! `effort`, `seed`, point index, run range — all pure inputs), and
+//! [`assemble_sweep`] folds the figure's column back in manifest order
+//! and lays it out. [`crate::Experiment::run`] (what `pbbf reproduce`
+//! calls) fans a manifest's shards across threads; any other executor
+//! that returns each shard's exact values — whichever process ran it,
+//! however many times it was retried — therefore reproduces the same
+//! figure byte for byte.
 //!
 //! The same property makes tables freely *queueable* and *shareable*:
 //! each job is self-contained, and figures of one table have equal
@@ -26,10 +31,257 @@
 
 use std::ops::Range;
 
+use pbbf_metrics::{ConfidenceInterval, Figure, Series, Summary};
 use serde::{Deserialize, Serialize};
 
-use crate::net_figs::{net_sweep, SweepAxis, NET_SWEEPS, RUN_CHUNK, WIDTH};
+use crate::ideal_figs::{self, IDEAL_P_VALUES};
+use crate::net_figs::{self, DELTA_P_VALUES, DELTA_VALUES, NET_P_VALUES};
 use crate::Effort;
+
+/// The scheduling granularity of a sweep's Monte Carlo fan-out: runs per
+/// `(point, run-chunk)` shard. One shard amortizes its point lookup and
+/// simulator construction over several runs, while the paper-scale
+/// tables (points × runs/chunk shards) still oversubscribe every thread
+/// budget the CI matrix uses. Threads and worker processes run the same
+/// shards, so changing the value reshapes both.
+pub(crate) const RUN_CHUNK: usize = 8;
+
+/// The legends of the two baselines every table appends after its PBBF
+/// points.
+const BASELINE_LABELS: [&str; 2] = ["PSM", "NO PSM"];
+
+/// A Monte Carlo table: the parameter grid a sweep walks. Its points and
+/// rows depend only on `(table, effort, seed)`, so every figure that
+/// reads the same table reads the same rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SweepAxis {
+    /// The Section-4 (p, q) grid of figs 4, 5 and 8–11
+    /// (`crate::ideal_figs`).
+    Ideal,
+    /// q at the Table-2 density, figs 13–16 (`crate::net_figs`).
+    Q,
+    /// Density Δ at fixed q, figs 17–18 (`crate::net_figs`).
+    Delta,
+}
+
+impl SweepAxis {
+    /// The table's name on the wire (`ShardJob::sweep`).
+    fn name(self) -> &'static str {
+        match self {
+            Self::Ideal => "ideal",
+            Self::Q => "q",
+            Self::Delta => "delta",
+        }
+    }
+
+    /// The table a wire name denotes, if any.
+    fn from_name(name: &str) -> Option<Self> {
+        [Self::Ideal, Self::Q, Self::Delta]
+            .into_iter()
+            .find(|t| t.name() == name)
+    }
+
+    /// Values per row: one per metric the table's figures read.
+    fn width(self) -> usize {
+        match self {
+            Self::Ideal => ideal_figs::WIDTH,
+            Self::Q | Self::Delta => net_figs::WIDTH,
+        }
+    }
+
+    /// The x-axis label of the table's figures.
+    fn x_label(self) -> &'static str {
+        match self {
+            Self::Ideal | Self::Q => "q",
+            Self::Delta => "Delta",
+        }
+    }
+
+    /// The `p` of each PBBF series, in point order.
+    fn p_values(self) -> &'static [f64] {
+        match self {
+            Self::Ideal => &IDEAL_P_VALUES,
+            Self::Q => &NET_P_VALUES,
+            Self::Delta => &DELTA_P_VALUES,
+        }
+    }
+
+    /// Whether a baseline is measured at every x. On the Δ axis each
+    /// density is its own scenario; on a q axis a baseline does not read
+    /// q, so it is measured once and drawn flat.
+    fn baselines_per_x(self) -> bool {
+        self == Self::Delta
+    }
+
+    /// Points in the table's grid: a PBBF point per `p` and x, then the
+    /// baselines ([`Self::baselines_per_x`]). Computed without building
+    /// the grid.
+    fn point_count(self, effort: &Effort) -> usize {
+        let xs = match self {
+            Self::Ideal | Self::Q => effort.q_points as usize,
+            Self::Delta => DELTA_VALUES.len(),
+        };
+        let per_baseline = if self.baselines_per_x() { xs } else { 1 };
+        self.p_values().len() * xs + BASELINE_LABELS.len() * per_baseline
+    }
+
+    /// Executes runs `runs` of point `point` of the table at
+    /// `(effort, seed)`, one row per run, row-major: the body of every
+    /// shard, on a thread or in a worker process — one code path, so a
+    /// shard re-executed anywhere is bitwise identical.
+    fn run_chunk(
+        self,
+        effort: &Effort,
+        seed: u64,
+        point: usize,
+        runs: Range<usize>,
+    ) -> Vec<Option<f64>> {
+        match self {
+            Self::Ideal => {
+                ideal_figs::run_chunk(effort, ideal_figs::points(effort, seed)[point], runs)
+            }
+            Self::Q => net_figs::run_chunk(&net_figs::q_table(effort, seed)[point], runs),
+            Self::Delta => net_figs::run_chunk(&net_figs::delta_table(effort, seed)[point], runs),
+        }
+    }
+
+    /// Lays per-point intervals, in point order, out as the table's
+    /// series: one PBBF line per `p` over the x values, then PSM and
+    /// NO PSM ([`Self::baselines_per_x`]). A point without a sample
+    /// leaves its x out of the line.
+    fn layout(self, effort: &Effort, intervals: Vec<Option<ConfidenceInterval>>) -> Vec<Series> {
+        let xs = match self {
+            Self::Ideal | Self::Q => effort.q_values(),
+            Self::Delta => DELTA_VALUES.to_vec(),
+        };
+        let mut intervals = intervals.into_iter();
+        let mut line = |label: String, per_x: bool| {
+            let mut s = Series::new(label);
+            let mut ci = None;
+            for (i, &x) in xs.iter().enumerate() {
+                if per_x || i == 0 {
+                    ci = intervals.next().expect("one interval per point");
+                }
+                if let Some(ci) = &ci {
+                    s.push_with_err(x, ci.mean, ci.half_width);
+                }
+            }
+            s
+        };
+        let mut series: Vec<Series> = self
+            .p_values()
+            .iter()
+            .map(|p| line(format!("PBBF-{p}"), true))
+            .collect();
+        series.extend(BASELINE_LABELS.map(|label| line(label.to_string(), self.baselines_per_x())));
+        series
+    }
+}
+
+/// One Monte Carlo figure: its catalogue id, the table and column it
+/// plots, and its dressing. `{near}` and `{far}` in the title or y label
+/// stand for the effort's hop-probe distances.
+struct SweepFigure {
+    id: &'static str,
+    table: SweepAxis,
+    column: usize,
+    title: &'static str,
+    y_label: &'static str,
+}
+
+/// Every Monte Carlo figure, in catalogue order. Columns index the
+/// tables' rows (`ideal_figs::row`, `net_figs::row`).
+const CATALOGUE: [SweepFigure; 12] = [
+    SweepFigure {
+        id: "fig04",
+        table: SweepAxis::Ideal,
+        column: 0,
+        title: "Figure 4: Threshold behavior for 90% reliability",
+        y_label: "Fraction of updates received by 90% of nodes",
+    },
+    SweepFigure {
+        id: "fig05",
+        table: SweepAxis::Ideal,
+        column: 1,
+        title: "Figure 5: Threshold behavior for 99% reliability",
+        y_label: "Fraction of updates received by 99% of nodes",
+    },
+    SweepFigure {
+        id: "fig08",
+        table: SweepAxis::Ideal,
+        column: 2,
+        title: "Figure 8: Average energy consumption",
+        y_label: "Joules consumed / total updates sent at source",
+    },
+    SweepFigure {
+        id: "fig09",
+        table: SweepAxis::Ideal,
+        column: 3,
+        title: "Figure 9: Average hops traveled to reach a node {near} hops from the source",
+        y_label: "Average {near}-hop flooding hop count",
+    },
+    SweepFigure {
+        id: "fig10",
+        table: SweepAxis::Ideal,
+        column: 4,
+        title: "Figure 10: Average hops traveled to reach a node {far} hops from the source",
+        y_label: "Average {far}-hop flooding hop count",
+    },
+    SweepFigure {
+        id: "fig11",
+        table: SweepAxis::Ideal,
+        column: 5,
+        title: "Figure 11: Average per-hop update latency",
+        y_label: "Average per-hop update latency (s)",
+    },
+    SweepFigure {
+        id: "fig13",
+        table: SweepAxis::Q,
+        column: 0,
+        title: "Figure 13: Average energy consumption",
+        y_label: "Joules consumed / total updates sent at source",
+    },
+    SweepFigure {
+        id: "fig14",
+        table: SweepAxis::Q,
+        column: 1,
+        title: "Figure 14: 2-hop average update latency",
+        y_label: "Average 2-hop latency (s)",
+    },
+    SweepFigure {
+        id: "fig15",
+        table: SweepAxis::Q,
+        column: 2,
+        title: "Figure 15: 5-hop average update latency",
+        y_label: "Average 5-hop latency (s)",
+    },
+    SweepFigure {
+        id: "fig16",
+        table: SweepAxis::Q,
+        column: 3,
+        title: "Figure 16: Average updates received",
+        y_label: "Updates received / total updates sent at source",
+    },
+    SweepFigure {
+        id: "fig17",
+        table: SweepAxis::Delta,
+        column: 4,
+        title: "Figure 17: Average update latency",
+        y_label: "Average update latency (s)",
+    },
+    SweepFigure {
+        id: "fig18",
+        table: SweepAxis::Delta,
+        column: 3,
+        title: "Figure 18: Average updates received",
+        y_label: "Updates received / total updates sent at source",
+    },
+];
+
+/// Looks a Monte Carlo figure up by catalogue id.
+fn catalogue_figure(id: &str) -> Option<&'static SweepFigure> {
+    CATALOGUE.iter().find(|f| f.id == id)
+}
 
 /// One self-contained unit of sweep work: runs `run0..run1` of point
 /// `point` of table `sweep` at `(effort, seed)`.
@@ -42,8 +294,8 @@ use crate::Effort;
 /// point the worker wouldn't itself derive.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardJob {
-    /// The table being swept: `"q"` (figs 13–16) or `"delta"`
-    /// (figs 17–18).
+    /// The table being swept: `"ideal"` (figs 4, 5, 8–11), `"q"`
+    /// (figs 13–16) or `"delta"` (figs 17–18).
     pub sweep: String,
     /// The sweep's base seed.
     pub seed: u64,
@@ -58,11 +310,13 @@ pub struct ShardJob {
 }
 
 impl ShardJob {
-    /// How many values the shard returns: one row of every table
-    /// column per run. This is the `expect` of its wire spec.
+    /// How many values the shard returns: one row of the table's width
+    /// (6 for `ideal`, 5 for `q` and `delta`) per run, or 0 for a table
+    /// no worker runs. This is the `expect` of its wire spec.
     #[must_use]
     pub fn reply_len(&self) -> usize {
-        self.run1.saturating_sub(self.run0) as usize * WIDTH
+        let width = SweepAxis::from_name(&self.sweep).map_or(0, SweepAxis::width);
+        self.run1.saturating_sub(self.run0) as usize * width
     }
 }
 
@@ -82,21 +336,22 @@ pub struct SweepManifest {
     pub shards: Vec<ShardJob>,
 }
 
-/// The catalogue ids `pbbf sweep` can shard (the Section-5 figures).
+/// The catalogue ids `pbbf sweep` can shard: every Monte Carlo figure
+/// (figs 4, 5, 8–11 and 13–18), in catalogue order.
 #[must_use]
 pub fn sweepable_figures() -> Vec<&'static str> {
-    NET_SWEEPS.iter().map(|s| s.id).collect()
+    CATALOGUE.iter().map(|f| f.id).collect()
 }
 
 /// Builds the shard manifest of one figure's table, or `None` when the
-/// id is not a shardable Section-5 figure.
+/// id is not a Monte Carlo figure.
 ///
-/// Shards are `(point, run-chunk)` slices at `RUN_CHUNK`
-/// granularity, ordered by point, then by run.
+/// Shards are `(point, run-chunk)` slices of at most 8 runs, ordered by
+/// point, then by run.
 #[must_use]
 pub fn sweep_manifest(figure: &str, effort: &Effort, seed: u64) -> Option<SweepManifest> {
-    let axis = net_sweep(figure)?.axis;
-    let points = axis.points(effort, seed).len() as u32;
+    let table = catalogue_figure(figure)?.table;
+    let points = table.point_count(effort) as u32;
     let runs = effort.runs;
     let chunk = RUN_CHUNK as u32;
     let mut shards = Vec::new();
@@ -104,7 +359,7 @@ pub fn sweep_manifest(figure: &str, effort: &Effort, seed: u64) -> Option<SweepM
         let mut run0 = 0;
         while run0 < runs {
             shards.push(ShardJob {
-                sweep: axis.name().to_string(),
+                sweep: table.name().to_string(),
                 seed,
                 effort: *effort,
                 point,
@@ -150,15 +405,16 @@ pub fn plan_sweep(figures: &[&str], effort: &Effort, seed: u64) -> SweepPlan {
     };
     let mut tables: Vec<(SweepAxis, Range<usize>)> = Vec::new();
     for fig in figures {
-        let manifest = sweep_manifest(fig, effort, seed)
-            .unwrap_or_else(|| panic!("`{fig}` is not a shardable figure"));
-        let axis = net_sweep(fig).expect("a manifest names a figure").axis;
-        let range = match tables.iter().find(|(a, _)| *a == axis) {
+        let table = catalogue_figure(fig)
+            .unwrap_or_else(|| panic!("`{fig}` is not a shardable figure"))
+            .table;
+        let manifest = sweep_manifest(fig, effort, seed).expect("a catalogue figure");
+        let range = match tables.iter().find(|(t, _)| *t == table) {
             Some((_, range)) => range.clone(),
             None => {
                 let start = plan.queue.len();
                 plan.queue.extend_from_slice(&manifest.shards);
-                tables.push((axis, start..plan.queue.len()));
+                tables.push((table, start..plan.queue.len()));
                 start..plan.queue.len()
             }
         };
@@ -180,13 +436,13 @@ pub fn plan_sweep(figures: &[&str], effort: &Effort, seed: u64) -> SweepPlan {
 /// for them, so a worker process can refuse them over the wire and stay
 /// alive.
 pub fn run_sweep_shard(job: &ShardJob) -> Result<Vec<Option<f64>>, String> {
-    let axis = SweepAxis::from_name(&job.sweep)
+    let table = SweepAxis::from_name(&job.sweep)
         .ok_or_else(|| format!("unknown sweep table `{}`", job.sweep))?;
     job.effort.validate()?;
-    let points = axis.points(&job.effort, job.seed);
-    let pt = points
-        .get(job.point as usize)
-        .ok_or_else(|| format!("point {} out of range ({})", job.point, points.len()))?;
+    let points = table.point_count(&job.effort);
+    if job.point as usize >= points {
+        return Err(format!("point {} out of range ({points})", job.point));
+    }
     if job.run0 >= job.run1 || job.run1 > job.effort.runs || job.run1 - job.run0 > RUN_CHUNK as u32
     {
         return Err(format!(
@@ -194,8 +450,12 @@ pub fn run_sweep_shard(job: &ShardJob) -> Result<Vec<Option<f64>>, String> {
             job.run0, job.run1, job.effort.runs
         ));
     }
-    let rows = SweepAxis::run_chunk(pt, job.run0 as usize..job.run1 as usize);
-    Ok(rows.into_iter().flatten().collect())
+    Ok(table.run_chunk(
+        &job.effort,
+        job.seed,
+        job.point as usize,
+        job.run0 as usize..job.run1 as usize,
+    ))
 }
 
 /// Folds per-shard value vectors (one per manifest shard, in manifest
@@ -204,6 +464,8 @@ pub fn run_sweep_shard(job: &ShardJob) -> Result<Vec<Option<f64>>, String> {
 /// The regroup-and-fold is position-based: shard `i`'s rows land in
 /// the slot the manifest assigned them, so arrival order, retries, and
 /// worker identity are all invisible here — only the values matter.
+/// Each point's run-ordered values fold into a 95% confidence interval,
+/// and the intervals are laid out as the figure's series.
 ///
 /// # Panics
 ///
@@ -211,18 +473,15 @@ pub fn run_sweep_shard(job: &ShardJob) -> Result<Vec<Option<f64>>, String> {
 /// (count or per-shard length) — the supervisor guarantees both
 /// before calling.
 #[must_use]
-pub fn assemble_sweep(
-    manifest: &SweepManifest,
-    shard_values: Vec<Vec<Option<f64>>>,
-) -> pbbf_metrics::Figure {
-    let sweep = net_sweep(&manifest.figure).expect("manifest names a shardable figure");
+pub fn assemble_sweep(manifest: &SweepManifest, shard_values: Vec<Vec<Option<f64>>>) -> Figure {
+    let figure = catalogue_figure(&manifest.figure).expect("manifest names a shardable figure");
     assert_eq!(
         shard_values.len(),
         manifest.shards.len(),
         "one value vector per manifest shard"
     );
-    let col = sweep.column as usize;
-    let mut per_point = vec![Vec::new(); manifest.points as usize];
+    let width = figure.table.width();
+    let mut per_point = vec![Summary::new(); manifest.points as usize];
     for (job, values) in manifest.shards.iter().zip(shard_values) {
         assert_eq!(
             values.len(),
@@ -232,14 +491,53 @@ pub fn assemble_sweep(
             job.run1,
             job.point
         );
-        per_point[job.point as usize].extend(values.chunks_exact(WIDTH).map(|row| row[col]));
+        per_point[job.point as usize].extend(
+            values
+                .chunks_exact(width)
+                .filter_map(|row| row[figure.column]),
+        );
     }
-    sweep.assemble(&manifest.effort, per_point)
+    let intervals = per_point
+        .iter()
+        .map(|s| (!s.is_empty()).then(|| ConfidenceInterval::from_summary(s, 0.95)))
+        .collect();
+    let effort = &manifest.effort;
+    let dress = |text: &str| {
+        text.replace("{near}", &effort.hop_probe_near.to_string())
+            .replace("{far}", &effort.hop_probe_far.to_string())
+    };
+    Figure::new(
+        dress(figure.title),
+        figure.table.x_label(),
+        dress(figure.y_label),
+        figure.table.layout(effort, intervals),
+    )
+}
+
+/// Runs one Monte Carlo figure in-process: its manifest's shards fanned
+/// across threads ([`pbbf_parallel::par_map`]), then assembled. The same
+/// shards and the same fold as `pbbf sweep`, so the bytes match for any
+/// thread or worker count.
+///
+/// # Panics
+///
+/// On an id outside the catalogue, and with [`Effort::validate`]'s
+/// message on an effort it refuses.
+pub(crate) fn run_figure(figure: &str, effort: &Effort, seed: u64) -> Figure {
+    if let Err(e) = effort.validate() {
+        panic!("{figure}: {e}");
+    }
+    let manifest = sweep_manifest(figure, effort, seed).expect("a catalogue figure");
+    let values = pbbf_parallel::par_map(manifest.shards.iter().collect(), |job| {
+        run_sweep_shard(job).expect("a validated effort's shards run")
+    });
+    assemble_sweep(&manifest, values)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Experiment, Output};
 
     fn effort() -> Effort {
         let mut e = Effort::quick();
@@ -247,6 +545,11 @@ mod tests {
         e.net_duration_secs = 150.0;
         e.q_points = 3;
         e
+    }
+
+    /// The first shard of `figure`'s quick-effort manifest.
+    fn first_shard(figure: &str) -> ShardJob {
+        sweep_manifest(figure, &effort(), 1).unwrap().shards[0].clone()
     }
 
     #[test]
@@ -273,63 +576,102 @@ mod tests {
 
     #[test]
     fn serial_shard_execution_reproduces_the_figure() {
-        let e = effort();
-        let m = sweep_manifest("fig17", &e, 3).unwrap();
-        let values: Vec<_> = m
-            .shards
-            .iter()
-            .map(|job| run_sweep_shard(job).expect("well-formed shard"))
-            .collect();
-        assert_eq!(assemble_sweep(&m, values), crate::fig17(&e, 3));
+        let mut e = effort();
+        e.ideal_grid_side = 15;
+        e.ideal_updates = 2;
+        for figure in ["fig09", "fig17"] {
+            let m = sweep_manifest(figure, &e, 3).unwrap();
+            let values: Vec<_> = m
+                .shards
+                .iter()
+                .map(|job| run_sweep_shard(job).expect("well-formed shard"))
+                .collect();
+            assert_eq!(assemble_sweep(&m, values), run_figure(figure, &e, 3));
+        }
     }
 
     #[test]
     fn shard_jobs_round_trip_the_wire_format() {
-        let m = sweep_manifest("fig13", &effort(), 9).unwrap();
-        let job = &m.shards[4];
-        let line = serde_json::to_string(job).unwrap();
-        assert_eq!(&serde_json::from_str::<ShardJob>(&line).unwrap(), job);
+        for figure in ["fig05", "fig13"] {
+            let m = sweep_manifest(figure, &effort(), 9).unwrap();
+            let job = &m.shards[4];
+            let line = serde_json::to_string(job).unwrap();
+            assert_eq!(&serde_json::from_str::<ShardJob>(&line).unwrap(), job);
+        }
     }
 
     #[test]
     fn shard_replies_are_rows_of_every_column() {
-        let m = sweep_manifest("fig13", &effort(), 5).unwrap();
-        let job = &m.shards[3];
-        let values = run_sweep_shard(job).unwrap();
-        assert_eq!(values.len(), job.reply_len());
-        assert_eq!(job.reply_len(), (job.run1 - job.run0) as usize * WIDTH);
-        // Energy and delivery are measured on every run.
-        for row in values.chunks_exact(WIDTH) {
-            assert!(row[0].is_some() && row[3].is_some(), "{row:?}");
+        // Energy and delivery (net), and both reliability fractions and
+        // energy (ideal), are measured on every run.
+        for (figure, width, always) in [("fig13", 5, &[0, 3][..]), ("fig04", 6, &[0, 1, 2][..])] {
+            let m = sweep_manifest(figure, &effort(), 5).unwrap();
+            let job = &m.shards[3];
+            let values = run_sweep_shard(job).unwrap();
+            assert_eq!(values.len(), job.reply_len());
+            assert_eq!(job.reply_len(), (job.run1 - job.run0) as usize * width);
+            for row in values.chunks_exact(width) {
+                assert!(always.iter().all(|&c| row[c].is_some()), "{row:?}");
+            }
         }
+        let unknown = ShardJob {
+            sweep: "fig13".into(),
+            ..first_shard("fig13")
+        };
+        assert_eq!(unknown.reply_len(), 0);
     }
 
     #[test]
     fn figures_of_one_table_share_its_shards() {
         let e = effort();
         let shards = |fig: &str| sweep_manifest(fig, &e, 4).unwrap().shards;
+        for fig in ["fig05", "fig08", "fig09", "fig10", "fig11"] {
+            assert_eq!(shards(fig), shards("fig04"), "{fig}");
+        }
         for fig in ["fig14", "fig15", "fig16"] {
             assert_eq!(shards(fig), shards("fig13"), "{fig}");
         }
         assert_eq!(shards("fig18"), shards("fig17"));
+        assert_ne!(shards("fig04"), shards("fig13"));
         assert_ne!(shards("fig13"), shards("fig17"));
+        assert!(shards("fig04").iter().all(|j| j.sweep == "ideal"));
         assert!(shards("fig13").iter().all(|j| j.sweep == "q"));
         assert!(shards("fig17").iter().all(|j| j.sweep == "delta"));
     }
 
     #[test]
-    fn six_figures_queue_two_tables_once() {
+    fn point_counts_match_the_tables() {
+        let fine = |q_points| Effort {
+            q_points,
+            ..Effort::quick()
+        };
+        for e in [Effort::quick(), Effort::paper(), fine(2), fine(1001)] {
+            let built = [
+                (SweepAxis::Ideal, ideal_figs::points(&e, 1).len()),
+                (SweepAxis::Q, net_figs::q_table(&e, 1).len()),
+                (SweepAxis::Delta, net_figs::delta_table(&e, 1).len()),
+            ];
+            for (table, len) in built {
+                assert_eq!(table.point_count(&e), len, "{table:?} at {e:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn twelve_figures_queue_three_tables_once() {
         let e = Effort::paper();
         let figures = sweepable_figures();
         let plan = plan_sweep(&figures, &e, 2005);
-        // (4 p × 11 q + 2 baselines) and (5 series × 6 Δ) points, two
-        // run-chunks of 10 runs each.
-        assert_eq!(plan.queue.len(), 152);
+        // (5 p × 11 q + 2), (4 p × 11 q + 2) and (5 series × 6 Δ)
+        // points, two run-chunks of 10 runs each.
+        assert_eq!(plan.queue.len(), 266);
         let ranges: Vec<Range<usize>> = plan.figures.iter().map(|(_, r)| r.clone()).collect();
+        let mut expected = vec![0..114; 6];
+        expected.extend(vec![114..206; 4]);
+        expected.extend(vec![206..266; 2]);
         assert_eq!(
-            ranges,
-            [0..92, 0..92, 0..92, 0..92, 92..152, 92..152],
-            "92 Q-table shards, then 60 Δ-table shards"
+            ranges, expected,
+            "114 ideal shards, then 92 Q-table and 60 Δ-table shards"
         );
         for (manifest, range) in &plan.figures {
             assert_eq!(
@@ -341,12 +683,15 @@ mod tests {
         }
         let per_figure: usize = plan.figures.iter().map(|(m, _)| m.shards.len()).sum();
         assert_eq!(
-            per_figure, 488,
+            per_figure, 1172,
             "one manifest per figure would ship this many"
         );
 
+        // Quick effort: 32 ideal + 26 Q + 30 Δ shards of 3 runs.
+        assert_eq!(plan_sweep(&figures, &Effort::quick(), 1).queue.len(), 88);
+
         // Request order is kept, and tables are queued by first use.
-        let plan = plan_sweep(&["fig18", "fig13", "fig17"], &e, 1);
+        let plan = plan_sweep(&["fig18", "fig13", "fig10", "fig17"], &e, 1);
         let layout: Vec<(&str, Range<usize>)> = plan
             .figures
             .iter()
@@ -354,30 +699,25 @@ mod tests {
             .collect();
         assert_eq!(
             layout,
-            [("fig18", 0..60), ("fig13", 60..152), ("fig17", 0..60)]
+            [
+                ("fig18", 0..60),
+                ("fig13", 60..152),
+                ("fig10", 152..266),
+                ("fig17", 0..60)
+            ]
         );
-        assert_eq!(
-            plan.queue[..60],
-            sweep_manifest("fig17", &e, 1).unwrap().shards
-        );
-        assert_eq!(
-            plan.queue[60..],
-            sweep_manifest("fig13", &e, 1).unwrap().shards
-        );
+        for (figure, range) in [("fig17", 0..60), ("fig13", 60..152), ("fig04", 152..266)] {
+            assert_eq!(
+                plan.queue[range],
+                sweep_manifest(figure, &e, 1).unwrap().shards
+            );
+        }
     }
 
     #[test]
     fn every_figure_assembles_from_its_shared_table() {
         let e = Effort::quick();
         let figures = sweepable_figures();
-        let reference: [fn(&Effort, u64) -> pbbf_metrics::Figure; 6] = [
-            crate::fig13,
-            crate::fig14,
-            crate::fig15,
-            crate::fig16,
-            crate::fig17,
-            crate::fig18,
-        ];
         for seed in [3, 2005] {
             let plan = plan_sweep(&figures, &e, seed);
             let values: Vec<Vec<Option<f64>>> = plan
@@ -385,10 +725,11 @@ mod tests {
                 .iter()
                 .map(|j| run_sweep_shard(j).unwrap())
                 .collect();
-            for ((manifest, range), figure) in plan.figures.iter().zip(reference) {
+            for (manifest, range) in &plan.figures {
+                let alone = Experiment::from_id(&manifest.figure).unwrap().run(&e, seed);
                 assert_eq!(
-                    assemble_sweep(manifest, values[range.clone()].to_vec()),
-                    figure(&e, seed),
+                    Output::Figure(assemble_sweep(manifest, values[range.clone()].to_vec())),
+                    alone,
                     "{} seed {seed}",
                     manifest.figure
                 );
@@ -397,40 +738,100 @@ mod tests {
     }
 
     #[test]
+    fn sweep_catalogue_is_consistent() {
+        use Experiment::*;
+        let own_code = [Table1, Table2, Fig06, Fig07, Fig12];
+        for exp in Experiment::all() {
+            assert_ne!(
+                own_code.contains(&exp),
+                catalogue_figure(exp.id()).is_some(),
+                "{} has code of its own or a catalogue row, not both",
+                exp.id()
+            );
+        }
+        for (i, fig) in CATALOGUE.iter().enumerate() {
+            assert!(Experiment::from_id(fig.id).is_some(), "{}", fig.id);
+            let number: u32 = fig.id["fig".len()..].parse().unwrap();
+            assert!(fig.title.starts_with(&format!("Figure {number}: ")));
+            assert!(fig.column < fig.table.width(), "{}", fig.id);
+            assert_eq!(SweepAxis::from_name(fig.table.name()), Some(fig.table));
+            assert!(
+                CATALOGUE[..i]
+                    .iter()
+                    .all(|f| (f.table, f.column) != (fig.table, fig.column)),
+                "{} repeats a column",
+                fig.id
+            );
+        }
+        assert_eq!(sweepable_figures().len(), 12);
+        assert!(catalogue_figure("fig07").is_none());
+        assert!(SweepAxis::from_name("fig13").is_none());
+    }
+
+    #[test]
     fn malformed_shards_are_refused_not_fatal() {
-        let e = effort();
-        let mut job = sweep_manifest("fig18", &e, 1).unwrap().shards[0].clone();
+        let mut job = first_shard("fig18");
         job.sweep = "fig18".into();
         assert!(run_sweep_shard(&job)
             .unwrap_err()
             .contains("unknown sweep table"));
 
-        let mut job = sweep_manifest("fig18", &e, 1).unwrap().shards[0].clone();
-        job.point = 10_000;
-        assert!(run_sweep_shard(&job).is_err());
+        for figure in ["fig18", "fig04"] {
+            let mut job = first_shard(figure);
+            job.point = 10_000;
+            let err = run_sweep_shard(&job).unwrap_err();
+            assert!(err.contains("point 10000 out of range"), "{err}");
 
-        let mut job = sweep_manifest("fig18", &e, 1).unwrap().shards[0].clone();
-        job.run1 = job.effort.runs + 5;
-        assert!(run_sweep_shard(&job).is_err());
-        job.run1 = job.run0;
-        assert!(run_sweep_shard(&job).is_err());
+            let mut job = first_shard(figure);
+            job.run1 = job.effort.runs + 5;
+            assert!(run_sweep_shard(&job).is_err());
+            job.run1 = job.run0;
+            assert!(run_sweep_shard(&job).is_err());
 
-        // Durations `SimTime` cannot hold, ones no run can use, and ones
-        // whose per-update buffers would need gigabytes.
-        for secs in [-5.0, 0.0, 1e300, 1e10, 1.8e10] {
-            let mut job = sweep_manifest("fig18", &e, 1).unwrap().shards[0].clone();
+            // A run range longer than one manifest chunk.
+            let mut job = first_shard(figure);
+            job.effort.runs = 100;
+            job.run1 = RUN_CHUNK as u32 + 1;
+            let err = run_sweep_shard(&job).unwrap_err();
+            assert!(err.contains("run range"), "{err}");
+        }
+
+        // Durations `SimTime` cannot hold, ones no run can use (0.1 s
+        // ends before the first update), and ones whose per-update
+        // buffers would need gigabytes.
+        for secs in [-5.0, 0.0, 0.1, 1e300, 1e10, 1.8e10] {
+            let mut job = first_shard("fig18");
             job.effort.net_duration_secs = secs;
             let err = run_sweep_shard(&job).unwrap_err();
-            assert!(err.contains("net_duration_secs"), "{secs}: {err}");
+            assert!(err.starts_with("net_duration_secs: "), "{secs}: {err}");
+        }
+
+        // Ideal grids with no node or past the node budget, runs of no
+        // update or past the node-update budget: each is refused before
+        // a grid is built.
+        for (grid, updates, field) in [
+            (0, 3, "ideal_grid_side"),
+            (100_000, 3, "ideal_grid_side"),
+            (25, 0, "ideal_updates"),
+            (25, 4_000_000_000, "ideal_updates"),
+        ] {
+            let mut job = first_shard("fig04");
+            job.effort.ideal_grid_side = grid;
+            job.effort.ideal_updates = updates;
+            let err = run_sweep_shard(&job).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{field}: ")),
+                "{grid}, {updates}: {err}"
+            );
         }
 
         // A q axis whose point grid would need ~32 GB, and a run range
         // that would need ~64 GB: both are refused before allocating.
-        let mut job = sweep_manifest("fig13", &e, 1).unwrap().shards[0].clone();
+        let mut job = first_shard("fig13");
         job.effort.q_points = 4_000_000_000;
         let err = run_sweep_shard(&job).unwrap_err();
         assert!(err.contains("q_points"), "{err}");
-        let mut job = sweep_manifest("fig13", &e, 1).unwrap().shards[0].clone();
+        let mut job = first_shard("fig13");
         job.effort.runs = 4_000_000_000;
         (job.run0, job.run1) = (0, 4_000_000_000);
         let err = run_sweep_shard(&job).unwrap_err();

@@ -133,10 +133,12 @@ impl NetConfig {
     /// Checks a configuration from outside before [`crate::NetSim::new`]:
     /// a duration that is finite, above zero and within the simulator
     /// clock's range (u64 nanoseconds, ~584 years), so it can never
-    /// panic [`SimTime`], and at most [`Self::MAX_NODE_UPDATES`]
-    /// node-updates. An allocation that fails aborts the process, and no
-    /// caller can catch that. The one rule behind `pbbf net --duration`
-    /// and every sweep shard's effort.
+    /// panic [`SimTime`], long enough to generate an update (the first
+    /// arrives half an ATIM window in), so a run measures something,
+    /// and at most [`Self::MAX_NODE_UPDATES`] node-updates. An
+    /// allocation that fails aborts the process, and no caller can catch
+    /// that. The one rule behind `pbbf net --duration` and every sweep
+    /// shard's effort.
     ///
     /// # Errors
     ///
@@ -153,6 +155,12 @@ impl NetConfig {
             ));
         }
         let updates = self.expected_updates();
+        if updates == 0 {
+            return Err(format!(
+                "{secs} s ends before the first update at {} s, so a run measures nothing",
+                0.5 * self.atim_window_secs
+            ));
+        }
         let node_updates = (self.nodes as u64).saturating_mul(u64::from(updates));
         if node_updates > Self::MAX_NODE_UPDATES {
             return Err(format!(
@@ -212,8 +220,13 @@ mod tests {
             duration_secs,
             ..NetConfig::table2()
         };
-        for ok in [500.0, 200.0, 7200.0, 0.1] {
+        for ok in [500.0, 200.0, 7200.0, 0.6] {
             assert_eq!(with(ok).validate(), Ok(()), "{ok}");
+        }
+        // The first update arrives at 0.5 s: a shorter run generates none.
+        for empty in [0.1, 0.5] {
+            let err = with(empty).validate().unwrap_err();
+            assert!(err.contains("before the first update"), "{empty}: {err}");
         }
         // 50 nodes × 20971 updates fits 2^20; one more update does not.
         assert_eq!(with(2_097_050.0).expected_updates(), 20_971);

@@ -6,8 +6,8 @@
 //! pbbf ideal     --grid 25 --p 0.5 --q 0.5      run the Section-4 simulator
 //! pbbf net       --p 0.25 --q 0.25 --delta 10   run the Section-5 simulator
 //! pbbf reproduce [--paper] [fig13 ...]          regenerate paper exhibits
-//! pbbf sweep     --workers 4 [fig13 ...]        multi-process figure sweep
-//! pbbf sweep     --figs fig13,fig17 [...]       several figures, ONE fleet
+//! pbbf sweep     --workers 4 [fig04 ...]        multi-process figure sweep
+//! pbbf sweep     --figs fig04,fig13 [...]       several figures, ONE fleet
 //! pbbf sweep     --hosts a:7801,b:7801 [...]    ... mixing in TCP workers
 //! pbbf worker                                   (internal) sweep shard executor
 //! pbbf worker    --listen 0.0.0.0:7801          ... serving over TCP instead
@@ -16,11 +16,13 @@
 //! `sweep` shards the Monte Carlo runs of a figure's table across
 //! `worker` child processes — and, with `--hosts`, across remote
 //! `worker --listen` processes over TCP — through the fault-tolerant
-//! fabric (`pbbf-fabric`). All requested figures run as one flat queue
-//! on a single fleet (`pbbf_fabric::run_queue`) that holds each
-//! distinct table once (figs 13–16 share the Q table, figs 17–18 the Δ
-//! table), so remote workers keep their deployment caches warm from
-//! table to table; each figure folds its range of the queue's values,
+//! fabric (`pbbf-fabric`). Every Monte Carlo figure can be swept: figs
+//! 4, 5 and 8–11 share the ideal table, figs 13–16 the Q table and figs
+//! 17–18 the Δ table, and no figure ids means all twelve. All requested
+//! figures run as one flat queue on a single fleet
+//! (`pbbf_fabric::run_queue`) that holds each distinct table once, so
+//! remote workers keep their deployment caches warm from table to
+//! table; each figure folds its range of the queue's values,
 //! and the stdout is byte-identical to `reproduce` of the same figures
 //! in the same order, which CI enforces under injected worker faults
 //! and a kill -9'd TCP worker (see `docs/OPERATIONS.md`). `reproduce`
@@ -85,8 +87,8 @@ const HELP: &str = "pbbf — PBBF (ICDCS 2005) reproduction toolkit\n\n\
      \x20 net        --p <f> --q <f> [--delta <f>] [--duration <s>] [--seed <n>]\n\
      \x20 reproduce  [--paper] [--plot] [--seed <n>] [table1 fig04 ... fig18]\n\
      \x20 sweep      [--paper] [--seed <n>] [--workers <n>] [--hosts <h:p,...>]\n\
-     \x20            [--figs fig13,fig17,...] [--shard-timeout <s>] [--liveness <s>]\n\
-     \x20            [fig13 ... fig18]        (one fleet; each table swept once)\n\
+     \x20            [--figs fig04,fig13,...] [--shard-timeout <s>] [--liveness <s>]\n\
+     \x20            [fig04 fig05 fig08..fig11 fig13..fig18]  (one fleet; each table once)\n\
      \x20 worker     executes sweep shards from stdin (internal), or over TCP with\n\
      \x20            [--listen <addr:port>] [--heartbeat <s>] [--once]\n\
      \x20 help\n\n\
@@ -478,7 +480,9 @@ fn parse_hosts(spec: &str) -> Result<Vec<String>, String> {
         if host.is_empty() {
             return Err(format!("--hosts: `{entry}` has no host before the colon"));
         }
-        if port.parse::<u16>().is_err() {
+        // Port 0 is `worker --listen`'s bind wildcard, never a worker's
+        // address.
+        if !matches!(port.parse::<u16>(), Ok(1..)) {
             return Err(format!(
                 "--hosts: `{entry}` has a bad port `{port}` (expected 1-65535)"
             ));
@@ -540,6 +544,11 @@ fn plan_fleet(flags: &HashMap<String, String>, hosts: &[String]) -> Result<(usiz
     Ok((hosts.len(), local))
 }
 
+/// The shortest `worker --heartbeat` period: 100 beats a second. A
+/// shorter one floods the supervisor with megabytes of heartbeat lines
+/// a second and keeps a core busy.
+const MIN_HEARTBEAT: Duration = Duration::from_millis(10);
+
 fn cmd_worker(args: &[String]) -> Result<(), String> {
     let (flags, positional) = parse(args, &[val("listen"), val("heartbeat"), bare("once")])?;
     if !positional.is_empty() {
@@ -572,8 +581,16 @@ fn cmd_worker(args: &[String]) -> Result<(), String> {
         }
         return Ok(());
     };
+    let heartbeat = get_secs(&flags, "heartbeat", 1.0)?;
+    if heartbeat < MIN_HEARTBEAT {
+        return Err(format!(
+            "--heartbeat: must be at least {} s (100 beats a second), got `{}`",
+            MIN_HEARTBEAT.as_secs_f64(),
+            heartbeat.as_secs_f64()
+        ));
+    }
     let options = ServeOptions {
-        heartbeat: get_secs(&flags, "heartbeat", 1.0)?,
+        heartbeat,
         once: flags.contains_key("once"),
     };
     let listener = std::net::TcpListener::bind(listen.as_str())
@@ -620,9 +637,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let (remote, local) = plan_fleet(&flags, &hosts)?;
     // The ids are resolved (an unknown one refused) and every manifest
     // built before any fleet is spawned: a bad request must fail fast,
-    // not after minutes of sweeping. Figures of
-    // one table share its shards, so the queue holds each table once
-    // (figs 13–16 one Q table, figs 17–18 one Δ table).
+    // not after minutes of sweeping. Figures of one table share its
+    // shards, so the queue holds each table once (figs 4, 5 and 8–11
+    // one ideal table, figs 13–16 one Q table, figs 17–18 one Δ table).
     let plan = plan_sweep(&figures, &effort, seed);
     let queue: Vec<ShardInput> = plan
         .queue
@@ -734,6 +751,7 @@ mod tests {
     #[test]
     fn hosts_with_bad_ports_or_gaps_are_rejected() {
         assert!(parse_hosts("a:70000").unwrap_err().contains("bad port"));
+        assert!(parse_hosts("a:0").unwrap_err().contains("bad port"));
         assert!(parse_hosts("a:x").unwrap_err().contains("bad port"));
         assert!(parse_hosts("a:1,,b:2").unwrap_err().contains("empty entry"));
         assert!(parse_hosts(":7801").unwrap_err().contains("no host"));

@@ -46,6 +46,18 @@ const BAD_INVOCATIONS: &[(&str, &str)] = &[
     // 1.8e10 s aborted on a 4.3 GB per-update buffer.
     ("net --p .25 --q .25 --duration 1e10", "--duration"),
     ("net --p .25 --q .25 --duration 1.8e10", "--duration"),
+    // A run that ends before the first update (at 0.5 s) generates
+    // none: it once printed a delivery ratio and an energy per update.
+    ("net --p .5 --q .5 --duration 0.4", "--duration"),
+    // Port 0 is the bind wildcard of `worker --listen`, never a
+    // worker's address: the sweep once ran every shard in-process.
+    ("sweep fig17 --hosts 127.0.0.1:0", "--hosts"),
+    // A heartbeat this short once sent 9–14 MB of heartbeat lines a
+    // second and kept a core busy; it is refused before binding.
+    (
+        "worker --listen 127.0.0.1:0 --heartbeat 1e-9 --once",
+        "--heartbeat",
+    ),
     // An unknown exhibit id, once silently skipped, and an exhibit
     // `sweep` cannot shard.
     ("reproduce fig13 fig99", "fig99"),

@@ -99,11 +99,17 @@ fn multi_figure_resident_sweep_is_bitwise_identical() {
 #[test]
 fn multi_figure_sweep_survives_injected_faults_bitwise() {
     // Faults land mid-queue on queue positions: a crash and a corruption
-    // in the Q table (quick effort: positions 0–25) and a corruption in
-    // the Δ table after it. Retries cross the table boundary on the same
-    // resident workers; the bytes must not move. The second row shares
-    // the Q table between two figures, so one faulted table feeds both.
-    for figs in [vec!["fig13", FIGURE], vec!["fig13", "fig14", FIGURE]] {
+    // in the first table and a corruption after it. Listed first, the Q
+    // table (quick effort: positions 0–25) takes the crash and the first
+    // corruption and the Δ table the second; the ideal table (positions
+    // 0–31) takes all three. Retries cross the table boundaries on the
+    // same resident workers; the bytes must not move. Rows with fig14
+    // or fig05 share a faulted table between two figures.
+    for figs in [
+        vec!["fig13", FIGURE],
+        vec!["fig13", "fig14", FIGURE],
+        vec!["fig04", "fig05", "fig13", FIGURE],
+    ] {
         let mut reproduce = vec!["reproduce"];
         reproduce.extend(&figs);
         reproduce.extend(["--seed", SEED]);
@@ -126,8 +132,8 @@ fn multi_figure_sweep_survives_injected_faults_bitwise() {
             swept, clean,
             "faulted resident sweep of {figs:?} diverged from reproduce"
         );
-        // Every fault, the Δ table's corruption included, is on the
-        // first figure's line.
+        // Every fault, wherever it landed, is on the first figure's
+        // line.
         let first = counters(assert_one_ledger(&stderr, &figs)[0]);
         assert!(first[CRASHES] >= 1, "{stderr}");
         assert!(first[CORRUPT] >= 2, "{stderr}");
@@ -252,6 +258,40 @@ fn six_figure_sweep_runs_each_table_once_with_one_stats_line_per_figure() {
 }
 
 #[test]
+fn ideal_figures_sweep_their_one_table_like_reproduce() {
+    // Figs 4, 5 and 8–11 are six columns of the ideal table: the queue
+    // runs it once, and every figure assembles bitwise what `reproduce`
+    // prints.
+    let figs = ["fig04", "fig05", "fig08", "fig09", "fig10", "fig11"];
+    for seed in ["3", "2005"] {
+        let mut reproduce = vec!["reproduce"];
+        reproduce.extend(figs);
+        reproduce.extend(["--seed", seed]);
+        let clean = run(&reproduce, &[]);
+        let mut sweep = vec!["sweep"];
+        sweep.extend(figs);
+        sweep.extend(["--seed", seed, "--workers", "2"]);
+        let (swept, stderr) = run_both(&sweep, &[]);
+        assert_eq!(swept, clean, "seed {seed}: ideal sweep diverged");
+        assert_eq!(
+            stderr
+                .lines()
+                .filter(|l| l.starts_with("pbbf sweep: "))
+                .count(),
+            figs.len(),
+            "only stats lines carry the prefix:\n{stderr}"
+        );
+        // The ideal table draws no deployment.
+        for body in assert_one_ledger(&stderr, &figs) {
+            assert!(
+                body.ends_with("deploy cache 0/0 hit/miss (+0 evicted)"),
+                "{body}"
+            );
+        }
+    }
+}
+
+#[test]
 fn sweep_and_reproduce_agree_on_request_order_and_repeats() {
     let once = run(&["reproduce", "fig17", "fig13", "--seed", SEED], &[]);
     let repeated = run(
@@ -304,12 +344,15 @@ fn first_shard_spec() -> ShardSpec {
     }
 }
 
-/// Specs a worker must refuse, as shards 1–6, each with the text its
-/// refusal must contain: a simulated duration no run can use (`-5`,
-/// `0`), the simulator clock cannot hold (`1e300`), or whose per-update
-/// buffers would need ~4 GB (`1.8e10`, past the net-sim work budget), a
-/// fig13 q axis whose point grid would need ~32 GB, and a run range
-/// whose values would need ~64 GB.
+/// Specs a worker must refuse, as shards 1, 2, …, each with the text
+/// its refusal must contain: a simulated duration no run can use (`-5`,
+/// `0`, and `0.1`, which ends before the first update), the simulator
+/// clock cannot hold (`1e300`), or whose per-update buffers would need
+/// ~4 GB (`1.8e10`, past the net-sim work budget), a fig13 q axis whose
+/// point grid would need ~32 GB, a run range whose values would need
+/// ~64 GB, and ideal grids and update counts outside the ideal-sim work
+/// budget (no node, 10^10 nodes, no update, and 2.5 × 10^12
+/// node-updates).
 fn refused_specs() -> Vec<(ShardSpec, &'static str)> {
     let first = |figure: &str| {
         sweep_manifest(figure, &Effort::quick(), 11)
@@ -318,20 +361,32 @@ fn refused_specs() -> Vec<(ShardSpec, &'static str)> {
             .clone()
     };
     let mut jobs = Vec::new();
-    for secs in [-5.0, 0.0, 1e300, 1.8e10] {
+    for secs in [-5.0, 0.0, 0.1, 1e300, 1.8e10] {
         let mut job = first(FIGURE);
         job.effort.net_duration_secs = secs;
         let expect = job.reply_len() as u32;
-        jobs.push((job, expect, "net_duration_secs"));
+        jobs.push((job, expect, "net_duration_secs: "));
     }
     let mut job = first("fig13");
     job.effort.q_points = 4_000_000_000;
     let expect = job.reply_len() as u32;
-    jobs.push((job, expect, "q_points"));
+    jobs.push((job, expect, "q_points: "));
     let mut job = first("fig13");
     job.effort.runs = 4_000_000_000;
     (job.run0, job.run1) = (0, 4_000_000_000);
     jobs.push((job, 1, "run range"));
+    for (grid, updates, field) in [
+        (0, 3, "ideal_grid_side: "),
+        (100_000, 3, "ideal_grid_side: "),
+        (25, 0, "ideal_updates: "),
+        (25, 4_000_000_000, "ideal_updates: "),
+    ] {
+        let mut job = first("fig04");
+        job.effort.ideal_grid_side = grid;
+        job.effort.ideal_updates = updates;
+        let expect = job.reply_len() as u32;
+        jobs.push((job, expect, field));
+    }
     jobs.into_iter()
         .zip(1..)
         .map(|((job, expect, why), id)| {

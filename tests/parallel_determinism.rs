@@ -11,7 +11,7 @@
 //! process, so nothing else can race on it.
 
 use pbbf::prelude::*;
-use pbbf_experiments::{ext_gossip_vs_pbbf, ext_latency_tail, fig04, fig06, fig12, fig13, fig17};
+use pbbf_experiments::{ext_gossip_vs_pbbf, ext_latency_tail, fig06, fig12};
 
 fn tiny_effort() -> Effort {
     let mut e = Effort::quick();
@@ -26,17 +26,25 @@ fn tiny_effort() -> Effort {
     e
 }
 
+/// A Monte Carlo figure, run in-process through its table's shards.
+fn sweep_figure(exp: Experiment, effort: &Effort, seed: u64) -> Figure {
+    match exp.run(effort, seed) {
+        Output::Figure(f) => f,
+        Output::Table(_) => unreachable!("{} is a figure", exp.id()),
+    }
+}
+
 fn all_figures(effort: &Effort, seed: u64) -> Vec<Figure> {
-    // fig13 / fig17 / ext_latency_tail cover the point-level fan-out
-    // paths (whole q and Δ sweeps as one flat job list), fig12 the
-    // parallel Newman–Ziff threshold, fig04 / fig06 / ext_gossip_vs_pbbf
-    // the per-run fan-outs from PR 1.
+    // fig04 / fig13 / fig17 cover the shard fan-out of the ideal, q
+    // and Δ tables, ext_latency_tail the point-level fan-out, fig12 the
+    // parallel Newman–Ziff threshold, fig06 / ext_gossip_vs_pbbf the
+    // per-run fan-outs.
     vec![
-        fig04(effort, seed),
+        sweep_figure(Experiment::Fig04, effort, seed),
         fig06(effort, seed),
         fig12(effort, seed),
-        fig13(effort, seed),
-        fig17(effort, seed),
+        sweep_figure(Experiment::Fig13, effort, seed),
+        sweep_figure(Experiment::Fig17, effort, seed),
         ext_gossip_vs_pbbf(effort, seed),
         ext_latency_tail(effort, seed),
     ]
