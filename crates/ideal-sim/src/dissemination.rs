@@ -11,30 +11,29 @@
 //! Normal transmitters queue in a second bitset and drain in index
 //! order, so no frame sorts.
 //!
-//! Two things stay dense in node order, because the output bits depend
-//! on them:
+//! The sleep coin of node `i` in frame `f` is a pure hash of
+//! `(update key, f, i)` ([`Coins`]), so it costs nothing until the
+//! flood reads it, and reads in any order see the same coins. The flood
+//! reads a coin in two places: an immediate transmission asks whether a
+//! neighbor that has not received yet, and is not kept awake by the
+//! update's own traffic, slept; and the end of a frame asks whether a
+//! node the update kept busy had slept by its coin, which makes its
+//! activity marginal. The update's generator only draws the
+//! `chance(p)` forwarding decisions.
 //!
-//! * **The coin stream.** When `0 < q < 1`, every frame draws `n`
-//!   `chance(q)` coins from the update's xoshiro256** stream in node
-//!   order, and `decide_forward`'s `chance(p)` draws fall between
-//!   frames. The generator has no cheap jump-ahead, so drawing only the
-//!   coins the flood asks for would shift every later draw. The frame
-//!   that ends the loop also draws its `n` coins and discards them, and
-//!   the billing tail then draws fresh coins for every billing frame the
-//!   flood did not span. That discarded draw buys nothing and is kept on
-//!   purpose: dropping it moves the tail's coins. It can go when coins
-//!   become a pure function of `(update, frame, node)`, which needs one
-//!   golden refresh (ROADMAP, ideal-sim item, Step A).
-//! * **The baseline energy of the first `billing_frames` frames.** It is
-//!   a running f64 sum in node order, added before that frame's marginal
-//!   terms. f64 addition is not associative, so the order is part of the
-//!   value. The marginal terms walk the touched bitset in index order:
-//!   the same addends in the same order as a scan of `0..n`, since an
-//!   untouched node adds nothing.
+//! Each of the first `billing_frames` frames bills its baseline energy
+//! as `on·awake + off·(n − awake)` from the frame's awake count, and the
+//! billing frames the flood did not span are counted from their own
+//! frame indices. Counting is `n` independent hashes, with no serial
+//! dependency between them. So a billed frame costs O(n) hashes plus
+//! O(touched + n/64), and any later frame O(touched + n/64). The count
+//! rounds differently from a node-order sum of per-node shares: the two
+//! agree to about 1e-15 relative, not bit for bit.
 //!
-//! The dense loop, which resets, scans and bills all `n` nodes every
-//! frame, is kept as the test oracle in `crate::oracle`; the tests there
-//! compare every output field bit for bit.
+//! The dense loop, which evaluates every coin and resets, scans and
+//! bills all `n` nodes every frame, is kept as the test oracle in
+//! `crate::oracle`; the tests there compare every output field bit for
+//! bit.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -75,9 +74,13 @@ pub(crate) struct Dissemination {
     /// Total energy billed to this update, all nodes (J).
     pub energy_joules: f64,
     pub frames_used: u32,
+    /// Sleep-coin hashes evaluated: the work [`Coins`] did, not an
+    /// output of the flood.
+    pub coins_evaluated: u64,
 }
 
-/// Disseminates one update from `source`, consuming randomness from `rng`.
+/// Disseminates one update from `source`, drawing its forwarding
+/// decisions from `rng` and keying its sleep coins on `rng`'s seed.
 pub(crate) fn disseminate(
     topology: &Topology,
     source: NodeId,
@@ -118,7 +121,7 @@ pub(crate) fn disseminate(
     let mut deferred = 0u64;
     let mut energy = 0.0f64;
 
-    let mut coins = Coins::new(n, q);
+    let mut coins = Coins::new(rng, q);
     let mut activity = Activity::new(n);
 
     // The source's own forwarding decision. An immediate source
@@ -136,10 +139,6 @@ pub(crate) fn disseminate(
     let mut frame = 0u32;
     loop {
         let frame_start = f64::from(frame) * t_frame;
-
-        // ---- Sleep-Decision-Handler coins for this frame's data phase,
-        // drawn even when the frame below turns out to end the loop.
-        coins.draw(rng);
 
         // ---- Who transmits a normal (announced) broadcast this frame.
         normal_now.clear();
@@ -198,11 +197,14 @@ pub(crate) fn disseminate(
             let latency = frame_start + t_rx - gen_time;
             for &nb in topology.neighbors(node) {
                 let i = nb.index();
-                if coins.awake_until(i, t_frame).max(activity.awake_until(i)) < t_tx {
-                    continue; // asleep: the bond is closed for this copy
-                }
                 if received[i].is_some() {
                     continue;
+                }
+                // Awake if the update's traffic or the Sleep-Decision-
+                // Handler coin kept it on; the coin is read only when
+                // the traffic did not.
+                if activity.awake_until(i) < t_tx && coins.awake_until(frame, i, t_frame) < t_tx {
+                    continue; // asleep: the bond is closed for this copy
                 }
                 received[i] = Some((latency, hops));
                 activity.note(i, t_tx, t_rx);
@@ -225,9 +227,9 @@ pub(crate) fn disseminate(
         // update caused beyond what the coin (already billed, possibly to
         // another update's window) covers.
         if frame < setup.billing_frames {
-            energy = billed.add(energy, &coins);
+            energy += billed.frame(coins.awake_count(frame, n), n);
         }
-        energy = activity.drain_marginal(energy, &coins, idle - sleep);
+        energy = activity.drain_marginal(energy, &mut coins, frame, idle - sleep);
 
         frame += 1;
         if frame >= setup.max_frames {
@@ -238,9 +240,8 @@ pub(crate) fn disseminate(
     // Baseline duty-cycle energy for billing-window frames the
     // dissemination did not span (the update's steady-state share covers
     // the full inter-update interval even if the broadcast died early).
-    for _ in frame..setup.billing_frames {
-        coins.draw(rng);
-        energy = billed.add(energy, &coins);
+    for f in frame..setup.billing_frames {
+        energy += billed.frame(coins.awake_count(f, n), n);
     }
 
     // Transmission surcharge over idle listening.
@@ -254,53 +255,125 @@ pub(crate) fn disseminate(
         deferred_immediates: deferred,
         energy_joules: energy,
         frames_used: frame,
+        coins_evaluated: coins.evaluated,
     }
 }
 
-/// One frame's sleep coins, one per node, stored as a mask: all ones
-/// when the coin kept the node awake, zero when it slept. A mask loaded
-/// from memory can only be used by bit operations; with `bool` coins the
-/// compiler turned the billing select into a branch, which mispredicts
-/// about half the time at q = 0.5. `chance` draws nothing when `q ≤ 0`
-/// or `q ≥ 1`, so the coins are then fixed and [`Coins::draw`] is a
-/// no-op.
-struct Coins {
-    masks: Vec<u64>,
-    q: f64,
+/// The stream id, under an update's generator, of the substream its coin
+/// key is drawn from ("coin" in ASCII). The update's own draws stay
+/// where they are.
+const COIN_STREAM: u64 = 0x636F_696E;
+
+/// SplitMix64's increment, the odd part of the golden ratio.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// [`Coins::threshold`] when `q ≤ 0`: no 53-bit value lies below it.
+const ASLEEP: u64 = 0;
+
+/// [`Coins::threshold`] when `q ≥ 1`: every 53-bit value lies below it.
+const AWAKE: u64 = 1 << 53;
+
+/// The sleep coins of one update: whether the Sleep-Decision-Handler
+/// kept node `i` awake through frame `f`'s data phase.
+///
+/// A coin is a pure function of `(key, f, i)`, evaluated where it is
+/// read, in the counter-based style of Salmon et al. ("Parallel random
+/// numbers: as easy as 1, 2, 3", SC 2011). The hash is SplitMix64's
+/// output at counter position `f·2^32 + i` from state `key` (Steele, Lea
+/// and Flood, "Fast splittable pseudorandom number generators",
+/// OOPSLA 2014). [`crate::IdealConfig::MAX_NODES`] keeps `i < 2^32`, so
+/// no two coins of an update share a position. The coin is awake when
+/// the hash's top 53 bits lie below `ceil(q·2^53)`, the comparison
+/// `uniform01() < q` makes on the same bits. When `q ≤ 0` or `q ≥ 1`
+/// every coin is fixed and no hash is evaluated, as `chance` draws
+/// nothing there.
+pub(crate) struct Coins {
+    key: u64,
+    /// The number of 53-bit values below which a coin is awake.
+    threshold: u64,
+    /// Hashes evaluated so far.
+    pub evaluated: u64,
 }
 
 impl Coins {
-    fn new(n: usize, q: f64) -> Self {
+    /// The coins of the update whose generator is `rng`, keyed by the
+    /// [`COIN_STREAM`] substream of its seed. `rng` is not drawn from.
+    pub(crate) fn new(rng: &SimRng, q: f64) -> Self {
+        let mut stream = rng.substream(COIN_STREAM);
+        // `below` a power of two keeps the low bits of one draw, so two
+        // 32-bit halves make the 64-bit key.
         Self {
-            masks: vec![if q >= 1.0 { u64::MAX } else { 0 }; n],
-            q,
+            key: (stream.below(1 << 32) << 32) | stream.below(1 << 32),
+            threshold: threshold(q),
+            evaluated: 0,
         }
     }
 
-    /// Draws every node's coin in node order, as `n` calls of
-    /// `rng.chance(q)` would. The generator is copied into a local so
-    /// the stores to `masks` cannot alias its state.
-    fn draw(&mut self, rng: &mut SimRng) {
-        let q = self.q;
-        if !(q > 0.0 && q < 1.0) {
-            return;
-        }
-        let mut local = rng.clone();
-        for mask in &mut self.masks {
-            *mask = u64::from(local.uniform01() < q).wrapping_neg();
-        }
-        *rng = local;
+    /// The top 53 bits of coin `(frame, i)`'s hash.
+    fn bits(&self, frame: u32, i: usize) -> u64 {
+        let counter = (u64::from(frame) << 32) | i as u64;
+        mix(self
+            .key
+            .wrapping_add(counter.wrapping_add(1).wrapping_mul(GOLDEN_GAMMA)))
+            >> 11
     }
 
-    fn get(&self, i: usize) -> bool {
-        self.masks[i] != 0
+    /// Whether node `i`'s coin kept it awake through frame `frame`.
+    pub(crate) fn awake(&mut self, frame: u32, i: usize) -> bool {
+        match self.threshold {
+            ASLEEP => false,
+            AWAKE => true,
+            threshold => {
+                self.evaluated += 1;
+                self.bits(frame, i) < threshold
+            }
+        }
     }
 
-    /// `t_frame` if node `i`'s coin kept it awake through the data phase,
-    /// else 0, picked by masking rather than by a branch.
-    fn awake_until(&self, i: usize, t_frame: f64) -> f64 {
-        f64::from_bits(t_frame.to_bits() & self.masks[i])
+    /// `t_frame` if node `i`'s coin kept it awake through frame `frame`'s
+    /// data phase, else 0.
+    fn awake_until(&mut self, frame: u32, i: usize, t_frame: f64) -> f64 {
+        if self.awake(frame, i) {
+            t_frame
+        } else {
+            0.0
+        }
     }
+
+    /// How many of nodes `0..n` their coins kept awake through frame
+    /// `frame`: `n` independent hashes, summed without a branch.
+    fn awake_count(&mut self, frame: u32, n: usize) -> u64 {
+        match self.threshold {
+            ASLEEP => 0,
+            AWAKE => n as u64,
+            threshold => {
+                self.evaluated += n as u64;
+                (0..n)
+                    .map(|i| u64::from(self.bits(frame, i) < threshold))
+                    .sum()
+            }
+        }
+    }
+}
+
+/// `ceil(q·2^53)`, the number of 53-bit values `k` with `k·2^-53 < q`:
+/// [`ASLEEP`] for `q ≤ 0`, [`AWAKE`] for `q ≥ 1`, and between them
+/// otherwise. Scaling by a power of two is exact, so so is the ceiling.
+fn threshold(q: f64) -> u64 {
+    if q <= 0.0 {
+        ASLEEP
+    } else if q >= 1.0 {
+        AWAKE
+    } else {
+        (q * AWAKE as f64).ceil() as u64
+    }
+}
+
+/// SplitMix64's output function (Stafford's Mix13 variant).
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// A node's baseline energy for one billed frame: `on` when its coin
@@ -311,17 +384,10 @@ struct Billing {
 }
 
 impl Billing {
-    /// Adds every node's share to `energy`, one f64 add per node in node
-    /// order. The addend is picked by masking bit patterns, never by a
-    /// branch on a random coin; `off + c·(on − off)` can round away from
-    /// `on`.
-    fn add(&self, mut energy: f64, coins: &Coins) -> f64 {
-        let off = self.off.to_bits();
-        let flip = off ^ self.on.to_bits();
-        for &mask in &coins.masks {
-            energy += f64::from_bits(off ^ (flip & mask));
-        }
-        energy
+    /// The baseline energy of a frame in which `awake` of the `n` nodes'
+    /// coins kept them awake.
+    fn frame(&self, awake: u64, n: usize) -> f64 {
+        self.on * awake as f64 + self.off * (n as u64 - awake) as f64
     }
 }
 
@@ -417,12 +483,19 @@ impl Activity {
     }
 
     /// Adds the marginal awake energy of every touched node whose coin
-    /// slept, in index order, and resets the touched entries.
-    fn drain_marginal(&mut self, mut energy: f64, coins: &Coins, idle_over_sleep: f64) -> f64 {
+    /// slept in frame `frame`, in index order, and resets the touched
+    /// entries.
+    fn drain_marginal(
+        &mut self,
+        mut energy: f64,
+        coins: &mut Coins,
+        frame: u32,
+        idle_over_sleep: f64,
+    ) -> f64 {
         let nodes = &mut self.nodes;
         self.touched.drain(|i| {
             let a = std::mem::replace(&mut nodes[i], NodeActivity::IDLE);
-            if a.end > 0.0 && !coins.get(i) {
+            if a.end > 0.0 && !coins.awake(frame, i) {
                 let duration = (a.end - a.start.min(a.end)).max(0.0);
                 energy += idle_over_sleep * duration;
             }
@@ -475,7 +548,163 @@ fn ns_to_secs(ns: u64) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    use super::secs_to_ns;
+    use super::{mix, secs_to_ns, threshold, Coins, ASLEEP, AWAKE, GOLDEN_GAMMA};
+    use pbbf_des::SimRng;
+
+    /// Coins with a chosen key.
+    fn coins(key: u64, q: f64) -> Coins {
+        Coins {
+            key,
+            threshold: threshold(q),
+            evaluated: 0,
+        }
+    }
+
+    /// The coin keys of the first `updates` updates of a run of `seed`,
+    /// keyed as `IdealSim::run` keys them: adjacent substreams of one
+    /// root.
+    fn update_keys(seed: u64, updates: u64) -> Vec<u64> {
+        let root = SimRng::new(seed);
+        (0..updates)
+            .map(|u| Coins::new(&root.substream(u), 0.5).key)
+            .collect()
+    }
+
+    /// `uniform01`'s map from 53 random bits to `[0, 1)`.
+    fn unit(k: u64) -> f64 {
+        k as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    #[test]
+    fn coin_hash_is_splitmix64_at_the_coin_position() {
+        // SplitMix64's published first outputs from state 0: node i of
+        // frame 0 is output i.
+        let c = coins(0, 0.5);
+        let outputs: [u64; 4] = [
+            0xE220_A839_7B1D_CDAF,
+            0x6E78_9E6A_A1B9_65F4,
+            0x06C4_5D18_8009_454F,
+            0xF88B_B8A8_724C_81EC,
+        ];
+        for (i, z) in outputs.into_iter().enumerate() {
+            assert_eq!(c.bits(0, i), z >> 11, "node {i}");
+        }
+        // Frame f starts 2^32 positions on, so `MAX_NODES` nodes never
+        // reach the next frame's positions.
+        let key = 0x0123_4567_89AB_CDEF;
+        let c = coins(key, 0.5);
+        for (frame, i) in [(1u32, 0usize), (7, 5624), (9_999, (1 << 20) - 1)] {
+            let position = (u64::from(frame) << 32) + i as u64;
+            let state = key.wrapping_add((position + 1).wrapping_mul(GOLDEN_GAMMA));
+            assert_eq!(c.bits(frame, i), mix(state) >> 11);
+        }
+    }
+
+    #[test]
+    fn awake_rate_is_q_within_four_sigma() {
+        let keys = update_keys(2005, 4);
+        let frames = [0, 1, 2, 9, 10, 1_000, 9_999, u32::MAX];
+        let n = 1 << 15;
+        for q in [1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-3] {
+            let mut awake = 0u64;
+            for &key in &keys {
+                let mut c = coins(key, q);
+                for frame in frames {
+                    awake += c.awake_count(frame, n);
+                }
+                assert_eq!(c.evaluated, (frames.len() * n) as u64);
+                // The count is the per-node reads summed.
+                let mut per_node = coins(key, q);
+                let read = (0..n).filter(|&i| per_node.awake(frames[3], i)).count();
+                assert_eq!(read as u64, c.awake_count(frames[3], n));
+                assert_eq!(per_node.evaluated, n as u64);
+            }
+            let total = (keys.len() * frames.len() * n) as f64;
+            assert!(total >= 1e6);
+            let sigma = (total * q * (1.0 - q)).sqrt();
+            let z = (awake as f64 - total * q) / sigma;
+            assert!(
+                z.abs() < 4.0,
+                "q = {q}: {awake} of {total} awake, z = {z:.2}"
+            );
+        }
+    }
+
+    #[test]
+    fn fixed_coins_evaluate_no_hash() {
+        for (q, expect) in [(0.0, false), (-0.5, false), (1.0, true), (1.5, true)] {
+            let mut c = coins(0x5EED, q);
+            for frame in 0..16 {
+                for i in 0..1_000 {
+                    assert_eq!(c.awake(frame, i), expect, "q = {q}");
+                }
+                assert_eq!(c.awake_count(frame, 1_000), if expect { 1_000 } else { 0 });
+            }
+            assert_eq!(c.evaluated, 0, "q = {q}");
+        }
+    }
+
+    #[test]
+    fn threshold_compares_like_uniform01() {
+        let half_ulp = f64::EPSILON / 2.0; // 2^-53
+        let mut rng = SimRng::new(53);
+        let mut qs = vec![half_ulp, 0.1, 0.5, 1.0 - half_ulp];
+        qs.extend((0..1_000).map(|_| rng.uniform01().max(half_ulp)));
+        for q in qs {
+            let t = threshold(q);
+            assert!(t > ASLEEP && t < AWAKE, "q = {q:e}: threshold {t}");
+            let mut ks = vec![t - 1, t];
+            for _ in 0..1_000 {
+                // The 53 bits behind a real `uniform01` draw.
+                let u = rng.uniform01();
+                let k = (u * AWAKE as f64) as u64;
+                assert_eq!(unit(k), u);
+                ks.push(k);
+            }
+            for k in ks {
+                assert_eq!(k < t, unit(k) < q, "q = {q:e}, k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn coins_are_uncorrelated_at_lag_one() {
+        let keys = update_keys(7, 2);
+        let (a, b) = (coins(keys[0], 0.5), coins(keys[1], 0.5));
+        let side = 1 << 10;
+        let grid = || (0..side as u32).flat_map(move |f| (0..side).map(move |i| (f, i)));
+        let u = |c: &Coins, frame: u32, i: usize| unit(c.bits(frame, i));
+        let cases: [(&str, Vec<(f64, f64)>); 3] = [
+            (
+                "along node",
+                (0..side * side)
+                    .map(|i| (u(&a, 3, i), u(&a, 3, i + 1)))
+                    .collect(),
+            ),
+            (
+                "along frame",
+                grid()
+                    .map(|(f, i)| (u(&a, f, i), u(&a, f + 1, i)))
+                    .collect(),
+            ),
+            (
+                "between updates",
+                grid().map(|(f, i)| (u(&a, f, i), u(&b, f, i))).collect(),
+            ),
+        ];
+        for (name, pairs) in cases {
+            let n = pairs.len() as f64;
+            let mean = |v: &dyn Fn(&(f64, f64)) -> f64| pairs.iter().map(v).sum::<f64>() / n;
+            let (mx, my) = (mean(&|p| p.0), mean(&|p| p.1));
+            let cov = mean(&|p| (p.0 - mx) * (p.1 - my));
+            let (vx, vy) = (mean(&|p| (p.0 - mx).powi(2)), mean(&|p| (p.1 - my).powi(2)));
+            let rho = cov / (vx * vy).sqrt();
+            assert!(
+                rho.abs() < 4.0 / n.sqrt(),
+                "{name}: rho = {rho:e} over {n} pairs"
+            );
+        }
+    }
 
     #[test]
     fn secs_to_ns_rounds_like_libm() {

@@ -1,10 +1,14 @@
 //! The dense frame loop, kept as the bitwise oracle of the sparse one in
 //! `crate::dissemination`.
 //!
-//! Every frame it resets, scans and bills all `n` nodes: the loop the
-//! figure goldens were captured from. The tests below run both loops on
-//! the same inputs and compare every output field, and the generator's
-//! final state, by bit pattern.
+//! Every frame it evaluates every node's sleep coin, through the same
+//! `Coins` the sparse loop reads lazily, then resets, scans and bills all
+//! `n` nodes, billing each frame by its awake count. The tests below run
+//! both loops on the same inputs and compare every output field, and the
+//! generator's final state, by bit pattern. Since a coin is a pure
+//! function of `(update, frame, node)`, they pin laziness: reading fewer
+//! coins, in another order, changes nothing. The coin hash itself is
+//! pinned by the tests in `crate::dissemination`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -12,7 +16,7 @@ use std::collections::BinaryHeap;
 use pbbf_des::SimRng;
 use pbbf_topology::{NodeId, Topology};
 
-use crate::dissemination::{Dissemination, DisseminationSetup};
+use crate::dissemination::{Coins, Dissemination, DisseminationSetup};
 
 /// Disseminates one update from `source` with a dense per-frame scan.
 fn disseminate_dense(
@@ -43,7 +47,10 @@ fn disseminate_dense(
     let mut awake_until = vec![0.0f64; n];
     let mut act_start = vec![f64::INFINITY; n];
     let mut act_end = vec![0.0f64; n];
+    let mut coins = Coins::new(rng, q);
     let mut coin = vec![false; n];
+    let on = setup.power.idle * t_active + setup.power.idle * t_sleep;
+    let off = setup.power.idle * t_active + setup.power.sleep * t_sleep;
 
     let source_immediate = rng.chance(p);
     let mut frame0_normal: Vec<NodeId> = Vec::new();
@@ -58,12 +65,8 @@ fn disseminate_dense(
     loop {
         let frame_start = f64::from(frame) * t_frame;
 
-        if q > 0.0 {
-            for c in coin.iter_mut() {
-                *c = rng.chance(q);
-            }
-        } else if frame == 0 {
-            coin.fill(false);
+        for (i, c) in coin.iter_mut().enumerate() {
+            *c = coins.awake(frame, i);
         }
 
         let mut normal_now = std::mem::take(&mut pending_normal);
@@ -155,9 +158,8 @@ fn disseminate_dense(
         let idle = setup.power.idle;
         let sleep = setup.power.sleep;
         if frame < setup.billing_frames {
-            for &c in &coin {
-                energy += idle * t_active + if c { idle * t_sleep } else { sleep * t_sleep };
-            }
+            let awake = coin.iter().filter(|&&c| c).count();
+            energy += on * awake as f64 + off * (n - awake) as f64;
         }
         for i in 0..n {
             if act_end[i] > 0.0 && !coin[i] {
@@ -172,16 +174,9 @@ fn disseminate_dense(
         }
     }
 
-    for _ in frame..setup.billing_frames {
-        for _ in 0..n {
-            let c = q > 0.0 && rng.chance(q);
-            energy += setup.power.idle * t_active
-                + if c {
-                    setup.power.idle * t_sleep
-                } else {
-                    setup.power.sleep * t_sleep
-                };
-        }
+    for f in frame..setup.billing_frames {
+        let awake = (0..n).filter(|&i| coins.awake(f, i)).count();
+        energy += on * awake as f64 + off * (n - awake) as f64;
     }
 
     energy +=
@@ -194,6 +189,7 @@ fn disseminate_dense(
         deferred_immediates: deferred,
         energy_joules: energy,
         frames_used: frame,
+        coins_evaluated: coins.evaluated,
     }
 }
 
@@ -265,7 +261,8 @@ mod tests {
     }
 
     /// A field-by-field comparison by bit pattern: `Err` names the first
-    /// field that differs.
+    /// field that differs. `coins_evaluated` counts work, not output, and
+    /// is the one field the loops are meant to disagree on.
     fn same_bits(sparse: &Dissemination, dense: &Dissemination) -> Result<(), String> {
         let bits = |d: &Dissemination| -> Vec<Option<(u64, u32)>> {
             d.received
@@ -347,8 +344,8 @@ mod tests {
             .expect("p and q lie in [0, 1]");
             // Power draws off Table 1's round numbers, half of them with
             // sleep outdrawing idle listening: the loops must agree on any
-            // profile. A billing addend computed another way, such as
-            // `off + c·(on − off)`, rounds away from `on` for some
+            // profile. A frame's baseline computed another way, such as
+            // `n·off + awake·(on − off)`, rounds differently for some
             // profiles, most often when `off` dwarfs `on`.
             let (idle_u, tx_u, sleep_u, sleep_outdraws_idle) = power;
             let idle = 1e-3 + 0.1 * idle_u;

@@ -100,6 +100,7 @@ impl IdealSim {
                             normal_tx: d.normal_tx,
                             deferred_immediates: d.deferred_immediates,
                             frames_used: d.frames_used,
+                            coins_evaluated: d.coins_evaluated,
                         }
                     }
                 }
@@ -158,6 +159,7 @@ impl IdealSim {
             normal_tx: 0,
             deferred_immediates: 0,
             frames_used: 0,
+            coins_evaluated: 0,
         }
     }
 
@@ -186,6 +188,7 @@ impl IdealSim {
             normal_tx: 0,
             deferred_immediates: 0,
             frames_used: 0,
+            coins_evaluated: 0,
         }
     }
 }
@@ -194,6 +197,7 @@ impl IdealSim {
 mod tests {
     use super::*;
     use pbbf_core::PbbfParams;
+    use proptest::prelude::*;
 
     fn small_config(side: u32, updates: u32) -> IdealConfig {
         let mut c = IdealConfig::table1();
@@ -214,43 +218,78 @@ mod tests {
         }
     }
 
-    #[test]
-    fn psm_latency_is_frame_per_hop() {
-        // PSM: source announces in frame 0 (generated mid-window) and
-        // transmits at T_active + L1 + t_pkt; each later hop costs exactly
-        // one frame.
-        let cfg = small_config(11, 1);
-        let sim = IdealSim::new(cfg, Mode::SleepScheduled(PbbfParams::PSM));
-        let stats = sim.run(2);
-        let a = cfg.analysis;
-        let first_hop = a.schedule.t_active() + a.l1 + cfg.t_packet - 0.5 * a.schedule.t_active();
-        let u = &stats.updates[0];
-        for (i, r) in u.received.iter().enumerate() {
-            let (latency, hops) = r.unwrap();
-            let d = stats.shortest[i];
-            assert_eq!(hops, d, "PSM travels shortest paths");
-            if d > 0 {
-                let expected = first_hop + f64::from(d - 1) * a.schedule.t_frame();
-                assert!(
-                    (latency - expected).abs() < 1e-9,
-                    "node {i} at d={d}: {latency} vs {expected}"
-                );
+    proptest! {
+        #[test]
+        fn psm_latency_is_frame_per_hop(side in 3u32..=41, seed in any::<u64>()) {
+            // PSM: source announces in frame 0 (generated mid-window) and
+            // transmits at T_active + L1 + t_pkt; each later hop costs
+            // exactly one frame.
+            let cfg = small_config(side, 1);
+            let sim = IdealSim::new(cfg, Mode::SleepScheduled(PbbfParams::PSM));
+            let stats = sim.run(seed);
+            let a = cfg.analysis;
+            let first_hop =
+                a.schedule.t_active() + a.l1 + cfg.t_packet - 0.5 * a.schedule.t_active();
+            let u = &stats.updates[0];
+            prop_assert!(u.coins_evaluated == 0, "q = 0 fixes every coin");
+            for (i, r) in u.received.iter().enumerate() {
+                let Some((latency, hops)) = *r else {
+                    return Err(format!("node {i} not reached"));
+                };
+                let d = stats.shortest[i];
+                prop_assert!(hops == d, "PSM travels shortest paths: node {i}");
+                if d > 0 {
+                    let expected = first_hop + f64::from(d - 1) * a.schedule.t_frame();
+                    prop_assert!(
+                        (latency - expected).abs() < 1e-9,
+                        "node {i} at d={d}: {latency} vs {expected}"
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn always_on_floods_at_l1_per_hop(side in 3u32..=41, seed in any::<u64>()) {
+            let cfg = small_config(side, 2);
+            let sim = IdealSim::new(cfg, Mode::AlwaysOn);
+            let stats = sim.run(seed);
+            let per_hop = cfg.analysis.l1 + cfg.t_packet;
+            for u in &stats.updates {
+                prop_assert!(u.coins_evaluated == 0, "always-on has no coins");
+                for (i, r) in u.received.iter().enumerate() {
+                    let Some((latency, hops)) = *r else {
+                        return Err(format!("node {i} not reached"));
+                    };
+                    prop_assert!(hops == stats.shortest[i], "node {i} off its shortest path");
+                    prop_assert!((latency - f64::from(hops) * per_hop).abs() < 1e-12);
+                }
             }
         }
     }
 
     #[test]
-    fn always_on_floods_at_l1_per_hop() {
-        let cfg = small_config(9, 2);
-        let sim = IdealSim::new(cfg, Mode::AlwaysOn);
-        let stats = sim.run(3);
-        let per_hop = cfg.analysis.l1 + cfg.t_packet;
-        for u in &stats.updates {
-            for (i, r) in u.received.iter().enumerate() {
-                let (latency, hops) = r.unwrap();
-                assert_eq!(hops, stats.shortest[i]);
-                assert!((latency - f64::from(hops) * per_hop).abs() < 1e-12);
-            }
+    fn coins_are_counted_only_where_they_are_random() {
+        let cfg = small_config(15, 2);
+        let count = |mode: Mode| -> Vec<u64> {
+            let stats = IdealSim::new(cfg, mode).run(9);
+            stats.updates.iter().map(|u| u.coins_evaluated).collect()
+        };
+        let pbbf = |p, q| Mode::SleepScheduled(PbbfParams::new(p, q).unwrap());
+        for mode in [
+            pbbf(0.5, 0.0),
+            pbbf(0.5, 1.0),
+            Mode::SleepScheduled(PbbfParams::PSM),
+            Mode::AlwaysOn,
+            Mode::Gossip {
+                forward_probability: 0.5,
+            },
+        ] {
+            assert_eq!(count(mode), [0, 0], "{mode:?}");
+        }
+        // 0 < q < 1: n hashes for each of the 10 billed frames, plus every
+        // coin the flood read.
+        for coins in count(pbbf(0.5, 0.5)) {
+            assert!(coins > 10 * 225, "{coins} coins");
         }
     }
 

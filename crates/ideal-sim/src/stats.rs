@@ -21,6 +21,10 @@ pub struct UpdateStats {
     pub deferred_immediates: u64,
     /// Frames the dissemination occupied.
     pub frames_used: u32,
+    /// Sleep coins evaluated: one per coin the flood read, plus one per
+    /// node in each billed frame. Zero when every coin is fixed (`q` of 0
+    /// or 1), for always-on flooding and for gossip.
+    pub coins_evaluated: u64,
 }
 
 impl UpdateStats {
@@ -186,6 +190,7 @@ mod tests {
                     normal_tx: 3,
                     deferred_immediates: 0,
                     frames_used: 1,
+                    coins_evaluated: 0,
                 })
                 .collect(),
         }
@@ -200,6 +205,7 @@ mod tests {
             normal_tx: 0,
             deferred_immediates: 0,
             frames_used: 0,
+            coins_evaluated: 0,
         };
         assert_eq!(u.delivered_fraction(), 0.5);
         assert_eq!(u.total_tx(), 0);

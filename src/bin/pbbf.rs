@@ -49,7 +49,7 @@ use pbbf_fabric::{
     run_queue, CacheTelemetry, Endpoint, FleetFactory, ServeOptions, ShardInput, SweepOptions,
     SweepStats, TcpOptions,
 };
-use pbbf_ideal_sim::IdealConfigError;
+use pbbf_ideal_sim::{IdealConfigError, UpdateStats};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -326,6 +326,18 @@ fn cmd_ideal(args: &[String]) -> Result<(), String> {
     t.row([
         "transmissions/update".to_string(),
         format!("{:.1}", stats.mean_total_tx()),
+    ]);
+    let per_update = |count: fn(&UpdateStats) -> u64| {
+        let total: u64 = stats.updates.iter().map(count).sum();
+        total as f64 / stats.updates.len() as f64
+    };
+    t.row([
+        "frames/update".to_string(),
+        format!("{:.1}", per_update(|u| u64::from(u.frames_used))),
+    ]);
+    t.row([
+        "coins evaluated/update".to_string(),
+        format!("{:.0}", per_update(|u| u.coins_evaluated)),
     ]);
     emit(&t.render())
 }

@@ -1,7 +1,9 @@
 //! Integration tests spanning the workspace: analysis ↔ percolation ↔
 //! simulators must tell one consistent story.
 
+use pbbf::ideal_sim::UpdateStats;
 use pbbf::prelude::*;
+use proptest::prelude::*;
 
 fn small_ideal(side: u32, updates: u32) -> IdealConfig {
     let mut c = IdealConfig::table1();
@@ -54,27 +56,66 @@ fn percolation_boundary_predicts_simulated_reliability() {
     );
 }
 
-/// Eq. 8 against the idealized simulator: measured energy tracks the
-/// closed form within a small margin across q.
-#[test]
-fn analytic_energy_matches_ideal_simulation() {
-    let cfg = small_ideal(21, 3);
-    let a = cfg.analysis;
-    for q in [0.0, 0.25, 0.5, 0.75, 1.0] {
-        let params = PbbfParams::new(0.25, q).unwrap();
-        let sim = IdealSim::new(cfg, IdealMode::SleepScheduled(params));
-        let measured = sim.run(5).mean_energy_per_update();
-        let predicted = analysis::joules_per_update(&a, q);
-        // The simulator adds marginal activity energy on top of the duty
-        // cycle; the closed form is a floor that should be within ~0.25 J.
-        assert!(
-            measured >= predicted - 1e-9,
-            "q={q}: measured {measured} below analytic floor {predicted}"
-        );
-        assert!(
-            measured - predicted < 0.25,
-            "q={q}: measured {measured} too far above {predicted}"
-        );
+proptest! {
+    /// Eq. 8 against the idealized simulator at random `(p, q, grid, seed)`.
+    ///
+    /// At q = 1 no coin sleeps: every node is reached, and the energy per
+    /// node is Eq. 8 plus the transmission surcharge, with no marginal
+    /// term. Below q = 1 each update bills `B` frames, whose awake count
+    /// is binomial, plus non-negative marginal activity. So the run mean
+    /// less the surcharge lies above Eq. 8 − 4σ, where σ is the spread of
+    /// the billed count. The measured mean stays within 0.25 J of Eq. 8.
+    #[test]
+    fn analytic_energy_matches_ideal_simulation(
+        pq in (0u8..4, 0.0f64..=1.0, 0.0f64..=1.0),
+        side in 3u32..=41,
+        updates in 1u32..=4,
+        seed in any::<u64>(),
+    ) {
+        let (q_kind, p, q_uniform) = pq;
+        let q = if q_kind == 0 { 1.0 } else { q_uniform };
+        let cfg = small_ideal(side, updates);
+        let a = cfg.analysis;
+        let n = f64::from(cfg.node_count());
+        let params = PbbfParams::new(p, q).unwrap();
+        let stats = IdealSim::new(cfg, IdealMode::SleepScheduled(params)).run(seed);
+        let surcharge = |u: &UpdateStats| {
+            (a.power.tx - a.power.idle) * cfg.t_packet * u.total_tx() as f64 / n
+        };
+        let eq8 = analysis::joules_per_update(&a, q);
+        if q == 1.0 {
+            for u in &stats.updates {
+                prop_assert!(u.delivered_fraction() == 1.0, "q = 1 reaches every node");
+                let expected = eq8 + surcharge(u);
+                let error = (u.energy_joules_per_node - expected).abs() / expected;
+                prop_assert!(
+                    error < 1e-9,
+                    "p = {p}: {} vs {expected}, relative error {error:e}",
+                    u.energy_joules_per_node
+                );
+            }
+        } else {
+            let billed = (1.0 / (a.lambda * a.schedule.t_frame())).round();
+            let sigma = (a.power.idle - a.power.sleep)
+                * a.schedule.t_sleep()
+                * (billed * q * (1.0 - q) / (n * f64::from(updates))).sqrt();
+            let baseline = stats
+                .updates
+                .iter()
+                .map(|u| u.energy_joules_per_node - surcharge(u))
+                .sum::<f64>()
+                / f64::from(updates);
+            prop_assert!(
+                baseline >= eq8 - 4.0 * sigma,
+                "p = {p}, q = {q}: {baseline} below Eq. 8 {eq8} by {:.2} sigma",
+                (eq8 - baseline) / sigma
+            );
+            let measured = stats.mean_energy_per_update();
+            prop_assert!(
+                measured - eq8 < 0.25,
+                "p = {p}, q = {q}: measured {measured} too far above {eq8}"
+            );
+        }
     }
 }
 

@@ -139,17 +139,29 @@ fn grid() -> Vec<(String, u64)> {
 /// `crates/net-sim/tests/run_active_vs_seed.rs`, and
 /// `tests/boundary_equivalence.rs` ties the engines together in
 /// distribution.
+///
+/// Re-captured once more when the ideal simulator's sleep coins became
+/// counter-based: a node's coin in a frame is now a hash of `(update key,
+/// frame, node)`, read only where the flood needs it, in place of `n`
+/// draws per frame from the update's xoshiro256** stream, and each billed
+/// frame bills from its awake count. The floods at q = 0 and q = 1 are
+/// bit-identical, but every ideal figure has interior q points, so the
+/// six ideal-table cells (fig04, fig05, fig08–fig11) moved, as did
+/// `ext_gossip_vs_pbbf`, whose PBBF line runs at q = 0.5. The other 14
+/// cells are untouched. The per-run statistical equivalence of the new
+/// stream with the old one, over all 45 interior points of the paper's
+/// sweep, is recorded in CHANGES.md.
 const EXPECTED: &[(&str, u64)] = &[
     ("table1", 0x72ea8714b4828841),
     ("table2", 0xa85f3108552919f6),
-    ("fig04", 0x755fae0867148084),
-    ("fig05", 0x13fbff497dae30b2),
+    ("fig04", 0xdfc07173f3f1837f),
+    ("fig05", 0x9354d81110893adb),
     ("fig06", 0xe1d21e1f62d1cfc1),
     ("fig07", 0x651d840aad6dd4bd),
-    ("fig08", 0xa25dc0ac360101ff),
-    ("fig09", 0xaca6b4ba7f3b7fce),
-    ("fig10", 0xd72be1505aa63aaa),
-    ("fig11", 0x93da93b19a7e58bc),
+    ("fig08", 0x8ac819e5622b8d63),
+    ("fig09", 0x3f8114c874ecf256),
+    ("fig10", 0x74e6fab3348f5f1d),
+    ("fig11", 0xd6ce4169f7a47b7d),
     ("fig12", 0xd9811d7bda8f5f74),
     ("fig13", 0x00b3b1c2d52fdf9e),
     ("fig14", 0xad851ed9cf53c87c),
@@ -157,7 +169,7 @@ const EXPECTED: &[(&str, u64)] = &[
     ("fig16", 0xc5d6cad18335891b),
     ("fig17", 0x464ba150b19d4b56),
     ("fig18", 0xf8a9c35dc57004ea),
-    ("ext_gossip_vs_pbbf", 0x529b19142f3c0a0f),
+    ("ext_gossip_vs_pbbf", 0x65bd3bfaca32a64e),
     ("ext_adaptive_convergence", 0xad3cc605db710c0e),
     ("ext_latency_tail", 0xbaf8ccca58536ff0),
     ("ext_k_tradeoff", 0xed6750dac47bf4c6),
