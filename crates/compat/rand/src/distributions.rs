@@ -1,13 +1,15 @@
 //! The distribution surface of the `rand`/`rand_distr` split that this
-//! workspace uses: the [`Distribution`] trait and [`Geometric`].
+//! workspace uses: the [`Distribution`] trait, [`Geometric`] and
+//! [`Binomial`].
 //!
-//! A geometric variate is the batched form of a run of identical
-//! Bernoulli coins — `Geometric(p)` is the number of failures before the
-//! first success — so a simulator that would otherwise flip one
-//! `chance(p)` per time step can draw the index of the next success
-//! directly and skip the run in O(1). That is exactly how the net
-//! simulator's boundary engine settles idle nodes (see
-//! `pbbf_core::PbbfEngine::sleep_run`).
+//! Both are batched forms of identical Bernoulli coins. A geometric
+//! variate — `Geometric(p)` is the number of failures before the first
+//! success — lets a simulator that would otherwise flip one `chance(p)`
+//! per time step draw the index of the next success directly and skip
+//! the run in O(1). That is exactly how the net simulator's boundary
+//! engine settles idle nodes (see `pbbf_core::PbbfEngine::sleep_run`).
+//! A binomial variate counts the successes of `n` coins in one draw,
+//! which is how the ideal simulator bills an update's duty cycle.
 
 use crate::RngCore;
 
@@ -148,6 +150,224 @@ impl Distribution<u64> for Geometric {
             }
             k
         }
+    }
+}
+
+/// The error returned by [`Binomial::new`] (mirrors `rand_distr`'s
+/// `binomial::Error`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BinomialError {
+    /// `p < 0`, or `p` is NaN.
+    ProbabilityTooSmall,
+    /// `p > 1`.
+    ProbabilityTooLarge,
+}
+
+impl std::fmt::Display for BinomialError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Self::ProbabilityTooSmall => "binomial probability is below 0 or NaN",
+            Self::ProbabilityTooLarge => "binomial probability is above 1",
+        })
+    }
+}
+
+impl std::error::Error for BinomialError {}
+
+/// The binomial distribution: the number of successes in `n` independent
+/// Bernoulli(`p`) trials, `P(X = k) = C(n, k) · p^k · (1 − p)^(n − k)`.
+///
+/// Sampling is Kemp's modal search ("A modal method for generating
+/// binomial variables", Communications in Statistics 1986): one uniform
+/// `u`, then the pmf is subtracted from `u` outward from the mode, one
+/// step down and one step up in turn, until `u` falls inside a term. The
+/// draw is exact up to f64 rounding of the pmf, and it takes about
+/// `1.6·σ` steps, `σ = √(n·p·(1 − p))`, however large `n·p` is: some 100
+/// steps at `n = 56,250`, `p = 1/2`. The mode's probability comes from
+/// Loader's saddle-point form ("Fast and accurate computation of binomial
+/// probabilities", 2000), which has no cancellation between log
+/// factorials, and each step multiplies by the pmf's ratio. In the
+/// vanishing case that rounding leaves `u` past the whole computed mass,
+/// the search draws again.
+///
+/// `n = 0`, `p = 0` and `p = 1` fix the value at 0, 0 and `n`, and
+/// sampling them draws nothing.
+///
+/// # Examples
+///
+/// ```
+/// use pbbf_rand::distributions::{Binomial, Distribution};
+///
+/// # struct Zero;
+/// # impl pbbf_rand::RngCore for Zero {
+/// #     fn next_u32(&mut self) -> u32 { 0 }
+/// #     fn next_u64(&mut self) -> u64 { 0 }
+/// #     fn fill_bytes(&mut self, dest: &mut [u8]) { dest.fill(0) }
+/// # }
+/// // Every one of ten certain trials succeeds.
+/// assert_eq!(Binomial::new(10, 1.0).unwrap().sample(&mut Zero), 10);
+/// assert!(Binomial::new(10, 1.5).is_err());
+/// assert!(Binomial::new(10, f64::NAN).is_err());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Binomial {
+    n: u64,
+    p: f64,
+    /// The mode, `⌊(n + 1)·p⌋` capped at `n`.
+    mode: u64,
+    /// `P(X = mode)`.
+    pmf_mode: f64,
+    /// `p / (1 − p)`, the constant factor of the pmf's step ratios.
+    odds: f64,
+}
+
+impl Binomial {
+    /// Creates the distribution of successes in `n` trials of success
+    /// probability `p ∈ [0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// [`BinomialError::ProbabilityTooSmall`] when `p < 0` or `p` is NaN,
+    /// [`BinomialError::ProbabilityTooLarge`] when `p > 1`.
+    pub fn new(n: u64, p: f64) -> Result<Self, BinomialError> {
+        if p.is_nan() || p < 0.0 {
+            return Err(BinomialError::ProbabilityTooSmall);
+        }
+        if p > 1.0 {
+            return Err(BinomialError::ProbabilityTooLarge);
+        }
+        let (mode, pmf_mode, odds) = if n == 0 || p == 0.0 || p == 1.0 {
+            (0, 1.0, 1.0) // fixed: `sample` draws nothing
+        } else {
+            let mode = (((n as f64) + 1.0) * p).floor().min(n as f64) as u64;
+            (mode, pmf(n, mode, p), p / (1.0 - p))
+        };
+        Ok(Self {
+            n,
+            p,
+            mode,
+            pmf_mode,
+            odds,
+        })
+    }
+}
+
+impl Distribution<u64> for Binomial {
+    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> u64 {
+        if self.n == 0 || self.p == 0.0 {
+            return 0;
+        }
+        if self.p == 1.0 {
+            return self.n;
+        }
+        let n = self.n;
+        loop {
+            let mut u = unit_f64_from_bits(rng.next_u64());
+            if u < self.pmf_mode {
+                return self.mode;
+            }
+            u -= self.pmf_mode;
+            let (mut lo, mut hi) = (self.mode, self.mode);
+            let (mut f_lo, mut f_hi) = (self.pmf_mode, self.pmf_mode);
+            // The pmf falls away from the mode, so a side whose term has
+            // underflowed to 0 holds nothing more.
+            while (lo > 0 && f_lo > 0.0) || (hi < n && f_hi > 0.0) {
+                if lo > 0 && f_lo > 0.0 {
+                    // P(lo − 1) / P(lo) = lo / ((n − lo + 1)·odds).
+                    f_lo *= lo as f64 / ((n - lo + 1) as f64 * self.odds);
+                    lo -= 1;
+                    if u < f_lo {
+                        return lo;
+                    }
+                    u -= f_lo;
+                }
+                if hi < n && f_hi > 0.0 {
+                    // P(hi + 1) / P(hi) = (n − hi)·odds / (hi + 1).
+                    f_hi *= (n - hi) as f64 * self.odds / (hi + 1) as f64;
+                    hi += 1;
+                    if u < f_hi {
+                        return hi;
+                    }
+                    u -= f_hi;
+                }
+            }
+        }
+    }
+}
+
+/// `P(X = k)` for `X ~ Binomial(n, p)`, `0 < p < 1`, `k ≤ n`, after
+/// Loader (2000): the Stirling-series errors and the deviance terms
+/// [`bd0`] carry the value, so no two large log factorials cancel.
+fn pmf(n: u64, k: u64, p: f64) -> f64 {
+    let q = 1.0 - p;
+    let nf = n as f64;
+    if k == 0 {
+        return (nf * (-p).ln_1p()).exp();
+    }
+    if k == n {
+        return (nf * p.ln()).exp();
+    }
+    let kf = k as f64;
+    let lc =
+        stirlerr(nf) - stirlerr(kf) - stirlerr(nf - kf) - bd0(kf, nf * p) - bd0(nf - kf, nf * q);
+    // ln(2π·k·(n − k)/n)
+    let lf = (2.0 * std::f64::consts::PI).ln() + kf.ln() + (-kf / nf).ln_1p();
+    (lc - 0.5 * lf).exp()
+}
+
+/// `ln k! − ((k + ½)·ln k − k + ½·ln 2π)`, the error of Stirling's
+/// formula at a positive integer `k`: tabulated up to 15, and from the
+/// series `1/12k − 1/360k³ + 1/1260k⁵ − 1/1680k⁷ + 1/1188k⁹` above, whose
+/// first omitted term is below 2e-16 there.
+fn stirlerr(k: f64) -> f64 {
+    /// `stirlerr(k)` for `k = 0..=15`, entry 0 unused.
+    const TABLE: [f64; 16] = [
+        0.0,
+        0.08106146679532726,
+        0.0413406959554093,
+        0.02767792568499834,
+        0.020790672103765093,
+        0.016644691189821193,
+        0.013876128823070748,
+        0.01189670994589177,
+        0.010411265261972096,
+        0.009255462182712733,
+        0.00833056343336287,
+        0.007573675487951841,
+        0.00694284010720953,
+        0.006408994188004207,
+        0.0059513701127588475,
+        0.005554733551962801,
+    ];
+    if k < 16.0 {
+        return TABLE[k as usize];
+    }
+    let kk = k * k;
+    (1.0 / 12.0
+        - (1.0 / 360.0 - (1.0 / 1260.0 - (1.0 / 1680.0 - 1.0 / 1188.0 / kk) / kk) / kk) / kk)
+        / k
+}
+
+/// The deviance term `x·ln(x/m) + m − x`, by its series in
+/// `v = (x − m)/(x + m)` where `x` is near `m` and the closed form
+/// would cancel.
+fn bd0(x: f64, m: f64) -> f64 {
+    if (x - m).abs() < 0.1 * (x + m) {
+        let mut v = (x - m) / (x + m);
+        let mut s = (x - m) * v;
+        let mut term = 2.0 * x * v;
+        v *= v;
+        for j in 1..1000 {
+            term *= v;
+            let next = s + term / f64::from(2 * j + 1);
+            if next == s {
+                break;
+            }
+            s = next;
+        }
+        s
+    } else {
+        x * (x / m).ln() + m - x
     }
 }
 
@@ -329,5 +549,182 @@ mod tests {
         assert!(max > 0.999_999_999);
         // Only the top 53 bits matter (matches SimRng::uniform01).
         assert_eq!(unit_f64_from_bits(0x7FF), 0.0);
+    }
+
+    /// A generator that fails the test if anything draws from it.
+    struct NoDraws;
+
+    impl RngCore for NoDraws {
+        fn next_u32(&mut self) -> u32 {
+            panic!("drew from a fixed distribution")
+        }
+        fn next_u64(&mut self) -> u64 {
+            panic!("drew from a fixed distribution")
+        }
+        fn fill_bytes(&mut self, _: &mut [u8]) {
+            panic!("drew from a fixed distribution")
+        }
+    }
+
+    /// The pmf of Binomial(`n`, `p`) by a log-space recurrence up from
+    /// `k = 0`, independent of the sampler's saddle point and ratio walk.
+    fn exact_pmf(n: u64, p: f64) -> Vec<f64> {
+        let log_odds = p.ln() - (-p).ln_1p();
+        let mut ln_pmf = n as f64 * (-p).ln_1p();
+        (0..=n)
+            .map(|k| {
+                let pmf = ln_pmf.exp();
+                ln_pmf += ((n - k) as f64 / (k + 1) as f64).ln() + log_odds;
+                pmf
+            })
+            .collect()
+    }
+
+    #[test]
+    fn binomial_rejects_probabilities_outside_the_unit_interval() {
+        for p in [-0.1, -1e-300, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(
+                Binomial::new(10, p).unwrap_err(),
+                BinomialError::ProbabilityTooSmall,
+                "p = {p}"
+            );
+        }
+        for p in [1.0 + f64::EPSILON, 2.0, f64::INFINITY] {
+            assert_eq!(
+                Binomial::new(10, p).unwrap_err(),
+                BinomialError::ProbabilityTooLarge,
+                "p = {p}"
+            );
+        }
+        for p in [0.0, -0.0, 1e-300, 0.5, 1.0 - f64::EPSILON, 1.0] {
+            assert!(Binomial::new(10, p).is_ok(), "p = {p}");
+        }
+    }
+
+    #[test]
+    fn binomial_endpoints_draw_nothing() {
+        for n in [0, 1, 56_250, u64::MAX] {
+            assert_eq!(Binomial::new(n, 0.0).unwrap().sample(&mut NoDraws), 0);
+            assert_eq!(Binomial::new(n, 1.0).unwrap().sample(&mut NoDraws), n);
+        }
+        for p in [1e-9, 0.5, 0.999] {
+            assert_eq!(Binomial::new(0, p).unwrap().sample(&mut NoDraws), 0);
+        }
+    }
+
+    #[test]
+    fn binomial_mode_pmf_and_ratios_sum_to_one() {
+        // The sampler's pmf is `pmf_mode` stepped by ratios both ways.
+        // Its total mass is 1 up to rounding, which pins the saddle-point
+        // `pmf_mode` to the same relative tolerance.
+        for (n, p, tol) in [
+            (1, 0.5, 1e-15),
+            (10, 0.05, 1e-14),
+            (90, 0.3, 1e-14),
+            (56_250, 0.1, 1e-12),
+            (56_250, 0.5, 1e-12),
+            (56_250, 0.9, 1e-12),
+            (10 << 20, 0.5, 1e-11),
+            (1 << 40, 1e-9, 1e-11),
+        ] {
+            let b = Binomial::new(n, p).unwrap();
+            let mut total = b.pmf_mode;
+            let (mut f, mut k) = (b.pmf_mode, b.mode);
+            while k > 0 && f > 0.0 {
+                f *= k as f64 / ((n - k + 1) as f64 * b.odds);
+                k -= 1;
+                total += f;
+            }
+            let (mut f, mut k) = (b.pmf_mode, b.mode);
+            while k < n && f > 0.0 {
+                f *= (n - k) as f64 * b.odds / (k + 1) as f64;
+                k += 1;
+                total += f;
+            }
+            assert!((total - 1.0).abs() < tol, "n = {n}, p = {p}: mass {total}");
+        }
+    }
+
+    #[test]
+    fn binomial_frequencies_fit_the_pmf() {
+        // Pearson's chi-square over cells of adjacent values pooled to an
+        // expected count of at least 20, tails included, against
+        // Wilson–Hilferty's upper 4-sigma point of chi-square (a
+        // one-sided level of about 3e-5).
+        let draws = 100_000u32;
+        for (n, p, seed) in [
+            (10, 0.05, 31u64),
+            (90, 0.3, 32),
+            (56_250, 0.1, 33),
+            (56_250, 0.5, 34),
+            (56_250, 0.9, 35),
+        ] {
+            let b = Binomial::new(n, p).unwrap();
+            let mut counts = vec![0u32; n as usize + 1];
+            let mut rng = Splitmix(seed);
+            for _ in 0..draws {
+                counts[b.sample(&mut rng) as usize] += 1;
+            }
+            let mut cells: Vec<(f64, u32)> = Vec::new();
+            let (mut expected, mut seen) = (0.0, 0);
+            for (pmf, count) in exact_pmf(n, p).into_iter().zip(counts) {
+                expected += pmf * f64::from(draws);
+                seen += count;
+                if expected >= 20.0 {
+                    cells.push((expected, seen));
+                    (expected, seen) = (0.0, 0);
+                }
+            }
+            let last = cells.last_mut().expect("at least one cell");
+            last.0 += expected;
+            last.1 += seen;
+            let chi2: f64 = cells
+                .iter()
+                .map(|&(e, c)| (f64::from(c) - e).powi(2) / e)
+                .sum();
+            let df = (cells.len() - 1) as f64;
+            let h = 2.0 / (9.0 * df);
+            let limit = df * (1.0 - h + 4.0 * h.sqrt()).powi(3);
+            assert!(
+                chi2 < limit,
+                "n = {n}, p = {p}: chi-square {chi2:.1} over {df} df, limit {limit:.1}"
+            );
+        }
+    }
+
+    #[test]
+    fn binomial_mean_and_variance_at_ten_billed_frames_of_a_full_grid() {
+        // n = 10 · 2^20: ten billed frames of the largest grid.
+        let (n, p) = (10u64 << 20, 0.5);
+        let b = Binomial::new(n, p).unwrap();
+        let mut rng = Splitmix(36);
+        let m = 20_000u32;
+        let draws: Vec<f64> = (0..m).map(|_| b.sample(&mut rng) as f64).collect();
+        let mf = f64::from(m);
+        let mean = draws.iter().sum::<f64>() / mf;
+        let var = draws.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (mf - 1.0);
+        let (mu, sigma2) = (n as f64 * p, n as f64 * p * (1.0 - p));
+        let z_mean = (mean - mu) / (sigma2 / mf).sqrt();
+        // The sample variance's spread, binomial excess kurtosis included.
+        let kurtosis = (1.0 - 6.0 * p * (1.0 - p)) / sigma2;
+        let z_var = (var - sigma2) / (sigma2 * (2.0 / (mf - 1.0) + kurtosis / mf).sqrt());
+        assert!(z_mean.abs() < 4.0, "mean {mean} vs {mu}: z = {z_mean:.2}");
+        assert!(
+            z_var.abs() < 4.0,
+            "variance {var} vs {sigma2}: z = {z_var:.2}"
+        );
+    }
+
+    #[test]
+    fn binomial_draws_one_uniform_per_sample() {
+        // Rounding can only force a second uniform with probability near
+        // 1e-13, so lockstep with a plain stream holds here.
+        let b = Binomial::new(56_250, 0.5).unwrap();
+        let (mut a, mut plain) = (Splitmix(37), Splitmix(37));
+        for _ in 0..1_000 {
+            let _ = b.sample(&mut a);
+            let _ = plain.next_u64();
+        }
+        assert_eq!(a.next_u64(), plain.next_u64());
     }
 }

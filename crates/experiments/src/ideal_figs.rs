@@ -67,16 +67,20 @@ pub(crate) fn points(effort: &Effort, seed: u64) -> Vec<(Mode, u64)> {
 
 /// Executes runs `runs` of one point on one simulator, returning one row
 /// per run, row-major. Run `r` draws from `mix(point seed, r)`, and each
-/// run folds to its row before the next starts, so a chunk holds one
-/// `RunStats` at a time.
+/// run refills one `RunStats` and folds to its row before the next
+/// starts, so a chunk allocates its reception records once.
 pub(crate) fn run_chunk(
     effort: &Effort,
     (mode, seed): (Mode, u64),
     runs: Range<usize>,
 ) -> Vec<Option<f64>> {
     let sim = IdealSim::new(effort.ideal_config(), mode);
-    runs.flat_map(|r| row(effort, &sim.run(mix(seed, r as u64))))
-        .collect()
+    let mut stats = RunStats::default();
+    runs.flat_map(|r| {
+        sim.run_into(mix(seed, r as u64), &mut stats);
+        row(effort, &stats)
+    })
+    .collect()
 }
 
 #[cfg(test)]

@@ -52,8 +52,5 @@ pub use tradeoff_fig::fig12;
 /// seeds its points and runs through it, so a run's stream depends only
 /// on where it sits in the sweep, never on scheduling.
 pub(crate) fn mix(seed: u64, salt: u64) -> u64 {
-    let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    pbbf_des::mix64(seed ^ salt.wrapping_mul(pbbf_des::GOLDEN_GAMMA))
 }

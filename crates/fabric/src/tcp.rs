@@ -257,8 +257,10 @@ pub struct ServeOptions {
 /// reconnects fail — the remote analogue of a dead subprocess), `hang`
 /// wedges the shard while heartbeats keep flowing (caught by the
 /// supervisor's per-shard deadline), `corrupt` sends a torn reply. A
-/// panic in `exec` unwinds out of this function, so the process ends
-/// the same way an injected crash does.
+/// panic in `exec` is caught by the session and sent back as an `Error`
+/// reply naming the shard and carrying the panic message; the
+/// supervisor retries the refused shard, and the connection and the
+/// listener serve on.
 ///
 /// # Errors
 ///

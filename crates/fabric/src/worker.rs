@@ -55,11 +55,30 @@ where
             eprintln!("pbbf worker: injected corruption on shard {}", spec.id);
             SpecOutcome::Reply(corrupt_reply(spec, exec))
         }
-        None => SpecOutcome::Reply(match exec(&spec.job) {
+        None => SpecOutcome::Reply(match exec_caught(exec, &spec.job) {
             Ok(values) => result_reply(spec.id, &values),
             Err(error) => WorkerReply::Error(ShardError { id: spec.id, error }),
         }),
     }
+}
+
+/// Runs `exec` on `job`, turning a panic into an `Err` that carries the
+/// panic message, so one bad shard costs a refusal, not the worker. The
+/// supervisor moves a refused shard along its retry ladder.
+fn exec_caught<E>(exec: &E, job: &Json) -> Result<Vec<Option<f64>>, String>
+where
+    E: Fn(&Json) -> Result<Vec<Option<f64>>, String>,
+{
+    // `exec` holds no state of the session, so nothing it leaves half
+    // done outlives the unwind.
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exec(job))).unwrap_or_else(|panic| {
+        let message = panic
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "a non-string payload".to_string());
+        Err(format!("shard panicked: {message}"))
+    })
 }
 
 /// Renders a reply to its wire line.
@@ -82,17 +101,16 @@ fn render_fallback_error(shard_id: u32, msg: &str) -> String {
 
 /// Serves one session: shard-spec lines in on `input`, reply lines out
 /// on `output`, until `input` ends. `exec` maps a job to its per-run
-/// values; an `Err` is sent back as a refused shard and the session
-/// goes on. An injected crash exits the process.
+/// values; an `Err`, or a panic, is sent back as a refused shard (a
+/// panic's message included) and the session goes on. An injected
+/// crash exits the process.
 ///
 /// Every reply is followed by a [`WorkerReply::Heartbeat`] carrying
 /// `telemetry()`'s counters as a delta from session start. With
 /// `heartbeat` set, a timer thread also beats at once and then every
 /// period, even mid-shard, so host liveness can tell a slow shard from
 /// a vanished host. The timer waits on a channel whose sender the
-/// session owns, so it stops on every way out of the session, a
-/// panicking `exec` included: the panic then ends the process instead
-/// of leaving a beating, never-replying worker behind.
+/// session owns, so it stops on every way out of the session.
 ///
 /// # Errors
 ///
@@ -176,7 +194,7 @@ fn corrupt_reply<E>(spec: &ShardSpec, exec: &E) -> WorkerReply
 where
     E: Fn(&Json) -> Result<Vec<Option<f64>>, String>,
 {
-    let values = exec(&spec.job).unwrap_or_default();
+    let values = exec_caught(exec, &spec.job).unwrap_or_default();
     let mut bits = encode_values(&values);
     let stale = checksum(spec.id, &bits);
     match bits.iter_mut().find_map(|b| b.as_mut()) {
@@ -239,6 +257,51 @@ mod tests {
             outcome_for_spec(&plan, &spec(4), &exec),
             SpecOutcome::Crash(3)
         ));
+    }
+
+    #[test]
+    fn a_panicking_shard_is_refused_and_the_session_serves_on() {
+        // Shard 1 panics, shard 2 answers: the session replies Error
+        // (with the panic message), then Result, and ends Ok at EOF.
+        let input = [1, 2]
+            .map(|id| {
+                let spec = ShardSpec {
+                    job: Json::U64(u64::from(id)),
+                    ..spec(id)
+                };
+                serde_json::to_string(&spec).expect("specs render") + "\n"
+            })
+            .concat();
+        let exec = |job: &Json| match job {
+            Json::U64(1) => panic!("no table for shard one"),
+            _ => Ok(vec![Some(2.5), None]),
+        };
+        let mut output = Vec::new();
+        serve_session(
+            input.as_bytes(),
+            &mut output,
+            None,
+            &FaultPlan::parse(""),
+            exec,
+            CacheTelemetry::default,
+        )
+        .expect("a panicking shard does not end the session");
+        let replies: Vec<WorkerReply> = String::from_utf8(output)
+            .expect("replies are UTF-8")
+            .lines()
+            .map(|l| serde_json::from_str(l).expect("every reply line parses"))
+            .filter(|r| !matches!(r, WorkerReply::Heartbeat(_)))
+            .collect();
+        let [WorkerReply::Error(refused), answered] = replies.as_slice() else {
+            panic!("expected an Error then a Result, got {replies:?}");
+        };
+        assert_eq!(refused.id, 1);
+        assert!(
+            refused.error.contains("no table for shard one"),
+            "{}",
+            refused.error
+        );
+        assert_eq!(*answered, result_reply(2, &[Some(2.5), None]));
     }
 
     #[test]

@@ -12,7 +12,6 @@
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -517,34 +516,56 @@ fn over_long_spec_line_drops_only_that_connection() {
 }
 
 #[test]
-fn panicking_exec_ends_the_listener_instead_of_wedging_it() {
-    // A panic mid-shard must take the listener down, as an injected
-    // crash does, so the supervisor's reconnects are refused. A
-    // heartbeat timer that outlived its session would beat forever
-    // instead, while the listener never replied nor accepted again.
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr").to_string();
-    let (alive, ended) = mpsc::channel::<()>();
-    let server = std::thread::spawn(move || {
-        let _alive = alive; // dropped however the thread ends
+fn panicking_exec_is_refused_and_the_listener_serves_on() {
+    // A panic mid-shard costs that shard an `Error` reply carrying the
+    // panic message, which the supervisor treats as a refusal and
+    // retries. The connection answers its next shard, heartbeats keep
+    // flowing, and the listener accepts the next connection.
+    let addr = script_server(move |listener| {
         let options = ServeOptions {
             heartbeat: Duration::from_millis(20),
             once: false,
         };
-        let exec = |_: &Json| -> Result<Vec<Option<f64>>, String> { panic!("exec blew up") };
-        serve_listener(&listener, &options, exec, CacheTelemetry::default)
+        let exec = |job: &Json| -> Result<Vec<Option<f64>>, String> {
+            let mock: MockJob = serde::from_value(job.clone()).map_err(|e| e.to_string())?;
+            if mock.k == 0 {
+                panic!("exec blew up on shard {}", mock.k);
+            }
+            exec(job)
+        };
+        let _ = serve_listener(&listener, &options, exec, CacheTelemetry::default);
     });
-    let spec = ShardSpec {
-        id: 0,
+    let spec = |id: u32| ShardSpec {
+        id,
         attempt: 0,
         expect: 2,
-        job: serde::to_value(&MockJob { k: 0, n: 2 }),
+        job: serde::to_value(&MockJob {
+            k: u64::from(id),
+            n: 2,
+        }),
     };
-    let mut stream = connect(&addr);
-    writeln!(stream, "{}", serde_json::to_string(&spec).unwrap()).expect("send spec");
-    match ended.recv_timeout(Duration::from_secs(10)) {
-        Err(RecvTimeoutError::Disconnected) => {}
-        other => panic!("serve_listener still running 10 s after exec panicked: {other:?}"),
+    let next_reply = |reader: &mut BufReader<TcpStream>, beats: &mut u32| loop {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).expect("read reply") > 0);
+        match serde_json::from_str::<WorkerReply>(&line).expect("reply parses") {
+            WorkerReply::Heartbeat(_) => *beats += 1,
+            reply => break reply,
+        }
+    };
+    for _connection in 0..2 {
+        let mut stream = connect(&addr);
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut beats = 0;
+        writeln!(stream, "{}", serde_json::to_string(&spec(0)).unwrap()).expect("send spec");
+        match next_reply(&mut reader, &mut beats) {
+            WorkerReply::Error(e) => {
+                assert_eq!(e.id, 0);
+                assert!(e.error.contains("exec blew up on shard 0"), "{}", e.error);
+            }
+            other => panic!("a panicking shard is refused, got {other:?}"),
+        }
+        writeln!(stream, "{}", serde_json::to_string(&spec(1)).unwrap()).expect("send spec");
+        assert_eq!(next_reply(&mut reader, &mut beats), valid_reply(&spec(1)));
+        assert!(beats > 0, "the session kept beating");
     }
-    assert!(server.join().is_err(), "the panic ends the serving thread");
 }

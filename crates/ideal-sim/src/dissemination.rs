@@ -4,12 +4,16 @@
 //!
 //! A flood touches only its frontier: the transmitters of the frame,
 //! their neighbors, and the nodes that receive. The loop keeps per-node
-//! activity only for those nodes, marks them in a bitset of `n/64`
-//! words, and walks and resets just the marked entries at the end of
-//! the frame. A node's awake time is derived, not stored: it is its
-//! coin's `T_frame` (or 0) raised to its activity-driven awake time.
-//! Normal transmitters queue in a second bitset and drain in index
-//! order, so no frame sorts.
+//! activity only for those nodes, marks them in bitsets of `n/64` words,
+//! and walks and resets just the marked entries at the end of the frame.
+//! A normal broadcast marks its transmitter and each neighbor in one pass
+//! over the neighbor list: they all heard its announcement and listen
+//! through the same window, so a `listening` bit stands for that window
+//! and the end of the frame merges it into the node's span. A node's
+//! awake time is derived, not stored: its coin's `T_frame` (or 0) raised
+//! to its activity-driven awake time. Normal transmitters queue in a
+//! further bitset and drain in index order, so no frame sorts. So a
+//! frame costs O(touched + n/64).
 //!
 //! The sleep coin of node `i` in frame `f` is a pure hash of
 //! `(update key, f, i)` ([`Coins`]), so it costs nothing until the
@@ -21,25 +25,28 @@
 //! activity marginal. The update's generator only draws the
 //! `chance(p)` forwarding decisions.
 //!
-//! Each of the first `billing_frames` frames bills its baseline energy
-//! as `on·awake + off·(n − awake)` from the frame's awake count, and the
-//! billing frames the flood did not span are counted from their own
-//! frame indices. Counting is `n` independent hashes, with no serial
-//! dependency between them. So a billed frame costs O(n) hashes plus
-//! O(touched + n/64), and any later frame O(touched + n/64). The count
-//! rounds differently from a node-order sum of per-node shares: the two
-//! agree to about 1e-15 relative, not bit for bit.
+//! # What an update costs
 //!
-//! The dense loop, which evaluates every coin and resets, scans and
-//! bills all `n` nodes every frame, is kept as the test oracle in
-//! `crate::oracle`; the tests there compare every output field bit for
-//! bit.
+//! An update bills `billing_frames` frames of every node's baseline duty
+//! cycle: `on` for a node-frame its coin kept awake, `off` for one it
+//! slept. The awake count of those `B·n` node-frames is one
+//! Binomial(`B·n`, `q`) draw ([`billed_awake`]), the distribution of the
+//! sum of `B` frames' independent counts, so billing hashes no coin and
+//! costs O(√(B·n·q(1 − q))) however large the grid. The count is drawn
+//! from its own substream of the update's generator, not counted from the
+//! coins the flood reads. An update thus costs its frames plus
+//! resetting its `n` reception records, and the working state
+//! ([`Scratch`]) is allocated once per run, not per update.
+//!
+//! The dense loop, which evaluates every coin and resets and scans all
+//! `n` nodes every frame, is kept as the test oracle in `crate::oracle`;
+//! the tests there compare every output field bit for bit.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use pbbf_core::{PbbfParams, PowerProfile, SleepSchedule};
-use pbbf_des::SimRng;
+use pbbf_des::{mix64, SimRng, GOLDEN_GAMMA};
 use pbbf_topology::{NodeId, Topology};
 
 /// The inputs of one dissemination, resolved from [`crate::IdealConfig`]
@@ -59,13 +66,10 @@ pub(crate) struct DisseminationSetup {
     pub max_frames: u32,
 }
 
-/// Everything measured about one update's dissemination.
+/// The counters of one update's dissemination; its receptions go to the
+/// caller's buffer.
 #[derive(Debug, Clone)]
 pub(crate) struct Dissemination {
-    /// Per node: latency from generation to first reception (s) and the
-    /// number of links the delivered copy traversed. The source holds
-    /// `Some((0.0, 0))`.
-    pub received: Vec<Option<(f64, u32)>>,
     pub immediate_tx: u64,
     pub normal_tx: u64,
     /// Immediate forwards that would have overrun the frame and were
@@ -77,15 +81,50 @@ pub(crate) struct Dissemination {
     /// Sleep-coin hashes evaluated: the work [`Coins`] did, not an
     /// output of the flood.
     pub coins_evaluated: u64,
+    /// Billed node-frames awake by the Sleep-Decision-Handler: the
+    /// update's [`billed_awake`] draw.
+    pub billed_awake: u64,
+}
+
+/// The frame loop's working state. Every flood leaves it sized for its
+/// grid and empty but for normal broadcasts still pending when a flood
+/// stops at `max_frames`, which the next flood clears. So one `Scratch`
+/// serves every update of a run, and its buffers are allocated and paged
+/// in once.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// Nodes queued to announce and transmit a normal broadcast next
+    /// frame.
+    pending_normal: NodeSet,
+    /// This frame's normal transmitters, in index order.
+    normal_now: Vec<NodeId>,
+    /// Immediate forwards scheduled within the current frame: (tx time
+    /// in integer ns from frame start, node).
+    imm: BinaryHeap<Reverse<(u64, u32)>>,
+    activity: Activity,
+}
+
+impl Scratch {
+    /// Sizes the state for nodes `0..n` and drops the normal broadcasts
+    /// a flood stopped at `max_frames` left pending.
+    fn reset(&mut self, n: usize) {
+        self.pending_normal.reset(n);
+        self.activity.reset(n);
+    }
 }
 
 /// Disseminates one update from `source`, drawing its forwarding
-/// decisions from `rng` and keying its sleep coins on `rng`'s seed.
+/// decisions from `rng` and keying its sleep coins and billing draw on
+/// `rng`'s seed. Refills `received` with one record per node: latency
+/// from generation to first reception (s) and the number of links the
+/// delivered copy traversed, `Some((0.0, 0))` at the source.
 pub(crate) fn disseminate(
     topology: &Topology,
     source: NodeId,
     setup: &DisseminationSetup,
     rng: &mut SimRng,
+    scratch: &mut Scratch,
+    received: &mut Vec<Option<(f64, u32)>>,
 ) -> Dissemination {
     let n = topology.len();
     let p = setup.params.p();
@@ -96,25 +135,21 @@ pub(crate) fn disseminate(
     let rx_done = t_active + setup.l1 + setup.t_packet;
     let idle = setup.power.idle;
     let sleep = setup.power.sleep;
-    // A node's baseline energy for one billed frame, by its coin.
-    let billed = Billing {
-        on: idle * t_active + idle * t_sleep,
-        off: idle * t_active + sleep * t_sleep,
-    };
     // Generation happens mid-ATIM-window of frame 0 (Section 5.1: "new
     // packets always arrive at the source during the ATIM window").
     let gen_time = 0.5 * t_active;
 
-    let mut received: Vec<Option<(f64, u32)>> = vec![None; n];
+    received.clear();
+    received.resize(n, None);
     received[source.index()] = Some((0.0, 0));
 
-    // Nodes queued to announce + transmit a normal broadcast next frame,
-    // and this frame's, in index order.
-    let mut pending_normal = NodeSet::new(n);
-    let mut normal_now: Vec<NodeId> = Vec::new();
-    // Immediate forwards scheduled within the current frame:
-    // (tx time in integer ns from frame start, node).
-    let mut imm: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+    scratch.reset(n);
+    let Scratch {
+        pending_normal,
+        normal_now,
+        imm,
+        activity,
+    } = scratch;
 
     let mut immediate_tx = 0u64;
     let mut normal_tx = 0u64;
@@ -122,7 +157,6 @@ pub(crate) fn disseminate(
     let mut energy = 0.0f64;
 
     let mut coins = Coins::new(rng, q);
-    let mut activity = Activity::new(n);
 
     // The source's own forwarding decision. An immediate source
     // transmission still happens after the ATIM window (data may not be
@@ -148,35 +182,29 @@ pub(crate) fn disseminate(
             break;
         }
 
-        // ---- Awake intervals of the announced transmissions.
-        for &tx in &normal_now {
-            activity.awake(tx.index(), t_active, rx_done);
-            for &nb in topology.neighbors(tx) {
-                // Every neighbor heard the ATIM and listens for the data.
-                activity.awake(nb.index(), t_active, rx_done);
-            }
-        }
-
         // ---- Normal data transmissions (all at T_active + L1; ideal
-        // channel, no collisions). Every neighbor receives.
-        let t_norm_rx = t_active + setup.l1 + setup.t_packet;
-        let latency = frame_start + t_norm_rx - gen_time;
-        for &tx in &normal_now {
+        // channel, no collisions). The transmitter and every neighbor
+        // heard the ATIM and listen through `rx_done`; every neighbor
+        // receives.
+        let latency = frame_start + rx_done - gen_time;
+        for &tx in normal_now.iter() {
             normal_tx += 1;
+            activity.listen(tx.index());
             let hops = received[tx.index()].expect("transmitter holds packet").1 + 1;
             for &nb in topology.neighbors(tx) {
+                activity.listen(nb.index());
                 if received[nb.index()].is_some() {
                     continue; // duplicate: dropped
                 }
                 received[nb.index()] = Some((latency, hops));
                 decide_forward(
                     nb,
-                    t_norm_rx,
+                    rx_done,
                     setup,
                     p,
                     rng,
-                    &mut imm,
-                    &mut pending_normal,
+                    imm,
+                    pending_normal,
                     &mut deferred,
                     ns_frame_limit,
                 );
@@ -203,7 +231,9 @@ pub(crate) fn disseminate(
                 // Awake if the update's traffic or the Sleep-Decision-
                 // Handler coin kept it on; the coin is read only when
                 // the traffic did not.
-                if activity.awake_until(i) < t_tx && coins.awake_until(frame, i, t_frame) < t_tx {
+                if activity.awake_until(i, rx_done) < t_tx
+                    && coins.awake_until(frame, i, t_frame) < t_tx
+                {
                     continue; // asleep: the bond is closed for this copy
                 }
                 received[i] = Some((latency, hops));
@@ -214,22 +244,19 @@ pub(crate) fn disseminate(
                     setup,
                     p,
                     rng,
-                    &mut imm,
-                    &mut pending_normal,
+                    imm,
+                    pending_normal,
                     &mut deferred,
                     ns_frame_limit,
                 );
             }
         }
 
-        // ---- Energy for this frame: the baseline duty-cycle share billed
-        // to this update, then the marginal activity — awake time the
-        // update caused beyond what the coin (already billed, possibly to
-        // another update's window) covers.
-        if frame < setup.billing_frames {
-            energy += billed.frame(coins.awake_count(frame, n), n);
-        }
-        energy = activity.drain_marginal(energy, &mut coins, frame, idle - sleep);
+        // ---- Marginal activity: awake time the update caused beyond
+        // what the coin (billed below, possibly to another update's
+        // window) covers.
+        energy =
+            activity.drain_marginal(energy, &mut coins, frame, idle - sleep, (t_active, rx_done));
 
         frame += 1;
         if frame >= setup.max_frames {
@@ -237,25 +264,26 @@ pub(crate) fn disseminate(
         }
     }
 
-    // Baseline duty-cycle energy for billing-window frames the
-    // dissemination did not span (the update's steady-state share covers
-    // the full inter-update interval even if the broadcast died early).
-    for f in frame..setup.billing_frames {
-        energy += billed.frame(coins.awake_count(f, n), n);
-    }
+    // Baseline duty-cycle energy: the update's steady-state share covers
+    // the full inter-update interval, even if the broadcast died early.
+    let node_frames = u64::from(setup.billing_frames) * n as u64;
+    let awake = billed_awake(rng, q, node_frames);
+    let on = idle * t_active + idle * t_sleep;
+    let off = idle * t_active + sleep * t_sleep;
+    energy += on * awake as f64 + off * (node_frames - awake) as f64;
 
     // Transmission surcharge over idle listening.
     energy +=
         (setup.power.tx - setup.power.idle) * setup.t_packet * (immediate_tx + normal_tx) as f64;
 
     Dissemination {
-        received,
         immediate_tx,
         normal_tx,
         deferred_immediates: deferred,
         energy_joules: energy,
         frames_used: frame,
         coins_evaluated: coins.evaluated,
+        billed_awake: awake,
     }
 }
 
@@ -264,8 +292,18 @@ pub(crate) fn disseminate(
 /// where they are.
 const COIN_STREAM: u64 = 0x636F_696E;
 
-/// SplitMix64's increment, the odd part of the golden ratio.
-const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+/// The stream id, under an update's generator, of the substream its
+/// billing draw comes from ("bill" in ASCII).
+const BILL_STREAM: u64 = 0x6269_6C6C;
+
+/// How many of the `node_frames` node-frames billed to the update whose
+/// generator is `rng` the Sleep-Decision-Handler kept awake: one
+/// Binomial(`node_frames`, `q`) draw from the [`BILL_STREAM`] substream.
+/// `rng` is not drawn from. `q ≤ 0` and `q ≥ 1` fix the count without a
+/// draw, as [`Coins`] fix every coin there.
+pub(crate) fn billed_awake(rng: &SimRng, q: f64, node_frames: u64) -> u64 {
+    rng.substream(BILL_STREAM).binomial(node_frames, q)
+}
 
 /// [`Coins::threshold`] when `q ≤ 0`: no 53-bit value lies below it.
 const ASLEEP: u64 = 0;
@@ -312,10 +350,10 @@ impl Coins {
     /// The top 53 bits of coin `(frame, i)`'s hash.
     fn bits(&self, frame: u32, i: usize) -> u64 {
         let counter = (u64::from(frame) << 32) | i as u64;
-        mix(self
-            .key
-            .wrapping_add(counter.wrapping_add(1).wrapping_mul(GOLDEN_GAMMA)))
-            >> 11
+        mix64(
+            self.key
+                .wrapping_add(counter.wrapping_add(1).wrapping_mul(GOLDEN_GAMMA)),
+        ) >> 11
     }
 
     /// Whether node `i`'s coin kept it awake through frame `frame`.
@@ -339,21 +377,6 @@ impl Coins {
             0.0
         }
     }
-
-    /// How many of nodes `0..n` their coins kept awake through frame
-    /// `frame`: `n` independent hashes, summed without a branch.
-    fn awake_count(&mut self, frame: u32, n: usize) -> u64 {
-        match self.threshold {
-            ASLEEP => 0,
-            AWAKE => n as u64,
-            threshold => {
-                self.evaluated += n as u64;
-                (0..n)
-                    .map(|i| u64::from(self.bits(frame, i) < threshold))
-                    .sum()
-            }
-        }
-    }
 }
 
 /// `ceil(q·2^53)`, the number of 53-bit values `k` with `k·2^-53 < q`:
@@ -369,43 +392,26 @@ fn threshold(q: f64) -> u64 {
     }
 }
 
-/// SplitMix64's output function (Stafford's Mix13 variant).
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A node's baseline energy for one billed frame: `on` when its coin
-/// kept it awake through the data phase, `off` when it slept.
-struct Billing {
-    on: f64,
-    off: f64,
-}
-
-impl Billing {
-    /// The baseline energy of a frame in which `awake` of the `n` nodes'
-    /// coins kept them awake.
-    fn frame(&self, awake: u64, n: usize) -> f64 {
-        self.on * awake as f64 + self.off * (n as u64 - awake) as f64
-    }
-}
-
 /// A set of node indices, one bit per node (bit `i % 64` of word
 /// `i / 64`), drained in index order.
+#[derive(Default)]
 struct NodeSet {
     words: Vec<u64>,
 }
 
 impl NodeSet {
-    fn new(n: usize) -> Self {
-        Self {
-            words: vec![0; n.div_ceil(64)],
-        }
+    /// Empties the set and sizes it for nodes `0..n`.
+    fn reset(&mut self, n: usize) {
+        self.words.clear();
+        self.words.resize(n.div_ceil(64), 0);
     }
 
     fn insert(&mut self, i: usize) {
         self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] >> (i % 64) & 1 != 0
     }
 
     /// Calls `f` on every member in ascending order and empties the set:
@@ -423,11 +429,16 @@ impl NodeSet {
 
 /// Activity the update caused this frame, kept only for the nodes it
 /// touched.
+#[derive(Default)]
 struct Activity {
-    /// Per node: the latest time the update's own traffic kept it
+    /// Per node: the latest time the update's immediate traffic kept it
     /// awake, and the span `[start, end]` of that traffic.
     nodes: Vec<NodeActivity>,
     touched: NodeSet,
+    /// Nodes that announced a normal broadcast this frame or heard one
+    /// announced: awake through `rx_done` and busy over
+    /// `[t_active, rx_done]`, on top of their `nodes` entry.
+    listening: NodeSet,
 }
 
 #[derive(Clone, Copy)]
@@ -456,11 +467,12 @@ impl NodeActivity {
 }
 
 impl Activity {
-    fn new(n: usize) -> Self {
-        Self {
-            nodes: vec![NodeActivity::IDLE; n],
-            touched: NodeSet::new(n),
-        }
+    /// Sizes the state for nodes `0..n`. A drained frame leaves every
+    /// entry idle and both sets empty.
+    fn reset(&mut self, n: usize) {
+        self.nodes.resize(n, NodeActivity::IDLE);
+        self.touched.reset(n);
+        self.listening.reset(n);
     }
 
     /// Node `i` is busy over `[from, to]` and stays awake until `to`.
@@ -478,28 +490,53 @@ impl Activity {
         self.nodes[i].note(from, to);
     }
 
-    fn awake_until(&self, i: usize) -> f64 {
-        self.nodes[i].awake_until
+    /// Node `i` announced a normal broadcast or heard one announced.
+    fn listen(&mut self, i: usize) {
+        self.listening.insert(i);
     }
 
-    /// Adds the marginal awake energy of every touched node whose coin
-    /// slept in frame `frame`, in index order, and resets the touched
-    /// entries.
+    /// How long the update's traffic keeps node `i` awake, a listener at
+    /// least through `rx_done`.
+    fn awake_until(&self, i: usize, rx_done: f64) -> f64 {
+        let until = self.nodes[i].awake_until;
+        if self.listening.contains(i) {
+            until.max(rx_done)
+        } else {
+            until
+        }
+    }
+
+    /// Adds the marginal awake energy of every touched or listening node
+    /// whose coin slept in frame `frame`, in index order, and resets
+    /// their entries. A listener's span takes in the listening window
+    /// `[from, to]` first; min and max do not depend on order, so the
+    /// span is the one the frame's traffic made.
     fn drain_marginal(
         &mut self,
         mut energy: f64,
         coins: &mut Coins,
         frame: u32,
         idle_over_sleep: f64,
+        (from, to): (f64, f64),
     ) -> f64 {
-        let nodes = &mut self.nodes;
-        self.touched.drain(|i| {
-            let a = std::mem::replace(&mut nodes[i], NodeActivity::IDLE);
-            if a.end > 0.0 && !coins.awake(frame, i) {
-                let duration = (a.end - a.start.min(a.end)).max(0.0);
-                energy += idle_over_sleep * duration;
+        let words = self.touched.words.iter_mut().zip(&mut self.listening.words);
+        for (w, (touched, listening)) in words.enumerate() {
+            let heard = std::mem::take(listening);
+            let mut bits = std::mem::take(touched) | heard;
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                let i = w * 64 + bit as usize;
+                let mut a = std::mem::replace(&mut self.nodes[i], NodeActivity::IDLE);
+                if heard >> bit & 1 != 0 {
+                    a.note(from, to);
+                }
+                if a.end > 0.0 && !coins.awake(frame, i) {
+                    let duration = (a.end - a.start.min(a.end)).max(0.0);
+                    energy += idle_over_sleep * duration;
+                }
+                bits &= bits - 1;
             }
-        });
+        }
         energy
     }
 }
@@ -548,8 +585,8 @@ fn ns_to_secs(ns: u64) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    use super::{mix, secs_to_ns, threshold, Coins, ASLEEP, AWAKE, GOLDEN_GAMMA};
-    use pbbf_des::SimRng;
+    use super::{secs_to_ns, threshold, Coins, ASLEEP, AWAKE};
+    use pbbf_des::{mix64, SimRng, GOLDEN_GAMMA};
 
     /// Coins with a chosen key.
     fn coins(key: u64, q: f64) -> Coins {
@@ -596,7 +633,7 @@ mod tests {
         for (frame, i) in [(1u32, 0usize), (7, 5624), (9_999, (1 << 20) - 1)] {
             let position = (u64::from(frame) << 32) + i as u64;
             let state = key.wrapping_add((position + 1).wrapping_mul(GOLDEN_GAMMA));
-            assert_eq!(c.bits(frame, i), mix(state) >> 11);
+            assert_eq!(c.bits(frame, i), mix64(state) >> 11);
         }
     }
 
@@ -610,14 +647,9 @@ mod tests {
             for &key in &keys {
                 let mut c = coins(key, q);
                 for frame in frames {
-                    awake += c.awake_count(frame, n);
+                    awake += (0..n).filter(|&i| c.awake(frame, i)).count() as u64;
                 }
                 assert_eq!(c.evaluated, (frames.len() * n) as u64);
-                // The count is the per-node reads summed.
-                let mut per_node = coins(key, q);
-                let read = (0..n).filter(|&i| per_node.awake(frames[3], i)).count();
-                assert_eq!(read as u64, c.awake_count(frames[3], n));
-                assert_eq!(per_node.evaluated, n as u64);
             }
             let total = (keys.len() * frames.len() * n) as f64;
             assert!(total >= 1e6);
@@ -638,7 +670,6 @@ mod tests {
                 for i in 0..1_000 {
                     assert_eq!(c.awake(frame, i), expect, "q = {q}");
                 }
-                assert_eq!(c.awake_count(frame, 1_000), if expect { 1_000 } else { 0 });
             }
             assert_eq!(c.evaluated, 0, "q = {q}");
         }

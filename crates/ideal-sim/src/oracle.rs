@@ -2,13 +2,17 @@
 //! `crate::dissemination`.
 //!
 //! Every frame it evaluates every node's sleep coin, through the same
-//! `Coins` the sparse loop reads lazily, then resets, scans and bills all
-//! `n` nodes, billing each frame by its awake count. The tests below run
-//! both loops on the same inputs and compare every output field, and the
+//! `Coins` the sparse loop reads lazily, then resets and scans all `n`
+//! nodes, with no listening bitset. After its frames it bills the update
+//! with the same one Binomial draw the sparse loop makes, which hashes no
+//! coin. The tests below run both loops on the same inputs, the sparse
+//! one through one reused `Scratch` and reception buffer across
+//! consecutive updates, and compare every output field, and the
 //! generator's final state, by bit pattern. Since a coin is a pure
 //! function of `(update, frame, node)`, they pin laziness: reading fewer
 //! coins, in another order, changes nothing. The coin hash itself is
-//! pinned by the tests in `crate::dissemination`.
+//! pinned by the tests in `crate::dissemination`, and the billing draw's
+//! distribution by the sampler's tests in `pbbf-rand`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -16,15 +20,16 @@ use std::collections::BinaryHeap;
 use pbbf_des::SimRng;
 use pbbf_topology::{NodeId, Topology};
 
-use crate::dissemination::{Coins, Dissemination, DisseminationSetup};
+use crate::dissemination::{billed_awake, Coins, Dissemination, DisseminationSetup};
 
 /// Disseminates one update from `source` with a dense per-frame scan.
+/// Returns the reception records beside the counters.
 fn disseminate_dense(
     topology: &Topology,
     source: NodeId,
     setup: &DisseminationSetup,
     rng: &mut SimRng,
-) -> Dissemination {
+) -> (Vec<Option<(f64, u32)>>, Dissemination) {
     let n = topology.len();
     let p = setup.params.p();
     let q = setup.params.q();
@@ -49,8 +54,6 @@ fn disseminate_dense(
     let mut act_end = vec![0.0f64; n];
     let mut coins = Coins::new(rng, q);
     let mut coin = vec![false; n];
-    let on = setup.power.idle * t_active + setup.power.idle * t_sleep;
-    let off = setup.power.idle * t_active + setup.power.sleep * t_sleep;
 
     let source_immediate = rng.chance(p);
     let mut frame0_normal: Vec<NodeId> = Vec::new();
@@ -157,10 +160,6 @@ fn disseminate_dense(
 
         let idle = setup.power.idle;
         let sleep = setup.power.sleep;
-        if frame < setup.billing_frames {
-            let awake = coin.iter().filter(|&&c| c).count();
-            energy += on * awake as f64 + off * (n - awake) as f64;
-        }
         for i in 0..n {
             if act_end[i] > 0.0 && !coin[i] {
                 let duration = (act_end[i] - act_start[i].min(act_end[i])).max(0.0);
@@ -174,23 +173,25 @@ fn disseminate_dense(
         }
     }
 
-    for f in frame..setup.billing_frames {
-        let awake = (0..n).filter(|&i| coins.awake(f, i)).count();
-        energy += on * awake as f64 + off * (n - awake) as f64;
-    }
+    let node_frames = u64::from(setup.billing_frames) * n as u64;
+    let awake = billed_awake(rng, q, node_frames);
+    let on = setup.power.idle * t_active + setup.power.idle * t_sleep;
+    let off = setup.power.idle * t_active + setup.power.sleep * t_sleep;
+    energy += on * awake as f64 + off * (node_frames - awake) as f64;
 
     energy +=
         (setup.power.tx - setup.power.idle) * setup.t_packet * (immediate_tx + normal_tx) as f64;
 
-    Dissemination {
-        received,
+    let counters = Dissemination {
         immediate_tx,
         normal_tx,
         deferred_immediates: deferred,
         energy_joules: energy,
         frames_used: frame,
         coins_evaluated: coins.evaluated,
-    }
+        billed_awake: awake,
+    };
+    (received, counters)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -237,7 +238,7 @@ fn ns_to_secs(ns: u64) -> f64 {
 
 mod tests {
     use super::*;
-    use crate::dissemination::disseminate;
+    use crate::dissemination::{disseminate, Scratch};
     use crate::IdealConfig;
     use pbbf_core::{PbbfParams, PowerProfile};
     use pbbf_topology::Grid;
@@ -260,18 +261,29 @@ mod tests {
         }
     }
 
+    /// What the sparse loop keeps between updates: its working state and
+    /// the reception buffer it refills.
+    #[derive(Default)]
+    struct Reused {
+        scratch: Scratch,
+        received: Vec<Option<(f64, u32)>>,
+    }
+
     /// A field-by-field comparison by bit pattern: `Err` names the first
     /// field that differs. `coins_evaluated` counts work, not output, and
     /// is the one field the loops are meant to disagree on.
-    fn same_bits(sparse: &Dissemination, dense: &Dissemination) -> Result<(), String> {
-        let bits = |d: &Dissemination| -> Vec<Option<(u64, u32)>> {
-            d.received
+    fn same_bits(
+        (sparse_rx, sparse): (&[Option<(f64, u32)>], &Dissemination),
+        (dense_rx, dense): (&[Option<(f64, u32)>], &Dissemination),
+    ) -> Result<(), String> {
+        let bits = |received: &[Option<(f64, u32)>]| -> Vec<Option<(u64, u32)>> {
+            received
                 .iter()
                 .map(|r| r.map(|(latency, hops)| (latency.to_bits(), hops)))
                 .collect()
         };
         let fields = [
-            ("received", bits(sparse) == bits(dense)),
+            ("received", bits(sparse_rx) == bits(dense_rx)),
             ("immediate_tx", sparse.immediate_tx == dense.immediate_tx),
             ("normal_tx", sparse.normal_tx == dense.normal_tx),
             (
@@ -283,6 +295,7 @@ mod tests {
                 sparse.energy_joules.to_bits() == dense.energy_joules.to_bits(),
             ),
             ("frames_used", sparse.frames_used == dense.frames_used),
+            ("billed_awake", sparse.billed_awake == dense.billed_awake),
         ];
         match fields.iter().find(|(_, same)| !same) {
             Some((name, _)) => Err(format!(
@@ -292,27 +305,40 @@ mod tests {
         }
     }
 
-    /// Runs both loops on `updates` substreams of `seed`; each update must
-    /// agree bit for bit and leave the generator in the same state.
+    /// Runs both loops on `updates` substreams of `seed`, the sparse one
+    /// through `reused`; each update must agree bit for bit and leave the
+    /// generator in the same state. Returns the sparse counters.
     fn compare(
+        reused: &mut Reused,
         side: u32,
         setup: &DisseminationSetup,
         seed: u64,
         updates: u64,
-    ) -> Result<(), String> {
+    ) -> Result<Vec<Dissemination>, String> {
         let grid = Grid::square(side);
         let root = SimRng::new(seed);
+        let mut sparse_counters = Vec::new();
         for u in 0..updates {
             let mut sparse_rng = root.substream(u);
             let mut dense_rng = root.substream(u);
-            let sparse = disseminate(grid.topology(), grid.center(), setup, &mut sparse_rng);
-            let dense = disseminate_dense(grid.topology(), grid.center(), setup, &mut dense_rng);
-            same_bits(&sparse, &dense).map_err(|e| format!("update {u}: {e}"))?;
+            let sparse = disseminate(
+                grid.topology(),
+                grid.center(),
+                setup,
+                &mut sparse_rng,
+                &mut reused.scratch,
+                &mut reused.received,
+            );
+            let (dense_rx, dense) =
+                disseminate_dense(grid.topology(), grid.center(), setup, &mut dense_rng);
+            same_bits((&reused.received, &sparse), (&dense_rx, &dense))
+                .map_err(|e| format!("update {u}: {e}"))?;
             if sparse_rng != dense_rng {
                 return Err(format!("update {u}: the loops consumed different draws"));
             }
+            sparse_counters.push(sparse);
         }
-        Ok(())
+        Ok(sparse_counters)
     }
 
     /// `0`, `1`, or the uniform value: the two exact endpoints where
@@ -344,9 +370,9 @@ mod tests {
             .expect("p and q lie in [0, 1]");
             // Power draws off Table 1's round numbers, half of them with
             // sleep outdrawing idle listening: the loops must agree on any
-            // profile. A frame's baseline computed another way, such as
-            // `n·off + awake·(on − off)`, rounds differently for some
-            // profiles, most often when `off` dwarfs `on`.
+            // profile. A baseline computed another way, such as
+            // `node_frames·off + awake·(on − off)`, rounds differently for
+            // some profiles, most often when `off` dwarfs `on`.
             let (idle_u, tx_u, sleep_u, sleep_outdraws_idle) = power;
             let idle = 1e-3 + 0.1 * idle_u;
             let power = PowerProfile {
@@ -364,7 +390,7 @@ mod tests {
                 // after the billing window.
                 setup.max_frames = max_frames;
             }
-            compare(side, &setup, seed, 2)?;
+            compare(&mut Reused::default(), side, &setup, seed, 2)?;
         }
     }
 
@@ -372,12 +398,13 @@ mod tests {
     /// frames, at every p and q endpoint and an interior value.
     #[test]
     fn sparse_loop_matches_dense_oracle_on_tiny_grids() {
+        let mut reused = Reused::default();
         for side in [1, 2] {
             for p in [0.0, 0.5, 1.0] {
                 for q in [0.0, 0.5, 1.0] {
                     let setup = table1_setup(PbbfParams::new(p, q).expect("valid"));
                     for seed in 0..8 {
-                        if let Err(e) = compare(side, &setup, seed, 2) {
+                        if let Err(e) = compare(&mut reused, side, &setup, seed, 2) {
                             panic!("side {side}, p = {p}, q = {q}, seed {seed}: {e}");
                         }
                     }
@@ -386,9 +413,54 @@ mod tests {
         }
     }
 
+    /// One scratch and one reception buffer carried across floods of
+    /// other grid sizes, the first of them cut by `max_frames` with
+    /// normal broadcasts still queued: what a flood leaves behind never
+    /// reaches the next.
+    #[test]
+    fn reused_buffers_match_dense_oracle_after_a_capped_flood() {
+        let mut reused = Reused::default();
+        let psm = table1_setup(PbbfParams::PSM);
+        let capped = DisseminationSetup {
+            max_frames: 3,
+            ..psm
+        };
+        // PSM moves one hop a frame and queues every receiver for the
+        // next, so after 3 frames the distance-3 ring is still pending.
+        let cut = compare(&mut reused, 21, &capped, 41, 1).expect("capped PSM flood");
+        assert_eq!(cut[0].frames_used, 3);
+        let reached = reused.received.iter().flatten().count();
+        assert!(
+            reached < 21 * 21,
+            "the cap stopped the flood at {reached} nodes"
+        );
+        let pbbf = |p, q| table1_setup(PbbfParams::new(p, q).expect("valid"));
+        for (side, setup, seed, updates) in [
+            (21, psm, 42, 1),
+            (9, pbbf(0.5, 0.5), 43, 2),
+            (
+                30,
+                DisseminationSetup {
+                    max_frames: 5,
+                    ..pbbf(0.75, 0.3)
+                },
+                44,
+                2,
+            ),
+            (30, pbbf(0.25, 0.9), 45, 2),
+            (21, capped, 46, 2),
+            (3, pbbf(1.0, 0.1), 47, 3),
+        ] {
+            if let Err(e) = compare(&mut reused, side, &setup, seed, updates) {
+                panic!("side {side}, seed {seed}: {e}");
+            }
+        }
+    }
+
     /// The paper's sweep at Table-1 scale: every sleep-scheduled point of
     /// figs 4, 5 and 8–11 (five PBBF lines × eleven q values, plus PSM;
-    /// NO PSM never enters the frame loop), two seeds each.
+    /// NO PSM never enters the frame loop), two seeds each, through one
+    /// reused scratch and reception buffer.
     #[test]
     fn sparse_loop_matches_dense_oracle_on_the_paper_sweep() {
         let cfg = IdealConfig::table1();
@@ -399,10 +471,11 @@ mod tests {
             }
         }
         points.push(PbbfParams::PSM);
+        let mut reused = Reused::default();
         for (i, &params) in points.iter().enumerate() {
             let setup = table1_setup(params);
             for seed in [2005, 0x5EED_0000 + i as u64] {
-                if let Err(e) = compare(cfg.grid_side, &setup, seed, 1) {
+                if let Err(e) = compare(&mut reused, cfg.grid_side, &setup, seed, 1) {
                     panic!("p = {}, q = {}, seed {seed}: {e}", params.p(), params.q());
                 }
             }

@@ -1,9 +1,10 @@
 //! The idealized simulator driver.
 
+use pbbf_core::PbbfParams;
 use pbbf_des::SimRng;
 use pbbf_topology::{Grid, NodeId};
 
-use crate::dissemination::{disseminate, DisseminationSetup};
+use crate::dissemination::{disseminate, DisseminationSetup, Scratch};
 use crate::stats::{RunStats, UpdateStats};
 use crate::{IdealConfig, Mode};
 
@@ -12,7 +13,8 @@ use crate::{IdealConfig, Mode};
 ///
 /// Construction builds the grid once; [`IdealSim::run`] executes a seeded,
 /// fully deterministic run of `config.updates` independent update
-/// disseminations.
+/// disseminations, and [`IdealSim::run_into`] does the same into a
+/// caller's [`RunStats`], reusing its buffers.
 #[derive(Debug, Clone)]
 pub struct IdealSim {
     config: IdealConfig,
@@ -69,47 +71,72 @@ impl IdealSim {
     /// Runs `config.updates` disseminations; fully determined by `seed`.
     #[must_use]
     pub fn run(&self, seed: u64) -> RunStats {
+        let mut stats = RunStats::default();
+        self.run_into(seed, &mut stats);
+        stats
+    }
+
+    /// The run [`run`](Self::run) makes of `seed`, written into `stats`,
+    /// whatever run of whichever simulator filled it before: its
+    /// `shortest`, `source` and update count are overwritten, and its
+    /// reception records are refilled in place. A caller running many
+    /// seeds through one `RunStats` allocates its records once; each
+    /// run allocates only the frame loop's working state, once for all
+    /// its updates.
+    pub fn run_into(&self, seed: u64, stats: &mut RunStats) {
+        stats.shortest.clone_from(&self.shortest);
+        stats.source = self.source;
+        let count = self.config.updates as usize;
+        stats.updates.truncate(count);
+        stats.updates.resize_with(count, UpdateStats::default);
         let root = SimRng::new(seed);
-        let updates = (0..self.config.updates)
-            .map(|u| {
-                let mut rng = root.substream(u64::from(u));
-                match self.mode {
-                    Mode::AlwaysOn => self.run_always_on(),
-                    Mode::Gossip {
-                        forward_probability,
-                    } => self.run_gossip(forward_probability, &mut rng),
-                    Mode::SleepScheduled(params) => {
-                        let a = &self.config.analysis;
-                        let billing_frames =
-                            (1.0 / (a.lambda * a.schedule.t_frame())).round().max(1.0) as u32;
-                        let setup = DisseminationSetup {
-                            params,
-                            schedule: a.schedule,
-                            power: a.power,
-                            l1: a.l1,
-                            t_packet: self.config.t_packet,
-                            billing_frames,
-                            max_frames: self.config.max_frames_per_update,
-                        };
-                        let d = disseminate(self.grid.topology(), self.source, &setup, &mut rng);
-                        UpdateStats {
-                            received: d.received,
-                            energy_joules_per_node: d.energy_joules
-                                / self.grid.topology().len() as f64,
-                            immediate_tx: d.immediate_tx,
-                            normal_tx: d.normal_tx,
-                            deferred_immediates: d.deferred_immediates,
-                            frames_used: d.frames_used,
-                            coins_evaluated: d.coins_evaluated,
-                        }
-                    }
+        let mut scratch = Scratch::default();
+        for (u, update) in stats.updates.iter_mut().enumerate() {
+            let mut rng = root.substream(u as u64);
+            let received = std::mem::take(&mut update.received);
+            *update = match self.mode {
+                Mode::AlwaysOn => self.run_always_on(received),
+                Mode::Gossip {
+                    forward_probability,
+                } => self.run_gossip(forward_probability, &mut rng, received),
+                Mode::SleepScheduled(params) => {
+                    self.run_sleep_scheduled(params, &mut rng, &mut scratch, received)
                 }
-            })
-            .collect();
-        RunStats {
-            shortest: self.shortest.clone(),
-            source: self.source,
-            updates,
+            };
+        }
+    }
+
+    /// One update under the sleep-scheduled MAC: the frame loop, billed
+    /// `1/(λ·T_frame)` frames of duty cycle.
+    fn run_sleep_scheduled(
+        &self,
+        params: PbbfParams,
+        rng: &mut SimRng,
+        scratch: &mut Scratch,
+        mut received: Vec<Option<(f64, u32)>>,
+    ) -> UpdateStats {
+        let a = &self.config.analysis;
+        let billing_frames = (1.0 / (a.lambda * a.schedule.t_frame())).round().max(1.0) as u32;
+        let setup = DisseminationSetup {
+            params,
+            schedule: a.schedule,
+            power: a.power,
+            l1: a.l1,
+            t_packet: self.config.t_packet,
+            billing_frames,
+            max_frames: self.config.max_frames_per_update,
+        };
+        let topo = self.grid.topology();
+        let d = disseminate(topo, self.source, &setup, rng, scratch, &mut received);
+        UpdateStats {
+            received,
+            energy_joules_per_node: d.energy_joules / topo.len() as f64,
+            immediate_tx: d.immediate_tx,
+            normal_tx: d.normal_tx,
+            deferred_immediates: d.deferred_immediates,
+            frames_used: d.frames_used,
+            coins_evaluated: d.coins_evaluated,
+            billed_awake: d.billed_awake,
         }
     }
 
@@ -118,7 +145,12 @@ impl IdealSim {
     /// stays silent for this update — **site** percolation, the model the
     /// paper's Section 2 contrasts with PBBF's bond percolation. The
     /// source always transmits.
-    fn run_gossip(&self, g: f64, rng: &mut SimRng) -> UpdateStats {
+    fn run_gossip(
+        &self,
+        g: f64,
+        rng: &mut SimRng,
+        mut received: Vec<Option<(f64, u32)>>,
+    ) -> UpdateStats {
         assert!(
             (0.0..=1.0).contains(&g),
             "forward probability {g} outside [0, 1]"
@@ -127,7 +159,8 @@ impl IdealSim {
         let a = &self.config.analysis;
         let per_hop = a.l1 + self.config.t_packet;
         let n = topo.len();
-        let mut received: Vec<Option<(f64, u32)>> = vec![None; n];
+        received.clear();
+        received.resize(n, None);
         received[self.source.index()] = Some((0.0, 0));
         let mut tx = 0u64;
         // BFS through forwarders; non-forwarders receive but do not extend.
@@ -160,21 +193,23 @@ impl IdealSim {
             deferred_immediates: 0,
             frames_used: 0,
             coins_evaluated: 0,
+            billed_awake: 0,
         }
     }
 
     /// `NO PSM`: every radio is always on and every reception is forwarded
     /// immediately — a deterministic flood along BFS order, with per-hop
     /// latency `L1 + t_packet` and always-on idle energy.
-    fn run_always_on(&self) -> UpdateStats {
+    fn run_always_on(&self, mut received: Vec<Option<(f64, u32)>>) -> UpdateStats {
         let topo = self.grid.topology();
         let a = &self.config.analysis;
         let per_hop = a.l1 + self.config.t_packet;
-        let received: Vec<Option<(f64, u32)>> = self
-            .shortest
-            .iter()
-            .map(|&d| Some((f64::from(d) * per_hop, d)))
-            .collect();
+        received.clear();
+        received.extend(
+            self.shortest
+                .iter()
+                .map(|&d| Some((f64::from(d) * per_hop, d))),
+        );
         // Every node except leaves-with-no-fresh-neighbors transmits once
         // in a flood; in the worst (and standard flooding) case all N
         // transmit.
@@ -189,6 +224,7 @@ impl IdealSim {
             deferred_immediates: 0,
             frames_used: 0,
             coins_evaluated: 0,
+            billed_awake: 0,
         }
     }
 }
@@ -196,7 +232,6 @@ impl IdealSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbbf_core::PbbfParams;
     use proptest::prelude::*;
 
     fn small_config(side: u32, updates: u32) -> IdealConfig {
@@ -270,26 +305,69 @@ mod tests {
     #[test]
     fn coins_are_counted_only_where_they_are_random() {
         let cfg = small_config(15, 2);
-        let count = |mode: Mode| -> Vec<u64> {
-            let stats = IdealSim::new(cfg, mode).run(9);
-            stats.updates.iter().map(|u| u.coins_evaluated).collect()
-        };
+        let run = |mode: Mode| IdealSim::new(cfg, mode).run(9);
         let pbbf = |p, q| Mode::SleepScheduled(PbbfParams::new(p, q).unwrap());
-        for mode in [
-            pbbf(0.5, 0.0),
-            pbbf(0.5, 1.0),
-            Mode::SleepScheduled(PbbfParams::PSM),
-            Mode::AlwaysOn,
-            Mode::Gossip {
-                forward_probability: 0.5,
-            },
+        let (n, billing_frames) = (225u64, 10u64);
+        // Fixed coins hash nothing and bill every node-frame asleep or
+        // awake; the modes without a duty cycle bill none.
+        for (mode, billed) in [
+            (pbbf(0.5, 0.0), 0),
+            (pbbf(0.5, 1.0), billing_frames * n),
+            (Mode::SleepScheduled(PbbfParams::PSM), 0),
+            (Mode::AlwaysOn, 0),
+            (
+                Mode::Gossip {
+                    forward_probability: 0.5,
+                },
+                0,
+            ),
         ] {
-            assert_eq!(count(mode), [0, 0], "{mode:?}");
+            for u in &run(mode).updates {
+                assert_eq!(u.coins_evaluated, 0, "{mode:?}");
+                assert_eq!(u.billed_awake, billed, "{mode:?}");
+            }
         }
-        // 0 < q < 1: n hashes for each of the 10 billed frames, plus every
-        // coin the flood read.
-        for coins in count(pbbf(0.5, 0.5)) {
-            assert!(coins > 10 * 225, "{coins} coins");
+        // 0 < q < 1: the coins the flood read, at least the source's at
+        // the end of frame 0. Billing hashes none: its awake count is one
+        // Binomial(B·n, q) draw.
+        let q = 0.5;
+        let node_frames = (billing_frames * n) as f64;
+        for u in &run(pbbf(0.5, q)).updates {
+            assert!(u.coins_evaluated > 0, "the flood reads coins");
+            let z =
+                (u.billed_awake as f64 - node_frames * q) / (node_frames * q * (1.0 - q)).sqrt();
+            assert!(z.abs() < 4.0, "{} billed awake, z = {z:.2}", u.billed_awake);
+        }
+    }
+
+    #[test]
+    fn run_into_overwrites_a_used_run_stats() {
+        // Each run lands in a `RunStats` another grid side, update count
+        // or mode left behind, and must equal a fresh `run`.
+        let pbbf = Mode::SleepScheduled(PbbfParams::new(0.5, 0.5).unwrap());
+        let mut stats = IdealSim::new(small_config(21, 5), Mode::AlwaysOn).run(1);
+        for (side, updates, mode, seed) in [
+            (13, 3, pbbf, 2),
+            (17, 4, Mode::SleepScheduled(PbbfParams::PSM), 3),
+            (
+                9,
+                2,
+                Mode::Gossip {
+                    forward_probability: 0.7,
+                },
+                4,
+            ),
+            (13, 6, pbbf, 5),
+            (25, 1, pbbf, 6),
+            (21, 5, Mode::AlwaysOn, 7),
+        ] {
+            let sim = IdealSim::new(small_config(side, updates), mode);
+            sim.run_into(seed, &mut stats);
+            assert_eq!(
+                stats,
+                sim.run(seed),
+                "side {side}, {updates} updates, {mode:?}"
+            );
         }
     }
 

@@ -4,7 +4,7 @@ use pbbf_metrics::Summary;
 use pbbf_topology::NodeId;
 
 /// Everything measured about one update's dissemination.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct UpdateStats {
     /// Per node: `(latency from generation, links traversed)` of the first
     /// delivered copy; `None` if the update never reached the node. The
@@ -21,10 +21,17 @@ pub struct UpdateStats {
     pub deferred_immediates: u64,
     /// Frames the dissemination occupied.
     pub frames_used: u32,
-    /// Sleep coins evaluated: one per coin the flood read, plus one per
-    /// node in each billed frame. Zero when every coin is fixed (`q` of 0
-    /// or 1), for always-on flooding and for gossip.
+    /// Sleep coins evaluated: one per coin the flood read. Zero when
+    /// every coin is fixed (`q` of 0 or 1), for always-on flooding and for
+    /// gossip.
     pub coins_evaluated: u64,
+    /// Billed node-frames the Sleep-Decision-Handler kept awake: of the
+    /// `B·n` node-frames of baseline duty cycle billed to the update
+    /// (`B = 1/(λ·T_frame)`), the Binomial(`B·n`, `q`) count billed at
+    /// idle power through the data phase; the rest are billed asleep.
+    /// Zero for always-on flooding and for gossip, which bill no duty
+    /// cycle.
+    pub billed_awake: u64,
 }
 
 impl UpdateStats {
@@ -54,6 +61,18 @@ pub struct RunStats {
     pub source: NodeId,
     /// Per-update measurements.
     pub updates: Vec<UpdateStats>,
+}
+
+/// An empty run, for [`IdealSim::run_into`](crate::IdealSim::run_into)
+/// to fill.
+impl Default for RunStats {
+    fn default() -> Self {
+        Self {
+            shortest: Vec::new(),
+            source: NodeId(0),
+            updates: Vec::new(),
+        }
+    }
 }
 
 impl RunStats {
@@ -191,6 +210,7 @@ mod tests {
                     deferred_immediates: 0,
                     frames_used: 1,
                     coins_evaluated: 0,
+                    billed_awake: 0,
                 })
                 .collect(),
         }
@@ -206,6 +226,7 @@ mod tests {
             deferred_immediates: 0,
             frames_used: 0,
             coins_evaluated: 0,
+            billed_awake: 0,
         };
         assert_eq!(u.delivered_fraction(), 0.5);
         assert_eq!(u.total_tx(), 0);

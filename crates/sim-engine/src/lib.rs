@@ -43,5 +43,5 @@ mod rng;
 mod time;
 
 pub use queue::EventQueue;
-pub use rng::SimRng;
+pub use rng::{mix64, SimRng, GOLDEN_GAMMA};
 pub use time::{SimDuration, SimTime};

@@ -8,6 +8,7 @@
 //! a stream identifier into the seed with splitmix64. Every simulated node
 //! gets `rng.substream(node_id)`.
 
+use rand::distributions::{Binomial, Distribution};
 use rand::RngCore;
 
 /// A deterministic xoshiro256** generator with splitmix64 seeding.
@@ -15,7 +16,7 @@ use rand::RngCore;
 /// Implements [`rand::RngCore`], so all `rand` distribution adapters work,
 /// and adds the handful of draws the simulators actually use
 /// ([`chance`](SimRng::chance), [`uniform01`](SimRng::uniform01),
-/// [`below`](SimRng::below)).
+/// [`below`](SimRng::below), [`binomial`](SimRng::binomial)).
 ///
 /// # Examples
 ///
@@ -40,12 +41,25 @@ pub struct SimRng {
     seed: u64,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+/// SplitMix64's increment, the odd part of the golden ratio (Steele, Lea
+/// and Flood, "Fast splittable pseudorandom number generators", OOPSLA
+/// 2014).
+pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output function (Stafford's Mix13 variant): a bijective
+/// finalizer of 64 bits. SplitMix64's `k`-th output from state `s` is
+/// `mix64(s + k·GOLDEN_GAMMA)`, counting from `k = 1`.
+#[inline]
+#[must_use]
+pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(GOLDEN_GAMMA);
+    mix64(*state)
 }
 
 impl SimRng {
@@ -73,7 +87,7 @@ impl SimRng {
         // consecutive ids land far apart in seed space.
         let mut sm = self.seed ^ 0xA076_1D64_78BD_642F;
         let a = splitmix64(&mut sm);
-        let mut sm2 = a ^ stream_id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut sm2 = a ^ stream_id.wrapping_mul(GOLDEN_GAMMA);
         SimRng::new(splitmix64(&mut sm2))
     }
 
@@ -90,6 +104,22 @@ impl SimRng {
             return true;
         }
         self.uniform01() < p
+    }
+
+    /// Binomial draw: the successes in `n` trials of probability `p`,
+    /// from one uniform by [`Binomial`]'s modal search, in about
+    /// `1.6·√(n·p·(1 − p))` steps however large `n·p` is.
+    ///
+    /// `p <= 0` always yields 0 and `p >= 1` always yields `n`, with no
+    /// draw, as in [`chance`](SimRng::chance).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is NaN.
+    pub fn binomial(&mut self, n: u64, p: f64) -> u64 {
+        Binomial::new(n, p.clamp(0.0, 1.0))
+            .expect("a probability clamped to [0, 1] is valid unless NaN")
+            .sample(self)
     }
 
     /// Uniform draw in `[0, 1)` with 53 random bits.
@@ -215,6 +245,24 @@ mod tests {
         let hits = (0..n).filter(|_| rng.chance(0.3)).count();
         let freq = hits as f64 / n as f64;
         assert!((freq - 0.3).abs() < 0.01, "freq = {freq}");
+    }
+
+    #[test]
+    fn binomial_edge_cases_exact_and_drawless() {
+        let mut rng = SimRng::new(0);
+        let untouched = rng.clone();
+        for n in [0, 1, 56_250] {
+            assert_eq!(rng.binomial(n, 0.0), 0);
+            assert_eq!(rng.binomial(n, -0.5), 0);
+            assert_eq!(rng.binomial(n, 1.0), n);
+            assert_eq!(rng.binomial(n, 1.5), n);
+        }
+        assert_eq!(rng.binomial(0, 0.5), 0);
+        assert_eq!(rng, untouched, "fixed draws consume nothing");
+        let k = rng.binomial(56_250, 0.5);
+        assert_ne!(rng, untouched);
+        // 4 sigma of n·p = 28,125 is 474.
+        assert!(k.abs_diff(28_125) < 474, "{k}");
     }
 
     #[test]

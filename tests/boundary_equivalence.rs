@@ -76,11 +76,8 @@ fn quiescent_cells() -> Vec<Cell> {
 fn grid(seed: u64, periods: (f64, f64), frames: (u32, u32)) -> Vec<Cell> {
     let mut state = seed;
     let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        state = state.wrapping_add(pbbf::des::GOLDEN_GAMMA);
+        pbbf::des::mix64(state)
     };
     let mut unit = move || (next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
     (0..6)

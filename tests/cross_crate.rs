@@ -59,12 +59,15 @@ fn percolation_boundary_predicts_simulated_reliability() {
 proptest! {
     /// Eq. 8 against the idealized simulator at random `(p, q, grid, seed)`.
     ///
-    /// At q = 1 no coin sleeps: every node is reached, and the energy per
-    /// node is Eq. 8 plus the transmission surcharge, with no marginal
-    /// term. Below q = 1 each update bills `B` frames, whose awake count
-    /// is binomial, plus non-negative marginal activity. So the run mean
-    /// less the surcharge lies above Eq. 8 − 4σ, where σ is the spread of
-    /// the billed count. The measured mean stays within 0.25 J of Eq. 8.
+    /// Each update bills `B = 1/(λ·T_frame)` frames of every node's duty
+    /// cycle: `billed_awake` node-frames `A` at `on` and the other
+    /// `B·n − A` at `off`. `B·(off + q·(on − off))` is Eq. 8, and `A`
+    /// is Binomial(`B·n`, `q`), so the run's summed count lies within
+    /// 4σ of its mean. What is left of an update's energy per node after
+    /// that billing and the transmission surcharge is its marginal
+    /// activity: never negative, and on average over a run below
+    /// 0.25 J. At q = 1 every node is reached, and energy per node is
+    /// Eq. 8 plus the surcharge.
     #[test]
     fn analytic_energy_matches_ideal_simulation(
         pq in (0u8..4, 0.0f64..=1.0, 0.0f64..=1.0),
@@ -76,6 +79,7 @@ proptest! {
         let q = if q_kind == 0 { 1.0 } else { q_uniform };
         let cfg = small_ideal(side, updates);
         let a = cfg.analysis;
+        let s = a.schedule;
         let n = f64::from(cfg.node_count());
         let params = PbbfParams::new(p, q).unwrap();
         let stats = IdealSim::new(cfg, IdealMode::SleepScheduled(params)).run(seed);
@@ -83,6 +87,43 @@ proptest! {
             (a.power.tx - a.power.idle) * cfg.t_packet * u.total_tx() as f64 / n
         };
         let eq8 = analysis::joules_per_update(&a, q);
+
+        let on = a.power.idle * s.t_active() + a.power.idle * s.t_sleep();
+        let off = a.power.idle * s.t_active() + a.power.sleep * s.t_sleep();
+        let billing_frames = (1.0 / (a.lambda * s.t_frame())).round();
+        let billing = billing_frames * (off + q * (on - off));
+        prop_assert!(
+            (billing - eq8).abs() <= 1e-12 * eq8,
+            "q = {q}: billing {billing} vs Eq. 8 {eq8}"
+        );
+
+        let node_frames = billing_frames * n;
+        let mut marginal_sum = 0.0;
+        for u in &stats.updates {
+            let awake = u.billed_awake as f64;
+            let billed = (on * awake + off * (node_frames - awake)) / n;
+            let marginal = u.energy_joules_per_node - surcharge(u) - billed;
+            prop_assert!(
+                marginal >= -1e-12 * u.energy_joules_per_node,
+                "p = {p}, q = {q}: marginal energy {marginal:e} of {}",
+                u.energy_joules_per_node
+            );
+            marginal_sum += marginal;
+        }
+        let marginal = marginal_sum / f64::from(updates);
+        prop_assert!(
+            marginal < 0.25,
+            "p = {p}, q = {q}: run-mean marginal energy {marginal} J"
+        );
+
+        let awake: u64 = stats.updates.iter().map(|u| u.billed_awake).sum();
+        let trials = f64::from(updates) * node_frames;
+        let sigma = (trials * q * (1.0 - q)).sqrt();
+        prop_assert!(
+            (awake as f64 - trials * q).abs() <= 4.0 * sigma,
+            "q = {q}: {awake} of {trials} node-frames billed awake, sigma {sigma}"
+        );
+
         if q == 1.0 {
             for u in &stats.updates {
                 prop_assert!(u.delivered_fraction() == 1.0, "q = 1 reaches every node");
@@ -94,27 +135,6 @@ proptest! {
                     u.energy_joules_per_node
                 );
             }
-        } else {
-            let billed = (1.0 / (a.lambda * a.schedule.t_frame())).round();
-            let sigma = (a.power.idle - a.power.sleep)
-                * a.schedule.t_sleep()
-                * (billed * q * (1.0 - q) / (n * f64::from(updates))).sqrt();
-            let baseline = stats
-                .updates
-                .iter()
-                .map(|u| u.energy_joules_per_node - surcharge(u))
-                .sum::<f64>()
-                / f64::from(updates);
-            prop_assert!(
-                baseline >= eq8 - 4.0 * sigma,
-                "p = {p}, q = {q}: {baseline} below Eq. 8 {eq8} by {:.2} sigma",
-                (eq8 - baseline) / sigma
-            );
-            let measured = stats.mean_energy_per_update();
-            prop_assert!(
-                measured - eq8 < 0.25,
-                "p = {p}, q = {q}: measured {measured} too far above {eq8}"
-            );
         }
     }
 }
