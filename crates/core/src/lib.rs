@@ -30,12 +30,7 @@
 //! (Eqs. 3–8), expected per-hop latency (Eq. 9), the spanning-tree path
 //! bound (Eq. 11), and the energy–latency trade-off (Eq. 12, with the sign
 //! inconsistency of the printed equation corrected — see
-//! [`analysis::energy_latency_tradeoff`]). The [`operating_point`] module
-//! combines the analysis with the percolation boundary of
-//! [`pbbf_percolation`] into the designer-facing API the paper's
-//! conclusion describes: pick `(p, q)` just across the reliability
-//! threshold, then tune along the boundary for the desired energy–latency
-//! balance.
+//! [`analysis::energy_latency_tradeoff`]).
 //!
 //! # Examples
 //!
@@ -70,7 +65,6 @@ pub mod adaptive;
 pub mod analysis;
 mod engine;
 mod error;
-pub mod operating_point;
 mod params;
 
 pub use engine::{ForwardDecision, PbbfEngine};

@@ -104,16 +104,15 @@ impl Effort {
         if self.runs == 0 {
             return Err("runs: need at least one run per point".into());
         }
-        self.ideal_config().validate().map_err(|e| {
-            let field = match e {
-                IdealConfigError::EmptyGrid | IdealConfigError::TooManyNodes { .. } => {
-                    "ideal_grid_side"
-                }
-                IdealConfigError::NoUpdates | IdealConfigError::TooMuchWork { .. } => {
-                    "ideal_updates"
-                }
-            };
-            format!("{field}: {e}")
+        self.ideal_config().validate().map_err(|e| match e {
+            IdealConfigError::EmptyGrid | IdealConfigError::TooManyNodes { .. } => {
+                format!("ideal_grid_side: {e}")
+            }
+            IdealConfigError::NoUpdates | IdealConfigError::TooMuchWork { .. } => {
+                format!("ideal_updates: {e}")
+            }
+            // Table 1's timing, which no effort field sets.
+            _ => e.to_string(),
         })?;
         // Every Section-5 scenario is Table 2 at this duration, with
         // only Δ varied, and the budget does not read Δ.

@@ -12,6 +12,7 @@ use std::ops::Range;
 
 use pbbf_core::PbbfParams;
 use pbbf_ideal_sim::{IdealSim, Mode, RunStats};
+use pbbf_metrics::Summary;
 
 use crate::{mix, Effort};
 
@@ -28,19 +29,68 @@ const BASELINES: [(&str, Mode); 2] = [
 /// Values per row: one per metric of figs 4, 5, 8, 9, 10 and 11.
 pub(crate) const WIDTH: usize = 6;
 
-/// Reads every column of one run, in row order: the fraction of updates
-/// that reached 90% (fig 4) and 99% (fig 5) of the nodes, per-node
-/// energy per update (fig 8), hops to the near (fig 9) and far (fig 10)
-/// probe distance, and per-hop latency (fig 11). `None` where the run
-/// has no sample (no node reached at that distance, no hop at all).
-fn row(effort: &Effort, r: &RunStats) -> [Option<f64>; WIDTH] {
+/// The nodes at the two hop-probe distances, in index order: the only
+/// records figs 9 and 10 read. A chunk lists them once, from its first
+/// run.
+struct Probes {
+    near: Vec<usize>,
+    far: Vec<usize>,
+}
+
+impl Probes {
+    fn new(effort: &Effort, shortest: &[u32]) -> Self {
+        let at = |d: u32| (0..shortest.len()).filter(|&i| shortest[i] == d).collect();
+        Self {
+            near: at(effort.hop_probe_near),
+            far: at(effort.hop_probe_far),
+        }
+    }
+}
+
+/// Reads every column of one run in one pass over its records, in row
+/// order: the fraction of updates that reached 90% (fig 4) and 99%
+/// (fig 5) of the nodes, per-node energy per update (fig 8), hops to the
+/// near (fig 9) and far (fig 10) probe distance, and per-hop latency
+/// (fig 11). `None` where the run has no sample (no node reached at that
+/// distance, no hop at all). Each value equals the [`RunStats`] method
+/// that defines it bit for bit: the same sums and Welford means, fed in
+/// the same update-then-node order.
+fn row(probes: &Probes, r: &RunStats) -> [Option<f64>; WIDTH] {
+    let mut reliable = [0usize; 2];
+    let mut energy = Summary::new();
+    let mut hops = [Summary::new(), Summary::new()];
+    let (mut per_hop_sum, mut per_hop_count) = (0.0, 0u64);
+    for u in &r.updates {
+        let mut delivered = 0usize;
+        for &(latency, h) in u.received.iter().flatten() {
+            delivered += 1;
+            if h > 0 {
+                per_hop_sum += latency / f64::from(h);
+                per_hop_count += 1;
+            }
+        }
+        let fraction = delivered as f64 / u.received.len() as f64;
+        for (hits, reliability) in reliable.iter_mut().zip([0.9, 0.99]) {
+            *hits += usize::from(fraction >= reliability - 1e-12);
+        }
+        energy.record(u.energy_joules_per_node);
+        for (s, nodes) in hops.iter_mut().zip([&probes.near, &probes.far]) {
+            for &i in nodes {
+                if let Some((_, h)) = u.received[i] {
+                    s.record(f64::from(h));
+                }
+            }
+        }
+    }
+    let updates = r.updates.len() as f64;
+    let mean = |s: &Summary| (!s.is_empty()).then(|| s.mean());
     [
-        Some(r.fraction_of_updates_with_reliability(0.9)),
-        Some(r.fraction_of_updates_with_reliability(0.99)),
-        Some(r.mean_energy_per_update()),
-        r.mean_hops_at_distance(effort.hop_probe_near),
-        r.mean_hops_at_distance(effort.hop_probe_far),
-        r.mean_per_hop_latency(),
+        Some(reliable[0] as f64 / updates),
+        Some(reliable[1] as f64 / updates),
+        Some(energy.mean()),
+        mean(&hops[0]),
+        mean(&hops[1]),
+        (per_hop_count > 0).then(|| per_hop_sum / per_hop_count as f64),
     ]
 }
 
@@ -76,9 +126,11 @@ pub(crate) fn run_chunk(
 ) -> Vec<Option<f64>> {
     let sim = IdealSim::new(effort.ideal_config(), mode);
     let mut stats = RunStats::default();
+    let mut probes = None;
     runs.flat_map(|r| {
         sim.run_into(mix(seed, r as u64), &mut stats);
-        row(effort, &stats)
+        let probes = probes.get_or_insert_with(|| Probes::new(effort, &stats.shortest));
+        row(probes, &stats)
     })
     .collect()
 }
@@ -97,6 +149,32 @@ mod tests {
         e.hop_probe_near = 4;
         e.hop_probe_far = 8;
         e
+    }
+
+    #[test]
+    fn row_equals_the_run_stats_methods_bitwise() {
+        let e = effort();
+        let bits = |v: [Option<f64>; WIDTH]| v.map(|x| x.map(f64::to_bits));
+        for (mode, seed) in points(&e, 7) {
+            let sim = IdealSim::new(e.ideal_config(), mode);
+            for r in 0..3 {
+                let stats = sim.run(mix(seed, r));
+                let probes = Probes::new(&e, &stats.shortest);
+                let expected = [
+                    Some(stats.fraction_of_updates_with_reliability(0.9)),
+                    Some(stats.fraction_of_updates_with_reliability(0.99)),
+                    Some(stats.mean_energy_per_update()),
+                    stats.mean_hops_at_distance(e.hop_probe_near),
+                    stats.mean_hops_at_distance(e.hop_probe_far),
+                    stats.mean_per_hop_latency(),
+                ];
+                assert_eq!(
+                    bits(row(&probes, &stats)),
+                    bits(expected),
+                    "{mode:?}, run {r}"
+                );
+            }
+        }
     }
 
     #[test]

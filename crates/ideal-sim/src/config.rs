@@ -78,17 +78,43 @@ impl IdealConfig {
     /// 2^24. Each holds a 16-byte reception record in [`crate::RunStats`].
     pub const MAX_NODE_UPDATES: u64 = 1 << 24;
 
+    /// The frame loop's time unit (s): it times transmissions in whole
+    /// nanoseconds from the start of their frame.
+    pub const TIME_UNIT: f64 = 1e-9;
+
+    /// The longest frame (s): 2^20 s, about 12 days. Below it an f64
+    /// holds a time within the frame to 2^-33 s (0.12 ns), so the few
+    /// roundings between one chain level of immediate forwards and the
+    /// next, at least [`Self::TIME_UNIT`] later, cannot land both on
+    /// the same nanosecond.
+    pub const MAX_T_FRAME: f64 = 1_048_576.0;
+
     /// Number of nodes in the configured grid.
     #[must_use]
     pub fn node_count(&self) -> u32 {
         self.grid_side * self.grid_side
     }
 
-    /// Checks that a run of this configuration measures something and
-    /// fits the work budget ([`Self::MAX_NODES`],
-    /// [`Self::MAX_NODE_UPDATES`]). Call it before [`crate::IdealSim::new`]
-    /// on input from outside: an allocation that fails aborts the
-    /// process, and no caller can catch that.
+    /// Frames of baseline duty cycle billed to each update, its
+    /// steady-state share: the update interval `1/λ` in frames, rounded,
+    /// and at least one.
+    pub(crate) fn billing_frames(&self) -> f64 {
+        let a = &self.analysis;
+        (1.0 / (a.lambda * a.schedule.t_frame())).round().max(1.0)
+    }
+
+    /// Checks that a run of this configuration measures something, fits
+    /// the work budget ([`Self::MAX_NODES`], [`Self::MAX_NODE_UPDATES`])
+    /// and has the timing the frame loop relies on: a finite `t_packet`
+    /// and active window of at least [`Self::TIME_UNIT`], a finite
+    /// non-negative `L1`, a frame no longer than [`Self::MAX_T_FRAME`]
+    /// in which the source's immediate forward ends
+    /// (`t_active + l1 + t_packet ≤ t_frame`), and a positive update
+    /// rate λ whose update interval, the `1/(λ·t_frame)` frames of duty
+    /// cycle billed to each update, is at most `u32::MAX` frames. Call it
+    /// before [`crate::IdealSim::new`] on input
+    /// from outside: an allocation that fails aborts the process, and no
+    /// caller can catch that.
     ///
     /// # Errors
     ///
@@ -108,12 +134,39 @@ impl IdealConfig {
         if node_updates > Self::MAX_NODE_UPDATES {
             return Err(IdealConfigError::TooMuchWork { node_updates });
         }
+        let t_packet = self.t_packet;
+        if !(t_packet.is_finite() && t_packet >= Self::TIME_UNIT) {
+            return Err(IdealConfigError::PacketTime { t_packet });
+        }
+        let a = &self.analysis;
+        let l1 = a.l1;
+        if !(l1.is_finite() && l1 >= 0.0) {
+            return Err(IdealConfigError::ChannelAccessTime { l1 });
+        }
+        let (t_active, t_frame) = (a.schedule.t_active(), a.schedule.t_frame());
+        if !(t_active.is_finite() && t_active >= Self::TIME_UNIT) {
+            return Err(IdealConfigError::ActiveWindow { t_active });
+        }
+        if !(t_frame.is_finite() && t_frame <= Self::MAX_T_FRAME) {
+            return Err(IdealConfigError::FrameTooLong { t_frame });
+        }
+        let source_forward_end = t_active + l1 + t_packet;
+        if source_forward_end > t_frame {
+            return Err(IdealConfigError::FrameTooShort {
+                t_frame,
+                source_forward_end,
+            });
+        }
+        let lambda = a.lambda;
+        if !(lambda.is_finite() && lambda > 0.0 && self.billing_frames() <= f64::from(u32::MAX)) {
+            return Err(IdealConfigError::UpdateRate { lambda });
+        }
         Ok(())
     }
 }
 
 /// Why [`IdealConfig::validate`] refused a configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IdealConfigError {
     /// `grid_side` is zero, so there is no source.
     EmptyGrid,
@@ -128,6 +181,43 @@ pub enum IdealConfigError {
     TooMuchWork {
         /// The configured node-update count.
         node_updates: u64,
+    },
+    /// `t_packet` is not finite or is under [`IdealConfig::TIME_UNIT`].
+    PacketTime {
+        /// The configured packet airtime (s).
+        t_packet: f64,
+    },
+    /// `analysis.l1` is not finite or is negative.
+    ChannelAccessTime {
+        /// The configured channel-access time (s).
+        l1: f64,
+    },
+    /// `analysis.schedule`'s active window is under
+    /// [`IdealConfig::TIME_UNIT`], so the source's immediate forward
+    /// could start at time 0 of its frame.
+    ActiveWindow {
+        /// The configured active window (s).
+        t_active: f64,
+    },
+    /// `analysis.schedule`'s frame exceeds [`IdealConfig::MAX_T_FRAME`].
+    FrameTooLong {
+        /// The configured frame length (s).
+        t_frame: f64,
+    },
+    /// `analysis.schedule`'s frame ends before the source's immediate
+    /// forward does (`t_active + l1 + t_packet > t_frame`).
+    FrameTooShort {
+        /// The configured frame length (s).
+        t_frame: f64,
+        /// When the source's immediate forward ends (s into the frame).
+        source_forward_end: f64,
+    },
+    /// `analysis.lambda` is not finite, or is too small for the update
+    /// interval billed to each update, `1/(λ·t_frame)` frames, to be a
+    /// count of at most `u32::MAX` frames (at λ = 0 it is infinite).
+    UpdateRate {
+        /// The configured update rate (1/s).
+        lambda: f64,
     },
 }
 
@@ -147,6 +237,37 @@ impl fmt::Display for IdealConfigError {
                  the budget of {}",
                 IdealConfig::MAX_NODE_UPDATES
             ),
+            Self::PacketTime { t_packet } => write!(
+                f,
+                "t_packet: {t_packet} s is not a finite time of at least 1 ns"
+            ),
+            Self::ChannelAccessTime { l1 } => {
+                write!(f, "analysis.l1: {l1} s is not a finite, non-negative time")
+            }
+            Self::ActiveWindow { t_active } => write!(
+                f,
+                "analysis.schedule: an active window of {t_active} s is under 1 ns"
+            ),
+            Self::FrameTooLong { t_frame } => write!(
+                f,
+                "analysis.schedule: a frame of {t_frame} s exceeds {} s, past which \
+                 f64 seconds cannot resolve 1 ns",
+                IdealConfig::MAX_T_FRAME
+            ),
+            Self::FrameTooShort {
+                t_frame,
+                source_forward_end,
+            } => write!(
+                f,
+                "analysis.schedule: a frame of {t_frame} s ends before the source's \
+                 immediate forward does (t_active + l1 + t_packet = {source_forward_end} s)"
+            ),
+            Self::UpdateRate { lambda } => write!(
+                f,
+                "analysis.lambda: {lambda} updates/s is not a finite, positive rate \
+                 whose update interval spans at most {} frames",
+                u32::MAX
+            ),
         }
     }
 }
@@ -162,6 +283,7 @@ impl Default for IdealConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbbf_core::SleepSchedule;
 
     #[test]
     fn table1_defaults() {
@@ -208,6 +330,75 @@ mod tests {
                 node_updates: 9 * u64::from(u32::MAX)
             })
         );
+
+        // The timing the frame loop relies on.
+        let timed = |t_packet: f64, l1: f64, (t_active, t_frame): (f64, f64), lambda: f64| {
+            let mut c = paper;
+            c.t_packet = t_packet;
+            c.analysis.l1 = l1;
+            c.analysis.schedule = SleepSchedule::new(t_active, t_frame).expect("valid schedule");
+            c.analysis.lambda = lambda;
+            c.validate()
+        };
+        let table1 = (1.0, 10.0);
+        let t_packet = paper.t_packet;
+        // The extremes each bound admits: the smallest packet time and
+        // active window, no channel-access time, the longest frame, a
+        // frame the source's immediate forward exactly fills, and update
+        // intervals of 4e9 frames and of one.
+        for ok in [
+            timed(t_packet, 1.5, table1, 2.5e-11),
+            timed(1e-9, 1.5, table1, 0.01),
+            timed(t_packet, 0.0, table1, 0.01),
+            timed(t_packet, 1.5, (1e-9, 10.0), 0.01),
+            timed(t_packet, 1.5, (1.0, IdealConfig::MAX_T_FRAME), 1e-9),
+            timed(0.5, 1.5, (1.0, 3.0), 0.01),
+            timed(t_packet, 1.5, table1, f64::MAX),
+        ] {
+            assert_eq!(ok, Ok(()));
+        }
+        for t_packet in [0.0, 0.9e-9, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                timed(t_packet, 1.5, table1, 0.01),
+                Err(IdealConfigError::PacketTime { .. })
+            ));
+        }
+        for l1 in [-1e-9, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                timed(t_packet, l1, table1, 0.01),
+                Err(IdealConfigError::ChannelAccessTime { .. })
+            ));
+        }
+        assert_eq!(
+            timed(t_packet, 1.5, (0.9e-9, 10.0), 0.01),
+            Err(IdealConfigError::ActiveWindow { t_active: 0.9e-9 })
+        );
+        let too_long = IdealConfig::MAX_T_FRAME * (1.0 + f64::EPSILON);
+        assert_eq!(
+            timed(t_packet, 1.5, (1.0, too_long), 0.01),
+            Err(IdealConfigError::FrameTooLong { t_frame: too_long })
+        );
+        assert_eq!(
+            timed(0.5, 1.5, (1.0, 2.9), 0.01),
+            Err(IdealConfigError::FrameTooShort {
+                t_frame: 2.9,
+                source_forward_end: 3.0
+            })
+        );
+        // At 10 s frames, 1e-11 updates/s bills 1e10 frames an update.
+        for lambda in [
+            0.0,
+            -0.01,
+            1e-11,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+        ] {
+            assert!(matches!(
+                timed(t_packet, 1.5, table1, lambda),
+                Err(IdealConfigError::UpdateRate { .. })
+            ));
+        }
     }
 
     #[test]

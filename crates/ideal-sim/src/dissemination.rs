@@ -4,26 +4,38 @@
 //!
 //! A flood touches only its frontier: the transmitters of the frame,
 //! their neighbors, and the nodes that receive. The loop keeps per-node
-//! activity only for those nodes, marks them in bitsets of `n/64` words,
-//! and walks and resets just the marked entries at the end of the frame.
-//! A normal broadcast marks its transmitter and each neighbor in one pass
-//! over the neighbor list: they all heard its announcement and listen
-//! through the same window, so a `listening` bit stands for that window
-//! and the end of the frame merges it into the node's span. A node's
-//! awake time is derived, not stored: its coin's `T_frame` (or 0) raised
-//! to its activity-driven awake time. Normal transmitters queue in a
-//! further bitset and drain in index order, so no frame sorts. So a
-//! frame costs O(touched + n/64).
+//! activity only for the nodes immediate traffic touched, marks them in
+//! bitsets of `n/64` words, and walks and resets just the marked entries
+//! at the end of the frame. A normal broadcast marks its transmitter and
+//! each neighbor in one pass over the neighbor list: they all heard its
+//! announcement and listen through the same window, so a `listening` bit
+//! stands for that window. Normal transmitters queue in a further bitset
+//! and drain in index order, so no frame sorts.
+//!
+//! Immediate forwards chain in *levels*: the forwards that transmit at one
+//! time. Every normal receiver of a frame forwards at `rx_done + L1`, and
+//! every receiver of one level forwards `t_packet + L1` after that level
+//! transmits, which [`crate::IdealConfig::validate`] keeps at least 1 ns
+//! later. So a level is one bitset drained in index order, and draining
+//! level after level is the `(time, node)` order a priority queue would
+//! pop. A node that has not received has carried no traffic, so only its
+//! sleep coin can keep it awake for an immediate transmission.
+//!
+//! The end of a frame asks whether each node the update kept busy had
+//! slept by its coin, which makes its activity marginal. A *listen-only*
+//! node (in `listening` but not touched by immediate traffic) received
+//! before any immediate forward read a coin, so its coin is read nowhere
+//! else, and its activity is the announced window `[T_active, rx_done]`.
+//! The frame counts these nodes by popcount and walks only the touched
+//! ones. So a frame costs O(touched + levels·n/64).
 //!
 //! The sleep coin of node `i` in frame `f` is a pure hash of
 //! `(update key, f, i)` ([`Coins`]), so it costs nothing until the
 //! flood reads it, and reads in any order see the same coins. The flood
 //! reads a coin in two places: an immediate transmission asks whether a
-//! neighbor that has not received yet, and is not kept awake by the
-//! update's own traffic, slept; and the end of a frame asks whether a
-//! node the update kept busy had slept by its coin, which makes its
-//! activity marginal. The update's generator only draws the
-//! `chance(p)` forwarding decisions.
+//! neighbor that has not received yet slept, and the end of a frame asks
+//! about each node immediate traffic touched. The update's generator
+//! only draws the `chance(p)` forwarding decisions.
 //!
 //! # What an update costs
 //!
@@ -32,18 +44,19 @@
 //! slept. The awake count of those `B·n` node-frames is one
 //! Binomial(`B·n`, `q`) draw ([`billed_awake`]), the distribution of the
 //! sum of `B` frames' independent counts, so billing hashes no coin and
-//! costs O(√(B·n·q(1 − q))) however large the grid. The count is drawn
-//! from its own substream of the update's generator, not counted from the
-//! coins the flood reads. An update thus costs its frames plus
-//! resetting its `n` reception records, and the working state
+//! costs O(√(B·n·q(1 − q))) however large the grid. The `L` listen-only
+//! node-frames of the flood are billed the same way: one Binomial(`L`,
+//! `q`) draw ([`listen_only_awake`]) says how many the coin kept awake,
+//! and each of the rest costs `(P_I − P_S)·(rx_done − T_active)`. Each
+//! count is drawn from its own substream of the update's generator, not
+//! counted from the coins the flood reads. An update thus costs its
+//! frames plus resetting its `n` reception records, and the working state
 //! ([`Scratch`]) is allocated once per run, not per update.
 //!
-//! The dense loop, which evaluates every coin and resets and scans all
-//! `n` nodes every frame, is kept as the test oracle in `crate::oracle`;
-//! the tests there compare every output field bit for bit.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! The dense loop, which evaluates every coin, resets and scans all `n`
+//! nodes every frame and pops immediate forwards from a priority queue,
+//! is kept as the test oracle in `crate::oracle`; the tests there compare
+//! every output field bit for bit.
 
 use pbbf_core::{PbbfParams, PowerProfile, SleepSchedule};
 use pbbf_des::{mix64, SimRng, GOLDEN_GAMMA};
@@ -84,6 +97,12 @@ pub(crate) struct Dissemination {
     /// Billed node-frames awake by the Sleep-Decision-Handler: the
     /// update's [`billed_awake`] draw.
     pub billed_awake: u64,
+    /// Listen-only node-frames: a node that announced or heard a normal
+    /// broadcast in a frame and carried no immediate traffic in it.
+    pub listen_only: u64,
+    /// Listen-only node-frames awake by the Sleep-Decision-Handler: the
+    /// update's [`listen_only_awake`] draw.
+    pub listen_only_awake: u64,
 }
 
 /// The frame loop's working state. Every flood leaves it sized for its
@@ -98,9 +117,10 @@ pub(crate) struct Scratch {
     pending_normal: NodeSet,
     /// This frame's normal transmitters, in index order.
     normal_now: Vec<NodeId>,
-    /// Immediate forwards scheduled within the current frame: (tx time
-    /// in integer ns from frame start, node).
-    imm: BinaryHeap<Reverse<(u64, u32)>>,
+    /// The immediate forwards that transmit next.
+    level: Level,
+    /// The immediate forwards `level` queues.
+    next_level: Level,
     activity: Activity,
 }
 
@@ -109,12 +129,14 @@ impl Scratch {
     /// a flood stopped at `max_frames` left pending.
     fn reset(&mut self, n: usize) {
         self.pending_normal.reset(n);
+        self.level.reset(n);
+        self.next_level.reset(n);
         self.activity.reset(n);
     }
 }
 
 /// Disseminates one update from `source`, drawing its forwarding
-/// decisions from `rng` and keying its sleep coins and billing draw on
+/// decisions from `rng` and keying its sleep coins and billing draws on
 /// `rng`'s seed. Refills `received` with one record per node: latency
 /// from generation to first reception (s) and the number of links the
 /// delivered copy traversed, `Some((0.0, 0))` at the source.
@@ -147,7 +169,8 @@ pub(crate) fn disseminate(
     let Scratch {
         pending_normal,
         normal_now,
-        imm,
+        level,
+        next_level,
         activity,
     } = scratch;
 
@@ -155,6 +178,7 @@ pub(crate) fn disseminate(
     let mut normal_tx = 0u64;
     let mut deferred = 0u64;
     let mut energy = 0.0f64;
+    let mut listen_only = 0u64;
 
     let mut coins = Coins::new(rng, q);
 
@@ -164,7 +188,7 @@ pub(crate) fn disseminate(
     // receive it.
     let source_immediate = rng.chance(p);
     if source_immediate {
-        imm.push(Reverse((secs_to_ns(t_active + setup.l1), source.0)));
+        level.push(secs_to_ns(t_active + setup.l1), source.index());
     } else {
         pending_normal.insert(source.index());
     }
@@ -178,7 +202,7 @@ pub(crate) fn disseminate(
         normal_now.clear();
         pending_normal.drain(|i| normal_now.push(NodeId(i as u32)));
 
-        if normal_now.is_empty() && imm.is_empty() {
+        if normal_now.is_empty() && level.is_empty() {
             break;
         }
 
@@ -203,7 +227,7 @@ pub(crate) fn disseminate(
                     setup,
                     p,
                     rng,
-                    imm,
+                    level,
                     pending_normal,
                     &mut deferred,
                     ns_frame_limit,
@@ -211,58 +235,68 @@ pub(crate) fn disseminate(
             }
         }
 
-        // ---- Immediate forwards, in time order, chaining within the
-        // frame.
-        while let Some(Reverse((t_ns, node_raw))) = imm.pop() {
-            let node = NodeId(node_raw);
-            let t_tx = ns_to_secs(t_ns);
+        // ---- Immediate forwards, chaining within the frame one level
+        // at a time.
+        while !level.is_empty() {
+            let t_tx = ns_to_secs(level.t_ns);
             let t_rx = t_tx + setup.t_packet;
-            immediate_tx += 1;
-            // The forwarder is awake from its reception through its
-            // transmission.
-            activity.awake(node.index(), t_tx - setup.l1, t_rx);
-            let hops = received[node.index()].expect("forwarder holds packet").1 + 1;
             let latency = frame_start + t_rx - gen_time;
-            for &nb in topology.neighbors(node) {
-                let i = nb.index();
-                if received[i].is_some() {
-                    continue;
+            level.drain(|forwarder| {
+                immediate_tx += 1;
+                // The forwarder is awake from its reception through its
+                // transmission.
+                activity.note(forwarder, t_tx - setup.l1, t_rx);
+                let hops = received[forwarder].expect("forwarder holds packet").1 + 1;
+                for &nb in topology.neighbors(NodeId(forwarder as u32)) {
+                    let i = nb.index();
+                    if received[i].is_some() {
+                        continue;
+                    }
+                    // No traffic has woken a node that has not received,
+                    // so only the Sleep-Decision-Handler coin can keep it
+                    // on.
+                    if !coins.awake(frame, i) {
+                        continue; // asleep: the bond is closed for this copy
+                    }
+                    received[i] = Some((latency, hops));
+                    activity.note(i, t_tx, t_rx);
+                    decide_forward(
+                        nb,
+                        t_rx,
+                        setup,
+                        p,
+                        rng,
+                        next_level,
+                        pending_normal,
+                        &mut deferred,
+                        ns_frame_limit,
+                    );
                 }
-                // Awake if the update's traffic or the Sleep-Decision-
-                // Handler coin kept it on; the coin is read only when
-                // the traffic did not.
-                if activity.awake_until(i, rx_done) < t_tx
-                    && coins.awake_until(frame, i, t_frame) < t_tx
-                {
-                    continue; // asleep: the bond is closed for this copy
-                }
-                received[i] = Some((latency, hops));
-                activity.note(i, t_tx, t_rx);
-                decide_forward(
-                    nb,
-                    t_rx,
-                    setup,
-                    p,
-                    rng,
-                    imm,
-                    pending_normal,
-                    &mut deferred,
-                    ns_frame_limit,
-                );
-            }
+            });
+            std::mem::swap(level, next_level);
         }
 
         // ---- Marginal activity: awake time the update caused beyond
         // what the coin (billed below, possibly to another update's
         // window) covers.
-        energy =
-            activity.drain_marginal(energy, &mut coins, frame, idle - sleep, (t_active, rx_done));
+        listen_only += activity.drain_marginal(
+            &mut energy,
+            &mut coins,
+            frame,
+            idle - sleep,
+            (t_active, rx_done),
+        );
 
         frame += 1;
         if frame >= setup.max_frames {
             break;
         }
     }
+
+    // The listen-only node-frames the coin slept through: each was awake
+    // only for the announced window.
+    let listen_awake = listen_only_awake(rng, q, listen_only);
+    energy += (idle - sleep) * (rx_done - t_active) * (listen_only - listen_awake) as f64;
 
     // Baseline duty-cycle energy: the update's steady-state share covers
     // the full inter-update interval, even if the broadcast died early.
@@ -284,6 +318,8 @@ pub(crate) fn disseminate(
         frames_used: frame,
         coins_evaluated: coins.evaluated,
         billed_awake: awake,
+        listen_only,
+        listen_only_awake: listen_awake,
     }
 }
 
@@ -296,6 +332,10 @@ const COIN_STREAM: u64 = 0x636F_696E;
 /// billing draw comes from ("bill" in ASCII).
 const BILL_STREAM: u64 = 0x6269_6C6C;
 
+/// The stream id, under an update's generator, of the substream its
+/// listen-only draw comes from ("lstn" in ASCII).
+const LISTEN_STREAM: u64 = 0x6C73_746E;
+
 /// How many of the `node_frames` node-frames billed to the update whose
 /// generator is `rng` the Sleep-Decision-Handler kept awake: one
 /// Binomial(`node_frames`, `q`) draw from the [`BILL_STREAM`] substream.
@@ -303,6 +343,15 @@ const BILL_STREAM: u64 = 0x6269_6C6C;
 /// draw, as [`Coins`] fix every coin there.
 pub(crate) fn billed_awake(rng: &SimRng, q: f64, node_frames: u64) -> u64 {
     rng.substream(BILL_STREAM).binomial(node_frames, q)
+}
+
+/// How many of the `listen_only` listen-only node-frames of the update
+/// whose generator is `rng` the Sleep-Decision-Handler kept awake: one
+/// Binomial(`listen_only`, `q`) draw from the [`LISTEN_STREAM`]
+/// substream, fixed without a draw at `q ≤ 0` and `q ≥ 1`. `rng` is not
+/// drawn from.
+pub(crate) fn listen_only_awake(rng: &SimRng, q: f64, listen_only: u64) -> u64 {
+    rng.substream(LISTEN_STREAM).binomial(listen_only, q)
 }
 
 /// [`Coins::threshold`] when `q ≤ 0`: no 53-bit value lies below it.
@@ -367,16 +416,6 @@ impl Coins {
             }
         }
     }
-
-    /// `t_frame` if node `i`'s coin kept it awake through frame `frame`'s
-    /// data phase, else 0.
-    fn awake_until(&mut self, frame: u32, i: usize, t_frame: f64) -> f64 {
-        if self.awake(frame, i) {
-            t_frame
-        } else {
-            0.0
-        }
-    }
 }
 
 /// `ceil(q·2^53)`, the number of 53-bit values `k` with `k·2^-53 < q`:
@@ -410,10 +449,6 @@ impl NodeSet {
         self.words[i / 64] |= 1 << (i % 64);
     }
 
-    fn contains(&self, i: usize) -> bool {
-        self.words[i / 64] >> (i % 64) & 1 != 0
-    }
-
     /// Calls `f` on every member in ascending order and empties the set:
     /// `n/64` word reads plus one step per member.
     fn drain(&mut self, mut f: impl FnMut(usize)) {
@@ -427,30 +462,70 @@ impl NodeSet {
     }
 }
 
+/// One chain level: the immediate forwards that transmit at one time,
+/// `t_ns` nanoseconds into the frame.
+#[derive(Default)]
+struct Level {
+    t_ns: u64,
+    len: usize,
+    nodes: NodeSet,
+}
+
+impl Level {
+    /// Empties the level and sizes it for nodes `0..n`.
+    fn reset(&mut self, n: usize) {
+        self.len = 0;
+        self.nodes.reset(n);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Queues node `i` to transmit at `t_ns`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the level already holds a forward at another time.
+    fn push(&mut self, t_ns: u64, i: usize) {
+        if self.len == 0 {
+            self.t_ns = t_ns;
+        }
+        assert_eq!(t_ns, self.t_ns, "a level transmits at one time");
+        self.len += 1;
+        self.nodes.insert(i);
+    }
+
+    /// Calls `f` on every forward in index order and empties the level.
+    fn drain(&mut self, f: impl FnMut(usize)) {
+        self.len = 0;
+        self.nodes.drain(f);
+    }
+}
+
 /// Activity the update caused this frame, kept only for the nodes it
 /// touched.
 #[derive(Default)]
 struct Activity {
-    /// Per node: the latest time the update's immediate traffic kept it
-    /// awake, and the span `[start, end]` of that traffic.
+    /// Per node: the span `[start, end]` of the update's immediate
+    /// traffic there.
     nodes: Vec<NodeActivity>,
+    /// Nodes that carried immediate traffic this frame.
     touched: NodeSet,
     /// Nodes that announced a normal broadcast this frame or heard one
-    /// announced: awake through `rx_done` and busy over
-    /// `[t_active, rx_done]`, on top of their `nodes` entry.
+    /// announced: busy over `[t_active, rx_done]`, on top of their
+    /// `nodes` entry.
     listening: NodeSet,
 }
 
 #[derive(Clone, Copy)]
 struct NodeActivity {
-    awake_until: f64,
     start: f64,
     end: f64,
 }
 
 impl NodeActivity {
     const IDLE: Self = Self {
-        awake_until: 0.0,
         start: f64::INFINITY,
         end: 0.0,
     };
@@ -475,16 +550,7 @@ impl Activity {
         self.listening.reset(n);
     }
 
-    /// Node `i` is busy over `[from, to]` and stays awake until `to`.
-    fn awake(&mut self, i: usize, from: f64, to: f64) {
-        self.touched.insert(i);
-        let a = &mut self.nodes[i];
-        a.awake_until = a.awake_until.max(to);
-        a.note(from, to);
-    }
-
-    /// Node `i` is busy over `[from, to]` (a reception while its radio is
-    /// already on).
+    /// Node `i` is busy over `[from, to]` with immediate traffic.
     fn note(&mut self, i: usize, from: f64, to: f64) {
         self.touched.insert(i);
         self.nodes[i].note(from, to);
@@ -495,34 +561,26 @@ impl Activity {
         self.listening.insert(i);
     }
 
-    /// How long the update's traffic keeps node `i` awake, a listener at
-    /// least through `rx_done`.
-    fn awake_until(&self, i: usize, rx_done: f64) -> f64 {
-        let until = self.nodes[i].awake_until;
-        if self.listening.contains(i) {
-            until.max(rx_done)
-        } else {
-            until
-        }
-    }
-
-    /// Adds the marginal awake energy of every touched or listening node
-    /// whose coin slept in frame `frame`, in index order, and resets
-    /// their entries. A listener's span takes in the listening window
-    /// `[from, to]` first; min and max do not depend on order, so the
-    /// span is the one the frame's traffic made.
+    /// Adds to `energy` the marginal awake energy of every touched node
+    /// whose coin slept in frame `frame`, in index order, resets their
+    /// entries and empties both sets. Returns the number of listen-only
+    /// nodes, which the caller bills. A touched listener's span takes in
+    /// the listening window `[from, to]` first; min and max do not depend
+    /// on order, so the span is the one the frame's traffic made.
     fn drain_marginal(
         &mut self,
-        mut energy: f64,
+        energy: &mut f64,
         coins: &mut Coins,
         frame: u32,
         idle_over_sleep: f64,
         (from, to): (f64, f64),
-    ) -> f64 {
+    ) -> u64 {
+        let mut listen_only = 0;
         let words = self.touched.words.iter_mut().zip(&mut self.listening.words);
         for (w, (touched, listening)) in words.enumerate() {
             let heard = std::mem::take(listening);
-            let mut bits = std::mem::take(touched) | heard;
+            let mut bits = std::mem::take(touched);
+            listen_only += u64::from((heard & !bits).count_ones());
             while bits != 0 {
                 let bit = bits.trailing_zeros();
                 let i = w * 64 + bit as usize;
@@ -530,14 +588,14 @@ impl Activity {
                 if heard >> bit & 1 != 0 {
                     a.note(from, to);
                 }
-                if a.end > 0.0 && !coins.awake(frame, i) {
+                if !coins.awake(frame, i) {
                     let duration = (a.end - a.start.min(a.end)).max(0.0);
-                    energy += idle_over_sleep * duration;
+                    *energy += idle_over_sleep * duration;
                 }
                 bits &= bits - 1;
             }
         }
-        energy
+        listen_only
     }
 }
 
@@ -549,7 +607,7 @@ fn decide_forward(
     setup: &DisseminationSetup,
     p: f64,
     rng: &mut SimRng,
-    imm: &mut BinaryHeap<Reverse<(u64, u32)>>,
+    level: &mut Level,
     pending_normal: &mut NodeSet,
     deferred: &mut u64,
     ns_frame_limit: u64,
@@ -557,7 +615,7 @@ fn decide_forward(
     if rng.chance(p) {
         let t_tx = secs_to_ns(now + setup.l1);
         if t_tx <= ns_frame_limit {
-            imm.push(Reverse((t_tx, node.0)));
+            level.push(t_tx, node.index());
         } else {
             // Would overrun the data phase: demote to a normal broadcast
             // next frame.
@@ -585,7 +643,8 @@ fn ns_to_secs(ns: u64) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    use super::{secs_to_ns, threshold, Coins, ASLEEP, AWAKE};
+    use super::{ns_to_secs, secs_to_ns, threshold, Coins, ASLEEP, AWAKE};
+    use crate::IdealConfig;
     use pbbf_des::{mix64, SimRng, GOLDEN_GAMMA};
 
     /// Coins with a chosen key.
@@ -735,6 +794,33 @@ mod tests {
                 "{name}: rho = {rho:e} over {n} pairs"
             );
         }
+    }
+
+    /// The tightest chain `IdealConfig::validate` admits (`L1 = 0`,
+    /// 1 ns packets) steps each level by 1 ns, through the roundings the
+    /// frame loop makes: from any time within the longest admitted frame,
+    /// the next level lands on a later nanosecond. Sixteen times further
+    /// out, where an f64 holds seconds only to 3.7 ns, some do not.
+    #[test]
+    fn chain_levels_advance_within_the_longest_frame() {
+        let next = |t_ns: u64| {
+            let t_rx = ns_to_secs(t_ns) + IdealConfig::TIME_UNIT;
+            secs_to_ns(t_rx + 0.0)
+        };
+        let last = secs_to_ns(IdealConfig::MAX_T_FRAME);
+        let mut times = vec![0, 1, last / 2, last - 1, last];
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..100_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            times.push(x % (last + 1));
+        }
+        for t_ns in times {
+            assert!(next(t_ns) > t_ns, "a level at {t_ns} ns");
+        }
+        let far = 16 * last;
+        assert!((far..far + 1_000).any(|t_ns| next(t_ns) <= t_ns));
     }
 
     #[test]

@@ -3,15 +3,24 @@
 //!
 //! Every frame it evaluates every node's sleep coin, through the same
 //! `Coins` the sparse loop reads lazily, then resets and scans all `n`
-//! nodes, with no listening bitset. After its frames it bills the update
-//! with the same one Binomial draw the sparse loop makes, which hashes no
-//! coin. The tests below run both loops on the same inputs, the sparse
-//! one through one reused `Scratch` and reception buffer across
+//! nodes, with no listening bitset. It pops immediate forwards from a
+//! priority queue in `(time, node)` order and keeps each node's
+//! awake-until time, so a neighbor of an immediate transmission receives
+//! if the update's traffic or its coin kept it awake. The sparse loop
+//! instead drains one chain level at a time and asks the coin alone. It
+//! marks the nodes that heard an announcement and those that carried
+//! immediate traffic, and counts the listen-only node-frames (heard, no
+//! immediate traffic) and how many of them their coin slept through.
+//! After its frames it bills the listen-only node-frames and the update's
+//! duty cycle with the same two Binomial draws the sparse loop makes,
+//! which hash no coin. The tests below run both loops on the same inputs,
+//! the sparse one through one reused `Scratch` and reception buffer across
 //! consecutive updates, and compare every output field, and the
 //! generator's final state, by bit pattern. Since a coin is a pure
 //! function of `(update, frame, node)`, they pin laziness: reading fewer
-//! coins, in another order, changes nothing. The coin hash itself is
-//! pinned by the tests in `crate::dissemination`, and the billing draw's
+//! coins, in another order, changes nothing. A statistical test holds the
+//! listen-only draw to the coins it replaces. The coin hash itself is
+//! pinned by the tests in `crate::dissemination`, and the draws'
 //! distribution by the sampler's tests in `pbbf-rand`.
 
 use std::cmp::Reverse;
@@ -20,16 +29,25 @@ use std::collections::BinaryHeap;
 use pbbf_des::SimRng;
 use pbbf_topology::{NodeId, Topology};
 
-use crate::dissemination::{billed_awake, Coins, Dissemination, DisseminationSetup};
+use crate::dissemination::{
+    billed_awake, listen_only_awake, Coins, Dissemination, DisseminationSetup,
+};
+
+/// What the dense loop returns: the reception records, the counters, and
+/// how many listen-only node-frames slept by their hashed coin.
+struct Dense {
+    received: Vec<Option<(f64, u32)>>,
+    counters: Dissemination,
+    listen_only_slept: u64,
+}
 
 /// Disseminates one update from `source` with a dense per-frame scan.
-/// Returns the reception records beside the counters.
 fn disseminate_dense(
     topology: &Topology,
     source: NodeId,
     setup: &DisseminationSetup,
     rng: &mut SimRng,
-) -> (Vec<Option<(f64, u32)>>, Dissemination) {
+) -> Dense {
     let n = topology.len();
     let p = setup.params.p();
     let q = setup.params.q();
@@ -48,10 +66,16 @@ fn disseminate_dense(
     let mut normal_tx = 0u64;
     let mut deferred = 0u64;
     let mut energy = 0.0f64;
+    let mut listen_only = 0u64;
+    let mut listen_only_slept = 0u64;
 
     let mut awake_until = vec![0.0f64; n];
     let mut act_start = vec![f64::INFINITY; n];
     let mut act_end = vec![0.0f64; n];
+    // Per node this frame: heard an announcement, carried immediate
+    // traffic.
+    let mut heard = vec![false; n];
+    let mut busy = vec![false; n];
     let mut coins = Coins::new(rng, q);
     let mut coin = vec![false; n];
 
@@ -86,13 +110,16 @@ fn disseminate_dense(
             *au = if coin[i] { t_frame } else { 0.0 };
             act_start[i] = f64::INFINITY;
             act_end[i] = 0.0;
+            heard[i] = false;
+            busy[i] = false;
         }
         for &tx in &normal_now {
-            awake_until[tx.index()] = awake_until[tx.index()].max(rx_done);
-            note_activity(&mut act_start, &mut act_end, tx.index(), t_active, rx_done);
-            for &nb in topology.neighbors(tx) {
-                awake_until[nb.index()] = awake_until[nb.index()].max(rx_done);
-                note_activity(&mut act_start, &mut act_end, nb.index(), t_active, rx_done);
+            for i in std::iter::once(tx.index())
+                .chain(topology.neighbors(tx).iter().map(|nb| nb.index()))
+            {
+                awake_until[i] = awake_until[i].max(rx_done);
+                note_activity(&mut act_start, &mut act_end, i, t_active, rx_done);
+                heard[i] = true;
             }
         }
 
@@ -133,6 +160,7 @@ fn disseminate_dense(
                 t_tx - setup.l1,
                 t_rx,
             );
+            busy[node.index()] = true;
             for &nb in topology.neighbors(node) {
                 if awake_until[nb.index()] < t_tx {
                     continue;
@@ -144,6 +172,7 @@ fn disseminate_dense(
                 let latency = frame_start + t_rx - gen_time;
                 received[nb.index()] = Some((latency, hops));
                 note_activity(&mut act_start, &mut act_end, nb.index(), t_tx, t_rx);
+                busy[nb.index()] = true;
                 decide_forward(
                     nb,
                     t_rx,
@@ -161,7 +190,10 @@ fn disseminate_dense(
         let idle = setup.power.idle;
         let sleep = setup.power.sleep;
         for i in 0..n {
-            if act_end[i] > 0.0 && !coin[i] {
+            if heard[i] && !busy[i] {
+                listen_only += 1;
+                listen_only_slept += u64::from(!coin[i]);
+            } else if act_end[i] > 0.0 && !coin[i] {
                 let duration = (act_end[i] - act_start[i].min(act_end[i])).max(0.0);
                 energy += (idle - sleep) * duration;
             }
@@ -173,6 +205,11 @@ fn disseminate_dense(
         }
     }
 
+    let listen_awake = listen_only_awake(rng, q, listen_only);
+    energy += (setup.power.idle - setup.power.sleep)
+        * (rx_done - t_active)
+        * (listen_only - listen_awake) as f64;
+
     let node_frames = u64::from(setup.billing_frames) * n as u64;
     let awake = billed_awake(rng, q, node_frames);
     let on = setup.power.idle * t_active + setup.power.idle * t_sleep;
@@ -182,16 +219,21 @@ fn disseminate_dense(
     energy +=
         (setup.power.tx - setup.power.idle) * setup.t_packet * (immediate_tx + normal_tx) as f64;
 
-    let counters = Dissemination {
-        immediate_tx,
-        normal_tx,
-        deferred_immediates: deferred,
-        energy_joules: energy,
-        frames_used: frame,
-        coins_evaluated: coins.evaluated,
-        billed_awake: awake,
-    };
-    (received, counters)
+    Dense {
+        received,
+        counters: Dissemination {
+            immediate_tx,
+            normal_tx,
+            deferred_immediates: deferred,
+            energy_joules: energy,
+            frames_used: frame,
+            coins_evaluated: coins.evaluated,
+            billed_awake: awake,
+            listen_only,
+            listen_only_awake: listen_awake,
+        },
+        listen_only_slept,
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -240,16 +282,13 @@ mod tests {
     use super::*;
     use crate::dissemination::{disseminate, Scratch};
     use crate::IdealConfig;
-    use pbbf_core::{PbbfParams, PowerProfile};
+    use pbbf_core::{PbbfParams, PowerProfile, SleepSchedule};
     use pbbf_topology::Grid;
     use proptest::prelude::*;
 
-    /// The Table-1 inputs `IdealSim` runs with: 10 billing frames
-    /// (`1/(λ·T_frame)`).
-    fn table1_setup(params: PbbfParams) -> DisseminationSetup {
-        let cfg = IdealConfig::table1();
+    /// The inputs `IdealSim` runs `cfg` with, billing 10 frames.
+    fn setup(cfg: &IdealConfig, params: PbbfParams) -> DisseminationSetup {
         let a = cfg.analysis;
-        assert_eq!((1.0 / (a.lambda * a.schedule.t_frame())).round(), 10.0);
         DisseminationSetup {
             params,
             schedule: a.schedule,
@@ -259,6 +298,48 @@ mod tests {
             billing_frames: 10,
             max_frames: cfg.max_frames_per_update,
         }
+    }
+
+    /// The Table-1 inputs `IdealSim` runs with: 10 billing frames
+    /// (`1/(λ·T_frame)`).
+    fn table1_setup(params: PbbfParams) -> DisseminationSetup {
+        let cfg = IdealConfig::table1();
+        let a = cfg.analysis;
+        assert_eq!((1.0 / (a.lambda * a.schedule.t_frame())).round(), 10.0);
+        setup(&cfg, params)
+    }
+
+    /// Table 1 with its frame timing drawn within what
+    /// `IdealConfig::validate` admits: Table 1's own where `kind` is 0,
+    /// else a frame from 1 µs to 10^6 s (just under the longest
+    /// admitted) with the active window, `L1` and `t_packet` each up to
+    /// a third of it and at least 1 ns. Where `kind` is 1, `L1` is 0 and
+    /// `t_packet` the smallest admitted, 1 ns, so chain levels land 1 ns
+    /// apart; otherwise `L1` is 0 where `l1_kind` is 0, and `t_packet`
+    /// 1 ns where `packet_kind` is 0.
+    fn timed((kind, l1_kind, packet_kind): (u8, u8, u8), u: (f64, f64, f64, f64)) -> IdealConfig {
+        let mut cfg = IdealConfig::table1();
+        if kind == 0 {
+            return cfg;
+        }
+        let (u_frame, u_active, u_l1, u_packet) = u;
+        let t_frame = 10f64.powf(12.0 * u_frame - 6.0);
+        let third = |u: f64| (t_frame * u / 3.0).max(1e-9);
+        cfg.analysis.schedule =
+            SleepSchedule::new(third(u_active), t_frame).expect("the window fits the frame");
+        let tightest = kind == 1;
+        cfg.analysis.l1 = if tightest || l1_kind == 0 {
+            0.0
+        } else {
+            third(u_l1)
+        };
+        cfg.t_packet = if tightest || packet_kind == 0 {
+            1e-9
+        } else {
+            third(u_packet)
+        };
+        assert_eq!(cfg.validate(), Ok(()), "{cfg:?}");
+        cfg
     }
 
     /// What the sparse loop keeps between updates: its working state and
@@ -296,6 +377,11 @@ mod tests {
             ),
             ("frames_used", sparse.frames_used == dense.frames_used),
             ("billed_awake", sparse.billed_awake == dense.billed_awake),
+            ("listen_only", sparse.listen_only == dense.listen_only),
+            (
+                "listen_only_awake",
+                sparse.listen_only_awake == dense.listen_only_awake,
+            ),
         ];
         match fields.iter().find(|(_, same)| !same) {
             Some((name, _)) => Err(format!(
@@ -329,10 +415,12 @@ mod tests {
                 &mut reused.scratch,
                 &mut reused.received,
             );
-            let (dense_rx, dense) =
-                disseminate_dense(grid.topology(), grid.center(), setup, &mut dense_rng);
-            same_bits((&reused.received, &sparse), (&dense_rx, &dense))
-                .map_err(|e| format!("update {u}: {e}"))?;
+            let dense = disseminate_dense(grid.topology(), grid.center(), setup, &mut dense_rng);
+            same_bits(
+                (&reused.received, &sparse),
+                (&dense.received, &dense.counters),
+            )
+            .map_err(|e| format!("update {u}: {e}"))?;
             if sparse_rng != dense_rng {
                 return Err(format!("update {u}: the loops consumed different draws"));
             }
@@ -360,6 +448,10 @@ mod tests {
             knobs in (any::<bool>(), 0u32..=16),
             max_frames in 1u32..=24,
             power in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, any::<bool>()),
+            timing in (
+                (0u8..4, 0u8..3, 0u8..3),
+                (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+            ),
         ) {
             let (p_kind, q_kind, p_uniform, q_uniform) = pq;
             let (capped, billing_frames) = knobs;
@@ -383,7 +475,7 @@ mod tests {
             let mut setup = DisseminationSetup {
                 power,
                 billing_frames,
-                ..table1_setup(params)
+                ..setup(&timed(timing.0, timing.1), params)
             };
             if capped {
                 // Low enough that the cap ends some floods, before or
@@ -479,6 +571,41 @@ mod tests {
                     panic!("p = {}, q = {}, seed {seed}: {e}", params.p(), params.q());
                 }
             }
+        }
+    }
+
+    /// The listen-only draw against the coins it replaces. The dense
+    /// loop still hashes every coin, so it counts the listen-only
+    /// node-frames whose coin slept; the draw's asleep count is
+    /// `listen_only − listen_only_awake`. Both are Binomial(L, 1 − q)
+    /// counts of the same node-frames, independent of each other, so over
+    /// at least 10^5 node-frames per q they differ by under 4σ,
+    /// σ² = 2·L·q(1 − q).
+    #[test]
+    fn listen_only_draw_matches_the_coins_it_replaces() {
+        let cfg = IdealConfig::table1();
+        let grid = Grid::square(cfg.grid_side);
+        for (i, q) in [0.1, 0.5, 0.9].into_iter().enumerate() {
+            let setup = table1_setup(PbbfParams::new(0.25, q).expect("valid"));
+            let root = SimRng::new(0x115_7E40 + i as u64);
+            let (mut listen_only, mut slept, mut drawn_asleep) = (0u64, 0u64, 0u64);
+            let mut update = 0;
+            while listen_only < 100_000 {
+                let mut rng = root.substream(update);
+                let dense = disseminate_dense(grid.topology(), grid.center(), &setup, &mut rng);
+                let c = &dense.counters;
+                listen_only += c.listen_only;
+                slept += dense.listen_only_slept;
+                drawn_asleep += c.listen_only - c.listen_only_awake;
+                update += 1;
+            }
+            let sigma = (2.0 * listen_only as f64 * q * (1.0 - q)).sqrt();
+            let z = (slept as f64 - drawn_asleep as f64) / sigma;
+            assert!(
+                z.abs() < 4.0,
+                "q = {q}: {slept} slept by coin, {drawn_asleep} by the draw, of \
+                 {listen_only} over {update} updates; z = {z:.2}"
+            );
         }
     }
 }

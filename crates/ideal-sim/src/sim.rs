@@ -116,7 +116,7 @@ impl IdealSim {
         mut received: Vec<Option<(f64, u32)>>,
     ) -> UpdateStats {
         let a = &self.config.analysis;
-        let billing_frames = (1.0 / (a.lambda * a.schedule.t_frame())).round().max(1.0) as u32;
+        let billing_frames = self.config.billing_frames() as u32;
         let setup = DisseminationSetup {
             params,
             schedule: a.schedule,
@@ -137,6 +137,8 @@ impl IdealSim {
             frames_used: d.frames_used,
             coins_evaluated: d.coins_evaluated,
             billed_awake: d.billed_awake,
+            listen_only: d.listen_only,
+            listen_only_awake: d.listen_only_awake,
         }
     }
 
@@ -194,6 +196,8 @@ impl IdealSim {
             frames_used: 0,
             coins_evaluated: 0,
             billed_awake: 0,
+            listen_only: 0,
+            listen_only_awake: 0,
         }
     }
 
@@ -225,6 +229,8 @@ impl IdealSim {
             frames_used: 0,
             coins_evaluated: 0,
             billed_awake: 0,
+            listen_only: 0,
+            listen_only_awake: 0,
         }
     }
 }
@@ -309,34 +315,60 @@ mod tests {
         let pbbf = |p, q| Mode::SleepScheduled(PbbfParams::new(p, q).unwrap());
         let (n, billing_frames) = (225u64, 10u64);
         // Fixed coins hash nothing and bill every node-frame asleep or
-        // awake; the modes without a duty cycle bill none.
-        for (mode, billed) in [
-            (pbbf(0.5, 0.0), 0),
-            (pbbf(0.5, 1.0), billing_frames * n),
-            (Mode::SleepScheduled(PbbfParams::PSM), 0),
-            (Mode::AlwaysOn, 0),
-            (
-                Mode::Gossip {
-                    forward_probability: 0.5,
-                },
-                0,
-            ),
+        // awake, the listen-only ones too; the modes without a duty cycle
+        // bill none and count no listen-only frame.
+        for (mode, all_awake) in [
+            (pbbf(0.5, 0.0), false),
+            (pbbf(0.5, 1.0), true),
+            (Mode::SleepScheduled(PbbfParams::PSM), false),
         ] {
             for u in &run(mode).updates {
                 assert_eq!(u.coins_evaluated, 0, "{mode:?}");
+                let (billed, listen_awake) = if all_awake {
+                    (billing_frames * n, u.listen_only)
+                } else {
+                    (0, 0)
+                };
                 assert_eq!(u.billed_awake, billed, "{mode:?}");
+                assert_eq!(u.listen_only_awake, listen_awake, "{mode:?}");
+            }
+        }
+        // PSM announces every broadcast, so its listen-only count is
+        // positive.
+        let psm = run(Mode::SleepScheduled(PbbfParams::PSM));
+        assert!(psm.updates.iter().all(|u| u.listen_only > 0));
+        let gossip = Mode::Gossip {
+            forward_probability: 0.5,
+        };
+        for mode in [Mode::AlwaysOn, gossip] {
+            for u in &run(mode).updates {
+                let counts = (u.coins_evaluated, u.billed_awake, u.listen_only);
+                assert_eq!((counts, u.listen_only_awake), ((0, 0, 0), 0), "{mode:?}");
             }
         }
         // 0 < q < 1: the coins the flood read, at least the source's at
         // the end of frame 0. Billing hashes none: its awake count is one
-        // Binomial(B·n, q) draw.
+        // Binomial(B·n, q) draw, and the listen-only count one
+        // Binomial(L, q) draw.
         let q = 0.5;
         let node_frames = (billing_frames * n) as f64;
+        let z =
+            |awake: u64, trials: f64| (awake as f64 - trials * q) / (trials * q * (1.0 - q)).sqrt();
         for u in &run(pbbf(0.5, q)).updates {
             assert!(u.coins_evaluated > 0, "the flood reads coins");
-            let z =
-                (u.billed_awake as f64 - node_frames * q) / (node_frames * q * (1.0 - q)).sqrt();
-            assert!(z.abs() < 4.0, "{} billed awake, z = {z:.2}", u.billed_awake);
+            let billed = z(u.billed_awake, node_frames);
+            assert!(
+                billed.abs() < 4.0,
+                "{} billed awake, z = {billed:.2}",
+                u.billed_awake
+            );
+            let listen = z(u.listen_only_awake, u.listen_only as f64);
+            assert!(
+                listen.abs() < 4.0,
+                "{} of {} listen-only awake, z = {listen:.2}",
+                u.listen_only_awake,
+                u.listen_only
+            );
         }
     }
 

@@ -32,6 +32,16 @@ pub struct UpdateStats {
     /// Zero for always-on flooding and for gossip, which bill no duty
     /// cycle.
     pub billed_awake: u64,
+    /// Listen-only node-frames: in a frame, a node that announced a
+    /// normal broadcast or heard one announced and carried no immediate
+    /// traffic. Each is busy through the announced window only, and is
+    /// billed that window's marginal energy unless its coin kept it awake.
+    /// Zero for always-on flooding and for gossip.
+    pub listen_only: u64,
+    /// Listen-only node-frames the Sleep-Decision-Handler kept awake: one
+    /// Binomial(`listen_only`, `q`) draw, so 0 at `q = 0` and
+    /// `listen_only` at `q = 1`.
+    pub listen_only_awake: u64,
 }
 
 impl UpdateStats {
@@ -139,45 +149,23 @@ impl RunStats {
         (!s.is_empty()).then(|| s.mean())
     }
 
-    /// Number of nodes at shortest distance `d` from the source (the "
-    /// Number of 20-Hop Nodes in Grid" annotation of Figs 9/10).
-    #[must_use]
-    pub fn nodes_at_distance(&self, d: u32) -> usize {
-        self.shortest.iter().filter(|&&x| x == d).count()
-    }
-
     /// Figure 11 metric: mean per-hop latency (delivery latency divided by
-    /// links traversed) over all delivered non-source copies. `None` if
+    /// links traversed) over all delivered non-source copies, summed in
+    /// update and node order and divided by their count. `None` if
     /// nothing was delivered beyond the source.
     #[must_use]
     pub fn mean_per_hop_latency(&self) -> Option<f64> {
-        let mut s = Summary::new();
+        let mut sum = 0.0;
+        let mut count = 0u64;
         for u in &self.updates {
-            for r in u.received.iter().flatten() {
-                let (latency, hops) = *r;
+            for &(latency, hops) in u.received.iter().flatten() {
                 if hops > 0 {
-                    s.record(latency / f64::from(hops));
+                    sum += latency / f64::from(hops);
+                    count += 1;
                 }
             }
         }
-        (!s.is_empty()).then(|| s.mean())
-    }
-
-    /// Mean delivery latency over nodes at shortest distance `d` (the
-    /// Figure 14/15 metric, applied to the grid). `None` if none reached.
-    #[must_use]
-    pub fn mean_latency_at_distance(&self, d: u32) -> Option<f64> {
-        let mut s = Summary::new();
-        for u in &self.updates {
-            for (i, r) in u.received.iter().enumerate() {
-                if self.shortest[i] == d {
-                    if let Some((latency, _)) = r {
-                        s.record(*latency);
-                    }
-                }
-            }
-        }
-        (!s.is_empty()).then(|| s.mean())
+        (count > 0).then(|| sum / count as f64)
     }
 
     /// Mean transmissions per update (for the duplicate-suppression
@@ -211,6 +199,8 @@ mod tests {
                     frames_used: 1,
                     coins_evaluated: 0,
                     billed_awake: 0,
+                    listen_only: 0,
+                    listen_only_awake: 0,
                 })
                 .collect(),
         }
@@ -227,6 +217,8 @@ mod tests {
             frames_used: 0,
             coins_evaluated: 0,
             billed_awake: 0,
+            listen_only: 0,
+            listen_only_awake: 0,
         };
         assert_eq!(u.delivered_fraction(), 0.5);
         assert_eq!(u.total_tx(), 0);
@@ -258,10 +250,8 @@ mod tests {
         assert_eq!(s.mean_hops_at_distance(2), Some(4.0));
         assert_eq!(s.mean_hops_at_distance(1), Some(1.0));
         assert_eq!(s.mean_hops_at_distance(9), None);
-        assert_eq!(s.nodes_at_distance(2), 1);
         // Per-hop: (10/1 + 40/4) / 2 = 10.
         assert_eq!(s.mean_per_hop_latency(), Some(10.0));
-        assert_eq!(s.mean_latency_at_distance(2), Some(40.0));
     }
 
     #[test]

@@ -67,6 +67,4 @@ fn main() {
         delivered.mean(),
         energy.mean()
     );
-
-    println!("\nDone. See `examples/tradeoff_explorer.rs` for frontier selection.");
 }

@@ -300,12 +300,15 @@ fn cmd_ideal(args: &[String]) -> Result<(), String> {
     cfg.grid_side = grid;
     cfg.updates = updates;
     // Refused before `IdealSim::new`, whose allocations would abort.
-    cfg.validate().map_err(|e| {
-        let flag = match e {
-            IdealConfigError::EmptyGrid | IdealConfigError::TooManyNodes { .. } => "--grid",
-            IdealConfigError::NoUpdates | IdealConfigError::TooMuchWork { .. } => "--updates",
-        };
-        format!("{flag}: {e}")
+    cfg.validate().map_err(|e| match e {
+        IdealConfigError::EmptyGrid | IdealConfigError::TooManyNodes { .. } => {
+            format!("--grid: {e}")
+        }
+        IdealConfigError::NoUpdates | IdealConfigError::TooMuchWork { .. } => {
+            format!("--updates: {e}")
+        }
+        // Table 1's timing, which no flag sets.
+        _ => e.to_string(),
     })?;
     let stats = IdealSim::new(cfg, IdealMode::SleepScheduled(params)).run(seed);
     let mut t = Table::new(["Metric", "Value"]);
@@ -338,6 +341,10 @@ fn cmd_ideal(args: &[String]) -> Result<(), String> {
     t.row([
         "coins evaluated/update".to_string(),
         format!("{:.0}", per_update(|u| u.coins_evaluated)),
+    ]);
+    t.row([
+        "listen-only frames/update".to_string(),
+        format!("{:.0}", per_update(|u| u.listen_only)),
     ]);
     emit(&t.render())
 }

@@ -62,7 +62,6 @@ pub use pbbf_topology as topology;
 /// The names most programs need, importable with one `use`.
 pub mod prelude {
     pub use pbbf_core::analysis;
-    pub use pbbf_core::operating_point::{Frontier, OperatingPoint};
     pub use pbbf_core::{
         AnalysisParams, ForwardDecision, ParamError, PbbfEngine, PbbfParams, PowerProfile,
         SleepSchedule,

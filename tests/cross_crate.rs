@@ -63,8 +63,10 @@ proptest! {
     /// cycle: `billed_awake` node-frames `A` at `on` and the other
     /// `B·n − A` at `off`. `B·(off + q·(on − off))` is Eq. 8, and `A`
     /// is Binomial(`B·n`, `q`), so the run's summed count lies within
-    /// 4σ of its mean. What is left of an update's energy per node after
-    /// that billing and the transmission surcharge is its marginal
+    /// 4σ of its mean. So does the run's summed `listen_only_awake`, a
+    /// Binomial(`listen_only`, `q`) draw per update, against
+    /// `Σ listen_only · q`. What is left of an update's energy per node
+    /// after that billing and the transmission surcharge is its marginal
     /// activity: never negative, and on average over a run below
     /// 0.25 J. At q = 1 every node is reached, and energy per node is
     /// Eq. 8 plus the surcharge.
@@ -122,6 +124,16 @@ proptest! {
         prop_assert!(
             (awake as f64 - trials * q).abs() <= 4.0 * sigma,
             "q = {q}: {awake} of {trials} node-frames billed awake, sigma {sigma}"
+        );
+
+        let listen_only: u64 = stats.updates.iter().map(|u| u.listen_only).sum();
+        let listen_awake: u64 = stats.updates.iter().map(|u| u.listen_only_awake).sum();
+        let trials = listen_only as f64;
+        let sigma = (trials * q * (1.0 - q)).sqrt();
+        prop_assert!(
+            (listen_awake as f64 - trials * q).abs() <= 4.0 * sigma,
+            "q = {q}: {listen_awake} of {listen_only} listen-only node-frames awake, \
+             sigma {sigma}"
         );
 
         if q == 1.0 {
@@ -206,33 +218,6 @@ fn ideal_and_realistic_simulators_agree_qualitatively() {
             "{sim_name}: high p / q=0 degrades ({bad} !< {psm})"
         );
         assert!(good > bad, "{sim_name}: q rescues ({good} !> {bad})");
-    }
-}
-
-/// The frontier API composes percolation + analysis and is internally
-/// consistent with both.
-#[test]
-fn frontier_consistent_with_components() {
-    let grid = Grid::square(20);
-    let params = AnalysisParams::table1();
-    let mut rng = SimRng::new(9);
-    let frontier = Frontier::explore(
-        grid.topology(),
-        grid.center(),
-        &params,
-        0.9,
-        &[0.25, 0.5, 0.75, 1.0],
-        40,
-        0.0,
-        &mut rng,
-    );
-    for pt in &frontier.points {
-        let expected_lat =
-            analysis::expected_link_latency(pt.params.p(), pt.params.q(), params.l1, params.l2());
-        assert!((pt.link_latency - expected_lat).abs() < 1e-9);
-        let expected_energy = analysis::relative_energy_pbbf(&params.schedule, pt.params.q());
-        assert!((pt.relative_energy - expected_energy).abs() < 1e-12);
-        assert!(pt.params.edge_probability() >= frontier.critical_edge_probability - 1e-9);
     }
 }
 
