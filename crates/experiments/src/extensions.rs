@@ -1,6 +1,6 @@
 //! Extension experiments beyond the paper's figures.
 //!
-//! Three studies the paper motivates but does not plot:
+//! Four studies the paper motivates but does not plot:
 //!
 //! * [`ext_gossip_vs_pbbf`] — Section 2 contrasts gossip (site
 //!   percolation, [5]) with PBBF (bond percolation); this exhibit plots
@@ -11,6 +11,14 @@
 //! * [`ext_latency_tail`] — the figures plot mean latencies; deployments
 //!   care about tails. This exhibit reports p50/p90/p99 delivery latency
 //!   vs `q`.
+//! * [`ext_k_tradeoff`] — Section 5.1's `k` most-recent-updates
+//!   trade-off, omitted from the paper for space.
+//!
+//! Each fans its runs out with [`pbbf_parallel::par_run`] (a swept
+//! exhibit runs every `(point, run)` pair as one job) and folds each
+//! point's runs in run order, so its figure is bitwise identical for any
+//! thread count. The swept ones panic on an effort [`Effort::validate`]
+//! refuses.
 
 use pbbf_core::adaptive::AdaptiveConfig;
 use pbbf_core::PbbfParams;
@@ -23,12 +31,22 @@ use pbbf_topology::Grid;
 
 use crate::{mix, Effort};
 
+/// The effort's runs per point (a point of no runs has no mean), or a
+/// panic with `"{exhibit}: {message}"`, as [`crate::Experiment::run`]'s.
+fn validated_runs(exhibit: &str, effort: &Effort) -> usize {
+    if let Err(e) = effort.validate() {
+        panic!("{exhibit}: {e}");
+    }
+    effort.runs as usize
+}
+
 /// Gossip (site percolation) vs PBBF (bond percolation) reliability on one
 /// grid: delivered fraction vs the forwarding knob (`g` for gossip, `q`
 /// at fixed `p = 0.75` for PBBF), plus the Newman–Ziff site-sweep
 /// prediction for gossip.
 #[must_use]
 pub fn ext_gossip_vs_pbbf(effort: &Effort, seed: u64) -> Figure {
+    let runs = validated_runs("ext_gossip_vs_pbbf", effort);
     let mut cfg = IdealConfig::table1();
     cfg.grid_side = effort.ideal_grid_side;
     cfg.updates = effort.ideal_updates;
@@ -36,11 +54,10 @@ pub fn ext_gossip_vs_pbbf(effort: &Effort, seed: u64) -> Figure {
 
     let mut gossip = Series::new("Gossip (simulated)");
     let mut pbbf = Series::new("PBBF-0.75 (simulated)");
-    // Point-level fan-out: every (x value, run) pair of both simulators
-    // schedules as one flat job list. Per-job streams depend only on
-    // (seed, x index, run index) and per-point sums fold in run order, so
-    // the figure is bitwise identical for any thread count.
-    let fractions = pbbf_parallel::par_run_grouped(xs.len(), effort.runs as usize, |xi, r| {
+    // Every (x value, run) pair of both simulators is one job. Per-job
+    // streams depend only on (seed, x index, run index).
+    let fractions = pbbf_parallel::par_run(xs.len() * runs, |job| {
+        let (xi, r) = (job / runs, job % runs);
         let x = xs[xi];
         let s = mix(seed, (xi as u64) << 32 | r as u64);
         let g = IdealSim::new(
@@ -57,7 +74,7 @@ pub fn ext_gossip_vs_pbbf(effort: &Effort, seed: u64) -> Figure {
             .mean_delivered_fraction();
         (g, p)
     });
-    for (&x, point) in xs.iter().zip(&fractions) {
+    for (&x, point) in xs.iter().zip(fractions.chunks_exact(runs)) {
         let (mut g_frac, mut p_frac) = (0.0, 0.0);
         for &(g, p) in point {
             g_frac += g;
@@ -144,36 +161,26 @@ pub fn ext_adaptive_convergence(effort: &Effort, seed: u64) -> Figure {
 /// simulator.
 #[must_use]
 pub fn ext_latency_tail(effort: &Effort, seed: u64) -> Figure {
+    let runs = validated_runs("ext_latency_tail", effort);
     let mut cfg = NetConfig::table2();
     cfg.duration_secs = effort.net_duration_secs;
     let qs = effort.q_values();
     let mut p50 = Series::new("p50");
     let mut p90 = Series::new("p90");
     let mut p99 = Series::new("p99");
-    // (q, run-chunk) fan-out: chunk boundaries are deterministic and
-    // per-q histograms fold in run order, so percentiles are
-    // thread-count invariant. Each run's deployment resolves through the
-    // process-wide registry inside the chunk job and is shared across
-    // the q points (the q sweep compares operating points on identical
-    // scenarios) — and with the fig13–16 sweeps, which use the same
-    // geometry and deployment-seed stream.
+    // Every (q, run) pair is one job. Run r's deployment resolves through
+    // the process-wide registry and is shared across the q points (the q
+    // sweep compares operating points on identical scenarios) and with
+    // the fig13–16 sweeps, which use the same geometry and
+    // deployment-seed stream.
     let deploy_seed = mix(seed, crate::net_figs::DEPLOY_SALT);
-    let all_stats = pbbf_parallel::par_run_grouped_chunked(
-        qs.len(),
-        effort.runs as usize,
-        crate::sweep::RUN_CHUNK,
-        |qi, rs| {
-            let mode = NetMode::SleepScheduled(PbbfParams::new(0.5, qs[qi]).expect("valid"));
-            let sim = NetSim::new(cfg, mode);
-            rs.map(|r| {
-                let deployment =
-                    DeploymentCache::global().get_or_draw(&cfg, mix(deploy_seed, r as u64));
-                sim.run_on(mix(seed, (qi as u64) << 32 | r as u64), &deployment)
-            })
-            .collect()
-        },
-    );
-    for (&q, point_stats) in qs.iter().zip(&all_stats) {
+    let all_stats = pbbf_parallel::par_run(qs.len() * runs, |job| {
+        let (qi, r) = (job / runs, job % runs);
+        let mode = NetMode::SleepScheduled(PbbfParams::new(0.5, qs[qi]).expect("valid"));
+        let deployment = DeploymentCache::global().get_or_draw(&cfg, mix(deploy_seed, r as u64));
+        NetSim::new(cfg, mode).run_on(mix(seed, (qi as u64) << 32 | r as u64), &deployment)
+    });
+    for (&q, point_stats) in qs.iter().zip(all_stats.chunks_exact(runs)) {
         let mut hist = Histogram::new(0.0, 120.0, 240);
         for s in point_stats {
             for (u, gen) in s.gen_times.iter().enumerate() {
@@ -210,36 +217,27 @@ pub fn ext_latency_tail(effort: &Effort, seed: u64) -> Figure {
 /// (`q = 0.25`), where redundancy across packets matters most.
 #[must_use]
 pub fn ext_k_tradeoff(effort: &Effort, seed: u64) -> Figure {
+    let runs = validated_runs("ext_k_tradeoff", effort);
     let ks = [1usize, 2, 4, 8];
     let mut ratio = Series::new("delivery ratio");
     let mut payload = Series::new("update payloads per packet");
-    // (k, run-chunk) fan-out: chunk boundaries are deterministic and
-    // per-k sums fold in run order (thread-count invariant). `k` does
-    // not enter the deployment geometry, so run r's scenario resolves —
-    // through the process-wide registry, inside the chunk job — to the
-    // same entry across the whole k sweep and across the other
-    // Table-2-geometry sweeps of the process.
+    // Every (k, run) pair is one job. `k` does not enter the deployment
+    // geometry, so run r's scenario resolves, through the process-wide
+    // registry, to the same entry across the whole k sweep and across the
+    // other Table-2-geometry sweeps of the process.
     let deploy_seed = mix(seed, crate::net_figs::DEPLOY_SALT);
-    let ratios = pbbf_parallel::par_run_grouped_chunked(
-        ks.len(),
-        effort.runs as usize,
-        crate::sweep::RUN_CHUNK,
-        |ki, rs| {
-            let mut cfg = NetConfig::table2();
-            cfg.duration_secs = effort.net_duration_secs;
-            cfg.k = ks[ki];
-            let mode = NetMode::SleepScheduled(PbbfParams::new(0.5, 0.25).expect("valid"));
-            let sim = NetSim::new(cfg, mode);
-            rs.map(|r| {
-                let deployment =
-                    DeploymentCache::global().get_or_draw(&cfg, mix(deploy_seed, r as u64));
-                sim.run_on(mix(seed, (ki as u64) << 32 | r as u64), &deployment)
-                    .mean_delivery_ratio()
-            })
-            .collect()
-        },
-    );
-    for (&k, point_ratios) in ks.iter().zip(&ratios) {
+    let ratios = pbbf_parallel::par_run(ks.len() * runs, |job| {
+        let (ki, r) = (job / runs, job % runs);
+        let mut cfg = NetConfig::table2();
+        cfg.duration_secs = effort.net_duration_secs;
+        cfg.k = ks[ki];
+        let mode = NetMode::SleepScheduled(PbbfParams::new(0.5, 0.25).expect("valid"));
+        let deployment = DeploymentCache::global().get_or_draw(&cfg, mix(deploy_seed, r as u64));
+        NetSim::new(cfg, mode)
+            .run_on(mix(seed, (ki as u64) << 32 | r as u64), &deployment)
+            .mean_delivery_ratio()
+    });
+    for (&k, point_ratios) in ks.iter().zip(ratios.chunks_exact(runs)) {
         let acc: f64 = point_ratios.iter().sum();
         ratio.push(k as f64, acc / f64::from(effort.runs));
         payload.push(k as f64, k as f64);

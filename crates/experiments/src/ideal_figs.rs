@@ -138,7 +138,7 @@ pub(crate) fn run_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::run_figure;
+    use crate::Experiment;
 
     fn effort() -> Effort {
         let mut e = Effort::quick();
@@ -179,7 +179,7 @@ mod tests {
 
     #[test]
     fn fig04_has_paper_legends_and_threshold_shape() {
-        let f = run_figure("fig04", &effort(), 1);
+        let f = Experiment::Fig04.figure(&effort(), 1);
         assert_eq!(f.series.len(), 7);
         assert!(f.series_named("PBBF-0.5").is_some());
         assert!(f.series_named("PSM").is_some());
@@ -198,8 +198,8 @@ mod tests {
     #[test]
     fn fig05_is_stricter_than_fig04() {
         let e = effort();
-        let f4 = run_figure("fig04", &e, 2);
-        let f5 = run_figure("fig05", &e, 2);
+        let f4 = Experiment::Fig04.figure(&e, 2);
+        let f5 = Experiment::Fig05.figure(&e, 2);
         for (a, b) in f4.series.iter().zip(&f5.series) {
             for (pa, pb) in a.points.iter().zip(&b.points) {
                 assert!(pb.y <= pa.y + 1e-9, "{}: 99% cannot beat 90%", a.label);
@@ -209,7 +209,7 @@ mod tests {
 
     #[test]
     fn fig08_energy_shape() {
-        let f = run_figure("fig08", &effort(), 3);
+        let f = Experiment::Fig08.figure(&effort(), 3);
         // Energy rises with q for every PBBF line.
         for p in IDEAL_P_VALUES {
             let s = f.series_named(&format!("PBBF-{p}")).unwrap();
@@ -224,7 +224,7 @@ mod tests {
     #[test]
     fn fig09_hops_decrease_toward_shortest_path() {
         let e = effort();
-        let f = run_figure("fig09", &e, 4);
+        let f = Experiment::Fig09.figure(&e, 4);
         let d = f64::from(e.hop_probe_near);
         // PSM and NO PSM travel shortest paths exactly.
         for label in ["PSM", "NO PSM"] {
@@ -239,7 +239,7 @@ mod tests {
 
     #[test]
     fn fig11_latency_ordering() {
-        let f = run_figure("fig11", &effort(), 5);
+        let f = Experiment::Fig11.figure(&effort(), 5);
         let psm = f.series_named("PSM").unwrap().y_at(0.0).unwrap();
         let nopsm = f.series_named("NO PSM").unwrap().y_at(0.0).unwrap();
         assert!(nopsm < psm / 3.0, "flooding beats PSM per hop");

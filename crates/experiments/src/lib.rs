@@ -2,13 +2,14 @@
 //!
 //! Every exhibit of *"Exploring the Energy-Latency Trade-off for
 //! Broadcasts in Energy-Saving Sensor Networks"* (ICDCS 2005) is an
-//! [`Experiment`]; [`Experiment::run`] regenerates it as a typed
-//! [`Table`](pbbf_metrics::Table) or [`Figure`](pbbf_metrics::Figure)
+//! [`Experiment`]; [`run_exhibits`] regenerates a list of them as typed
+//! [`Table`](pbbf_metrics::Table)s or [`Figure`](pbbf_metrics::Figure)s
 //! with the same axes, legends and rows the paper plots. The twelve
 //! Monte Carlo figures (4, 5, 8–11 and 13–18) are columns of three
-//! sweep tables and run through one shard path, [`sweep`], in-process
-//! and under `pbbf sweep` alike. The tables and figs 6, 7 and 12 have
-//! functions of their own (`table1`, `fig06`, …).
+//! sweep tables ([`sweep`]): one call queues each requested table once
+//! for one executor (threads for `pbbf reproduce` and
+//! [`Experiment::run`], a worker fleet for `pbbf sweep`). The tables and
+//! figs 6, 7 and 12 have functions of their own (`table1`, `fig06`, …).
 //!
 //! Every exhibit takes an [`Effort`] (paper-scale or a scaled-down
 //! `quick` preset for benches/CI) and a seed; results are deterministic
@@ -43,7 +44,7 @@ pub use extensions::{
     ext_adaptive_convergence, ext_gossip_vs_pbbf, ext_k_tradeoff, ext_latency_tail,
 };
 pub use percolation_figs::{fig06, fig07};
-pub use registry::{Experiment, Output};
+pub use registry::{run_exhibits, Experiment, Output};
 pub use tables::{table1, table2};
 pub use tradeoff_fig::fig12;
 

@@ -166,7 +166,7 @@ pub(crate) fn run_chunk(pt: &NetPoint, runs: Range<usize>) -> Vec<Option<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::run_figure;
+    use crate::Experiment;
 
     fn effort() -> Effort {
         let mut e = Effort::quick();
@@ -178,7 +178,7 @@ mod tests {
 
     #[test]
     fn fig13_energy_shape() {
-        let f = run_figure("fig13", &effort(), 1);
+        let f = Experiment::Fig13.figure(&effort(), 1);
         assert_eq!(f.series.len(), 6);
         let psm = f.series_named("PSM").unwrap().y_at(0.0).unwrap();
         let nopsm = f.series_named("NO PSM").unwrap().y_at(0.0).unwrap();
@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn fig16_reliability_shape() {
-        let f = run_figure("fig16", &effort(), 2);
+        let f = Experiment::Fig16.figure(&effort(), 2);
         let psm = f.series_named("PSM").unwrap().y_at(0.0).unwrap();
         assert!(psm > 0.75, "PSM reliable: {psm}");
         // Large p suffers at q = 0 and recovers by q = 1.
@@ -209,7 +209,7 @@ mod tests {
     fn fig17_latency_falls_with_density() {
         let mut e = effort();
         e.runs = 2;
-        let f = run_figure("fig17", &e, 3);
+        let f = Experiment::Fig17.figure(&e, 3);
         let psm = f.series_named("PSM").unwrap();
         let lo = psm.y_at(8.0).unwrap();
         let hi = psm.y_at(18.0).unwrap();

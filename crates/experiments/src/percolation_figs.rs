@@ -2,7 +2,7 @@
 
 use pbbf_des::SimRng;
 use pbbf_metrics::{Figure, Series};
-use pbbf_percolation::{critical_bond_ratio_par, min_q_for_reliability};
+use pbbf_percolation::{critical_bond_ratio, min_q_for_reliability};
 use pbbf_topology::Grid;
 
 use crate::Effort;
@@ -27,8 +27,7 @@ pub fn fig06(effort: &Effort, seed: u64) -> Figure {
             // Newman–Ziff sweeps fan out across threads; each sweep draws
             // an independent substream of this per-cell base stream.
             let base = SimRng::new(seed).substream(u64::from(side) << 8 | si as u64);
-            let c =
-                critical_bond_ratio_par(grid.topology(), grid.center(), rel, effort.nz_runs, &base);
+            let c = critical_bond_ratio(grid.topology(), grid.center(), rel, effort.nz_runs, &base);
             series[si].push(f64::from(side), c);
         }
     }
@@ -52,7 +51,7 @@ pub fn fig07(effort: &Effort, seed: u64) -> Figure {
         .map(|(si, &rel)| {
             let base = SimRng::new(seed).substream(si as u64);
             let critical =
-                critical_bond_ratio_par(grid.topology(), grid.center(), rel, effort.nz_runs, &base);
+                critical_bond_ratio(grid.topology(), grid.center(), rel, effort.nz_runs, &base);
             let mut s = Series::new(format!("{:.0}% Reliability", rel * 100.0));
             for &p in &p_values {
                 let q = min_q_for_reliability(p, critical).expect("critical <= 1");

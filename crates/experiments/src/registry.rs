@@ -1,7 +1,9 @@
-//! The catalogue of every exhibit in the paper.
+//! The catalogue of every exhibit in the paper, and the one path from
+//! exhibit ids to outputs ([`run_exhibits`]).
 
 use pbbf_metrics::{Figure, Table};
 
+use crate::sweep::{self, ShardJob};
 use crate::Effort;
 
 /// A regenerated exhibit: a parameter table or a data figure.
@@ -97,25 +99,77 @@ impl Experiment {
         Experiment::all().into_iter().find(|e| e.id() == id)
     }
 
-    /// Regenerates the exhibit. The tables and figs 6, 7 and 12 have
-    /// code of their own; every other figure is a column of a Monte
-    /// Carlo table, assembled from its manifest's shards run on this
-    /// process's threads — the path `pbbf sweep` runs on worker
-    /// processes ([`crate::sweep`]).
+    /// Regenerates the exhibit: [`run_exhibits`] of this one exhibit on
+    /// this process's threads ([`sweep::run_in_process`]).
     ///
     /// # Panics
     ///
     /// On an effort [`Effort::validate`] refuses, for a Monte Carlo
-    /// figure.
+    /// figure, with `"{id}: {message}"`.
     #[must_use]
     pub fn run(&self, effort: &Effort, seed: u64) -> Output {
-        match self {
+        match run_exhibits(&[*self], effort, seed, sweep::run_in_process) {
+            Ok(mut outputs) => outputs.pop().expect("one output per exhibit"),
+            Err(e) => panic!("{}: {e}", self.id()),
+        }
+    }
+}
+
+/// Regenerates `exhibits`, one output per entry, in request order. The
+/// tables and figs 6, 7 and 12 run their own code. The Monte Carlo
+/// figures are planned as one queue holding each of their tables once
+/// ([`sweep`]); `execute` is called exactly once with it (empty when no
+/// Monte Carlo figure is asked for) and returns each shard's values in
+/// queue order, and each figure folds its range of them.
+///
+/// # Errors
+///
+/// [`Effort::validate`]'s refusal, before planning, when a Monte Carlo
+/// figure is asked for; otherwise `execute`'s error.
+pub fn run_exhibits<E>(
+    exhibits: &[Experiment],
+    effort: &Effort,
+    seed: u64,
+    execute: E,
+) -> Result<Vec<Output>, String>
+where
+    E: FnOnce(&[ShardJob]) -> Result<Vec<Vec<Option<f64>>>, String>,
+{
+    let sweepable = sweep::sweepable_figures();
+    let figures: Vec<&str> = exhibits
+        .iter()
+        .map(Experiment::id)
+        .filter(|id| sweepable.contains(id))
+        .collect();
+    if !figures.is_empty() {
+        effort.validate()?;
+    }
+    let plan = sweep::plan_sweep(&figures, effort, seed);
+    let values = execute(&plan.queue)?;
+    let mut planned = plan.figures.into_iter();
+    Ok(exhibits
+        .iter()
+        .map(|exp| match exp {
             Experiment::Table1 => Output::Table(crate::table1()),
             Experiment::Table2 => Output::Table(crate::table2()),
             Experiment::Fig06 => Output::Figure(crate::fig06(effort, seed)),
             Experiment::Fig07 => Output::Figure(crate::fig07(effort, seed)),
             Experiment::Fig12 => Output::Figure(crate::fig12(effort, seed)),
-            figure => Output::Figure(crate::sweep::run_figure(figure.id(), effort, seed)),
+            _ => {
+                let (manifest, range) = planned.next().expect("a planned figure");
+                Output::Figure(sweep::assemble_sweep(&manifest, values[range].to_vec()))
+            }
+        })
+        .collect())
+}
+
+#[cfg(test)]
+impl Experiment {
+    /// Runs a figure exhibit and unwraps its figure.
+    pub(crate) fn figure(&self, effort: &Effort, seed: u64) -> Figure {
+        match self.run(effort, seed) {
+            Output::Figure(f) => f,
+            Output::Table(_) => unreachable!("{} is a figure", self.id()),
         }
     }
 }
@@ -146,5 +200,80 @@ mod tests {
         assert!(t1.to_csv().contains("Parameter"));
         let t2 = Experiment::Table2.run(&e, 0);
         assert!(t2.render_text().contains("Delta"));
+    }
+
+    #[test]
+    fn one_call_equals_each_exhibit_alone() {
+        use Experiment::*;
+        let e = Effort::quick();
+        let alone = |list: &[Experiment], seed| -> Vec<Output> {
+            list.iter().map(|exp| exp.run(&e, seed)).collect()
+        };
+        // Out of catalogue order, a repeat, and own-code exhibits between
+        // figures of all three tables, on threads; then the whole
+        // catalogue one shard at a time, so every Monte Carlo figure
+        // assembles from its shared table.
+        let mixed = [Fig17, Fig04, Table1, Fig13, Fig04, Fig06, Fig05];
+        let all = Experiment::all();
+        for seed in [3, 2005] {
+            let threaded = run_exhibits(&mixed, &e, seed, sweep::run_in_process);
+            assert_eq!(threaded, Ok(alone(&mixed, seed)), "seed {seed}");
+            let serial = run_exhibits(&all, &e, seed, |queue| {
+                queue.iter().map(sweep::run_sweep_shard).collect()
+            });
+            assert_eq!(serial, Ok(alone(&all, seed)), "seed {seed}");
+        }
+    }
+
+    /// The queue lengths `run_exhibits` hands its executor, which refuses
+    /// each queue after counting it, so nothing runs.
+    fn queued(exhibits: &[Experiment], effort: &Effort) -> Vec<usize> {
+        let mut calls = Vec::new();
+        let refused = run_exhibits(exhibits, effort, 2005, |queue| {
+            calls.push(queue.len());
+            Err("counted".to_string())
+        });
+        assert_eq!(refused, Err("counted".to_string()));
+        calls
+    }
+
+    #[test]
+    fn each_table_is_queued_once_in_one_executor_call() {
+        use Experiment::*;
+        let quick = Effort::quick();
+        // 30 Δ-table, 32 ideal-table and 26 Q-table shards of 3 runs.
+        let list = [Fig17, Fig04, Table1, Fig13, Fig04, Fig06, Fig05];
+        assert_eq!(queued(&list, &quick), [88]);
+        assert_eq!(queued(&[Table1, Fig06], &quick), [0]);
+        // 114 + 92 + 60 shards of up to 8 runs, not one table per figure.
+        assert_eq!(queued(&Experiment::all(), &Effort::paper()), [266]);
+    }
+
+    fn refused_effort() -> Effort {
+        Effort {
+            q_points: 4_000_000_000,
+            runs: 4_000_000_000,
+            ..Effort::quick()
+        }
+    }
+
+    #[test]
+    fn a_refused_effort_is_refused_before_planning() {
+        let err = run_exhibits(&[Experiment::Fig13], &refused_effort(), 1, |_| {
+            unreachable!("nothing is executed for a refused effort")
+        })
+        .unwrap_err();
+        assert!(err.starts_with("q_points:"), "{err}");
+        // Own-code exhibits alone read no Monte Carlo field.
+        let table = run_exhibits(&[Experiment::Table1], &refused_effort(), 1, |queue| {
+            Ok(vec![Vec::new(); queue.len()])
+        });
+        assert_eq!(table, Ok(vec![Output::Table(crate::table1())]));
+    }
+
+    #[test]
+    #[should_panic(expected = "fig13: q_points:")]
+    fn run_panics_on_a_refused_effort() {
+        let _ = Experiment::Fig13.run(&refused_effort(), 1);
     }
 }

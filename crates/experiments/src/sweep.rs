@@ -15,19 +15,20 @@
 //! everything needed to recompute its rows from scratch (`sweep`,
 //! `effort`, `seed`, point index, run range — all pure inputs), and
 //! [`assemble_sweep`] folds the figure's column back in manifest order
-//! and lays it out. [`crate::Experiment::run`] (what `pbbf reproduce`
-//! calls) fans a manifest's shards across threads; any other executor
-//! that returns each shard's exact values — whichever process ran it,
-//! however many times it was retried — therefore reproduces the same
-//! figure byte for byte.
+//! and lays it out. Any executor that returns each shard's exact values
+//! — whichever thread or process ran it, however many times it was
+//! retried — therefore reproduces the same figure byte for byte.
 //!
 //! The same property makes tables freely *queueable* and *shareable*:
 //! each job is self-contained, and figures of one table have equal
-//! shards. [`plan_sweep`] maps the figures of one `pbbf sweep` to one
-//! flat queue holding each distinct table once, plus each figure's range
-//! of it. `pbbf-fabric`'s `run_queue` runs that queue on one worker
-//! fleet and returns the values in queue order, and every figure
-//! assembles from its range as if it had run alone.
+//! shards. `plan_sweep` maps the figures of one request to one flat
+//! queue holding each distinct table once, plus each figure's range of
+//! it. [`crate::run_exhibits`] plans every request and hands the queue
+//! to one executor: [`run_in_process`] on this process's threads
+//! (`pbbf reproduce`, [`crate::Experiment::run`]) or `pbbf-fabric`'s
+//! `run_queue` on a worker fleet (`pbbf sweep`). Either returns the
+//! values in queue order, and every figure assembles from its range as
+//! if it had run alone.
 
 use std::ops::Range;
 
@@ -44,7 +45,7 @@ use crate::Effort;
 /// tables (points × runs/chunk shards) still oversubscribe every thread
 /// budget the CI matrix uses. Threads and worker processes run the same
 /// shards, so changing the value reshapes both.
-pub(crate) const RUN_CHUNK: usize = 8;
+const RUN_CHUNK: usize = 8;
 
 /// The legends of the two baselines every table appends after its PBBF
 /// points.
@@ -381,24 +382,25 @@ pub fn sweep_manifest(figure: &str, effort: &Effort, seed: u64) -> Option<SweepM
 /// How one queue sweeps a list of figures: each distinct table once.
 /// Built by [`plan_sweep`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct SweepPlan {
+pub(crate) struct SweepPlan {
     /// The queue: each distinct table's shards once, in first-use order.
-    pub queue: Vec<ShardJob>,
+    pub(crate) queue: Vec<ShardJob>,
     /// The requested figures in request order, each with the range of
     /// [`Self::queue`] that holds its table's shards.
-    pub figures: Vec<(SweepManifest, Range<usize>)>,
+    pub(crate) figures: Vec<(SweepManifest, Range<usize>)>,
 }
 
 /// Maps the requested figures to the distinct tables they read, so a
 /// queue runs each table once however many of its figures are asked
-/// for. The ids are already resolved: the caller refuses an unknown
-/// one before planning.
+/// for. A repeated figure gets a manifest per request. The caller
+/// validates the effort first: a plan allocates points ×
+/// ⌈runs / `RUN_CHUNK`⌉ shards.
 ///
 /// # Panics
 ///
 /// If a figure is not one of [`sweepable_figures`].
 #[must_use]
-pub fn plan_sweep(figures: &[&str], effort: &Effort, seed: u64) -> SweepPlan {
+pub(crate) fn plan_sweep(figures: &[&str], effort: &Effort, seed: u64) -> SweepPlan {
     let mut plan = SweepPlan {
         queue: Vec::new(),
         figures: Vec::with_capacity(figures.len()),
@@ -514,30 +516,25 @@ pub fn assemble_sweep(manifest: &SweepManifest, shard_values: Vec<Vec<Option<f64
     )
 }
 
-/// Runs one Monte Carlo figure in-process: its manifest's shards fanned
-/// across threads ([`pbbf_parallel::par_map`]), then assembled. The same
-/// shards and the same fold as `pbbf sweep`, so the bytes match for any
-/// thread or worker count.
+/// Runs a queue on this process's threads ([`pbbf_parallel::par_map`]),
+/// returning each shard's values in queue order: the in-process
+/// executor of [`crate::run_exhibits`]. The same shards and the same
+/// fold as `pbbf sweep`, so the bytes match for any thread or worker
+/// count.
 ///
-/// # Panics
+/// # Errors
 ///
-/// On an id outside the catalogue, and with [`Effort::validate`]'s
-/// message on an effort it refuses.
-pub(crate) fn run_figure(figure: &str, effort: &Effort, seed: u64) -> Figure {
-    if let Err(e) = effort.validate() {
-        panic!("{figure}: {e}");
-    }
-    let manifest = sweep_manifest(figure, effort, seed).expect("a catalogue figure");
-    let values = pbbf_parallel::par_map(manifest.shards.iter().collect(), |job| {
-        run_sweep_shard(job).expect("a validated effort's shards run")
-    });
-    assemble_sweep(&manifest, values)
+/// The first refusal of [`run_sweep_shard`], in queue order.
+pub fn run_in_process(queue: &[ShardJob]) -> Result<Vec<Vec<Option<f64>>>, String> {
+    pbbf_parallel::par_map(queue.iter().collect(), run_sweep_shard)
+        .into_iter()
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Experiment, Output};
+    use crate::Experiment;
 
     fn effort() -> Effort {
         let mut e = Effort::quick();
@@ -572,22 +569,6 @@ mod tests {
         assert_eq!(ranges, [(0, 8), (8, 16), (16, 20)]);
 
         assert!(sweep_manifest("fig07", &e, 7).is_none());
-    }
-
-    #[test]
-    fn serial_shard_execution_reproduces_the_figure() {
-        let mut e = effort();
-        e.ideal_grid_side = 15;
-        e.ideal_updates = 2;
-        for figure in ["fig09", "fig17"] {
-            let m = sweep_manifest(figure, &e, 3).unwrap();
-            let values: Vec<_> = m
-                .shards
-                .iter()
-                .map(|job| run_sweep_shard(job).expect("well-formed shard"))
-                .collect();
-            assert_eq!(assemble_sweep(&m, values), run_figure(figure, &e, 3));
-        }
     }
 
     #[test]
@@ -711,29 +692,6 @@ mod tests {
                 plan.queue[range],
                 sweep_manifest(figure, &e, 1).unwrap().shards
             );
-        }
-    }
-
-    #[test]
-    fn every_figure_assembles_from_its_shared_table() {
-        let e = Effort::quick();
-        let figures = sweepable_figures();
-        for seed in [3, 2005] {
-            let plan = plan_sweep(&figures, &e, seed);
-            let values: Vec<Vec<Option<f64>>> = plan
-                .queue
-                .iter()
-                .map(|j| run_sweep_shard(j).unwrap())
-                .collect();
-            for (manifest, range) in &plan.figures {
-                let alone = Experiment::from_id(&manifest.figure).unwrap().run(&e, seed);
-                assert_eq!(
-                    Output::Figure(assemble_sweep(manifest, values[range.clone()].to_vec())),
-                    alone,
-                    "{} seed {seed}",
-                    manifest.figure
-                );
-            }
         }
     }
 

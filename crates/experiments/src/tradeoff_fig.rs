@@ -4,7 +4,7 @@ use pbbf_core::analysis::tradeoff_frontier;
 use pbbf_core::AnalysisParams;
 use pbbf_des::SimRng;
 use pbbf_metrics::{Figure, Series};
-use pbbf_percolation::critical_bond_ratio_par;
+use pbbf_percolation::critical_bond_ratio;
 use pbbf_topology::Grid;
 
 use crate::Effort;
@@ -25,8 +25,7 @@ pub fn fig12(effort: &Effort, seed: u64) -> Figure {
     let params = AnalysisParams::table1();
     let grid = Grid::square(30);
     let base = SimRng::new(seed);
-    let critical =
-        critical_bond_ratio_par(grid.topology(), grid.center(), 0.99, effort.nz_runs, &base);
+    let critical = critical_bond_ratio(grid.topology(), grid.center(), 0.99, effort.nz_runs, &base);
 
     // p below (1 - critical) needs no q and pins latency at its p-specific
     // value; the interesting frontier is p from just below the threshold

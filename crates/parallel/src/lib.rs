@@ -5,7 +5,9 @@
 //! derives its own RNG substream from `(seed, run_index)` and never shares
 //! state. This crate provides the fan-out: a self-scheduling [`par_map`]
 //! whose output is **index-ordered**, so results are bitwise identical to
-//! the sequential loop regardless of thread count or scheduling. (rayon
+//! the sequential loop regardless of thread count or scheduling, and
+//! [`par_run`] over an index range. A sweep over points × runs is one flat
+//! `par_run` whose results the caller folds a point at a time. (rayon
 //! would serve, but the build container has no crates.io access; std scoped
 //! threads need nothing.)
 //!
@@ -150,78 +152,6 @@ where
     par_map((0..n).collect(), f)
 }
 
-/// Point-level fan-out: runs `f(group, run)` for every pair in
-/// `0..groups × 0..runs` as **one flat job list** (so all groups' runs
-/// schedule together and saturate many-core boxes even when a single
-/// group has few runs), then regroups the results: `out[g][r] = f(g, r)`.
-///
-/// Grouping preserves run order within each group, so a per-group fold
-/// over `out[g]` is bitwise identical to the sequential
-/// group-by-group/run-by-run loop regardless of thread count. `runs == 0`
-/// yields `groups` empty vectors.
-pub fn par_run_grouped<R, F>(groups: usize, runs: usize, f: F) -> Vec<Vec<R>>
-where
-    R: Send,
-    F: Fn(usize, usize) -> R + Sync,
-{
-    let jobs: Vec<(usize, usize)> = (0..groups)
-        .flat_map(|g| (0..runs).map(move |r| (g, r)))
-        .collect();
-    let mut flat = par_map(jobs, |(g, r)| f(g, r)).into_iter();
-    (0..groups)
-        .map(|_| flat.by_ref().take(runs).collect())
-        .collect()
-}
-
-/// Chunked point-level fan-out: like [`par_run_grouped`], but the unit
-/// of scheduling is a **run chunk** — `f(group, r0..r1)` computes runs
-/// `r0..r1` of `group` and returns their results in run order. The
-/// chunks of all groups form one flat job list, and the returned
-/// nesting is identical to [`par_run_grouped`]: `out[g][r]` = run `r`
-/// of group `g`.
-///
-/// A chunk job can share setup across its runs — a cached deployment
-/// resolution, a reused simulator — instead of paying per-run overhead,
-/// while chunk boundaries stay deterministic
-/// (a pure function of `runs` and `chunk`, never of scheduling).
-/// `chunk == 1` degenerates to [`par_run_grouped`]'s job list.
-///
-/// # Panics
-///
-/// Panics if `chunk` is zero, or if `f` returns a vector whose length
-/// is not the chunk's run count. Re-raises panics from `f` like
-/// [`par_map`], additionally prefixing the failing chunk's coordinates
-/// (`"group {g} runs {r0}..{r1}"`) onto string payloads.
-pub fn par_run_grouped_chunked<R, F>(groups: usize, runs: usize, chunk: usize, f: F) -> Vec<Vec<R>>
-where
-    R: Send,
-    F: Fn(usize, std::ops::Range<usize>) -> Vec<R> + Sync,
-{
-    assert!(chunk > 0, "chunk size must be positive");
-    let jobs: Vec<(usize, std::ops::Range<usize>)> = (0..groups)
-        .flat_map(|g| {
-            (0..runs)
-                .step_by(chunk)
-                .map(move |r0| (g, r0..(r0 + chunk).min(runs)))
-        })
-        .collect();
-    let chunks_per_group = jobs.len() / groups.max(1);
-    let mut flat = par_map(jobs, |(g, rs)| {
-        let want = rs.len();
-        let context = format!("group {g} runs {}..{}", rs.start, rs.end);
-        let out = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(g, rs))) {
-            Ok(out) => out,
-            Err(payload) => std::panic::resume_unwind(annotate_panic(payload, &context)),
-        };
-        assert_eq!(out.len(), want, "chunk job must return one result per run");
-        out
-    })
-    .into_iter();
-    (0..groups)
-        .map(|_| flat.by_ref().take(chunks_per_group).flatten().collect())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,44 +182,6 @@ mod tests {
         for (idx, (i, _)) in out.iter().enumerate() {
             assert_eq!(idx, *i);
         }
-    }
-
-    #[test]
-    fn grouped_runs_regroup_in_order() {
-        let out = par_run_grouped(3, 4, |g, r| 10 * g + r);
-        assert_eq!(
-            out,
-            vec![vec![0, 1, 2, 3], vec![10, 11, 12, 13], vec![20, 21, 22, 23]]
-        );
-        assert_eq!(par_run_grouped(2, 0, |_, r| r), vec![vec![], vec![]]);
-        assert_eq!(par_run_grouped(0, 5, |g, _| g), Vec::<Vec<usize>>::new());
-    }
-
-    #[test]
-    fn chunked_runs_match_grouped() {
-        for chunk in [1, 3, 4, 7] {
-            let out =
-                par_run_grouped_chunked(3, 7, chunk, |g, rs| rs.map(|r| 10 * g + r).collect());
-            assert_eq!(
-                out,
-                par_run_grouped(3, 7, |g, r| 10 * g + r),
-                "chunk {chunk}"
-            );
-        }
-        assert_eq!(
-            par_run_grouped_chunked(2, 0, 4, |_, rs| rs.collect()),
-            vec![Vec::<usize>::new(), Vec::new()]
-        );
-        assert_eq!(
-            par_run_grouped_chunked(0, 5, 2, |g, _| vec![g]),
-            Vec::<Vec<usize>>::new()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "one result per run")]
-    fn chunked_runs_enforce_chunk_lengths() {
-        let _ = par_run_grouped_chunked(1, 4, 2, |_, _| vec![0u32]);
     }
 
     #[test]
@@ -333,20 +225,6 @@ mod tests {
         let msg = panic_message(caught);
         assert!(msg.contains("parallel job 0 of 1"), "{msg}");
         assert!(msg.contains("solo boom"), "{msg}");
-    }
-
-    #[test]
-    fn chunked_panic_context_names_group_and_runs() {
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            par_run_grouped_chunked(2, 8, 4, |g, rs| {
-                assert!(!(g == 1 && rs.start == 4), "chunk boom");
-                rs.map(|r| 10 * g + r).collect()
-            })
-        }))
-        .unwrap_err();
-        let msg = panic_message(caught);
-        assert!(msg.contains("group 1 runs 4..8"), "{msg}");
-        assert!(msg.contains("chunk boom"), "{msg}");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! achieved when `p_edge ≥ p_c^bond(G)`; solving for `q` gives the minimum
 //! `q` an application must configure for each `p`.
 
+use pbbf_des::SimRng;
 use pbbf_topology::{NodeId, Topology};
-use rand::RngCore;
 
 use crate::critical_bond_ratio;
 
@@ -52,7 +52,8 @@ pub fn min_q_for_reliability(p: f64, critical_edge_probability: f64) -> Option<f
 
 /// Computes the Figure-7 boundary: for each requested `p`, the minimum `q`
 /// achieving `target_reliability` on `topology`, using a Newman–Ziff
-/// estimate (`runs` sweeps) of the critical bond ratio.
+/// estimate ([`critical_bond_ratio`] over `runs` sweeps from `base`) of
+/// the critical bond ratio.
 ///
 /// Returns `(critical_edge_probability, Vec<(p, q_min)>)`.
 ///
@@ -67,9 +68,9 @@ pub fn pq_boundary(
     target_reliability: f64,
     p_values: &[f64],
     runs: u32,
-    rng: &mut impl RngCore,
+    base: &SimRng,
 ) -> (f64, Vec<(f64, f64)>) {
-    let critical = critical_bond_ratio(topology, source, target_reliability, runs, rng);
+    let critical = critical_bond_ratio(topology, source, target_reliability, runs, base);
     let boundary = p_values
         .iter()
         .map(|&p| {
@@ -83,7 +84,6 @@ pub fn pq_boundary(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbbf_des::SimRng;
     use pbbf_topology::Grid;
 
     #[test]
@@ -145,11 +145,9 @@ mod tests {
 
     #[test]
     fn boundary_on_grid_is_sane() {
-        let grid = Grid::square(20);
-        let mut rng = SimRng::new(42);
+        let (grid, base) = (Grid::square(20), SimRng::new(42));
         let ps = [0.05, 0.25, 0.5, 0.75, 1.0];
-        let (critical, boundary) =
-            pq_boundary(grid.topology(), grid.center(), 0.9, &ps, 30, &mut rng);
+        let (critical, boundary) = pq_boundary(grid.topology(), grid.center(), 0.9, &ps, 30, &base);
         assert!((0.45..0.75).contains(&critical), "critical {critical}");
         assert_eq!(boundary.len(), 5);
         // q_min grows with p along the boundary.

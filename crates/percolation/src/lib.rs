@@ -17,7 +17,8 @@
 //!   crossing of a target source-cluster fraction.
 //! * [`critical_bond_ratio`] — the Figure-6 estimator: the fraction of
 //!   occupied bonds at which the source's cluster first covers a target
-//!   fraction of nodes.
+//!   fraction of nodes, averaged over sweeps on per-sweep substreams,
+//!   so it is the same for any thread count.
 //! * [`pq_boundary`] and [`min_q_for_reliability`] — the Figure-7 map
 //!   from a critical edge probability to the minimal `q` for each `p`
 //!   via Remark 1.
@@ -30,5 +31,5 @@ mod newman_ziff;
 mod union_find;
 
 pub use boundary::{min_q_for_reliability, pq_boundary, reliability_edge_probability};
-pub use newman_ziff::{critical_bond_ratio, critical_bond_ratio_par, BondSweep, NewmanZiff};
+pub use newman_ziff::{critical_bond_ratio, BondSweep, NewmanZiff};
 pub use union_find::UnionFind;

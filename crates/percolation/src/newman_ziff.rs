@@ -8,6 +8,7 @@
 //! [9]). The figures read each sweep's *crossing*: the bond fraction at
 //! which the source's cluster first covers a target share of the nodes.
 
+use pbbf_des::SimRng;
 use pbbf_topology::{NodeId, Topology};
 use rand::RngCore;
 
@@ -151,55 +152,23 @@ impl<'a> NewmanZiff<'a> {
 /// sweeps of the bond-occupation fraction at which the source's cluster
 /// first covers `target_reliability` of the `topology`.
 ///
-/// # Panics
-///
-/// Panics if `target_reliability` is not in `(0, 1]` or `runs == 0`.
-#[must_use]
-pub fn critical_bond_ratio(
-    topology: &Topology,
-    source: NodeId,
-    target_reliability: f64,
-    runs: u32,
-    rng: &mut impl RngCore,
-) -> f64 {
-    assert!(runs > 0, "need at least one run");
-    let nz = NewmanZiff::new(topology, source);
-    let mut sum = 0.0;
-    let mut hit = 0u32;
-    for _ in 0..runs {
-        if let Some(c) = nz.bond_crossing(target_reliability, rng) {
-            sum += c;
-            hit += 1;
-        }
-    }
-    assert!(
-        hit > 0,
-        "target reliability never reached; disconnected topology?"
-    );
-    sum / f64::from(hit)
-}
-
-/// Parallel [`critical_bond_ratio`]: sweeps fan out across threads, each
-/// drawing its randomness from `base.substream(sweep_index)`.
-///
-/// Because every sweep's stream depends only on `(base seed, index)` and
-/// results are averaged in index order, the estimate is bit-for-bit
-/// identical for any thread count (including the sequential
-/// `PBBF_THREADS=1` path). Note the *stream layout* differs from the
-/// shared-`&mut rng` sequential API above, so the two functions give
-/// different (equally valid) Monte Carlo estimates for the same seed.
+/// The sweeps fan out across threads, sweep `i` drawing its randomness
+/// from `base.substream(i)`. Because every sweep's stream depends only on
+/// `(base seed, index)` and results are averaged in index order, the
+/// estimate is bit-for-bit identical for any thread count (including the
+/// sequential `PBBF_THREADS=1` path).
 ///
 /// # Panics
 ///
 /// Panics if `target_reliability` is not in `(0, 1]`, `runs == 0`, or the
 /// target is never reached (disconnected topology).
 #[must_use]
-pub fn critical_bond_ratio_par(
+pub fn critical_bond_ratio(
     topology: &Topology,
     source: NodeId,
     target_reliability: f64,
     runs: u32,
-    base: &pbbf_des::SimRng,
+    base: &SimRng,
 ) -> f64 {
     assert!(runs > 0, "need at least one run");
     let nz = NewmanZiff::new(topology, source);
@@ -232,7 +201,6 @@ fn shuffle(slice: &mut [u32], rng: &mut impl RngCore) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbbf_des::SimRng;
     use pbbf_topology::Grid;
 
     #[test]
@@ -264,18 +232,17 @@ mod tests {
         // (finite-size effects push it above 1/2, as the paper's Fig. 6
         // shows).
         let grid = Grid::square(30);
-        let mut rng = SimRng::new(4);
-        let c = critical_bond_ratio(grid.topology(), grid.center(), 0.9, 40, &mut rng);
+        let c = critical_bond_ratio(grid.topology(), grid.center(), 0.9, 40, &SimRng::new(4));
         assert!((0.5..0.68).contains(&c), "critical ratio {c}");
     }
 
     #[test]
     fn higher_reliability_needs_more_bonds() {
         let grid = Grid::square(20);
-        let mut rng = SimRng::new(5);
-        let c80 = critical_bond_ratio(grid.topology(), grid.center(), 0.8, 40, &mut rng);
-        let c99 = critical_bond_ratio(grid.topology(), grid.center(), 0.99, 40, &mut rng);
-        let c100 = critical_bond_ratio(grid.topology(), grid.center(), 1.0, 40, &mut rng);
+        let base = SimRng::new(5);
+        let c80 = critical_bond_ratio(grid.topology(), grid.center(), 0.8, 40, &base);
+        let c99 = critical_bond_ratio(grid.topology(), grid.center(), 0.99, 40, &base);
+        let c100 = critical_bond_ratio(grid.topology(), grid.center(), 1.0, 40, &base);
         assert!(c80 < c99, "{c80} !< {c99}");
         assert!(c99 < c100, "{c99} !< {c100}");
     }
@@ -297,12 +264,12 @@ mod tests {
     fn parallel_critical_ratio_is_deterministic_and_plausible() {
         let grid = Grid::square(20);
         let base = SimRng::new(21);
-        let a = critical_bond_ratio_par(grid.topology(), grid.center(), 0.9, 40, &base);
-        let b = critical_bond_ratio_par(grid.topology(), grid.center(), 0.9, 40, &base);
+        let a = critical_bond_ratio(grid.topology(), grid.center(), 0.9, 40, &base);
+        let b = critical_bond_ratio(grid.topology(), grid.center(), 0.9, 40, &base);
         assert_eq!(a, b, "same base stream, same estimate");
         assert!((0.4..0.75).contains(&a), "critical ratio {a}");
         // More reliability still needs more bonds under the parallel path.
-        let c99 = critical_bond_ratio_par(grid.topology(), grid.center(), 0.99, 40, &base);
+        let c99 = critical_bond_ratio(grid.topology(), grid.center(), 0.99, 40, &base);
         assert!(a < c99, "{a} !< {c99}");
     }
 

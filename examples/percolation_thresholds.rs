@@ -19,8 +19,8 @@ fn main() {
         let grid = Grid::square(side);
         let mut cells = vec![format!("{side}x{side}")];
         for (i, rel) in [0.80, 0.90, 0.99, 1.00].iter().enumerate() {
-            let mut rng = SimRng::new(42).substream(u64::from(side) * 10 + i as u64);
-            let c = critical_bond_ratio(grid.topology(), grid.center(), *rel, 150, &mut rng);
+            let base = SimRng::new(42).substream(u64::from(side) * 10 + i as u64);
+            let c = critical_bond_ratio(grid.topology(), grid.center(), *rel, 150, &base);
             cells.push(format!("{c:.3}"));
         }
         t.row(cells);
@@ -31,10 +31,9 @@ fn main() {
 
     // Figure-7 style: the q(p) boundary on a 30x30 grid.
     let grid = Grid::square(30);
-    let mut rng = SimRng::new(43);
+    let base = SimRng::new(43);
     let ps = [0.1, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0];
-    let (critical, boundary) =
-        pq_boundary(grid.topology(), grid.center(), 0.99, &ps, 150, &mut rng);
+    let (critical, boundary) = pq_boundary(grid.topology(), grid.center(), 0.99, &ps, 150, &base);
     println!("99% reliability on 30x30: critical p_edge = {critical:.3}");
     let mut b = Table::new(["p", "q_min", "p_edge at (p, q_min)"]);
     for (p, q) in boundary {

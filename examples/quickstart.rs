@@ -23,8 +23,7 @@ fn main() {
     // 2. Is that reliable on a 30x30 grid? Estimate the critical bond
     //    ratio with the Newman-Ziff sweep and apply Remark 1.
     let grid = Grid::square(30);
-    let mut rng = SimRng::new(7);
-    let critical = critical_bond_ratio(grid.topology(), grid.center(), 0.99, 100, &mut rng);
+    let critical = critical_bond_ratio(grid.topology(), grid.center(), 0.99, 100, &SimRng::new(7));
     println!(
         "30x30 grid, 99% reliability: critical p_edge = {critical:.3}  ->  {}",
         if params.edge_probability() >= critical {

@@ -13,21 +13,23 @@
 //! pbbf worker    --listen 0.0.0.0:7801          ... serving over TCP instead
 //! ```
 //!
-//! `sweep` shards the Monte Carlo runs of a figure's table across
-//! `worker` child processes — and, with `--hosts`, across remote
-//! `worker --listen` processes over TCP — through the fault-tolerant
-//! fabric (`pbbf-fabric`). Every Monte Carlo figure can be swept: figs
-//! 4, 5 and 8–11 share the ideal table, figs 13–16 the Q table and figs
-//! 17–18 the Δ table, and no figure ids means all twelve. All requested
-//! figures run as one flat queue on a single fleet
-//! (`pbbf_fabric::run_queue`) that holds each distinct table once, so
-//! remote workers keep their deployment caches warm from table to
-//! table; each figure folds its range of the queue's values,
-//! and the stdout is byte-identical to `reproduce` of the same figures
-//! in the same order, which CI enforces under injected worker faults
-//! and a kill -9'd TCP worker (see `docs/OPERATIONS.md`). `reproduce`
-//! and `sweep` resolve exhibit ids alike: request order, a repeated id
-//! printed once, an unknown id refused.
+//! `reproduce` and `sweep` run one plan (`pbbf_experiments::run_exhibits`):
+//! the requested Monte Carlo figures become one flat queue that holds
+//! each distinct table once (figs 4, 5 and 8–11 share the ideal table,
+//! figs 13–16 the Q table and figs 17–18 the Δ table), and each figure
+//! folds its range of the queue's values. `reproduce` runs the queue on
+//! this process's threads and prints once every exhibit is computed.
+//! `sweep` runs it on a single fleet (`pbbf_fabric::run_queue`) of
+//! `worker` child processes — and, with `--hosts`, remote `worker
+//! --listen` processes over TCP — through the fault-tolerant fabric
+//! (`pbbf-fabric`), so remote workers keep their deployment caches warm
+//! from table to table. `sweep` takes Monte Carlo figures only, and no
+//! figure ids means all twelve. Its stdout is byte-identical to
+//! `reproduce` of the same figures in the same order, which CI enforces
+//! under injected worker faults and a kill -9'd TCP worker (see
+//! `docs/OPERATIONS.md`). `reproduce` and `sweep` resolve exhibit ids
+//! alike: request order, a repeated id printed once, an unknown id
+//! refused.
 //! Argument parsing is deliberately dependency-free (the offline crate
 //! budget is spent on simulation, not flag handling), but strict: every
 //! command declares its flag set and rejects strays instead of silently
@@ -41,9 +43,8 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use pbbf::prelude::*;
-use pbbf_experiments::sweep::{
-    assemble_sweep, plan_sweep, run_sweep_shard, sweepable_figures, ShardJob,
-};
+use pbbf_experiments::run_exhibits;
+use pbbf_experiments::sweep::{run_in_process, run_sweep_shard, sweepable_figures, ShardJob};
 use pbbf_fabric::fault::FaultPlan;
 use pbbf_fabric::{
     run_queue, CacheTelemetry, Endpoint, FleetFactory, ServeOptions, ShardInput, SweepOptions,
@@ -270,10 +271,9 @@ fn cmd_boundary(args: &[String]) -> Result<(), String> {
     }
     let seed = get_u64(&flags, "seed", 2005)?;
     let g = Grid::square(grid);
-    let mut rng = SimRng::new(seed);
+    let base = SimRng::new(seed);
     let ps: Vec<f64> = (1..=10).map(|i| f64::from(i) / 10.0).collect();
-    let (critical, boundary) =
-        pq_boundary(g.topology(), g.center(), reliability, &ps, runs, &mut rng);
+    let (critical, boundary) = pq_boundary(g.topology(), g.center(), reliability, &ps, runs, &base);
     let mut t = Table::new(["p", "q_min"]);
     for (p, q) in boundary {
         t.row([format!("{p:.2}"), format!("{q:.4}")]);
@@ -421,10 +421,8 @@ fn cmd_reproduce(args: &[String]) -> Result<(), String> {
     let seed = get_u64(&flags, "seed", 2005)?;
     let plot = flags.contains_key("plot");
     let catalogue: Vec<&str> = Experiment::all().iter().map(Experiment::id).collect();
-    for id in resolve_ids(&positional, &catalogue, "an exhibit")? {
-        let out = Experiment::from_id(id)
-            .expect("a resolved id")
-            .run(&effort, seed);
+    let exhibits = resolve_ids(&positional, &catalogue, "an exhibit")?;
+    for out in run_exhibits(&exhibits, &effort, seed, run_in_process)? {
         let text = match (&out, plot) {
             (Output::Figure(f), true) => f.render_ascii_plot(64, 20),
             _ => out.render_text(),
@@ -434,17 +432,14 @@ fn cmd_reproduce(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The exhibit ids a command was asked for, in request order with
-/// repeats dropped, or every choice when none was named. `reproduce`
-/// and `sweep` both resolve through here, so they agree on order.
+/// The exhibits a command was asked for, in request order with repeats
+/// dropped, or every choice when none was named. `reproduce` and
+/// `sweep` both resolve through here, so they agree on order.
 fn resolve_ids(
     requested: &[String],
     choices: &[&'static str],
     what: &str,
-) -> Result<Vec<&'static str>, String> {
-    if requested.is_empty() {
-        return Ok(choices.to_vec());
-    }
+) -> Result<Vec<Experiment>, String> {
     let mut ids = Vec::new();
     for id in requested {
         let Some(&known) = choices.iter().find(|&&c| c == id) else {
@@ -457,7 +452,13 @@ fn resolve_ids(
             ids.push(known);
         }
     }
-    Ok(ids)
+    if requested.is_empty() {
+        ids = choices.to_vec();
+    }
+    Ok(ids
+        .into_iter()
+        .map(|id| Experiment::from_id(id).expect("a catalogue id"))
+        .collect())
 }
 
 /// Executes one sweep shard: decode the opaque fabric job back into a
@@ -654,56 +655,58 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         None => Vec::new(),
     };
     let (remote, local) = plan_fleet(&flags, &hosts)?;
-    // The ids are resolved (an unknown one refused) and every manifest
-    // built before any fleet is spawned: a bad request must fail fast,
-    // not after minutes of sweeping. Figures of one table share its
-    // shards, so the queue holds each table once (figs 4, 5 and 8–11
-    // one ideal table, figs 13–16 one Q table, figs 17–18 one Δ table).
-    let plan = plan_sweep(&figures, &effort, seed);
-    let queue: Vec<ShardInput> = plan
-        .queue
-        .iter()
-        .map(|j| ShardInput {
-            job: serde::to_value(j),
-            expect: j.reply_len(),
-        })
-        .collect();
-    // A slot past the last shard would sit idle, so a huge `--workers`
-    // spawns (and lists) no more local workers than there are shards.
-    let local = local.min(queue.len());
-    let opts = SweepOptions {
-        workers: (remote + local).clamp(1, queue.len().max(1)),
-        shard_timeout: get_secs(&flags, "shard-timeout", 120.0)?,
-        liveness_timeout: get_secs(&flags, "liveness", 10.0)?,
-        ..SweepOptions::default()
-    };
-    // Remote slots first, so remote hosts are dealt shards first.
-    let endpoints = hosts
-        .into_iter()
-        .map(Endpoint::Remote)
-        .chain(std::iter::repeat_n(Endpoint::Local, local))
-        .collect();
-    let factory = FleetFactory {
-        endpoints,
-        tcp: TcpOptions::default(),
-    };
-    // ONE fleet serves the whole queue: workers — and their deployment
-    // caches — survive from table to table.
-    let run = run_queue(&opts, &factory, queue, exec_shard)?;
+    // `run_exhibits` plans the queue before it calls this executor, so a
+    // bad request fails before any fleet is spawned, not after minutes
+    // of sweeping. The queue holds each table once (figs 4, 5 and 8–11
+    // one ideal table, figs 13–16 one Q table, figs 17–18 one Δ table),
+    // and ONE fleet serves it: workers — and their deployment caches —
+    // survive from table to table.
+    let mut stats = SweepStats::default();
+    let outputs = run_exhibits(&figures, &effort, seed, |jobs| {
+        let queue: Vec<ShardInput> = jobs
+            .iter()
+            .map(|j| ShardInput {
+                job: serde::to_value(j),
+                expect: j.reply_len(),
+            })
+            .collect();
+        // A slot past the last shard would sit idle, so a huge
+        // `--workers` spawns (and lists) no more local workers than there
+        // are shards.
+        let local = local.min(queue.len());
+        let opts = SweepOptions {
+            workers: (remote + local).clamp(1, queue.len().max(1)),
+            shard_timeout: get_secs(&flags, "shard-timeout", 120.0)?,
+            liveness_timeout: get_secs(&flags, "liveness", 10.0)?,
+            ..SweepOptions::default()
+        };
+        // Remote slots first, so remote hosts are dealt shards first.
+        let endpoints = hosts
+            .into_iter()
+            .map(Endpoint::Remote)
+            .chain(std::iter::repeat_n(Endpoint::Local, local))
+            .collect();
+        let factory = FleetFactory {
+            endpoints,
+            tcp: TcpOptions::default(),
+        };
+        let run = run_queue(&opts, &factory, queue, exec_shard)?;
+        stats = run.stats;
+        Ok(run.values)
+    })?;
     // The first figure's line carries the queue's one ledger; later
     // lines report only the fleet, so the lines sum to the totals.
     let fleet_only = SweepStats {
-        workers_spawned: run.stats.workers_spawned,
-        spawn_failures: run.stats.spawn_failures,
+        workers_spawned: stats.workers_spawned,
+        spawn_failures: stats.spawn_failures,
         ..SweepStats::default()
     };
-    for (i, (manifest, range)) in plan.figures.iter().enumerate() {
-        let line = if i == 0 { run.stats } else { fleet_only };
-        eprintln!("pbbf sweep: {}: {line}", manifest.figure);
-        // Byte-identical to `reproduce`'s figure path: same renderer,
-        // same newline, same figure order.
-        let figure = assemble_sweep(manifest, run.values[range.clone()].to_vec());
-        emit(&format!("{}\n", figure.render_text()))?;
+    for (i, (figure, out)) in figures.iter().zip(outputs).enumerate() {
+        let line = if i == 0 { stats } else { fleet_only };
+        eprintln!("pbbf sweep: {}: {line}", figure.id());
+        // Byte-identical to `reproduce`: same renderer, same newline,
+        // same figure order.
+        emit(&format!("{}\n", out.render_text()))?;
     }
     Ok(())
 }

@@ -4,8 +4,7 @@
 //! (exit 101), abort (exit 134) or be silently wrapped into a different
 //! value, and a reader that hangs up early is not an error.
 
-use std::io::{BufRead, BufReader};
-use std::process::{Command, Stdio};
+use std::process::Command;
 
 /// `(arguments, the flag or exhibit id the error must name)`.
 const BAD_INVOCATIONS: &[(&str, &str)] = &[
@@ -112,21 +111,20 @@ fn huge_worker_counts_sweep_like_reproduce() {
 
 #[test]
 fn a_reader_hanging_up_ends_reproduce_quietly() {
-    // `pbbf reproduce | head -1`: the first exhibit prints at once, and
-    // the pipe is closed long before the rest are computed.
-    let mut child = Command::new(env!("CARGO_BIN_EXE_pbbf"))
-        .arg("reproduce")
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn pbbf");
-    let mut first = String::new();
-    BufReader::new(child.stdout.take().expect("piped stdout"))
-        .read_line(&mut first)
-        .expect("read the first line");
-    assert!(!first.is_empty(), "reproduce printed nothing");
-    let out = child.wait_with_output().expect("wait for pbbf");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+    // `pbbf reproduce | head -1`, and a sweep alike, with the reader gone
+    // before the command starts, so its first write fails with EPIPE
+    // however fast the command is.
+    for args in [&["reproduce"][..], &["sweep", "--workers", "1", "fig17"]] {
+        let (reader, writer) = std::io::pipe().expect("create a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_pbbf"))
+            .args(args)
+            .env_remove("PBBF_FAULT")
+            .stdout(writer)
+            .output()
+            .expect("spawn pbbf");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "pbbf {args:?}:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "pbbf {args:?}:\n{stderr}");
+    }
 }

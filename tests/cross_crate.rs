@@ -19,8 +19,7 @@ fn small_ideal(side: u32, updates: u32) -> IdealConfig {
 fn percolation_boundary_predicts_simulated_reliability() {
     let side = 25;
     let grid = Grid::square(side);
-    let mut rng = SimRng::new(1);
-    let critical = critical_bond_ratio(grid.topology(), grid.center(), 0.9, 60, &mut rng);
+    let critical = critical_bond_ratio(grid.topology(), grid.center(), 0.9, 60, &SimRng::new(1));
 
     let p = 0.75;
     let q_min = min_q_for_reliability(p, critical).expect("solvable");

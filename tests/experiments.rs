@@ -59,8 +59,7 @@ fn simulated_threshold_brackets_percolation_prediction() {
     // On a 21x21 grid at p = 0.75: predicted q_min from the Newman-Ziff
     // critical ratio, then verify by simulation on both sides.
     let grid = Grid::square(21);
-    let mut rng = SimRng::new(3);
-    let critical = critical_bond_ratio(grid.topology(), grid.center(), 0.9, 60, &mut rng);
+    let critical = critical_bond_ratio(grid.topology(), grid.center(), 0.9, 60, &SimRng::new(3));
     let q_min = min_q_for_reliability(0.75, critical).unwrap();
     assert!(q_min > 0.1 && q_min < 0.9, "nontrivial boundary: {q_min}");
 

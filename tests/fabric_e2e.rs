@@ -7,7 +7,7 @@ use std::io::Write;
 use std::process::{Command, Stdio};
 
 use pbbf::prelude::Effort;
-use pbbf_experiments::sweep::sweep_manifest;
+use pbbf_experiments::sweep::{sweep_manifest, ShardJob};
 use pbbf_fabric::protocol::{checksum, ShardSpec, WorkerReply};
 
 const FIGURE: &str = "fig17";
@@ -418,29 +418,13 @@ fn hostile_line() -> String {
 #[test]
 fn worker_speaks_the_shard_protocol() {
     let spec = first_shard_spec();
-
-    let mut child = pbbf()
-        .arg("worker")
-        .env_remove("PBBF_FAULT")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn worker");
-    {
-        let stdin = child.stdin.as_mut().expect("worker stdin");
-        writeln!(stdin, "{}", serde_json::to_string(&spec).unwrap()).expect("send spec");
-    }
-    // Dropping stdin closes the pipe; the worker exits 0 at EOF.
-    let out = child.wait_with_output().expect("worker output");
+    // The sender closes stdin after the spec; the worker exits 0 at EOF.
+    let out = stdin_worker(spec_lines([&spec]));
     assert!(out.status.success(), "worker exited nonzero");
 
     // One Result line, then a telemetry Heartbeat line per shard.
-    let stdout = String::from_utf8(out.stdout).expect("utf8 reply");
-    let replies: Vec<WorkerReply> = stdout
-        .lines()
-        .map(|l| serde_json::from_str(l).expect("every line parses as WorkerReply"))
-        .collect();
-    assert_eq!(replies.len(), 2, "one Result + one Heartbeat: {stdout}");
+    let replies = replies(&out.stdout);
+    assert_eq!(replies.len(), 2, "one Result + one Heartbeat: {replies:?}");
     let WorkerReply::Result(result) = &replies[0] else {
         panic!("worker refused a well-formed shard");
     };
@@ -544,21 +528,7 @@ fn cross_host_sweep_survives_a_crashing_tcp_worker_bitwise() {
 
 #[test]
 fn stdin_worker_rejects_deeply_nested_json() {
-    let mut child = pbbf()
-        .arg("worker")
-        .env_remove("PBBF_FAULT")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn worker");
-    {
-        let stdin = child.stdin.as_mut().expect("worker stdin");
-        // The worker may exit before reading everything; a broken pipe
-        // here is fine, the exit status below is the assertion.
-        let _ = writeln!(stdin, "{}", hostile_line());
-    }
-    let out = child.wait_with_output().expect("worker output");
+    let out = stdin_worker(hostile_line() + "\n");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{:?}: {stderr}", out.status);
     assert!(stderr.contains("unparseable shard spec"), "{stderr}");
@@ -612,29 +582,14 @@ fn tcp_worker_survives_deeply_nested_json() {
 
 #[test]
 fn stdin_worker_refuses_bad_durations_and_exits_cleanly() {
-    let mut child = pbbf()
-        .arg("worker")
-        .env_remove("PBBF_FAULT")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn worker");
-    {
-        let stdin = child.stdin.as_mut().expect("worker stdin");
-        for (spec, _) in refused_specs() {
-            writeln!(stdin, "{}", serde_json::to_string(&spec).unwrap()).expect("send spec");
-        }
-    }
-    let out = child.wait_with_output().expect("worker output");
+    let specs = refused_specs();
+    let out = stdin_worker(spec_lines(specs.iter().map(|(spec, _)| spec)));
     assert!(out.status.success(), "worker exited {:?}", out.status);
-    let stdout = String::from_utf8(out.stdout).expect("utf8 replies");
-    let replies: Vec<WorkerReply> = stdout
-        .lines()
-        .map(|l| serde_json::from_str(l).expect("every line parses as WorkerReply"))
+    let replies: Vec<WorkerReply> = replies(&out.stdout)
+        .into_iter()
         .filter(|r| !matches!(r, WorkerReply::Heartbeat(_)))
         .collect();
-    let specs = refused_specs();
-    assert_eq!(replies.len(), specs.len(), "one refusal per spec: {stdout}");
+    assert_eq!(replies.len(), specs.len(), "{replies:?}");
     for (reply, (spec, why)) in replies.iter().zip(&specs) {
         assert_refusal(reply, spec.id, why);
     }
@@ -678,4 +633,111 @@ fn tcp_worker_refuses_bad_durations_and_serves_on() {
     };
     assert_eq!(result.id, spec.id);
     assert_eq!(result.checksum, checksum(result.id, &result.values));
+}
+
+/// Sends `lines` to a fresh stdin `pbbf worker` and returns its output
+/// once it exits. The lines go from a thread of their own: a worker
+/// stops reading while its replies sit unread.
+fn stdin_worker(lines: String) -> std::process::Output {
+    let mut child = pbbf()
+        .arg("worker")
+        .env_remove("PBBF_FAULT")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn worker");
+    let mut stdin = child.stdin.take().expect("worker stdin");
+    // The worker may exit before reading everything; a broken pipe here
+    // is fine, the caller asserts on the exit status.
+    let sender = std::thread::spawn(move || {
+        let _ = stdin.write_all(lines.as_bytes());
+    });
+    let out = child.wait_with_output().expect("worker output");
+    sender.join().expect("sender thread");
+    out
+}
+
+/// One wire line per spec.
+fn spec_lines<'a>(specs: impl IntoIterator<Item = &'a ShardSpec>) -> String {
+    specs
+        .into_iter()
+        .map(|spec| serde_json::to_string(spec).unwrap() + "\n")
+        .collect()
+}
+
+/// Every reply line a worker wrote, heartbeats included.
+fn replies(stdout: &[u8]) -> Vec<WorkerReply> {
+    String::from_utf8_lossy(stdout)
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("every line parses as WorkerReply"))
+        .collect()
+}
+
+/// `line` with the value of its field `key`, a number, set to `value`.
+fn with_field(line: &str, key: &str, value: &str) -> String {
+    let start = line.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+    let end = start + line[start..].find([',', '}']).expect("a number");
+    format!("{}{value}{}", &line[..start], &line[end..])
+}
+
+/// The field soup: the first quick shard of fig04, fig13 and fig17 with
+/// one field of its job, each `Effort` field or `seed`, `point`, `run0`
+/// or `run1`, set to one value per line, all sent to one stdin worker.
+/// Each line must draw exactly one reply: a `Result` of the reply length
+/// of the job it became, with a valid checksum, or an `Error`.
+#[test]
+fn stdin_worker_answers_every_spec_of_the_field_soup() {
+    let fields = "runs ideal_grid_side ideal_updates nz_runs net_duration_secs q_points \
+                  hop_probe_near hop_probe_far seed point run0 run1";
+    let values = r#"0 1 2 4294967295 1e300 -1e300 -1 0.5 1e-300 null "x" [] {}"#;
+    let mut expected = Vec::new();
+    let mut lines = String::new();
+    for figure in ["fig04", "fig13", "fig17"] {
+        let manifest = sweep_manifest(figure, &Effort::quick(), 11).expect("sweepable figure");
+        let first = serde_json::to_string(&manifest.shards[0]).unwrap();
+        for field in fields.split_whitespace() {
+            for value in values.split(' ') {
+                let job = with_field(&first, field, value);
+                let expect = serde_json::from_str::<ShardJob>(&job).map_or(0, |j| j.reply_len());
+                // A reply too long for the wire's u32 is refused anyway.
+                let wire = u32::try_from(expect).unwrap_or(u32::MAX);
+                let id = expected.len();
+                lines +=
+                    &format!("{{\"id\":{id},\"attempt\":0,\"expect\":{wire},\"job\":{job}}}\n");
+                expected.push((expect, job));
+            }
+        }
+    }
+    assert_eq!(expected.len(), 3 * 12 * 13);
+    let out = stdin_worker(lines);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let mut answers = vec![0; expected.len()];
+    let mut results = 0;
+    for reply in replies(&out.stdout) {
+        let id = match reply {
+            WorkerReply::Result(r) => {
+                let (expect, job) = &expected[r.id as usize];
+                assert_eq!(r.values.len(), *expect, "{job}");
+                assert_eq!(r.checksum, checksum(r.id, &r.values), "{job}");
+                results += 1;
+                r.id
+            }
+            WorkerReply::Error(e) => e.id,
+            WorkerReply::Heartbeat(_) => continue,
+        };
+        answers[id as usize] += 1;
+    }
+    assert!(answers.iter().all(|&n| n == 1), "{answers:?}");
+    assert!(results > 0, "some soup lines are still valid jobs");
+}
+
+#[test]
+fn stdin_worker_exits_1_on_a_bare_nan() {
+    let line = with_field(&spec_lines(&[first_shard_spec()]), "seed", "NaN");
+    let out = stdin_worker(line);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{:?}: {stderr}", out.status);
+    assert!(stderr.contains("unparseable shard spec"), "{stderr}");
 }

@@ -54,12 +54,17 @@ fn all_figures(effort: &Effort, seed: u64) -> Vec<Figure> {
 fn figures_identical_across_thread_counts() {
     let effort = tiny_effort();
     let seed = 2005;
+    // `pbbf boundary`'s Newman–Ziff sweeps fan out across threads too.
+    let (grid, base) = (Grid::square(12), SimRng::new(seed));
+    let boundary = || pq_boundary(grid.topology(), grid.center(), 0.9, &[0.5, 1.0], 16, &base);
 
     std::env::set_var("PBBF_THREADS", "1");
     let serial = all_figures(&effort, seed);
+    let serial_boundary = boundary();
 
     std::env::set_var("PBBF_THREADS", "4");
     let parallel = all_figures(&effort, seed);
+    assert_eq!(boundary(), serial_boundary, "pq_boundary, 4 threads");
 
     std::env::remove_var("PBBF_THREADS");
     let auto = all_figures(&effort, seed);
