@@ -45,6 +45,13 @@
 //!   absolute gate guards it: a revert to the per-frame walk is ~5.5×
 //!   slower here.
 //! * `fig06_quick_effort` — one full figure regeneration at quick effort.
+//! * `ideal_sim_run_75_p05_q05`, `ideal_sim_run_75_psm` and
+//!   `ideal_sim_run_301_p05_q05` — one idealized-simulator run of 5
+//!   updates, the tile-at-a-time flood: on the paper's 75×75 grid at
+//!   p = q = 0.5 (chain levels and coin reads) and under PSM (one normal
+//!   batch per frame, no coin), and on a 301×301 grid (1,444 tiles) at
+//!   p = q = 0.5, where a batch's frontier is a thin ring of a large
+//!   tile set.
 //!
 //! Kernels that resolve deployments through the process-wide registry do
 //! so via [`get_or_draw_tracked`], which records that kernel's cache
@@ -54,6 +61,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pbbf_des::{EventQueue, SimDuration, SimRng, SimTime};
 use pbbf_experiments::{fig06, Effort};
+use pbbf_ideal_sim::{IdealConfig, IdealSim, Mode};
 use pbbf_net_sim::{BoundaryEngine, CachedDeployment, DeploymentCache, NetConfig, NetMode, NetSim};
 use pbbf_radio::{BruteChannel, Channel, CollisionChannel, Frame};
 use pbbf_topology::{
@@ -327,6 +335,24 @@ fn figure_quick(c: &mut Criterion) {
     c.bench_function("fig06_quick_effort", |b| b.iter(|| fig06(&effort, 2005)));
 }
 
+fn ideal_sim_run(c: &mut Criterion) {
+    let pbbf = Mode::SleepScheduled(pbbf_core::PbbfParams::new(0.5, 0.5).expect("valid"));
+    let psm = Mode::SleepScheduled(pbbf_core::PbbfParams::PSM);
+    for (name, side, mode) in [
+        ("ideal_sim_run_75_p05_q05", 75, pbbf),
+        ("ideal_sim_run_75_psm", 75, psm),
+        ("ideal_sim_run_301_p05_q05", 301, pbbf),
+    ] {
+        let cfg = IdealConfig {
+            grid_side: side,
+            updates: 5,
+            ..IdealConfig::table1()
+        };
+        let sim = IdealSim::new(cfg, mode);
+        c.bench_function(name, |b| b.iter(|| sim.run(black_box(2005))));
+    }
+}
+
 criterion_group! {
     name = baseline;
     config = Criterion::default()
@@ -334,6 +360,7 @@ criterion_group! {
         .measurement_time(std::time::Duration::from_secs(3))
         .warm_up_time(std::time::Duration::from_millis(300));
     targets = deployment_edges, deployment_build_10k, event_queue_churn, channel_churn_dense,
-        net_sim_run, net_sim_run_dense, net_sim_run_sparse, net_sim_run_quiescent, figure_quick
+        net_sim_run, net_sim_run_dense, net_sim_run_sparse, net_sim_run_quiescent, figure_quick,
+        ideal_sim_run
 }
 criterion_main!(baseline);

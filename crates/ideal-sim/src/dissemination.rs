@@ -1,43 +1,53 @@
 //! The per-update frame loop: disseminating one broadcast over the grid.
 //!
-//! # What a frame costs
+//! # Batches over tiles
 //!
-//! A flood touches only its frontier: the transmitters of the frame,
-//! their neighbors, and the nodes that receive. The loop keeps per-node
-//! activity only for the nodes immediate traffic touched, marks them in
-//! bitsets of `n/64` words, and walks and resets just the marked entries
-//! at the end of the frame. A normal broadcast marks its transmitter and
-//! each neighbor in one pass over the neighbor list: they all heard its
-//! announcement and listen through the same window, so a `listening` bit
-//! stands for that window. Normal transmitters queue in a further bitset
-//! and drain in index order, so no frame sorts.
+//! A frame of the flood is a sequence of *batches*, each a set of nodes
+//! that transmit at one time: first the frame's normal (announced)
+//! broadcasts, then its chain levels of immediate forwards. Every normal
+//! receiver of a frame forwards at `rx_done + L1`, and every receiver of
+//! one level forwards `t_packet + L1` after that level transmits, which
+//! [`crate::IdealConfig::validate`] keeps at least 1 ns later. So
+//! draining level after level is the `(time, node)` order a priority
+//! queue would pop.
 //!
-//! Immediate forwards chain in *levels*: the forwards that transmit at one
-//! time. Every normal receiver of a frame forwards at `rx_done + L1`, and
-//! every receiver of one level forwards `t_packet + L1` after that level
-//! transmits, which [`crate::IdealConfig::validate`] keeps at least 1 ns
-//! later. So a level is one bitset drained in index order, and draining
-//! level after level is the `(time, node)` order a priority queue would
-//! pop. A node that has not received has carried no traffic, so only its
-//! sleep coin can keep it awake for an immediate transmission.
+//! Every random decision of the flood is a pure function of the node it
+//! concerns: a node's sleep coin in a frame ([`Coins`]) and its choice,
+//! on first reception, to forward immediately ([`Forwards`]). So a batch
+//! may be evaluated in any order, and the flood evaluates it a tile at a
+//! time. The grid is cut into 8×8 tiles ([`Tiles`]), and each node set of
+//! the flood holds one `u64` per tile, bit `(r % 8)·8 + c % 8` for node
+//! `(r, c)`. A batch visits only its senders' tiles and their four
+//! neighbors. In each it shifts the senders up, down, left and right by
+//! one node (8 bits down a tile, 1 bit across it, with the neighbor
+//! tile's carry row or column), and the union of the four shifts, less
+//! the nodes that hold the packet, is the tile's candidates. A normal
+//! broadcast reaches every candidate: the transmitter and every neighbor
+//! heard its announcement. An immediate forward reaches a candidate only
+//! if its coin kept it awake, since no traffic has woken a node that has
+//! not received; each candidate's coin is read once per level. A
+//! receiver's copy comes from its lowest-index sender, up before left
+//! before right before down, which the four shifts give without a
+//! branch, so its hop count comes from that sender's entry of a `u32`
+//! array. A batch thus costs O(tiles it visits + receivers), not a branch
+//! per edge.
+//!
+//! # Energy
 //!
 //! The end of a frame asks whether each node the update kept busy had
-//! slept by its coin, which makes its activity marginal. A *listen-only*
-//! node (in `listening` but not touched by immediate traffic) received
-//! before any immediate forward read a coin, so its coin is read nowhere
-//! else, and its activity is the announced window `[T_active, rx_done]`.
-//! The frame counts these nodes by popcount and walks only the touched
-//! ones. So a frame costs O(touched + levels·n/64).
-//!
-//! The sleep coin of node `i` in frame `f` is a pure hash of
-//! `(update key, f, i)` ([`Coins`]), so it costs nothing until the
-//! flood reads it, and reads in any order see the same coins. The flood
-//! reads a coin in two places: an immediate transmission asks whether a
-//! neighbor that has not received yet slept, and the end of a frame asks
-//! about each node immediate traffic touched. The update's generator
-//! only draws the `chance(p)` forwarding decisions.
-//!
-//! # What an update costs
+//! slept by its coin, which makes its activity marginal. An immediate
+//! receiver is awake by its coin, so only the forwarders of the frame's
+//! first level can have slept: the source in frame 0, or the normal
+//! receivers that forward at once. They all forward at one time, and the
+//! normal receivers all heard the frame's announcements, so they share
+//! one activity span, and the frame adds its marginal energy once per
+//! first-level forwarder whose coin slept. Terms that are all equal sum
+//! to the same bits in any order, so the total is the node-order sum.
+//! A *listen-only* node (announced or heard an announcement, carried no
+//! immediate traffic) received before any immediate forward read a coin,
+//! so its coin is read nowhere else, and its activity is the announced
+//! window `[T_active, rx_done]`: the frame counts these nodes by
+//! popcount.
 //!
 //! An update bills `billing_frames` frames of every node's baseline duty
 //! cycle: `on` for a node-frame its coin kept awake, `off` for one it
@@ -48,19 +58,19 @@
 //! node-frames of the flood are billed the same way: one Binomial(`L`,
 //! `q`) draw ([`listen_only_awake`]) says how many the coin kept awake,
 //! and each of the rest costs `(P_I − P_S)·(rx_done − T_active)`. Each
-//! count is drawn from its own substream of the update's generator, not
-//! counted from the coins the flood reads. An update thus costs its
-//! frames plus resetting its `n` reception records, and the working state
-//! ([`Scratch`]) is allocated once per run, not per update.
+//! draw and each key comes from its own substream of the update's
+//! generator, which is never drawn from itself. An update thus costs its
+//! batches plus resetting its `n` reception records, and the working
+//! state ([`Scratch`]) is allocated once per run, not per update.
 //!
 //! The dense loop, which evaluates every coin, resets and scans all `n`
-//! nodes every frame and pops immediate forwards from a priority queue,
-//! is kept as the test oracle in `crate::oracle`; the tests there compare
-//! every output field bit for bit.
+//! nodes every frame and pops immediate forwards from a priority queue
+//! edge by edge, is kept as the test oracle in `crate::oracle`; the tests
+//! there compare every output field bit for bit.
 
 use pbbf_core::{PbbfParams, PowerProfile, SleepSchedule};
 use pbbf_des::{mix64, SimRng, GOLDEN_GAMMA};
-use pbbf_topology::{NodeId, Topology};
+use pbbf_topology::{Grid, NodeId};
 
 /// The inputs of one dissemination, resolved from [`crate::IdealConfig`]
 /// and the protocol parameters.
@@ -103,6 +113,12 @@ pub(crate) struct Dissemination {
     /// Listen-only node-frames awake by the Sleep-Decision-Handler: the
     /// update's [`listen_only_awake`] draw.
     pub listen_only_awake: u64,
+    /// Batches: frames with normal broadcasts plus chain levels. Work,
+    /// not an output of the flood.
+    pub batches: u64,
+    /// Tiles the batches visited, summed over batches. Work, not an
+    /// output of the flood.
+    pub tiles_visited: u64,
 }
 
 /// The frame loop's working state. Every flood leaves it sized for its
@@ -112,43 +128,30 @@ pub(crate) struct Dissemination {
 /// in once.
 #[derive(Default)]
 pub(crate) struct Scratch {
-    /// Nodes queued to announce and transmit a normal broadcast next
-    /// frame.
-    pending_normal: NodeSet,
-    /// This frame's normal transmitters, in index order.
-    normal_now: Vec<NodeId>,
-    /// The immediate forwards that transmit next.
-    level: Level,
-    /// The immediate forwards `level` queues.
-    next_level: Level,
-    activity: Activity,
+    /// This frame's normal transmitters.
+    normal: TileSet,
+    /// The chain level that transmits next.
+    level: TileSet,
+    /// The chain level `level` queues.
+    next_level: TileSet,
+    reach: Reach,
 }
 
-impl Scratch {
-    /// Sizes the state for nodes `0..n` and drops the normal broadcasts
-    /// a flood stopped at `max_frames` left pending.
-    fn reset(&mut self, n: usize) {
-        self.pending_normal.reset(n);
-        self.level.reset(n);
-        self.next_level.reset(n);
-        self.activity.reset(n);
-    }
-}
-
-/// Disseminates one update from `source`, drawing its forwarding
-/// decisions from `rng` and keying its sleep coins and billing draws on
-/// `rng`'s seed. Refills `received` with one record per node: latency
-/// from generation to first reception (s) and the number of links the
-/// delivered copy traversed, `Some((0.0, 0))` at the source.
+/// Disseminates one update from `source` over the grid `tiles` covers,
+/// keying its sleep coins, forwarding decisions and billing draws on
+/// `rng`'s seed (`rng` is not drawn from). Refills `received` with one
+/// record per node: latency from generation to first reception (s) and
+/// the number of links the delivered copy traversed, `Some((0.0, 0))` at
+/// the source.
 pub(crate) fn disseminate(
-    topology: &Topology,
+    tiles: &Tiles,
     source: NodeId,
     setup: &DisseminationSetup,
-    rng: &mut SimRng,
+    rng: &SimRng,
     scratch: &mut Scratch,
     received: &mut Vec<Option<(f64, u32)>>,
 ) -> Dissemination {
-    let n = topology.len();
+    let n = tiles.n;
     let p = setup.params.p();
     let q = setup.params.q();
     let t_active = setup.schedule.t_active();
@@ -165,127 +168,114 @@ pub(crate) fn disseminate(
     received.resize(n, None);
     received[source.index()] = Some((0.0, 0));
 
-    scratch.reset(n);
     let Scratch {
-        pending_normal,
-        normal_now,
+        normal,
         level,
         next_level,
-        activity,
+        reach,
     } = scratch;
+    normal.reset(tiles);
+    level.reset(tiles);
+    next_level.reset(tiles);
+    reach.reset(tiles, source.index());
 
     let mut immediate_tx = 0u64;
     let mut normal_tx = 0u64;
-    let mut deferred = 0u64;
     let mut energy = 0.0f64;
     let mut listen_only = 0u64;
+    let mut batches = 0u64;
 
     let mut coins = Coins::new(rng, q);
+    let forwards = Forwards::new(rng, p);
 
     // The source's own forwarding decision. An immediate source
     // transmission still happens after the ATIM window (data may not be
     // sent during the window) but is *unannounced*: only awake neighbors
     // receive it.
-    let source_immediate = rng.chance(p);
-    if source_immediate {
-        level.push(secs_to_ns(t_active + setup.l1), source.index());
+    let (t, bit) = tiles.locate(source.index());
+    let mut level_ns = secs_to_ns(t_active + setup.l1);
+    if forwards.immediate(source.index()) {
+        level.insert(t, 1 << bit);
     } else {
-        pending_normal.insert(source.index());
+        reach.pending.insert(t, 1 << bit);
     }
 
     let ns_frame_limit = secs_to_ns(t_frame - setup.t_packet);
+    let normal_forward_ns = secs_to_ns(rx_done + setup.l1);
     let mut frame = 0u32;
     loop {
         let frame_start = f64::from(frame) * t_frame;
 
         // ---- Who transmits a normal (announced) broadcast this frame.
-        normal_now.clear();
-        pending_normal.drain(|i| normal_now.push(NodeId(i as u32)));
-
-        if normal_now.is_empty() && level.is_empty() {
+        std::mem::swap(normal, &mut reach.pending);
+        if normal.is_empty() && level.is_empty() {
             break;
         }
+        // Whether the frame's first level heard the announcements.
+        let announced = !normal.is_empty();
 
         // ---- Normal data transmissions (all at T_active + L1; ideal
         // channel, no collisions). The transmitter and every neighbor
         // heard the ATIM and listen through `rx_done`; every neighbor
-        // receives.
-        let latency = frame_start + rx_done - gen_time;
-        for &tx in normal_now.iter() {
-            normal_tx += 1;
-            activity.listen(tx.index());
-            let hops = received[tx.index()].expect("transmitter holds packet").1 + 1;
-            for &nb in topology.neighbors(tx) {
-                activity.listen(nb.index());
-                if received[nb.index()].is_some() {
-                    continue; // duplicate: dropped
-                }
-                received[nb.index()] = Some((latency, hops));
-                decide_forward(
-                    nb,
-                    rx_done,
-                    setup,
-                    p,
-                    rng,
-                    level,
-                    pending_normal,
-                    &mut deferred,
-                    ns_frame_limit,
-                );
-            }
+        // receives. Those that forward at once make the frame's first
+        // level, which was empty.
+        if announced {
+            batches += 1;
+            normal_tx += normal.len;
+            level_ns = normal_forward_ns;
+            let batch = Batch {
+                senders: normal,
+                hearing: Hearing::Announced,
+                latency: frame_start + rx_done - gen_time,
+                forward_fits: normal_forward_ns <= ns_frame_limit,
+            };
+            let listening = reach.expand(tiles, batch, &forwards, level, received);
+            normal.clear();
+            listen_only += listening - level.len;
         }
 
         // ---- Immediate forwards, chaining within the frame one level
         // at a time.
+        let mut first = true;
         while !level.is_empty() {
-            let t_tx = ns_to_secs(level.t_ns);
+            batches += 1;
+            immediate_tx += level.len;
+            let t_tx = ns_to_secs(level_ns);
             let t_rx = t_tx + setup.t_packet;
-            let latency = frame_start + t_rx - gen_time;
-            level.drain(|forwarder| {
-                immediate_tx += 1;
-                // The forwarder is awake from its reception through its
-                // transmission.
-                activity.note(forwarder, t_tx - setup.l1, t_rx);
-                let hops = received[forwarder].expect("forwarder holds packet").1 + 1;
-                for &nb in topology.neighbors(NodeId(forwarder as u32)) {
-                    let i = nb.index();
-                    if received[i].is_some() {
-                        continue;
-                    }
-                    // No traffic has woken a node that has not received,
-                    // so only the Sleep-Decision-Handler coin can keep it
-                    // on.
-                    if !coins.awake(frame, i) {
-                        continue; // asleep: the bond is closed for this copy
-                    }
-                    received[i] = Some((latency, hops));
-                    activity.note(i, t_tx, t_rx);
-                    decide_forward(
-                        nb,
-                        t_rx,
-                        setup,
-                        p,
-                        rng,
-                        next_level,
-                        pending_normal,
-                        &mut deferred,
-                        ns_frame_limit,
-                    );
+            if first {
+                // Marginal activity: awake time the update caused beyond
+                // what the coin (billed below, possibly to another
+                // update's window) covers. A first-level forwarder is
+                // busy from its reception through its transmission, and
+                // through the announced window if it heard one.
+                let mut span = Span::IDLE;
+                span.note(t_tx - setup.l1, t_rx);
+                if announced {
+                    span.note(t_active, rx_done);
                 }
-            });
+                let marginal = (idle - sleep) * span.duration();
+                for _ in 0..level.asleep(tiles, &mut coins, frame) {
+                    energy += marginal;
+                }
+                first = false;
+            }
+            let next_ns = secs_to_ns(t_rx + setup.l1);
+            let fits = next_ns <= ns_frame_limit;
+            assert!(
+                !fits || next_ns > level_ns,
+                "a level transmits later than the level before it"
+            );
+            let batch = Batch {
+                senders: level,
+                hearing: Hearing::Awake(&mut coins, frame),
+                latency: frame_start + t_rx - gen_time,
+                forward_fits: fits,
+            };
+            reach.expand(tiles, batch, &forwards, next_level, received);
+            level.clear();
             std::mem::swap(level, next_level);
+            level_ns = next_ns;
         }
-
-        // ---- Marginal activity: awake time the update caused beyond
-        // what the coin (billed below, possibly to another update's
-        // window) covers.
-        listen_only += activity.drain_marginal(
-            &mut energy,
-            &mut coins,
-            frame,
-            idle - sleep,
-            (t_active, rx_done),
-        );
 
         frame += 1;
         if frame >= setup.max_frames {
@@ -313,20 +303,25 @@ pub(crate) fn disseminate(
     Dissemination {
         immediate_tx,
         normal_tx,
-        deferred_immediates: deferred,
+        deferred_immediates: reach.deferred,
         energy_joules: energy,
         frames_used: frame,
         coins_evaluated: coins.evaluated,
         billed_awake: awake,
         listen_only,
         listen_only_awake: listen_awake,
+        batches,
+        tiles_visited: reach.tiles_visited,
     }
 }
 
 /// The stream id, under an update's generator, of the substream its coin
-/// key is drawn from ("coin" in ASCII). The update's own draws stay
-/// where they are.
+/// key is drawn from ("coin" in ASCII).
 const COIN_STREAM: u64 = 0x636F_696E;
+
+/// The stream id, under an update's generator, of the substream its
+/// forwarding key is drawn from ("fwd " in ASCII).
+const FORWARD_STREAM: u64 = 0x6677_6420;
 
 /// The stream id, under an update's generator, of the substream its
 /// billing draw comes from ("bill" in ASCII).
@@ -354,183 +349,476 @@ pub(crate) fn listen_only_awake(rng: &SimRng, q: f64, listen_only: u64) -> u64 {
     rng.substream(LISTEN_STREAM).binomial(listen_only, q)
 }
 
-/// [`Coins::threshold`] when `q ≤ 0`: no 53-bit value lies below it.
-const ASLEEP: u64 = 0;
+/// [`Hashed::threshold`] when the probability is at most 0: no 53-bit
+/// value lies below it.
+const NEVER: u64 = 0;
 
-/// [`Coins::threshold`] when `q ≥ 1`: every 53-bit value lies below it.
-const AWAKE: u64 = 1 << 53;
+/// [`Hashed::threshold`] when the probability is at least 1: every
+/// 53-bit value lies below it.
+const ALWAYS: u64 = 1 << 53;
+
+/// Counter-based Bernoulli trials: trial `position` succeeds with
+/// probability `p`, as a pure function of `(key, position)` evaluated
+/// where it is read, in the counter-based style of Salmon et al.
+/// ("Parallel random numbers: as easy as 1, 2, 3", SC 2011). The hash is
+/// SplitMix64's output at counter position `position` from state `key`
+/// (Steele, Lea and Flood, "Fast splittable pseudorandom number
+/// generators", OOPSLA 2014). A trial succeeds when the hash's top 53
+/// bits lie below `ceil(p·2^53)`, the comparison `uniform01() < p` makes
+/// on the same bits. When `p ≤ 0` or `p ≥ 1` every trial is fixed and no
+/// hash is evaluated, as `chance` draws nothing there.
+#[derive(Clone, Copy)]
+struct Hashed {
+    key: u64,
+    /// The number of 53-bit values below which a trial succeeds.
+    threshold: u64,
+}
+
+impl Hashed {
+    /// The trials of the update whose generator is `rng`, keyed by its
+    /// `stream` substream. `rng` is not drawn from.
+    fn new(rng: &SimRng, stream: u64, p: f64) -> Self {
+        let mut stream = rng.substream(stream);
+        // `below` a power of two keeps the low bits of one draw, so two
+        // 32-bit halves make the 64-bit key.
+        Self {
+            key: (stream.below(1 << 32) << 32) | stream.below(1 << 32),
+            threshold: threshold(p),
+        }
+    }
+
+    /// The top 53 bits of trial `position`'s hash.
+    fn bits(&self, position: u64) -> u64 {
+        mix64(
+            self.key
+                .wrapping_add(position.wrapping_add(1).wrapping_mul(GOLDEN_GAMMA)),
+        ) >> 11
+    }
+
+    /// Every trial's outcome when `p` fixes it, else `None`.
+    fn fixed(&self) -> Option<bool> {
+        match self.threshold {
+            NEVER => Some(false),
+            ALWAYS => Some(true),
+            _ => None,
+        }
+    }
+}
 
 /// The sleep coins of one update: whether the Sleep-Decision-Handler
 /// kept node `i` awake through frame `f`'s data phase.
 ///
-/// A coin is a pure function of `(key, f, i)`, evaluated where it is
-/// read, in the counter-based style of Salmon et al. ("Parallel random
-/// numbers: as easy as 1, 2, 3", SC 2011). The hash is SplitMix64's
-/// output at counter position `f·2^32 + i` from state `key` (Steele, Lea
-/// and Flood, "Fast splittable pseudorandom number generators",
-/// OOPSLA 2014). [`crate::IdealConfig::MAX_NODES`] keeps `i < 2^32`, so
-/// no two coins of an update share a position. The coin is awake when
-/// the hash's top 53 bits lie below `ceil(q·2^53)`, the comparison
-/// `uniform01() < q` makes on the same bits. When `q ≤ 0` or `q ≥ 1`
-/// every coin is fixed and no hash is evaluated, as `chance` draws
-/// nothing there.
+/// Coin `(f, i)` is the [`Hashed`] trial at position `f·2^32 + i` under
+/// a key from the update's [`COIN_STREAM`] substream, with probability
+/// `q`. [`crate::IdealConfig::MAX_NODES`] keeps `i < 2^32`, so no two
+/// coins of an update share a position.
 pub(crate) struct Coins {
-    key: u64,
-    /// The number of 53-bit values below which a coin is awake.
-    threshold: u64,
+    trials: Hashed,
     /// Hashes evaluated so far.
     pub evaluated: u64,
 }
 
 impl Coins {
-    /// The coins of the update whose generator is `rng`, keyed by the
-    /// [`COIN_STREAM`] substream of its seed. `rng` is not drawn from.
+    /// The coins of the update whose generator is `rng`. `rng` is not
+    /// drawn from.
     pub(crate) fn new(rng: &SimRng, q: f64) -> Self {
-        let mut stream = rng.substream(COIN_STREAM);
-        // `below` a power of two keeps the low bits of one draw, so two
-        // 32-bit halves make the 64-bit key.
         Self {
-            key: (stream.below(1 << 32) << 32) | stream.below(1 << 32),
-            threshold: threshold(q),
+            trials: Hashed::new(rng, COIN_STREAM, q),
             evaluated: 0,
         }
     }
 
     /// The top 53 bits of coin `(frame, i)`'s hash.
     fn bits(&self, frame: u32, i: usize) -> u64 {
-        let counter = (u64::from(frame) << 32) | i as u64;
-        mix64(
-            self.key
-                .wrapping_add(counter.wrapping_add(1).wrapping_mul(GOLDEN_GAMMA)),
-        ) >> 11
+        self.trials.bits((u64::from(frame) << 32) | i as u64)
     }
 
     /// Whether node `i`'s coin kept it awake through frame `frame`.
     pub(crate) fn awake(&mut self, frame: u32, i: usize) -> bool {
-        match self.threshold {
-            ASLEEP => false,
-            AWAKE => true,
-            threshold => {
-                self.evaluated += 1;
-                self.bits(frame, i) < threshold
+        self.trials.fixed().unwrap_or_else(|| {
+            self.evaluated += 1;
+            self.bits(frame, i) < self.trials.threshold
+        })
+    }
+
+    /// The members of `bits`, one tile's nodes, whose coins kept them
+    /// awake through frame `frame`, where `node(b)` is the node at bit
+    /// `b`: one hash per member unless `q` fixes every coin.
+    fn awake_bits(&mut self, frame: u32, bits: u64, node: impl Fn(u32) -> usize) -> u64 {
+        match self.trials.fixed() {
+            Some(true) => bits,
+            Some(false) => 0,
+            None => {
+                let mut awake = 0;
+                for_each_bit(bits, |b| {
+                    awake |= u64::from(self.awake(frame, node(b))) << b
+                });
+                awake
             }
         }
     }
 }
 
-/// `ceil(q·2^53)`, the number of 53-bit values `k` with `k·2^-53 < q`:
-/// [`ASLEEP`] for `q ≤ 0`, [`AWAKE`] for `q ≥ 1`, and between them
+/// The forwarding decisions of one update (`Receive-Broadcast`, Fig. 3):
+/// whether node `i`, on first receiving the update, forwards it
+/// immediately (probability `p`) rather than as a normal broadcast next
+/// frame. A node decides once per update, so decision `i` is the
+/// [`Hashed`] trial at position `i` under a key from the update's
+/// [`FORWARD_STREAM`] substream. Being a pure function of the node, a
+/// decision does not depend on the order in which the flood reaches
+/// nodes.
+pub(crate) struct Forwards {
+    trials: Hashed,
+}
+
+impl Forwards {
+    /// The decisions of the update whose generator is `rng`. `rng` is not
+    /// drawn from.
+    pub(crate) fn new(rng: &SimRng, p: f64) -> Self {
+        Self {
+            trials: Hashed::new(rng, FORWARD_STREAM, p),
+        }
+    }
+
+    /// Whether node `i` forwards immediately.
+    pub(crate) fn immediate(&self, i: usize) -> bool {
+        self.trials
+            .fixed()
+            .unwrap_or_else(|| self.trials.bits(i as u64) < self.trials.threshold)
+    }
+}
+
+/// `ceil(p·2^53)`, the number of 53-bit values `k` with `k·2^-53 < p`:
+/// [`NEVER`] for `p ≤ 0`, [`ALWAYS`] for `p ≥ 1`, and between them
 /// otherwise. Scaling by a power of two is exact, so so is the ceiling.
-fn threshold(q: f64) -> u64 {
-    if q <= 0.0 {
-        ASLEEP
-    } else if q >= 1.0 {
-        AWAKE
+fn threshold(p: f64) -> u64 {
+    if p <= 0.0 {
+        NEVER
+    } else if p >= 1.0 {
+        ALWAYS
     } else {
-        (q * AWAKE as f64).ceil() as u64
+        (p * ALWAYS as f64).ceil() as u64
     }
 }
 
-/// A set of node indices, one bit per node (bit `i % 64` of word
-/// `i / 64`), drained in index order.
-#[derive(Default)]
-struct NodeSet {
-    words: Vec<u64>,
+/// The bits of a tile's first column (`c % 8 == 0`).
+const FIRST_COLUMN: u64 = 0x0101_0101_0101_0101;
+
+/// The bits of a tile's last column (`c % 8 == 7`).
+const LAST_COLUMN: u64 = 0x8080_8080_8080_8080;
+
+/// A grid cut into 8×8 tiles: node `(r, c)` is bit `(r % 8)·8 + c % 8`
+/// of tile `(r / 8, c / 8)`. Tiles are stored row-major inside a border
+/// of empty tiles, so every grid tile's four neighbor tiles exist and a
+/// batch reads them without a bounds branch. It depends on the grid
+/// alone, so simulators of one grid share it.
+#[derive(Debug)]
+pub(crate) struct Tiles {
+    /// Nodes in the grid.
+    n: usize,
+    /// Nodes per grid row.
+    cols: usize,
+    /// Stored tiles per row: the grid's tile columns plus the border.
+    stride: usize,
+    /// Per stored tile, the bits that are grid nodes; 0 on the border.
+    valid: Vec<u64>,
+    /// Per stored tile, the index of the node at bit 0.
+    base: Vec<u32>,
 }
 
-impl NodeSet {
-    /// Empties the set and sizes it for nodes `0..n`.
-    fn reset(&mut self, n: usize) {
-        self.words.clear();
-        self.words.resize(n.div_ceil(64), 0);
-    }
-
-    fn insert(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
-    }
-
-    /// Calls `f` on every member in ascending order and empties the set:
-    /// `n/64` word reads plus one step per member.
-    fn drain(&mut self, mut f: impl FnMut(usize)) {
-        for (w, word) in self.words.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                f(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
+impl Tiles {
+    /// Cuts `grid` into tiles.
+    pub(crate) fn new(grid: &Grid) -> Self {
+        let (rows, cols) = (grid.rows() as usize, grid.cols() as usize);
+        let (tile_rows, tile_cols) = (rows.div_ceil(8), cols.div_ceil(8));
+        let stride = tile_cols + 2;
+        let stored = (tile_rows + 2) * stride;
+        let mut valid = vec![0; stored];
+        let mut base = vec![0; stored];
+        for tr in 0..tile_rows {
+            for tc in 0..tile_cols {
+                let t = (tr + 1) * stride + tc + 1;
+                let width = (cols - 8 * tc).min(8);
+                let row = u64::MAX >> (64 - width);
+                for r in 0..(rows - 8 * tr).min(8) {
+                    valid[t] |= row << (8 * r);
+                }
+                base[t] = u32::try_from(8 * tr * cols + 8 * tc).expect("node ids are u32");
             }
         }
+        Self {
+            n: rows * cols,
+            cols,
+            stride,
+            valid,
+            base,
+        }
+    }
+
+    /// Stored tiles, the border included.
+    fn stored(&self) -> usize {
+        self.valid.len()
+    }
+
+    /// The stored tile and bit of node `i`.
+    fn locate(&self, i: usize) -> (usize, u32) {
+        let (r, c) = (i / self.cols, i % self.cols);
+        let t = (r / 8 + 1) * self.stride + c / 8 + 1;
+        (t, (r % 8 * 8 + c % 8) as u32)
+    }
+
+    /// The node at bit `b` of stored tile `t`.
+    fn node(&self, t: usize, b: u32) -> usize {
+        self.base[t] as usize + (b as usize >> 3) * self.cols + (b as usize & 7)
     }
 }
 
-/// One chain level: the immediate forwards that transmit at one time,
-/// `t_ns` nanoseconds into the frame.
-#[derive(Default)]
-struct Level {
-    t_ns: u64,
-    len: usize,
-    nodes: NodeSet,
+/// Calls `f` on the index of every set bit of `bits`, in ascending order.
+fn for_each_bit(mut bits: u64, mut f: impl FnMut(u32)) {
+    while bits != 0 {
+        f(bits.trailing_zeros());
+        bits &= bits - 1;
+    }
 }
 
-impl Level {
-    /// Empties the level and sizes it for nodes `0..n`.
-    fn reset(&mut self, n: usize) {
+/// A set of nodes, one word per stored tile of [`Tiles`], with a summary
+/// of the tiles that hold members, so emptying it and finding its tiles
+/// cost O(tiles/64 + its tiles), not O(n).
+#[derive(Default)]
+struct TileSet {
+    words: Vec<u64>,
+    /// Bit `t % 64` of word `t / 64` is set when tile `t` holds a member.
+    occupied: Vec<u64>,
+    /// Members.
+    len: u64,
+}
+
+impl TileSet {
+    /// Empties the set and sizes it for `tiles`.
+    fn reset(&mut self, tiles: &Tiles) {
+        self.words.clear();
+        self.words.resize(tiles.stored(), 0);
+        self.occupied.clear();
+        self.occupied.resize(tiles.stored().div_ceil(64), 0);
         self.len = 0;
-        self.nodes.reset(n);
     }
 
     fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// Queues node `i` to transmit at `t_ns`.
+    /// Adds the nodes of `bits` to tile `t`.
+    fn insert(&mut self, t: usize, bits: u64) {
+        let added = bits & !self.words[t];
+        if added != 0 {
+            self.words[t] |= added;
+            self.occupied[t / 64] |= 1 << (t % 64);
+            self.len += u64::from(added.count_ones());
+        }
+    }
+
+    /// Calls `f` on every tile that holds a member, in ascending order.
+    fn for_each_tile(&self, mut f: impl FnMut(usize)) {
+        for (w, &word) in self.occupied.iter().enumerate() {
+            for_each_bit(word, |b| f(w * 64 + b as usize));
+        }
+    }
+
+    /// Empties the set, visiting only the tiles that held members.
+    fn clear(&mut self) {
+        for (w, word) in self.occupied.iter_mut().enumerate() {
+            for_each_bit(std::mem::take(word), |b| {
+                self.words[w * 64 + b as usize] = 0
+            });
+        }
+        self.len = 0;
+    }
+
+    /// How many members' coins slept through `frame`: one coin read per
+    /// member.
+    fn asleep(&self, tiles: &Tiles, coins: &mut Coins, frame: u32) -> u32 {
+        let mut asleep = 0;
+        self.for_each_tile(|t| {
+            let members = self.words[t];
+            let awake = coins.awake_bits(frame, members, |b| tiles.node(t, b));
+            asleep += (members & !awake).count_ones();
+        });
+        asleep
+    }
+}
+
+/// How a batch's candidates receive.
+enum Hearing<'c> {
+    /// A normal broadcast: every neighbor heard its announcement and
+    /// receives.
+    Announced,
+    /// An immediate forward in this frame: a neighbor receives if its
+    /// coin kept it awake.
+    Awake(&'c mut Coins, u32),
+}
+
+/// Nodes that transmit at one time, and what their receivers do.
+struct Batch<'a> {
+    senders: &'a TileSet,
+    hearing: Hearing<'a>,
+    /// The latency of this batch's receptions (s).
+    latency: f64,
+    /// Whether a receiver that forwards immediately does so inside the
+    /// frame; if not, it is deferred to a normal broadcast next frame.
+    forward_fits: bool,
+}
+
+/// What the batches of a flood write: who holds the update and how its
+/// copy got there, and who transmits a normal broadcast next frame.
+#[derive(Default)]
+struct Reach {
+    /// Per stored tile: the grid nodes that have not received.
+    unreached: Vec<u64>,
+    /// Per node: the links its delivered copy traversed, valid once it
+    /// received.
+    hops: Vec<u32>,
+    /// Nodes queued to announce and transmit a normal broadcast next
+    /// frame.
+    pending: TileSet,
+    /// One bit per stored tile: the tiles a batch visits, its senders'
+    /// tiles and their four neighbors.
+    visit: Vec<u64>,
+    /// Immediate forwards demoted to normal broadcasts.
+    deferred: u64,
+    /// Tiles visited by the flood's batches.
+    tiles_visited: u64,
+}
+
+impl Reach {
+    /// Sizes the state for `tiles`, with only `source` holding the
+    /// update.
+    fn reset(&mut self, tiles: &Tiles, source: usize) {
+        self.unreached.clone_from(&tiles.valid);
+        self.hops.resize(tiles.n, 0);
+        self.pending.reset(tiles);
+        self.visit.clear();
+        self.visit.resize(tiles.stored().div_ceil(64), 0);
+        self.deferred = 0;
+        self.tiles_visited = 0;
+        let (t, b) = tiles.locate(source);
+        self.unreached[t] &= !(1 << b);
+        self.hops[source] = 0;
+    }
+
+    /// Delivers one batch: every unreached neighbor of a sender that can
+    /// hear it receives, writing its record into `received`, and queues
+    /// its forward, into `level` when it forwards immediately in time and
+    /// into [`Self::pending`] otherwise. Returns how many nodes the batch
+    /// kept listening through its announced window (the senders and their
+    /// neighbors) if it was announced, else 0.
     ///
     /// # Panics
     ///
-    /// Panics if the level already holds a forward at another time.
-    fn push(&mut self, t_ns: u64, i: usize) {
-        if self.len == 0 {
-            self.t_ns = t_ns;
+    /// Panics if a sender has not received the update.
+    fn expand(
+        &mut self,
+        tiles: &Tiles,
+        batch: Batch<'_>,
+        forwards: &Forwards,
+        level: &mut TileSet,
+        received: &mut [Option<(f64, u32)>],
+    ) -> u64 {
+        let Batch {
+            senders,
+            mut hearing,
+            latency,
+            forward_fits,
+        } = batch;
+        let stride = tiles.stride;
+        senders.for_each_tile(|t| {
+            assert_eq!(
+                senders.words[t] & self.unreached[t],
+                0,
+                "a transmitter holds the packet"
+            );
+            for v in [t - stride, t - 1, t, t + 1, t + stride] {
+                if tiles.valid[v] != 0 {
+                    self.visit[v / 64] |= 1 << (v % 64);
+                }
+            }
+        });
+        let s = &senders.words;
+        let cols = tiles.cols;
+        let mut listening = 0u64;
+        for w in 0..self.visit.len() {
+            for_each_bit(std::mem::take(&mut self.visit[w]), |b| {
+                let t = w * 64 + b as usize;
+                self.tiles_visited += 1;
+                // The nodes whose neighbor above, left, right or below
+                // sends: the senders shifted one node down, right, left
+                // or up, carrying in the neighbor tile's edge.
+                let here = s[t];
+                let up = (here << 8) | (s[t - stride] >> 56);
+                let left = ((here << 1) & !FIRST_COLUMN) | ((s[t - 1] >> 7) & FIRST_COLUMN);
+                let right = ((here >> 1) & !LAST_COLUMN) | ((s[t + 1] << 7) & LAST_COLUMN);
+                let down = (here >> 8) | (s[t + stride] << 56);
+                let heard = up | left | right | down;
+                let candidates = heard & self.unreached[t];
+                let receivers = match &mut hearing {
+                    Hearing::Announced => {
+                        listening += u64::from(((here | heard) & tiles.valid[t]).count_ones());
+                        candidates
+                    }
+                    Hearing::Awake(coins, frame) => {
+                        coins.awake_bits(*frame, candidates, |b| tiles.node(t, b))
+                    }
+                };
+                if receivers == 0 {
+                    return;
+                }
+                self.unreached[t] &= !receivers;
+                // Each receiver takes the copy of its lowest-index
+                // sender: above, left, right, then below.
+                let mut immediate = 0u64;
+                let sides = [
+                    (receivers & up, -(cols as isize)),
+                    (receivers & left & !up, -1),
+                    (receivers & right & !(up | left), 1),
+                    (receivers & !(up | left | right), cols as isize),
+                ];
+                for (from, offset) in sides {
+                    for_each_bit(from, |b| {
+                        let i = tiles.node(t, b);
+                        let hops = self.hops[i.wrapping_add_signed(offset)] + 1;
+                        self.hops[i] = hops;
+                        received[i] = Some((latency, hops));
+                        immediate |= u64::from(forwards.immediate(i)) << b;
+                    });
+                }
+                if forward_fits {
+                    level.insert(t, immediate);
+                    self.pending.insert(t, receivers & !immediate);
+                } else {
+                    // Would overrun the data phase: demoted to a normal
+                    // broadcast next frame.
+                    self.deferred += u64::from(immediate.count_ones());
+                    self.pending.insert(t, receivers);
+                }
+            });
         }
-        assert_eq!(t_ns, self.t_ns, "a level transmits at one time");
-        self.len += 1;
-        self.nodes.insert(i);
-    }
-
-    /// Calls `f` on every forward in index order and empties the level.
-    fn drain(&mut self, f: impl FnMut(usize)) {
-        self.len = 0;
-        self.nodes.drain(f);
+        listening
     }
 }
 
-/// Activity the update caused this frame, kept only for the nodes it
-/// touched.
-#[derive(Default)]
-struct Activity {
-    /// Per node: the span `[start, end]` of the update's immediate
-    /// traffic there.
-    nodes: Vec<NodeActivity>,
-    /// Nodes that carried immediate traffic this frame.
-    touched: NodeSet,
-    /// Nodes that announced a normal broadcast this frame or heard one
-    /// announced: busy over `[t_active, rx_done]`, on top of their
-    /// `nodes` entry.
-    listening: NodeSet,
-}
-
-#[derive(Clone, Copy)]
-struct NodeActivity {
+/// The span `[start, end]` over which a node was busy with the update's
+/// traffic in a frame.
+struct Span {
     start: f64,
     end: f64,
 }
 
-impl NodeActivity {
+impl Span {
     const IDLE: Self = Self {
         start: f64::INFINITY,
         end: 0.0,
     };
 
-    /// Widens the activity span to cover `[from, to]`.
+    /// Widens the span to cover `[from, to]`.
     fn note(&mut self, from: f64, to: f64) {
         if from < self.start {
             self.start = from;
@@ -539,91 +827,9 @@ impl NodeActivity {
             self.end = to;
         }
     }
-}
 
-impl Activity {
-    /// Sizes the state for nodes `0..n`. A drained frame leaves every
-    /// entry idle and both sets empty.
-    fn reset(&mut self, n: usize) {
-        self.nodes.resize(n, NodeActivity::IDLE);
-        self.touched.reset(n);
-        self.listening.reset(n);
-    }
-
-    /// Node `i` is busy over `[from, to]` with immediate traffic.
-    fn note(&mut self, i: usize, from: f64, to: f64) {
-        self.touched.insert(i);
-        self.nodes[i].note(from, to);
-    }
-
-    /// Node `i` announced a normal broadcast or heard one announced.
-    fn listen(&mut self, i: usize) {
-        self.listening.insert(i);
-    }
-
-    /// Adds to `energy` the marginal awake energy of every touched node
-    /// whose coin slept in frame `frame`, in index order, resets their
-    /// entries and empties both sets. Returns the number of listen-only
-    /// nodes, which the caller bills. A touched listener's span takes in
-    /// the listening window `[from, to]` first; min and max do not depend
-    /// on order, so the span is the one the frame's traffic made.
-    fn drain_marginal(
-        &mut self,
-        energy: &mut f64,
-        coins: &mut Coins,
-        frame: u32,
-        idle_over_sleep: f64,
-        (from, to): (f64, f64),
-    ) -> u64 {
-        let mut listen_only = 0;
-        let words = self.touched.words.iter_mut().zip(&mut self.listening.words);
-        for (w, (touched, listening)) in words.enumerate() {
-            let heard = std::mem::take(listening);
-            let mut bits = std::mem::take(touched);
-            listen_only += u64::from((heard & !bits).count_ones());
-            while bits != 0 {
-                let bit = bits.trailing_zeros();
-                let i = w * 64 + bit as usize;
-                let mut a = std::mem::replace(&mut self.nodes[i], NodeActivity::IDLE);
-                if heard >> bit & 1 != 0 {
-                    a.note(from, to);
-                }
-                if !coins.awake(frame, i) {
-                    let duration = (a.end - a.start.min(a.end)).max(0.0);
-                    *energy += idle_over_sleep * duration;
-                }
-                bits &= bits - 1;
-            }
-        }
-        listen_only
-    }
-}
-
-/// `Receive-Broadcast` (Fig. 3) applied inside the frame loop.
-#[allow(clippy::too_many_arguments)]
-fn decide_forward(
-    node: NodeId,
-    now: f64,
-    setup: &DisseminationSetup,
-    p: f64,
-    rng: &mut SimRng,
-    level: &mut Level,
-    pending_normal: &mut NodeSet,
-    deferred: &mut u64,
-    ns_frame_limit: u64,
-) {
-    if rng.chance(p) {
-        let t_tx = secs_to_ns(now + setup.l1);
-        if t_tx <= ns_frame_limit {
-            level.push(t_tx, node.index());
-        } else {
-            // Would overrun the data phase: demote to a normal broadcast
-            // next frame.
-            *deferred += 1;
-            pending_normal.insert(node.index());
-        }
-    } else {
-        pending_normal.insert(node.index());
+    fn duration(&self) -> f64 {
+        (self.end - self.start.min(self.end)).max(0.0)
     }
 }
 
@@ -643,15 +849,19 @@ fn ns_to_secs(ns: u64) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    use super::{ns_to_secs, secs_to_ns, threshold, Coins, ASLEEP, AWAKE};
+    use super::{
+        ns_to_secs, secs_to_ns, threshold, Coins, Forwards, Hashed, ALWAYS, FORWARD_STREAM, NEVER,
+    };
     use crate::IdealConfig;
     use pbbf_des::{mix64, SimRng, GOLDEN_GAMMA};
 
     /// Coins with a chosen key.
     fn coins(key: u64, q: f64) -> Coins {
         Coins {
-            key,
-            threshold: threshold(q),
+            trials: Hashed {
+                key,
+                threshold: threshold(q),
+            },
             evaluated: 0,
         }
     }
@@ -662,7 +872,7 @@ mod tests {
     fn update_keys(seed: u64, updates: u64) -> Vec<u64> {
         let root = SimRng::new(seed);
         (0..updates)
-            .map(|u| Coins::new(&root.substream(u), 0.5).key)
+            .map(|u| Coins::new(&root.substream(u), 0.5).trials.key)
             .collect()
     }
 
@@ -734,6 +944,48 @@ mod tests {
         }
     }
 
+    /// A forwarding decision is the trial at the node's own position
+    /// under a key from its own substream, so it is neither the node's
+    /// coin in frame 0 nor another update's decision, and `p ∈ {0, 1}`
+    /// fixes it.
+    #[test]
+    fn forwards_hash_the_node_position_under_their_own_key() {
+        let root = SimRng::new(2005);
+        for u in 0..4 {
+            let rng = root.substream(u);
+            let f = Forwards::new(&rng, 0.5);
+            let mut stream = rng.substream(FORWARD_STREAM);
+            let key = (stream.below(1 << 32) << 32) | stream.below(1 << 32);
+            assert_eq!(f.trials.key, key);
+            assert_ne!(key, Coins::new(&rng, 0.5).trials.key);
+            for i in [0usize, 1, 5624, (1 << 20) - 1] {
+                let state = key.wrapping_add((i as u64 + 1).wrapping_mul(GOLDEN_GAMMA));
+                assert_eq!(f.immediate(i), mix64(state) >> 11 < f.trials.threshold);
+            }
+            for (p, expect) in [(0.0, false), (-0.5, false), (1.0, true), (1.5, true)] {
+                let f = Forwards::new(&rng, p);
+                assert_eq!(f.trials.fixed(), Some(expect), "p = {p}");
+                assert!((0..1_000).all(|i| f.immediate(i) == expect), "p = {p}");
+            }
+        }
+    }
+
+    #[test]
+    fn forward_rate_is_p_within_four_sigma() {
+        let root = SimRng::new(27);
+        let n = 1 << 16;
+        for p in [1e-3, 0.05, 0.375, 0.75, 1.0 - 1e-3] {
+            let mut forwards = 0u64;
+            for u in 0..16 {
+                let f = Forwards::new(&root.substream(u), p);
+                forwards += (0..n).filter(|&i| f.immediate(i)).count() as u64;
+            }
+            let total = (16 * n) as f64;
+            let z = (forwards as f64 - total * p) / (total * p * (1.0 - p)).sqrt();
+            assert!(z.abs() < 4.0, "p = {p}: {forwards} of {total}, z = {z:.2}");
+        }
+    }
+
     #[test]
     fn threshold_compares_like_uniform01() {
         let half_ulp = f64::EPSILON / 2.0; // 2^-53
@@ -742,12 +994,12 @@ mod tests {
         qs.extend((0..1_000).map(|_| rng.uniform01().max(half_ulp)));
         for q in qs {
             let t = threshold(q);
-            assert!(t > ASLEEP && t < AWAKE, "q = {q:e}: threshold {t}");
+            assert!(t > NEVER && t < ALWAYS, "q = {q:e}: threshold {t}");
             let mut ks = vec![t - 1, t];
             for _ in 0..1_000 {
                 // The 53 bits behind a real `uniform01` draw.
                 let u = rng.uniform01();
-                let k = (u * AWAKE as f64) as u64;
+                let k = (u * ALWAYS as f64) as u64;
                 assert_eq!(unit(k), u);
                 ks.push(k);
             }

@@ -1,27 +1,35 @@
 //! The dense frame loop, kept as the bitwise oracle of the sparse one in
-//! `crate::dissemination`.
+//! `crate::dissemination`, which floods the grid a batch at a time over
+//! 8×8 tiles and visits only the tiles its frontier touches.
 //!
-//! Every frame it evaluates every node's sleep coin, through the same
-//! `Coins` the sparse loop reads lazily, then resets and scans all `n`
-//! nodes, with no listening bitset. It pops immediate forwards from a
-//! priority queue in `(time, node)` order and keeps each node's
-//! awake-until time, so a neighbor of an immediate transmission receives
-//! if the update's traffic or its coin kept it awake. The sparse loop
-//! instead drains one chain level at a time and asks the coin alone. It
-//! marks the nodes that heard an announcement and those that carried
-//! immediate traffic, and counts the listen-only node-frames (heard, no
-//! immediate traffic) and how many of them their coin slept through.
-//! After its frames it bills the listen-only node-frames and the update's
-//! duty cycle with the same two Binomial draws the sparse loop makes,
-//! which hash no coin. The tests below run both loops on the same inputs,
-//! the sparse one through one reused `Scratch` and reception buffer across
-//! consecutive updates, and compare every output field, and the
-//! generator's final state, by bit pattern. Since a coin is a pure
-//! function of `(update, frame, node)`, they pin laziness: reading fewer
-//! coins, in another order, changes nothing. A statistical test holds the
-//! listen-only draw to the coins it replaces. The coin hash itself is
-//! pinned by the tests in `crate::dissemination`, and the draws'
-//! distribution by the sampler's tests in `pbbf-rand`.
+//! The dense loop walks edges. Every frame it evaluates every node's
+//! sleep coin, through the same `Coins` the flood reads lazily, then
+//! resets and scans all `n` nodes, with no listening bitset. It pops
+//! immediate forwards from a priority queue in `(time, node)` order, one
+//! transmitter at a time, and delivers to each neighbor in turn, so a
+//! node takes its copy from the first transmitter to reach it. It keeps
+//! each node's awake-until time, so a neighbor of an immediate
+//! transmission receives if the update's traffic or its coin kept it
+//! awake, and each node's activity span. It decides a receiver's forward
+//! through the same `Forwards` the flood reads, at the moment of
+//! reception. The flood instead delivers a whole batch per tile from
+//! shifted bitboards, asks the coin alone, takes each copy from the
+//! lowest-index sender, and bills marginal energy only to a frame's
+//! first-level forwarders. After its frames the dense loop bills the
+//! listen-only node-frames and the update's duty cycle with the same two
+//! Binomial draws the flood makes, which hash no coin.
+//!
+//! The tests below run both loops on the same inputs, the flood through
+//! one reused `Scratch` and reception buffer across consecutive updates
+//! (and, in one test, across grids of other tile layouts), and compare
+//! every output field by bit pattern. Since every coin and forwarding
+//! decision is a pure function of `(update, frame, node)` or `(update,
+//! node)`, they pin the flood's order-freedom and laziness: reading fewer
+//! coins, in another order, a tile at a time, changes nothing. A
+//! statistical test holds the listen-only draw to the coins it replaces.
+//! The hashes themselves are pinned by the tests in
+//! `crate::dissemination`, and the draws' distribution by the sampler's
+//! tests in `pbbf-rand`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -30,7 +38,7 @@ use pbbf_des::SimRng;
 use pbbf_topology::{NodeId, Topology};
 
 use crate::dissemination::{
-    billed_awake, listen_only_awake, Coins, Dissemination, DisseminationSetup,
+    billed_awake, listen_only_awake, Coins, Dissemination, DisseminationSetup, Forwards,
 };
 
 /// What the dense loop returns: the reception records, the counters, and
@@ -46,7 +54,7 @@ fn disseminate_dense(
     topology: &Topology,
     source: NodeId,
     setup: &DisseminationSetup,
-    rng: &mut SimRng,
+    rng: &SimRng,
 ) -> Dense {
     let n = topology.len();
     let p = setup.params.p();
@@ -78,10 +86,10 @@ fn disseminate_dense(
     let mut busy = vec![false; n];
     let mut coins = Coins::new(rng, q);
     let mut coin = vec![false; n];
+    let forwards = Forwards::new(rng, p);
 
-    let source_immediate = rng.chance(p);
     let mut frame0_normal: Vec<NodeId> = Vec::new();
-    if source_immediate {
+    if forwards.immediate(source.index()) {
         imm.push(Reverse((secs_to_ns(t_active + setup.l1), source.0)));
     } else {
         frame0_normal.push(source);
@@ -137,8 +145,7 @@ fn disseminate_dense(
                     nb,
                     t_norm_rx,
                     setup,
-                    p,
-                    rng,
+                    &forwards,
                     &mut imm,
                     &mut pending_normal,
                     &mut deferred,
@@ -177,8 +184,7 @@ fn disseminate_dense(
                     nb,
                     t_rx,
                     setup,
-                    p,
-                    rng,
+                    &forwards,
                     &mut imm,
                     &mut pending_normal,
                     &mut deferred,
@@ -231,6 +237,8 @@ fn disseminate_dense(
             billed_awake: awake,
             listen_only,
             listen_only_awake: listen_awake,
+            batches: 0,
+            tiles_visited: 0,
         },
         listen_only_slept,
     }
@@ -241,14 +249,13 @@ fn decide_forward(
     node: NodeId,
     now: f64,
     setup: &DisseminationSetup,
-    p: f64,
-    rng: &mut SimRng,
+    forwards: &Forwards,
     imm: &mut BinaryHeap<Reverse<(u64, u32)>>,
     pending_normal: &mut Vec<NodeId>,
     deferred: &mut u64,
     ns_frame_limit: u64,
 ) {
-    if rng.chance(p) {
+    if forwards.immediate(node.index()) {
         let t_tx = secs_to_ns(now + setup.l1);
         if t_tx <= ns_frame_limit {
             imm.push(Reverse((t_tx, node.0)));
@@ -280,7 +287,7 @@ fn ns_to_secs(ns: u64) -> f64 {
 
 mod tests {
     use super::*;
-    use crate::dissemination::{disseminate, Scratch};
+    use crate::dissemination::{disseminate, Scratch, Tiles};
     use crate::IdealConfig;
     use pbbf_core::{PbbfParams, PowerProfile, SleepSchedule};
     use pbbf_topology::Grid;
@@ -351,8 +358,9 @@ mod tests {
     }
 
     /// A field-by-field comparison by bit pattern: `Err` names the first
-    /// field that differs. `coins_evaluated` counts work, not output, and
-    /// is the one field the loops are meant to disagree on.
+    /// field that differs. `coins_evaluated`, `batches` and
+    /// `tiles_visited` count work, not output, and are the fields the
+    /// loops are meant to disagree on.
     fn same_bits(
         (sparse_rx, sparse): (&[Option<(f64, u32)>], &Dissemination),
         (dense_rx, dense): (&[Option<(f64, u32)>], &Dissemination),
@@ -392,8 +400,8 @@ mod tests {
     }
 
     /// Runs both loops on `updates` substreams of `seed`, the sparse one
-    /// through `reused`; each update must agree bit for bit and leave the
-    /// generator in the same state. Returns the sparse counters.
+    /// through `reused`; each update must agree bit for bit. Returns the
+    /// sparse counters.
     fn compare(
         reused: &mut Reused,
         side: u32,
@@ -402,35 +410,32 @@ mod tests {
         updates: u64,
     ) -> Result<Vec<Dissemination>, String> {
         let grid = Grid::square(side);
+        let tiles = Tiles::new(&grid);
         let root = SimRng::new(seed);
         let mut sparse_counters = Vec::new();
         for u in 0..updates {
-            let mut sparse_rng = root.substream(u);
-            let mut dense_rng = root.substream(u);
+            let rng = root.substream(u);
             let sparse = disseminate(
-                grid.topology(),
+                &tiles,
                 grid.center(),
                 setup,
-                &mut sparse_rng,
+                &rng,
                 &mut reused.scratch,
                 &mut reused.received,
             );
-            let dense = disseminate_dense(grid.topology(), grid.center(), setup, &mut dense_rng);
+            let dense = disseminate_dense(grid.topology(), grid.center(), setup, &rng);
             same_bits(
                 (&reused.received, &sparse),
                 (&dense.received, &dense.counters),
             )
             .map_err(|e| format!("update {u}: {e}"))?;
-            if sparse_rng != dense_rng {
-                return Err(format!("update {u}: the loops consumed different draws"));
-            }
             sparse_counters.push(sparse);
         }
         Ok(sparse_counters)
     }
 
-    /// `0`, `1`, or the uniform value: the two exact endpoints where
-    /// `chance` draws nothing, and the interior where it draws.
+    /// `0`, `1`, or the uniform value: the two exact endpoints where a
+    /// hashed trial evaluates no hash, and the interior where it does.
     fn probability(kind: u8, uniform: f64) -> f64 {
         match kind {
             0 => 0.0,
@@ -442,7 +447,7 @@ mod tests {
     proptest! {
         #[test]
         fn sparse_loop_matches_dense_oracle_bitwise(
-            side in 1u32..=40,
+            sides in (0u8..8, 1u32..=40, 41u32..=130),
             pq in (0u8..3, 0u8..3, 0.0f64..1.0, 0.0f64..1.0),
             seed in any::<u64>(),
             knobs in (any::<bool>(), 0u32..=16),
@@ -453,6 +458,14 @@ mod tests {
                 (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
             ),
         ) {
+            // A quarter of the cases on grids past 40 nodes a side, half
+            // of those in whole tiles (a multiple of 8 nodes): past 48 a
+            // side the tile summary spans more than one word.
+            let side = match sides {
+                (0, _, large) => large,
+                (1, _, large) => large / 8 * 8,
+                (_, small, _) => small,
+            };
             let (p_kind, q_kind, p_uniform, q_uniform) = pq;
             let (capped, billing_frames) = knobs;
             let params = PbbfParams::new(
@@ -508,7 +521,9 @@ mod tests {
     /// One scratch and one reception buffer carried across floods of
     /// other grid sizes, the first of them cut by `max_frames` with
     /// normal broadcasts still queued: what a flood leaves behind never
-    /// reaches the next.
+    /// reaches the next. The sides cross tile layouts: whole tiles (64,
+    /// 128) and ragged ones, tile summaries of one word (up to 48 a side)
+    /// and of several (65 and 129 a side store 121 and 361 tiles).
     #[test]
     fn reused_buffers_match_dense_oracle_after_a_capped_flood() {
         let mut reused = Reused::default();
@@ -542,11 +557,47 @@ mod tests {
             (30, pbbf(0.25, 0.9), 45, 2),
             (21, capped, 46, 2),
             (3, pbbf(1.0, 0.1), 47, 3),
+            (129, pbbf(0.5, 0.5), 48, 1),
+            (64, pbbf(0.05, 0.3), 49, 2),
+            (65, pbbf(0.75, 0.9), 50, 1),
+            (128, psm, 51, 1),
+            (8, pbbf(0.375, 0.6), 52, 2),
         ] {
             if let Err(e) = compare(&mut reused, side, &setup, seed, updates) {
                 panic!("side {side}, seed {seed}: {e}");
             }
         }
+    }
+
+    /// Forwards whose transmission ends exactly when the frame does: in a
+    /// 5 s frame with a 1 s active window, `L1` = 1.5 s and 0.5 s packets,
+    /// a normal receiver (at 3 s) and the source's receivers (at 3 s)
+    /// forward at 4.5 s, the last start that fits, and their receivers'
+    /// forwards are deferred to the next frame.
+    #[test]
+    fn forwards_that_end_with_the_frame_fit_and_later_ones_defer() {
+        let mut reused = Reused::default();
+        let mut chained = (0, 0);
+        for (p, q) in [(0.5, 0.5), (1.0, 1.0), (0.75, 0.25)] {
+            let setup = DisseminationSetup {
+                schedule: SleepSchedule::new(1.0, 5.0).expect("valid schedule"),
+                l1: 1.5,
+                t_packet: 0.5,
+                ..table1_setup(PbbfParams::new(p, q).expect("valid"))
+            };
+            for seed in 0..4 {
+                match compare(&mut reused, 15, &setup, seed, 2) {
+                    Ok(runs) => {
+                        for d in runs {
+                            chained.0 += d.immediate_tx;
+                            chained.1 += d.deferred_immediates;
+                        }
+                    }
+                    Err(e) => panic!("p = {p}, q = {q}, seed {seed}: {e}"),
+                }
+            }
+        }
+        assert!(chained.0 > 0 && chained.1 > 0, "{chained:?}");
     }
 
     /// The paper's sweep at Table-1 scale: every sleep-scheduled point of
@@ -591,8 +642,8 @@ mod tests {
             let (mut listen_only, mut slept, mut drawn_asleep) = (0u64, 0u64, 0u64);
             let mut update = 0;
             while listen_only < 100_000 {
-                let mut rng = root.substream(update);
-                let dense = disseminate_dense(grid.topology(), grid.center(), &setup, &mut rng);
+                let rng = root.substream(update);
+                let dense = disseminate_dense(grid.topology(), grid.center(), &setup, &rng);
                 let c = &dense.counters;
                 listen_only += c.listen_only;
                 slept += dense.listen_only_slept;

@@ -1,17 +1,21 @@
 //! The idealized simulator driver.
 
+use std::cell::RefCell;
+use std::sync::Arc;
+
 use pbbf_core::PbbfParams;
 use pbbf_des::SimRng;
 use pbbf_topology::{Grid, NodeId};
 
-use crate::dissemination::{disseminate, DisseminationSetup, Scratch};
+use crate::dissemination::{disseminate, DisseminationSetup, Scratch, Tiles};
 use crate::stats::{RunStats, UpdateStats};
 use crate::{IdealConfig, Mode};
 
 /// The Section-4 simulator: a grid network under an ideal MAC/PHY running
 /// either always-on flooding or a sleep-scheduled MAC with PBBF.
 ///
-/// Construction builds the grid once; [`IdealSim::run`] executes a seeded,
+/// Construction shares the grid, built once per grid side on a thread;
+/// [`IdealSim::run`] executes a seeded,
 /// fully deterministic run of `config.updates` independent update
 /// disseminations, and [`IdealSim::run_into`] does the same into a
 /// caller's [`RunStats`], reusing its buffers.
@@ -19,9 +23,55 @@ use crate::{IdealConfig, Mode};
 pub struct IdealSim {
     config: IdealConfig,
     mode: Mode,
+    lattice: Arc<Lattice>,
+}
+
+/// What every simulator of one grid side shares: the grid, its tiles,
+/// the broadcast source at its center and every node's hop distance from
+/// the source.
+#[derive(Debug)]
+struct Lattice {
     grid: Grid,
+    tiles: Tiles,
     source: NodeId,
     shortest: Vec<u32>,
+}
+
+impl Lattice {
+    fn new(side: u32) -> Self {
+        let grid = Grid::square(side);
+        let source = grid.center();
+        let shortest = grid
+            .topology()
+            .hop_distances(source)
+            .into_iter()
+            .map(|d| d.expect("grid is connected"))
+            .collect();
+        Self {
+            tiles: Tiles::new(&grid),
+            grid,
+            source,
+            shortest,
+        }
+    }
+
+    /// The lattice of grid side `side`, built on this thread at most once
+    /// in a row: an ideal-table shard builds a simulator per point, and a
+    /// thread runs shard after shard of one grid side, so they share one
+    /// lattice. The thread keeps only the last side it built, so a
+    /// worker fed many grid sides holds one lattice per thread.
+    fn shared(side: u32) -> Arc<Self> {
+        thread_local! {
+            static LAST: RefCell<Option<Arc<Lattice>>> = const { RefCell::new(None) };
+        }
+        LAST.with(|last| {
+            let mut last = last.borrow_mut();
+            match &*last {
+                Some(lattice) if lattice.grid.rows() == side => Arc::clone(lattice),
+                _ => Arc::clone(last.insert(Arc::new(Self::new(side)))),
+            }
+        })
+    }
 }
 
 impl IdealSim {
@@ -33,20 +83,10 @@ impl IdealSim {
     /// Panics if the configuration is degenerate (zero grid side).
     #[must_use]
     pub fn new(config: IdealConfig, mode: Mode) -> Self {
-        let grid = Grid::square(config.grid_side);
-        let source = grid.center();
-        let shortest = grid
-            .topology()
-            .hop_distances(source)
-            .into_iter()
-            .map(|d| d.expect("grid is connected"))
-            .collect();
         Self {
             config,
             mode,
-            grid,
-            source,
-            shortest,
+            lattice: Lattice::shared(config.grid_side),
         }
     }
 
@@ -65,7 +105,7 @@ impl IdealSim {
     /// The broadcast source (grid center).
     #[must_use]
     pub fn source(&self) -> NodeId {
-        self.source
+        self.lattice.source
     }
 
     /// Runs `config.updates` disseminations; fully determined by `seed`.
@@ -84,8 +124,8 @@ impl IdealSim {
     /// run allocates only the frame loop's working state, once for all
     /// its updates.
     pub fn run_into(&self, seed: u64, stats: &mut RunStats) {
-        stats.shortest.clone_from(&self.shortest);
-        stats.source = self.source;
+        stats.shortest.clone_from(&self.lattice.shortest);
+        stats.source = self.lattice.source;
         let count = self.config.updates as usize;
         stats.updates.truncate(count);
         stats.updates.resize_with(count, UpdateStats::default);
@@ -100,7 +140,7 @@ impl IdealSim {
                     forward_probability,
                 } => self.run_gossip(forward_probability, &mut rng, received),
                 Mode::SleepScheduled(params) => {
-                    self.run_sleep_scheduled(params, &mut rng, &mut scratch, received)
+                    self.run_sleep_scheduled(params, &rng, &mut scratch, received)
                 }
             };
         }
@@ -111,7 +151,7 @@ impl IdealSim {
     fn run_sleep_scheduled(
         &self,
         params: PbbfParams,
-        rng: &mut SimRng,
+        rng: &SimRng,
         scratch: &mut Scratch,
         mut received: Vec<Option<(f64, u32)>>,
     ) -> UpdateStats {
@@ -126,11 +166,18 @@ impl IdealSim {
             billing_frames,
             max_frames: self.config.max_frames_per_update,
         };
-        let topo = self.grid.topology();
-        let d = disseminate(topo, self.source, &setup, rng, scratch, &mut received);
+        let lattice = &*self.lattice;
+        let d = disseminate(
+            &lattice.tiles,
+            lattice.source,
+            &setup,
+            rng,
+            scratch,
+            &mut received,
+        );
         UpdateStats {
             received,
-            energy_joules_per_node: d.energy_joules / topo.len() as f64,
+            energy_joules_per_node: d.energy_joules / lattice.grid.topology().len() as f64,
             immediate_tx: d.immediate_tx,
             normal_tx: d.normal_tx,
             deferred_immediates: d.deferred_immediates,
@@ -139,6 +186,8 @@ impl IdealSim {
             billed_awake: d.billed_awake,
             listen_only: d.listen_only,
             listen_only_awake: d.listen_only_awake,
+            batches: d.batches,
+            tiles_visited: d.tiles_visited,
         }
     }
 
@@ -157,16 +206,17 @@ impl IdealSim {
             (0.0..=1.0).contains(&g),
             "forward probability {g} outside [0, 1]"
         );
-        let topo = self.grid.topology();
+        let topo = self.lattice.grid.topology();
+        let source = self.lattice.source;
         let a = &self.config.analysis;
         let per_hop = a.l1 + self.config.t_packet;
         let n = topo.len();
         received.clear();
         received.resize(n, None);
-        received[self.source.index()] = Some((0.0, 0));
+        received[source.index()] = Some((0.0, 0));
         let mut tx = 0u64;
         // BFS through forwarders; non-forwarders receive but do not extend.
-        let mut frontier = vec![self.source];
+        let mut frontier = vec![source];
         let mut depth = 0u32;
         while !frontier.is_empty() {
             depth += 1;
@@ -198,6 +248,8 @@ impl IdealSim {
             billed_awake: 0,
             listen_only: 0,
             listen_only_awake: 0,
+            batches: 0,
+            tiles_visited: 0,
         }
     }
 
@@ -205,21 +257,22 @@ impl IdealSim {
     /// immediately — a deterministic flood along BFS order, with per-hop
     /// latency `L1 + t_packet` and always-on idle energy.
     fn run_always_on(&self, mut received: Vec<Option<(f64, u32)>>) -> UpdateStats {
-        let topo = self.grid.topology();
+        let n = self.lattice.shortest.len();
         let a = &self.config.analysis;
         let per_hop = a.l1 + self.config.t_packet;
         received.clear();
         received.extend(
-            self.shortest
+            self.lattice
+                .shortest
                 .iter()
                 .map(|&d| Some((f64::from(d) * per_hop, d))),
         );
         // Every node except leaves-with-no-fresh-neighbors transmits once
         // in a flood; in the worst (and standard flooding) case all N
         // transmit.
-        let tx = topo.len() as u64;
+        let tx = n as u64;
         let energy_per_node = a.power.idle / a.lambda
-            + (a.power.tx - a.power.idle) * self.config.t_packet * tx as f64 / topo.len() as f64;
+            + (a.power.tx - a.power.idle) * self.config.t_packet * tx as f64 / n as f64;
         UpdateStats {
             received,
             energy_joules_per_node: energy_per_node,
@@ -231,6 +284,8 @@ impl IdealSim {
             billed_awake: 0,
             listen_only: 0,
             listen_only_awake: 0,
+            batches: 0,
+            tiles_visited: 0,
         }
     }
 }
@@ -343,13 +398,14 @@ mod tests {
         for mode in [Mode::AlwaysOn, gossip] {
             for u in &run(mode).updates {
                 let counts = (u.coins_evaluated, u.billed_awake, u.listen_only);
-                assert_eq!((counts, u.listen_only_awake), ((0, 0, 0), 0), "{mode:?}");
+                let work = (u.listen_only_awake, u.batches, u.tiles_visited);
+                assert_eq!((counts, work), ((0, 0, 0), (0, 0, 0)), "{mode:?}");
             }
         }
-        // 0 < q < 1: the coins the flood read, at least the source's at
-        // the end of frame 0. Billing hashes none: its awake count is one
-        // Binomial(B·n, q) draw, and the listen-only count one
-        // Binomial(L, q) draw.
+        // 0 < q < 1: the coins the flood read, those of each immediate
+        // forward's candidates and of each first-level forwarder. Billing
+        // hashes none: its awake count is one Binomial(B·n, q) draw, and
+        // the listen-only count one Binomial(L, q) draw.
         let q = 0.5;
         let node_frames = (billing_frames * n) as f64;
         let z =
@@ -370,6 +426,42 @@ mod tests {
                 u.listen_only
             );
         }
+    }
+
+    #[test]
+    fn batches_are_normal_frames_plus_chain_levels() {
+        // A 15×15 grid is 2×2 tiles, so a batch visits 1 to 4 of them.
+        let cfg = small_config(15, 3);
+        let run = |params: PbbfParams| IdealSim::new(cfg, Mode::SleepScheduled(params)).run(10);
+        // PSM has no immediate forwards: one batch per frame it ran.
+        for u in &run(PbbfParams::PSM).updates {
+            assert_eq!(u.batches, u64::from(u.frames_used));
+            assert!((u.batches..=4 * u.batches).contains(&u.tiles_visited));
+        }
+        // Always forwarding immediately to always-awake nodes, the source
+        // starts a chain in frame 0, one level per hop until the frame is
+        // full: then the deferred forwards open the next frame with a
+        // normal batch, and their receivers chain on.
+        for u in &run(PbbfParams::new(1.0, 1.0).unwrap()).updates {
+            assert_eq!(u.normal_tx, u.deferred_immediates);
+            assert!(u.batches > 2 * u64::from(u.frames_used));
+            assert!((u.batches..=4 * u.batches).contains(&u.tiles_visited));
+        }
+    }
+
+    #[test]
+    fn simulators_share_the_last_grid_built_on_their_thread() {
+        let pbbf = Mode::SleepScheduled(PbbfParams::new(0.5, 0.5).unwrap());
+        let sim = |side| IdealSim::new(small_config(side, 1), pbbf);
+        let (a, b) = (sim(13), sim(13));
+        assert!(Arc::ptr_eq(&a.lattice, &b.lattice));
+        // A thread keeps one side: after another side, the first is
+        // built anew, while the simulators holding it keep it.
+        let c = sim(15);
+        assert!(!Arc::ptr_eq(&a.lattice, &c.lattice));
+        let d = sim(13);
+        assert!(!Arc::ptr_eq(&a.lattice, &d.lattice));
+        assert_eq!((a.run(3), c.run(3)), (d.run(3), sim(15).run(3)));
     }
 
     #[test]

@@ -21,9 +21,12 @@ pub struct UpdateStats {
     pub deferred_immediates: u64,
     /// Frames the dissemination occupied.
     pub frames_used: u32,
-    /// Sleep coins evaluated: one per coin the flood read. Zero when
-    /// every coin is fixed (`q` of 0 or 1), for always-on flooding and for
-    /// gossip.
+    /// Sleep coins evaluated: one read per candidate per chain level (a
+    /// node next to an immediate forward that has not received), plus
+    /// one per touched-but-not-woken node at the end of its frame (a
+    /// forwarder of the frame's first level, which received by a normal
+    /// broadcast or is the source). Zero when every coin is fixed (`q` of
+    /// 0 or 1), for always-on flooding and for gossip.
     pub coins_evaluated: u64,
     /// Billed node-frames the Sleep-Decision-Handler kept awake: of the
     /// `B·n` node-frames of baseline duty cycle billed to the update
@@ -42,6 +45,14 @@ pub struct UpdateStats {
     /// Binomial(`listen_only`, `q`) draw, so 0 at `q = 0` and
     /// `listen_only` at `q = 1`.
     pub listen_only_awake: u64,
+    /// Batches of transmissions the flood ran: one per frame with normal
+    /// broadcasts plus one per chain level of immediate forwards. Zero
+    /// for always-on flooding and for gossip.
+    pub batches: u64,
+    /// Grid tiles (8×8 nodes) the flood's batches visited, summed over
+    /// batches: each batch visits its senders' tiles and their four
+    /// neighbors. Zero for always-on flooding and for gossip.
+    pub tiles_visited: u64,
 }
 
 impl UpdateStats {
@@ -201,6 +212,8 @@ mod tests {
                     billed_awake: 0,
                     listen_only: 0,
                     listen_only_awake: 0,
+                    batches: 0,
+                    tiles_visited: 0,
                 })
                 .collect(),
         }
@@ -219,6 +232,8 @@ mod tests {
             billed_awake: 0,
             listen_only: 0,
             listen_only_awake: 0,
+            batches: 0,
+            tiles_visited: 0,
         };
         assert_eq!(u.delivered_fraction(), 0.5);
         assert_eq!(u.total_tx(), 0);

@@ -339,6 +339,14 @@ fn cmd_ideal(args: &[String]) -> Result<(), String> {
         format!("{:.1}", per_update(|u| u64::from(u.frames_used))),
     ]);
     t.row([
+        "batches/update".to_string(),
+        format!("{:.1}", per_update(|u| u.batches)),
+    ]);
+    t.row([
+        "tiles visited/update".to_string(),
+        format!("{:.0}", per_update(|u| u.tiles_visited)),
+    ]);
+    t.row([
         "coins evaluated/update".to_string(),
         format!("{:.0}", per_update(|u| u.coins_evaluated)),
     ]);
