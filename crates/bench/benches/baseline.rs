@@ -34,9 +34,10 @@
 //!   end-to-end run on each channel engine.
 //! * `net_sim_run_sparse_q05_shared` vs `net_sim_run_sparse_q05_batched`
 //!   — a 10k-node low-duty-cycle (q = 0.05) single-flood run over a long
-//!   idle horizon on the `Arc`-shared cached deployment, settled with
-//!   exact per-boundary idle replay (`Dense`) and with the default lazy
-//!   engine (`Lazy`) respectively: the boundary-engine ratio.
+//!   idle horizon on the `Arc`-shared cached deployment, on the walk
+//!   (`NetSim::run_on_walked`: every node stepped at every boundary, one
+//!   sleep coin each) and on the lazy engine (`NetSim::run_on`)
+//!   respectively: what lazy settling buys.
 //! * `net_sim_run_quiescent_frameskip` — a 500-node two-hour
 //!   single-flood scenario (λ = 0.000125, PBBF(1, 1): all-immediate
 //!   forwarding, draw-free always-awake coin) at the 50 ms beacon
@@ -62,7 +63,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pbbf_des::{EventQueue, SimDuration, SimRng, SimTime};
 use pbbf_experiments::{fig06, Effort};
 use pbbf_ideal_sim::{IdealConfig, IdealSim, Mode};
-use pbbf_net_sim::{BoundaryEngine, CachedDeployment, DeploymentCache, NetConfig, NetMode, NetSim};
+use pbbf_net_sim::{CachedDeployment, DeploymentCache, NetConfig, NetMode, NetSim};
 use pbbf_radio::{BruteChannel, Channel, CollisionChannel, Frame};
 use pbbf_topology::{
     area_for_density, unit_disk_edges, unit_disk_edges_brute, NodeId, Point2, RandomDeployment,
@@ -229,16 +230,13 @@ fn net_sim_run_dense(c: &mut Criterion) {
     // Where the channel engine dominates: a dense (Δ = 16), large (1000
     // nodes), busy (λ = 1) scenario with many concurrent transmissions —
     // Table-2 traffic (50 nodes, λ = 0.01) is too sparse to tell the
-    // engines apart. Stays on the dense boundary engine: almost every
-    // node is busy almost every beacon here, so there is nothing for
-    // geometric skip to batch, and the kernel keeps its committed
-    // history comparable.
+    // engines apart. Almost every node is busy almost every beacon
+    // here, so geometric skip has little to batch.
     let mut cfg = NetConfig::table2();
     cfg.nodes = 1000;
     cfg.duration_secs = 120.0;
     cfg.delta = 16.0;
     cfg.lambda = 1.0;
-    cfg.boundary_engine = BoundaryEngine::Dense;
     let sim = NetSim::new(
         cfg,
         NetMode::SleepScheduled(pbbf_core::PbbfParams::new(0.5, 0.5).expect("valid")),
@@ -252,43 +250,33 @@ fn net_sim_run_sparse(c: &mut Criterion) {
     // Where the event loop dominates: a large (10000 nodes) rare-traffic
     // network at a low duty cycle (q = 0.05) — one flood at λ = 0.000125,
     // then ~670 beacon intervals of pure idle steady state over 7200 s.
-    // `net_sim_run_sparse_q05_shared` replays every idle boundary exactly
-    // (`BoundaryEngine::Dense`); `net_sim_run_sparse_q05_batched` is the
-    // same registry-shared run on the default lazy engine. The ratio
-    // isolates what lazy settling buys in the regime sweeps spend their
-    // time in.
+    // `net_sim_run_sparse_q05_shared` walks every node at every boundary
+    // (`NetSim::run_on_walked`); `net_sim_run_sparse_q05_batched` is the
+    // same registry-shared run on the lazy engine. The ratio isolates
+    // what lazy settling buys in the regime sweeps spend their time in.
     let mut cfg = NetConfig::table2();
     cfg.nodes = 10_000;
     cfg.duration_secs = 7200.0;
     cfg.delta = 10.0;
     cfg.lambda = 0.000125;
-    cfg.boundary_engine = BoundaryEngine::Dense;
-    let mut lazy_cfg = cfg;
-    lazy_cfg.boundary_engine = BoundaryEngine::Lazy;
     // Resolved through the process-wide registry (not a direct draw) so
     // the report's cache counters reflect how the sweeps actually obtain
     // deployments.
     let deployment = get_or_draw_tracked("net_sim_run_sparse_q05_shared", &cfg, 4);
     let mode = NetMode::SleepScheduled(pbbf_core::PbbfParams::new(0.25, 0.05).expect("valid"));
-    let shared_sim = NetSim::new(cfg, mode);
-    let batched_sim = NetSim::new(lazy_cfg, mode);
-    let shared = shared_sim.run_on(4, &deployment);
+    let sim = NetSim::new(cfg, mode);
+    let batched = sim.run_on(4, &deployment);
+    assert_eq!(batched, sim.run(4), "shared deployment must reproduce run");
     assert_eq!(
-        shared,
-        shared_sim.run(4),
-        "shared deployment must reproduce run"
-    );
-    let batched = batched_sim.run_on(4, &deployment);
-    assert_eq!(
+        sim.run_on_walked(4, &deployment).updates_generated(),
         batched.updates_generated(),
-        shared.updates_generated(),
-        "engines must simulate the same workload"
+        "the walk and the lazy engine must simulate the same workload"
     );
     c.bench_function("net_sim_run_sparse_q05_shared", |b| {
-        b.iter(|| shared_sim.run_on(4, &deployment))
+        b.iter(|| sim.run_on_walked(4, &deployment))
     });
     c.bench_function("net_sim_run_sparse_q05_batched", |b| {
-        b.iter(|| batched_sim.run_on(4, &deployment))
+        b.iter(|| sim.run_on(4, &deployment))
     });
 }
 
@@ -314,7 +302,6 @@ fn net_sim_run_quiescent(c: &mut Criterion) {
     cfg.lambda = 0.000125;
     cfg.beacon_interval_secs = 0.05;
     cfg.atim_window_secs = 0.005;
-    cfg.boundary_engine = BoundaryEngine::Lazy;
     // A fresh geometry (no other kernel runs 500 nodes), so the
     // per-kernel extras record this kernel's miss + insert.
     let deployment = get_or_draw_tracked("net_sim_run_quiescent_frameskip", &cfg, 4);

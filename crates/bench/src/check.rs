@@ -144,12 +144,12 @@ pub const RATIO_RULES: &[RatioRule] = &[
     RatioRule {
         fast: "net_sim_run_delta16",
         slow: "net_sim_run_delta16_brute",
-        min_ratio: 1.5, // ~2.3x observed
+        min_ratio: 1.5, // ~2.5x observed
     },
     RatioRule {
         fast: "net_sim_run_sparse_q05_batched",
         slow: "net_sim_run_sparse_q05_shared",
-        min_ratio: 2.0, // ~3x observed (lazy engine vs per-boundary idle walk)
+        min_ratio: 2.0, // ~10x observed (lazy engine vs the walk, `run_on_walked`)
     },
 ];
 

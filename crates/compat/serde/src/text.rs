@@ -117,7 +117,7 @@ fn write_string(out: &mut String, s: &str) {
 /// documents (shard specs, bench reports) nest only a few levels.
 const MAX_DEPTH: usize = 128;
 
-/// Parses JSON text into a [`Json`] tree.
+/// Parses JSON text into a [`Json`] tree, in time linear in its length.
 ///
 /// # Errors
 ///
@@ -125,6 +125,7 @@ const MAX_DEPTH: usize = 128;
 /// arrays/objects nest more than 128 levels deep.
 pub fn parse_json(input: &str) -> Result<Json, Error> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -139,6 +140,8 @@ pub fn parse_json(input: &str) -> Result<Json, Error> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes.
     bytes: &'a [u8],
     pos: usize,
     /// Arrays/objects currently open around `pos`.
@@ -285,13 +288,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.error("bad UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in
+                    // one go. Both are ASCII, and UTF-8 never uses an
+                    // ASCII byte inside a multi-byte character, so the
+                    // run starts and ends on character boundaries.
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -300,26 +307,33 @@ impl Parser<'_> {
     fn parse_unicode_escape(&mut self) -> Result<char, Error> {
         let hi = self.parse_hex4()?;
         if (0xD800..0xDC00).contains(&hi) {
-            // Surrogate pair: expect \uXXXX low surrogate.
-            if self.eat_keyword("\\u") {
-                let lo = self.parse_hex4()?;
-                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                return char::from_u32(code).ok_or_else(|| self.error("bad surrogate pair"));
+            // A high surrogate must be followed by a \uXXXX low one.
+            if !self.eat_keyword("\\u") {
+                return Err(self.error("lone surrogate"));
             }
-            return Err(self.error("lone surrogate"));
+            let lo = self.parse_hex4()?;
+            if !(0xDC00..0xE000).contains(&lo) {
+                return Err(self.error("bad surrogate pair"));
+            }
+            let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+            return char::from_u32(code).ok_or_else(|| self.error("bad surrogate pair"));
         }
         char::from_u32(hi).ok_or_else(|| self.error("bad unicode escape"))
     }
 
+    /// Four hex digits, exactly: no sign, no other character.
     fn parse_hex4(&mut self) -> Result<u32, Error> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
+        let Some(digits) = self.bytes.get(self.pos..self.pos + 4) else {
             return Err(self.error("truncated unicode escape"));
+        };
+        let mut v = 0;
+        for &b in digits {
+            let d = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| self.error("bad unicode escape"))?;
+            v = v * 16 + d;
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.error("bad unicode escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.error("bad unicode escape"))?;
-        self.pos = end;
+        self.pos += 4;
         Ok(v)
     }
 
@@ -420,5 +434,63 @@ mod tests {
             parse_json(r#""a\n\u0041\ud83d\ude00""#).unwrap(),
             Json::Str("a\nA😀".to_string())
         );
+        assert_eq!(
+            parse_json(r#""é\u00e9€\"𝄞\\""#).unwrap(),
+            Json::Str("éé€\"𝄞\\".to_string())
+        );
+        assert_eq!(
+            parse_json(r#""\udbff\udfff\uFFFF""#).unwrap(),
+            Json::Str("\u{10FFFF}\u{FFFF}".to_string())
+        );
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        // Each character of a string is copied once: a string at the
+        // fabric's 1 MiB line cap parses in milliseconds, where
+        // re-validating the rest of the input per character took minutes.
+        for c in ['a', 'é', '€'] {
+            let body = c.to_string().repeat((1 << 20) / c.len_utf8());
+            let text = format!("[\"{body}\", \"{body}\\n\"]");
+            let Json::Arr(items) = parse_json(&text).unwrap() else {
+                panic!("an array");
+            };
+            assert_eq!(items[0], Json::Str(body.clone()));
+            assert_eq!(items[1], Json::Str(body + "\n"));
+        }
+        assert!(parse_json(&format!("\"{}", "é".repeat(1 << 19))).is_err());
+    }
+
+    #[test]
+    fn surrogate_escapes_must_pair_high_with_low() {
+        for bad in [
+            r#""\ud800\u0041""#,
+            r#""\ud800\ud800""#,
+            r#""\udbff\ue000""#,
+            r#""\ud800\uffff""#,
+            r#""\ud800""#,
+            r#""\ud800x""#,
+            r#""\ud800\n""#,
+            r#""\udc00""#,
+            r#""\udfff\ud800""#,
+        ] {
+            assert!(parse_json(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u004""#,
+            r#""\u00g1""#,
+            r#""\u0é1""#,
+            r#""\u""#,
+            r#""\ud800\u+c00""#,
+        ] {
+            assert!(parse_json(bad).is_err(), "{bad}");
+        }
     }
 }

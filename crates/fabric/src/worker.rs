@@ -162,11 +162,9 @@ where
             if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') {
                 return Err(unparseable(format!("line over {MAX_LINE_BYTES} bytes")));
             }
-            let text = std::str::from_utf8(&line).map_err(unparseable)?;
-            if text.trim().is_empty() {
+            let Some(spec) = decode_spec(&line)? else {
                 continue;
-            }
-            let spec: ShardSpec = serde_json::from_str(text.trim_end()).map_err(unparseable)?;
+            };
             let reply = match outcome_for_spec(plan, &spec, &exec) {
                 SpecOutcome::Reply(reply) => reply,
                 // A crashed subprocess takes its pipes with it; a crashed
@@ -179,6 +177,24 @@ where
             write(&lines)?;
         }
     })
+}
+
+/// Decodes one spec line as [`serve_session`] reads it: UTF-8, then a
+/// [`ShardSpec`] in JSON, trailing whitespace and the `\n` ignored.
+/// `Ok(None)` is a blank line, which the session skips.
+///
+/// # Errors
+///
+/// An [`InvalidData`](io::ErrorKind::InvalidData) error for a line that
+/// is not UTF-8 or not a spec. Never panics, whatever the bytes.
+pub fn decode_spec(line: &[u8]) -> io::Result<Option<ShardSpec>> {
+    let text = std::str::from_utf8(line).map_err(unparseable)?;
+    if text.trim().is_empty() {
+        return Ok(None);
+    }
+    serde_json::from_str(text.trim_end())
+        .map(Some)
+        .map_err(unparseable)
 }
 
 fn unparseable(e: impl std::fmt::Display) -> io::Error {

@@ -37,41 +37,6 @@ impl NetMode {
     }
 }
 
-/// How the runner settles the beacon boundaries of *idle* nodes — the
-/// per-beacon wake/`begin_frame`/sleep-coin steps of everyone with no
-/// pending traffic.
-///
-/// Both engines simulate the same protocol and agree in distribution;
-/// they differ in RNG stream layout (and therefore in the exact values a
-/// fixed seed produces) and in cost:
-///
-/// * [`Lazy`](BoundaryEngine::Lazy) — the default. Per-node closed-form
-///   settling: the index of a node's next "stay awake" boundary is drawn
-///   from a geometric distribution (one RNG draw per run of sleeps
-///   instead of one Bernoulli per boundary) and the energy of the whole
-///   run is credited in O(1). On top of that, whenever the network is
-///   *globally* quiescent (no flood in flight, no pending ATIM/data
-///   events) the event loop jumps straight to the frame of the next
-///   traffic arrival. Cost is O(traffic) rather than
-///   O(sim-time × nodes) in the λ → 0 regime.
-/// * [`Dense`](BoundaryEngine::Dense) — the reference oracle: every
-///   boundary is replayed individually, consuming one coin per boundary,
-///   bit-for-bit identical to the original per-node walk (and to the
-///   committed pre-geometric goldens). Kept for equivalence tests and
-///   benches.
-///
-/// The q ∈ {0, 1} endpoints draw no sleep coins, so they are bitwise
-/// identical across both engines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum BoundaryEngine {
-    /// Closed-form geometric settling of idle boundaries plus whole-frame
-    /// jumps across globally quiescent stretches (default).
-    #[default]
-    Lazy,
-    /// Exact per-boundary replay (the pre-geometric stream layout).
-    Dense,
-}
-
 /// Scenario parameters for one realistic-simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NetConfig {
@@ -95,12 +60,6 @@ pub struct NetConfig {
     pub phy: Phy,
     /// Radio power draw.
     pub power: PowerProfile,
-    /// Attempts to draw a connected deployment before giving up.
-    pub max_deploy_attempts: u32,
-    /// How idle nodes' beacon boundaries are settled (see
-    /// [`BoundaryEngine`]). Not part of the deployment identity — both
-    /// engines run on the same cached scenarios.
-    pub boundary_engine: BoundaryEngine,
 }
 
 impl NetConfig {
@@ -119,8 +78,6 @@ impl NetConfig {
             duration_secs: 500.0,
             phy: Phy::mica2(),
             power: PowerProfile::MICA2,
-            max_deploy_attempts: 1000,
-            boundary_engine: BoundaryEngine::Lazy,
         }
     }
 
@@ -241,12 +198,6 @@ mod tests {
             let err = with(huge).validate().unwrap_err();
             assert!(err.contains("past the budget"), "{huge}: {err}");
         }
-    }
-
-    #[test]
-    fn boundary_engine_defaults_to_lazy() {
-        assert_eq!(NetConfig::table2().boundary_engine, BoundaryEngine::Lazy);
-        assert_eq!(BoundaryEngine::default(), BoundaryEngine::Lazy);
     }
 
     #[test]

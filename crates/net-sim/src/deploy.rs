@@ -45,7 +45,6 @@ struct DeployKey {
     nodes: usize,
     range_bits: u64,
     delta_bits: u64,
-    max_attempts: u32,
 }
 
 impl DeployKey {
@@ -55,7 +54,6 @@ impl DeployKey {
             nodes: cfg.nodes,
             range_bits: cfg.range_m.to_bits(),
             delta_bits: cfg.delta.to_bits(),
-            max_attempts: cfg.max_deploy_attempts,
         }
     }
 }
@@ -232,12 +230,12 @@ impl DeploymentCache {
     /// The process-wide deployment registry.
     ///
     /// Sweeps and figures that key their deployments the same way —
-    /// identical geometry (`nodes`, `range_m`, `delta`,
-    /// `max_deploy_attempts`) and deployment-seed stream — share entries
-    /// across the whole process instead of redrawing per sweep. Safe by
-    /// construction: a cached value is a pure function of its key, so a
-    /// registry hit returns exactly what a private cache (or a fresh
-    /// draw) would have produced, bitwise.
+    /// identical geometry (`nodes`, `range_m`, `delta`) and
+    /// deployment-seed stream — share entries across the whole process
+    /// instead of redrawing per sweep. Safe by construction: a cached
+    /// value is a pure function of its key, so a registry hit returns
+    /// exactly what a private cache (or a fresh draw) would have
+    /// produced, bitwise.
     ///
     /// The registry is bounded to [`DeploymentCache::DEFAULT_CAPACITY`]
     /// entries with LRU eviction (a connected Table-2 deployment is a
@@ -269,7 +267,7 @@ impl DeploymentCache {
     /// # Panics
     ///
     /// Panics if no connected deployment can be drawn within
-    /// `cfg.max_deploy_attempts` (raise Δ or the attempt budget).
+    /// [`NetSim::DEPLOY_ATTEMPTS`](crate::NetSim::DEPLOY_ATTEMPTS) (raise Δ).
     #[must_use]
     pub fn get_or_draw(&self, cfg: &NetConfig, seed: u64) -> Arc<CachedDeployment> {
         let key = DeployKey::new(cfg, seed);

@@ -43,7 +43,7 @@ mod runner;
 mod stats;
 
 pub use active::ActiveSet;
-pub use config::{BoundaryEngine, NetConfig, NetMode};
+pub use config::{NetConfig, NetMode};
 pub use deploy::{CacheStats, CachedDeployment, DeploymentCache};
 pub use runner::NetSim;
 pub use stats::NetRunStats;

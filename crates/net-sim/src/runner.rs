@@ -23,64 +23,63 @@
 //! * **Lazy boundary settling** covers everyone else: each node carries
 //!   a cursor of boundaries already applied (`NodeRt::applied`), and
 //!   [`Runner::settle`] brings it up to date whenever the node is next
-//!   touched (a delivery, a generated update, or `into_stats`). *How*
-//!   the missed boundaries are settled is the
-//!   [`BoundaryEngine`](crate::BoundaryEngine) choice:
+//!   touched (a delivery, a generated update, or `into_stats`). It does
+//!   two things.
 //!
-//!   - [`Lazy`](crate::BoundaryEngine::Lazy) (default) does two things.
-//!
-//!     **Geometric skip per node.** The skipped
-//!     `(frame start, window end)` pairs are settled in closed form. The
-//!     length of each run of "sleep" decisions is drawn directly from a
-//!     geometric distribution (`MacState::skip_boundaries`, one RNG draw
-//!     per run instead of one Bernoulli per boundary) and the run's
-//!     energy is credited in O(1) (`EnergyMeter::accrue_batch` +
-//!     `jump_to_secs`): per skipped frame, one ATIM window of idle plus
-//!     one data phase of idle or sleep. A node asleep through a hundred
-//!     beacon intervals costs a handful of arithmetic operations. This
-//!     relaxes the per-node RNG stream *layout* (values for a fixed seed
-//!     move relative to `Dense`), but the per-boundary decisions keep
-//!     exactly the Figure-3 distribution — `tests/boundary_equivalence.rs`
-//!     pins the two engines together statistically, and the `q = 0` /
-//!     `q = 1` endpoints stay exact.
-//!
-//!     **Quiescent-frame jump for the global loop.** Even with every
-//!     node settled lazily, the loop would still pop one `FrameStart`
-//!     and one `WindowEnd` event per beacon interval — pure bookkeeping
-//!     when no flood is in flight. A frame start that finds the network
-//!     **globally quiescent** (both boundary active sets empty, no
-//!     ATIM/data/`TxEnd` event pending — an O(1) check against live
-//!     counters) fast-forwards the boundary bookkeeping over every whole
-//!     frame before the next traffic arrival (the generation schedule is
-//!     mirrored in [`Runner::next_gen`]) and reschedules the frame start
-//!     there ([`Runner::try_skip_frames`]). The skipped events were
-//!     provably no-ops — empty sweeps over empty sets, no node touched,
-//!     no randomness drawn — so the jump changes where the loop spends
-//!     its time, never what it computes: cost becomes O(traffic) instead
-//!     of O(sim-time × nodes) in the λ → 0 regime the paper's
-//!     energy-latency frontier lives in. The quiescent rows of
-//!     `tests/run_active_vs_seed.rs` pin this (their lazy goldens were
-//!     captured from a loop that walked every frame).
-//!
-//!   - [`Dense`](crate::BoundaryEngine::Dense) — exact per-boundary
-//!     replay at original timestamps, consuming the node's RNG
-//!     substreams in the original order, with every frame walked:
-//!     bit-for-bit identical to the deleted per-node walk
-//!     (`tests/run_active_vs_seed.rs` pins that against fingerprints
-//!     captured from it). The reference oracle for tests and benches.
-//!
+//!   **Geometric skip per node.** The skipped
+//!   `(frame start, window end)` pairs are settled in closed form. The
+//!   length of each run of "sleep" decisions is drawn directly from a
+//!   geometric distribution (`MacState::skip_boundaries`, one RNG draw
+//!   per run instead of one Bernoulli per boundary) and the run's
+//!   energy is credited in O(1) (`EnergyMeter::accrue_batch` +
+//!   `jump_to_secs`): per skipped frame, one ATIM window of idle plus
+//!   one data phase of idle or sleep. A node asleep through a hundred
+//!   beacon intervals costs a handful of arithmetic operations. This
+//!   relaxes the per-node RNG stream *layout* (values for a fixed seed
+//!   move relative to the walk below), but the per-boundary decisions
+//!   keep exactly the Figure-3 distribution —
+//!   `tests/boundary_equivalence.rs` pins the two together
+//!   statistically, and the `q = 0` / `q = 1` endpoints stay exact.
 //!   Boundaries a batch cannot see uniformly — a leading window end
 //!   whose sleep decision may hinge on an ATIM heard this window, or a
-//!   trailing frame start — are replayed exactly on both engines.
+//!   trailing frame start — are replayed exactly at its ragged edges.
 //!
-//! Adaptive mode keeps a full walk: closing every node's controller
-//! window (and tracing mean parameters) at each beacon is inherently
-//! O(n), and its per-window `q` changes feed the sleep coin.
+//!   **Quiescent-frame jump for the global loop.** Even with every node
+//!   settled lazily, the loop would still pop one `FrameStart` and one
+//!   `WindowEnd` event per beacon interval — pure bookkeeping when no
+//!   flood is in flight. A frame start that finds the network
+//!   **globally quiescent** (both boundary active sets empty, no
+//!   ATIM/data/`TxEnd` event pending — an O(1) check against live
+//!   counters) fast-forwards the boundary bookkeeping over every whole
+//!   frame before the next traffic arrival (the generation schedule is
+//!   mirrored in [`Runner::next_gen`]) and reschedules the frame start
+//!   there ([`Runner::try_skip_frames`]). The skipped events were
+//!   provably no-ops — empty sweeps over empty sets, no node touched, no
+//!   randomness drawn — so the jump changes where the loop spends its
+//!   time, never what it computes: cost becomes O(traffic) instead of
+//!   O(sim-time × nodes) in the λ → 0 regime the paper's
+//!   energy-latency frontier lives in. The quiescent rows of
+//!   `tests/run_active_vs_seed.rs` pin this (their lazy goldens were
+//!   captured from a loop that walked every frame).
+//!
+//! # The walk: adaptive mode's path, and the reference
+//!
+//! The walk steps every node at every boundary, in ascending node
+//! order, so each node's sleep coin is flipped once per window end from
+//! its own stream. Adaptive mode always walks: closing every node's
+//! controller window (and tracing mean parameters) at each beacon is
+//! inherently O(n), and its per-window `q` changes feed the sleep coin.
+//! [`NetSim::run_on_walked`] forces the walk on sleep-scheduled runs
+//! too, which makes it the exact reference the lazy engine is checked
+//! against: bit-for-bit identical to the original per-node-walk loop
+//! (`tests/run_active_vs_seed.rs` pins that against fingerprints
+//! captured from it), and the reference side of
+//! `tests/boundary_equivalence.rs`.
 //!
 //! # One step per boundary
 //!
 //! Whichever path applies a boundary — the eager active-set sweep, the
-//! adaptive walk, or the replay of a lazily settled node — it goes
+//! walk, or the edge replay of a lazily settled node — it goes
 //! through [`open_window`] (wake, begin the MAC frame) or
 //! [`close_window`] (Figure-3 coin, sleep). The paths differ only in
 //! which nodes they visit and how they name the instant. Whether a
@@ -97,7 +96,7 @@ use pbbf_radio::{
 };
 use pbbf_topology::{NodeId, RandomDeployment};
 
-use crate::{ActiveSet, BoundaryEngine, CachedDeployment, NetConfig, NetMode, NetRunStats};
+use crate::{ActiveSet, CachedDeployment, NetConfig, NetMode, NetRunStats};
 
 /// The realistic simulator: construct once, [`NetSim::run`] per seed.
 ///
@@ -112,6 +111,11 @@ pub struct NetSim {
 }
 
 impl NetSim {
+    /// Attempts to draw a connected deployment before giving up (Table
+    /// 2's budget). Rejection sampling at the paper's densities connects
+    /// within a handful.
+    pub const DEPLOY_ATTEMPTS: u32 = 1000;
+
     /// Creates a simulator for the given scenario and protocol mode.
     #[must_use]
     pub fn new(config: NetConfig, mode: NetMode) -> Self {
@@ -138,7 +142,7 @@ impl NetSim {
     /// # Errors
     ///
     /// Fails if no connected deployment can be drawn within
-    /// `cfg.max_deploy_attempts` (raise Δ or the attempt budget).
+    /// [`NetSim::DEPLOY_ATTEMPTS`] (raise Δ).
     pub fn try_draw_deployment(cfg: &NetConfig, seed: u64) -> Result<CachedDeployment, String> {
         let root = SimRng::new(seed);
         let mut deploy_rng = root.substream(0);
@@ -146,14 +150,15 @@ impl NetSim {
             cfg.nodes,
             cfg.range_m,
             cfg.delta,
-            cfg.max_deploy_attempts,
+            Self::DEPLOY_ATTEMPTS,
             &mut deploy_rng,
         )
         .ok_or_else(|| {
             format!(
-                "no connected deployment of {} nodes at delta {} in {} attempts; \
-                 raise delta or attempts",
-                cfg.nodes, cfg.delta, cfg.max_deploy_attempts
+                "no connected deployment of {} nodes at delta {} in {} attempts; raise delta",
+                cfg.nodes,
+                cfg.delta,
+                Self::DEPLOY_ATTEMPTS
             )
         })?;
         let mut source_rng = root.substream(1);
@@ -170,7 +175,7 @@ impl NetSim {
     /// # Panics
     ///
     /// Panics if no connected deployment can be drawn within
-    /// `cfg.max_deploy_attempts` (raise Δ or the attempt budget).
+    /// [`NetSim::DEPLOY_ATTEMPTS`] (raise Δ).
     #[must_use]
     pub fn draw_deployment(cfg: &NetConfig, seed: u64) -> CachedDeployment {
         Self::try_draw_deployment(cfg, seed).unwrap_or_else(|e| panic!("{e}"))
@@ -181,7 +186,7 @@ impl NetSim {
     /// # Panics
     ///
     /// Panics if no connected deployment can be drawn within
-    /// `config.max_deploy_attempts` (raise Δ or the attempt budget).
+    /// [`NetSim::DEPLOY_ATTEMPTS`] (raise Δ).
     #[must_use]
     pub fn run(&self, seed: u64) -> NetRunStats {
         self.run_with(seed, Channel::new)
@@ -195,7 +200,7 @@ impl NetSim {
     /// # Panics
     ///
     /// Panics if no connected deployment can be drawn within
-    /// `config.max_deploy_attempts` (raise Δ or the attempt budget).
+    /// [`NetSim::DEPLOY_ATTEMPTS`] (raise Δ).
     #[must_use]
     pub fn run_brute(&self, seed: u64) -> NetRunStats {
         self.run_with(seed, BruteChannel::new)
@@ -219,6 +224,24 @@ impl NetSim {
             Arc::clone(&deployment.topology),
             deployment.source,
             Channel::new,
+            false,
+        )
+    }
+
+    /// [`NetSim::run_on`] with lazy settling off: every node is stepped
+    /// at every beacon boundary, as adaptive mode always is (see the
+    /// module docs' walk). The exact reference for the lazy engine's
+    /// sleep-scheduled runs, kept for the golden and equivalence tests
+    /// and the baseline benches; always-on and adaptive runs equal
+    /// [`NetSim::run_on`]'s.
+    #[must_use]
+    pub fn run_on_walked(&self, seed: u64, deployment: &CachedDeployment) -> NetRunStats {
+        self.run_core(
+            seed,
+            Arc::clone(&deployment.topology),
+            deployment.source,
+            Channel::new,
+            true,
         )
     }
 
@@ -228,7 +251,7 @@ impl NetSim {
         channel: impl FnOnce(Arc<pbbf_topology::Topology>) -> C,
     ) -> NetRunStats {
         let drawn = Self::draw_deployment(&self.config, seed);
-        self.run_core(seed, drawn.topology, drawn.source, channel)
+        self.run_core(seed, drawn.topology, drawn.source, channel, false)
     }
 
     fn run_core<C: CollisionChannel>(
@@ -237,9 +260,17 @@ impl NetSim {
         topology: Arc<pbbf_topology::Topology>,
         source: NodeId,
         channel: impl FnOnce(Arc<pbbf_topology::Topology>) -> C,
+        walk: bool,
     ) -> NetRunStats {
         let root = SimRng::new(seed);
-        let mut runner = Runner::new(&self.config, self.mode, channel(topology), source, &root);
+        let mut runner = Runner::new(
+            &self.config,
+            self.mode,
+            channel(topology),
+            source,
+            &root,
+            walk,
+        );
         runner.prime();
         runner.drain();
         runner.into_stats()
@@ -321,14 +352,13 @@ struct Runner<C: CollisionChannel> {
     psm: bool,
     /// The active-set fast path: boundary handlers sweep only active
     /// nodes and everyone else is settled lazily. Off for always-on (no
-    /// beacon structure at all) and adaptive mode (every beacon closes
-    /// every node's observation window, an inherently dense walk).
+    /// beacon structure at all), adaptive mode (every beacon closes
+    /// every node's observation window, an inherently dense walk) and
+    /// [`NetSim::run_on_walked`].
     lazy: bool,
-    /// Exact per-boundary replay with every frame walked, instead of
-    /// geometric-skip batching and quiescent-frame jumps — the
-    /// configured [`BoundaryEngine::Dense`] choice. Only the lazy path
-    /// settles nodes, so this is off whenever `lazy` is.
-    dense_boundaries: bool,
+    /// Adaptive mode: each frame start appends the nodes' mean `(p, q)`
+    /// to `adaptive_trace`.
+    adaptive: bool,
     /// Pending ATIM/data/`TxEnd` events in the queue — the traffic half
     /// of the quiescence check. Maintained by
     /// [`Runner::sched_traffic`] and the drain loop.
@@ -355,9 +385,9 @@ struct Runner<C: CollisionChannel> {
     queue: EventQueue<Ev>,
     source: NodeId,
     /// Boundary events already fired (same numbering as
-    /// `NodeRt::applied`) — the target lazy nodes settle to. Adaptive
-    /// mode keeps it too: its walks step every node at every boundary,
-    /// so each node's cursor stays equal to it and settling is a no-op.
+    /// `NodeRt::applied`) — the target lazy nodes settle to. The walk
+    /// keeps it too: it steps every node at every boundary, so each
+    /// node's cursor stays equal to it and settling is a no-op.
     fired: u32,
     /// Nodes the frame-start handler must process (pending announces).
     frame_set: ActiveSet,
@@ -365,19 +395,6 @@ struct Runner<C: CollisionChannel> {
     window_set: ActiveSet,
     /// Scratch for sorted active-set sweeps.
     sweep: Vec<u32>,
-    /// Boundary timestamps in seconds, one entry per fired frame
-    /// (`frame_secs[f]` = start of frame `f`, `window_secs[f]` = its
-    /// window end), appended by the frame-start handler **under the
-    /// dense engine only**. Dense settling replays the same `set_state`
-    /// instants for thousands of nodes; converting each boundary to
-    /// seconds once — instead of dividing nanoseconds per node per
-    /// boundary — keeps the replay loop in integer/flag work. The lazy
-    /// engine touches only O(1) boundaries per settle, so it leaves
-    /// these empty and converts on demand — bit-identical values
-    /// (boundaries are exact integer-nanosecond multiples, converted
-    /// with the same division).
-    frame_secs: Vec<f64>,
-    window_secs: Vec<f64>,
     gen_times: Vec<SimTime>,
     receptions: Vec<Vec<Option<SimTime>>>,
     /// Reused per-`end_tx` delivery buffer: the channel writes into it so
@@ -392,7 +409,15 @@ struct Runner<C: CollisionChannel> {
 }
 
 impl<C: CollisionChannel> Runner<C> {
-    fn new(cfg: &NetConfig, mode: NetMode, channel: C, source: NodeId, root: &SimRng) -> Self {
+    /// `walk` turns lazy settling off: every boundary steps every node.
+    fn new(
+        cfg: &NetConfig,
+        mode: NetMode,
+        channel: C,
+        source: NodeId,
+        root: &SimRng,
+        walk: bool,
+    ) -> Self {
         let params = match mode {
             NetMode::AlwaysOn => pbbf_core::PbbfParams::ALWAYS_ON,
             NetMode::SleepScheduled(p) => p,
@@ -423,7 +448,7 @@ impl<C: CollisionChannel> Runner<C> {
         // Degree ≈ Δ bounds the per-`end_tx` delivery count.
         let expected_degree = cfg.delta.ceil() as usize + 1;
         let psm = !matches!(mode, NetMode::AlwaysOn);
-        let lazy = matches!(mode, NetMode::SleepScheduled(_));
+        let lazy = !walk && matches!(mode, NetMode::SleepScheduled(_));
         let timing = PsmTiming::new(
             SimDuration::from_secs(cfg.beacon_interval_secs),
             SimDuration::from_secs(cfg.atim_window_secs),
@@ -431,7 +456,7 @@ impl<C: CollisionChannel> Runner<C> {
         Self {
             psm,
             lazy,
-            dense_boundaries: lazy && cfg.boundary_engine == BoundaryEngine::Dense,
+            adaptive: matches!(mode, NetMode::Adaptive(_)),
             traffic_events: 0,
             next_gen: None,
             aw_secs: timing.atim_window().as_secs(),
@@ -450,8 +475,6 @@ impl<C: CollisionChannel> Runner<C> {
             frame_set: ActiveSet::new(nodes.len()),
             window_set: ActiveSet::new(nodes.len()),
             sweep: Vec::new(),
-            frame_secs: Vec::new(),
-            window_secs: Vec::new(),
             nodes,
             gen_times: Vec::with_capacity(expected_updates),
             receptions: Vec::with_capacity(expected_updates),
@@ -510,8 +533,8 @@ impl<C: CollisionChannel> Runner<C> {
         self.queue.schedule(at, ev);
     }
 
-    /// The quiescent-frame jump of [`BoundaryEngine::Lazy`], tried at the
-    /// top of every lazy-engine frame start. When the network is globally
+    /// The quiescent-frame jump of the lazy engine, tried at the top of
+    /// every lazy frame start. When the network is globally
     /// quiescent — both boundary active sets empty and no traffic event
     /// pending, an O(1) check — every whole frame before the next
     /// generated update is pure bookkeeping: its frame-start and
@@ -541,11 +564,9 @@ impl<C: CollisionChannel> Runner<C> {
         if target <= f {
             return false;
         }
-        // O(1): no per-skipped-frame work at all. The boundary-seconds
-        // tables are a dense-engine cache (see their field docs), so the
-        // jump is just the cursor advance and the rescheduled frame
-        // start — later settles convert the skipped boundaries to
-        // seconds on demand, bit-identically.
+        // O(1): no per-skipped-frame work at all, just the cursor
+        // advance and the rescheduled frame start — later settles
+        // convert the skipped boundaries to seconds on demand.
         self.fired = 2 * target;
         self.queue
             .schedule(self.timing.frame_time(u64::from(target)), Ev::FrameStart);
@@ -565,30 +586,26 @@ impl<C: CollisionChannel> Runner<C> {
     }
 
     /// Brings node `i` up to the boundaries whose events have already
-    /// fired, replaying wake/sleep transitions at their original
-    /// timestamps and RNG draws in their original order. O(1) when the
-    /// node is already settled; every path that touches a node (a
-    /// delivery, a generated update, an attempt, `into_stats`) settles it
-    /// first.
+    /// fired. O(1) when the node is already settled; every path that
+    /// touches a node (a delivery, a generated update, an attempt,
+    /// `into_stats`) settles it first.
     ///
-    /// This is the hot loop of sparse scenarios — a node asleep for a
-    /// hundred beacon intervals pays for all of them here, in one pass
-    /// over cursor-indexed locals — so it works on a single borrow of
-    /// the node and hands [`open_window`]/[`close_window`] closures
-    /// that convert an instant to seconds only when a transition
-    /// happens.
+    /// This is the hot check of busy networks — every delivery makes
+    /// it — so it is a two-compare inline test, with the settle body in
+    /// a function of its own ([`Runner::settle_geometric`]).
     #[inline]
     fn settle(&mut self, i: usize) {
         if self.nodes[i].applied < self.fired {
-            self.settle_replay(i);
+            self.settle_geometric(i);
         }
     }
 
-    /// The out-of-line settle body of [`Runner::settle`] — kept cold so
-    /// the settled-already fast path (every delivery in a busy network)
-    /// stays a two-compare inline check. Dispatches on the configured
-    /// [`BoundaryEngine`].
-    fn settle_replay(&mut self, i: usize) {
+    /// Geometric-skip settling of node `i` up to [`Runner::fired`]: the
+    /// interior `(frame start, window end)` pairs are jumped over in
+    /// closed form; only the batch's ragged edges, one boundary each,
+    /// replay exactly — wake/sleep transitions at their original
+    /// timestamps, converted to seconds only when a transition happens.
+    fn settle_geometric(&mut self, i: usize) {
         debug_assert!(self.lazy, "only the lazy path leaves nodes unsettled");
         // An unsettled node has had no events since before the boundaries
         // being replayed, so it cannot be mid-transmission.
@@ -596,83 +613,38 @@ impl<C: CollisionChannel> Runner<C> {
             !self.channel.is_transmitting(NodeId(i as u32)),
             "untouched node {i} cannot be mid-transmission"
         );
-        if self.dense_boundaries {
-            self.settle_dense(i, self.fired);
-        } else {
-            self.settle_geometric(i);
-        }
-    }
-
-    /// Exact per-boundary replay of node `i` up to boundary `target`:
-    /// wake/sleep transitions at their original timestamps, RNG draws in
-    /// their original order — bit-identical to the deleted per-node
-    /// walk. The whole settle under [`BoundaryEngine::Dense`]; the
-    /// single-boundary edges of a batch under [`BoundaryEngine::Lazy`].
-    fn settle_dense(&mut self, i: usize, target: u32) {
-        let beacon_nanos = self.timing.beacon_interval().as_nanos();
-        let atim_nanos = self.timing.atim_window().as_nanos();
-        // The tables are filled only under the dense engine; the lazy
-        // engine replays at most one boundary per edge here, so the
-        // on-demand conversion (bit-identical: exact integer-nanosecond
-        // boundaries through the same division) costs nothing that
-        // matters.
-        let dense = self.dense_boundaries;
-        let (frame_secs, window_secs) = (&self.frame_secs, &self.window_secs);
-        let node = &mut self.nodes[i];
-        while node.applied < target {
-            let frame = node.applied >> 1;
-            if node.applied & 1 == 0 {
-                let wants = open_window(node, frame, || {
-                    let t = SimTime::from_nanos(u64::from(frame) * beacon_nanos);
-                    let secs = if dense {
-                        frame_secs[frame as usize]
-                    } else {
-                        t.as_secs()
-                    };
-                    (t, secs)
-                });
-                debug_assert!(
-                    !wants,
-                    "node {i} with announce work must be in the frame-start active set"
-                );
-            } else {
-                // An untouched node cannot be mid-transmission.
-                close_window(
-                    node,
-                    frame,
-                    || false,
-                    || {
-                        if dense {
-                            window_secs[frame as usize]
-                        } else {
-                            SimTime::from_nanos(u64::from(frame) * beacon_nanos + atim_nanos)
-                                .as_secs()
-                        }
-                    },
-                );
-            }
-        }
-    }
-
-    /// Geometric-skip settling of node `i` up to [`Runner::fired`]: the
-    /// interior `(frame start, window end)` pairs are jumped over in
-    /// closed form; only the batch's ragged edges replay exactly.
-    fn settle_geometric(&mut self, i: usize) {
         let fired = self.fired;
+        let timing = self.timing;
         // A leading window end sees state the batch cannot assume away —
         // an ATIM heard in that window keeps the node awake
         // deterministically — so it replays exactly.
-        if self.nodes[i].applied & 1 == 1 {
-            self.settle_dense(i, (self.nodes[i].applied + 1).min(fired));
+        let node = &mut self.nodes[i];
+        if node.applied & 1 == 1 {
+            let frame = node.applied >> 1;
+            close_window(
+                node,
+                frame,
+                || false,
+                || (timing.frame_time(u64::from(frame)) + timing.atim_window()).as_secs(),
+            );
         }
-        let pairs = (fired - self.nodes[i].applied) / 2;
+        let pairs = (fired - node.applied) / 2;
         if pairs > 0 {
             self.settle_pairs_batched(i, pairs);
         }
         // A trailing frame start (the node is being touched inside an
         // ATIM window) is a lone wake: replay exactly.
-        if self.nodes[i].applied < fired {
-            self.settle_dense(i, fired);
+        let node = &mut self.nodes[i];
+        if node.applied < fired {
+            let frame = node.applied >> 1;
+            let wants = open_window(node, frame, || {
+                let t = timing.frame_time(u64::from(frame));
+                (t, t.as_secs())
+            });
+            debug_assert!(
+                !wants,
+                "node {i} with announce work must be in the frame-start active set"
+            );
         }
     }
 
@@ -689,10 +661,6 @@ impl<C: CollisionChannel> Runner<C> {
     /// state the node leaves in.
     fn settle_pairs_batched(&mut self, i: usize, pairs: u32) {
         let g0 = self.nodes[i].applied / 2;
-        // Only the lazy engine batches, and it leaves the
-        // boundary-seconds tables empty: convert the two touched
-        // boundaries on demand (bit-identical to the dense engine's
-        // table entries).
         let g0_secs = self.timing.frame_time(u64::from(g0)).as_secs();
         let node = &mut self.nodes[i];
         debug_assert_eq!(node.applied & 1, 0, "batch must start at a frame start");
@@ -715,10 +683,10 @@ impl<C: CollisionChannel> Runner<C> {
             .accrue_batch(RadioState::Sleep, u64::from(sleeps_inside), self.data_secs);
         let last = g0 + pairs - 1;
         let ends_awake = summary.ends_awake(pairs);
-        let last_window_secs =
+        let last_window_end =
             (self.timing.frame_time(u64::from(last)) + self.timing.atim_window()).as_secs();
         node.meter.jump_to_secs(
-            last_window_secs,
+            last_window_end,
             if ends_awake {
                 RadioState::Idle
             } else {
@@ -739,8 +707,7 @@ impl<C: CollisionChannel> Runner<C> {
 
     /// The nodes a boundary handler visits, in ascending order: the
     /// members of that boundary's active set on the lazy path, every
-    /// node in adaptive mode (each beacon closes every node's
-    /// controller window, an inherently dense walk).
+    /// node on the walk.
     fn take_sweep(&mut self, window_end: bool) -> Vec<u32> {
         let mut sweep = std::mem::take(&mut self.sweep);
         if !self.lazy {
@@ -755,19 +722,10 @@ impl<C: CollisionChannel> Runner<C> {
     }
 
     fn on_frame_start(&mut self, now: SimTime) {
-        if self.lazy && !self.dense_boundaries && self.try_skip_frames(now) {
+        if self.lazy && self.try_skip_frames(now) {
             return;
         }
         let frame = self.fired / 2;
-        if self.dense_boundaries {
-            // The lazy engine converts on demand instead (see the
-            // `frame_secs` field docs) — its tables stay empty, which is
-            // also what lets `try_skip_frames` jump in O(1).
-            debug_assert_eq!(self.frame_secs.len(), frame as usize);
-            self.frame_secs.push(now.as_secs());
-            self.window_secs
-                .push((now + self.timing.atim_window()).as_secs());
-        }
         let (mut p_sum, mut q_sum) = (0.0, 0.0);
         let sweep = self.take_sweep(false);
         for &i in &sweep {
@@ -804,7 +762,7 @@ impl<C: CollisionChannel> Runner<C> {
         }
         self.sweep = sweep;
         self.fired = 2 * frame + 1;
-        if !self.lazy {
+        if self.adaptive {
             let n = self.nodes.len() as f64;
             self.adaptive_trace.push((p_sum / n, q_sum / n));
         }
@@ -1334,32 +1292,29 @@ mod tests {
         }
     }
 
-    fn with_engine(duration: f64, engine: BoundaryEngine) -> NetConfig {
-        let mut c = cfg(duration);
-        c.boundary_engine = engine;
-        c
+    /// `sim`'s run of `seed` on the walk and on the lazy engine, both on
+    /// the deployment `run` draws.
+    fn walked_and_lazy(sim: &NetSim, seed: u64) -> (NetRunStats, NetRunStats) {
+        let drawn = NetSim::draw_deployment(sim.config(), seed);
+        (sim.run_on_walked(seed, &drawn), sim.run_on(seed, &drawn))
     }
 
     #[test]
-    fn deterministic_endpoints_identical_across_boundary_engines() {
-        // q = 0 (PSM) and q = 1 consume no sleep randomness on either
-        // engine, and the Table-2 boundary instants are exactly
-        // representable, so whole runs agree bit for bit — the strongest
-        // cheap cross-check of the batched pair accounting (an off-by-one
-        // in the credited ATIM windows or data phases shows up here).
-        let dense = with_engine(300.0, BoundaryEngine::Dense);
-        let lazy = with_engine(300.0, BoundaryEngine::Lazy);
+    fn deterministic_endpoints_identical_walked_and_lazy() {
+        // q = 0 (PSM) and q = 1 consume no sleep randomness on the walk
+        // or the lazy engine, and the Table-2 boundary instants are
+        // exactly representable, so whole runs agree bit for bit — the
+        // strongest cheap cross-check of the batched pair accounting (an
+        // off-by-one in the credited ATIM windows or data phases shows
+        // up here).
         for seed in [1u64, 5] {
             for mode in [
                 NetMode::SleepScheduled(PbbfParams::PSM),
                 pbbf(0.25, 1.0),
                 pbbf(1.0, 0.0),
             ] {
-                assert_eq!(
-                    NetSim::new(dense, mode).run(seed),
-                    NetSim::new(lazy, mode).run(seed),
-                    "dense vs lazy, mode {mode:?} seed {seed}"
-                );
+                let (walked, lazy) = walked_and_lazy(&NetSim::new(cfg(300.0), mode), seed);
+                assert_eq!(walked, lazy, "walked vs lazy, mode {mode:?} seed {seed}");
             }
         }
     }
@@ -1368,7 +1323,7 @@ mod tests {
     fn quiescent_jumps_still_deliver() {
         // A quiescent scenario — each flood dies out well before the
         // next update — exercises repeated multi-frame jumps end to end.
-        let mut c = with_engine(600.0, BoundaryEngine::Lazy);
+        let mut c = cfg(600.0);
         c.lambda = 0.005; // 3 updates over 600 s, 20 beacon intervals apart
         for seed in [3u64, 8] {
             let s = NetSim::new(c, pbbf(0.25, 0.5)).run(seed);
@@ -1378,21 +1333,16 @@ mod tests {
     }
 
     #[test]
-    fn non_lazy_modes_ignore_the_boundary_engine() {
+    fn non_lazy_modes_walk_either_way() {
         use pbbf_core::adaptive::AdaptiveConfig;
-        let dense = with_engine(200.0, BoundaryEngine::Dense);
-        let lazy = with_engine(200.0, BoundaryEngine::Lazy);
         for mode in [
             NetMode::AlwaysOn,
             NetMode::Adaptive(AdaptiveConfig::default_for(
                 PbbfParams::new(0.1, 0.3).unwrap(),
             )),
         ] {
-            assert_eq!(
-                NetSim::new(dense, mode).run(7),
-                NetSim::new(lazy, mode).run(7),
-                "mode {mode:?}"
-            );
+            let (walked, lazy) = walked_and_lazy(&NetSim::new(cfg(200.0), mode), 7);
+            assert_eq!(walked, lazy, "mode {mode:?}");
         }
     }
 
@@ -1400,27 +1350,32 @@ mod tests {
     fn lazy_engine_is_deterministic_and_reasonable() {
         // Mid-q: the engines differ bitwise (different stream layouts)
         // but the lazy engine must stay seed-deterministic and produce
-        // the same qualitative physics as dense.
-        let sim = NetSim::new(with_engine(300.0, BoundaryEngine::Lazy), pbbf(0.5, 0.5));
+        // the same qualitative physics as the walk.
+        let sim = NetSim::new(cfg(300.0), pbbf(0.5, 0.5));
         assert_eq!(sim.run(42), sim.run(42));
-        let dense = with_engine(300.0, BoundaryEngine::Dense);
-        let d = NetSim::new(dense, pbbf(0.5, 0.5)).run(42);
-        let l = sim.run(42);
+        let (d, l) = walked_and_lazy(&sim, 42);
         assert_ne!(l, d, "mid-q stream layouts legitimately differ");
+        assert!(
+            d.adaptive_trace.is_empty(),
+            "a walked static run traces nothing"
+        );
         assert!(l.mean_delivery_ratio() > 0.8, "{}", l.mean_delivery_ratio());
         // Energy totals agree to a few percent even on single runs: the
         // q coin only modulates the data-phase residency.
         let (le, de) = (l.energy_per_update(), d.energy_per_update());
-        assert!((le - de).abs() / de < 0.1, "energy lazy {le} vs dense {de}");
+        assert!(
+            (le - de).abs() / de < 0.1,
+            "energy lazy {le} vs walked {de}"
+        );
     }
 
     #[test]
     fn undrawable_deployments_are_errors() {
         let mut sparse = cfg(100.0);
         sparse.delta = 1e-9;
-        sparse.max_deploy_attempts = 3;
         let err = NetSim::try_draw_deployment(&sparse, 1).unwrap_err();
         assert!(err.contains("no connected deployment"), "{err}");
+        assert!(err.ends_with("in 1000 attempts; raise delta"), "{err}");
         let c = cfg(100.0);
         assert_eq!(
             NetSim::try_draw_deployment(&c, 1).unwrap(),

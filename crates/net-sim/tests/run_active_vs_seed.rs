@@ -1,22 +1,24 @@
-//! Pins the boundary engines of the active-set event loop.
+//! Pins both ways the event loop steps beacon boundaries.
 //!
-//! * [`BoundaryEngine::Dense`] replays every skipped boundary exactly and
-//!   must stay **bit-identical to the original per-node-walk loop** it
-//!   replaced: `EXPECTED_DENSE` was captured from that loop (commit
-//!   630516c) and has never been regenerated since. The quiescent rows
-//!   were added later and live in `EXPECTED_DENSE_QUIESCENT`, so the
-//!   original table keeps its provenance.
-//! * [`BoundaryEngine::Lazy`] settles idle-node boundary runs in closed
-//!   form — a relaxed RNG-stream-layout contract under which every value
-//!   for a fixed seed moved **once**, at the change that introduced
-//!   geometric skip. `EXPECTED_LAZY` pins that layout; the
-//!   statistical-equivalence
-//!   suite (`tests/boundary_equivalence.rs` at the workspace root) pins
-//!   the two engines together in distribution. Modes whose sleep coin is
-//!   deterministic (NO PSM, PSM, `q = 1`, adaptive) consume no sleep
-//!   randomness on either engine, so their rows agree across both tables
-//!   up to the association order of the batched energy additions (almost
-//!   all are bitwise equal).
+//! * The walk ([`NetSim::run_on_walked`]) steps every node at every
+//!   boundary and must stay **bit-identical to the original
+//!   per-node-walk loop**: `EXPECTED_DENSE` was captured from that loop
+//!   (commit 630516c) and has never been regenerated since. The
+//!   quiescent rows were added later and live in
+//!   `EXPECTED_DENSE_QUIESCENT`, so the original table keeps its
+//!   provenance; they were captured through an exact per-boundary replay
+//!   engine since deleted, which the walk reproduces bit for bit.
+//! * The lazy engine ([`NetSim::run`], [`NetSim::run_on`]) settles
+//!   idle-node boundary runs in closed form — a relaxed RNG-stream-layout
+//!   contract under which every value for a fixed seed moved **once**, at
+//!   the change that introduced geometric skip. `EXPECTED_LAZY` pins that
+//!   layout; the statistical-equivalence suite
+//!   (`tests/boundary_equivalence.rs` at the workspace root) pins it to
+//!   the walk in distribution. Modes whose sleep coin is deterministic
+//!   (NO PSM, PSM, `q = 1`, adaptive) consume no sleep randomness either
+//!   way, so their rows agree across both tables up to the association
+//!   order of the batched energy additions (almost all are bitwise
+//!   equal).
 //! * The `quiescent/*` rows — one flood, then ~700 idle beacon intervals —
 //!   are where the lazy engine's quiescent-frame jump covers almost the
 //!   whole horizon in one step. Their `EXPECTED_LAZY` values were captured
@@ -27,9 +29,9 @@
 //! reception times, energy joules bit-for-bit, transmission and
 //! collision counters, adaptive traces (everything the original loop
 //! produced; see [`fingerprint`] for the one later-added exclusion).
-//! Every cell is additionally
-//! executed through [`NetSim::run_on`] on a registry-cached,
-//! `Arc`-shared scenario and must hash identically.
+//! Every cell is additionally executed on a registry-cached,
+//! `Arc`-shared scenario and must hash identically to its run on a
+//! fresh draw.
 //!
 //! Regenerate (only when an *intentional* behavior change is made) with:
 //!
@@ -39,12 +41,12 @@
 
 use pbbf_core::adaptive::AdaptiveConfig;
 use pbbf_core::PbbfParams;
-use pbbf_net_sim::{BoundaryEngine, DeploymentCache, NetConfig, NetMode, NetRunStats, NetSim};
+use pbbf_net_sim::{DeploymentCache, NetConfig, NetMode, NetRunStats, NetSim};
 
 /// FNV-1a over the stats, f64s by bit pattern.
 ///
 /// Hashes every field the original per-node-walk loop produced.
-/// `state_secs` (added with the boundary engines) is deliberately *not*
+/// `state_secs` (added with geometric skip) is deliberately *not*
 /// hashed: including it would force regenerating `EXPECTED_DENSE` and
 /// sever its provenance to the deleted loop. It is pinned indirectly —
 /// `energy_joules`, hashed bit-for-bit, is the power-weighted dot
@@ -113,30 +115,41 @@ fn modes() -> Vec<(&'static str, NetMode)> {
     ]
 }
 
-/// One grid cell: the `run` fingerprint, asserted identical to the same
-/// run executed on a registry-cached `Arc`-shared scenario (the
-/// shared-topology path must be indistinguishable from the fresh-draw,
-/// per-run-clone path it replaced).
-fn cell(cfg: NetConfig, mode: NetMode, seed: u64, label: &str) -> (String, u64) {
+/// One grid cell: the fingerprint of a run on a fresh draw (`run`, or
+/// `run_on_walked` of [`NetSim::draw_deployment`] with `walk`), asserted
+/// identical to the same run executed on a registry-cached `Arc`-shared
+/// scenario (the shared-topology path must be indistinguishable from the
+/// fresh-draw, per-run-clone path it replaced).
+fn cell(cfg: NetConfig, mode: NetMode, seed: u64, label: &str, walk: bool) -> (String, u64) {
     let sim = NetSim::new(cfg, mode);
-    let fp = fingerprint(&sim.run(seed));
     let shared = DeploymentCache::global().get_or_draw(&cfg, seed);
-    let fp_shared = fingerprint(&sim.run_on(seed, &shared));
+    let (fp, fp_shared) = if walk {
+        let fresh = NetSim::draw_deployment(&cfg, seed);
+        (
+            fingerprint(&sim.run_on_walked(seed, &fresh)),
+            fingerprint(&sim.run_on_walked(seed, &shared)),
+        )
+    } else {
+        (
+            fingerprint(&sim.run(seed)),
+            fingerprint(&sim.run_on(seed, &shared)),
+        )
+    };
     assert_eq!(
         fp, fp_shared,
-        "{label}: Arc-shared run_on diverged from run for seed {seed}"
+        "{label}: the Arc-shared run diverged from the fresh draw's for seed {seed}"
     );
     (label.to_string(), fp)
 }
 
-fn grid(engine: BoundaryEngine) -> Vec<(String, u64)> {
+/// The golden grid, every cell on the walk or on the lazy engine.
+fn grid(walk: bool) -> Vec<(String, u64)> {
     let mut out = Vec::new();
     let mut cfg = NetConfig::table2();
     cfg.duration_secs = 300.0;
-    cfg.boundary_engine = engine;
     for (label, mode) in modes() {
         for seed in [1u64, 7, 42] {
-            out.push(cell(cfg, mode, seed, &format!("{label}/{seed}")));
+            out.push(cell(cfg, mode, seed, &format!("{label}/{seed}"), walk));
         }
     }
     // A denser, busier scenario so contention paths are pinned too.
@@ -144,35 +157,38 @@ fn grid(engine: BoundaryEngine) -> Vec<(String, u64)> {
     dense.duration_secs = 200.0;
     dense.delta = 16.0;
     dense.lambda = 0.1;
-    dense.boundary_engine = engine;
     for (label, mode) in modes() {
-        out.push(cell(dense, mode, 9, &format!("dense/{label}/9")));
+        out.push(cell(dense, mode, 9, &format!("dense/{label}/9"), walk));
     }
     // A larger sparse low-duty-cycle scenario (the lazy-settling fast
     // path's home turf: most nodes sleep most beacons).
     let mut sparse = NetConfig::table2();
     sparse.nodes = 300;
     sparse.duration_secs = 400.0;
-    sparse.boundary_engine = engine;
     for seed in [3u64, 11] {
         let mode = NetMode::SleepScheduled(PbbfParams::new(0.25, 0.05).unwrap());
-        out.push(cell(sparse, mode, seed, &format!("sparse/{seed}")));
+        out.push(cell(sparse, mode, seed, &format!("sparse/{seed}"), walk));
     }
     // The Table-2 network with a single update over two hours: one
     // flood, then a quiescent stretch the lazy engine jumps in one go.
     let mut quiescent = NetConfig::table2();
     quiescent.lambda = 0.000125;
     quiescent.duration_secs = 7200.0;
-    quiescent.boundary_engine = engine;
     for seed in [1u64, 7] {
         let mode = NetMode::SleepScheduled(PbbfParams::new(0.25, 0.5).unwrap());
-        out.push(cell(quiescent, mode, seed, &format!("quiescent/{seed}")));
+        out.push(cell(
+            quiescent,
+            mode,
+            seed,
+            &format!("quiescent/{seed}"),
+            walk,
+        ));
     }
     out
 }
 
 /// Captured from the pre-active-set per-node-walk loop (commit 630516c).
-/// The dense engine must reproduce these forever.
+/// The walk must reproduce these forever.
 const EXPECTED_DENSE: &[(&str, u64)] = &[
     ("no-psm/1", 0x115127465b0942e2),
     ("no-psm/7", 0xab39b06c009eeb55),
@@ -202,8 +218,8 @@ const EXPECTED_DENSE: &[(&str, u64)] = &[
     ("sparse/11", 0x6c15ac46ddfaefdc),
 ];
 
-/// The dense quiescent rows, captured when they were added to the grid
-/// (by then the dense engine was long pinned to `EXPECTED_DENSE`).
+/// The walk's quiescent rows, captured when they were added to the grid
+/// (by then the exact replay was long pinned to `EXPECTED_DENSE`).
 const EXPECTED_DENSE_QUIESCENT: &[(&str, u64)] = &[
     ("quiescent/1", 0x600c071e23c52422),
     ("quiescent/7", 0xa7207060a964dc82),
@@ -248,8 +264,8 @@ const EXPECTED_LAZY: &[(&str, u64)] = &[
     ("quiescent/7", 0xe71f347331ff418c),
 ];
 
-fn check(engine: BoundaryEngine, expected: &[(&str, u64)], what: &str) {
-    let got = grid(engine);
+fn check(walk: bool, expected: &[(&str, u64)], what: &str) {
+    let got = grid(walk);
     if std::env::var("PBBF_PRINT_FINGERPRINTS").is_ok() {
         println!("const {what}: &[(&str, u64)] = &[");
         for (label, fp) in &got {
@@ -269,16 +285,12 @@ fn check(engine: BoundaryEngine, expected: &[(&str, u64)], what: &str) {
 }
 
 #[test]
-fn dense_engine_matches_seed_goldens() {
+fn walk_matches_seed_goldens() {
     let expected = [EXPECTED_DENSE, EXPECTED_DENSE_QUIESCENT].concat();
-    check(
-        BoundaryEngine::Dense,
-        &expected,
-        "EXPECTED_DENSE + EXPECTED_DENSE_QUIESCENT",
-    );
+    check(true, &expected, "EXPECTED_DENSE + EXPECTED_DENSE_QUIESCENT");
 }
 
 #[test]
 fn lazy_engine_matches_committed_goldens() {
-    check(BoundaryEngine::Lazy, EXPECTED_LAZY, "EXPECTED_LAZY");
+    check(false, EXPECTED_LAZY, "EXPECTED_LAZY");
 }

@@ -1,18 +1,23 @@
 //! Statistical equivalence of the lazy boundary engine.
 //!
-//! [`BoundaryEngine::Lazy`] settles idle nodes' beacon boundaries in
-//! closed form — one geometric run-length draw per stretch of sleeps
-//! instead of one Bernoulli coin per boundary — and jumps globally
-//! quiescent frames wholesale. It relaxes *stream layout* relative to
-//! the dense reference (values for a fixed seed move) while promising
-//! the same *distribution*; this suite is the honest pin of that
-//! promise, comparing it against [`BoundaryEngine::Dense`] on the two
-//! observables the skips actually rewrite:
+//! The lazy engine ([`NetSim::run`]) settles idle nodes' beacon
+//! boundaries in closed form — one geometric run-length draw per stretch
+//! of sleeps instead of one Bernoulli coin per boundary — and jumps
+//! globally quiescent frames wholesale. It relaxes *stream layout*
+//! relative to the walk, which steps every node at every boundary
+//! (values for a fixed seed move), while promising the same
+//! *distribution*; this suite is the honest pin of that promise,
+//! comparing it against the walk ([`NetSim::run_on_walked`], the exact
+//! reference) on the two observables the skips actually rewrite:
 //!
 //! * **per-node awake-beacon counts** — how many data phases each node
 //!   spent awake (recovered exactly from the per-node sleep residency:
 //!   nodes sleep only in whole `BI − AW` data phases), compared cell by
-//!   cell with a pooled chi-square over the two empirical histograms;
+//!   cell with a chi-square over the two empirical histograms. Nodes of
+//!   one run share its deployment and floods, so their counts are
+//!   correlated and the pooled statistic is inflated; it is divided by
+//!   the Rao–Scott design effect estimated from the spread between runs
+//!   before it meets the threshold;
 //! * **total sleep energy** (and total energy) — compared as
 //!   across-run means with a tolerance from the runs' own spread.
 //!
@@ -27,14 +32,14 @@
 //! checks the suite is thread-count invariant as well as green.
 //!
 //! The exact-equivalence complement lives in
-//! `crates/net-sim/tests/run_active_vs_seed.rs` (dense engine pinned
+//! `crates/net-sim/tests/run_active_vs_seed.rs` (the walk pinned
 //! bit-for-bit to the pre-geometric goldens; deterministic-coin modes
-//! pinned across engines; the frame jump pinned by its quiescent rows)
-//! — this file owns the `0 < q < 1` regime where only distributional
-//! claims are possible.
+//! pinned on both; the frame jump pinned by its quiescent rows) — this
+//! file owns the `0 < q < 1` regime where only distributional claims are
+//! possible.
 
 use pbbf_core::PbbfParams;
-use pbbf_net_sim::{BoundaryEngine, NetConfig, NetMode, NetRunStats, NetSim};
+use pbbf_net_sim::{NetConfig, NetMode, NetRunStats, NetSim};
 use pbbf_parallel::par_map;
 
 /// One randomized grid cell.
@@ -48,11 +53,11 @@ struct Cell {
 }
 
 /// Disjoint seed spaces: every comparison is between independent
-/// samples of each engine's own distribution, never the same seeds
+/// samples of each side's own distribution, never the same seeds
 /// replayed (identical seeds could mask a bias).
 const GEOMETRIC_SEEDS: u64 = 1_000_000;
 const FRAME_SKIP_SEEDS: u64 = 5_000_000;
-const DENSE_SEEDS: u64 = 9_000_000;
+const WALK_SEEDS: u64 = 9_000_000;
 
 /// The general grid. Update period of 3..32 whole beacon intervals: the
 /// low end keeps traffic almost continuous, the high end leaves long
@@ -98,13 +103,12 @@ fn grid(seed: u64, periods: (f64, f64), frames: (u32, u32)) -> Vec<Cell> {
         .collect()
 }
 
-fn config(cell: Cell, engine: BoundaryEngine) -> NetConfig {
+fn config(cell: Cell) -> NetConfig {
     let mut cfg = NetConfig::table2();
     cfg.nodes = cell.nodes;
     cfg.delta = cell.delta;
     cfg.lambda = cell.lambda;
     cfg.duration_secs = f64::from(cell.frames) * cfg.beacon_interval_secs;
-    cfg.boundary_engine = engine;
     cfg
 }
 
@@ -130,60 +134,175 @@ fn slept_beacons(cfg: &NetConfig, stats: &NetRunStats) -> Vec<u32> {
 }
 
 struct EngineSample {
-    /// Histogram of per-node awake-beacon counts across all runs.
-    awake_hist: Vec<u64>,
+    /// Per-run, per-node awake-beacon counts.
+    awake: Vec<Vec<u32>>,
     /// Per-run total sleep seconds across nodes.
     sleep_secs: Vec<f64>,
     /// Per-run total energy across nodes.
     energy: Vec<f64>,
 }
 
-/// `runs` runs of `engine` on `cell`, seeded `seeds..seeds + runs`.
-fn sample(cell: Cell, engine: BoundaryEngine, seeds: u64, runs: u64) -> EngineSample {
-    let cfg = config(cell, engine);
+/// `runs` runs on `cell`, seeded `seeds..seeds + runs`, on the walk
+/// ([`NetSim::run_on_walked`]) or on the lazy engine ([`NetSim::run`]).
+fn sample(cell: Cell, walk: bool, seeds: u64, runs: u64) -> EngineSample {
+    let cfg = config(cell);
     let sim = NetSim::new(
         cfg,
         NetMode::SleepScheduled(PbbfParams::new(0.25, cell.q).expect("valid params")),
     );
-    let stats = par_map((0..runs).collect(), |r| sim.run(seeds + r));
-    let mut awake_hist = vec![0u64; cell.frames as usize + 1];
-    let mut sleep_secs = Vec::with_capacity(stats.len());
-    let mut energy = Vec::with_capacity(stats.len());
-    for s in &stats {
-        for slept in slept_beacons(&cfg, s) {
-            let awake = cell.frames - slept;
-            awake_hist[awake as usize] += 1;
+    let stats = par_map((0..runs).collect(), |r| {
+        let seed = seeds + r;
+        if walk {
+            sim.run_on_walked(seed, &NetSim::draw_deployment(&cfg, seed))
+        } else {
+            sim.run(seed)
         }
-        sleep_secs.push(s.state_secs.iter().map(|d| d[2]).sum());
-        energy.push(s.energy_joules.iter().sum());
-    }
+    });
     EngineSample {
-        awake_hist,
-        sleep_secs,
-        energy,
+        awake: stats
+            .iter()
+            .map(|s| {
+                slept_beacons(&cfg, s)
+                    .into_iter()
+                    .map(|slept| cell.frames - slept)
+                    .collect()
+            })
+            .collect(),
+        sleep_secs: stats
+            .iter()
+            .map(|s| s.state_secs.iter().map(|d| d[2]).sum())
+            .collect(),
+        energy: stats.iter().map(|s| s.energy_joules.iter().sum()).collect(),
     }
 }
 
-/// Pooled Pearson chi-square between two empirical histograms, with
-/// low-count bins merged (expected < 8) so the asymptotic distribution
-/// applies. Returns `(chi2, dof)`.
-fn pooled_chi_square(a: &[u64], b: &[u64]) -> (f64, usize) {
+/// Histogram of a sample's awake-beacon counts over `0..=frames`, all
+/// runs pooled.
+fn awake_hist(sample: &EngineSample, frames: u32) -> Vec<u64> {
+    let mut hist = vec![0u64; frames as usize + 1];
+    for &awake in sample.awake.iter().flatten() {
+        hist[awake as usize] += 1;
+    }
+    hist
+}
+
+/// Merges adjacent bins of two histograms until each group's pooled
+/// count (mean of the two) reaches 8, so the chi-square's asymptotic
+/// distribution applies; a non-empty remainder at the top end is a group
+/// of its own. Returns each bin's group and the number of groups; empty
+/// bins past the last group map to that number.
+fn merge_bins(a: &[u64], b: &[u64]) -> (Vec<usize>, usize) {
     assert_eq!(a.len(), b.len());
-    let mut chi2 = 0.0;
-    let mut dof = 0usize;
-    let (mut acc_a, mut acc_b) = (0.0f64, 0.0f64);
+    let mut group = Vec::with_capacity(a.len());
+    let (mut groups, mut pooled) = (0, 0.0);
     for i in 0..a.len() {
-        acc_a += a[i] as f64;
-        acc_b += b[i] as f64;
-        let pooled = (acc_a + acc_b) / 2.0;
+        group.push(groups);
+        pooled += (a[i] + b[i]) as f64 / 2.0;
         if pooled >= 8.0 || (i == a.len() - 1 && pooled > 0.0) {
-            chi2 += (acc_a - pooled).powi(2) / pooled + (acc_b - pooled).powi(2) / pooled;
-            dof += 1;
-            acc_a = 0.0;
-            acc_b = 0.0;
+            groups += 1;
+            pooled = 0.0;
         }
     }
-    (chi2, dof.saturating_sub(1))
+    (group, groups)
+}
+
+/// A histogram's counts summed per group.
+fn grouped(hist: &[u64], group: &[usize], groups: usize) -> Vec<f64> {
+    let mut out = vec![0.0; groups];
+    for (&count, &g) in hist.iter().zip(group) {
+        if g < groups {
+            out[g] += count as f64;
+        }
+    }
+    out
+}
+
+/// Pearson chi-square between two grouped histograms. Returns
+/// `(chi2, dof)`.
+fn chi_square(a: &[f64], b: &[f64]) -> (f64, usize) {
+    let mut chi2 = 0.0;
+    for (&a, &b) in a.iter().zip(b) {
+        let pooled = (a + b) / 2.0;
+        chi2 += (a - pooled).powi(2) / pooled + (b - pooled).powi(2) / pooled;
+    }
+    (chi2, a.len().saturating_sub(1))
+}
+
+/// The Rao–Scott second-order correction of the pooled chi-square
+/// `chi2` on `dof` degrees of freedom for the runs' clustering. Nodes of
+/// one run share its deployment and floods, so a run's proportion in a
+/// group varies between runs more than the `p (1 − p) / nodes` of
+/// independent nodes. With `D` that between-run covariance (within each
+/// sample, pooled over both) scaled by the multinomial one, `chi2` is
+/// about a sum of χ²(1) terms weighted by the eigenvalues of `D`, the
+/// design effects (all 1 for independent nodes); `chi2 · tr D / tr D²`
+/// matches it in mean and variance to a chi-square on
+/// `(tr D)² / tr D²` degrees of freedom. `tr D²` is estimated free of
+/// the upward bias of a squared sample covariance, and kept at least
+/// `(tr D)² / dof` so the degrees of freedom never exceed `dof`. Returns
+/// the corrected statistic, its degrees of freedom and `tr D / dof`, the
+/// mean design effect.
+fn rao_scott(
+    (chi2, dof): (f64, usize),
+    a: &EngineSample,
+    b: &EngineSample,
+    group: &[usize],
+    groups: usize,
+) -> (f64, f64, f64) {
+    // Each run's proportions per group, centered on its sample's mean.
+    let centered = |s: &EngineSample| -> (Vec<Vec<f64>>, Vec<f64>) {
+        let runs: Vec<Vec<f64>> = s
+            .awake
+            .iter()
+            .map(|run| {
+                let mut counts = vec![0.0; groups];
+                for &awake in run {
+                    counts[group[awake as usize]] += 1.0;
+                }
+                counts.iter().map(|c| c / run.len() as f64).collect()
+            })
+            .collect();
+        let mean: Vec<f64> = (0..groups)
+            .map(|g| runs.iter().map(|run| run[g]).sum::<f64>() / runs.len() as f64)
+            .collect();
+        let runs = runs
+            .into_iter()
+            .map(|run| run.iter().zip(&mean).map(|(x, m)| x - m).collect())
+            .collect();
+        (runs, mean)
+    };
+    let ((mut runs, mean_a), (runs_b, mean_b)) = (centered(a), centered(b));
+    runs.extend(runs_b);
+    let pooled: Vec<f64> = mean_a
+        .iter()
+        .zip(&mean_b)
+        .map(|(x, y)| (x + y) / 2.0)
+        .collect();
+    let nodes = a.awake[0].len() as f64;
+    let m = (runs.len() - 2) as f64;
+    // tr D and tr D² through the runs' Gram matrix under the
+    // multinomial metric.
+    let gram = |r: &[f64], s: &[f64]| -> f64 {
+        r.iter()
+            .zip(s)
+            .zip(&pooled)
+            .map(|((x, y), p)| x * y / p)
+            .sum()
+    };
+    let (mut trace, mut trace_sq) = (0.0, 0.0);
+    for r in &runs {
+        trace += gram(r, r);
+        trace_sq += runs.iter().map(|s| gram(r, s).powi(2)).sum::<f64>();
+    }
+    let trace = nodes * trace / m;
+    let trace_sq = (nodes / m).powi(2) * trace_sq;
+    let trace_sq = (m * m / ((m - 1.0) * (m + 2.0)) * (trace_sq - trace * trace / m))
+        .max(trace * trace / dof as f64);
+    (
+        chi2 * trace / trace_sq,
+        trace * trace / trace_sq,
+        trace / dof as f64,
+    )
 }
 
 fn mean_std(xs: &[f64]) -> (f64, f64) {
@@ -203,32 +322,42 @@ fn assert_means_close(label: &str, cell: Cell, a: &[f64], b: &[f64]) {
     let tol = 5.0 * se + 1e-9 * ma.abs().max(1.0);
     assert!(
         (ma - mb).abs() <= tol,
-        "{label} diverged for {cell:?}: lazy {ma} vs dense {mb} (tol {tol})"
+        "{label} diverged for {cell:?}: lazy {ma} vs walk {mb} (tol {tol})"
     );
 }
 
 /// The chi-square + mean-agreement battery between the lazy engine's
-/// sample and the dense reference's.
-fn assert_engine_agrees(cell: Cell, lazy: &EngineSample, dense: &EngineSample) {
-    // Per-node awake-beacon counts: pooled chi-square between the
-    // engines' histograms. Threshold: a generous 0.9999-quantile
-    // bound (dof + 4 * sqrt(2 dof) + 8) — the samples are
-    // independent, so only a real distributional bias fails this.
-    let (chi2, dof) = pooled_chi_square(&lazy.awake_hist, &dense.awake_hist);
-    let threshold = dof as f64 + 4.0 * (2.0 * dof as f64).sqrt() + 8.0;
-    let samples: u64 = lazy.awake_hist.iter().sum();
+/// sample and the walk's.
+fn assert_engine_agrees(cell: Cell, lazy: &EngineSample, walk: &EngineSample) {
+    // Per-node awake-beacon counts: pooled chi-square between the two
+    // histograms, corrected for the runs' clustering. Threshold: a
+    // generous 0.9999-quantile bound (dof + 4 * sqrt(2 dof) + 8) at the
+    // corrected degrees of freedom — the samples are independent, so
+    // only a real distributional bias fails this.
+    let (lazy_hist, walk_hist) = (awake_hist(lazy, cell.frames), awake_hist(walk, cell.frames));
+    let (group, groups) = merge_bins(&lazy_hist, &walk_hist);
+    let (chi2, dof) = chi_square(
+        &grouped(&lazy_hist, &group, groups),
+        &grouped(&walk_hist, &group, groups),
+    );
+    let samples: u64 = lazy_hist.iter().sum();
     eprintln!("cell {cell:?}: chi2 {chi2:.1} dof {dof} samples {samples}");
     assert!(
         dof >= 2 && samples >= 500,
         "degenerate cell {cell:?}: dof {dof}, {samples} node-samples — \
          the comparison has no statistical power"
     );
+    let (corrected, nu, deff) = rao_scott((chi2, dof), lazy, walk, &group, groups);
+    let threshold = nu + 4.0 * (2.0 * nu).sqrt() + 8.0;
+    eprintln!(
+        "  design effect {deff:.2}: corrected chi2 {corrected:.1} on {nu:.1} dof, \
+         threshold {threshold:.1}"
+    );
+    assert!(deff > 0.0, "no spread between runs for {cell:?}");
     assert!(
-        chi2 <= threshold,
-        "awake-beacon histograms diverged for {cell:?}: chi2 {chi2} > {threshold} \
-         (dof {dof})\n  lazy  {:?}\n  dense {:?}",
-        lazy.awake_hist,
-        dense.awake_hist,
+        corrected <= threshold,
+        "awake-beacon histograms diverged for {cell:?}: chi2 {chi2} (dof {dof}) corrects to \
+         {corrected} on {nu} dof > {threshold}\n  lazy  {lazy_hist:?}\n  walk  {walk_hist:?}",
     );
 
     // Sleep-energy and total-energy means within sampling error.
@@ -236,26 +365,29 @@ fn assert_engine_agrees(cell: Cell, lazy: &EngineSample, dense: &EngineSample) {
         "total sleep seconds",
         cell,
         &lazy.sleep_secs,
-        &dense.sleep_secs,
+        &walk.sleep_secs,
     );
-    assert_means_close("total energy", cell, &lazy.energy, &dense.energy);
+    assert_means_close("total energy", cell, &lazy.energy, &walk.energy);
 }
 
-/// Samples the lazy engine from seed space `lazy_seeds` and the dense
-/// reference on every cell, and runs the agreement battery on each.
+/// Samples the lazy engine from seed space `lazy_seeds` and the walk on
+/// every cell, and runs the agreement battery on each.
 fn assert_grid_agrees(cells: Vec<Cell>, lazy_seeds: u64) {
     const RUNS: u64 = 12;
     for cell in cells {
-        let lazy = sample(cell, BoundaryEngine::Lazy, lazy_seeds, RUNS);
-        let dense = sample(cell, BoundaryEngine::Dense, DENSE_SEEDS, RUNS);
-        assert_engine_agrees(cell, &lazy, &dense);
+        let lazy = sample(cell, false, lazy_seeds, RUNS);
+        let walk = sample(cell, true, WALK_SEEDS, RUNS);
+        assert_engine_agrees(cell, &lazy, &walk);
     }
 }
 
+// The test names' "dense" is the walk, which steps every node at every
+// boundary.
+
 #[test]
 fn geometric_and_dense_engines_agree_in_distribution() {
-    // The lazy engine's geometric per-node settling against the exact
-    // per-boundary replay, over the general grid.
+    // The lazy engine's geometric per-node settling against the walk's
+    // coin per node per boundary, over the general grid.
     assert_grid_agrees(cells(), GEOMETRIC_SEEDS);
 }
 
@@ -263,10 +395,10 @@ fn geometric_and_dense_engines_agree_in_distribution() {
 fn frame_skip_and_dense_engines_agree_in_distribution() {
     // The lazy engine where quiescent-frame jumps cover most of every
     // run: settling across a jump must leave each node's awake-beacon
-    // count distributed as the frame-by-frame replay leaves it. The
+    // count distributed as the frame-by-frame walk leaves it. The
     // goldens pin the jump bit-for-bit on fixed rows; this is the
-    // independent end-to-end check against the dense reference, over
-    // seeds disjoint from the geometric test's.
+    // independent end-to-end check against the walk, over seeds
+    // disjoint from the geometric test's.
     assert_grid_agrees(quiescent_cells(), FRAME_SKIP_SEEDS);
 }
 
@@ -277,7 +409,7 @@ fn suite_is_thread_count_invariant_per_engine() {
     // sequential pass (run-level substreams are independent of
     // scheduling by construction; this guards the suite's own plumbing).
     let cell = cells()[0];
-    let cfg = config(cell, BoundaryEngine::Lazy);
+    let cfg = config(cell);
     let sim = NetSim::new(
         cfg,
         NetMode::SleepScheduled(PbbfParams::new(0.25, cell.q).expect("valid params")),

@@ -733,6 +733,32 @@ fn stdin_worker_answers_every_spec_of_the_field_soup() {
     assert!(results > 0, "some soup lines are still valid jobs");
 }
 
+/// A spec line at the 1 MiB cap whose job is one string of 2-byte
+/// characters: the worker parses it in one pass and refuses the job
+/// within seconds. Re-validating the rest of the line per character
+/// took minutes.
+#[test]
+fn stdin_worker_refuses_a_megabyte_string_quickly() {
+    use pbbf_fabric::protocol::MAX_LINE_BYTES;
+    let (head, tail) = (r#"{"id":0,"attempt":0,"expect":1,"job":""#, "\"}");
+    let chars = (MAX_LINE_BYTES - head.len() - tail.len()) / 'é'.len_utf8();
+    let line = format!("{head}{}{tail}", "é".repeat(chars));
+    assert!(line.len() > MAX_LINE_BYTES - 2 && line.len() <= MAX_LINE_BYTES);
+    let started = std::time::Instant::now();
+    let out = stdin_worker(line + "\n");
+    let elapsed = started.elapsed();
+    assert!(out.status.success(), "worker exited {:?}", out.status);
+    let replies = replies(&out.stdout);
+    let WorkerReply::Error(e) = &replies[0] else {
+        panic!("expected a refusal, got {replies:?}");
+    };
+    assert_eq!(e.id, 0);
+    assert!(
+        elapsed < std::time::Duration::from_secs(10),
+        "refusal took {elapsed:?}"
+    );
+}
+
 #[test]
 fn stdin_worker_exits_1_on_a_bare_nan() {
     let line = with_field(&spec_lines(&[first_shard_spec()]), "seed", "NaN");

@@ -131,13 +131,13 @@ fn grid() -> Vec<(String, u64)> {
 }
 
 /// Captured at the change that introduced geometric-skip boundary
-/// settling (the default `BoundaryEngine::Lazy` relaxes per-node RNG stream
-/// layout, so the net-simulator exhibits — fig13–fig18, latency-tail,
-/// k-trade-off — moved once; ideal/percolation exhibits and the
-/// adaptive/gossip extensions are untouched). The dense engine remains
+/// settling (the lazy engine relaxes per-node RNG stream layout, so the
+/// net-simulator exhibits — fig13–fig18, latency-tail, k-trade-off —
+/// moved once; ideal/percolation exhibits and the adaptive/gossip
+/// extensions are untouched). The walk (`NetSim::run_on_walked`) remains
 /// pinned to the pre-geometric goldens in
 /// `crates/net-sim/tests/run_active_vs_seed.rs`, and
-/// `tests/boundary_equivalence.rs` ties the engines together in
+/// `tests/boundary_equivalence.rs` ties the lazy engine to it in
 /// distribution.
 ///
 /// Re-captured once more when the ideal simulator's sleep coins became

@@ -70,6 +70,51 @@ fn assert_channels_agree(topology: &Topology, rng: &mut SimRng, steps: u32) {
     assert_eq!(brute.active_count(), 0);
 }
 
+/// A valid spec line of each Monte Carlo table, as the supervisor sends
+/// it: the first quick shard of fig04 (ideal), fig13 (Q) and fig17 (Δ).
+fn spec_lines() -> Vec<Vec<u8>> {
+    ["fig04", "fig13", "fig17"]
+        .into_iter()
+        .map(|figure| {
+            let manifest = pbbf::experiments::sweep::sweep_manifest(figure, &Effort::quick(), 11)
+                .expect("sweepable figure");
+            let job = &manifest.shards[0];
+            let spec = pbbf::fabric::ShardSpec {
+                id: 3,
+                attempt: 0,
+                expect: job.reply_len() as u32,
+                job: serde::to_value(job),
+            };
+            (serde_json::to_string(&spec).unwrap() + "\n").into_bytes()
+        })
+        .collect()
+}
+
+/// One token of JSON-shaped soup: structure, literals, multi-byte
+/// characters, a lone byte (invalid UTF-8 included), or an escape
+/// fragment — `\u` followed by up to five arbitrary hex (or nearly hex)
+/// characters, or a surrogate half.
+fn soup_token(rng: &mut proptest::TestRng) -> Vec<u8> {
+    const PLAIN: &[&str] = &[
+        "\"", "\\", "{", "}", "[", "]", ":", ",", " ", "\n", "0", "-1", "1e999", "null", "true",
+        "\"id\"", "\"job\"", "é", "€", "𝄞", "\\n", "\\\"", "\\x",
+    ];
+    const HEXISH: &[u8] = b"0123456789abcdefABCDEF+- xg";
+    let pick = |rng: &mut proptest::TestRng, n: usize| rng.below(n as u64) as usize;
+    match rng.below(4) {
+        0 => PLAIN[pick(rng, PLAIN.len())].as_bytes().to_vec(),
+        1 => {
+            let mut token = b"\\u".to_vec();
+            for _ in 0..rng.below(6) {
+                token.push(HEXISH[pick(rng, HEXISH.len())]);
+            }
+            token
+        }
+        2 => format!("\\u{:04x}", 0xD800 + rng.below(0x800)).into_bytes(),
+        _ => vec![rng.next_u64() as u8],
+    }
+}
+
 proptest! {
     /// Welford summaries match naive two-pass statistics for any input.
     #[test]
@@ -478,5 +523,64 @@ proptest! {
         prop_assert_eq!(&baseline, &sim.run_brute(seed));
         let drawn = NetSim::draw_deployment(&cfg, seed);
         prop_assert_eq!(&baseline, &sim.run_on(seed, &drawn));
+    }
+
+    /// Byte soup into shard-spec decoding: whatever line a peer sends, a
+    /// worker's decode (`decode_spec`, the UTF-8 check and JSON parse
+    /// `serve_session` runs on each line) returns `Ok` or `Err` and never
+    /// panics. Debug builds check arithmetic overflow, so a bad escape
+    /// that wraps a subtraction panics here too.
+    #[test]
+    fn spec_decoding_never_panics_on_byte_soup(seed in any::<u64>()) {
+        use pbbf::fabric::worker::decode_spec;
+        let valid = spec_lines();
+        for line in &valid {
+            prop_assert!(matches!(decode_spec(line), Ok(Some(_))), "a valid spec line");
+        }
+        let mut rng = proptest::TestRng::new(seed);
+        for _ in 0..64 {
+            let mut line: Vec<u8> = Vec::new();
+            match rng.below(4) {
+                // Arbitrary bytes.
+                0 => line.extend((0..rng.below(48)).map(|_| rng.next_u64() as u8)),
+                // Soup tokens alone.
+                1 => {
+                    for _ in 0..rng.below(16) {
+                        line.extend(soup_token(&mut rng));
+                    }
+                }
+                // A spec whose job is a string of soup tokens, so the
+                // escape fragments are read as string content.
+                2 => {
+                    line.extend(br#"{"id":0,"attempt":0,"expect":1,"job":""#);
+                    for _ in 0..rng.below(16) {
+                        line.extend(soup_token(&mut rng));
+                    }
+                    line.extend(b"\"}");
+                }
+                // A valid line of one table with flips, insertions and
+                // truncations.
+                _ => {
+                    line.extend(&valid[rng.below(valid.len() as u64) as usize]);
+                    for _ in 0..1 + rng.below(4) {
+                        let at = rng.below(line.len() as u64 + 1) as usize;
+                        match rng.below(3) {
+                            0 if at < line.len() => line[at] ^= 1 << rng.below(8),
+                            1 => {
+                                let token = soup_token(&mut rng);
+                                line.splice(at..at, token);
+                            }
+                            _ => line.truncate(at),
+                        }
+                    }
+                }
+            }
+            let decoded = std::panic::catch_unwind(|| decode_spec(&line));
+            prop_assert!(
+                decoded.is_ok(),
+                "decoding panicked on {:?}",
+                String::from_utf8_lossy(&line)
+            );
+        }
     }
 }
