@@ -137,19 +137,9 @@ pub const RATIO_RULES: &[RatioRule] = &[
         min_ratio: 8.0, // ~15x observed
     },
     RatioRule {
-        fast: "channel_churn_dense_delta16",
-        slow: "channel_churn_dense_delta16_brute",
-        min_ratio: 4.0, // ~11x observed
-    },
-    RatioRule {
-        fast: "net_sim_run_delta16",
-        slow: "net_sim_run_delta16_brute",
-        min_ratio: 1.5, // ~2.5x observed
-    },
-    RatioRule {
         fast: "net_sim_run_sparse_q05_batched",
         slow: "net_sim_run_sparse_q05_shared",
-        min_ratio: 2.0, // ~10x observed (lazy engine vs the walk, `run_on_walked`)
+        min_ratio: 2.0, // ~7.5x observed (lazy engine vs the walk, `run_on_walked`)
     },
 ];
 

@@ -287,15 +287,18 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                // RFC 8259 admits control characters only escaped.
+                Some(0..=0x1f) => return Err(self.error("raw control character in string")),
                 Some(_) => {
-                    // Copy the run up to the next quote or backslash in
-                    // one go. Both are ASCII, and UTF-8 never uses an
-                    // ASCII byte inside a multi-byte character, so the
-                    // run starts and ends on character boundaries.
+                    // Copy the run up to the next quote, backslash or
+                    // control character in one go. All are ASCII, and
+                    // UTF-8 never uses an ASCII byte inside a multi-byte
+                    // character, so the run starts and ends on character
+                    // boundaries.
                     let start = self.pos;
                     let run = self.bytes[start..]
                         .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                         .unwrap_or(self.bytes.len() - start);
                     self.pos += run;
                     out.push_str(&self.text[start..self.pos]);
@@ -337,24 +340,50 @@ impl Parser<'_> {
         Ok(v)
     }
 
+    /// Skips a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let run = self.bytes[self.pos..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        self.pos += run;
+        run
+    }
+
+    /// RFC 8259's `-? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?`:
+    /// no leading zero, and a digit on each side of the point and after
+    /// the exponent mark.
     fn parse_number(&mut self) -> Result<Json, Error> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let mut fractional = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    fractional = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
             }
+            _ => return Err(self.error("bad number")),
         }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("bad number"))?;
+        let mut fractional = false;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.error("bad number"));
+            }
+            fractional = true;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(self.error("bad number"));
+            }
+            fractional = true;
+        }
+        let s = &self.text[start..self.pos];
         if !fractional {
             if let Ok(v) = s.parse::<u64>() {
                 return Ok(Json::U64(v));
@@ -476,6 +505,37 @@ mod tests {
         ] {
             assert!(parse_json(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        for bad in r#"01 -01 00 1. 1.e5 - .5 +1 -.5 1e 1e+ 1E- 0x10 [01] {"id":01}"#.split(' ') {
+            assert!(parse_json(bad).is_err(), "{bad}");
+        }
+        assert_eq!(parse_json("0").unwrap(), Json::U64(0));
+        assert_eq!(parse_json("-0").unwrap(), Json::I64(0));
+        assert_eq!(parse_json("10").unwrap(), Json::U64(10));
+        assert_eq!(parse_json("0.5").unwrap(), Json::F64(0.5));
+        assert_eq!(parse_json("-0.0e0").unwrap(), Json::F64(-0.0));
+        assert_eq!(parse_json("1E+2").unwrap(), Json::F64(100.0));
+        assert_eq!(parse_json("25e-1").unwrap(), Json::F64(2.5));
+        assert_eq!(
+            parse_json("[0,10,-3]").unwrap(),
+            Json::Arr(vec![Json::U64(0), Json::U64(10), Json::I64(-3)])
+        );
+    }
+
+    #[test]
+    fn strings_refuse_raw_control_characters() {
+        for c in (0u8..0x20).map(char::from) {
+            assert!(parse_json(&format!("\"a{c}b\"")).is_err(), "raw {c:?}");
+            let escaped = render_json(&Json::Str(format!("a{c}b")), false);
+            assert_eq!(parse_json(&escaped).unwrap(), Json::Str(format!("a{c}b")));
+        }
+        assert_eq!(
+            parse_json("\"a\u{7f}b\"").unwrap(),
+            Json::Str("a\u{7f}b".to_string())
+        );
     }
 
     #[test]

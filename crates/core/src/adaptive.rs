@@ -83,15 +83,9 @@ pub struct AdaptiveController {
     overheard: u32,
     received: u64,
     missed: u64,
-    windows: u32,
-    /// Recent `(p, q)` history for convergence detection (bounded).
-    history: Vec<(f64, f64)>,
 }
 
 impl AdaptiveController {
-    /// Maximum history length retained for convergence checks.
-    const HISTORY: usize = 32;
-
     /// Creates a controller at the configured initial parameters.
     #[must_use]
     pub fn new(config: AdaptiveConfig) -> Self {
@@ -101,8 +95,6 @@ impl AdaptiveController {
             overheard: 0,
             received: 0,
             missed: 0,
-            windows: 0,
-            history: Vec::new(),
         }
     }
 
@@ -116,12 +108,6 @@ impl AdaptiveController {
     #[must_use]
     pub fn params(&self) -> PbbfParams {
         self.current
-    }
-
-    /// Number of completed observation windows.
-    #[must_use]
-    pub fn windows(&self) -> u32 {
-        self.windows
     }
 
     /// Records one overheard transmission (any frame audible to this node
@@ -169,27 +155,7 @@ impl AdaptiveController {
         self.overheard = 0;
         self.received = 0;
         self.missed = 0;
-        self.windows += 1;
-        if self.history.len() == Self::HISTORY {
-            self.history.remove(0);
-        }
-        self.history.push((p, q));
         self.current
-    }
-
-    /// Whether the parameters have stayed within `eps` (in both knobs)
-    /// over the last `windows` completed windows. `false` until enough
-    /// history exists.
-    #[must_use]
-    pub fn is_converged(&self, windows: usize, eps: f64) -> bool {
-        if windows == 0 || self.history.len() < windows {
-            return false;
-        }
-        let recent = &self.history[self.history.len() - windows..];
-        let (p0, q0) = recent[0];
-        recent
-            .iter()
-            .all(|&(p, q)| (p - p0).abs() <= eps && (q - q0).abs() <= eps)
     }
 }
 
@@ -253,8 +219,7 @@ mod tests {
 
     #[test]
     fn steady_conditions_converge() {
-        // Persistent losses + busy channel push both knobs to their caps,
-        // where they stay: convergence detected.
+        // Persistent losses + busy channel push both knobs to their caps.
         let mut c = controller(0.3, 0.3);
         for _ in 0..40 {
             for _ in 0..10 {
@@ -263,32 +228,7 @@ mod tests {
             c.observe_updates(5, 5);
             c.end_window();
         }
-        assert!(c.is_converged(5, 1e-9));
         assert_eq!(c.params().p(), 1.0);
         assert_eq!(c.params().q(), 1.0);
-        assert_eq!(c.windows(), 40);
-    }
-
-    #[test]
-    fn oscillating_conditions_do_not_report_convergence() {
-        let mut c = controller(0.5, 0.5);
-        for w in 0..20 {
-            if w % 2 == 0 {
-                for _ in 0..10 {
-                    c.observe_transmission();
-                }
-                c.observe_updates(0, 5);
-            } else {
-                c.observe_updates(5, 0);
-            }
-            c.end_window();
-        }
-        assert!(!c.is_converged(6, 1e-3));
-    }
-
-    #[test]
-    fn convergence_needs_history() {
-        let c = controller(0.5, 0.5);
-        assert!(!c.is_converged(3, 0.1), "no windows yet");
     }
 }

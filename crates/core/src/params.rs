@@ -55,16 +55,6 @@ impl PbbfParams {
         self.q
     }
 
-    /// Returns a copy with a different `q` (used when sweeping `q` along
-    /// the x-axis of most of the paper's figures).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParamError::ProbabilityOutOfRange`] on invalid `q`.
-    pub fn with_q(&self, q: f64) -> Result<Self, ParamError> {
-        Self::new(self.p, q)
-    }
-
     /// The link-open probability `p_edge = 1 − p·(1 − q)` of Remark 1.
     #[must_use]
     pub fn edge_probability(&self) -> f64 {
@@ -233,15 +223,6 @@ mod tests {
     fn edge_probability_matches_formula() {
         let params = PbbfParams::new(0.5, 0.25).unwrap();
         assert!((params.edge_probability() - (1.0 - 0.5 * 0.75)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn with_q_replaces_only_q() {
-        let params = PbbfParams::new(0.75, 0.0).unwrap();
-        let new = params.with_q(0.6).unwrap();
-        assert_eq!(new.p(), 0.75);
-        assert_eq!(new.q(), 0.6);
-        assert!(params.with_q(2.0).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use pbbf_des::SimRng;
 use pbbf_metrics::{Figure, Series};
-use pbbf_percolation::{critical_bond_ratio, min_q_for_reliability};
+use pbbf_percolation::{critical_bond_ratio, pq_boundary};
 use pbbf_topology::Grid;
 
 use crate::Effort;
@@ -50,11 +50,16 @@ pub fn fig07(effort: &Effort, seed: u64) -> Figure {
         .enumerate()
         .map(|(si, &rel)| {
             let base = SimRng::new(seed).substream(si as u64);
-            let critical =
-                critical_bond_ratio(grid.topology(), grid.center(), rel, effort.nz_runs, &base);
+            let (_, boundary) = pq_boundary(
+                grid.topology(),
+                grid.center(),
+                rel,
+                &p_values,
+                effort.nz_runs,
+                &base,
+            );
             let mut s = Series::new(format!("{:.0}% Reliability", rel * 100.0));
-            for &p in &p_values {
-                let q = min_q_for_reliability(p, critical).expect("critical <= 1");
+            for (p, q) in boundary {
                 s.push(p, q);
             }
             s

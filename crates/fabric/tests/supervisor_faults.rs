@@ -249,6 +249,45 @@ fn hung_shard_times_out_quarantines_and_retries() {
 }
 
 #[test]
+fn shard_hanging_on_every_worker_runs_in_process() {
+    // Shard 0 never answers anywhere. Each delivery overruns its
+    // deadline and quarantines the worker that took it; after
+    // `max_shard_attempts` (4) deliveries the supervisor runs the shard
+    // itself. A fleet of at most 4 workers is emptied first, and the
+    // rest of its queue drains in-process: with one worker that is
+    // every shard, since shard 0 was dealt first and held the fleet.
+    for workers in [1usize, 2, 4, 6] {
+        let deliveries = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&deliveries);
+        let factory = MockFactory::new(move |_, spec| {
+            if spec.id == 0 {
+                assert_eq!(spec.attempt as usize, seen.fetch_add(1, Ordering::SeqCst));
+                vec![Action::Silent]
+            } else {
+                vec![Action::Reply(valid_reply(spec))]
+            }
+        });
+        let mut o = opts(workers);
+        o.shard_timeout = Duration::from_millis(50);
+        assert_eq!(o.max_shard_attempts, 4);
+        let out = run_queue(&o, &factory, inputs(6, 2), exec).unwrap();
+        assert_all_values(&out.values, 6, 2);
+        let hung = workers.min(4);
+        assert_eq!(deliveries.load(Ordering::SeqCst), hung, "{workers} workers");
+        let expected = SweepStats {
+            workers_spawned: workers,
+            timeouts: hung as u64,
+            quarantined: hung as u64,
+            // The fourth failure escalates in-process: not a delivery.
+            retries: hung.min(3) as u64,
+            inproc_shards: if workers == 1 { 6 } else { 1 },
+            ..SweepStats::default()
+        };
+        assert_eq!(out.stats, expected, "{workers} workers");
+    }
+}
+
+#[test]
 fn corrupt_reply_is_rejected_and_retried() {
     let factory = MockFactory::new(|_, spec| {
         if spec.id == 0 && spec.attempt == 0 {

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 ///     h.record(x);
 /// }
 /// assert_eq!(h.count(), 4);
-/// assert_eq!(h.bin_count(1), 2);
+/// assert_eq!(h.iter().nth(1), Some((1.0, 2.0, 2)));
 /// assert!((h.quantile(0.5) - 1.5).abs() < 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -75,22 +75,6 @@ impl Histogram {
     #[must_use]
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Count in bin `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    #[must_use]
-    pub fn bin_count(&self, idx: usize) -> u64 {
-        self.bins[idx]
-    }
-
-    /// Number of bins.
-    #[must_use]
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
     }
 
     /// Observations recorded below the range (clamped into bin 0).
@@ -175,6 +159,10 @@ impl Histogram {
 mod tests {
     use super::*;
 
+    fn counts(h: &Histogram) -> Vec<u64> {
+        h.iter().map(|(_, _, c)| c).collect()
+    }
+
     #[test]
     fn records_into_correct_bins() {
         let mut h = Histogram::new(0.0, 10.0, 10);
@@ -182,9 +170,7 @@ mod tests {
         h.record(0.999);
         h.record(1.0);
         h.record(9.999);
-        assert_eq!(h.bin_count(0), 2);
-        assert_eq!(h.bin_count(1), 1);
-        assert_eq!(h.bin_count(9), 1);
+        assert_eq!(counts(&h), [2, 1, 0, 0, 0, 0, 0, 0, 0, 1]);
         assert_eq!(h.count(), 4);
         assert_eq!(h.underflow(), 0);
         assert_eq!(h.overflow(), 0);
@@ -198,8 +184,7 @@ mod tests {
         h.record(1.0); // at the exclusive upper bound -> overflow
         assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 2);
-        assert_eq!(h.bin_count(0), 1);
-        assert_eq!(h.bin_count(3), 2);
+        assert_eq!(counts(&h), [1, 0, 0, 2]);
     }
 
     #[test]
@@ -245,8 +230,7 @@ mod tests {
         b.record(9.0);
         a.merge(&b);
         assert_eq!(a.count(), 3);
-        assert_eq!(a.bin_count(1), 2);
-        assert_eq!(a.bin_count(9), 1);
+        assert_eq!(counts(&a), [0, 2, 0, 0, 0, 0, 0, 0, 0, 1]);
     }
 
     #[test]

@@ -85,33 +85,6 @@ impl Series {
             .map(|p| p.y)
     }
 
-    /// Linear interpolation of `y` at `x`; clamps outside the x-range.
-    /// Returns `None` when the series is empty.
-    #[must_use]
-    pub fn interpolate(&self, x: f64) -> Option<f64> {
-        let pts = &self.points;
-        let first = pts.first()?;
-        if pts.len() == 1 || x <= first.x {
-            return Some(first.y);
-        }
-        let last = pts.last().expect("non-empty");
-        if x >= last.x {
-            return Some(last.y);
-        }
-        for w in pts.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            if x >= a.x && x <= b.x {
-                let t = if b.x > a.x {
-                    (x - a.x) / (b.x - a.x)
-                } else {
-                    0.0
-                };
-                return Some(a.y + t * (b.y - a.y));
-            }
-        }
-        Some(last.y)
-    }
-
     /// Whether the `y` values are non-decreasing in `x` within `tol`.
     #[must_use]
     pub fn is_non_decreasing(&self, tol: f64) -> bool {
@@ -333,16 +306,6 @@ mod tests {
         let s = fig.series_named("PBBF-0.5").unwrap();
         assert_eq!(s.y_at(0.0), Some(20.0));
         assert_eq!(s.y_at(0.5), None);
-    }
-
-    #[test]
-    fn interpolation_midpoint_and_clamping() {
-        let fig = sample_fig();
-        let s = fig.series_named("PBBF-0.5").unwrap();
-        assert_eq!(s.interpolate(0.5), Some(12.0));
-        assert_eq!(s.interpolate(-1.0), Some(20.0));
-        assert_eq!(s.interpolate(2.0), Some(4.0));
-        assert_eq!(Series::new("empty").interpolate(0.5), None);
     }
 
     #[test]

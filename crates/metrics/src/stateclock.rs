@@ -11,9 +11,8 @@ use serde::{Deserialize, Serialize};
 /// Accumulates the total time spent in each of `N` states.
 ///
 /// The clock starts in state `0` at time `0.0`. Transitions are reported
-/// with [`StateClock::transition`]; time must be non-decreasing. Call
-/// [`StateClock::finish`] (or [`StateClock::durations_at`]) to account for
-/// the trailing interval.
+/// with [`StateClock::transition`]; time must be non-decreasing.
+/// [`StateClock::durations_at`] accounts for the trailing interval.
 ///
 /// # Examples
 ///
@@ -79,21 +78,6 @@ impl<const N: usize> StateClock<N> {
             durations: [0.0; N],
             state: 0,
             since: 0.0,
-        }
-    }
-
-    /// Creates a clock starting in `state` at time `start`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state >= N`.
-    #[must_use]
-    pub fn starting_in(state: usize, start: f64) -> Self {
-        assert!(state < N, "state {state} out of range (N = {N})");
-        Self {
-            durations: [0.0; N],
-            state,
-            since: start,
         }
     }
 
@@ -168,20 +152,6 @@ impl<const N: usize> StateClock<N> {
         self.since = now;
     }
 
-    /// Closes the books at time `now` and returns per-state durations.
-    ///
-    /// The clock remains usable; the trailing interval is accounted and the
-    /// "since" marker moves to `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` precedes the previous transition.
-    pub fn finish(&mut self, now: f64) -> [f64; N] {
-        let state = self.state;
-        self.transition(now, state);
-        self.durations
-    }
-
     /// Returns per-state durations as of `now` without mutating the clock.
     ///
     /// # Panics
@@ -253,14 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn starting_in_offsets_origin() {
-        let mut c = StateClock::<2>::starting_in(1, 10.0);
-        c.transition(12.0, 0);
-        let d = c.durations_at(15.0);
-        assert_eq!(d, [3.0, 2.0]);
-    }
-
-    #[test]
     fn energy_weighted_by_power() {
         // Mica2-like: idle 30 mW, sleep 3 uW.
         let mut c = StateClock::<2>::new();
@@ -268,17 +230,6 @@ mod tests {
         let e = c.energy_at(10.0, [0.030, 0.000_003]); // then 9 s sleep
         let expected = 1.0 * 0.030 + 9.0 * 0.000_003;
         assert!((e - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn finish_then_continue() {
-        let mut c = StateClock::<2>::new();
-        c.transition(4.0, 1);
-        let d = c.finish(6.0);
-        assert_eq!(d, [4.0, 2.0]);
-        // Clock continues in state 1 from t=6.
-        let d2 = c.durations_at(8.0);
-        assert_eq!(d2, [4.0, 4.0]);
     }
 
     #[test]

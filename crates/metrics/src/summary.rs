@@ -66,13 +66,6 @@ impl Summary {
         }
     }
 
-    /// Records `n` identical observations.
-    pub fn record_n(&mut self, value: f64, n: u64) {
-        for _ in 0..n {
-            self.record(value);
-        }
-    }
-
     /// Merges another summary into this one.
     ///
     /// The result is identical (up to floating-point rounding) to having
@@ -235,18 +228,6 @@ mod tests {
         assert!(close(s.population_variance(), 4.0));
         assert!(close(s.sample_variance(), 32.0 / 7.0));
         assert!(close(s.sum(), 40.0));
-    }
-
-    #[test]
-    fn record_n_matches_repeated_record() {
-        let mut a = Summary::new();
-        a.record_n(3.5, 5);
-        let mut b = Summary::new();
-        for _ in 0..5 {
-            b.record(3.5);
-        }
-        assert_eq!(a.count(), b.count());
-        assert!(close(a.mean(), b.mean()));
     }
 
     #[test]

@@ -91,9 +91,7 @@ use pbbf_core::adaptive::AdaptiveController;
 use pbbf_core::ForwardDecision;
 use pbbf_des::{EventQueue, SimDuration, SimRng, SimTime};
 use pbbf_mac::{BackoffPolicy, DataIntent, MacState, PsmTiming};
-use pbbf_radio::{
-    BruteChannel, Channel, CollisionChannel, Delivery, EnergyMeter, Frame, FrameKind, RadioState,
-};
+use pbbf_radio::{Channel, Delivery, EnergyMeter, Frame, FrameKind, RadioState};
 use pbbf_topology::{NodeId, RandomDeployment};
 
 use crate::{ActiveSet, CachedDeployment, NetConfig, NetMode, NetRunStats};
@@ -189,21 +187,7 @@ impl NetSim {
     /// [`NetSim::DEPLOY_ATTEMPTS`] (raise Δ).
     #[must_use]
     pub fn run(&self, seed: u64) -> NetRunStats {
-        self.run_with(seed, Channel::new)
-    }
-
-    /// [`NetSim::run`] over the reference [`BruteChannel`] instead of the
-    /// incremental engine. Kept for the channel-equivalence tests and the
-    /// baseline benches — results must be identical to [`NetSim::run`]
-    /// for every seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no connected deployment can be drawn within
-    /// [`NetSim::DEPLOY_ATTEMPTS`] (raise Δ).
-    #[must_use]
-    pub fn run_brute(&self, seed: u64) -> NetRunStats {
-        self.run_with(seed, BruteChannel::new)
+        self.run_on(seed, &Self::draw_deployment(&self.config, seed))
     }
 
     /// Executes one run on an already-drawn scenario (typically from a
@@ -219,13 +203,7 @@ impl NetSim {
     /// executes over the same adjacency allocation across threads.
     #[must_use]
     pub fn run_on(&self, seed: u64, deployment: &CachedDeployment) -> NetRunStats {
-        self.run_core(
-            seed,
-            Arc::clone(&deployment.topology),
-            deployment.source,
-            Channel::new,
-            false,
-        )
+        self.run_core(seed, deployment, false)
     }
 
     /// [`NetSim::run_on`] with lazy settling off: every node is stepped
@@ -236,38 +214,16 @@ impl NetSim {
     /// [`NetSim::run_on`]'s.
     #[must_use]
     pub fn run_on_walked(&self, seed: u64, deployment: &CachedDeployment) -> NetRunStats {
-        self.run_core(
-            seed,
-            Arc::clone(&deployment.topology),
-            deployment.source,
-            Channel::new,
-            true,
-        )
+        self.run_core(seed, deployment, true)
     }
 
-    fn run_with<C: CollisionChannel>(
-        &self,
-        seed: u64,
-        channel: impl FnOnce(Arc<pbbf_topology::Topology>) -> C,
-    ) -> NetRunStats {
-        let drawn = Self::draw_deployment(&self.config, seed);
-        self.run_core(seed, drawn.topology, drawn.source, channel, false)
-    }
-
-    fn run_core<C: CollisionChannel>(
-        &self,
-        seed: u64,
-        topology: Arc<pbbf_topology::Topology>,
-        source: NodeId,
-        channel: impl FnOnce(Arc<pbbf_topology::Topology>) -> C,
-        walk: bool,
-    ) -> NetRunStats {
+    fn run_core(&self, seed: u64, deployment: &CachedDeployment, walk: bool) -> NetRunStats {
         let root = SimRng::new(seed);
         let mut runner = Runner::new(
             &self.config,
             self.mode,
-            channel(topology),
-            source,
+            Channel::new(Arc::clone(&deployment.topology)),
+            deployment.source,
             &root,
             walk,
         );
@@ -348,7 +304,7 @@ fn close_window(
     }
 }
 
-struct Runner<C: CollisionChannel> {
+struct Runner {
     psm: bool,
     /// The active-set fast path: boundary handlers sweep only active
     /// nodes and everyone else is settled lazily. Off for always-on (no
@@ -380,7 +336,7 @@ struct Runner<C: CollisionChannel> {
     atim_air: SimDuration,
     update_period: SimDuration,
     duration: SimTime,
-    channel: C,
+    channel: Channel,
     nodes: Vec<NodeRt>,
     queue: EventQueue<Ev>,
     source: NodeId,
@@ -408,12 +364,12 @@ struct Runner<C: CollisionChannel> {
     adaptive_trace: Vec<(f64, f64)>,
 }
 
-impl<C: CollisionChannel> Runner<C> {
+impl Runner {
     /// `walk` turns lazy settling off: every boundary steps every node.
     fn new(
         cfg: &NetConfig,
         mode: NetMode,
-        channel: C,
+        channel: Channel,
         source: NodeId,
         root: &SimRng,
         walk: bool,
@@ -1251,23 +1207,6 @@ mod tests {
             late_q > early_q,
             "detected holes must raise q: {early_q} -> {late_q}"
         );
-    }
-
-    #[test]
-    fn incremental_channel_matches_brute_reference() {
-        // Whole-run equivalence: the incremental engine and the brute
-        // reference must produce identical stats for every seed, including
-        // a dense (Δ = 18) contention-heavy scenario.
-        for seed in [1, 7, 42] {
-            let sim = NetSim::new(cfg(300.0), pbbf(0.5, 0.5));
-            assert_eq!(sim.run(seed), sim.run_brute(seed), "seed {seed}");
-        }
-        let mut dense = cfg(300.0);
-        dense.delta = 18.0;
-        let sim = NetSim::new(dense, NetMode::AlwaysOn);
-        let s = sim.run(8);
-        assert_eq!(s, sim.run_brute(8));
-        assert!(s.collisions > 0, "contention exercised the collision path");
     }
 
     #[test]

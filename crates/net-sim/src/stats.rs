@@ -7,8 +7,8 @@ use pbbf_topology::NodeId;
 /// Everything measured during one seeded run of the realistic simulator.
 ///
 /// `PartialEq` compares every field exactly (including the `f64` vectors
-/// bitwise-equal-or-not) — the channel-equivalence and determinism tests
-/// rely on that strictness.
+/// bitwise-equal-or-not) — the cache-identity, walk-golden and
+/// determinism tests rely on that strictness.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetRunStats {
     /// The randomly chosen source node.
@@ -113,13 +113,6 @@ impl NetRunStats {
         }
         (!s.is_empty()).then(|| s.mean())
     }
-
-    /// Number of nodes at BFS hop distance `d` (the figure annotations
-    /// "Average Number of 2-Hop Nodes/Scenario").
-    #[must_use]
-    pub fn nodes_at_hops(&self, d: u32) -> usize {
-        self.hop_distance.iter().filter(|&&x| x == Some(d)).count()
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +165,6 @@ mod tests {
         // d=2: only node2 update0: 12.0.
         assert!((s.mean_latency_at_hops(2).unwrap() - 12.0).abs() < 1e-9);
         assert_eq!(s.mean_latency_at_hops(7), None);
-        assert_eq!(s.nodes_at_hops(2), 2);
     }
 
     #[test]

@@ -67,12 +67,6 @@ impl<'a> NewmanZiff<'a> {
         }
     }
 
-    /// Number of bonds `M` in the lattice.
-    #[must_use]
-    pub fn bond_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Runs one microcanonical bond sweep with a fresh random bond order.
     #[must_use]
     pub fn bond_sweep(&self, rng: &mut impl RngCore) -> BondSweep {
@@ -209,7 +203,10 @@ mod tests {
         let nz = NewmanZiff::new(grid.topology(), grid.center());
         let mut rng = SimRng::new(1);
         let sweep = nz.bond_sweep(&mut rng);
-        assert_eq!(sweep.source_fraction.len(), nz.bond_count() + 1);
+        assert_eq!(
+            sweep.source_fraction.len(),
+            grid.topology().edge_count() + 1
+        );
         assert!((sweep.source_fraction[0] - 0.01).abs() < 1e-12);
         assert_eq!(*sweep.source_fraction.last().unwrap(), 1.0);
     }
@@ -291,7 +288,7 @@ mod tests {
         let nz = NewmanZiff::new(grid.topology(), grid.center());
         let mut rng = SimRng::new(12);
         let c = nz.bond_crossing(1.0, &mut rng).unwrap();
-        let min_fraction = (grid.topology().len() - 1) as f64 / nz.bond_count() as f64;
+        let min_fraction = (grid.topology().len() - 1) as f64 / grid.topology().edge_count() as f64;
         assert!(c >= min_fraction - 1e-12);
     }
 }

@@ -1,8 +1,4 @@
-//! The original O(active × degree) collision channel, kept as the
-//! reference implementation (the `unit_disk_edges_brute` trick): the
-//! incremental [`Channel`](super::Channel) must match it bit-for-bit, and
-//! the randomized-schedule property tests plus the whole-run equivalence
-//! tests in `pbbf-net-sim` prove it.
+//! The shared broadcast medium with collisions and interference.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -10,8 +6,21 @@ use std::sync::Arc;
 use pbbf_des::{SimDuration, SimTime};
 use pbbf_topology::{NodeId, Topology};
 
-use super::{CollisionChannel, Delivery};
 use crate::Frame;
+
+/// One potential reception reported at the end of a transmission.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Delivery {
+    /// The neighbor the frame propagated to.
+    pub receiver: NodeId,
+    /// Whether the frame arrived uncorrupted (no overlapping transmission
+    /// audible at the receiver, and the receiver was not itself
+    /// transmitting). The MAC must additionally check the receiver was
+    /// awake for the whole airtime.
+    pub clean: bool,
+    /// When the transmission began (for awake-span checks).
+    pub started: SimTime,
+}
 
 #[derive(Debug, Clone)]
 struct Active {
@@ -21,25 +30,52 @@ struct Active {
     corrupted: HashSet<NodeId>,
 }
 
-/// The reference broadcast channel: same collision model as
-/// [`Channel`](super::Channel), implemented the obvious way — a flat list
-/// of in-flight transmissions, each carrying a `HashSet` of corrupted
-/// receivers, rescanned by every query and update.
+/// The broadcast channel: unit-disk propagation over a [`Topology`] with
+/// a no-capture collision model.
 ///
-/// `begin_tx` walks all in-flight transmissions times the transmitter's
-/// neighborhood and allocates a corruption set per transmission;
-/// `carrier_busy`, `is_transmitting`, and `end_tx` all rescan the whole
-/// active list. Kept for property tests and benches only — the simulators
-/// use the incremental engine.
+/// * Every transmission reaches exactly the transmitter's neighbors.
+/// * Two transmissions that overlap in time corrupt each other at every
+///   receiver that can hear both (including hidden-terminal collisions,
+///   where the two transmitters cannot hear each other).
+/// * A radio cannot receive while transmitting.
+///
+/// The model is kept the obvious way: a flat list of in-flight
+/// transmissions, each carrying the set of receivers it has corrupted.
+/// `begin_tx` walks every in-flight transmission times the transmitter's
+/// neighborhood; `carrier_busy`, `is_transmitting` and `end_tx` rescan
+/// the list. At the paper's 50-node scenarios only a handful of
+/// transmissions are ever in flight at once.
+///
+/// The topology is held behind an [`Arc`]: a channel built from a
+/// cached deployment shares the scenario's CSR adjacency with every
+/// other concurrent run instead of paying an O(V + E) copy per run.
+///
+/// The channel is driven by the MAC: [`Channel::begin_tx`] when a
+/// transmission starts, [`Channel::end_tx`] when it completes (the caller
+/// schedules the end event `airtime` later); `end_tx` reports per-neighbor
+/// [`Delivery`] outcomes.
+///
+/// # Examples
+///
+/// ```
+/// use pbbf_des::{SimDuration, SimTime};
+/// use pbbf_radio::{Channel, Frame};
+/// use pbbf_topology::{Grid, NodeId};
+///
+/// let mut ch = Channel::new(Grid::new(1, 3, 1.0).into_topology());
+/// let t0 = SimTime::ZERO;
+/// let end = ch.begin_tx(t0, Frame::beacon(NodeId(0)), SimDuration::from_millis(10));
+/// let (frame, deliveries) = ch.end_tx(end, NodeId(0));
+/// assert_eq!(frame.src, NodeId(0));
+/// assert!(deliveries.iter().all(|d| d.clean));
+/// ```
 #[derive(Debug, Clone)]
-pub struct BruteChannel {
-    /// Shared like the incremental engine's, so the reference path has
-    /// identical construction semantics (no per-run adjacency copy).
+pub struct Channel {
     topology: Arc<Topology>,
     active: Vec<Active>,
 }
 
-impl BruteChannel {
+impl Channel {
     /// Creates a channel over `topology` — owned (wrapped into a fresh
     /// [`Arc`]) or already shared (`Arc<Topology>`, no copy either way).
     #[must_use]
@@ -53,12 +89,6 @@ impl BruteChannel {
     /// The underlying topology.
     #[must_use]
     pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// The shared handle to the underlying topology.
-    #[must_use]
-    pub fn topology_arc(&self) -> &Arc<Topology> {
         &self.topology
     }
 
@@ -84,7 +114,7 @@ impl BruteChannel {
     }
 
     /// Starts a transmission of `frame` lasting `duration`; returns the
-    /// end time the caller must schedule [`BruteChannel::end_tx`] at.
+    /// end time the caller must schedule [`Channel::end_tx`] at.
     ///
     /// Collision bookkeeping happens here: the new transmission corrupts,
     /// and is corrupted by, every overlapping transmission at each common
@@ -129,6 +159,9 @@ impl BruteChannel {
     /// Completes `src`'s transmission, removing it from the air and
     /// returning the frame plus the per-neighbor delivery outcomes.
     ///
+    /// Allocates a fresh delivery vector; the simulators use
+    /// [`Channel::end_tx_into`] with a reused buffer instead.
+    ///
     /// # Panics
     ///
     /// Panics if `src` has no transmission in flight or `now` is not its
@@ -139,8 +172,9 @@ impl BruteChannel {
         (frame, out)
     }
 
-    /// [`BruteChannel::end_tx`] writing into a caller-provided buffer
-    /// (cleared first).
+    /// [`Channel::end_tx`] writing into a caller-provided buffer
+    /// (cleared first), so steady-state simulation makes no per-`end_tx`
+    /// delivery allocation.
     ///
     /// # Panics
     ///
@@ -164,36 +198,6 @@ impl BruteChannel {
     }
 }
 
-impl CollisionChannel for BruteChannel {
-    fn topology(&self) -> &Topology {
-        BruteChannel::topology(self)
-    }
-
-    fn topology_arc(&self) -> &Arc<Topology> {
-        BruteChannel::topology_arc(self)
-    }
-
-    fn carrier_busy(&self, node: NodeId) -> bool {
-        BruteChannel::carrier_busy(self, node)
-    }
-
-    fn is_transmitting(&self, node: NodeId) -> bool {
-        BruteChannel::is_transmitting(self, node)
-    }
-
-    fn active_count(&self) -> usize {
-        BruteChannel::active_count(self)
-    }
-
-    fn begin_tx(&mut self, now: SimTime, frame: Frame, duration: SimDuration) -> SimTime {
-        BruteChannel::begin_tx(self, now, frame, duration)
-    }
-
-    fn end_tx_into(&mut self, now: SimTime, src: NodeId, out: &mut Vec<Delivery>) -> Frame {
-        BruteChannel::end_tx_into(self, now, src, out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,7 +218,7 @@ mod tests {
 
     #[test]
     fn clean_delivery_to_all_neighbors() {
-        let mut ch = BruteChannel::new(line(3));
+        let mut ch = Channel::new(line(3));
         let end = ch.begin_tx(t(0.0), Frame::beacon(NodeId(1)), d(0.01));
         assert!(ch.carrier_busy(NodeId(0)));
         assert!(ch.carrier_busy(NodeId(2)));
@@ -227,7 +231,7 @@ mod tests {
     #[test]
     fn overlapping_neighbors_collide() {
         // 0 - 1 - 2: nodes 0 and 2 both transmit; node 1 hears a collision.
-        let mut ch = BruteChannel::new(line(3));
+        let mut ch = Channel::new(line(3));
         let e0 = ch.begin_tx(t(0.0), Frame::beacon(NodeId(0)), d(0.02));
         let e2 = ch.begin_tx(t(0.01), Frame::beacon(NodeId(2)), d(0.02));
         let (_, d0) = ch.end_tx(e0, NodeId(0));
@@ -246,7 +250,7 @@ mod tests {
     #[test]
     fn transmitter_cannot_receive() {
         // 0 - 1: both transmit concurrently; neither receives the other.
-        let mut ch = BruteChannel::new(line(2));
+        let mut ch = Channel::new(line(2));
         let e0 = ch.begin_tx(t(0.0), Frame::beacon(NodeId(0)), d(0.05));
         let e1 = ch.begin_tx(t(0.01), Frame::beacon(NodeId(1)), d(0.01));
         let (_, d1) = ch.end_tx(e1, NodeId(1));
@@ -257,8 +261,31 @@ mod tests {
     }
 
     #[test]
+    fn sequential_transmissions_are_clean() {
+        let mut ch = Channel::new(line(3));
+        let e0 = ch.begin_tx(t(0.0), Frame::beacon(NodeId(0)), d(0.01));
+        let (_, d0) = ch.end_tx(e0, NodeId(0));
+        assert!(d0.iter().all(|x| x.clean));
+        let e2 = ch.begin_tx(t(1.0), Frame::beacon(NodeId(2)), d(0.01));
+        let (_, d2) = ch.end_tx(e2, NodeId(2));
+        assert!(d2.iter().all(|x| x.clean));
+    }
+
+    #[test]
+    fn distant_transmitters_do_not_interfere() {
+        // 0-1-2-3-4: 0 and 4 transmit; 1 hears only 0, 3 hears only 4.
+        let mut ch = Channel::new(line(5));
+        let e0 = ch.begin_tx(t(0.0), Frame::beacon(NodeId(0)), d(0.02));
+        let e4 = ch.begin_tx(t(0.0), Frame::beacon(NodeId(4)), d(0.02));
+        let (_, d0) = ch.end_tx(e0, NodeId(0));
+        assert!(d0.iter().find(|x| x.receiver == NodeId(1)).unwrap().clean);
+        let (_, d4) = ch.end_tx(e4, NodeId(4));
+        assert!(d4.iter().find(|x| x.receiver == NodeId(3)).unwrap().clean);
+    }
+
+    #[test]
     fn carrier_sense_scope() {
-        let mut ch = BruteChannel::new(line(4));
+        let mut ch = Channel::new(line(4));
         ch.begin_tx(t(0.0), Frame::beacon(NodeId(0)), d(0.1));
         assert!(ch.carrier_busy(NodeId(0)), "own transmission");
         assert!(ch.carrier_busy(NodeId(1)), "neighbor");
@@ -267,9 +294,32 @@ mod tests {
     }
 
     #[test]
+    fn carrier_clears_after_end() {
+        let mut ch = Channel::new(line(3));
+        let end = ch.begin_tx(t(0.0), Frame::beacon(NodeId(1)), d(0.01));
+        let _ = ch.end_tx(end, NodeId(1));
+        for n in 0..3 {
+            assert!(!ch.carrier_busy(NodeId(n)), "n{n} idle again");
+            assert!(!ch.is_transmitting(NodeId(n)));
+        }
+    }
+
+    #[test]
+    fn back_to_back_retransmission_is_clean() {
+        // Self-overlap edge case: a node ends one transmission and begins
+        // the next at the same instant; the second must deliver clean.
+        let mut ch = Channel::new(line(3));
+        let e = ch.begin_tx(t(0.0), Frame::beacon(NodeId(1)), d(0.01));
+        let _ = ch.end_tx(e, NodeId(1));
+        let e2 = ch.begin_tx(e, Frame::beacon(NodeId(1)), d(0.01));
+        let (_, dl) = ch.end_tx(e2, NodeId(1));
+        assert!(dl.iter().all(|x| x.clean));
+    }
+
+    #[test]
     #[should_panic(expected = "already transmitting")]
     fn double_tx_panics() {
-        let mut ch = BruteChannel::new(line(2));
+        let mut ch = Channel::new(line(2));
         ch.begin_tx(t(0.0), Frame::beacon(NodeId(0)), d(0.1));
         ch.begin_tx(t(0.01), Frame::beacon(NodeId(0)), d(0.1));
     }
@@ -277,7 +327,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no transmission in flight")]
     fn end_without_begin_panics() {
-        let mut ch = BruteChannel::new(line(2));
+        let mut ch = Channel::new(line(2));
         let _ = ch.end_tx(t(0.0), NodeId(0));
     }
 }

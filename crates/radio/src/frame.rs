@@ -41,22 +41,6 @@ impl Phy {
         let secs = f64::from(bytes) * 8.0 / f64::from(self.bitrate_bps);
         SimDuration::from_secs(secs)
     }
-
-    /// Airtime of a frame of the given kind.
-    #[must_use]
-    pub fn frame_airtime(&self, kind: &FrameKind) -> SimDuration {
-        self.airtime(self.frame_bytes(kind))
-    }
-
-    /// Size in bytes of a frame of the given kind.
-    #[must_use]
-    pub fn frame_bytes(&self, kind: &FrameKind) -> u32 {
-        match kind {
-            FrameKind::Beacon => self.beacon_bytes,
-            FrameKind::Atim { .. } => self.atim_bytes,
-            FrameKind::Data { .. } => self.data_bytes,
-        }
-    }
 }
 
 impl Default for Phy {
@@ -136,19 +120,6 @@ mod tests {
         // 64 bytes at 19.2 kbps = 26.666... ms.
         let t = phy.airtime(64).as_secs();
         assert!((t - 0.026_666_666).abs() < 1e-6);
-    }
-
-    #[test]
-    fn frame_airtimes_ordered_by_size() {
-        let phy = Phy::mica2();
-        let beacon = phy.frame_airtime(&FrameKind::Beacon);
-        let atim = phy.frame_airtime(&FrameKind::Atim { announced: vec![1] });
-        let data = phy.frame_airtime(&FrameKind::Data {
-            updates: vec![1],
-            immediate: false,
-        });
-        assert!(beacon < atim);
-        assert!(atim < data);
     }
 
     #[test]

@@ -12,12 +12,9 @@
 //! * [`Channel`] — the shared broadcast medium: unit-disk connectivity from
 //!   a [`Topology`](pbbf_topology::Topology), carrier sensing, and
 //!   collision/interference resolution (overlapping transmissions corrupt
-//!   each other at common receivers; a transmitting radio cannot receive).
-//!   An incremental engine (per-node carrier counters and
-//!   generation-stamped corruption marks over the CSR adjacency); the
-//!   original O(active × degree) implementation survives as
-//!   [`BruteChannel`] for property tests and benches, behind the shared
-//!   [`CollisionChannel`] trait.
+//!   each other at common receivers; a transmitting radio cannot receive),
+//!   kept as a flat list of in-flight transmissions, each holding the
+//!   receivers it corrupted.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,7 +23,6 @@ mod channel;
 mod energy;
 mod frame;
 
-pub use channel::brute::BruteChannel;
-pub use channel::{Channel, CollisionChannel, Delivery};
+pub use channel::{Channel, Delivery};
 pub use energy::{EnergyMeter, RadioState};
 pub use frame::{Frame, FrameKind, Phy};

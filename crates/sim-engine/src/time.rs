@@ -123,20 +123,6 @@ impl SimDuration {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
-
-    /// Scales the duration by a non-negative factor, rounding to nearest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or non-finite.
-    #[must_use]
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "invalid duration scale factor: {factor}"
-        );
-        SimDuration((self.0 as f64 * factor).round() as u64)
-    }
 }
 
 fn secs_to_nanos(secs: f64) -> u64 {
@@ -280,14 +266,6 @@ mod tests {
         assert_eq!(d.as_secs(), 4.0);
         d += SimDuration::from_secs(0.5);
         assert_eq!(d.as_secs(), 4.5);
-    }
-
-    #[test]
-    fn mul_f64_rounds() {
-        let d = SimDuration::from_nanos(10);
-        assert_eq!(d.mul_f64(0.25).as_nanos(), 3); // 2.5 rounds to 3 (round half away)
-        assert_eq!(d.mul_f64(1.5).as_nanos(), 15);
-        assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
     }
 
     #[test]

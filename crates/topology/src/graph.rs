@@ -197,17 +197,6 @@ impl Topology {
         dist
     }
 
-    /// The ids of all nodes exactly `hops` hops from `source`.
-    #[must_use]
-    pub fn nodes_at_hops(&self, source: NodeId, hops: u32) -> Vec<NodeId> {
-        self.hop_distances(source)
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| **d == Some(hops))
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
-    }
-
     /// Whether every node is reachable from node 0 (vacuously true when
     /// empty).
     #[must_use]
@@ -269,13 +258,6 @@ mod tests {
         let t = path3_plus_isolated();
         let d = t.hop_distances(NodeId(0));
         assert_eq!(d, vec![Some(0), Some(1), Some(2), None]);
-    }
-
-    #[test]
-    fn nodes_at_hops() {
-        let t = path3_plus_isolated();
-        assert_eq!(t.nodes_at_hops(NodeId(0), 2), vec![NodeId(2)]);
-        assert!(t.nodes_at_hops(NodeId(0), 7).is_empty());
     }
 
     #[test]

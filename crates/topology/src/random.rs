@@ -151,12 +151,6 @@ impl RandomDeployment {
         self.range
     }
 
-    /// The nominal density Δ of this deployment per Eq. 13.
-    #[must_use]
-    pub fn nominal_density(&self) -> f64 {
-        density(self.range, self.topology.len(), self.side * self.side)
-    }
-
     /// The underlying topology.
     #[must_use]
     pub fn topology(&self) -> &Topology {
@@ -397,7 +391,7 @@ mod tests {
         let d = RandomDeployment::connected_with_density(50, 30.0, 10.0, 100, &mut rng)
             .expect("Δ=10 deployments connect easily");
         assert!(d.topology().is_connected());
-        assert!((d.nominal_density() - 10.0).abs() < 1e-9);
+        assert!((density(d.range(), 50, d.side() * d.side()) - 10.0).abs() < 1e-9);
     }
 
     #[test]

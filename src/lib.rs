@@ -76,7 +76,7 @@ pub mod prelude {
     pub use pbbf_percolation::{
         critical_bond_ratio, min_q_for_reliability, pq_boundary, NewmanZiff,
     };
-    pub use pbbf_radio::{BruteChannel, Channel, CollisionChannel, Delivery, Frame};
+    pub use pbbf_radio::{Channel, Delivery, Frame};
     pub use pbbf_topology::{
         unit_disk_edges, unit_disk_edges_brute, Grid, NodeId, Point2, RandomDeployment, Topology,
     };

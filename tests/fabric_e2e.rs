@@ -759,11 +759,29 @@ fn stdin_worker_refuses_a_megabyte_string_quickly() {
     );
 }
 
+/// Lines that are not JSON make a fresh worker exit 1: a bare `NaN`, a
+/// number with a leading zero, and a string holding a raw control
+/// character (RFC 8259 admits neither).
 #[test]
 fn stdin_worker_exits_1_on_a_bare_nan() {
-    let line = with_field(&spec_lines(&[first_shard_spec()]), "seed", "NaN");
-    let out = stdin_worker(line);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{:?}: {stderr}", out.status);
-    assert!(stderr.contains("unparseable shard spec"), "{stderr}");
+    let spec = spec_lines(&[first_shard_spec()]);
+    let job_at = spec.find("\"job\":").expect("a job") + "\"job\":".len();
+    for line in [
+        with_field(&spec, "seed", "NaN"),
+        with_field(&spec, "id", "01"),
+        format!("{}\"a\u{1}b\"}}\n", &spec[..job_at]),
+    ] {
+        let out = stdin_worker(line.clone());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{line:?}: {:?}: {stderr}",
+            out.status
+        );
+        assert!(
+            stderr.contains("unparseable shard spec"),
+            "{line:?}: {stderr}"
+        );
+    }
 }

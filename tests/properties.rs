@@ -3,73 +3,6 @@
 use pbbf::prelude::*;
 use proptest::prelude::*;
 
-/// Drives the incremental channel and the brute reference through one
-/// identical randomized begin/end schedule over `topology`, asserting
-/// bitwise agreement on every observable after every operation: carrier
-/// sense and `is_transmitting` at all nodes, the active count, returned
-/// end times, frames, and per-neighbor delivery outcomes (in order).
-///
-/// The schedule advances in 1 ms ticks. Each tick first completes every
-/// transmission due (at its exact end time — including ticks where an end
-/// and a begin of the *same node* coincide, the self-overlap edge case),
-/// then starts transmissions from random non-transmitting nodes without
-/// any carrier-sense gate — so overlapping, hidden-terminal, and
-/// transmit-over-reception collisions all occur.
-fn assert_channels_agree(topology: &Topology, rng: &mut SimRng, steps: u32) {
-    let mut fast = Channel::new(topology.clone());
-    let mut brute = BruteChannel::new(topology.clone());
-    let n = topology.len() as u64;
-    // (end, node), kept sorted by end because durations are bounded and
-    // pushed in time order per tick; ties resolve in push order like the
-    // event queue's FIFO rule.
-    let mut inflight: Vec<(SimTime, NodeId)> = Vec::new();
-    let mut fast_out = Vec::new();
-    for step in 0..steps {
-        let now = SimTime::from_nanos(u64::from(step) * 1_000_000);
-        while let Some(&(end, node)) = inflight.first() {
-            if end > now {
-                break;
-            }
-            inflight.remove(0);
-            let fast_frame = fast.end_tx_into(end, node, &mut fast_out);
-            let (brute_frame, brute_out) = brute.end_tx(end, node);
-            assert_eq!(fast_frame, brute_frame);
-            assert_eq!(fast_out, brute_out, "deliveries for {node} at {end:?}");
-        }
-        for _ in 0..rng.below(4) {
-            let node = NodeId(rng.below(n) as u32);
-            if fast.is_transmitting(node) {
-                continue;
-            }
-            let duration = SimDuration::from_nanos((1 + rng.below(10)) * 1_000_000);
-            let frame = Frame::beacon(node);
-            let fast_end = fast.begin_tx(now, frame.clone(), duration);
-            let brute_end = brute.begin_tx(now, frame, duration);
-            assert_eq!(fast_end, brute_end);
-            let at = inflight.partition_point(|&(e, _)| e <= fast_end);
-            inflight.insert(at, (fast_end, node));
-        }
-        assert_eq!(fast.active_count(), brute.active_count());
-        for node in topology.nodes() {
-            assert_eq!(
-                fast.carrier_busy(node),
-                brute.carrier_busy(node),
-                "carrier sense at {node}, step {step}"
-            );
-            assert_eq!(fast.is_transmitting(node), brute.is_transmitting(node));
-        }
-    }
-    // Drain: every remaining transmission must still deliver identically.
-    for (end, node) in inflight {
-        let fast_frame = fast.end_tx_into(end, node, &mut fast_out);
-        let (brute_frame, brute_out) = brute.end_tx(end, node);
-        assert_eq!(fast_frame, brute_frame);
-        assert_eq!(fast_out, brute_out);
-    }
-    assert_eq!(fast.active_count(), 0);
-    assert_eq!(brute.active_count(), 0);
-}
-
 /// A valid spec line of each Monte Carlo table, as the supervisor sends
 /// it: the first quick shard of fig04 (ideal), fig13 (Q) and fig17 (Δ).
 fn spec_lines() -> Vec<Vec<u8>> {
@@ -349,52 +282,6 @@ proptest! {
         prop_assert!(pe >= pc - 1e-9);
     }
 
-    /// The incremental collision channel agrees with the brute reference
-    /// on randomized begin/end schedules over random unit-disk
-    /// deployments (the channel counterpart of
-    /// `spatial_hash_equals_brute_force`).
-    #[test]
-    fn channel_engine_equals_brute_random_deployments(
-        seed in any::<u64>(),
-        n in 2usize..40,
-        steps in 1u32..80,
-    ) {
-        let mut rng = SimRng::new(seed);
-        let d = RandomDeployment::in_square(n, 10.0, 25.0, &mut rng);
-        assert_channels_agree(d.topology(), &mut rng, steps);
-    }
-
-    /// Same agreement on line topologies, where hidden-terminal
-    /// collisions (0 - 1 - 2 with 0 and 2 transmitting into 1) dominate
-    /// the schedule.
-    #[test]
-    fn channel_engine_equals_brute_hidden_terminal_lines(
-        seed in any::<u64>(),
-        len in 2u32..12,
-        steps in 1u32..120,
-    ) {
-        let mut rng = SimRng::new(seed);
-        let t = Grid::new(1, len, 1.0).into_topology();
-        assert_channels_agree(&t, &mut rng, steps);
-    }
-
-    /// Whole-run equivalence: a realistic-simulator run over the
-    /// incremental engine matches the brute reference bit for bit —
-    /// receptions, energy, and collision counts included.
-    #[test]
-    fn net_sim_identical_on_both_channel_engines(seed in any::<u64>(), dense in any::<bool>()) {
-        let mut cfg = NetConfig::table2();
-        cfg.duration_secs = 150.0;
-        if dense {
-            cfg.delta = 16.0;
-        }
-        let sim = NetSim::new(
-            cfg,
-            NetMode::SleepScheduled(PbbfParams::new(0.5, 0.5).unwrap()),
-        );
-        prop_assert_eq!(sim.run(seed), sim.run_brute(seed));
-    }
-
     /// The MAC's duplicate filter — `MacState::receive_data` over its
     /// sorted `known` ids — reports each update id fresh exactly once,
     /// however the ids are split into packets.
@@ -503,24 +390,21 @@ proptest! {
         }
     }
 
-    /// Whole-run agreement of the three execution paths for arbitrary
-    /// operating points: the incremental channel vs the brute reference,
-    /// and a fresh per-run deployment vs the cached draw for the same
-    /// seed.
+    /// Whole-run agreement for arbitrary operating points: a fresh
+    /// per-run deployment vs the cached draw for the same seed.
     #[test]
     fn whole_run_equivalence_and_cache_identity(
         seed in any::<u64>(),
         p in 0.0f64..=1.0,
         q in 0.0f64..=1.0,
     ) {
-        // Short but beacon-rich runs: the active-set loop, the brute
-        // channel, and the cached-deployment path must agree bit for bit.
+        // Short but beacon-rich runs: the active-set loop on a fresh
+        // draw and on the cached-deployment path must agree bit for bit.
         let mut cfg = NetConfig::table2();
         cfg.nodes = 20;
         cfg.duration_secs = 130.0;
         let sim = NetSim::new(cfg, NetMode::SleepScheduled(PbbfParams::new(p, q).unwrap()));
         let baseline = sim.run(seed);
-        prop_assert_eq!(&baseline, &sim.run_brute(seed));
         let drawn = NetSim::draw_deployment(&cfg, seed);
         prop_assert_eq!(&baseline, &sim.run_on(seed, &drawn));
     }
