@@ -17,20 +17,24 @@
 //! may be evaluated in any order, and the flood evaluates it a tile at a
 //! time. The grid is cut into 8×8 tiles ([`Tiles`]), and each node set of
 //! the flood holds one `u64` per tile, bit `(r % 8)·8 + c % 8` for node
-//! `(r, c)`. A batch visits only its senders' tiles and their four
-//! neighbors. In each it shifts the senders up, down, left and right by
-//! one node (8 bits down a tile, 1 bit across it, with the neighbor
-//! tile's carry row or column), and the union of the four shifts, less
-//! the nodes that hold the packet, is the tile's candidates. A normal
-//! broadcast reaches every candidate: the transmitter and every neighbor
-//! heard its announcement. An immediate forward reaches a candidate only
-//! if its coin kept it awake, since no traffic has woken a node that has
-//! not received; each candidate's coin is read once per level. A
-//! receiver's copy comes from its lowest-index sender, up before left
-//! before right before down, which the four shifts give without a
-//! branch, so its hop count comes from that sender's entry of a `u32`
-//! array. A batch thus costs O(tiles it visits + receivers), not a branch
-//! per edge.
+//! `(r, c)`. A batch visits each of its senders' tiles, and a neighbor
+//! grid tile only when a sender sits on the edge facing it: row 0 for the
+//! tile above, row 7 for the one below, column 0 for the left and column
+//! 7 for the right. In each it shifts the senders up, down, left and
+//! right by one node (8 bits down a tile, 1 bit across it, with the
+//! neighbor tile's carry row or column), and the union of the four
+//! shifts, less the nodes that hold the packet, is the tile's candidates.
+//! A tile the rule skips has no sender and no carry, so no candidate. A
+//! normal broadcast reaches every candidate: the transmitter and every
+//! neighbor heard its announcement. An immediate forward reaches a
+//! candidate only if its coin kept it awake, since no traffic has woken a
+//! node that has not received; each candidate's coin is read once per
+//! level. A receiver's copy comes from its lowest-index sender, up before
+//! left before right before down: its bits in the up, left and right
+//! shifts index a table of that sender's offset, so one loop over a
+//! tile's receivers takes each hop count from its sender's entry of a
+//! `u32` array. A batch thus costs O(tiles it visits + receivers), not a
+//! branch per edge.
 //!
 //! # Energy
 //!
@@ -501,6 +505,12 @@ fn threshold(p: f64) -> u64 {
     }
 }
 
+/// The bits of a tile's first row (`r % 8 == 0`).
+const FIRST_ROW: u64 = 0xFF;
+
+/// The bits of a tile's last row (`r % 8 == 7`).
+const LAST_ROW: u64 = FIRST_ROW << 56;
+
 /// The bits of a tile's first column (`c % 8 == 0`).
 const FIRST_COLUMN: u64 = 0x0101_0101_0101_0101;
 
@@ -610,11 +620,9 @@ impl TileSet {
     /// Adds the nodes of `bits` to tile `t`.
     fn insert(&mut self, t: usize, bits: u64) {
         let added = bits & !self.words[t];
-        if added != 0 {
-            self.words[t] |= added;
-            self.occupied[t / 64] |= 1 << (t % 64);
-            self.len += u64::from(added.count_ones());
-        }
+        self.words[t] |= added;
+        self.occupied[t / 64] |= u64::from(added != 0) << (t % 64);
+        self.len += u64::from(added.count_ones());
     }
 
     /// Calls `f` on every tile that holds a member, in ascending order.
@@ -681,7 +689,7 @@ struct Reach {
     /// frame.
     pending: TileSet,
     /// One bit per stored tile: the tiles a batch visits, its senders'
-    /// tiles and their four neighbors.
+    /// tiles and the grid tiles its senders' edges face.
     visit: Vec<u64>,
     /// Immediate forwards demoted to normal broadcasts.
     deferred: u64,
@@ -731,19 +739,30 @@ impl Reach {
         } = batch;
         let stride = tiles.stride;
         senders.for_each_tile(|t| {
+            let here = senders.words[t];
             assert_eq!(
-                senders.words[t] & self.unreached[t],
+                here & self.unreached[t],
                 0,
                 "a transmitter holds the packet"
             );
-            for v in [t - stride, t - 1, t, t + 1, t + stride] {
-                if tiles.valid[v] != 0 {
-                    self.visit[v / 64] |= 1 << (v % 64);
-                }
+            self.visit[t / 64] |= 1 << (t % 64);
+            let edges = [
+                (t - stride, FIRST_ROW),
+                (t - 1, FIRST_COLUMN),
+                (t + 1, LAST_COLUMN),
+                (t + stride, LAST_ROW),
+            ];
+            for (v, edge) in edges {
+                let faced = (here & edge != 0) & (tiles.valid[v] != 0);
+                self.visit[v / 64] |= u64::from(faced) << (v % 64);
             }
         });
         let s = &senders.words;
-        let cols = tiles.cols;
+        let cols = tiles.cols as isize;
+        // The offset from a receiver to its lowest-index sender, indexed
+        // by its bits in the up, left and right shifts: above if up,
+        // else left, else right, else below.
+        let sender = [cols, -cols, -1, -cols, 1, -cols, -1, -cols];
         let mut listening = 0u64;
         for w in 0..self.visit.len() {
             for_each_bit(std::mem::take(&mut self.visit[w]), |b| {
@@ -772,24 +791,15 @@ impl Reach {
                     return;
                 }
                 self.unreached[t] &= !receivers;
-                // Each receiver takes the copy of its lowest-index
-                // sender: above, left, right, then below.
                 let mut immediate = 0u64;
-                let sides = [
-                    (receivers & up, -(cols as isize)),
-                    (receivers & left & !up, -1),
-                    (receivers & right & !(up | left), 1),
-                    (receivers & !(up | left | right), cols as isize),
-                ];
-                for (from, offset) in sides {
-                    for_each_bit(from, |b| {
-                        let i = tiles.node(t, b);
-                        let hops = self.hops[i.wrapping_add_signed(offset)] + 1;
-                        self.hops[i] = hops;
-                        received[i] = Some((latency, hops));
-                        immediate |= u64::from(forwards.immediate(i)) << b;
-                    });
-                }
+                for_each_bit(receivers, |b| {
+                    let side = (up >> b & 1) | (left >> b & 1) << 1 | (right >> b & 1) << 2;
+                    let i = tiles.node(t, b);
+                    let hops = self.hops[i.wrapping_add_signed(sender[side as usize])] + 1;
+                    self.hops[i] = hops;
+                    received[i] = Some((latency, hops));
+                    immediate |= u64::from(forwards.immediate(i)) << b;
+                });
                 if forward_fits {
                     level.insert(t, immediate);
                     self.pending.insert(t, receivers & !immediate);
@@ -850,10 +860,12 @@ fn ns_to_secs(ns: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::{
-        ns_to_secs, secs_to_ns, threshold, Coins, Forwards, Hashed, ALWAYS, FORWARD_STREAM, NEVER,
+        ns_to_secs, secs_to_ns, threshold, Batch, Coins, Forwards, Hashed, Hearing, Reach, TileSet,
+        Tiles, ALWAYS, FORWARD_STREAM, NEVER,
     };
     use crate::IdealConfig;
     use pbbf_des::{mix64, SimRng, GOLDEN_GAMMA};
+    use pbbf_topology::{Grid, NodeId};
 
     /// Coins with a chosen key.
     fn coins(key: u64, q: f64) -> Coins {
@@ -1044,6 +1056,76 @@ mod tests {
             assert!(
                 rho.abs() < 4.0 / n.sqrt(),
                 "{name}: rho = {rho:e} over {n} pairs"
+            );
+        }
+    }
+
+    /// The tiles one announced batch visits when node `(r, c)` of a
+    /// `side`×`side` grid sends alone. Its receivers must be exactly the
+    /// node's grid neighbors.
+    fn tiles_visited_by_lone_sender(side: u32, r: u32, c: u32) -> u64 {
+        let grid = Grid::square(side);
+        let tiles = Tiles::new(&grid);
+        let node = grid.node_at(r, c);
+        let mut reach = Reach::default();
+        reach.reset(&tiles, node.index());
+        let (mut senders, mut level) = (TileSet::default(), TileSet::default());
+        senders.reset(&tiles);
+        level.reset(&tiles);
+        let (t, b) = tiles.locate(node.index());
+        senders.insert(t, 1 << b);
+        let mut received = vec![None; tiles.n];
+        let batch = Batch {
+            senders: &senders,
+            hearing: Hearing::Announced,
+            latency: 1.0,
+            forward_fits: true,
+        };
+        let forwards = Forwards::new(&SimRng::new(1), 0.0);
+        reach.expand(&tiles, batch, &forwards, &mut level, &mut received);
+        let heard: Vec<NodeId> = (0..tiles.n)
+            .filter(|&i| received[i].is_some())
+            .map(|i| NodeId(i as u32))
+            .collect();
+        assert_eq!(heard, grid.topology().neighbors(node), "({r}, {c})");
+        reach.tiles_visited
+    }
+
+    /// A batch visits its senders' tiles, and a neighbor grid tile only
+    /// when a sender sits on the edge facing it.
+    #[test]
+    fn a_batch_visits_the_tiles_its_senders_edges_face() {
+        // 24 = 3×3 full tiles; 20 = 3×3 tiles whose last row and column
+        // hold 4 nodes.
+        let cases = [
+            // Strictly inside a tile: its own tile.
+            (24, 11, 12, 1),
+            (20, 19, 19, 1),
+            // On one edge row or column: and the tile it faces.
+            (24, 8, 12, 2),
+            (24, 15, 12, 2),
+            (24, 11, 8, 2),
+            (24, 11, 15, 2),
+            (20, 7, 18, 2),
+            // On a tile corner: and the two tiles its edges face.
+            (24, 8, 8, 3),
+            (24, 8, 15, 3),
+            (24, 15, 8, 3),
+            (24, 15, 15, 3),
+            (20, 16, 16, 3),
+            // An edge facing the border visits no border tile.
+            (24, 0, 0, 1),
+            (24, 0, 12, 1),
+            (24, 0, 7, 2),
+            (24, 23, 23, 1),
+            (20, 16, 0, 2),
+            (1, 0, 0, 1),
+        ];
+        for (side, r, c, visited) in cases {
+            assert_eq!(
+                tiles_visited_by_lone_sender(side, r, c),
+                visited,
+                "side {side}, sender ({r}, {c})"
             );
         }
     }

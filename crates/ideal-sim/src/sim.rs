@@ -449,6 +449,24 @@ mod tests {
         }
     }
 
+    /// The flood's work on a seeded run at the paper's grid and p = q =
+    /// 0.5, as exact counts: a change that visits more tiles, runs more
+    /// batches or frames, or reads more coins fails here, where a timing
+    /// would only drift.
+    #[test]
+    fn flood_work_at_the_paper_grid_is_pinned() {
+        let params = PbbfParams::new(0.5, 0.5).unwrap();
+        let stats = IdealSim::new(small_config(75, 5), Mode::SleepScheduled(params)).run(3);
+        let total = |count: fn(&UpdateStats) -> u64| stats.updates.iter().map(count).sum::<u64>();
+        let work = (
+            total(|u| u64::from(u.frames_used)),
+            total(|u| u.batches),
+            total(|u| u.tiles_visited),
+            total(|u| u.coins_evaluated),
+        );
+        assert_eq!(work, (148, 660, 10_058, 24_113));
+    }
+
     #[test]
     fn simulators_share_the_last_grid_built_on_their_thread() {
         let pbbf = Mode::SleepScheduled(PbbfParams::new(0.5, 0.5).unwrap());

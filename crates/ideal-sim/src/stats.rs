@@ -50,8 +50,9 @@ pub struct UpdateStats {
     /// for always-on flooding and for gossip.
     pub batches: u64,
     /// Grid tiles (8×8 nodes) the flood's batches visited, summed over
-    /// batches: each batch visits its senders' tiles and their four
-    /// neighbors. Zero for always-on flooding and for gossip.
+    /// batches: each batch visits its senders' tiles, and a neighbor grid
+    /// tile only when a sender sits on the edge row or column facing it.
+    /// Zero for always-on flooding and for gossip.
     pub tiles_visited: u64,
 }
 

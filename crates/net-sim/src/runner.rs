@@ -839,7 +839,7 @@ impl Runner {
             self.nodes[i].atim_scheduled = false;
             return;
         }
-        if self.channel.is_transmitting(id) || self.channel.carrier_busy(id) {
+        if self.channel.carrier_busy(id) {
             let at = self.backoff.next_atim_attempt(now, &mut self.nodes[i].rng);
             if at + self.atim_air <= window_end {
                 self.sched_traffic(at, Ev::AtimAttempt(i as u32));
@@ -901,7 +901,7 @@ impl Runner {
                 return;
             }
         }
-        if self.channel.is_transmitting(id) || self.channel.carrier_busy(id) {
+        if self.channel.carrier_busy(id) {
             let at = self.backoff.next_data_attempt(now, &mut self.nodes[i].rng);
             self.sched_traffic(at, Ev::DataAttempt(i as u32, intent));
             return;
